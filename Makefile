@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check
+.PHONY: all vet build test race alloc-gate bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check
 
 all: vet build test
 
@@ -18,6 +18,15 @@ race:
 
 # check is the CI gate: static analysis, full build, race-enabled tests.
 check: vet build race
+
+# alloc-gate runs the allocation-count tests WITHOUT the race detector: they
+# skip under -race (its instrumentation allocates), so `check` alone would
+# never run them. They hold the RNA data path to zero gradient-sized
+# allocations per step (accumulator lease cycle, in-place partial AllReduce,
+# parameter-server exchange into a persistent buffer, and the two end-to-end
+# worker gates).
+alloc-gate:
+	$(GO) test -count=1 -run 'Alloc' ./internal/core ./internal/collective ./internal/ps
 
 # bench refreshes both machine-readable benchmark reports
 # (BENCH_collective.json and BENCH_train.json).

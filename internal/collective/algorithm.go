@@ -209,17 +209,44 @@ func PartialAllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, contrib
 	return partialAllReduce(m, iter, v, contributes, opts)
 }
 
-// partialAllReduce implements the partial collective on top of any
-// schedule.
+// partialAllReduce is the copying form of the partial collective: it stages
+// v in a pooled flag-extended buffer and runs PartialAllReduceInPlace on it.
 func partialAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contributes bool, opts Options) (PartialResult, error) {
 	work := tensor.Vector(transport.GetPayload(len(v) + 1))
 	if contributes {
 		copy(work, v)
-		work[len(v)] = 1
+	}
+	contributors, err := PartialAllReduceInPlace(m, iter, work, contributes, opts)
+	if err != nil {
+		transport.PutPayload(work)
+		return PartialResult{}, err
+	}
+	return PartialResult{Sum: work[:len(v)], Contributors: contributors}, nil
+}
+
+// PartialAllReduceInPlace is the partial collective on the caller's own
+// buffer, on top of any schedule. work is the flag-extended vector: dim data
+// elements followed by one slot for the contribution flag, which rides the
+// reduction so the count is summed by the same pass as the data. The call
+// sets the flag slot itself; with contributes=false it zeroes the whole of
+// work (whatever it held) so the rank joins with a null gradient. On return
+// work[:dim] holds the element-wise sum over contributing ranks and the
+// contributor count Σ w_{k,i} is returned (zero means nobody had data).
+// opts.Residual, when set, has dim elements.
+//
+// core's accumulator leases gradient buffers with the flag slot as spare
+// capacity, so a taken gradient is reduced where it lies.
+func PartialAllReduceInPlace(m transport.Mesh, iter int64, work tensor.Vector, contributes bool, opts Options) (contributors int, err error) {
+	dim := len(work) - 1
+	if dim < 0 {
+		return 0, fmt.Errorf("collective: partial allreduce needs a flag slot, got an empty vector")
+	}
+	if contributes {
+		work[dim] = 1
 	} else {
 		work.Zero()
 	}
-	// The caller's residual matches len(v), but the reduced vector carries
+	// The caller's residual covers the data, but the reduced vector carries
 	// the extra flag element; collect error feedback into an extended
 	// scratch residual and fold the data part back. The flag element's
 	// quantization error is deliberately dropped — feeding it back would
@@ -227,28 +254,27 @@ func partialAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contributes
 	innerOpts := opts
 	var extRes tensor.Vector
 	if opts.Residual != nil && opts.Compression != tensor.F64 {
-		extRes = tensor.Vector(transport.GetPayload(len(v) + 1))
+		if len(opts.Residual) != dim {
+			return 0, fmt.Errorf("collective: residual length %d != vector length %d", len(opts.Residual), dim)
+		}
+		extRes = tensor.Vector(transport.GetPayload(dim + 1))
+		defer transport.PutPayload(extRes)
 		extRes.Zero()
 		innerOpts.Residual = extRes
 	} else {
 		innerOpts.Residual = nil
 	}
 	if err := AllReduceOpts(m, iter, work, OpSum, innerOpts); err != nil {
-		transport.PutPayload(work)
-		if extRes != nil {
-			transport.PutPayload(extRes)
-		}
-		return PartialResult{}, err
+		return 0, err
 	}
 	if extRes != nil {
-		_ = opts.Residual.Add(extRes[:len(v)])
-		transport.PutPayload(extRes)
+		_ = opts.Residual.Add(extRes[:dim]) // lengths checked above
 	}
-	contributors := int(math.Round(work[len(v)]))
+	contributors = int(math.Round(work[dim]))
 	if contributors < 0 {
 		contributors = 0
 	} else if contributors > m.Size() {
 		contributors = m.Size()
 	}
-	return PartialResult{Sum: work[:len(v)], Contributors: contributors}, nil
+	return contributors, nil
 }

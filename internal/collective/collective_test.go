@@ -19,10 +19,16 @@ func runSPMD(t *testing.T, n int, fn func(m transport.Mesh) error) {
 		t.Fatal(err)
 	}
 	defer func() { _ = net.Close() }()
+	spmd(t, net.Endpoints(), fn)
+}
+
+// spmd runs fn on every given endpoint concurrently and fails the test on
+// any returned error.
+func spmd(t *testing.T, meshes []transport.Mesh, fn func(m transport.Mesh) error) {
+	t.Helper()
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, m := range net.Endpoints() {
-		i, m := i, m
+	errs := make([]error, len(meshes))
+	for i, m := range meshes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -332,6 +333,12 @@ type ringSender struct {
 	// oneShot senders (rings wider than gateCap/2+1 ranks) are not
 	// returned to the free list; their goroutine exits after the job.
 	oneShot bool
+	// aborted is set by the receiver when its side of the collective
+	// failed: the remaining steps then release their buffers without
+	// sending. Sending on would ship half-reduced chunks of v under valid
+	// tags, and the downstream ranks would complete with wrong sums and a
+	// nil error.
+	aborted atomic.Bool
 }
 
 // gateCap is the token capacity of pooled senders: 2(N−1) tokens for rings
@@ -413,7 +420,7 @@ func (s *ringSender) run(job ringJob) error {
 			slot := st*job.segs + k
 			buf := s.fwd[slot]
 			s.fwd[slot] = nil
-			if firstErr != nil {
+			if firstErr != nil || s.aborted.Load() {
 				transport.PutPayload(buf)
 				continue
 			}
@@ -505,14 +512,17 @@ func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, s
 	}
 	s.jobs <- ringJob{m: m, iter: iter, v: v, n: n, rank: rank, segs: K, steps: steps, wire: wire}
 	pushed := 0
-	// fail tears the pipeline down on a receive-side failure: top the gate
-	// up to the full token count so the sender drains and parks, and join
-	// it so no goroutine references v when the call returns.
+	// fail tears the pipeline down on a receive-side failure: tell the
+	// sender to stop sending, top the gate up to the full token count so it
+	// drains and parks, and join it so no goroutine references v when the
+	// call returns.
 	fail := func(err error) error {
+		s.aborted.Store(true)
 		for ; pushed < steps; pushed++ {
 			s.gate <- struct{}{}
 		}
 		<-s.done
+		s.aborted.Store(false)
 		putRingSender(s)
 		return err
 	}

@@ -24,19 +24,31 @@ import (
 // locally reduced with weights linear in their iteration (newer gradients
 // weigh more) and the buffer is reset to null — exactly the WriteOp/ReadOp
 // behaviour of Section 6.
+//
+// The accumulator owns the gradient buffers and lends them out, so one
+// buffer carries a gradient from Model.Gradient to the optimizer step: the
+// compute thread Leases a buffer, has the model write into it and Commits
+// it; the communication thread Takes the reduction (folded in place into the
+// oldest survivor), reduces it across ranks in place, steps the optimizer
+// from it and Recycles it. Every leased buffer is dim long with capacity
+// ≥ dim+1: the spare element is the contributor-flag slot of the partial
+// AllReduce (collective.PartialAllReduceInPlace), so the taken buffer can be
+// resliced to dim+1 and reduced without a copy. A buffer that is never
+// recycled is simply garbage-collected.
 type Accumulator struct {
 	mu      sync.Mutex
 	dim     int
 	bound   int64
-	grads   []tensor.Vector
+	grads   []tensor.Vector // committed buffers in commit order, oldest first
 	iters   []int64
 	dropped int64
 
-	// weights is the scratch for Take's local reduction; free recycles
-	// the per-Put gradient copies so a steady-state worker stops
-	// allocating one dim-sized vector per iteration.
-	weights []float64
+	// free holds recycled buffers for future Leases, at most maxFree of
+	// them: the steady state needs one per gradient the bounded-staleness
+	// window lets compute run ahead plus one on each thread, and a burst
+	// beyond that goes to the GC instead of pinning memory for the run.
 	free    []tensor.Vector
+	maxFree int
 }
 
 // NewAccumulator returns an accumulator for dim-sized gradients that keeps
@@ -47,33 +59,75 @@ func NewAccumulator(dim int, bound int) (*Accumulator, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("core: accumulator dim %d", dim)
 	}
-	b := int64(bound)
-	if bound < 1 {
-		b = 1<<62 - 1
+	a := &Accumulator{dim: dim, bound: 1<<62 - 1, maxFree: 2}
+	if bound >= 1 {
+		a.bound, a.maxFree = int64(bound), bound+2
 	}
-	return &Accumulator{dim: dim, bound: b}, nil
+	return a, nil
 }
 
-// Put buffers the gradient computed at iteration iter. The vector is
-// copied, so callers may reuse their buffer.
+// Lease hands out a gradient buffer: dim long, capacity ≥ dim+1, contents
+// unspecified. The holder fills it and Commits it (or drops it).
+func (a *Accumulator) Lease() tensor.Vector {
+	a.mu.Lock()
+	if n := len(a.free); n > 0 {
+		g := a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		a.mu.Unlock()
+		return g
+	}
+	a.mu.Unlock()
+	return make(tensor.Vector, a.dim, a.dim+1)
+}
+
+// leased reports whether g has the shape of a buffer Lease hands out.
+func (a *Accumulator) leased(g tensor.Vector) bool {
+	return len(g) == a.dim && cap(g) > a.dim
+}
+
+// Commit buffers the leased gradient g as computed at iteration iter. The
+// accumulator owns g from here on; the caller must not touch it again.
+func (a *Accumulator) Commit(iter int64, g tensor.Vector) error {
+	if !a.leased(g) {
+		return fmt.Errorf("core: commit of a %d/%d-element buffer, want a leased %d: %w",
+			len(g), cap(g), a.dim, tensor.ErrShapeMismatch)
+	}
+	a.mu.Lock()
+	a.grads = append(a.grads, g)
+	a.iters = append(a.iters, iter)
+	a.mu.Unlock()
+	return nil
+}
+
+// Put buffers a copy of the gradient computed at iteration iter, so callers
+// may reuse their vector: Lease, copy, Commit.
 func (a *Accumulator) Put(iter int64, grad tensor.Vector) error {
 	if len(grad) != a.dim {
 		return tensor.ErrShapeMismatch
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var g tensor.Vector
-	if n := len(a.free); n > 0 {
-		g = a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
-		copy(g, grad)
-	} else {
-		g = grad.Clone()
+	g := a.Lease()
+	copy(g, grad)
+	return a.Commit(iter, g)
+}
+
+// Recycle returns a buffer obtained from Lease or Take for reuse. Slices
+// that are not leased buffers (wrong length, no flag slot) are ignored, as
+// are buffers beyond the free-list bound.
+func (a *Accumulator) Recycle(g tensor.Vector) {
+	if !a.leased(g) {
+		return
 	}
-	a.grads = append(a.grads, g)
-	a.iters = append(a.iters, iter)
-	return nil
+	a.mu.Lock()
+	a.release(g)
+	a.mu.Unlock()
+}
+
+// release puts g on the free list if there is room; a.mu must be held.
+func (a *Accumulator) release(g tensor.Vector) {
+	if len(a.free) < a.maxFree {
+		a.free = append(a.free, g)
+	}
 }
 
 // Len returns the number of buffered gradients.
@@ -95,58 +149,63 @@ func (a *Accumulator) Dropped() int64 {
 // with the paper's weights w_t = t − (current − τ) + 1 where τ is the
 // largest surviving gap, and the buffer is reset. ok is false when nothing
 // survives — the worker then contributes a null gradient.
+//
+// The reduction Σ (w_i/W)·g_i is folded in commit order into the oldest
+// survivor's own buffer — scaled by w₀/W, then += (w_i/W)·g_i — and that
+// leased buffer is returned; a single survivor (weight 1 of 1) is handed
+// over untouched. The caller owns the result and should Recycle it. The
+// other survivors go back to the free list. err is always nil.
 func (a *Accumulator) Take(current int64) (grad tensor.Vector, ok bool, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.grads) == 0 {
-		return nil, false, nil
-	}
-	// Filter by the staleness bound; dropped copies go to the free list.
-	keepG := a.grads[:0]
-	keepI := a.iters[:0]
+	keep := 0
 	for i, it := range a.iters {
-		if current-it >= a.bound && current-it > 0 {
+		if gap := current - it; gap >= a.bound && gap > 0 {
 			a.dropped++
-			a.free = append(a.free, a.grads[i])
+			a.release(a.grads[i])
 			continue
 		}
-		keepG = append(keepG, a.grads[i])
-		keepI = append(keepI, it)
+		a.grads[keep], a.iters[keep] = a.grads[i], it
+		keep++
 	}
-	for i := len(keepG); i < len(a.grads); i++ {
-		a.grads[i] = nil
+	if keep > 0 {
+		grad = a.fold(current, a.grads[:keep], a.iters[:keep])
 	}
-	a.grads, a.iters = keepG, keepI
-	if len(a.grads) == 0 {
-		return nil, false, nil
-	}
+	// Reset to null: after each AllReduce the inputs are overwritten so
+	// outdated gradients are never reused (Section 6). Every survivor now
+	// belongs to the caller or the free list.
+	clear(a.grads)
+	a.grads, a.iters = a.grads[:0], a.iters[:0]
+	return grad, keep > 0, nil
+}
+
+// fold reduces the survivors into survivors[0] and releases the rest; a.mu
+// must be held.
+func (a *Accumulator) fold(current int64, survivors []tensor.Vector, iters []int64) tensor.Vector {
 	// τ = largest gap among survivors; weight of entry t is
-	// t − (current − τ) + 1, so the oldest survivor weighs 1 and newer
-	// entries weigh linearly more.
+	// t − (current − τ) + 1 = t − base, so the oldest survivor weighs 1 and
+	// newer entries weigh linearly more.
 	var tau int64
-	for _, it := range a.iters {
+	for _, it := range iters {
 		if g := current - it; g > tau {
 			tau = g
 		}
 	}
-	a.weights = a.weights[:0]
-	for _, it := range a.iters {
-		a.weights = append(a.weights, float64(it-(current-tau)+1))
+	base := current - tau - 1
+	var total float64
+	for _, it := range iters {
+		total += float64(it - base)
 	}
-	out, err := tensor.WeightedMean(a.grads, a.weights)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: local reduce: %w", err)
+	out := survivors[0]
+	if len(survivors) == 1 {
+		return out
 	}
-	// Reset to null: after each AllReduce the inputs are overwritten so
-	// outdated gradients are never reused (Section 6). The copies are
-	// recycled for future Puts.
-	a.free = append(a.free, a.grads...)
-	for i := range a.grads {
-		a.grads[i] = nil
+	out.Scale(float64(iters[0]-base) / total)
+	for i, g := range survivors[1:] {
+		_ = out.AddScaled(float64(iters[i+1]-base)/total, g) // equal lengths: Commit checked
+		a.release(g)
 	}
-	a.grads = a.grads[:0]
-	a.iters = a.iters[:0]
-	return out, true, nil
+	return out
 }
 
 // OldestIter returns the iteration of the oldest buffered gradient, and

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/race"
 	"repro/internal/tensor"
 )
 
@@ -253,4 +257,201 @@ func absf(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// referenceTake is the copying reduction Take performed before buffers were
+// leased: filter by the staleness bound, weight by t − (current − τ) + 1,
+// and fold with tensor.WeightedMean into a fresh vector. It is the oracle
+// the in-place fold must match bit for bit.
+func referenceTake(grads []tensor.Vector, iters []int64, current, bound int64) (tensor.Vector, int, error) {
+	var keepG []tensor.Vector
+	var keepI []int64
+	for i, it := range iters {
+		if current-it >= bound && current-it > 0 {
+			continue
+		}
+		keepG, keepI = append(keepG, grads[i]), append(keepI, it)
+	}
+	if len(keepG) == 0 {
+		return nil, len(iters), nil
+	}
+	var tau int64
+	for _, it := range keepI {
+		if g := current - it; g > tau {
+			tau = g
+		}
+	}
+	weights := make([]float64, len(keepI))
+	for i, it := range keepI {
+		weights[i] = float64(it - (current - tau) + 1)
+	}
+	out, err := tensor.WeightedMean(keepG, weights)
+	return out, len(iters) - len(keepG), err
+}
+
+// TestAccumulatorTakeMatchesWeightedMeanBits drives seeded (iters, current,
+// bound) patterns — in order, out of order, with and without drops, up to
+// everything dropped — through Lease/Commit/Take/Recycle on one long-lived
+// accumulator per bound, and requires Take to equal the copying reference
+// bitwise, on a leased buffer that still carries the flag slot.
+func TestAccumulatorTakeMatchesWeightedMeanBits(t *testing.T) {
+	const dim = 37 // odd: exercises the kernels' unroll tails
+	src := rand.New(rand.NewSource(12))
+	for _, bound := range []int{0, 1, 2, 3, 8} {
+		a, err := NewAccumulator(dim, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refBound := int64(bound)
+		if bound < 1 {
+			refBound = 1<<62 - 1
+		}
+		var wantDropped int64
+		for round := 0; round < 200; round++ {
+			current := int64(src.Intn(40))
+			count := src.Intn(7) // 0 = empty Take
+			grads := make([]tensor.Vector, count)
+			iters := make([]int64, count)
+			for i := range grads {
+				// Mostly at or behind current, sometimes ahead of it, in
+				// commit order or shuffled.
+				iters[i] = current - int64(src.Intn(12)) + int64(src.Intn(3))
+				grads[i] = tensor.New(dim)
+				for j := range grads[i] {
+					grads[i][j] = src.NormFloat64() * math.Pow(10, float64(src.Intn(9)-4))
+				}
+				g := a.Lease()
+				if len(g) != dim || cap(g) < dim+1 {
+					t.Fatalf("Lease: len %d cap %d, want %d and ≥ %d", len(g), cap(g), dim, dim+1)
+				}
+				copy(g, grads[i])
+				if err := a.Commit(iters[i], g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, dropped, err := referenceTake(grads, iters, current, refBound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantDropped += int64(dropped)
+			got, ok, err := a.Take(current)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != (want != nil) {
+				t.Fatalf("bound %d round %d: ok = %v, reference has survivors = %v", bound, round, ok, want != nil)
+			}
+			if a.Len() != 0 {
+				t.Fatalf("bound %d round %d: %d gradients left after Take", bound, round, a.Len())
+			}
+			if !ok {
+				continue
+			}
+			if len(got) != dim || cap(got) < dim+1 {
+				t.Fatalf("Take: len %d cap %d, want %d and ≥ %d", len(got), cap(got), dim, dim+1)
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("bound %d round %d iters %v current %d elem %d: got %v, want %v",
+						bound, round, iters, current, j, got[j], want[j])
+				}
+			}
+			a.Recycle(got)
+		}
+		if a.Dropped() != wantDropped {
+			t.Errorf("bound %d: Dropped = %d, want %d", bound, a.Dropped(), wantDropped)
+		}
+	}
+}
+
+// TestAccumulatorBufferOwnership: only leased-shape buffers enter the free
+// list, which never grows past bound+2, and a committed buffer of the wrong
+// shape is refused.
+func TestAccumulatorBufferOwnership(t *testing.T) {
+	const dim, bound = 4, 3
+	a, err := NewAccumulator(dim, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freeLen := func() int {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.free)
+	}
+	a.Recycle(nil)
+	a.Recycle(tensor.New(dim))     // foreign: no flag slot
+	a.Recycle(tensor.New(dim - 1)) // short
+	a.Recycle(a.Lease()[:dim-1])   // leased but truncated
+	if n := freeLen(); n != 0 {
+		t.Fatalf("free list holds %d foreign buffers", n)
+	}
+	if err := a.Commit(0, tensor.New(dim)); !errors.Is(err, tensor.ErrShapeMismatch) {
+		t.Errorf("Commit of an unleased vector: %v", err)
+	}
+	if err := a.Commit(0, a.Lease()[:dim-1]); !errors.Is(err, tensor.ErrShapeMismatch) {
+		t.Errorf("Commit of a short vector: %v", err)
+	}
+
+	// A burst far beyond the staleness window is committed and dropped
+	// wholesale; the free list keeps bound+2 of its buffers.
+	for k := int64(0); k < 40; k++ {
+		if err := a.Commit(k, a.Lease()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, _ := a.Take(1000); ok {
+		t.Fatal("stale burst survived")
+	}
+	if n := freeLen(); n != bound+2 {
+		t.Errorf("free list holds %d buffers after a burst, want %d", n, bound+2)
+	}
+	for i := 0; i < 10; i++ {
+		a.Recycle(make(tensor.Vector, dim, dim+1))
+	}
+	if n := freeLen(); n != bound+2 {
+		t.Errorf("free list holds %d buffers after extra recycles, want %d", n, bound+2)
+	}
+	// A recycled buffer is what the next Lease hands out.
+	g := a.Lease()
+	g[0] = 42
+	a.Recycle(g)
+	if h := a.Lease(); &h[0] != &g[0] {
+		t.Error("Lease did not reuse the recycled buffer")
+	}
+}
+
+// TestAccumulatorSteadyStateAllocs: once the free list is warm, a
+// Lease/Commit/Take/Recycle cycle — one gradient per synchronization, and
+// a compute thread running a few iterations ahead — allocates nothing.
+func TestAccumulatorSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const dim, bound = 1 << 12, 4
+	a, err := NewAccumulator(dim, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := int64(0)
+	cycle := func(ahead int) {
+		for i := 0; i < ahead; i++ {
+			g := a.Lease()
+			g[0] = float64(k)
+			if err := a.Commit(k, g); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}
+		out, ok, err := a.Take(k - 1)
+		if err != nil || !ok {
+			t.Fatalf("Take = (%v, %v)", ok, err)
+		}
+		a.Recycle(out)
+	}
+	for _, ahead := range []int{1, bound} {
+		cycle(ahead) // warm the free list and the slice headers
+		if n := testing.AllocsPerRun(50, func() { cycle(ahead) }); n != 0 {
+			t.Errorf("%d gradients per sync: %v allocs per cycle, want 0", ahead, n)
+		}
+	}
 }

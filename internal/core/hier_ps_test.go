@@ -27,15 +27,21 @@ func hierPSConfig(t *testing.T) (HierarchicalConfig, []*controller.Controller) {
 	train, _ := blobConfig(t, 8)
 	train.StalenessBound = 1
 	cfg := HierarchicalConfig{Train: train, Groups: hierPSGroups, PSEvery: 2, OrderedPS: true}
-	ctrls := make([]*controller.Controller, len(cfg.Groups))
-	for gi, g := range cfg.Groups {
+	return cfg, allReadyControllers(t, cfg.Groups)
+}
+
+// allReadyControllers builds one AllReady controller per group.
+func allReadyControllers(t *testing.T, groups []topology.Group) []*controller.Controller {
+	t.Helper()
+	ctrls := make([]*controller.Controller, len(groups))
+	for gi, g := range groups {
 		var err error
 		ctrls[gi], err = controller.New(controller.AllReady, len(g.Members), 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	return cfg, ctrls
+	return ctrls
 }
 
 func runHierWorkers(t *testing.T, meshes []transport.Mesh, ctrls []*controller.Controller, cfg HierarchicalConfig) []*Result {

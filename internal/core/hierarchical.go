@@ -141,14 +141,18 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 		return nil, err
 	}
 	leader := sub.Rank() == 0
-	var global ps.GlobalStore
+	var store ps.GlobalStore
 	if leader {
-		if global, err = cfg.globalStore(mesh); err != nil {
+		if store, err = cfg.globalStore(mesh); err != nil {
 			return nil, err
 		}
 	}
 
-	var lastPull tensor.Vector
+	// Persistent exchange buffers, allocated at the first exchange. global
+	// is the model as of this rank's last exchange: the leader pulls into it
+	// (it is also the baseline of the next delta), everyone else receives
+	// the broadcast into it. delta is the leader's push scratch.
+	var global, delta tensor.Vector
 	period := int64(cfg.psEvery())
 	nGroups := int64(len(cfg.Groups))
 	exchanges := int64(0)
@@ -157,21 +161,26 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 		if (k+1)%period != 0 {
 			return nil
 		}
-		dim := len(params)
-		pulled := tensor.New(dim)
-		if leader {
-			mu.Lock()
-			snapshot := params.Clone()
-			mu.Unlock()
-			if lastPull == nil {
+		if global == nil {
+			if leader {
 				// First exchange: baseline is the shared init.
-				lastPull, err = InitialParams(cfg.Train)
+				initial, err := InitialParams(cfg.Train)
 				if err != nil {
 					return err
 				}
+				global = initial
+				delta = tensor.New(len(params))
+			} else {
+				global = tensor.New(len(params))
 			}
-			delta := snapshot.Clone()
-			if err := delta.Sub(lastPull); err != nil {
+		}
+		if leader {
+			// The group's update since its last pull, in one pass under
+			// the lock.
+			mu.Lock()
+			err := tensor.DiffInto(delta, params, global)
+			mu.Unlock()
+			if err != nil {
 				return err
 			}
 			var minVersion int64
@@ -180,22 +189,19 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 				// exchange is the (r·G + gi)-th global operation.
 				minVersion = 1 + exchanges*nGroups + int64(gi)
 			}
-			out, _, err := global.PushPull(delta, ps.Add, minVersion)
-			if err != nil {
+			if _, err := store.PushPullInto(global, delta, ps.Add, minVersion); err != nil {
 				return err
 			}
 			exchanges++
-			copy(pulled, out)
-			lastPull = out
 		}
 		// In-group broadcast of the pulled global model. Tag with a
 		// distinct iteration namespace so it cannot be confused with
 		// AllReduce chunks.
-		if err := collective.Broadcast(sub, ^k, pulled, 0); err != nil {
+		if err := collective.Broadcast(sub, ^k, global, 0); err != nil {
 			return err
 		}
 		mu.Lock()
-		copy(params, pulled)
+		copy(params, global)
 		mu.Unlock()
 		return nil
 	}

@@ -244,7 +244,6 @@ func runRNAOverlapped(mesh transport.Mesh, ctrl *controller.Controller, cfg Trai
 	go func() {
 		defer wg.Done()
 		snapshot := tensor.New(dim)
-		g := tensor.New(dim)
 		for k := int64(0); k < int64(cfg.Iterations); k++ {
 			mu.Lock()
 			for k-synced > int64(cfg.bound()) && !aborted {
@@ -258,6 +257,7 @@ func runRNAOverlapped(mesh transport.Mesh, ctrl *controller.Controller, cfg Trai
 			mu.Unlock()
 
 			batch := cfg.Batch(batchSrc)
+			g := acc.Lease()
 			loss, err := cfg.Model.Gradient(snapshot, g, batch)
 			if err != nil {
 				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
@@ -270,7 +270,7 @@ func runRNAOverlapped(mesh transport.Mesh, ctrl *controller.Controller, cfg Trai
 				}
 			}
 			res.Losses = append(res.Losses, loss)
-			if err := acc.Put(k, g); err != nil {
+			if err := acc.Commit(k, g); err != nil {
 				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
 				abort()
 				return
@@ -380,6 +380,10 @@ func runRNAOverlapped(mesh transport.Mesh, ctrl *controller.Controller, cfg Trai
 				pr.Release()
 				handles[i] = nil
 			}
+			if ok {
+				// Every bucket collective has copied its span out.
+				acc.Recycle(contrib)
+			}
 			if post != nil {
 				if err := post(k, &mu, params); err != nil {
 					fail(k, err)
@@ -407,6 +411,7 @@ func runRNAOverlapped(mesh transport.Mesh, ctrl *controller.Controller, cfg Trai
 		return nil, commErr
 	}
 	res.Params = params
+	res.StaleDropped = int(acc.Dropped())
 	res.Elapsed = time.Since(start)
 	res.MaxInFlight = as.MaxInFlight()
 	return res, nil

@@ -198,7 +198,6 @@ func runRNASharded(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCo
 	go func() {
 		defer wg.Done()
 		snapshot := tensor.New(dim)
-		g := tensor.New(dim)
 		for k := int64(0); k < int64(cfg.Iterations); k++ {
 			mu.Lock()
 			for k-synced > int64(cfg.bound()) && !aborted {
@@ -212,6 +211,7 @@ func runRNASharded(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCo
 			mu.Unlock()
 
 			batch := cfg.Batch(batchSrc)
+			g := acc.Lease()
 			loss, err := cfg.Model.Gradient(snapshot, g, batch)
 			if err != nil {
 				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
@@ -224,7 +224,7 @@ func runRNASharded(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCo
 				}
 			}
 			res.Losses = append(res.Losses, loss)
-			if err := acc.Put(k, g); err != nil {
+			if err := acc.Commit(k, g); err != nil {
 				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
 				abort()
 				return
@@ -305,6 +305,9 @@ func runRNASharded(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCo
 			// (When every rank computed the identical zero count, the
 			// update AND the gather are skipped in lockstep, like the
 			// replicated path skips its step.)
+			if ok {
+				acc.Recycle(contrib)
+			}
 			if post != nil {
 				if err := post(k, &mu, params); err != nil {
 					commErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
@@ -333,6 +336,7 @@ func runRNASharded(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCo
 		return nil, commErr
 	}
 	res.Params = params
+	res.StaleDropped = int(acc.Dropped())
 	if optim != nil {
 		res.OptStateBytes = optim.StateBytes()
 	}

@@ -138,6 +138,10 @@ type Result struct {
 	// gradient into; NullContribs counts the null contributions.
 	Contributed  int
 	NullContribs int
+	// StaleDropped counts the gradients this worker computed and then
+	// discarded because they exceeded the staleness bound before a
+	// synchronization took them (RNA loops only).
+	StaleDropped int
 	// Elapsed is the worker's wall-clock training time.
 	Elapsed time.Duration
 	// MaxInFlight is the peak number of concurrently in-flight bucket
@@ -208,7 +212,6 @@ func runRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 		mu.Unlock()
 	}
 	res := &Result{Losses: make([]float64, 0, cfg.Iterations)}
-	zero := tensor.New(dim)
 
 	var (
 		wg         sync.WaitGroup
@@ -221,7 +224,6 @@ func runRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 	go func() {
 		defer wg.Done()
 		snapshot := tensor.New(dim)
-		g := tensor.New(dim)
 		for k := int64(0); k < int64(cfg.Iterations); k++ {
 			// Bounded staleness: never run more than `bound` ahead
 			// of the last completed synchronization.
@@ -237,6 +239,8 @@ func runRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 			mu.Unlock()
 
 			batch := cfg.Batch(batchSrc)
+			// The model writes straight into an accumulator-owned buffer.
+			g := acc.Lease()
 			loss, err := cfg.Model.Gradient(snapshot, g, batch)
 			if err != nil {
 				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
@@ -249,7 +253,7 @@ func runRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 				}
 			}
 			res.Losses = append(res.Losses, loss)
-			if err := acc.Put(k, g); err != nil {
+			if err := acc.Commit(k, g); err != nil {
 				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
 				abort()
 				return
@@ -271,15 +275,13 @@ func runRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 			fired, _ := ctrl.Await(k)
 			<-fired
 
-			contrib, ok, err := acc.Take(k)
+			buf, ok, err := acc.Take(k)
 			if err != nil {
 				commErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
 				abort()
 				return
 			}
-			in := zero
 			if ok {
-				in = contrib
 				res.Contributed++
 				// Error feedback: fold the quantization error this rank's
 				// owned regions suffered in earlier rounds into the fresh
@@ -288,13 +290,18 @@ func runRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 				// in reconstructs the lost mass exactly (in expectation the
 				// compressed trajectory tracks the fp64 one).
 				if residual != nil {
-					_ = contrib.Add(residual)
+					_ = buf.Add(residual)
 					residual.Zero()
 				}
 			} else {
+				// A null contribution still needs a buffer to receive the
+				// sum; the collective zeroes it.
+				buf = acc.Lease()
 				res.NullContribs++
 			}
-			pr, err := collective.PartialAllReduceOpts(mesh, k, in, ok, collective.Options{
+			// The taken buffer is reduced where it lies: its spare capacity
+			// is the flag slot.
+			contributors, err := collective.PartialAllReduceInPlace(mesh, k, buf[:dim+1], ok, collective.Options{
 				Algorithm: cfg.Algorithm, Compression: cfg.Compression, Residual: residual,
 			})
 			if err != nil {
@@ -302,17 +309,17 @@ func runRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 				abort()
 				return
 			}
-			if pr.Contributors > 0 {
+			if contributors > 0 {
 				// ḡ = W·Σg with W = 1/Σw; γ_k scaled by Σw/N.
-				pr.Sum.Scale(1 / float64(pr.Contributors))
-				scale, err := opt.LinearScale(pr.Contributors, n)
+				buf.Scale(1 / float64(contributors))
+				scale, err := opt.LinearScale(contributors, n)
 				if err != nil {
 					commErr = err
 					abort()
 					return
 				}
 				mu.Lock()
-				if _, err := optim.Step(params, pr.Sum, scale); err != nil {
+				if _, err := optim.Step(params, buf, scale); err != nil {
 					mu.Unlock()
 					commErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
 					abort()
@@ -320,7 +327,7 @@ func runRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 				}
 				mu.Unlock()
 			}
-			pr.Release()
+			acc.Recycle(buf)
 			if post != nil {
 				if err := post(k, &mu, params); err != nil {
 					commErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
@@ -351,6 +358,7 @@ func runRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 		return nil, commErr
 	}
 	res.Params = params
+	res.StaleDropped = int(acc.Dropped())
 	res.OptStateBytes = optim.StateBytes()
 	res.Elapsed = time.Since(start)
 	return res, nil

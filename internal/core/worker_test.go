@@ -157,6 +157,49 @@ func TestRNAWorkerWithStraggler(t *testing.T) {
 	}
 }
 
+// TestRNAStaleDroppedSurfaced: a rank whose first gradient lands many
+// synchronizations late has it discarded by the staleness bound, and every
+// RNA loop reports that in Result.StaleDropped. No rank can have contributed
+// and dropped more gradients than it computed.
+func TestRNAStaleDroppedSurfaced(t *testing.T) {
+	const n, iters = 3, 40
+	variants := map[string]func(*TrainConfig){
+		"replicated": func(*TrainConfig) {},
+		"overlap":    func(c *TrainConfig) { c.Overlap = true },
+		"sharded":    func(c *TrainConfig) { c.ShardedUpdate = true },
+	}
+	for name, variant := range variants {
+		cfg, _ := blobConfig(t, iters)
+		variant(&cfg)
+		// Every step takes a millisecond, so synchronization k fires no
+		// sooner than k ms in; rank 2's iteration-0 gradient arrives at
+		// 12 ms, far beyond the staleness bound of 2 and well before the
+		// run ends.
+		cfg.SlowDown = func(rank, iter int) time.Duration {
+			if rank == 2 && iter == 0 {
+				return 12 * time.Millisecond
+			}
+			return time.Millisecond
+		}
+		ctrl, err := controller.New(controller.PowerOfChoices, n, 2, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
+			return RunRNAWorker(m, ctrl, cfg)
+		})
+		if results[2].StaleDropped < 1 {
+			t.Errorf("%s: straggler reports %d stale gradients dropped, want ≥ 1", name, results[2].StaleDropped)
+		}
+		for r, res := range results {
+			if res.StaleDropped < 0 || res.Contributed+res.StaleDropped > iters {
+				t.Errorf("%s rank %d: contributed %d + dropped %d of %d computed",
+					name, r, res.Contributed, res.StaleDropped, iters)
+			}
+		}
+	}
+}
+
 func TestRNAFasterThanBSPWithStraggler(t *testing.T) {
 	// With a hard straggler, RNA's wall-clock should beat BSP's on the
 	// same workload: BSP waits for the straggler every iteration, RNA

@@ -23,6 +23,11 @@ type GlobalStore interface {
 	// model and its version. A positive minVersion delays the exchange
 	// until the model's version reaches it (see Store.PushPullMin).
 	PushPull(value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error)
+	// PushPullInto is PushPull writing the resulting model into the
+	// caller's out (model-sized, distinct from value) instead of a fresh
+	// vector — the form a leader exchanging every few synchronizations
+	// uses with one persistent buffer.
+	PushPullInto(out, value tensor.Vector, mode UpdateMode, minVersion int64) (int64, error)
 }
 
 // Loopback returns the in-process GlobalStore over store's key — the fast
@@ -40,7 +45,26 @@ type loopback struct {
 }
 
 func (l *loopback) PushPull(value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error) {
-	return l.store.PushPullMin(l.key, value, mode, minVersion)
+	out := tensor.New(len(value))
+	ver, err := l.PushPullInto(out, value, mode, minVersion)
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, ver, nil
+}
+
+// PushPullInto copies the result out of a zero-copy lease on the published
+// snapshot, outside every store lock.
+func (l *loopback) PushPullInto(out, value tensor.Vector, mode UpdateMode, minVersion int64) (int64, error) {
+	lease, err := l.store.PushPullLease(l.key, value, mode, minVersion)
+	if err != nil {
+		return 0, err
+	}
+	defer lease.Release()
+	if err := out.CopyFrom(lease.Value); err != nil {
+		return 0, fmt.Errorf("push-pull %q: %w", l.key, err)
+	}
+	return lease.Version, nil
 }
 
 // ClientConfig configures a networked parameter-server client. Key, Dim
@@ -144,11 +168,20 @@ func (c *Client) serverOf(chunk int) int {
 // minimum across chunks (they are equal whenever exchanges are ordered).
 func (c *Client) PushPull(value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error) {
 	out := tensor.New(c.cfg.Dim)
-	ver, err := c.exchange(transport.MsgPSPushPull, value, mode, minVersion, out)
+	ver, err := c.PushPullInto(out, value, mode, minVersion)
 	if err != nil {
 		return nil, 0, err
 	}
 	return out, ver, nil
+}
+
+// PushPullInto is PushPull scattering the post-update model into out, which
+// must have the model's dimension and must not alias value.
+func (c *Client) PushPullInto(out, value tensor.Vector, mode UpdateMode, minVersion int64) (int64, error) {
+	if err := c.checkOut(out); err != nil {
+		return 0, err
+	}
+	return c.exchange(transport.MsgPSPushPull, value, mode, minVersion, out)
 }
 
 // Push applies value to the global model without pulling it back.
@@ -159,11 +192,26 @@ func (c *Client) Push(value tensor.Vector, mode UpdateMode) (int64, error) {
 // Pull returns the current global model and its version.
 func (c *Client) Pull() (tensor.Vector, int64, error) {
 	out := tensor.New(c.cfg.Dim)
-	ver, err := c.exchange(transport.MsgPSPull, nil, 0, 0, out)
+	ver, err := c.PullInto(out)
 	if err != nil {
 		return nil, 0, err
 	}
 	return out, ver, nil
+}
+
+// PullInto is Pull scattering the current global model into out.
+func (c *Client) PullInto(out tensor.Vector) (int64, error) {
+	if err := c.checkOut(out); err != nil {
+		return 0, err
+	}
+	return c.exchange(transport.MsgPSPull, nil, 0, 0, out)
+}
+
+func (c *Client) checkOut(out tensor.Vector) error {
+	if len(out) != c.cfg.Dim {
+		return fmt.Errorf("ps: %w: output of %d elems, dim %d", tensor.ErrShapeMismatch, len(out), c.cfg.Dim)
+	}
+	return nil
 }
 
 // exchange runs one chunked, windowed operation: up to Window chunk

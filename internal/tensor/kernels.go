@@ -86,6 +86,23 @@ func sumTo(dst, a, b []float64) {
 	}
 }
 
+// diffTo computes dst[i] = a[i] - b[i] in one pass — the out-of-place fused
+// form of subVec, bit-identical to clone-then-subtract.
+func diffTo(dst, a, b []float64) {
+	a = a[:len(dst)]
+	b = b[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		dst[i] = a[i] - b[i]
+		dst[i+1] = a[i+1] - b[i+1]
+		dst[i+2] = a[i+2] - b[i+2]
+		dst[i+3] = a[i+3] - b[i+3]
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = a[i] - b[i]
+	}
+}
+
 // avgTo computes dst[i] = (a[i]+b[i])/2 in one pass — the out-of-place
 // fused form of avgVec, bit-identical to clone-then-average.
 func avgTo(dst, a, b []float64) {

@@ -41,6 +41,10 @@ func TestKernelsMatchScalar(t *testing.T) {
 		axpyVec(axpy, c, b)
 		avg := a.Clone()
 		avgVec(avg, b)
+		diff := New(n)
+		if err := DiffInto(diff, a, b); err != nil {
+			t.Fatal(err)
+		}
 
 		for i := 0; i < n; i++ {
 			if got, want := add[i], a[i]+b[i]; math.Float64bits(got) != math.Float64bits(want) {
@@ -48,6 +52,9 @@ func TestKernelsMatchScalar(t *testing.T) {
 			}
 			if got, want := sub[i], a[i]-b[i]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("subVec n=%d i=%d: got %v, want %v", n, i, got, want)
+			}
+			if got, want := diff[i], a[i]-b[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("DiffInto n=%d i=%d: got %v, want %v", n, i, got, want)
 			}
 			if got, want := scale[i], a[i]*c; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("scaleVec n=%d i=%d: got %v, want %v", n, i, got, want)

@@ -102,6 +102,17 @@ func SumInto(dst, a, b Vector) error {
 	return nil
 }
 
+// DiffInto computes dst = a − b in a single fused pass, bit-identical to
+// copying a into dst and subtracting b. The hierarchical leader forms its
+// parameter delta with it while it holds the parameter lock.
+func DiffInto(dst, a, b Vector) error {
+	if len(dst) != len(a) || len(dst) != len(b) {
+		return fmt.Errorf("%w: dst %d, a %d, b %d", ErrShapeMismatch, len(dst), len(a), len(b))
+	}
+	diffTo(dst, a, b)
+	return nil
+}
+
 // AverageInto computes dst = (a + b)/2 in a single fused pass,
 // bit-identical to copy-then-AverageWith.
 func AverageInto(dst, a, b Vector) error {
