@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race alloc-gate bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check
+.PHONY: all vet build test race loc alloc-gate bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check
 
 all: vet build test
 
@@ -18,6 +18,14 @@ race:
 
 # check is the CI gate: static analysis, full build, race-enabled tests.
 check: vet build race
+
+# loc prints the non-test Go lines of every internal package: the figure a
+# simplicity change reports before and after, counted the same way every time
+# (`find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l`).
+loc:
+	@for d in internal/*; do \
+		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
+	done
 
 # alloc-gate runs the allocation-count tests WITHOUT the race detector: they
 # skip under -race (its instrumentation allocates), so `check` alone would

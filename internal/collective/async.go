@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -15,15 +14,15 @@ import (
 // its own tag stream (the Message.Stream frame-header field — see
 // transport.Streams), so several bucket reductions can be in flight at once
 // without their messages interleaving. On a TCP mesh the streams route
-// natively in the transport; other meshes get a cooperative demux. Start
-// launches the collective on a goroutine and returns a Handle; Wait joins
-// it. Everything else — algorithm auto-selection, compression Options,
-// pooled buffers, the ErrTagOverflow guard — is the synchronous engine,
-// reused unchanged on the stream view.
+// natively in the transport; other meshes get a cooperative demux. Go hands
+// the caller's function the stream's mesh view on a goroutine and returns a
+// Handle; Wait joins it. Everything else — algorithm auto-selection,
+// compression Options, pooled buffers, the ErrTagOverflow guard — is the
+// synchronous engine, called unchanged on the stream view.
 
 // Async runs collectives concurrently on one mesh. All SPMD ranks of a job
 // must drive their meshes through an Async with the same stream/iter
-// discipline. A stream carries one collective at a time (Start on a busy
+// discipline. A stream carries one collective at a time (Go on a busy
 // stream fails); distinct streams are fully independent.
 type Async struct {
 	streams transport.StreamRouter
@@ -38,7 +37,7 @@ type Async struct {
 
 // NewAsync wraps m for concurrent collectives. The wrapped mesh's receive
 // side belongs to the Async afterwards: raw m.Recv calls must not be mixed
-// with in-flight Starts.
+// with in-flight streams.
 func NewAsync(m transport.Mesh) *Async {
 	return &Async{
 		streams: transport.Streams(m),
@@ -48,12 +47,10 @@ func NewAsync(m transport.Mesh) *Async {
 }
 
 // Handle is one in-flight collective. Wait blocks until it completes and
-// returns its error; for partial collectives Partial returns the result
-// after a successful Wait.
+// returns its error.
 type Handle struct {
 	done chan struct{}
 	err  error
-	pr   PartialResult
 }
 
 // Wait joins the collective. It is idempotent: further calls return the
@@ -62,11 +59,6 @@ func (h *Handle) Wait() error {
 	<-h.done
 	return h.err
 }
-
-// Partial returns the partial-collective outcome. Valid only after Wait
-// returned nil on a handle from StartPartial; the Sum buffer follows the
-// usual Release contract.
-func (h *Handle) Partial() PartialResult { return h.pr }
 
 // MaxInFlight reports the largest number of collectives this Async has had
 // in flight simultaneously — the observability hook behind the rnabench
@@ -85,9 +77,8 @@ func (a *Async) view(stream int32) transport.Mesh {
 
 // acquire claims a stream for one collective and bumps the in-flight
 // gauges. The stream id travels as a first-class frame-header field, so any
-// int64 iter is usable — there is no packed-tag overflow to guard.
-func (a *Async) acquire(stream int32, iter int64) (transport.Mesh, error) {
-	_ = iter
+// int64 iter is usable on a stream — there is no packed-tag overflow to guard.
+func (a *Async) acquire(stream int32) (transport.Mesh, error) {
 	if stream < 0 {
 		return nil, fmt.Errorf("collective: negative stream %d", stream)
 	}
@@ -117,10 +108,12 @@ func (a *Async) release(stream int32) {
 	a.mu.Unlock()
 }
 
-// Start launches AllReduceOpts(v) on the given stream and returns without
-// waiting. v must stay untouched until Wait returns.
-func (a *Async) Start(stream int32, iter int64, v tensor.Vector, op ReduceOp, opts Options) (*Handle, error) {
-	m, err := a.acquire(stream, iter)
+// Go launches run on the given stream's view of the mesh and returns without
+// waiting. run is one collective (or a sequence of them) issued by all ranks
+// on the same stream; whatever it reads or writes must stay untouched until
+// Wait returns.
+func (a *Async) Go(stream int32, run func(transport.Mesh) error) (*Handle, error) {
+	m, err := a.acquire(stream)
 	if err != nil {
 		return nil, err
 	}
@@ -128,24 +121,7 @@ func (a *Async) Start(stream int32, iter int64, v tensor.Vector, op ReduceOp, op
 	go func() {
 		defer close(h.done)
 		defer a.release(stream)
-		h.err = AllReduceOpts(m, iter, v, op, opts)
-	}()
-	return h, nil
-}
-
-// StartPartial launches PartialAllReduceOpts(v, contributes) on the given
-// stream. After a successful Wait, Partial holds the result (release its
-// Sum when done).
-func (a *Async) StartPartial(stream int32, iter int64, v tensor.Vector, contributes bool, opts Options) (*Handle, error) {
-	m, err := a.acquire(stream, iter)
-	if err != nil {
-		return nil, err
-	}
-	h := &Handle{done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		defer a.release(stream)
-		h.pr, h.err = partialAllReduce(m, iter, v, contributes, opts)
+		h.err = run(m)
 	}()
 	return h, nil
 }

@@ -18,7 +18,23 @@ func asyncSPMD(t *testing.T, n int, fn func(a *Async, rank int) error) {
 	})
 }
 
-// TestAsyncSingleCollective: one Start/Wait reproduces the synchronous
+// start launches AllReduceOpts(v) on a stream.
+func start(a *Async, stream int32, iter int64, v tensor.Vector, op ReduceOp, opts Options) (*Handle, error) {
+	return a.Go(stream, func(m transport.Mesh) error { return AllReduceOpts(m, iter, v, op, opts) })
+}
+
+// startPartial launches PartialAllReduceOpts(v, contributes) on a stream; pr
+// holds the result after a successful Wait.
+func startPartial(a *Async, stream int32, iter int64, v tensor.Vector, contributes bool) (h *Handle, pr *PartialResult, err error) {
+	pr = new(PartialResult)
+	h, err = a.Go(stream, func(m transport.Mesh) (err error) {
+		*pr, err = PartialAllReduceOpts(m, iter, v, contributes, Options{})
+		return err
+	})
+	return h, pr, err
+}
+
+// TestAsyncSingleCollective: one Go/Wait reproduces the synchronous
 // AllReduce exactly.
 func TestAsyncSingleCollective(t *testing.T) {
 	const n, dim = 4, 257
@@ -27,7 +43,7 @@ func TestAsyncSingleCollective(t *testing.T) {
 		for i := range v {
 			v[i] = float64(rank + i)
 		}
-		h, err := a.Start(0, 7, v, OpSum, Options{})
+		h, err := start(a, 0, 7, v, OpSum, Options{})
 		if err != nil {
 			return err
 		}
@@ -59,7 +75,7 @@ func TestAsyncConcurrentCollectives(t *testing.T) {
 			for i := range vs[s] {
 				vs[s][i] = float64((s+1)*(rank+1)) + float64(i)
 			}
-			h, err := a.Start(int32(s), int64(s*3+1), vs[s], OpSum, Options{})
+			h, err := start(a, int32(s), int64(s*3+1), vs[s], OpSum, Options{})
 			if err != nil {
 				return err
 			}
@@ -115,7 +131,7 @@ func TestAsyncMatchesSyncBitwise(t *testing.T) {
 			res := tensor.New(dim)
 			// A non-zero stream: the packed iter differs from the sync run,
 			// which must not change a single bit of the result.
-			h, err := a.Start(3, 5, v, OpAverage, Options{Compression: wire, Residual: res})
+			h, err := start(a, 3, 5, v, OpAverage, Options{Compression: wire, Residual: res})
 			if err != nil {
 				return err
 			}
@@ -147,14 +163,13 @@ func TestAsyncPartial(t *testing.T) {
 		for i := range v {
 			v[i] = float64(rank + 1)
 		}
-		h, err := a.StartPartial(2, 9, v, contributes, Options{})
+		h, pr, err := startPartial(a, 2, 9, v, contributes)
 		if err != nil {
 			return err
 		}
 		if err := h.Wait(); err != nil {
 			return err
 		}
-		pr := h.Partial()
 		defer pr.Release()
 		if pr.Contributors != 2 {
 			t.Errorf("rank %d: contributors = %d", rank, pr.Contributors)
@@ -175,12 +190,12 @@ func TestAsyncPartial(t *testing.T) {
 func TestAsyncBusyStream(t *testing.T) {
 	asyncSPMD(t, 2, func(a *Async, rank int) error {
 		v := tensor.New(16)
-		h, err := a.Start(1, 0, v, OpSum, Options{})
+		h, err := start(a, 1, 0, v, OpSum, Options{})
 		if err != nil {
 			return err
 		}
 		if rank == 0 {
-			if _, err := a.Start(1, 1, tensor.New(16), OpSum, Options{}); err == nil {
+			if _, err := start(a, 1, 1, tensor.New(16), OpSum, Options{}); err == nil {
 				t.Error("second collective on busy stream accepted")
 			}
 		}
@@ -188,7 +203,7 @@ func TestAsyncBusyStream(t *testing.T) {
 			return err
 		}
 		// Released: the stream accepts a new collective.
-		h2, err := a.Start(1, 1, v, OpSum, Options{})
+		h2, err := start(a, 1, 1, v, OpSum, Options{})
 		if err != nil {
 			return err
 		}
@@ -206,27 +221,26 @@ func TestAsyncBadArgs(t *testing.T) {
 	}
 	defer func() { _ = net.Close() }()
 	a := NewAsync(net.Endpoints()[0])
-	if _, err := a.Start(-1, 0, tensor.New(4), OpSum, Options{}); err == nil {
+	if _, err := start(a, -1, 0, tensor.New(4), OpSum, Options{}); err == nil {
 		t.Error("negative stream accepted")
 	}
 	// The failed launch must not leave stream 0 marked busy, and huge iters
 	// (formerly rejected as stream-tag overflow) now run end to end.
 	for _, iter := range []int64{-1, 0, 1 << 60, math.MaxInt64} {
-		h, err := a.Start(0, iter, tensor.New(4), OpSum, Options{})
+		h, err := start(a, 0, iter, tensor.New(4), OpSum, Options{})
 		if err != nil {
 			t.Fatalf("iter %d rejected: %v", iter, err)
 		}
 		if err := h.Wait(); err != nil {
 			t.Fatalf("iter %d failed: %v", iter, err)
 		}
-		ph, err := a.StartPartial(0, iter, tensor.New(4), true, Options{})
+		ph, res, err := startPartial(a, 0, iter, tensor.New(4), true)
 		if err != nil {
 			t.Fatalf("partial iter %d rejected: %v", iter, err)
 		}
 		if err := ph.Wait(); err != nil {
 			t.Fatalf("partial iter %d failed: %v", iter, err)
 		}
-		res := ph.Partial()
 		res.Release()
 	}
 }

@@ -60,15 +60,13 @@ func RunADPSGDWorker(mesh transport.Mesh, cfg TrainConfig) (*ADPSGDResult, error
 	dim := cfg.Model.Dim()
 	start := time.Now()
 
-	st := &adpsgdState{params: tensor.New(dim)}
-	cfg.Model.Init(rng.New(cfg.Seed+7777), st.params)
+	params, batchSrc := cfg.newRank(rank)
+	st := &adpsgdState{params: params}
 	optim, err := cfg.newOptimizer(dim)
 	if err != nil {
 		return nil, err
 	}
-	src := rng.New(cfg.Seed)
-	batchSrc := src.Split(rank + 1)
-	peerSrc := src.Split(1000 + rank)
+	peerSrc := rng.New(cfg.Seed).Split(1000 + rank)
 
 	// Replies to this worker's own averaging requests. Buffered so a
 	// late reply after a retry decision cannot block the reader.
@@ -113,11 +111,7 @@ func RunADPSGDWorker(mesh transport.Mesh, cfg TrainConfig) (*ADPSGDResult, error
 			return nil, fmt.Errorf("rank %d iter %d: %w", rank, k, err)
 		}
 		res.Losses = append(res.Losses, loss)
-		if cfg.SlowDown != nil {
-			if d := cfg.SlowDown(rank, int(k)); d > 0 {
-				time.Sleep(d)
-			}
-		}
+		cfg.slowDown(rank, k)
 
 		// Atomic pairwise averaging with retry-on-conflict.
 		averaged := false

@@ -1,61 +1,60 @@
 package core
 
 import (
-	"fmt"
 	"sync"
-	"time"
 
-	"repro/internal/collective"
 	"repro/internal/controller"
-	"repro/internal/opt"
-	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
-// eagerMailbox is the single-slot gradient buffer of eager-SGD: a newer
-// gradient overwrites an unconsumed older one (no cross-iteration
+// eagerMailbox is the single-slot gradient source of eager-SGD: a newer
+// gradient replaces an unconsumed older one (no cross-iteration
 // accumulation), and the last contributed gradient is retained for stale
 // re-contribution.
 type eagerMailbox struct {
-	mu      sync.Mutex
-	fresh   tensor.Vector // unconsumed gradient, nil when empty
-	stale   tensor.Vector // last contributed gradient, nil before first
-	scratch tensor.Vector
+	// bufs lends the buffers (Lease/Recycle: right shape, bounded free
+	// list); its own gradient list stays empty.
+	bufs *Accumulator
+
+	mu    sync.Mutex
+	fresh tensor.Vector // unconsumed gradient, nil when empty
+	stale tensor.Vector // last contributed gradient, nil before the first
 }
 
-// put stores a fresh gradient, overwriting any unconsumed one.
-func (b *eagerMailbox) put(g tensor.Vector) {
+func (b *eagerMailbox) Lease() tensor.Vector    { return b.bufs.Lease() }
+func (b *eagerMailbox) Recycle(g tensor.Vector) { b.bufs.Recycle(g) }
+
+// Dropped is always zero: the mailbox overwrites, it has no staleness bound.
+func (b *eagerMailbox) Dropped() int64 { return 0 }
+
+// Commit stores a fresh gradient, replacing any unconsumed one.
+func (b *eagerMailbox) Commit(_ int64, g tensor.Vector) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.fresh == nil {
-		if b.scratch != nil && len(b.scratch) == len(g) {
-			b.fresh, b.scratch = b.scratch, nil
-			copy(b.fresh, g)
-		} else {
-			b.fresh = g.Clone()
-		}
-		return
-	}
-	copy(b.fresh, g)
+	old := b.fresh
+	b.fresh = g
+	b.mu.Unlock()
+	b.bufs.Recycle(old)
+	return nil
 }
 
-// take returns the gradient to contribute: the fresh one if present
-// (promoting it to stale and recycling the previous stale buffer), else
-// the stale duplicate, else nil.
-func (b *eagerMailbox) take() tensor.Vector {
+// Take returns a copy of the gradient to contribute — the synchronization
+// reduces it in place, and the original must survive for re-contribution:
+// the fresh one if present (promoting it to stale), else the stale duplicate,
+// else nothing.
+func (b *eagerMailbox) Take(int64) (tensor.Vector, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.fresh != nil {
-		b.scratch = b.stale
-		b.stale = b.fresh
-		b.fresh = nil
-		return b.stale.Clone()
+		b.bufs.Recycle(b.stale)
+		b.stale, b.fresh = b.fresh, nil
 	}
-	if b.stale != nil {
-		return b.stale.Clone()
+	if b.stale == nil {
+		return nil, false, nil
 	}
-	return nil
+	g := b.bufs.Lease()
+	copy(g, b.stale)
+	return g, true, nil
 }
 
 // RunEagerWorker trains with eager-SGD semantics on the goroutine runtime:
@@ -63,151 +62,15 @@ func (b *eagerMailbox) take() tensor.Vector {
 // iteration's partial AllReduce, ready workers contribute their newest
 // gradient, and workers whose compute has not landed re-contribute their
 // previous gradient (a stale duplicate) — there is no cross-iteration
-// accumulation or staleness weighting. All ranks end with identical
-// parameters.
+// accumulation or staleness weighting. It is the RNA worker with the mailbox
+// in the Accumulator's place. All ranks end with identical parameters.
 func RunEagerWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	rank := mesh.Rank()
-	n := mesh.Size()
-	dim := cfg.Model.Dim()
-
-	optim, err := cfg.newOptimizer(dim)
+	bufs, err := NewAccumulator(cfg.Model.Dim(), 2)
 	if err != nil {
 		return nil, err
 	}
-	src := rng.New(cfg.Seed)
-	params := tensor.New(dim)
-	cfg.Model.Init(rng.New(cfg.Seed+7777), params)
-	batchSrc := src.Split(rank + 1)
-
-	var (
-		mu      sync.Mutex
-		cond    = sync.NewCond(&mu)
-		synced  = int64(-1)
-		aborted bool
-	)
-	abort := func() {
-		mu.Lock()
-		aborted = true
-		cond.Broadcast()
-		mu.Unlock()
-	}
-
-	box := &eagerMailbox{}
-	res := &Result{Losses: make([]float64, 0, cfg.Iterations)}
-	zero := tensor.New(dim)
-
-	var (
-		wg         sync.WaitGroup
-		computeErr error
-		commErr    error
-	)
-
-	// Compute thread.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		snapshot := tensor.New(dim)
-		g := tensor.New(dim)
-		for k := int64(0); k < int64(cfg.Iterations); k++ {
-			mu.Lock()
-			for k-synced > int64(cfg.bound()) && !aborted {
-				cond.Wait()
-			}
-			if aborted {
-				mu.Unlock()
-				return
-			}
-			copy(snapshot, params)
-			mu.Unlock()
-
-			batch := cfg.Batch(batchSrc)
-			loss, err := cfg.Model.Gradient(snapshot, g, batch)
-			if err != nil {
-				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-				abort()
-				return
-			}
-			if cfg.SlowDown != nil {
-				if d := cfg.SlowDown(rank, int(k)); d > 0 {
-					time.Sleep(d)
-				}
-			}
-			res.Losses = append(res.Losses, loss)
-			box.put(g)
-			if err := ctrl.Ready(rank, k); err != nil {
-				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-				abort()
-				return
-			}
-		}
-	}()
-
-	// Communication thread.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for k := int64(0); k < int64(cfg.Iterations); k++ {
-			fired, _ := ctrl.Await(k)
-			<-fired
-
-			contrib := box.take()
-			in := zero
-			ok := contrib != nil
-			if ok {
-				in = contrib
-				res.Contributed++
-			} else {
-				res.NullContribs++
-			}
-			pr, err := collective.PartialAllReduce(mesh, k, in, ok)
-			if err != nil {
-				commErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-				abort()
-				return
-			}
-			if pr.Contributors > 0 {
-				pr.Sum.Scale(1 / float64(pr.Contributors))
-				scale, err := opt.LinearScale(pr.Contributors, n)
-				if err != nil {
-					commErr = err
-					abort()
-					return
-				}
-				mu.Lock()
-				if _, err := optim.Step(params, pr.Sum, scale); err != nil {
-					mu.Unlock()
-					commErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-					abort()
-					return
-				}
-				synced = k
-				cond.Broadcast()
-				mu.Unlock()
-			} else {
-				mu.Lock()
-				synced = k
-				cond.Broadcast()
-				mu.Unlock()
-			}
-			pr.Release()
-			if rank == 0 {
-				ctrl.Forget(k - int64(cfg.bound()) - 2)
-			}
-		}
-	}()
-
-	wg.Wait()
-	if computeErr != nil {
-		return nil, computeErr
-	}
-	if commErr != nil {
-		return nil, commErr
-	}
-	res.Params = params
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return rnaLoop(mesh, ctrl, cfg, &eagerMailbox{bufs: bufs}, nil)
 }

@@ -11,27 +11,46 @@ import (
 )
 
 func TestEagerMailbox(t *testing.T) {
-	var b eagerMailbox
-	if got := b.take(); got != nil {
+	bufs, err := NewAccumulator(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &eagerMailbox{bufs: bufs}
+	put := func(v float64) {
+		g := b.Lease()
+		g[0] = v
+		if err := b.Commit(0, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	take := func() tensor.Vector {
+		g, _, _ := b.Take(0)
+		return g
+	}
+	if got, ok, _ := b.Take(0); ok {
 		t.Fatalf("empty take = %v", got)
 	}
-	b.put(tensor.FromSlice([]float64{1}))
-	b.put(tensor.FromSlice([]float64{2})) // overwrites unconsumed
-	if got := b.take(); got[0] != 2 {
+	put(1)
+	put(2) // overwrites unconsumed
+	if got := take(); got[0] != 2 {
 		t.Fatalf("take = %v, want newest (2)", got)
 	}
 	// Stale duplicate re-contribution.
-	if got := b.take(); got[0] != 2 {
+	if got := take(); got[0] != 2 {
 		t.Fatalf("stale take = %v, want 2", got)
 	}
-	b.put(tensor.FromSlice([]float64{3}))
-	if got := b.take(); got[0] != 3 {
+	put(3)
+	if got := take(); got[0] != 3 {
 		t.Fatalf("take = %v, want 3", got)
 	}
-	// Returned vectors are copies.
-	got := b.take()
+	// Returned vectors are copies, with the flag slot every source promises.
+	got := take()
+	if cap(got) < len(got)+1 {
+		t.Fatalf("take returned cap %d for len %d, want a spare flag slot", cap(got), len(got))
+	}
 	got[0] = 99
-	if again := b.take(); again[0] != 3 {
+	b.Recycle(got)
+	if again := take(); again[0] != 3 {
 		t.Fatalf("take exposed internal state: %v", again)
 	}
 }
@@ -58,6 +77,12 @@ func TestEagerWorkerTrains(t *testing.T) {
 	}
 	if top1 < 0.8 {
 		t.Errorf("eager top-1 = %v", top1)
+	}
+	// Momentum-SGD keeps one velocity per parameter; eager reports it like
+	// every other path, and ran no bucketed stage.
+	if want := int64(8 * cfg.Model.Dim()); results[0].OptStateBytes != want || results[0].MaxInFlight != 0 {
+		t.Errorf("eager OptStateBytes = %d (want %d), MaxInFlight = %d (want 0)",
+			results[0].OptStateBytes, want, results[0].MaxInFlight)
 	}
 }
 

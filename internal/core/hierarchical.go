@@ -7,7 +7,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/controller"
 	"repro/internal/ps"
-	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 	"repro/internal/transport"
@@ -52,9 +51,6 @@ type HierarchicalConfig struct {
 // Networked deployments point ps.ServerConfig.Key at it.
 const HierarchicalPSKey = "hierarchical-global"
 
-// hierarchicalPSKey is kept for package-internal uses.
-const hierarchicalPSKey = HierarchicalPSKey
-
 func (c *HierarchicalConfig) psEvery() int {
 	if c.PSEvery < 1 {
 		return 4
@@ -69,8 +65,7 @@ func InitialParams(cfg TrainConfig) (tensor.Vector, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: nil model")
 	}
-	params := tensor.New(cfg.Model.Dim())
-	cfg.Model.Init(rng.New(cfg.Seed+7777), params)
+	params, _ := cfg.newRank(0)
 	return params, nil
 }
 
@@ -82,7 +77,7 @@ func SeedStore(store *ps.Store, cfg TrainConfig) error {
 	if err != nil {
 		return err
 	}
-	_, err = store.Push(hierarchicalPSKey, params, ps.Overwrite)
+	_, err = store.Push(HierarchicalPSKey, params, ps.Overwrite)
 	return err
 }
 
@@ -206,7 +201,7 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 		return nil
 	}
 
-	res, err := runRNAWorker(sub, ctrls[gi], cfg.Train, post)
+	res, err := runRNA(sub, ctrls[gi], cfg.Train, post)
 	if err != nil {
 		return nil, fmt.Errorf("group %d: %w", gi, err)
 	}

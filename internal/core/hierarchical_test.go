@@ -85,8 +85,8 @@ func TestHierarchicalWorkerTrains(t *testing.T) {
 		t.Errorf("hierarchical top-1 = %v", top1)
 	}
 	// The PS saw exchanges from both groups.
-	if store.Pushes(hierarchicalPSKey) < 3 {
-		t.Errorf("PS pushes = %d, want several", store.Pushes(hierarchicalPSKey))
+	if store.Pushes(HierarchicalPSKey) < 3 {
+		t.Errorf("PS pushes = %d, want several", store.Pushes(HierarchicalPSKey))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/collective"
 	"repro/internal/controller"
 	"repro/internal/data"
 	"repro/internal/model"
@@ -125,11 +126,12 @@ func assertBitsEqual(t *testing.T, label string, a, b []*Result) {
 	}
 }
 
-// TestOverlapMatchesSequentialBits is the tentpole acceptance test: for BSP
-// and RNA, on in-memory and TCP meshes, with fp64 and f16 wires, the
-// overlapped reducer produces bitwise identical parameters to (a) the same
-// bucket plan launched serially and (b) the legacy whole-vector worker when
-// the plan collapses to one bucket.
+// TestOverlapMatchesSequentialBits is the bucketed stage's acceptance test:
+// for BSP and RNA, on in-memory and TCP meshes, with fp64 and f16 wires, over
+// the replicated reduction (auto-selected and pinned-ring schedule) and the
+// sharded one (uniform and weighted ownership), the overlapped stage produces
+// bitwise identical parameters to (a) the same bucket plan launched serially
+// and (b) the unbucketed stage when the plan collapses to one bucket.
 func TestOverlapMatchesSequentialBits(t *testing.T) {
 	// smallFusion keeps every emission span its own bucket (multi-bucket
 	// plan); hugeFusion collapses the plan to a single whole-vector bucket.
@@ -144,35 +146,49 @@ func TestOverlapMatchesSequentialBits(t *testing.T) {
 		{ranks: []int{2, 3, 5, 8}, tcp: false, iters: 10},
 		{ranks: []int{2, 4}, tcp: true, iters: 6},
 	}
+	reductions := []struct {
+		name  string
+		apply func(c *TrainConfig, n int)
+	}{
+		{"replicated", func(*TrainConfig, int) {}},
+		// A pinned schedule must reach the bucket reductions too, or the
+		// one-bucket run and the unbucketed run reduce differently.
+		{"ring", func(c *TrainConfig, _ int) { c.Algorithm = collective.AlgoRing }},
+		{"sharded", func(c *TrainConfig, _ int) { c.ShardedUpdate = true }},
+		{"sharded-weighted", func(c *TrainConfig, n int) { c.ShardedUpdate, c.ShardWeights = true, skewWeights(n) }},
+	}
 	for _, protocol := range []string{"bsp", "rna"} {
-		for _, wire := range []tensor.Dtype{tensor.F64, tensor.F16} {
-			for _, mx := range cases {
-				for _, n := range mx.ranks {
-					transportName := "mem"
-					if mx.tcp {
-						transportName = "tcp"
-					}
-					name := fmt.Sprintf("%s/%s/%v/n=%d", protocol, transportName, wire, n)
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						cfg := mlpConfig(t, 12, 24, mx.iters)
-						cfg.Compression = wire
-
-						legacy := cfg
-						run := func(c TrainConfig) []*Result {
-							return runOverlapCluster(t, n, mx.tcp, protocol, c)
+		for _, red := range reductions {
+			for _, wire := range []tensor.Dtype{tensor.F64, tensor.F16} {
+				for _, mx := range cases {
+					for _, n := range mx.ranks {
+						transportName := "mem"
+						if mx.tcp {
+							transportName = "tcp"
 						}
+						name := fmt.Sprintf("%s/%s/%s/%v/n=%d", protocol, red.name, transportName, wire, n)
+						t.Run(name, func(t *testing.T) {
+							t.Parallel()
+							cfg := mlpConfig(t, 12, 24, mx.iters)
+							cfg.Compression = wire
+							red.apply(&cfg, n)
 
-						serial := cfg
-						serial.Overlap, serial.OverlapSerial, serial.FusionBytes = true, true, smallFusion
-						overlapped := cfg
-						overlapped.Overlap, overlapped.FusionBytes = true, smallFusion
-						assertBitsEqual(t, "overlapped vs serial", run(overlapped), run(serial))
+							legacy := cfg
+							run := func(c TrainConfig) []*Result {
+								return runOverlapCluster(t, n, mx.tcp, protocol, c)
+							}
 
-						oneBucket := cfg
-						oneBucket.Overlap, oneBucket.FusionBytes = true, hugeFusion
-						assertBitsEqual(t, "single-bucket vs legacy", run(oneBucket), run(legacy))
-					})
+							serial := cfg
+							serial.Overlap, serial.OverlapSerial, serial.FusionBytes = true, true, smallFusion
+							overlapped := cfg
+							overlapped.Overlap, overlapped.FusionBytes = true, smallFusion
+							assertBitsEqual(t, "overlapped vs serial", run(overlapped), run(serial))
+
+							oneBucket := cfg
+							oneBucket.Overlap, oneBucket.FusionBytes = true, hugeFusion
+							assertBitsEqual(t, "single-bucket vs legacy", run(oneBucket), run(legacy))
+						})
+					}
 				}
 			}
 		}
@@ -181,24 +197,33 @@ func TestOverlapMatchesSequentialBits(t *testing.T) {
 
 // TestOverlapMultiBlockMLP exercises an MLP big enough that the layered
 // backward splits W1 into multiple emission blocks, and checks that the
-// overlapped run matches the serial schedule bit for bit.
+// overlapped run matches the serial schedule bit for bit — over the
+// replicated and the sharded reduction.
 func TestOverlapMultiBlockMLP(t *testing.T) {
-	cfg := mlpConfig(t, 128, 256, 4) // W1 = 32768 elems -> 2 blocks
-	lm := cfg.Model.(model.LayeredModel)
-	if spans := lm.GradientBuckets(); len(spans) < 4 {
-		t.Fatalf("expected a multi-block plan, got %d spans", len(spans))
+	for _, sharded := range []bool{false, true} {
+		cfg := mlpConfig(t, 128, 256, 4) // W1 = 32768 elems -> 2 blocks
+		cfg.ShardedUpdate = sharded
+		lm := cfg.Model.(model.LayeredModel)
+		if spans := lm.GradientBuckets(); len(spans) < 4 {
+			t.Fatalf("expected a multi-block plan, got %d spans", len(spans))
+		}
+		serial := cfg
+		serial.Overlap, serial.OverlapSerial, serial.FusionBytes = true, true, 8
+		overlapped := cfg
+		overlapped.Overlap, overlapped.FusionBytes = true, 8
+		a := runOverlapCluster(t, 2, false, "bsp", overlapped)
+		b := runOverlapCluster(t, 2, false, "bsp", serial)
+		assertBitsEqual(t, "multi-block overlapped vs serial", a, b)
+		if a[0].MaxInFlight < 1 {
+			t.Errorf("MaxInFlight = %d, overlap reducer never launched", a[0].MaxInFlight)
+		}
+		// Backprop launches the buckets back to back without waiting for any,
+		// so on a multi-bucket plan at least two reduce-scatters overlap.
+		if sharded && a[0].MaxInFlight < 2 {
+			t.Errorf("sharded MaxInFlight = %d, want >= 2", a[0].MaxInFlight)
+		}
+		t.Logf("multi-block MaxInFlight = %d (sharded=%v)", a[0].MaxInFlight, sharded)
 	}
-	serial := cfg
-	serial.Overlap, serial.OverlapSerial, serial.FusionBytes = true, true, 8
-	overlapped := cfg
-	overlapped.Overlap, overlapped.FusionBytes = true, 8
-	a := runOverlapCluster(t, 2, false, "bsp", overlapped)
-	b := runOverlapCluster(t, 2, false, "bsp", serial)
-	assertBitsEqual(t, "multi-block overlapped vs serial", a, b)
-	if a[0].MaxInFlight < 1 {
-		t.Errorf("MaxInFlight = %d, overlap reducer never launched", a[0].MaxInFlight)
-	}
-	t.Logf("multi-block MaxInFlight = %d", a[0].MaxInFlight)
 }
 
 // TestOverlapLossesMatch: the per-step training losses of the overlapped
@@ -210,7 +235,19 @@ func TestOverlapLossesMatch(t *testing.T) {
 	one.Overlap, one.FusionBytes = true, 1<<30
 	a := runOverlapCluster(t, 3, false, "bsp", one)
 	b := runOverlapCluster(t, 3, false, "bsp", cfg)
+	rna := runOverlapCluster(t, 3, false, "rna", one)
 	for r := range a {
+		// Result fields follow the stage that ran, not the loop: optimizer
+		// state is reported with and without bucketing, in-flight buckets
+		// only with.
+		if a[r].OptStateBytes == 0 || a[r].OptStateBytes != b[r].OptStateBytes || rna[r].OptStateBytes != b[r].OptStateBytes {
+			t.Errorf("rank %d: OptStateBytes bsp-overlap %d, rna-overlap %d, unbucketed %d",
+				r, a[r].OptStateBytes, rna[r].OptStateBytes, b[r].OptStateBytes)
+		}
+		if a[r].MaxInFlight < 1 || rna[r].MaxInFlight < 1 || b[r].MaxInFlight != 0 {
+			t.Errorf("rank %d: MaxInFlight bsp-overlap %d, rna-overlap %d, unbucketed %d",
+				r, a[r].MaxInFlight, rna[r].MaxInFlight, b[r].MaxInFlight)
+		}
 		if len(a[r].Losses) != len(b[r].Losses) {
 			t.Fatalf("rank %d: %d vs %d losses", r, len(a[r].Losses), len(b[r].Losses))
 		}

@@ -170,14 +170,20 @@ func tcpTrainCluster(t *testing.T, n int, run func(m transport.Mesh) (*Result, e
 
 // TestShardedBSPOverTCP: the sharded path produces the same bits over a real
 // TCP fabric as in memory, for the exact fp64 wire and the f16 parameter
-// allgather (grid values survive the wire exactly).
+// allgather (grid values survive the wire exactly), and with the
+// reduce-scatter bucketed (f16 only: the wire that exercises the residual).
 func TestShardedBSPOverTCP(t *testing.T) {
 	const n, iters = 4, 12
-	for _, wire := range []tensor.Dtype{tensor.F64, tensor.F16} {
+	for _, row := range []struct {
+		wire    tensor.Dtype
+		overlap bool
+	}{{tensor.F64, false}, {tensor.F16, false}, {tensor.F16, true}} {
+		wire := row.wire
 		cfg, _ := shardedBlobConfig(t, iters, true)
 		cfg.ShardedUpdate = true
 		cfg.ShardWeights = skewWeights(n)
 		cfg.Compression = wire
+		cfg.Overlap = row.overlap
 		ctrl, err := controller.New(controller.AllReady, n, 0, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -278,13 +284,6 @@ func TestShardedBSPF16MasterWeights(t *testing.T) {
 
 func TestShardedConfigValidation(t *testing.T) {
 	cfg, _ := blobConfig(t, 1)
-	cfg.ShardedUpdate = true
-	cfg.Overlap = true
-	if err := cfg.validate(); err == nil {
-		t.Error("sharded+overlap accepted")
-	}
-	cfg.Overlap = false
-	cfg.ShardedUpdate = false
 	cfg.ShardWeights = []float64{1, 1}
 	if err := cfg.validate(); err == nil {
 		t.Error("shard weights without sharded update accepted")

@@ -1,0 +1,429 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"repro/internal/collective"
+	"repro/internal/model"
+	"repro/internal/opt"
+	"repro/internal/tensor"
+	"repro/internal/transport"
+)
+
+// Sync stages: what a synchronization does between the trigger and the next
+// compute step. bspLoop and rnaLoop (worker.go) own the trigger, the
+// threads and the bookkeeping; a stage owns the reduction and the update.
+// It is chosen once per run, by newStage, from TrainConfig alone:
+//
+//   - replicated: AllReduce the whole gradient, every rank steps the whole
+//     vector (replicatedReducer);
+//   - sharded (ShardedUpdate): reduce-scatter, every rank steps the span it
+//     owns, parameter allgather (shardedReducer);
+//   - bucketed (Overlap): not a third reduction but a wrapper — either of the
+//     two above runs once per bucket of the shared plan, each bucket on its
+//     own collective.Async stream; the update stays one call.
+//
+// Each reduction has a full-participation entry (reduce, for BSP) and a
+// partial-participation entry (reducePartial, for RNA and eager-SGD).
+
+// reducer is the part of a synchronization that differs between the
+// replicated and the owner-computes update. It works span by span — b indexes
+// the stage's plan — on whatever mesh view the stage hands it, so the same
+// code serves the whole-vector call and a bucket's stream.
+type reducer interface {
+	// reduce averages span b of grad over all ranks of m. Afterwards the
+	// part of the span this rank owns (all of it when replicated) is final.
+	reduce(m transport.Mesh, k int64, grad tensor.Vector, b int) error
+	// reducePartial sums span b of buf over the contributing ranks of m and
+	// returns their count, identical on every rank; with contributes false
+	// buf's contents are ignored. buf is a gradSource buffer: the element
+	// after the last one is spare.
+	reducePartial(m transport.Mesh, k int64, buf tensor.Vector, b int, contributes bool) (int, error)
+	// owned is the span of the vector this rank steps.
+	owned() (lo, hi int)
+	// update steps params over the owned span from the reduced gradient g
+	// and leaves params complete and identical on all ranks.
+	update(k int64, params, g tensor.Vector, scale float64) error
+	// stateBytes is the rank's persistent optimizer-state footprint.
+	stateBytes() int64
+}
+
+// stage runs a reducer over a plan: one whole-vector span reduced on the
+// rank's own mesh, or (as != nil) the bucket plan, one stream per bucket.
+//
+// The reducer pipeline — comm/compute overlap. A blocking step pays compute
+// + comm back to back. The bucketed stage derives a bucket plan — emission
+// spans from the model's layered backward pass, coalesced under
+// TrainConfig.FusionBytes — and launches each bucket's reduction the moment
+// backprop finalizes the bucket's last layer (BSP), or all of them at once
+// from the communication thread (RNA, which already overlaps compute with
+// communication across iterations; bucketing pipelines the reduction itself,
+// so a straggling chunk of one bucket no longer idles the link).
+//
+// Bit-identity. The plan is a pure function of (model architecture,
+// FusionBytes), so every rank derives the identical bucket list. Each
+// bucket's reduction is the deterministic synchronous engine running on a
+// private tag stream over a disjoint parameter span, so launching the
+// buckets concurrently, serially (OverlapSerial), or in any interleaving
+// produces the same bits. A plan with a single bucket is additionally
+// bit-identical to the unbucketed stage: the same reduction runs once with
+// the same inputs, and its result does not depend on the stream it runs on.
+type stage struct {
+	red  reducer
+	mesh transport.Mesh
+	plan []model.Bucket
+
+	as       *collective.Async
+	serial   bool
+	handles  []*collective.Handle
+	counts   []int // per-bucket contributor counts of a partial round
+	launched int   // buckets launched by the current BSP backward pass
+}
+
+// newStage selects the stage for cfg: the plan (Overlap), then the reducer
+// over it (ShardedUpdate).
+func newStage(mesh transport.Mesh, cfg *TrainConfig) (*stage, error) {
+	dim := cfg.Model.Dim()
+	s := &stage{mesh: mesh, plan: []model.Bucket{{Span: model.Span{Lo: 0, Hi: dim}}}}
+	if cfg.Overlap {
+		fusion := cfg.FusionBytes
+		if fusion <= 0 {
+			fusion = collective.DefaultFusionBytes
+		}
+		s.plan = model.PlanBuckets(model.Buckets(cfg.Model), fusion)
+		if err := model.ValidateBuckets(s.plan, dim); err != nil {
+			return nil, fmt.Errorf("core: bucket plan: %w", err)
+		}
+		s.as = collective.NewAsync(mesh)
+		s.serial = cfg.OverlapSerial
+		s.handles = make([]*collective.Handle, len(s.plan))
+		s.counts = make([]int, len(s.plan))
+	}
+	var err error
+	if cfg.ShardedUpdate {
+		s.red, err = newShardedReducer(mesh, cfg, s.plan)
+	} else {
+		s.red, err = newReplicatedReducer(mesh, cfg, s.plan)
+	}
+	return s, err
+}
+
+func (s *stage) bucketed() bool { return s.as != nil }
+
+// start launches run on bucket b's stream. In OverlapSerial mode each launch
+// is joined immediately, which serializes the buckets — the sequential
+// reference schedule.
+func (s *stage) start(b int, run func(m transport.Mesh) error) error {
+	h, err := s.as.Go(int32(b), run)
+	if err != nil {
+		return err
+	}
+	if s.serial {
+		return h.Wait()
+	}
+	s.handles[b] = h
+	return nil
+}
+
+// join waits for every bucket still in flight.
+func (s *stage) join() error {
+	var first error
+	for b, h := range s.handles {
+		if h == nil {
+			continue
+		}
+		if err := h.Wait(); err != nil && first == nil {
+			first = err
+		}
+		s.handles[b] = nil
+	}
+	return first
+}
+
+// emitter returns the model.GradientEmit callback of BSP iteration k: it
+// launches the reduction of every bucket whose last layer has now finalized
+// (the plan is in readiness order).
+func (s *stage) emitter(k int64, grad tensor.Vector) func(layer int) error {
+	s.launched = 0
+	return func(layer int) error {
+		for s.launched < len(s.plan) && s.plan[s.launched].LastLayer <= layer {
+			b := s.launched
+			s.launched++
+			if err := s.start(b, func(m transport.Mesh) error { return s.red.reduce(m, k, grad, b) }); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// full is the stage's BSP entry: average grad over all ranks and step. When
+// bucketed, the emitter launched the reductions during backprop and only the
+// join is left.
+func (s *stage) full(k int64, params, grad tensor.Vector) error {
+	if !s.bucketed() {
+		if err := s.red.reduce(s.mesh, k, grad, 0); err != nil {
+			return err
+		}
+	} else {
+		if err := s.join(); err != nil {
+			return err
+		}
+		if s.launched != len(s.plan) {
+			return fmt.Errorf("core: %d of %d buckets launched", s.launched, len(s.plan))
+		}
+	}
+	return s.red.update(k, params, grad, 1)
+}
+
+// partial is the stage's RNA entry: reduce buf over the contributing ranks
+// and apply ḡ = W·Σg, W = 1/Σw, with γ_k scaled by Σw/N (the Linear Scaling
+// Rule of Algorithm 2). buf belongs to the stage for the call. mu is held for
+// the whole update — step and, when sharded, parameter allgather — so compute
+// snapshots never observe a half-updated vector; compute threads waiting on
+// the staleness gate sit in cond.Wait and do not block the collective. When
+// nobody contributed, every rank skips the update in lockstep.
+func (s *stage) partial(k int64, mu *sync.Mutex, params, buf tensor.Vector, contributes bool) error {
+	count, err := s.reducePartial(k, buf, contributes)
+	if err != nil || count == 0 {
+		return err
+	}
+	lo, hi := s.red.owned()
+	buf[lo:hi].Scale(1 / float64(count))
+	scale, err := opt.LinearScale(count, s.mesh.Size())
+	if err != nil {
+		return err
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return s.red.update(k, params, buf, scale)
+}
+
+// reducePartial runs the partial reduction over the plan. Every bucket
+// carries its own contributor flag; all ranks pass the same contributes bit
+// to every bucket of an iteration, so the counts agree across buckets by
+// construction (verified here).
+func (s *stage) reducePartial(k int64, buf tensor.Vector, contributes bool) (int, error) {
+	if !s.bucketed() {
+		return s.red.reducePartial(s.mesh, k, buf, 0, contributes)
+	}
+	for b := range s.plan {
+		if err := s.start(b, func(m transport.Mesh) (err error) {
+			s.counts[b], err = s.red.reducePartial(m, k, buf, b, contributes)
+			return err
+		}); err != nil {
+			return 0, err
+		}
+	}
+	if err := s.join(); err != nil {
+		return 0, err
+	}
+	for b, c := range s.counts {
+		if c != s.counts[0] {
+			return 0, fmt.Errorf("core: bucket %d counted %d contributors, bucket 0 counted %d", b, c, s.counts[0])
+		}
+	}
+	return s.counts[0], nil
+}
+
+// finish is the one Result epilogue: whatever the path, the fields come from
+// the stage that ran.
+func (s *stage) finish(res *Result, params tensor.Vector, start time.Time) *Result {
+	res.Params = params
+	res.OptStateBytes = s.red.stateBytes()
+	if s.bucketed() {
+		res.MaxInFlight = s.as.MaxInFlight()
+	}
+	res.Elapsed = time.Since(start)
+	return res
+}
+
+// replicatedReducer is the replicated update: every rank reduces and steps
+// the whole vector.
+//
+// Error feedback (lossy wires). The residual holds the quantization error
+// this rank's owned regions of the collective suffered in earlier rounds, and
+// is folded into the next contribution span by span (spans are disjoint, so
+// bucketing leaves the per-element arithmetic unchanged).
+type replicatedReducer struct {
+	plan     []model.Bucket
+	dim, n   int
+	opts     collective.Options // Algorithm and Compression, as configured
+	residual tensor.Vector      // nil when compression is off
+	optim    opt.Optimizer
+}
+
+func newReplicatedReducer(mesh transport.Mesh, cfg *TrainConfig, plan []model.Bucket) (*replicatedReducer, error) {
+	dim := cfg.Model.Dim()
+	optim, err := cfg.newOptimizer(dim)
+	if err != nil {
+		return nil, err
+	}
+	return &replicatedReducer{
+		plan: plan, dim: dim, n: mesh.Size(), optim: optim, residual: cfg.residual(dim),
+		opts: collective.Options{Algorithm: cfg.Algorithm, Compression: cfg.Compression},
+	}, nil
+}
+
+func (r *replicatedReducer) reduce(m transport.Mesh, k int64, grad tensor.Vector, b int) error {
+	sp := r.plan[b]
+	seg, opts := grad[sp.Lo:sp.Hi], r.opts
+	if r.residual != nil {
+		// The residual is the error of the AVERAGED result, so scaling by n
+		// before the local add makes the next average regain exactly
+		// Σ_r residual_r.
+		opts.Residual = r.residual[sp.Lo:sp.Hi]
+		_ = seg.AddScaled(float64(r.n), opts.Residual)
+		opts.Residual.Zero()
+	}
+	return collective.AllReduceOpts(m, k, seg, collective.OpAverage, opts)
+}
+
+func (r *replicatedReducer) reducePartial(m transport.Mesh, k int64, buf tensor.Vector, b int, contributes bool) (int, error) {
+	sp := r.plan[b]
+	seg, opts := buf[sp.Lo:sp.Hi], r.opts
+	if r.residual != nil {
+		opts.Residual = r.residual[sp.Lo:sp.Hi]
+		if contributes {
+			// The partial collective sums contributions before quantizing, so
+			// summing the per-rank residuals back in reconstructs the lost mass
+			// exactly (in expectation the compressed trajectory tracks the
+			// fp64 one).
+			_ = seg.Add(opts.Residual)
+			opts.Residual.Zero()
+		}
+	}
+	if sp.Hi == len(buf) {
+		// The span ends the buffer, so its flag slot is the buffer's spare
+		// capacity: reduced where it lies.
+		return collective.PartialAllReduceInPlace(m, k, buf[sp.Lo:sp.Hi+1], contributes, opts)
+	}
+	// An interior bucket is followed by the next bucket's data, so the
+	// flag-extended vector is staged in a pooled buffer.
+	pr, err := collective.PartialAllReduceOpts(m, k, seg, contributes, opts)
+	if err != nil {
+		return 0, err
+	}
+	copy(seg, pr.Sum)
+	count := pr.Contributors
+	pr.Release()
+	return count, nil
+}
+
+func (r *replicatedReducer) owned() (lo, hi int) { return 0, r.dim }
+
+func (r *replicatedReducer) update(_ int64, params, g tensor.Vector, scale float64) error {
+	_, err := r.optim.Step(params, g, scale)
+	return err
+}
+
+func (r *replicatedReducer) stateBytes() int64 { return r.optim.StateBytes() }
+
+// shardedReducer is the owner-computes update (ZeRO-style): instead of every
+// rank reducing the full gradient and redundantly running the full optimizer
+// over a full copy of optimizer state, the synchronization decomposes into
+// reduce-scatter → owned-shard optimizer step → parameter allgather. Rank r
+// owns the span offs[r]:offs[r+1] of the parameter vector; it is the only
+// rank holding optimizer state for that span, so state memory and update
+// compute both shrink N×.
+//
+// Bit-identity. The reduce-scatter folds in the pipelined ring's order and
+// scales at the owner (collective/shard.go), the optimizers are strictly
+// element-wise with state depending only on the step count, and the fp64
+// allgather moves bits verbatim — so under ANY partition the sharded update
+// reproduces the replicated one (with a pinned ring schedule) bit for bit,
+// and each rank's optimizer state equals the matching slice of the
+// replicated state. Per bucket the reduce-scatter runs over the ownership
+// table clipped to the bucket's span: the buckets partition the vector, so
+// the owned parts add up to the owned span, and the step and the allgather
+// run once over it. The fold order then follows the bucket, not the vector —
+// bit-identical across schedules of one plan, and to the unbucketed update
+// when the plan is one bucket.
+//
+// Lossy wires (the fp64-reduce / compressed-allgather invariant). The
+// reduction always ships exact fp64, so there is no gradient error feedback
+// here; Compression applies to the parameter allgather only. The owner then
+// keeps MASTER WEIGHTS for its span: the residual holds exact-minus-quantized
+// after each gather (tensor.RoundTripEF at the owner), and adding it back
+// before the next step restores the exact fp64 trajectory. Gradients are
+// evaluated at the quantized parameters on every rank — the usual
+// mixed-precision contract — and all ranks stay bit-identical because they
+// all hold the same decoded grid values.
+type shardedReducer struct {
+	plan    []model.Bucket
+	mesh    transport.Mesh
+	offs    []int         // ownership table over the whole vector
+	clipped [][]int       // per bucket: offs clipped to the span, span-relative
+	optim   opt.Optimizer // nil when the owned span is empty
+	// gather carries the allgather's wire dtype and, for a lossy one, the
+	// master-weights residual (nil otherwise).
+	gather collective.Options
+}
+
+func newShardedReducer(mesh transport.Mesh, cfg *TrainConfig, plan []model.Bucket) (*shardedReducer, error) {
+	dim, n := cfg.Model.Dim(), mesh.Size()
+	if cfg.ShardWeights != nil && len(cfg.ShardWeights) != n {
+		return nil, fmt.Errorf("core: %d shard weights over %d ranks", len(cfg.ShardWeights), n)
+	}
+	offs, err := collective.ShardOffsets(dim, n, cfg.ShardWeights)
+	if err != nil {
+		return nil, err
+	}
+	r := &shardedReducer{
+		plan: plan, mesh: mesh, offs: offs,
+		gather: collective.Options{Compression: cfg.Compression, Residual: cfg.residual(dim)},
+	}
+	for _, sp := range plan {
+		c := make([]int, n+1)
+		for i, o := range offs {
+			c[i] = min(max(o, sp.Lo), sp.Hi) - sp.Lo
+		}
+		r.clipped = append(r.clipped, c)
+	}
+	// A rank can own zero elements under an extreme partition.
+	if lo, hi := r.owned(); hi > lo {
+		r.optim, err = cfg.newOptimizer(hi - lo)
+	}
+	return r, err
+}
+
+func (r *shardedReducer) reduce(m transport.Mesh, k int64, grad tensor.Vector, b int) error {
+	sp := r.plan[b]
+	return collective.ReduceScatter(m, k, grad[sp.Lo:sp.Hi], collective.OpAverage, r.clipped[b])
+}
+
+// reducePartial: the contributor count rides the scatter, so every rank
+// skips or applies the update in lockstep.
+func (r *shardedReducer) reducePartial(m transport.Mesh, k int64, buf tensor.Vector, b int, contributes bool) (int, error) {
+	sp := r.plan[b]
+	return collective.PartialReduceScatter(m, k, buf[sp.Lo:sp.Hi], contributes, r.clipped[b])
+}
+
+func (r *shardedReducer) owned() (lo, hi int) {
+	return r.offs[r.mesh.Rank()], r.offs[r.mesh.Rank()+1]
+}
+
+func (r *shardedReducer) update(k int64, params, g tensor.Vector, scale float64) error {
+	lo, hi := r.owned()
+	if r.optim != nil {
+		if res := r.gather.Residual; res != nil {
+			// Restore the exact fp64 master weights; the residual is
+			// re-captured by the allgather's RoundTripEF below.
+			_ = params[lo:hi].Add(res[lo:hi])
+			res[lo:hi].Zero()
+		}
+		if _, err := r.optim.Step(params[lo:hi], g[lo:hi], scale); err != nil {
+			return err
+		}
+	}
+	return collective.AllGather(r.mesh, k, params, r.offs, r.gather)
+}
+
+func (r *shardedReducer) stateBytes() int64 {
+	if r.optim == nil {
+		return 0
+	}
+	return r.optim.StateBytes()
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -68,16 +69,18 @@ type TrainConfig struct {
 	// partitions (ring fold order, owner-side scale, one quantization per
 	// shard). With a lossy wire the owner keeps master weights: the
 	// error-feedback residual holds exact-minus-quantized for the owned
-	// span, restored before each step. Incompatible with Overlap.
+	// span, restored before each step. With Overlap the reduce-scatter runs
+	// once per bucket; the step and the allgather stay whole-span.
 	ShardedUpdate bool
 	// ShardWeights optionally skews the ownership spans (len = mesh size;
 	// nil = uniform): spans follow tensor.WeightedSizes, so slow ranks can
 	// own proportionally smaller shards. Requires ShardedUpdate.
 	ShardWeights []float64
-	// Algorithm pins the dense collective schedule of the replicated path
-	// (zero = AlgoAuto). The sharded path always runs the direct exchange;
-	// pinning AlgoRing on the replicated side makes the two paths
-	// bit-comparable at any vector size.
+	// Algorithm pins the dense collective schedule of the replicated
+	// reduction, whole-vector or per bucket under Overlap (zero = AlgoAuto).
+	// The sharded reduction always runs the direct exchange; pinning
+	// AlgoRing on the replicated side makes the two bit-comparable at any
+	// vector size.
 	Algorithm collective.Algorithm
 }
 
@@ -93,9 +96,6 @@ func (c *TrainConfig) validate() error {
 	}
 	if !c.Compression.Valid() {
 		return fmt.Errorf("core: unknown compression dtype %d", c.Compression)
-	}
-	if c.ShardedUpdate && c.Overlap {
-		return fmt.Errorf("core: sharded update does not compose with the overlap reducer")
 	}
 	if c.ShardWeights != nil && !c.ShardedUpdate {
 		return fmt.Errorf("core: shard weights without sharded update")
@@ -140,17 +140,100 @@ type Result struct {
 	NullContribs int
 	// StaleDropped counts the gradients this worker computed and then
 	// discarded because they exceeded the staleness bound before a
-	// synchronization took them (RNA loops only).
+	// synchronization took them (RNA only).
 	StaleDropped int
 	// Elapsed is the worker's wall-clock training time.
 	Elapsed time.Duration
 	// MaxInFlight is the peak number of concurrently in-flight bucket
-	// collectives the overlap reducer reached (0 when Overlap is off).
+	// collectives the bucketed stage reached (0 when Overlap is off).
 	MaxInFlight int
 	// OptStateBytes is this rank's persistent optimizer-state footprint —
 	// full-vector for the replicated path, one owned span under
 	// ShardedUpdate (the N× memory reduction the benchmarks record).
 	OptStateBytes int64
+}
+
+// newRank returns what every discipline starts a rank from: the initial
+// parameters, identical on all ranks, and the rank's private batch stream.
+func (c *TrainConfig) newRank(rank int) (params tensor.Vector, batches *rng.Source) {
+	params = tensor.New(c.Model.Dim())
+	c.Model.Init(rng.New(c.Seed+7777), params)
+	return params, rng.New(c.Seed).Split(rank + 1)
+}
+
+// slowDown sleeps for the injected compute latency of (rank, iteration k).
+func (c *TrainConfig) slowDown(rank int, k int64) {
+	if c.SlowDown == nil {
+		return
+	}
+	if d := c.SlowDown(rank, int(k)); d > 0 {
+		time.Sleep(d)
+	}
+}
+
+// RunBSPWorker trains with the Horovod-style blocking baseline: compute,
+// wait at the global barrier, fully AllReduce-average, step. It uses the
+// same controller (with the AllReady policy), collective stack and sync
+// stages as the RNA worker, so that RNA-vs-BSP comparisons isolate the
+// synchronization discipline.
+func RunBSPWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) (*Result, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return bspLoop(mesh, ctrl, cfg)
+}
+
+// bspLoop is the one blocking step loop: sample, gradient, barrier, stage.
+// With a bucketed stage the gradient runs through model.GradientEmit and
+// every bucket's reduction launches the moment backprop finalizes its last
+// layer; the stage then only joins them. The barrier stays ahead of the join:
+// the bucket collectives already synchronize all ranks, so the controller
+// round-trip is bookkeeping and adds nothing to the critical path.
+func bspLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) (*Result, error) {
+	start := time.Now()
+	rank := mesh.Rank()
+	st, err := newStage(mesh, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	params, batches := cfg.newRank(rank)
+	res := &Result{Losses: make([]float64, 0, cfg.Iterations)}
+	grad := tensor.New(len(params))
+
+	step := func(k int64) error {
+		batch := cfg.Batch(batches)
+		var loss float64
+		var err error
+		if st.bucketed() {
+			loss, err = model.GradientEmit(cfg.Model, params, grad, batch, st.emitter(k, grad))
+		} else {
+			loss, err = cfg.Model.Gradient(params, grad, batch)
+		}
+		if err != nil {
+			return err
+		}
+		cfg.slowDown(rank, k)
+		res.Losses = append(res.Losses, loss)
+		if err := ctrl.Ready(rank, k); err != nil {
+			return err
+		}
+		fired, _ := ctrl.Await(k)
+		<-fired
+		if err := st.full(k, params, grad); err != nil {
+			return err
+		}
+		res.Contributed++
+		if rank == 0 {
+			ctrl.Forget(k - 2)
+		}
+		return nil
+	}
+	for k := int64(0); k < int64(cfg.Iterations); k++ {
+		if err := step(k); err != nil {
+			return nil, fmt.Errorf("rank %d iter %d: %w", rank, k, err)
+		}
+	}
+	return st.finish(res, params, start), nil
 }
 
 // RunRNAWorker trains with the RNA protocol: a compute thread produces
@@ -161,7 +244,19 @@ type Result struct {
 // of Algorithm 2. All ranks converge on identical parameters because every
 // rank applies the same reduced update.
 func RunRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) (*Result, error) {
-	return runRNAWorker(mesh, ctrl, cfg, nil)
+	return runRNA(mesh, ctrl, cfg, nil)
+}
+
+// runRNA is RunRNAWorker with an optional post-synchronization hook.
+func runRNA(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, post postSyncHook) (*Result, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	acc, err := NewAccumulator(cfg.Model.Dim(), cfg.bound())
+	if err != nil {
+		return nil, err
+	}
+	return rnaLoop(mesh, ctrl, cfg, acc, post)
 }
 
 // postSyncHook runs on the communication thread after a synchronization's
@@ -169,271 +264,157 @@ func RunRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 // exchange. It may mutate params under mu.
 type postSyncHook func(k int64, mu *sync.Mutex, params tensor.Vector) error
 
-// runRNAWorker is RunRNAWorker with an optional post-synchronization hook.
-func runRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, post postSyncHook) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Overlap {
-		return runRNAOverlapped(mesh, ctrl, cfg, post)
-	}
-	if cfg.ShardedUpdate {
-		return runRNASharded(mesh, ctrl, cfg, post)
-	}
-	start := time.Now()
-	rank := mesh.Rank()
-	n := mesh.Size()
-	dim := cfg.Model.Dim()
-
-	acc, err := NewAccumulator(dim, cfg.bound())
-	if err != nil {
-		return nil, err
-	}
-	optim, err := cfg.newOptimizer(dim)
-	if err != nil {
-		return nil, err
-	}
-
-	src := rng.New(cfg.Seed)
-	params := tensor.New(dim)
-	cfg.Model.Init(rng.New(cfg.Seed+7777), params) // same init on all ranks
-	batchSrc := src.Split(rank + 1)
-
-	var (
-		mu      sync.Mutex // guards params, synced and aborted
-		cond    = sync.NewCond(&mu)
-		synced  = int64(-1)
-		aborted bool
-	)
-	abort := func() {
-		mu.Lock()
-		aborted = true
-		cond.Broadcast()
-		mu.Unlock()
-	}
-	res := &Result{Losses: make([]float64, 0, cfg.Iterations)}
-
-	var (
-		wg         sync.WaitGroup
-		computeErr error
-		commErr    error
-	)
-
-	// Compute thread.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		snapshot := tensor.New(dim)
-		for k := int64(0); k < int64(cfg.Iterations); k++ {
-			// Bounded staleness: never run more than `bound` ahead
-			// of the last completed synchronization.
-			mu.Lock()
-			for k-synced > int64(cfg.bound()) && !aborted {
-				cond.Wait()
-			}
-			if aborted {
-				mu.Unlock()
-				return
-			}
-			copy(snapshot, params)
-			mu.Unlock()
-
-			batch := cfg.Batch(batchSrc)
-			// The model writes straight into an accumulator-owned buffer.
-			g := acc.Lease()
-			loss, err := cfg.Model.Gradient(snapshot, g, batch)
-			if err != nil {
-				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-				abort()
-				return
-			}
-			if cfg.SlowDown != nil {
-				if d := cfg.SlowDown(rank, int(k)); d > 0 {
-					time.Sleep(d)
-				}
-			}
-			res.Losses = append(res.Losses, loss)
-			if err := acc.Commit(k, g); err != nil {
-				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-				abort()
-				return
-			}
-			if err := ctrl.Ready(rank, k); err != nil {
-				computeErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-				abort()
-				return
-			}
-		}
-	}()
-
-	// Communication thread.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		residual := cfg.residual(dim)
-		for k := int64(0); k < int64(cfg.Iterations); k++ {
-			fired, _ := ctrl.Await(k)
-			<-fired
-
-			buf, ok, err := acc.Take(k)
-			if err != nil {
-				commErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-				abort()
-				return
-			}
-			if ok {
-				res.Contributed++
-				// Error feedback: fold the quantization error this rank's
-				// owned regions suffered in earlier rounds into the fresh
-				// contribution. The partial collective sums contributions
-				// before quantizing, so summing the per-rank residuals back
-				// in reconstructs the lost mass exactly (in expectation the
-				// compressed trajectory tracks the fp64 one).
-				if residual != nil {
-					_ = buf.Add(residual)
-					residual.Zero()
-				}
-			} else {
-				// A null contribution still needs a buffer to receive the
-				// sum; the collective zeroes it.
-				buf = acc.Lease()
-				res.NullContribs++
-			}
-			// The taken buffer is reduced where it lies: its spare capacity
-			// is the flag slot.
-			contributors, err := collective.PartialAllReduceInPlace(mesh, k, buf[:dim+1], ok, collective.Options{
-				Algorithm: cfg.Algorithm, Compression: cfg.Compression, Residual: residual,
-			})
-			if err != nil {
-				commErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-				abort()
-				return
-			}
-			if contributors > 0 {
-				// ḡ = W·Σg with W = 1/Σw; γ_k scaled by Σw/N.
-				buf.Scale(1 / float64(contributors))
-				scale, err := opt.LinearScale(contributors, n)
-				if err != nil {
-					commErr = err
-					abort()
-					return
-				}
-				mu.Lock()
-				if _, err := optim.Step(params, buf, scale); err != nil {
-					mu.Unlock()
-					commErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-					abort()
-					return
-				}
-				mu.Unlock()
-			}
-			acc.Recycle(buf)
-			if post != nil {
-				if err := post(k, &mu, params); err != nil {
-					commErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-					abort()
-					return
-				}
-			}
-			// Publish the completed synchronization only after the post
-			// hook: compute snapshots taken at k+1 then deterministically
-			// include the hook's parameter mutation (the PS broadcast),
-			// which is what keeps ordered hierarchical runs bitwise
-			// reproducible.
-			mu.Lock()
-			synced = k
-			cond.Broadcast()
-			mu.Unlock()
-			if rank == 0 {
-				ctrl.Forget(k - int64(cfg.bound()) - 2)
-			}
-		}
-	}()
-
-	wg.Wait()
-	if computeErr != nil {
-		return nil, computeErr
-	}
-	if commErr != nil {
-		return nil, commErr
-	}
-	res.Params = params
-	res.StaleDropped = int(acc.Dropped())
-	res.OptStateBytes = optim.StateBytes()
-	res.Elapsed = time.Since(start)
-	return res, nil
+// gradSource is where the RNA compute thread leaves its gradients and the
+// communication thread collects the rank's contribution: the Accumulator for
+// RNA (staleness-weighted fold of everything since the last synchronization),
+// the single-slot eagerMailbox for eager-SGD. Every buffer it hands out is
+// dim long with capacity ≥ dim+1 (the partial collective's flag slot).
+type gradSource interface {
+	// Lease hands out a buffer with unspecified contents; Commit takes it
+	// back filled with the gradient of iteration iter.
+	Lease() tensor.Vector
+	Commit(iter int64, g tensor.Vector) error
+	// Take returns the contribution to synchronization current, owned by the
+	// caller until Recycle; ok is false when the rank has nothing to give.
+	Take(current int64) (g tensor.Vector, ok bool, err error)
+	Recycle(g tensor.Vector)
+	// Dropped counts gradients discarded by the staleness bound.
+	Dropped() int64
 }
 
-// RunBSPWorker trains with the Horovod-style blocking baseline: compute,
-// wait at the global barrier, fully AllReduce-average, step. It uses the
-// same controller (with the AllReady policy) and collective stack so that
-// RNA-vs-BSP comparisons isolate the synchronization discipline.
-func RunBSPWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Overlap {
-		return runBSPOverlapped(mesh, ctrl, cfg)
-	}
-	if cfg.ShardedUpdate {
-		return runBSPSharded(mesh, ctrl, cfg)
-	}
+// errStopped is what a thread of rnaLoop returns when it stops because the
+// other one failed; the failure itself is already recorded.
+var errStopped = errors.New("core: worker stopped")
+
+// rnaLoop is the one non-blocking worker: a compute thread and a
+// communication thread decoupled through src (cross-iteration execution,
+// Fig. 4), sharing params under mu.
+//
+// The compute thread never runs more than the staleness bound ahead of the
+// last published synchronization; the communication thread joins every
+// synchronization the controller fires, with the rank's contribution or a
+// null gradient, and has the stage apply the result.
+//
+// The first error of either thread, wrapped once with its rank and iteration,
+// stops both: failed wakes a compute thread parked on the staleness gate
+// (through cond) and a communication thread parked on a trigger this rank
+// will never announce (through the closed channel).
+func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, src gradSource, post postSyncHook) (*Result, error) {
 	start := time.Now()
 	rank := mesh.Rank()
-	n := mesh.Size()
-	dim := cfg.Model.Dim()
-
-	optim, err := cfg.newOptimizer(dim)
+	bound := int64(cfg.bound())
+	st, err := newStage(mesh, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	src := rng.New(cfg.Seed)
-	params := tensor.New(dim)
-	cfg.Model.Init(rng.New(cfg.Seed+7777), params) // same init on all ranks
-	batchSrc := src.Split(rank + 1)
-
+	params, batches := cfg.newRank(rank)
 	res := &Result{Losses: make([]float64, 0, cfg.Iterations)}
-	grad := tensor.New(dim)
-	residual := cfg.residual(dim)
-	for k := int64(0); k < int64(cfg.Iterations); k++ {
-		batch := cfg.Batch(batchSrc)
-		loss, err := cfg.Model.Gradient(params, grad, batch)
-		if err != nil {
-			return nil, fmt.Errorf("rank %d iter %d: %w", rank, k, err)
+
+	var (
+		mu     sync.Mutex // guards params, synced and runErr
+		cond   = sync.NewCond(&mu)
+		synced = int64(-1)
+		runErr error
+		failed = make(chan struct{}) // closed when runErr is set
+	)
+	snapshot := tensor.New(len(params))
+
+	compute := func(k int64) error {
+		// Bounded staleness: never run more than `bound` ahead of the last
+		// completed synchronization.
+		mu.Lock()
+		for k-synced > bound && runErr == nil {
+			cond.Wait()
 		}
-		if cfg.SlowDown != nil {
-			if d := cfg.SlowDown(rank, int(k)); d > 0 {
-				time.Sleep(d)
+		if runErr != nil {
+			mu.Unlock()
+			return errStopped
+		}
+		copy(snapshot, params)
+		mu.Unlock()
+
+		batch := cfg.Batch(batches)
+		// The model writes straight into a source-owned buffer.
+		g := src.Lease()
+		loss, err := cfg.Model.Gradient(snapshot, g, batch)
+		if err != nil {
+			return err
+		}
+		cfg.slowDown(rank, k)
+		res.Losses = append(res.Losses, loss)
+		if err := src.Commit(k, g); err != nil {
+			return err
+		}
+		return ctrl.Ready(rank, k)
+	}
+
+	comm := func(k int64) error {
+		fired, _ := ctrl.Await(k)
+		select {
+		case <-fired:
+		case <-failed:
+			return errStopped
+		}
+		buf, ok, err := src.Take(k)
+		if err != nil {
+			return err
+		}
+		if ok {
+			res.Contributed++
+		} else {
+			// A null contribution still needs a buffer to receive the sum;
+			// the collective zeroes it.
+			buf = src.Lease()
+			res.NullContribs++
+		}
+		if err := st.partial(k, &mu, params, buf, ok); err != nil {
+			return err
+		}
+		src.Recycle(buf)
+		if post != nil {
+			if err := post(k, &mu, params); err != nil {
+				return err
 			}
 		}
-		res.Losses = append(res.Losses, loss)
-		if err := ctrl.Ready(rank, k); err != nil {
-			return nil, err
-		}
-		fired, _ := ctrl.Await(k)
-		<-fired
-		// Error feedback: the residual holds this rank's owned-region
-		// quantization error of the AVERAGED result, so scaling by n before
-		// the local add makes the next average regain exactly Σ_r residual_r.
-		if residual != nil {
-			_ = grad.AddScaled(float64(n), residual)
-			residual.Zero()
-		}
-		if err := collective.AllReduceOpts(mesh, k, grad, collective.OpAverage, collective.Options{
-			Algorithm: cfg.Algorithm, Compression: cfg.Compression, Residual: residual,
-		}); err != nil {
-			return nil, fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-		}
-		if _, err := optim.Step(params, grad, 1); err != nil {
-			return nil, fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-		}
-		res.Contributed++
+		// Publish the completed synchronization only after the post hook:
+		// compute snapshots taken at k+1 then deterministically include the
+		// hook's parameter mutation (the PS broadcast), which is what keeps
+		// ordered hierarchical runs bitwise reproducible.
+		mu.Lock()
+		synced = k
+		cond.Broadcast()
+		mu.Unlock()
 		if rank == 0 {
-			ctrl.Forget(k - 2)
+			ctrl.Forget(k - bound - 2)
 		}
+		return nil
 	}
-	res.Params = params
-	res.OptStateBytes = optim.StateBytes()
-	res.Elapsed = time.Since(start)
-	return res, nil
+
+	var wg sync.WaitGroup
+	for _, step := range []func(int64) error{compute, comm} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int64(0); k < int64(cfg.Iterations); k++ {
+				err := step(k)
+				if err == nil {
+					continue
+				}
+				mu.Lock()
+				if runErr == nil {
+					runErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
+					close(failed)
+					cond.Broadcast()
+				}
+				mu.Unlock()
+				return
+			}
+		}()
+	}
+	wg.Wait()
+	if runErr != nil {
+		return nil, runErr
+	}
+	res.StaleDropped = int(src.Dropped())
+	return st.finish(res, params, start), nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -337,5 +340,58 @@ func TestRNASingleWorker(t *testing.T) {
 	}
 	if top1 < 0.75 {
 		t.Errorf("single-worker RNA top-1 = %v", top1)
+	}
+}
+
+// failingModel fails its failAt-th Gradient call (only the compute thread
+// calls Gradient, so the counter needs no lock).
+type failingModel struct {
+	model.Model
+	calls, failAt int
+}
+
+var errGradient = errors.New("injected gradient failure")
+
+func (m *failingModel) Gradient(params, grad tensor.Vector, batch []int) (float64, error) {
+	if m.calls++; m.calls == m.failAt {
+		return 0, errGradient
+	}
+	return m.Model.Gradient(params, grad, batch)
+}
+
+// TestLocalComputeErrorStopsWorker: when the compute thread fails, the
+// communication thread is parked on a trigger this rank will never announce;
+// the worker must still return, with the compute error wrapped in its rank
+// and iteration, instead of hanging.
+func TestLocalComputeErrorStopsWorker(t *testing.T) {
+	workers := map[string]func(transport.Mesh, *controller.Controller, TrainConfig) (*Result, error){
+		"rna":   RunRNAWorker,
+		"eager": RunEagerWorker,
+	}
+	for name, run := range workers {
+		cfg, _ := blobConfig(t, 10)
+		cfg.Model = &failingModel{Model: cfg.Model, failAt: 4}
+		net, err := transport.NewLocalNetwork(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := controller.New(controller.AllReady, 1, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := run(net.Endpoints()[0], ctrl, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, errGradient) || !strings.Contains(err.Error(), "rank 0 iter 3") {
+				t.Errorf("%s: err = %v, want the gradient failure wrapped with rank 0 iter 3", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: worker still blocked 5 s after its compute thread failed", name)
+		}
+		_ = net.Close()
 	}
 }
