@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race loc alloc-gate bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check
+.PHONY: all vet build test race purego cross loc alloc-gate bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check
 
 all: vet build test
 
@@ -16,8 +16,22 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: static analysis, full build, race-enabled tests.
-check: vet build race
+# purego runs the packages that sit on the tensor kernels with the AVX2
+# assembly compiled out, so the Go loops (the kernels' specification, and what
+# every other architecture runs) keep passing on amd64 too, recorded
+# trajectory digests included.
+purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/opt ./internal/model ./internal/core
+
+# cross checks that the fallback compiles where there is no assembly.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
+
+# check is the CI gate: static analysis (vet's asmdecl covers the assembly
+# stubs), full build, race-enabled tests (which run the Go loops: the
+# assembly switches itself off under -race), then both kernel paths.
+check: vet build race purego cross
 
 # loc prints the non-test Go lines of every internal package: the figure a
 # simplicity change reports before and after, counted the same way every time
@@ -49,10 +63,13 @@ bench-smoke:
 # fuzz-smoke runs each wire-protocol fuzz target for a short budget — enough
 # to cover the seeded v1 corpus (header truncations, forged fields, hello
 # garbage, parameter-server push/pull/ack frames with packed mode<<24|chunk
-# tags) plus a burst of mutations, quick enough for CI.
+# tags) plus a burst of mutations, quick enough for CI. The kernel target
+# holds the AVX2 bodies to the bits of the Go loops over random lengths,
+# misalignments and values.
 fuzz-smoke:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 20s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadHello -fuzztime 10s
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzKernelsMatchGeneric -fuzztime 10s
 
 # microbench runs the collective, kernel, model and engine micro-benchmarks
 # interactively.

@@ -36,22 +36,41 @@ func benchDataset(b *testing.B, classes, features, perClass int) *data.Dataset {
 	return ds
 }
 
+// The gradient benchmarks run two geometries each: the experiment suite's
+// (32 features, 10 classes, batch 64) and the end-to-end benchmark's, i.e.
+// dense_* for the MLP (256→512→16, batch 4: a 1.1 MB gradient) and
+// latency_bsp for the logistic model (64×8, batch 8).
+
 func BenchmarkModelGradientLogistic(b *testing.B) {
-	ds := benchDataset(b, 10, 32, 100)
-	m, err := NewLogistic(ds)
-	if err != nil {
-		b.Fatal(err)
+	for _, g := range []struct {
+		name                               string
+		classes, features, perClass, batch int
+	}{{"suite", 10, 32, 100, benchBatch}, {"latency", 8, 64, 128, 8}} {
+		b.Run(g.name, func(b *testing.B) {
+			ds := benchDataset(b, g.classes, g.features, g.perClass)
+			m, err := NewLogistic(ds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchGradient(b, m, ds.Batch(rng.New(3), g.batch))
+		})
 	}
-	benchGradient(b, m, ds.Batch(rng.New(3), benchBatch))
 }
 
 func BenchmarkModelGradientMLP(b *testing.B) {
-	ds := benchDataset(b, 10, 32, 100)
-	m, err := NewMLP(ds, 64)
-	if err != nil {
-		b.Fatal(err)
+	for _, g := range []struct {
+		name                                       string
+		classes, features, hidden, perClass, batch int
+	}{{"suite", 10, 32, 64, 100, benchBatch}, {"dense", 16, 256, 512, 64, 4}} {
+		b.Run(g.name, func(b *testing.B) {
+			ds := benchDataset(b, g.classes, g.features, g.perClass)
+			m, err := NewMLP(ds, g.hidden)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchGradient(b, m, ds.Batch(rng.New(3), g.batch))
+		})
 	}
-	benchGradient(b, m, ds.Batch(rng.New(3), benchBatch))
 }
 
 func BenchmarkModelGradientLinReg(b *testing.B) {

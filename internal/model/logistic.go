@@ -34,12 +34,14 @@ func NewLogistic(ds *data.Dataset) (*Logistic, error) {
 // Dim implements Model.
 func (m *Logistic) Dim() int { return m.ds.Classes*m.ds.Features + m.ds.Classes }
 
-// logits computes the raw class scores of one example into out: one dot
-// product per class row plus the bias.
+// logits computes the raw class scores of one example into out, which must
+// have exactly one element per class: one row-blocked product of the weight
+// rows with the example, plus the biases.
 func (m *Logistic) logits(params tensor.Vector, x tensor.Vector, out []float64) {
 	f, c := m.ds.Features, m.ds.Classes
-	for k := 0; k < c; k++ {
-		out[k] = params[c*f+k] + tensor.Dot(params[k*f:(k+1)*f], x)
+	tensor.DotRows(out, params, f, x)
+	for k, z := range out {
+		out[k] = params[c*f+k] + z
 	}
 }
 
@@ -91,13 +93,14 @@ func (m *Logistic) Loss(params tensor.Vector, batch []int) (float64, error) {
 }
 
 // Gradient implements Model. Per-example row updates run through the fused
-// Axpy kernel; examples accumulate in batch order.
+// Axpy kernel; examples accumulate in batch order. The batch is validated
+// before the first write, so an error leaves grad as it was.
 func (m *Logistic) Gradient(params, grad tensor.Vector, batch []int) (float64, error) {
 	if len(params) != m.Dim() || len(grad) != m.Dim() {
 		return 0, tensor.ErrShapeMismatch
 	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
+	if err := checkBatch(batch, m.ds.Len()); err != nil {
+		return 0, err
 	}
 	grad.Zero()
 	f, c := m.ds.Features, m.ds.Classes
@@ -108,9 +111,6 @@ func (m *Logistic) Gradient(params, grad tensor.Vector, batch []int) (float64, e
 	var loss float64
 	inv := 1 / float64(len(batch))
 	for _, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
 		ex := m.ds.Examples[idx]
 		m.logits(params, ex.X, probs)
 		softmaxInPlace(probs)

@@ -62,17 +62,19 @@ func (m *MLP) slices(params tensor.Vector) (w1, b1, w2, b2 tensor.Vector) {
 	return w1, b1, w2, b2
 }
 
-// forward computes hidden activations and logits for one example: each unit
-// is one dot product against the example (layer 1) or the activations
-// (layer 2).
+// forward computes hidden activations and logits for one example: each
+// layer is one row-blocked product of its weight matrix with the example
+// (layer 1) or the activations (layer 2). hid and logits must have exactly
+// the hidden width and the class count.
 func (m *MLP) forward(params tensor.Vector, x tensor.Vector, hid, logits []float64) {
-	f, h, c := m.ds.Features, m.hidden, m.ds.Classes
 	w1, b1, w2, b2 := m.slices(params)
-	for j := 0; j < h; j++ {
-		hid[j] = math.Tanh(b1[j] + tensor.Dot(w1[j*f:(j+1)*f], x))
+	tensor.DotRows(hid, w1, m.ds.Features, x)
+	for j, z := range hid {
+		hid[j] = math.Tanh(b1[j] + z)
 	}
-	for k := 0; k < c; k++ {
-		logits[k] = b2[k] + tensor.Dot(w2[k*h:(k+1)*h], hid)
+	tensor.DotRows(logits, w2, m.hidden, hid)
+	for k, z := range logits {
+		logits[k] = b2[k] + z
 	}
 }
 
@@ -106,60 +108,10 @@ func (m *MLP) Loss(params tensor.Vector, batch []int) (float64, error) {
 	return loss / float64(len(batch)), nil
 }
 
-// Gradient implements Model (exact backprop). Row updates and the hidden
-// delta accumulation run through the fused Axpy kernel; examples accumulate
-// in batch order.
+// Gradient implements Model (exact backprop): the layered pass with nobody
+// listening to the emissions.
 func (m *MLP) Gradient(params, grad tensor.Vector, batch []int) (float64, error) {
-	if len(params) != m.Dim() || len(grad) != m.Dim() {
-		return 0, tensor.ErrShapeMismatch
-	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
-	}
-	grad.Zero()
-	f, h, c := m.ds.Features, m.hidden, m.ds.Classes
-	_, _, w2, _ := m.slices(params)
-	gw1, gb1, gw2, gb2 := m.slices(grad)
-	ws := getWorkspace()
-	defer ws.release()
-	ws.hid = grow(ws.hid, h)
-	ws.probs = grow(ws.probs, c)
-	ws.deltaH = grow(ws.deltaH, h)
-	hid, probs, deltaH := ws.hid, ws.probs, ws.deltaH
-	inv := 1 / float64(len(batch))
-	var loss float64
-	for _, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
-		ex := m.ds.Examples[idx]
-		m.forward(params, ex.X, hid, probs)
-		softmaxInPlace(probs)
-		p := probs[ex.Label]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss -= math.Log(p)
-
-		for j := range deltaH {
-			deltaH[j] = 0
-		}
-		for k := 0; k < c; k++ {
-			d := probs[k]
-			if k == ex.Label {
-				d--
-			}
-			tensor.Axpy(gw2[k*h:(k+1)*h], d*inv, hid)
-			tensor.Axpy(deltaH, d, w2[k*h:(k+1)*h])
-			gb2[k] += d * inv
-		}
-		for j := 0; j < h; j++ {
-			dh := deltaH[j] * (1 - hid[j]*hid[j])
-			tensor.Axpy(gw1[j*f:(j+1)*f], dh*inv, ex.X)
-			gb1[j] += dh * inv
-		}
-	}
-	return loss * inv, nil
+	return m.GradientLayers(params, grad, batch, func(int) error { return nil })
 }
 
 // mlpEmitElems is the target W1 elements per emission block (~128 KiB):
@@ -206,37 +158,41 @@ func (m *MLP) GradientBuckets() []Span {
 	return append(spans, Span{Lo: hf, Hi: hf + h}) // b1
 }
 
-// GradientLayers implements LayeredModel: the same exact backprop as
-// Gradient — per-element accumulation stays in batch order, so grad and
-// loss are bit-identical — restructured into two passes. Pass 1 runs the
-// forward and the output layer over the whole batch, stashing each
-// example's hidden activations and deltas; W2/b2 are then final and emit.
-// Pass 2 replays the stash to accumulate W1 row blocks from the top down,
-// emitting each block as it completes, with b1 last.
+// GradientLayers implements LayeredModel and is the one backprop body
+// (Gradient calls it). Two passes. Pass 1 runs the forward and the output
+// layer example by example and stashes each example's layer-1 coefficients
+// δh·inv; W2/b2 are then final and emit. Pass 2 walks W1 row by row, from
+// the top block down: it zeroes the row, applies the examples' Axpy to it in
+// batch order while the row sits in L1, and emits each block as it
+// completes, with b1 last. A per-example sweep would read and write all of
+// gW1 once per example; this touches every row once. Per element the
+// additions are those of the per-example sweep in the same order, so grad
+// and loss have the same bits (reference_test.go keeps that sweep as the
+// oracle).
+//
+// The batch is validated before the first write: grad may be a leased
+// accumulator buffer, and an error must leave it as it was.
 func (m *MLP) GradientLayers(params, grad tensor.Vector, batch []int, emit func(layer int) error) (float64, error) {
 	if len(params) != m.Dim() || len(grad) != m.Dim() {
 		return 0, tensor.ErrShapeMismatch
 	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
+	if err := checkBatch(batch, m.ds.Len()); err != nil {
+		return 0, err
 	}
-	grad.Zero()
 	f, h, c := m.ds.Features, m.hidden, m.ds.Classes
 	_, _, w2, _ := m.slices(params)
 	gw1, gb1, gw2, gb2 := m.slices(grad)
+	gw2.Zero()
+	gb2.Zero()
 	ws := getWorkspace()
 	defer ws.release()
 	ws.hid = grow(ws.hid, h)
 	ws.probs = grow(ws.probs, c)
-	ws.deltaH = grow(ws.deltaH, h)
-	ws.stash = grow(ws.stash, 2*len(batch)*h)
-	hid, probs, deltaH := ws.hid, ws.probs, ws.deltaH
+	ws.stash = grow(ws.stash, len(batch)*h)
+	hid, probs := ws.hid, ws.probs
 	inv := 1 / float64(len(batch))
 	var loss float64
 	for bi, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
 		ex := m.ds.Examples[idx]
 		m.forward(params, ex.X, hid, probs)
 		softmaxInPlace(probs)
@@ -246,9 +202,8 @@ func (m *MLP) GradientLayers(params, grad tensor.Vector, batch []int, emit func(
 		}
 		loss -= math.Log(p)
 
-		for j := range deltaH {
-			deltaH[j] = 0
-		}
+		deltaH := tensor.Vector(ws.stash[bi*h : (bi+1)*h])
+		deltaH.Zero()
 		for k := 0; k < c; k++ {
 			d := probs[k]
 			if k == ex.Label {
@@ -258,9 +213,10 @@ func (m *MLP) GradientLayers(params, grad tensor.Vector, batch []int, emit func(
 			tensor.Axpy(deltaH, d, w2[k*h:(k+1)*h])
 			gb2[k] += d * inv
 		}
-		stash := ws.stash[bi*2*h : (bi+1)*2*h]
-		copy(stash[:h], hid)
-		copy(stash[h:], deltaH)
+		for j, a := range hid {
+			dh := deltaH[j] * (1 - a*a)
+			deltaH[j] = dh * inv
+		}
 	}
 	if err := emit(0); err != nil {
 		return 0, err
@@ -268,14 +224,16 @@ func (m *MLP) GradientLayers(params, grad tensor.Vector, batch []int, emit func(
 	R := m.layer1Blocks()
 	for blk := R - 1; blk >= 0; blk-- {
 		lo, hi, _ := tensor.ChunkBounds(h, R, blk)
-		for bi, idx := range batch {
-			ex := m.ds.Examples[idx]
-			stash := ws.stash[bi*2*h : (bi+1)*2*h]
-			for j := lo; j < hi; j++ {
-				dh := stash[h+j] * (1 - stash[j]*stash[j])
-				tensor.Axpy(gw1[j*f:(j+1)*f], dh*inv, ex.X)
-				gb1[j] += dh * inv
+		for j := lo; j < hi; j++ {
+			row := gw1[j*f : (j+1)*f]
+			row.Zero()
+			var gb float64
+			for bi, idx := range batch {
+				coef := ws.stash[bi*h+j]
+				tensor.Axpy(row, coef, m.ds.Examples[idx].X)
+				gb += coef
 			}
+			gb1[j] = gb
 		}
 		if err := emit(R - blk); err != nil {
 			return 0, err

@@ -5,8 +5,8 @@
 // All models expose exact gradients over mini-batches; the test suite
 // verifies them against finite differences.
 //
-// The gradient/loss inner loops run on the tensor kernels (Dot/Axpy), and
-// per-call scratch comes from pooled workspaces, so a single model instance
+// The gradient/loss inner loops run on the tensor kernels (DotRows/Dot/Axpy),
+// and per-call scratch comes from pooled workspaces, so a single model instance
 // supports the training engine's concurrent per-worker fan-out.
 package model
 
@@ -22,6 +22,21 @@ import (
 
 // ErrBadBatch is returned when a batch index is out of range.
 var ErrBadBatch = errors.New("model: bad batch index")
+
+// checkBatch reports the first index of batch outside [0, n), or an empty
+// batch. The two-pass gradients call it before their first write, so a bad
+// batch leaves grad untouched.
+func checkBatch(batch []int, n int) error {
+	if len(batch) == 0 {
+		return errors.New("model: empty batch")
+	}
+	for _, idx := range batch {
+		if idx < 0 || idx >= n {
+			return fmt.Errorf("%w: %d", ErrBadBatch, idx)
+		}
+	}
+	return nil
+}
 
 // Model is a differentiable training objective over a dataset.
 //

@@ -260,6 +260,19 @@ func TestLogisticErrors(t *testing.T) {
 	if _, err := NewLogistic(reg); err == nil {
 		t.Error("regression dataset (0 classes) should error")
 	}
+	ds, err := data.Blobs(src, 3, 4, 5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewLogistic(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := tensor.New(m.Dim())
+	checkBadBatchLeavesGrad(t, m.Dim(), ds.Len(), func(grad tensor.Vector, batch []int) error {
+		_, err := m.Gradient(params, grad, batch)
+		return err
+	})
 }
 
 func TestMLPGradient(t *testing.T) {
@@ -336,6 +349,15 @@ func TestMLPInvalid(t *testing.T) {
 	if _, _, err := m.Accuracy(tensor.New(m.Dim()), nil, 1); err == nil {
 		t.Error("empty accuracy batch should error")
 	}
+	params := tensor.New(m.Dim())
+	checkBadBatchLeavesGrad(t, m.Dim(), ds.Len(), func(grad tensor.Vector, batch []int) error {
+		_, err := m.Gradient(params, grad, batch)
+		return err
+	})
+	checkBadBatchLeavesGrad(t, m.Dim(), ds.Len(), func(grad tensor.Vector, batch []int) error {
+		_, err := m.GradientLayers(params, grad, batch, func(int) error { return nil })
+		return err
+	})
 }
 
 func TestLossDecreasesUnderGradientStep(t *testing.T) {

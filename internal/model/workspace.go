@@ -10,13 +10,12 @@ import "sync"
 // fan-out. Every buffer is fully (re)written before it is read, so pooled
 // reuse cannot leak values between calls.
 type workspace struct {
-	hid    []float64
-	probs  []float64
-	deltaH []float64
-	order  []int
-	// stash holds the layered backward pass's per-example activations and
-	// deltas (batch × 2·hidden), so the second (layer-1) pass replays them
-	// without recomputing the forward.
+	hid   []float64
+	probs []float64
+	order []int
+	// stash holds the MLP backward pass's per-example layer-1 coefficients
+	// (batch × hidden), written by the pass over the examples and read by
+	// the pass over the rows of W1.
 	stash []float64
 }
 

@@ -97,33 +97,8 @@ func (o *SGD) Step(params, grad tensor.Vector, scale float64) (float64, error) {
 		}
 		return lr, nil
 	}
-	sgdStep(params, o.velocity, grad, o.Momentum, o.WeightDecay, lr)
+	tensor.SGDStep(params, o.velocity, grad, o.Momentum, o.WeightDecay, lr)
 	return lr, nil
-}
-
-// sgdStep is the fused momentum+weight-decay update kernel, 4-way unrolled
-// like the tensor kernels: v ← μ·v + g + λ·x, x ← x − lr·v, one pass over
-// memory instead of three.
-func sgdStep(params, vel, grad []float64, mu, wd, lr float64) {
-	vel = vel[:len(params)]
-	grad = grad[:len(params)]
-	i := 0
-	for ; i+4 <= len(params); i += 4 {
-		v0 := mu*vel[i] + grad[i] + wd*params[i]
-		v1 := mu*vel[i+1] + grad[i+1] + wd*params[i+1]
-		v2 := mu*vel[i+2] + grad[i+2] + wd*params[i+2]
-		v3 := mu*vel[i+3] + grad[i+3] + wd*params[i+3]
-		vel[i], vel[i+1], vel[i+2], vel[i+3] = v0, v1, v2, v3
-		params[i] -= lr * v0
-		params[i+1] -= lr * v1
-		params[i+2] -= lr * v2
-		params[i+3] -= lr * v3
-	}
-	for ; i < len(params); i++ {
-		v := mu*vel[i] + grad[i] + wd*params[i]
-		vel[i] = v
-		params[i] -= lr * v
-	}
 }
 
 // StepCount returns the number of Step calls so far.

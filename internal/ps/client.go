@@ -21,7 +21,7 @@ const DefaultWindow = 4
 type GlobalStore interface {
 	// PushPull applies value under mode and returns the resulting global
 	// model and its version. A positive minVersion delays the exchange
-	// until the model's version reaches it (see Store.PushPullMin).
+	// until the model's version reaches it (see Store.PushPullLease).
 	PushPull(value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error)
 	// PushPullInto is PushPull writing the resulting model into the
 	// caller's out (model-sized, distinct from value) instead of a fresh

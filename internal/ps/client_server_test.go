@@ -233,7 +233,7 @@ func TestClientPullUnknownKey(t *testing.T) {
 
 // TestNetworkedOrderedExchanges: two clients with interlocking version
 // horizons produce a deterministic global operation order over the network,
-// exactly like Store.PushPullMin in process.
+// exactly like Store.PushPullLease's minVersion in process.
 func TestNetworkedOrderedExchanges(t *testing.T) {
 	const dim = 32
 	net, err := transport.NewLocalNetwork(3)

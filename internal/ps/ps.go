@@ -341,8 +341,15 @@ func (l *Lease) Release() {
 // snapshot instead of a clone. This is the fast path the snapshot design
 // buys: the seed store mutated its one buffer in place, so every read had
 // to clone under the lock; a published snapshot is frozen while referenced,
-// so handing out a leased reference costs nothing. With minVersion > 0 the
-// push waits for the key to reach that version first (see PushPullMin).
+// so handing out a leased reference costs nothing.
+//
+// minVersion gates the exchange on a version horizon: the push blocks until
+// the key's published version is at least minVersion, and minVersion ≤ 0
+// does not wait. Group leaders use it to impose a deterministic global
+// exchange order on an otherwise asynchronous hierarchy (core's OrderedPS
+// mode): leader g of G groups waits for version 1 + r·G + g before its r-th
+// exchange, so every run applies the same operation sequence and stays
+// bitwise reproducible.
 func (s *Store) PushPullLease(key string, value tensor.Vector, mode UpdateMode, minVersion int64) (Lease, error) {
 	snap, err := s.applySnap(key, value, mode, minVersion)
 	if err != nil {
@@ -358,20 +365,6 @@ func (s *Store) PullLease(key string) (Lease, error) {
 		return Lease{}, fmt.Errorf("pull %q: %w", key, ErrUnknownKey)
 	}
 	return Lease{Value: snap.value, Version: snap.version, snap: snap}, nil
-}
-
-// PushPullMin is PushPull gated on a version horizon: it blocks until the
-// key's published version is at least minVersion before applying value.
-// With minVersion ≤ 0 it is plain PushPull. Group leaders use it to impose
-// a deterministic global exchange order on an otherwise asynchronous
-// hierarchy (core's OrderedPS mode): leader g of G groups waits for
-// version 1 + r·G + g before its r-th exchange, so every run applies the
-// same operation sequence and stays bitwise reproducible.
-func (s *Store) PushPullMin(key string, value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error) {
-	if minVersion > 0 {
-		s.WaitVersion(key, minVersion)
-	}
-	return s.PushPull(key, value, mode)
 }
 
 // WaitVersion blocks until key exists and its version is at least min,

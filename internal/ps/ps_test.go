@@ -302,22 +302,29 @@ func TestWaitVersionBlocksUntilPublish(t *testing.T) {
 	}
 }
 
-func TestPushPullMinOrdering(t *testing.T) {
+func TestPushPullLeaseMinVersionOrdering(t *testing.T) {
 	s := NewStore(1)
 	if _, err := s.Push("k", tensor.FromSlice([]float64{0}), Overwrite); err != nil {
 		t.Fatal(err)
 	}
+	exchange := func(add float64, minVersion int64) (float64, error) {
+		l, err := s.PushPullLease("k", tensor.FromSlice([]float64{add}), Add, minVersion)
+		if err != nil {
+			return 0, err
+		}
+		defer l.Release()
+		return l.Value[0], nil
+	}
 	// Start the later exchange first: it must wait for version 2.
 	out := make(chan float64, 1)
 	go func() {
-		v, _, err := s.PushPullMin("k", tensor.FromSlice([]float64{10}), Add, 2)
+		v, err := exchange(10, 2)
 		if err != nil {
-			out <- -1
-			return
+			v = -1
 		}
-		out <- v[0]
+		out <- v
 	}()
-	if v, _, err := s.PushPullMin("k", tensor.FromSlice([]float64{1}), Add, 1); err != nil || v[0] != 1 {
+	if v, err := exchange(1, 1); err != nil || v != 1 {
 		t.Fatalf("first exchange = %v, %v", v, err)
 	}
 	if got := <-out; got != 11 {

@@ -1,15 +1,43 @@
 package tensor
 
-// Unrolled element-wise kernels. Every hot loop in the repository — the ring
-// reduce, the accumulator's weighted mean, the SGD update — bottoms out in
-// one of these. The 4-way unrolling shortens the loop-carried dependency
-// chain and lets the compiler keep four elements in flight per iteration;
-// the explicit re-slice (`b = b[:len(a)]`) eliminates bounds checks in the
-// body. Pairwise FP addition is commutative bitwise, so addVec/subVec keep
-// results bit-identical to the naive loops they replace.
+// Element-wise kernels. Every hot loop in the repository (the ring reduce,
+// the accumulator's weighted mean, the SGD update, the models' backprop)
+// bottoms out in one of these.
+//
+// Each vectorised kernel is a pair: the Go loop (`…Go`) is the
+// specification, the fallback and the test oracle; the dispatcher of the
+// same name without the suffix runs the AVX2 body of kernels_amd64.s when
+// useAVX2 is set and the operand has at least vecMin elements. The two
+// produce the same bits (DESIGN.md, "Vector kernels"): the assembly issues,
+// per element, the operations of the Go expression in the Go expression's
+// order, and no FMA. useAVX2 is a constant false off amd64, under
+// `-tags purego` and, as a variable, under -race (assembly is invisible to
+// the detector), so there the branch is dead or never taken.
+//
+// The Go loops are unrolled four ways with an explicit re-slice
+// (`b = b[:len(a)]`) that removes the bounds checks from the body; the
+// dispatchers re-slice too, which is the only length check the assembly
+// gets. Operands must be the same slice or disjoint: a destination that
+// overlaps a source at a shifted offset makes the Go loop a recurrence the
+// four-wide body does not reproduce.
+
+// vecMin is the shortest operand handed to the assembly. Measured: at 4–6
+// elements the call and its VZEROUPPER are level with the Go loop's few
+// iterations, from 8 the assembly is 1.3–2× faster.
+const vecMin = 8
 
 // addVec computes a[i] += b[i].
 func addVec(a, b []float64) {
+	b = b[:len(a)]
+	if useAVX2 && len(a) >= vecMin {
+		sumToAVX2(a, a, b) // a = a + b: the same operation per element
+		return
+	}
+	addVecGo(a, b)
+}
+
+// addVecGo is the Go loop of addVec.
+func addVecGo(a, b []float64) {
 	b = b[:len(a)]
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -40,6 +68,15 @@ func subVec(a, b []float64) {
 
 // scaleVec computes a[i] *= c.
 func scaleVec(a []float64, c float64) {
+	if useAVX2 && len(a) >= vecMin {
+		scaleVecAVX2(a, c)
+		return
+	}
+	scaleVecGo(a, c)
+}
+
+// scaleVecGo is the Go loop of scaleVec.
+func scaleVecGo(a []float64, c float64) {
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
 		a[i] *= c
@@ -72,6 +109,16 @@ func avgVec(a, b []float64) {
 // sumTo computes dst[i] = a[i] + b[i] in one pass — the out-of-place fused
 // form of addVec, bit-identical to clone-then-add.
 func sumTo(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	if useAVX2 && len(dst) >= vecMin {
+		sumToAVX2(dst, a, b)
+		return
+	}
+	sumToGo(dst, a, b)
+}
+
+// sumToGo is the Go loop of sumTo.
+func sumToGo(dst, a, b []float64) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
 	i := 0
@@ -89,6 +136,16 @@ func sumTo(dst, a, b []float64) {
 // diffTo computes dst[i] = a[i] - b[i] in one pass — the out-of-place fused
 // form of subVec, bit-identical to clone-then-subtract.
 func diffTo(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	if useAVX2 && len(dst) >= vecMin {
+		diffToAVX2(dst, a, b)
+		return
+	}
+	diffToGo(dst, a, b)
+}
+
+// diffToGo is the Go loop of diffTo.
+func diffToGo(dst, a, b []float64) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
 	i := 0
@@ -122,6 +179,16 @@ func avgTo(dst, a, b []float64) {
 
 // axpyVec computes a[i] += c*b[i], the fused multiply-add behind AddScaled.
 func axpyVec(a []float64, c float64, b []float64) {
+	b = b[:len(a)]
+	if useAVX2 && len(a) >= vecMin {
+		axpyVecAVX2(a, c, b)
+		return
+	}
+	axpyVecGo(a, c, b)
+}
+
+// axpyVecGo is the Go loop of axpyVec.
+func axpyVecGo(a []float64, c float64, b []float64) {
 	b = b[:len(a)]
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -163,4 +230,62 @@ func dotVec(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
+}
+
+// DotRows computes out[r] = Σ w[r*stride+i]*x[i] for r in [0, len(out)): the
+// products of len(out) rows of a row-major matrix, stride elements apart,
+// against one vector. Every out[r] has the bits of Dot(w[r*stride:][:len(x)], x).
+// A single dot product cannot use the lanes without changing its sum (see
+// dotVec); four rows at a time can, one lane-wise accumulator per row, which
+// is what the assembly does. Rows past the last multiple of four, and
+// everything when the assembly is off, go through dotVec.
+func DotRows(out, w []float64, stride int, x []float64) {
+	n := len(x)
+	if len(out) == 0 {
+		return
+	}
+	_ = w[(len(out)-1)*stride : (len(out)-1)*stride+n] // the assembly's only bounds check
+	r := 0
+	if useAVX2 && n >= vecMin {
+		r = len(out) &^ 3
+		dotRowsAVX2(out[:r], w, stride, x)
+	}
+	for ; r < len(out); r++ {
+		out[r] = dotVec(w[r*stride:r*stride+n], x)
+	}
+}
+
+// SGDStep is the fused momentum and weight-decay update, one pass over
+// memory instead of three: v ← (μ·v + g) + λ·x, then x ← x − lr·v.
+// vel and grad must be at least as long as params.
+func SGDStep(params, vel, grad []float64, mu, wd, lr float64) {
+	vel, grad = vel[:len(params)], grad[:len(params)]
+	if useAVX2 && len(params) >= vecMin {
+		sgdStepAVX2(params, vel, grad, mu, wd, lr)
+		return
+	}
+	sgdStepGo(params, vel, grad, mu, wd, lr)
+}
+
+// sgdStepGo is the Go loop of SGDStep.
+func sgdStepGo(params, vel, grad []float64, mu, wd, lr float64) {
+	vel = vel[:len(params)]
+	grad = grad[:len(params)]
+	i := 0
+	for ; i+4 <= len(params); i += 4 {
+		v0 := mu*vel[i] + grad[i] + wd*params[i]
+		v1 := mu*vel[i+1] + grad[i+1] + wd*params[i+1]
+		v2 := mu*vel[i+2] + grad[i+2] + wd*params[i+2]
+		v3 := mu*vel[i+3] + grad[i+3] + wd*params[i+3]
+		vel[i], vel[i+1], vel[i+2], vel[i+3] = v0, v1, v2, v3
+		params[i] -= lr * v0
+		params[i+1] -= lr * v1
+		params[i+2] -= lr * v2
+		params[i+3] -= lr * v3
+	}
+	for ; i < len(params); i++ {
+		v := mu*vel[i] + grad[i] + wd*params[i]
+		vel[i] = v
+		params[i] -= lr * v
+	}
 }
