@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race purego cross loc alloc-gate bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check
+.PHONY: all vet build test race purego cross results-check loc alloc-gate bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check
 
 all: vet build test
 
@@ -28,16 +28,23 @@ cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
 
+# results-check re-runs every simulated experiment and requires the committed
+# results_full.txt byte for byte: virtual time is deterministic, so any diff
+# means a priced duration or a trajectory moved.
+results-check:
+	$(GO) run ./cmd/rnabench all | diff - results_full.txt
+
 # check is the CI gate: static analysis (vet's asmdecl covers the assembly
 # stubs), full build, race-enabled tests (which run the Go loops: the
-# assembly switches itself off under -race), then both kernel paths.
-check: vet build race purego cross
+# assembly switches itself off under -race), both kernel paths, then the
+# recorded simulation results.
+check: vet build race purego cross results-check
 
-# loc prints the non-test Go lines of every internal package: the figure a
-# simplicity change reports before and after, counted the same way every time
-# (`find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l`).
+# loc prints the non-test Go lines of every internal package and command: the
+# figure a simplicity change reports before and after, counted the same way
+# every time (`find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l`).
 loc:
-	@for d in internal/*; do \
+	@for d in internal/* cmd/*; do \
 		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
 	done
 

@@ -14,7 +14,7 @@ import (
 // drives the auto-selector with the fitted model instead of the shipped
 // defaults.
 func runCalibrate(outPath string, ranks, smallDim, largeDim, rounds int) error {
-	fmt.Fprintf(os.Stderr, "calibrate: probing ring / halving-doubling / tree...\n")
+	fmt.Fprintf(os.Stderr, "calibrate: probing ring / tree...\n")
 	cal, err := collective.Calibrate(ranks, smallDim, largeDim, rounds)
 	if err != nil {
 		return err
@@ -29,18 +29,10 @@ func runCalibrate(outPath string, ranks, smallDim, largeDim, rounds int) error {
 		c    collective.AlgoCost
 	}{
 		{"ring", cal.Model.Ring},
-		{"halving-doubling", cal.Model.HalvingDoubling},
 		{"tree", cal.Model.Tree},
 	} {
-		fmt.Fprintf(os.Stderr, "calibrate: %-17s alpha=%.0fns beta=%.3fns/B\n",
+		fmt.Fprintf(os.Stderr, "calibrate: %-4s alpha=%.0fns beta=%.3fns/B\n",
 			row.name, row.c.AlphaNs, row.c.BetaNsPerByte)
-	}
-	// Link classes (probed at >= 8 ranks): level l of a multi-level
-	// schedule is priced with Links[l], so the level planner can tell a
-	// near group from a far one.
-	for l, c := range cal.Model.Links {
-		fmt.Fprintf(os.Stderr, "calibrate: link class %d      alpha=%.0fns beta=%.3fns/B\n",
-			l, c.AlphaNs, c.BetaNsPerByte)
 	}
 	return nil
 }

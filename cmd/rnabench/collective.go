@@ -4,13 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/collective"
 	"repro/internal/tensor"
-	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -54,44 +51,19 @@ type compressionBenchCase struct {
 	WireRatio float64 `json:"wire_ratio"`
 }
 
-// scalingRow is one rank-count point of the 8→1024 scaling sweep: the flat
-// ring and the topology-aware multi-level schedule at the bandwidth-bound
-// dim, with aggregate goodput (n·8·dim logical bytes reduced per second —
-// the weak-scaling measure that is meaningful on a single-host in-process
-// mesh, where every rank shares the same cores and perfect scaling means
-// the aggregate rate holds as n grows).
-type scalingRow struct {
-	Ranks        int     `json:"ranks"`
-	Dim          int     `json:"dim"`
-	Levels       string  `json:"levels"`
-	RingNs       int64   `json:"ring_ns"`
-	MultiLevelNs int64   `json:"multi_level_ns"`
-	RingAggMBps  float64 `json:"ring_agg_mb_per_sec"`
-	MultiAggMBps float64 `json:"multi_agg_mb_per_sec"`
-	// Efficiency is the multi-level aggregate goodput relative to the
-	// first bandwidth-bound point — the first rank count whose working
-	// set (n·8·dim bytes) exceeds scalingBWBoundBytes and therefore runs
-	// at DRAM bandwidth rather than cache bandwidth. Cache-resident
-	// points report >1 (they run faster than the DRAM-bound baseline);
-	// the scaling gate reads the bandwidth-bound points only, where
-	// perfect weak scaling keeps the aggregate rate flat.
-	Efficiency float64 `json:"scaling_efficiency"`
-}
-
 // crossoverRow summarizes one (ranks, dim) point: the measured cost of each
 // schedule, which fixed schedule won, what the auto-selector picked, and the
 // selection regret — the picked schedule's fixed-run timing vs the best
 // fixed run.
 type crossoverRow struct {
-	Ranks             int     `json:"ranks"`
-	Dim               int     `json:"dim"`
-	RingNs            int64   `json:"ring_ns"`
-	HalvingDoublingNs int64   `json:"halving_doubling_ns"`
-	TreeNs            int64   `json:"tree_ns"`
-	AutoNs            int64   `json:"auto_ns"`
-	Best              string  `json:"best"`
-	AutoPick          string  `json:"auto_pick"`
-	AutoWithinPct     float64 `json:"auto_within_pct"`
+	Ranks         int     `json:"ranks"`
+	Dim           int     `json:"dim"`
+	RingNs        int64   `json:"ring_ns"`
+	TreeNs        int64   `json:"tree_ns"`
+	AutoNs        int64   `json:"auto_ns"`
+	Best          string  `json:"best"`
+	AutoPick      string  `json:"auto_pick"`
+	AutoWithinPct float64 `json:"auto_within_pct"`
 }
 
 // collectiveBenchReport is the BENCH_collective.json schema.
@@ -112,10 +84,6 @@ type collectiveBenchReport struct {
 	Algorithms []algoBenchCase `json:"algorithms"`
 	// Crossover condenses the sweep into one row per (ranks, dim).
 	Crossover []crossoverRow `json:"crossover"`
-	// GateSmallTensorSpeedup is min(ring_ns / halving_doubling_ns) over the
-	// small-tensor points (dim <= 4096, ranks >= 8); the acceptance bar is
-	// >= 1.5.
-	GateSmallTensorSpeedup float64 `json:"gate_small_tensor_speedup"`
 	// GateAutoWithinPct is max over all points of the selection regret —
 	// how far the schedule the auto-selector picks lands above the best
 	// fixed run, in percent; the bar is <= 10.
@@ -147,15 +115,6 @@ type collectiveBenchReport struct {
 	// collectives there; the bar is >= 2.
 	GateOverlapSpeedup  float64 `json:"gate_overlap_speedup"`
 	GateOverlapInFlight int     `json:"gate_overlap_in_flight"`
-	// Scaling is the 8→1024 rank-count sweep (flat ring vs multi-level at
-	// the bandwidth-bound dim). GateScalingEfficiency is the multi-level
-	// aggregate-goodput retention at the largest rank count (bar >= 0.8);
-	// GateMultiLevelWin is max(multi_ns / ring_ns) over the points with
-	// >= 256 ranks (bar <= 1.0 — the level tree must not lose to the flat
-	// ring where its message-count advantage is decisive).
-	Scaling               []scalingRow `json:"scaling"`
-	GateScalingEfficiency float64      `json:"gate_scaling_efficiency"`
-	GateMultiLevelWin     float64      `json:"gate_multi_level_win"`
 	// Framing is the v1 wire-protocol sweep (see framing.go): codec cost,
 	// header overhead and sustained TCP message rate across 64 B – 8 MiB
 	// payloads, plus the small-tensor e2e AllReduce comparison against the
@@ -260,16 +219,13 @@ func benchRing(name string, n, dim int, body func(m transport.Mesh, iter int64, 
 
 // algoSweepRanks / algoSweepDims define the (ranks, dim) grid of the
 // multi-algorithm sweep; every algorithm is measured at every point. The
-// dims cover the tiny/small regime where the log-depth schedules win, the
+// dims cover the tiny/small regime where the log-depth tree wins, the
 // crossover region (16K), and the bandwidth-bound regime where the
 // pipelined ring wins.
 var (
 	algoSweepRanks = []int{8, 16}
 	algoSweepDims  = []int{1 << 8, 1 << 10, 1 << 14, 1 << 16, 1 << 18}
-	algoSweepAlgos = []collective.Algorithm{
-		collective.AlgoRing, collective.AlgoHalvingDoubling,
-		collective.AlgoTree, collective.AlgoAuto,
-	}
+	algoSweepAlgos = []collective.Algorithm{collective.AlgoRing, collective.AlgoTree, collective.AlgoAuto}
 	// algoSweepReps repeats each measurement and keeps the fastest run
 	// (benchstat-style min), damping scheduler noise: the collectives are
 	// sub-millisecond multi-goroutine ops, where a single testing.Benchmark
@@ -280,7 +236,7 @@ var (
 )
 
 // runAlgoSweep measures every algorithm at every (ranks, dim) grid point and
-// condenses the result into crossover rows plus the two acceptance gates.
+// condenses the result into crossover rows plus the selection-regret gate.
 func runAlgoSweep(rep *collectiveBenchReport) error {
 	ns := make(map[[2]int]map[string]int64)
 	for _, n := range algoSweepRanks {
@@ -311,24 +267,19 @@ func runAlgoSweep(rep *collectiveBenchReport) error {
 		}
 	}
 
-	rep.GateSmallTensorSpeedup = 0
 	rep.GateAutoWithinPct = 0
 	for _, n := range algoSweepRanks {
 		for _, dim := range algoSweepDims {
 			point := ns[[2]int{n, dim}]
 			row := crossoverRow{
 				Ranks: n, Dim: dim,
-				RingNs:            point[collective.AlgoRing.String()],
-				HalvingDoublingNs: point[collective.AlgoHalvingDoubling.String()],
-				TreeNs:            point[collective.AlgoTree.String()],
-				AutoNs:            point[collective.AlgoAuto.String()],
-				AutoPick:          collective.SelectAlgorithm(n, dim).String(),
+				RingNs:   point[collective.AlgoRing.String()],
+				TreeNs:   point[collective.AlgoTree.String()],
+				AutoNs:   point[collective.AlgoAuto.String()],
+				AutoPick: collective.SelectAlgorithmWire(n, dim, tensor.F64).String(),
 			}
 			best := row.RingNs
 			row.Best = collective.AlgoRing.String()
-			if row.HalvingDoublingNs < best {
-				best, row.Best = row.HalvingDoublingNs, collective.AlgoHalvingDoubling.String()
-			}
 			if row.TreeNs < best {
 				best, row.Best = row.TreeNs, collective.AlgoTree.String()
 			}
@@ -343,13 +294,6 @@ func runAlgoSweep(rep *collectiveBenchReport) error {
 				row.AutoWithinPct = 0
 			}
 			rep.Crossover = append(rep.Crossover, row)
-
-			if n >= 8 && dim <= 4096 {
-				speedup := float64(row.RingNs) / float64(row.HalvingDoublingNs)
-				if rep.GateSmallTensorSpeedup == 0 || speedup < rep.GateSmallTensorSpeedup {
-					rep.GateSmallTensorSpeedup = speedup
-				}
-			}
 			if row.AutoWithinPct > rep.GateAutoWithinPct {
 				rep.GateAutoWithinPct = row.AutoWithinPct
 			}
@@ -567,186 +511,6 @@ func runWirePathSweep(rep *collectiveBenchReport) error {
 	return nil
 }
 
-// Scaling sweep: rank counts 8→1024 on the in-memory mesh at one
-// bandwidth-bound dim. testing.Benchmark would pick its own iteration
-// count — a 1024-rank flat ring costs seconds per op (2·1023 serialized
-// steps × 1024 ranks ≈ 2M messages) — so the sweep times rounds manually
-// and keeps the fastest of a few reps.
-var (
-	scalingDim    = 1 << 16
-	scalingPoints = []struct {
-		ranks  int
-		branch int // level-0 group size of the multi-level plan
-	}{{8, 4}, {64, 8}, {256, 16}, {1024, 32}}
-	scalingReps = 5
-	// scalingBWBoundBytes separates the cache-resident small-rank points
-	// from the memory-bandwidth-bound regime the scaling gate is about:
-	// on this in-process mesh every transferred byte is a memory copy, so
-	// once the per-op working set clears the last-level cache the
-	// aggregate rate is DRAM-bound — the single-host analog of the
-	// network-bandwidth-bound regime. 64 MiB is comfortably past any LLC
-	// in this container class.
-	scalingBWBoundBytes = 64 << 20
-)
-
-// timeScalingRound runs `run` on every endpoint concurrently (one SPMD
-// collective round) and returns the wall-clock ns, refreshing the vectors
-// first so every round reduces identical data.
-func timeScalingRound(eps []transport.Mesh, vecs []tensor.Vector, iter int64, run func(m transport.Mesh, iter int64, v tensor.Vector) error) (int64, error) {
-	for i := range vecs {
-		for j := range vecs[i] {
-			vecs[i][j] = float64(i%7) + float64(j%13)*1e-3
-		}
-	}
-	// Collect between rounds so a GC cycle over the gigabyte-scale
-	// 1024-rank heap does not land inside a timed round — the min-of-reps
-	// then measures the schedule, not the collector.
-	runtime.GC()
-	done := make(chan error, len(eps))
-	start := time.Now()
-	for _, m := range eps {
-		m := m
-		go func() { done <- run(m, iter, vecs[m.Rank()]) }()
-	}
-	var firstErr error
-	for range eps {
-		if err := <-done; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return time.Since(start).Nanoseconds(), firstErr
-}
-
-// runScalingSweep measures flat ring vs multi-level at each rank count and
-// derives the two scaling gates.
-func runScalingSweep(rep *collectiveBenchReport) error {
-	for _, p := range scalingPoints {
-		plan, err := topology.UniformPlan(p.ranks, []int{p.branch})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "collective bench: scaling n%d dim%d (%s)...\n", p.ranks, scalingDim, plan)
-		net, err := transport.NewLocalNetwork(p.ranks)
-		if err != nil {
-			return err
-		}
-		vecs := make([]tensor.Vector, p.ranks)
-		for i := range vecs {
-			vecs[i] = tensor.New(scalingDim)
-		}
-		eps := net.Endpoints()
-		row := scalingRow{Ranks: p.ranks, Dim: scalingDim, Levels: plan.String()}
-		iter := int64(0)
-		for _, alg := range []struct {
-			ns  *int64
-			run func(m transport.Mesh, iter int64, v tensor.Vector) error
-		}{
-			{&row.RingNs, func(m transport.Mesh, iter int64, v tensor.Vector) error {
-				return collective.RingAllReduce(m, iter, v, collective.OpAverage)
-			}},
-			{&row.MultiLevelNs, func(m transport.Mesh, iter int64, v tensor.Vector) error {
-				return collective.MultiLevelAllReduce(m, iter, v, collective.OpAverage, plan)
-			}},
-		} {
-			for r := 0; r <= scalingReps; r++ { // rep 0 is the warmup
-				ns, err := timeScalingRound(eps, vecs, iter, alg.run)
-				iter++
-				if err != nil {
-					_ = net.Close()
-					return fmt.Errorf("scaling n%d: %w", p.ranks, err)
-				}
-				if r > 0 && (*alg.ns == 0 || ns < *alg.ns) {
-					*alg.ns = ns
-				}
-			}
-		}
-		if err := net.Close(); err != nil {
-			return err
-		}
-		aggBytes := float64(p.ranks) * 8 * float64(scalingDim)
-		row.RingAggMBps = aggBytes / 1e6 / (float64(row.RingNs) / 1e9)
-		row.MultiAggMBps = aggBytes / 1e6 / (float64(row.MultiLevelNs) / 1e9)
-		rep.Scaling = append(rep.Scaling, row)
-		fmt.Fprintf(os.Stderr, "collective bench: scaling n%d ring %.0fms multi %.0fms\n",
-			p.ranks, float64(row.RingNs)/1e6, float64(row.MultiLevelNs)/1e6)
-	}
-	// Efficiency is relative to the first bandwidth-bound (DRAM-resident)
-	// point; see scalingRow.Efficiency.
-	var baseAgg float64
-	for i := range rep.Scaling {
-		row := &rep.Scaling[i]
-		if baseAgg == 0 && float64(row.Ranks)*8*float64(row.Dim) >= float64(scalingBWBoundBytes) {
-			baseAgg = row.MultiAggMBps
-		}
-	}
-	if baseAgg == 0 { // sweep too small to leave cache; fall back to the first point
-		baseAgg = rep.Scaling[0].MultiAggMBps
-	}
-	for i := range rep.Scaling {
-		rep.Scaling[i].Efficiency = rep.Scaling[i].MultiAggMBps / baseAgg
-	}
-	last := rep.Scaling[len(rep.Scaling)-1]
-	rep.GateScalingEfficiency = last.Efficiency
-	rep.GateMultiLevelWin = 0
-	for _, row := range rep.Scaling {
-		if row.Ranks < 256 {
-			continue
-		}
-		if ratio := float64(row.MultiLevelNs) / float64(row.RingNs); ratio > rep.GateMultiLevelWin {
-			rep.GateMultiLevelWin = ratio
-		}
-	}
-	return nil
-}
-
-// smokeScaling is the bench-smoke slice of the sweep: one 64-rank round of
-// ring and multi-level at a small dim, multi-level results asserted
-// bit-identical across ranks and within fp tolerance of the flat ring.
-func smokeScaling() error {
-	const n, dim = 64, 1 << 12
-	plan, err := topology.UniformPlan(n, []int{8})
-	if err != nil {
-		return err
-	}
-	net, err := transport.NewLocalNetwork(n)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = net.Close() }()
-	eps := net.Endpoints()
-	// timeScalingRound refreshes both sets to the identical per-rank
-	// pattern, so the two schedules reduce the same inputs.
-	ringVecs := make([]tensor.Vector, n)
-	mlVecs := make([]tensor.Vector, n)
-	for i := range ringVecs {
-		ringVecs[i] = tensor.New(dim)
-		mlVecs[i] = tensor.New(dim)
-	}
-	if _, err := timeScalingRound(eps, ringVecs, 0, func(m transport.Mesh, iter int64, v tensor.Vector) error {
-		return collective.RingAllReduce(m, iter, v, collective.OpAverage)
-	}); err != nil {
-		return fmt.Errorf("64-rank ring: %w", err)
-	}
-	if _, err := timeScalingRound(eps, mlVecs, 1, func(m transport.Mesh, iter int64, v tensor.Vector) error {
-		return collective.MultiLevelAllReduce(m, iter, v, collective.OpAverage, plan)
-	}); err != nil {
-		return fmt.Errorf("64-rank multi-level: %w", err)
-	}
-	for r := 1; r < n; r++ {
-		for j := 0; j < dim; j++ {
-			if mlVecs[r][j] != mlVecs[0][j] {
-				return fmt.Errorf("64-rank multi-level: rank %d not bit-identical at [%d]", r, j)
-			}
-		}
-	}
-	for j := 0; j < dim; j++ {
-		if d := mlVecs[0][j] - ringVecs[0][j]; d > 1e-9 || d < -1e-9 {
-			return fmt.Errorf("64-rank multi-level diverges from ring at [%d]: %v vs %v", j, mlVecs[0][j], ringVecs[0][j])
-		}
-	}
-	return nil
-}
-
 // runCollectiveBench measures the recorded configurations and writes the
 // JSON report to outPath. calibrationPath optionally points at a persisted
 // `rnabench -calibrate` model for the auto rows.
@@ -798,9 +562,6 @@ func runCollectiveBench(outPath, calibrationPath string) error {
 	if err := runOverlapSweep(&rep); err != nil {
 		return err
 	}
-	if err := runScalingSweep(&rep); err != nil {
-		return err
-	}
 	if err := runFramingSweep(&rep); err != nil {
 		return err
 	}
@@ -838,14 +599,12 @@ func runCollectiveBench(outPath, calibrationPath string) error {
 	}
 	fmt.Fprintf(os.Stderr, "collective bench: wrote %s (gate speedup %.2fx, alloc reduction %.1fx)\n",
 		outPath, rep.GateSpeedup, rep.GateAllocRatio)
-	fmt.Fprintf(os.Stderr, "collective bench: small-tensor hd-vs-ring %.2fx (gate >= 1.5), auto within %.1f%% of best (gate <= 10)\n",
-		rep.GateSmallTensorSpeedup, rep.GateAutoWithinPct)
+	fmt.Fprintf(os.Stderr, "collective bench: auto within %.1f%% of best (gate <= 10)\n",
+		rep.GateAutoWithinPct)
 	fmt.Fprintf(os.Stderr, "collective bench: fp16 wire speedup %.2fx over fp64 (gate >= 1.8)\n",
 		rep.GateFp16WireSpeedup)
 	fmt.Fprintf(os.Stderr, "collective bench: overlap speedup %.2fx (gate >= 1.3), %d bucket collectives in flight (gate >= 2)\n",
 		rep.GateOverlapSpeedup, rep.GateOverlapInFlight)
-	fmt.Fprintf(os.Stderr, "collective bench: scaling efficiency %.2f at n%d (gate >= 0.8), multi-level/ring %.2fx at >=256 ranks (gate <= 1.0)\n",
-		rep.GateScalingEfficiency, rep.Scaling[len(rep.Scaling)-1].Ranks, rep.GateMultiLevelWin)
 	fmt.Fprintf(os.Stderr, "collective bench: framing small-tensor speedup %.2fx (gate >= 1.2), codec allocs/op %d (gate == 0), header %.3f%% at 256KiB (gate <= 1)\n",
 		rep.GateFramingSmallSpeedup, rep.GateFramingAllocsPerOp, rep.GateFramingHeaderPct)
 	fmt.Fprintf(os.Stderr, "collective bench: skew speedup %.2fx at 256KiB/4:1 (gate >= 1.4), plan within 5%% of oracle in %d iters (gate <= 20)\n",

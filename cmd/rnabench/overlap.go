@@ -303,9 +303,6 @@ func runBenchSmoke() error {
 	if err := smokeCompression(); err != nil {
 		return fmt.Errorf("bench-smoke compression: %w", err)
 	}
-	if err := smokeScaling(); err != nil {
-		return fmt.Errorf("bench-smoke scaling: %w", err)
-	}
 	if err := smokeSkew(); err != nil {
 		return fmt.Errorf("bench-smoke skew: %w", err)
 	}
@@ -315,6 +312,6 @@ func runBenchSmoke() error {
 	if err := smokeSharded(); err != nil {
 		return fmt.Errorf("bench-smoke sharded: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "bench-smoke: ok (%d buckets, %d in flight, 64-rank multi-level bit-identical, skew engine bit-identical to ring, sharded Adam bit-identical to replicated, params bit-identical)\n", buckets, inFlight)
+	fmt.Fprintf(os.Stderr, "bench-smoke: ok (%d buckets, %d in flight, skew engine bit-identical to ring, sharded Adam bit-identical to replicated, params bit-identical)\n", buckets, inFlight)
 	return nil
 }

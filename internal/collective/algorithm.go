@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/tensor"
-	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -13,24 +12,22 @@ import (
 type Algorithm int
 
 // Supported schedules. AlgoAuto (the zero value) defers to the α–β cost
-// model selector; the rest pin a concrete schedule.
+// model selector; the rest pin a concrete schedule. The numeric values are
+// reported by benchmark/ as collective.algo_id, so AlgoRing stays 1 and
+// AlgoTree stays 3; 2 and 4 named schedules that were removed (DESIGN.md,
+// "Schedules removed") and are rejected by Valid.
 const (
 	// AlgoAuto lets the calibrated cost model choose per (ranks, size).
-	AlgoAuto Algorithm = iota
+	AlgoAuto Algorithm = 0
 	// AlgoRing is the pipelined ring: bandwidth-optimal, O(N) latency.
-	AlgoRing
-	// AlgoHalvingDoubling is recursive halving-doubling: bandwidth-optimal
-	// with O(log N) latency, plus a fold-in for non-power-of-two N.
-	AlgoHalvingDoubling
+	AlgoRing Algorithm = 1
 	// AlgoTree is binomial-tree reduce + broadcast: fewest messages, full
 	// vector per hop — for tiny tensors only.
-	AlgoTree
-	// AlgoMultiLevel is the topology-aware level-tree schedule (see
-	// multilevel.go): groups ring-reduce, leaders recurse, results broadcast
-	// back down. AlgoAuto also reaches it when the cost model's level search
-	// beats every flat schedule (large rank counts).
-	AlgoMultiLevel
+	AlgoTree Algorithm = 3
 )
+
+// Valid reports whether a names a schedule the engine has.
+func (a Algorithm) Valid() bool { return a == AlgoAuto || a == AlgoRing || a == AlgoTree }
 
 // String implements fmt.Stringer; the names match the BENCH_collective.json
 // rows and the rnabench output.
@@ -40,32 +37,11 @@ func (a Algorithm) String() string {
 		return "auto"
 	case AlgoRing:
 		return "ring"
-	case AlgoHalvingDoubling:
-		return "halving-doubling"
 	case AlgoTree:
 		return "tree"
-	case AlgoMultiLevel:
-		return "multilevel"
 	default:
 		return fmt.Sprintf("algorithm(%d)", int(a))
 	}
-}
-
-// ParseAlgorithm maps a String() name back to the Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "auto":
-		return AlgoAuto, nil
-	case "ring":
-		return AlgoRing, nil
-	case "halving-doubling", "hd":
-		return AlgoHalvingDoubling, nil
-	case "tree":
-		return AlgoTree, nil
-	case "multilevel", "multi-level", "ml":
-		return AlgoMultiLevel, nil
-	}
-	return 0, fmt.Errorf("collective: unknown algorithm %q", s)
 }
 
 // AllReduce reduces v in place across all ranks of m with the schedule the
@@ -92,20 +68,19 @@ type Options struct {
 	// selector (which prices the Compression dtype's wire volume).
 	Algorithm Algorithm
 	// Compression is the wire dtype of the distribution phase — the ring
-	// allgather, the halving-doubling doubling phase, the tree broadcast.
-	// The reduction itself always runs in fp64, and every rank still
-	// finishes with bit-identical bytes: elements are quantized exactly
-	// once, by the rank that owns them, and re-encoding forwarded grid
-	// values is exact (see tensor.RoundTrip). tensor.F64 disables
-	// compression.
+	// allgather, the tree broadcast. The reduction itself always runs in
+	// fp64, and every rank still finishes with bit-identical bytes:
+	// elements are quantized exactly once, by the rank that owns them, and
+	// re-encoding forwarded grid values is exact (see tensor.RoundTrip).
+	// tensor.F64 disables compression.
 	Compression tensor.Dtype
 	// Residual, when non-nil (it must then have v's length), accumulates
 	// the quantization error (pre − post) of the regions THIS rank
-	// compressed from exact fp64 — its owned chunks/windows, or the whole
-	// vector at the tree root. Adding the residual into the next
-	// iteration's local gradient implements error-feedback compression;
-	// the residual is distributed across ranks by ownership, matching how
-	// the error physically arises.
+	// compressed from exact fp64 — its owned chunks, or the whole vector
+	// at the tree root. Adding the residual into the next iteration's
+	// local gradient implements error-feedback compression; the residual is
+	// distributed across ranks by ownership, matching how the error
+	// physically arises.
 	Residual tensor.Vector
 	// TopK, when positive, replaces the dense schedule with the sparse
 	// top-k gradient exchange (see sparse.go): each rank ships only its k
@@ -122,6 +97,9 @@ type Options struct {
 // ranks must pass the same algorithm, compression dtype, iter, op and
 // vector length (residuals are rank-local and may differ).
 func AllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, opts Options) error {
+	if !opts.Algorithm.Valid() {
+		return fmt.Errorf("collective: unknown algorithm %d", opts.Algorithm)
+	}
 	if !opts.Compression.Valid() {
 		return fmt.Errorf("collective: unknown compression dtype %d", opts.Compression)
 	}
@@ -150,45 +128,12 @@ func AllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, o
 	}
 	algo := opts.Algorithm
 	if algo == AlgoAuto {
-		// The level search runs before the flat selector: when a level tree
-		// beats every flat schedule (large rank counts), AlgoAuto takes it.
-		// Both checks are pure functions of (n, elems, wire) and the shared
-		// model, so SPMD ranks agree on the branch AND the plan.
-		if branches := ActiveCostModel().SelectLevels(m.Size(), len(v), opts.Compression); branches != nil {
-			plan, err := topology.UniformPlan(m.Size(), branches)
-			if err != nil {
-				return err
-			}
-			return multiLevelOpts(m, iter, v, op, opts, plan)
-		}
 		algo = SelectAlgorithmWire(m.Size(), len(v), opts.Compression)
 	}
-	switch algo {
-	case AlgoRing:
-		return ringAllReduce(m, iter, v, op, 0, opts.Compression, opts.Residual)
-	case AlgoHalvingDoubling:
-		return halvingDoublingAllReduce(m, iter, v, op, opts.Compression, opts.Residual)
-	case AlgoTree:
+	if algo == AlgoTree {
 		return treeAllReduce(m, iter, v, op, opts.Compression, opts.Residual)
-	case AlgoMultiLevel:
-		plan, err := autoPlan(m.Size(), len(v), opts.Compression)
-		if err != nil {
-			return err
-		}
-		return multiLevelOpts(m, iter, v, op, opts, plan)
-	default:
-		return fmt.Errorf("collective: unsupported algorithm %v", algo)
 	}
-}
-
-// multiLevelOpts runs the cached multi-level engine for plan, stripping the
-// Algorithm pin so the within-level dispatch re-selects per level size.
-func multiLevelOpts(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, opts Options, plan *topology.Plan) error {
-	ml, err := cachedMultiLevel(m, plan)
-	if err != nil {
-		return err
-	}
-	return ml.RunOpts(iter, v, op, Options{Compression: opts.Compression, Residual: opts.Residual})
+	return ringAllReduce(m, iter, v, op, 0, opts.Compression, opts.Residual)
 }
 
 // PartialAllReduce is PartialRingAllReduce with cost-model algorithm

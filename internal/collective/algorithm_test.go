@@ -60,7 +60,7 @@ func runAlgo(t *testing.T, inputs []tensor.Vector, iter int64, op ReduceOp, algo
 	return got
 }
 
-var fixedAlgos = []Algorithm{AlgoRing, AlgoHalvingDoubling, AlgoTree}
+var fixedAlgos = []Algorithm{AlgoRing, AlgoTree}
 
 // TestAlgorithmsMatchSerialReference sweeps rank counts (power-of-two and
 // not), dimensions (empty, odd, sub-rank-count, large) and both ops for
@@ -87,8 +87,8 @@ func TestAlgorithmsMatchSerialReference(t *testing.T) {
 }
 
 // TestAlgorithmsBitIdenticalAcrossRanks: an AllReduce is only usable by the
-// training stack if every rank finishes with the SAME bytes — the halving
-// window ownership and the tree root-broadcast both guarantee it.
+// training stack if every rank finishes with the SAME bytes — the ring's
+// chunk ownership and the tree root-broadcast both guarantee it.
 func TestAlgorithmsBitIdenticalAcrossRanks(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, algo := range fixedAlgos {
@@ -169,74 +169,6 @@ func TestPartialAllReduceAuto(t *testing.T) {
 	}
 }
 
-// TestHierarchicalAllReduceMatchesSerial checks the two-level schedule over
-// several group shapes, including singleton groups and one group spanning
-// everything.
-func TestHierarchicalAllReduceMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	cases := []struct {
-		n      int
-		groups [][]int
-	}{
-		{1, [][]int{{0}}},
-		{2, [][]int{{0}, {1}}},
-		{4, [][]int{{0, 1}, {2, 3}}},
-		{5, [][]int{{0, 1, 2}, {3, 4}}},
-		{6, [][]int{{0, 1, 2, 3, 4, 5}}},
-		{8, [][]int{{0, 3, 5}, {1, 2}, {4, 6, 7}}},
-		{9, [][]int{{8, 0}, {1, 2, 3, 4}, {5}, {6, 7}}},
-	}
-	for _, tc := range cases {
-		for _, op := range []ReduceOp{OpSum, OpAverage} {
-			for _, dim := range []int{0, 1, 17, 260} {
-				inputs := randomInputs(rng, tc.n, dim)
-				want := serialSum(inputs, op)
-				got := make([]tensor.Vector, tc.n)
-				for r := range got {
-					got[r] = inputs[r].Clone()
-				}
-				runSPMD(t, tc.n, func(m transport.Mesh) error {
-					return HierarchicalAllReduce(m, 3, got[m.Rank()], op, tc.groups)
-				})
-				for r := range got {
-					if j, ok := withinTol(got[r], want, 1e-12); !ok {
-						t.Fatalf("groups=%v dim=%d op=%v rank=%d elem %d: got %v, want %v",
-							tc.groups, dim, op, r, j, got[r][j], want[j])
-					}
-				}
-				// All ranks identical bits.
-				for r := 1; r < tc.n; r++ {
-					for j := range got[0] {
-						if math.Float64bits(got[r][j]) != math.Float64bits(got[0][j]) {
-							t.Fatalf("groups=%v rank %d not bit-identical to rank 0", tc.groups, r)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestHierarchicalAllReduceBadGroups: malformed partitions are rejected on
-// every rank before any traffic.
-func TestHierarchicalAllReduceBadGroups(t *testing.T) {
-	bad := [][][]int{
-		{{0, 1}, {1, 2, 3}}, // duplicate
-		{{0, 1}, {3}},       // missing rank 2
-		{{0, 1, 2}, {3, 9}}, // out of range
-		{{0, 1, 2, 3}, {}},  // empty group
-	}
-	for _, groups := range bad {
-		groups := groups
-		runSPMD(t, 4, func(m transport.Mesh) error {
-			if err := HierarchicalAllReduce(m, 0, tensor.New(8), OpSum, groups); err == nil {
-				t.Errorf("groups %v should be rejected", groups)
-			}
-			return nil
-		})
-	}
-}
-
 // TestRepeatedMixedAlgorithms runs different schedules back to back on one
 // mesh to check no residual messages leak between them.
 func TestRepeatedMixedAlgorithms(t *testing.T) {
@@ -246,7 +178,7 @@ func TestRepeatedMixedAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = net.Close() }()
-	seq := []Algorithm{AlgoRing, AlgoTree, AlgoHalvingDoubling, AlgoTree, AlgoRing, AlgoHalvingDoubling}
+	seq := []Algorithm{AlgoRing, AlgoTree, AlgoTree, AlgoRing}
 	done := make(chan error, n)
 	for _, m := range net.Endpoints() {
 		m := m

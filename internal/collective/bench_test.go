@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/tensor"
-	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -95,10 +94,7 @@ func BenchmarkPartialRingAllReduce(b *testing.B) {
 // per-algorithm rows and crossover table in BENCH_collective.json via
 // `rnabench -collective`.
 func BenchmarkAllReduceAlgorithms(b *testing.B) {
-	algos := []collective.Algorithm{
-		collective.AlgoRing, collective.AlgoHalvingDoubling,
-		collective.AlgoTree, collective.AlgoAuto,
-	}
+	algos := []collective.Algorithm{collective.AlgoRing, collective.AlgoTree, collective.AlgoAuto}
 	for _, algo := range algos {
 		for _, n := range []int{4, 8, 16} {
 			for _, dim := range []int{1 << 10, 1 << 12, 1 << 16, 1 << 18} {
@@ -126,85 +122,4 @@ func BenchmarkAllReduceAlgorithms(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkHierarchicalAllReduce measures the two-level schedule with four
-// groups of equal size against the flat ring at the same scale.
-func BenchmarkHierarchicalAllReduce(b *testing.B) {
-	for _, n := range []int{8, 16} {
-		for _, dim := range []int{1 << 12, 1 << 18} {
-			b.Run(fmt.Sprintf("n%d/dim%d", n, dim), func(b *testing.B) {
-				groups := make([][]int, 4)
-				for r := 0; r < n; r++ {
-					groups[r%4] = append(groups[r%4], r)
-				}
-				net, err := transport.NewLocalNetwork(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer func() { _ = net.Close() }()
-				vecs := make([]tensor.Vector, n)
-				for i := range vecs {
-					vecs[i] = tensor.New(dim)
-				}
-				eps := net.Endpoints()
-				b.SetBytes(int64(dim * 8))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					runRanks(b, eps, func(m transport.Mesh) error {
-						return collective.HierarchicalAllReduce(m, int64(i), vecs[m.Rank()], collective.OpAverage, groups)
-					})
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkMultiLevelCacheDelta measures the SubMesh-cache win: the same
-// level tree executed through a pre-built engine (one construction per
-// endpoint, the HierarchicalAllReduce/AlgoAuto steady state) versus
-// rebuilding the engine — every per-level SubMesh — on each call, which is
-// what the two-level path used to do per iteration.
-func BenchmarkMultiLevelCacheDelta(b *testing.B) {
-	const n, dim = 16, 1 << 12
-	plan, err := topology.UniformPlan(n, []int{4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, rebuild bool) {
-		net, err := transport.NewLocalNetwork(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer func() { _ = net.Close() }()
-		vecs := make([]tensor.Vector, n)
-		for i := range vecs {
-			vecs[i] = tensor.New(dim)
-		}
-		eps := net.Endpoints()
-		engines := make([]*collective.MultiLevel, n)
-		for i, m := range eps {
-			if engines[i], err = collective.NewMultiLevel(m, plan); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(dim * 8))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runRanks(b, eps, func(m transport.Mesh) error {
-				ml := engines[m.Rank()]
-				if rebuild {
-					var err error
-					if ml, err = collective.NewMultiLevel(m, plan); err != nil {
-						return err
-					}
-				}
-				return ml.Run(int64(i), vecs[m.Rank()], collective.OpAverage)
-			})
-		}
-	}
-	b.Run("cached", func(b *testing.B) { run(b, false) })
-	b.Run("rebuild", func(b *testing.B) { run(b, true) })
 }

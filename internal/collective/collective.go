@@ -127,14 +127,15 @@ func broadcast(m transport.Mesh, iter int64, v tensor.Vector, root int, wire ten
 		if err != nil {
 			return fmt.Errorf("broadcast recv: %w", err)
 		}
-		if err := checkMsg("broadcast", msg, transport.MsgBroadcast, iter, msg.Chunk); err != nil {
+		if err := checkMsg("broadcast", msg, transport.MsgBroadcast, iter, 0); err != nil {
 			transport.PutPayload(msg.Payload)
 			return err
 		}
-		if err := v.CopyFrom(msg.Payload); err != nil {
+		err = v.CopyFrom(msg.Payload)
+		transport.PutPayload(msg.Payload)
+		if err != nil {
 			return fmt.Errorf("broadcast copy: %w", err)
 		}
-		transport.PutPayload(msg.Payload)
 	}
 
 	// Send phase: forward to children vrank+span for doubling spans.

@@ -249,6 +249,9 @@ func TestAllReduceOptsValidation(t *testing.T) {
 		if err := AllReduceOpts(m, 0, v, OpSum, Options{Compression: tensor.Dtype(9)}); err == nil {
 			t.Error("unknown dtype accepted")
 		}
+		if err := AllReduceOpts(m, 0, v, OpSum, Options{Algorithm: Algorithm(2)}); err == nil {
+			t.Error("unknown algorithm accepted")
+		}
 		if err := AllReduceOpts(m, 0, v, OpSum, Options{Residual: tensor.New(7)}); err == nil {
 			t.Error("mis-sized residual accepted")
 		}
@@ -256,25 +259,11 @@ func TestAllReduceOptsValidation(t *testing.T) {
 	})
 }
 
-// TestPredictWireConsistency: F64 wire predictions must equal the legacy
-// predictor bit-for-bit (so existing calibrations and the regret gate are
-// untouched), and at the bench probe points a compressed ring must never be
-// predicted SLOWER than the fp64 ring — compression only removes bytes from
-// the ring's critical path.
+// TestPredictWireConsistency: at the bench probe points a compressed ring
+// must never be predicted SLOWER than the fp64 ring — compression only
+// removes bytes from the ring's critical path.
 func TestPredictWireConsistency(t *testing.T) {
 	c := DefaultCostModel()
-	for _, a := range append([]Algorithm{AlgoAuto}, fixedAlgos...) {
-		for _, n := range []int{2, 3, 8, 16, 33} {
-			for _, elems := range []int{0, 1, 1024, 1 << 18} {
-				if got, want := c.PredictWireNs(a, n, elems, tensor.F64), c.PredictNs(a, n, int64(elems)*8); got != want {
-					t.Fatalf("%v n=%d elems=%d: PredictWireNs(F64)=%v, PredictNs=%v", a, n, elems, got, want)
-				}
-			}
-			if got, want := c.SelectWire(n, 4096, tensor.F64), c.Select(n, 4096); got != want {
-				t.Fatalf("n=%d: SelectWire(F64)=%v, Select=%v", n, got, want)
-			}
-		}
-	}
 	probes := []struct{ n, elems int }{{8, 1 << 18}, {16, 1 << 20}}
 	for _, p := range probes {
 		f64Ring := c.PredictWireNs(AlgoRing, p.n, p.elems, tensor.F64)

@@ -15,17 +15,54 @@ import (
 
 // α–β cost model behind the algorithm auto-selector.
 //
-// Each algorithm's critical path is msgs·α + bytes·β: msgs sequential
-// message latencies plus the per-byte transfer/reduce cost of the bytes it
-// moves. The (α, β) constants are PER ALGORITHM — the implementations have
-// different per-step machinery (the ring pipelines and rotates buffers, the
-// tree sends whole vectors through one root), so a single shared pair
+// Each schedule describes its own critical path, next to its implementation
+// (RingPath in ring.go, TreePath in tree.go), as a short list of hops: runs
+// of sequential messages of one size. A path prices as msgs·α + bytes·β:
+// the messages' latencies plus the per-byte transfer/reduce cost of what
+// they carry. The (α, β) constants are PER ALGORITHM — the implementations
+// have different per-step machinery (the ring pipelines and rotates buffers,
+// the tree sends whole vectors through one root), so a single shared pair
 // systematically mispredicts. The constants ship with defaults measured on
 // the in-memory mesh and are re-fit for a deployment by Calibrate (exposed
 // as `rnabench -calibrate`), whose output persists as JSON and reloads via
 // LoadCalibration. All ranks must share one model: selection depends only
-// on (rank count, message size), so a shared model keeps the SPMD ranks'
-// choices consistent.
+// on (rank count, message size, wire dtype), so a shared model keeps the
+// SPMD ranks' choices consistent.
+//
+// The simulator's workload.CommModel prices the same paths in virtual time,
+// one truncated transfer per message; TestCostModelsAgree in that package
+// holds the two evaluators together.
+
+// Hop is a run of critical-path messages sent one after another, all of one
+// size.
+type Hop struct {
+	Msgs  int   // sequential messages
+	Bytes int64 // size of each
+}
+
+// Payload is the fp64 data one AllReduce reduces, counted in the unit its
+// pricer knows it in. A schedule cuts a payload into shares of whole units,
+// so the unit sets the granularity of a chunk: the compressed prices and
+// the sharded halves count whole elements, while the uncompressed prices
+// have always cut to the byte — the simulator's model zoo has 4-byte
+// parameters, so its payloads need not be a whole number of fp64 elements.
+type Payload struct{ units, unitBytes int64 }
+
+// Elems is a payload of n fp64 elements.
+func Elems(n int) Payload { return Payload{int64(n), 8} }
+
+// Bytes is a payload of n bytes of fp64 data.
+func Bytes(n int64) Payload { return Payload{n, 1} }
+
+// share returns the size in bytes of one of `parts` equal shares of p, as
+// raw fp64 and as encoded in wire.
+func (p Payload) share(parts int, wire tensor.Dtype) (fp64, enc int64) {
+	fp64 = p.units / int64(parts) * p.unitBytes
+	if wire == tensor.F64 {
+		return fp64, fp64
+	}
+	return fp64, int64(wire.WireBytes(int(fp64 / 8)))
+}
 
 // AlgoCost holds one algorithm's fitted α–β constants.
 type AlgoCost struct {
@@ -35,28 +72,17 @@ type AlgoCost struct {
 	BetaNsPerByte float64 `json:"beta_ns_per_byte"`
 }
 
-// CostModel predicts AllReduce latency per algorithm.
-type CostModel struct {
-	Ring            AlgoCost `json:"ring"`
-	HalvingDoubling AlgoCost `json:"halving_doubling"`
-	Tree            AlgoCost `json:"tree"`
-	// Links holds per-link-class constants for multi-level schedules:
-	// Links[l] prices level l's traffic (level 0 = the fastest class, e.g.
-	// intra-machine; the last entry repeats for deeper levels). Empty on
-	// legacy calibrations — the Ring constants substitute, which collapses
-	// level pricing to the uniform-fabric case.
-	Links []AlgoCost `json:"links,omitempty"`
+// ns prices a critical path of msgs messages carrying vol bytes in total.
+func (k AlgoCost) ns(msgs, vol float64) float64 {
+	return msgs*k.AlphaNs + vol*k.BetaNsPerByte
 }
 
-// linkCost returns the constants pricing traffic at plan level l.
-func (c CostModel) linkCost(l int) AlgoCost {
-	if len(c.Links) == 0 {
-		return c.Ring
-	}
-	if l >= len(c.Links) {
-		l = len(c.Links) - 1
-	}
-	return c.Links[l]
+// CostModel predicts AllReduce latency per algorithm. A calibration file
+// written when there were more schedules still loads: unknown JSON keys are
+// ignored.
+type CostModel struct {
+	Ring AlgoCost `json:"ring"`
+	Tree AlgoCost `json:"tree"`
 }
 
 // DefaultCostModel returns constants fitted by `rnabench -calibrate` on the
@@ -65,339 +91,77 @@ func (c CostModel) linkCost(l int) AlgoCost {
 // `rnabench -calibrate` to fit your own fabric. Note the per-algorithm
 // spread the shared-constant model would miss: the pipelined ring forwards
 // pooled buffers without copying (low β, but α carries its per-step gate
-// synchronization), halving-doubling pays a copy on every windowed send
-// (highest β), and the tree does one contiguous add per hop (lowest α and
-// β, but log-factor byte volume).
+// synchronization), and the tree does one contiguous add per hop (lowest α
+// and β, but log-factor byte volume).
 func DefaultCostModel() CostModel {
 	return CostModel{
-		Ring:            AlgoCost{AlphaNs: 6343, BetaNsPerByte: 0.94},
-		HalvingDoubling: AlgoCost{AlphaNs: 5419, BetaNsPerByte: 2.02},
-		Tree:            AlgoCost{AlphaNs: 3617, BetaNsPerByte: 0.43},
+		Ring: AlgoCost{AlphaNs: 6343, BetaNsPerByte: 0.94},
+		Tree: AlgoCost{AlphaNs: 3617, BetaNsPerByte: 0.43},
 	}
 }
 
-// Critical-path shape of each schedule for n ranks and S payload bytes:
-// message count and byte volume. These are the standard collective
-// complexity terms; the fold-in pre/post phases of non-power-of-two
-// halving-doubling add two full-size hops.
-func ringShape(n int, bytes int64) (msgs float64, vol float64) {
-	if n <= 1 {
-		return 0, 0
-	}
-	if ringInlineEligible(n, int(bytes/8)) {
-		// Small f64 tensors execute as the inline allgather (ring.go):
-		// log₂N recursive-doubling rounds at power-of-two N, N−1 direct
-		// exchanges otherwise, shipping (N−1)·S bytes per rank instead of
-		// 2(N−1) chunked steps. Pricing the schedule that actually runs
-		// keeps the selector honest in the latency-bound regime, where
-		// the inline ring now beats the log-depth schedules.
-		rounds := float64(n - 1)
-		if n&(n-1) == 0 {
-			rounds = float64(log2(n))
-		}
-		return rounds, float64(n-1) * float64(bytes)
-	}
-	steps := float64(2 * (n - 1))
-	return steps, steps * float64(bytes/int64(n))
-}
-
-func halvingDoublingShape(n int, bytes int64) (msgs float64, vol float64) {
-	if n <= 1 {
-		return 0, 0
-	}
-	p := highestBit(n)
-	msgs = 2 * float64(log2(p))
-	vol = 2 * float64(bytes) * float64(p-1) / float64(p)
-	if p != n {
-		msgs += 2
-		vol += 2 * float64(bytes)
+// pathShape sums a critical path into its message count and byte volume.
+func pathShape(path [2]Hop) (msgs, vol float64) {
+	for _, h := range path {
+		msgs += float64(h.Msgs)
+		vol += float64(h.Msgs) * float64(h.Bytes)
 	}
 	return msgs, vol
 }
 
-func treeShape(n int, bytes int64) (msgs float64, vol float64) {
-	if n <= 1 {
-		return 0, 0
+// inlineShape is the shape of the inline allgather the ring runs inside its
+// small-tensor envelope (ring.go): log₂N recursive-doubling rounds at
+// power-of-two N, N−1 direct exchanges otherwise, shipping (N−1)·S bytes per
+// rank. Pricing the schedule that actually runs keeps the selector honest
+// in the latency-bound regime, where the inline ring beats the tree.
+func inlineShape(n, elems int) (msgs, vol float64) {
+	rounds := n - 1
+	if n&(n-1) == 0 {
+		rounds = log2(n)
 	}
-	steps := float64(ceilLog2(n))
-	return 2 * steps, 2 * steps * float64(bytes)
+	return float64(rounds), float64(n-1) * float64(8*elems)
 }
 
-// PredictNs returns the modeled latency of one AllReduce in nanoseconds.
-// AlgoAuto predicts the minimum over the concrete algorithms.
-func (c CostModel) PredictNs(a Algorithm, n int, bytes int64) float64 {
-	if n <= 1 {
-		return 0
-	}
-	var msgs, vol float64
-	var k AlgoCost
-	switch a {
-	case AlgoRing:
-		msgs, vol = ringShape(n, bytes)
-		k = c.Ring
-	case AlgoHalvingDoubling:
-		msgs, vol = halvingDoublingShape(n, bytes)
-		k = c.HalvingDoubling
-	case AlgoTree:
-		msgs, vol = treeShape(n, bytes)
-		k = c.Tree
-	default: // AlgoAuto
-		best := c.PredictNs(AlgoRing, n, bytes)
-		if t := c.PredictNs(AlgoHalvingDoubling, n, bytes); t < best {
-			best = t
-		}
-		if t := c.PredictNs(AlgoTree, n, bytes); t < best {
-			best = t
-		}
-		return best
-	}
-	return msgs*k.AlphaNs + vol*k.BetaNsPerByte
-}
-
-// Select returns the cheapest concrete algorithm for an AllReduce of elems
-// float64 elements across n ranks. Ties break toward the earlier entry of
-// [halving-doubling, tree, ring], preferring the latency-optimal schedules
-// when the model cannot distinguish them. The choice is a pure function of
-// (n, elems) and the model, so SPMD ranks sharing a model always agree.
-func (c CostModel) Select(n, elems int) Algorithm {
-	return c.SelectWire(n, elems, tensor.F64)
-}
-
-// Wire-aware critical-path shapes. Compression applies to the distribution
-// phase only (the reduction ships fp64), so each shape splits into a raw
-// fp64 term and a wire-priced term. PredictWireNs delegates F64 to the
-// plain shapes above, so uncompressed predictions — and therefore the
-// existing selector behavior — are unchanged to the bit.
-
-func ringShapeWire(n, elems int, wire tensor.Dtype) (msgs, vol float64) {
-	if n <= 1 {
-		return 0, 0
-	}
-	chunk := elems / n
-	steps := float64(2 * (n - 1))
-	scatter := float64(n-1) * float64(8*chunk)
-	gather := float64(n-1) * float64(wire.WireBytes(chunk))
-	return steps, scatter + gather
-}
-
-func halvingDoublingShapeWire(n, elems int, wire tensor.Dtype) (msgs, vol float64) {
-	if n <= 1 {
-		return 0, 0
-	}
-	p := highestBit(n)
-	half := float64(elems) * float64(p-1) / float64(p) // per-phase gross elements
-	msgs = float64(log2(p))
-	vol = 8 * half // halving phase: fp64 partial sums
-	if wire.PerElement() {
-		msgs += float64(log2(p))
-	} else {
-		// Block-scaled dtypes send the doubling window as per-ownership
-		// sub-messages: 1+2+…+2^(log2 p − 1) = p−1 across the phase.
-		msgs += float64(p - 1)
-	}
-	vol += float64(wire.WireBytes(int(half))) // doubling phase: wire dtype
-	if p != n {
-		msgs += 2
-		vol += 2 * 8 * float64(elems) // fold-in/out always fp64
-	}
-	return msgs, vol
-}
-
-func treeShapeWire(n, elems int, wire tensor.Dtype) (msgs, vol float64) {
-	if n <= 1 {
-		return 0, 0
-	}
-	steps := float64(ceilLog2(n))
-	return 2 * steps, steps * (float64(8*elems) + float64(wire.WireBytes(elems)))
-}
-
-// PredictWireNs returns the modeled latency of one AllReduce of elems
-// elements whose distribution phase ships the given wire dtype. For
-// tensor.F64 it agrees exactly with PredictNs. AlgoAuto predicts the
-// minimum over the concrete algorithms.
+// PredictWireNs returns the modeled latency in nanoseconds of one AllReduce
+// of elems elements whose distribution phase ships the given wire dtype
+// (compression applies to that phase only; the reduction ships fp64).
+// AlgoAuto predicts the cheaper of the two schedules; an algorithm the
+// engine does not have never finishes.
 func (c CostModel) PredictWireNs(a Algorithm, n, elems int, wire tensor.Dtype) float64 {
+	if !a.Valid() {
+		return math.Inf(1)
+	}
 	if n <= 1 {
 		return 0
 	}
+	p := Elems(elems)
 	if wire == tensor.F64 {
-		return c.PredictNs(a, n, int64(elems)*8)
+		p = Bytes(8 * int64(elems)) // uncompressed chunks are cut to the byte
 	}
-	var msgs, vol float64
-	var k AlgoCost
 	switch a {
 	case AlgoRing:
-		msgs, vol = ringShapeWire(n, elems, wire)
-		k = c.Ring
-	case AlgoHalvingDoubling:
-		msgs, vol = halvingDoublingShapeWire(n, elems, wire)
-		k = c.HalvingDoubling
+		if wire == tensor.F64 && ringInlineEligible(n, elems) {
+			return c.Ring.ns(inlineShape(n, elems))
+		}
+		return c.Ring.ns(pathShape(RingPath(n, p, wire)))
 	case AlgoTree:
-		msgs, vol = treeShapeWire(n, elems, wire)
-		k = c.Tree
+		return c.Tree.ns(pathShape(TreePath(n, p, wire)))
 	default: // AlgoAuto
-		best := c.PredictWireNs(AlgoRing, n, elems, wire)
-		if t := c.PredictWireNs(AlgoHalvingDoubling, n, elems, wire); t < best {
-			best = t
-		}
-		if t := c.PredictWireNs(AlgoTree, n, elems, wire); t < best {
-			best = t
-		}
-		return best
+		return math.Min(c.PredictWireNs(AlgoRing, n, elems, wire), c.PredictWireNs(AlgoTree, n, elems, wire))
 	}
-	return msgs*k.AlphaNs + vol*k.BetaNsPerByte
 }
 
-// SelectWire is Select pricing the given distribution-phase wire dtype —
-// compression shifts the ring↔log-depth crossover (narrower wire shrinks
-// the ring's bandwidth advantage; I8 additionally inflates the doubling
-// phase's message count), so the selector must see it.
+// SelectWire returns the cheaper schedule for an AllReduce of elems elements
+// across n ranks under the given distribution-phase wire dtype — compression
+// shifts the ring↔tree crossover (a narrower wire shrinks the ring's
+// bandwidth advantage), so the selector must see it. A tie goes to the tree,
+// the latency-optimal schedule. The choice is a pure function of (n, elems,
+// wire) and the model, so SPMD ranks sharing a model always agree.
 func (c CostModel) SelectWire(n, elems int, wire tensor.Dtype) Algorithm {
-	if n <= 1 {
-		return AlgoRing
+	if n > 1 && c.PredictWireNs(AlgoTree, n, elems, wire) <= c.PredictWireNs(AlgoRing, n, elems, wire) {
+		return AlgoTree
 	}
-	best, bestT := AlgoHalvingDoubling, c.PredictWireNs(AlgoHalvingDoubling, n, elems, wire)
-	if t := c.PredictWireNs(AlgoTree, n, elems, wire); t < bestT {
-		best, bestT = AlgoTree, t
-	}
-	if t := c.PredictWireNs(AlgoRing, n, elems, wire); t < bestT {
-		best = AlgoRing
-	}
-	return best
-}
-
-// Multi-level pricing. A level tree of group sizes g_0 … g_top costs, on
-// its critical path: a g_l-rank sum AllReduce per ascending level, the top
-// group's shared scale, and a g_l-wide binomial broadcast per descending
-// level (the top level has no broadcast — its AllReduce already leaves all
-// members finished).
-//
-// The per-link term is what makes the structure decision topology-aware:
-// level l's traffic is priced with the class-l link constants (Links[l]),
-// because a plan matched to the fabric keeps level-l exchanges on class-l
-// links. A TERMINAL group — the top of a structure, including the flat
-// single-group structure — spans ranks from every island below it, so its
-// hops traverse the slowest class present; it is priced with the last Links
-// entry. That asymmetry is the honest physics of hierarchy: on a uniform
-// fabric (Links empty or single-class) splitting only adds work and the
-// search stays flat, while on a fabric whose slow class has expensive hops
-// the split pays a few fast-class levels to shrink the number of slow-class
-// hops from O(log n) (or O(n) for the ring) to O(log G).
-
-// minMultiLevelRanks is the rank count below which SelectLevels always
-// answers flat: the crossover on any plausible fabric sits well above
-// this, and staying flat keeps small-job behavior (and the existing test
-// matrix) untouched.
-const minMultiLevelRanks = 64
-
-// levelSplitCandidates are the branching factors the level-structure search
-// considers at each level.
-var levelSplitCandidates = [...]int{2, 4, 8, 16, 32, 64}
-
-// maxSelectLevels bounds the structure search depth (mirrors the planner's
-// topology.maxPlanLevels budget: levels below the top).
-const maxSelectLevels = 7
-
-// slowestLink returns the constants of the slowest (last) link class.
-func (c CostModel) slowestLink() AlgoCost {
-	if len(c.Links) == 0 {
-		return c.Ring
-	}
-	return c.Links[len(c.Links)-1]
-}
-
-// allReduceShapeBest prices a g-rank sum AllReduce with link constants k,
-// taking the cheapest of the three schedule shapes — mirroring the AlgoAuto
-// dispatch the multi-level engine runs within each level.
-func allReduceShapeBest(g int, bytes int64, k AlgoCost) float64 {
-	if g <= 1 {
-		return 0
-	}
-	shapes := [3]func(int, int64) (float64, float64){ringShape, halvingDoublingShape, treeShape}
-	best := math.Inf(1)
-	for _, shape := range shapes {
-		msgs, vol := shape(g, bytes)
-		if t := msgs*k.AlphaNs + vol*k.BetaNsPerByte; t < best {
-			best = t
-		}
-	}
-	return best
-}
-
-// PredictLevelsNs prices a multi-level AllReduce of elems elements whose
-// per-level max group sizes are sizes (see topology.Plan.LevelSizes). The
-// descent broadcasts ship the given wire dtype; the ascent is fp64. A
-// single-entry sizes is the flat schedule, priced at the slowest class.
-func (c CostModel) PredictLevelsNs(sizes []int, elems int, wire tensor.Dtype) float64 {
-	bytes := int64(elems) * 8
-	var total float64
-	for l, g := range sizes {
-		if g <= 1 {
-			continue
-		}
-		k := c.linkCost(l)
-		if l == len(sizes)-1 {
-			k = c.slowestLink()
-		}
-		total += allReduceShapeBest(g, bytes, k)
-		if l < len(sizes)-1 {
-			// Descent broadcast at this level: ceil(log2 g) sequential hops
-			// of the full wire-encoded vector on class-l links.
-			hops := float64(ceilLog2(g))
-			total += hops*k.AlphaNs + hops*float64(wire.WireBytes(elems))*k.BetaNsPerByte
-		}
-	}
-	return total
-}
-
-// SelectLevels returns the branching factors (topology.UniformPlan input)
-// of the cheapest level structure for an AllReduce of elems elements across
-// n ranks, or nil when the flat single-level structure wins (or n is below
-// minMultiLevelRanks). Like SelectWire, the answer is a pure function of
-// (n, elems, wire) and the model, so SPMD ranks agree on both the branch
-// and the plan.
-func (c CostModel) SelectLevels(n, elems int, wire tensor.Dtype) []int {
-	if n < minMultiLevelRanks {
-		return nil
-	}
-	memo := make(map[[2]int]levelChoice)
-	return c.bestSplit(n, elems, wire, 0, memo).branches
-}
-
-type levelChoice struct {
-	cost     float64
-	branches []int
-}
-
-// bestSplit returns the cheapest level structure for n participants at tree
-// level `level`: either stop (single terminal group of n, slowest-class
-// links) or split by some branching factor (class-`level` links for the
-// groups and their descent broadcast, then recurse on the leaders).
-func (c CostModel) bestSplit(n, elems int, wire tensor.Dtype, level int, memo map[[2]int]levelChoice) levelChoice {
-	key := [2]int{n, level}
-	if v, ok := memo[key]; ok {
-		return v
-	}
-	bytes := int64(elems) * 8
-	best := levelChoice{cost: allReduceShapeBest(n, bytes, c.slowestLink())}
-	if level < maxSelectLevels {
-		k := c.linkCost(level)
-		for _, b := range levelSplitCandidates {
-			if b >= n {
-				continue
-			}
-			nGroups := (n + b - 1) / b
-			maxGroup := (n + nGroups - 1) / nGroups
-			hops := float64(ceilLog2(maxGroup))
-			levelCost := allReduceShapeBest(maxGroup, bytes, k) +
-				hops*k.AlphaNs + hops*float64(wire.WireBytes(elems))*k.BetaNsPerByte
-			rest := c.bestSplit(nGroups, elems, wire, level+1, memo)
-			if total := levelCost + rest.cost; total < best.cost {
-				best = levelChoice{cost: total, branches: append([]int{b}, rest.branches...)}
-			}
-		}
-	}
-	memo[key] = best
-	return best
+	return AlgoRing
 }
 
 // log2 returns log2(p) for a power of two p ≥ 1.
@@ -441,49 +205,11 @@ func SetCostModel(m CostModel) {
 	costModelMu.Unlock()
 }
 
-// SelectAlgorithm picks the algorithm the active model predicts fastest for
-// an AllReduce of elems elements across n ranks.
-func SelectAlgorithm(n, elems int) Algorithm {
-	return ActiveCostModel().Select(n, elems)
-}
-
-// SelectAlgorithmWire is SelectAlgorithm pricing a compressed distribution
-// phase.
+// SelectAlgorithmWire picks the schedule the active model predicts faster
+// for an AllReduce of elems elements across n ranks under the given
+// distribution-phase wire dtype.
 func SelectAlgorithmWire(n, elems int, wire tensor.Dtype) Algorithm {
 	return ActiveCostModel().SelectWire(n, elems, wire)
-}
-
-// Half-collective pricing for the owner-computes sharded update path
-// (ReduceScatter / AllGather in shard.go). Both run the direct weighted
-// exchange: each rank sends n−1 serialized messages, so the message term
-// matches one half of the skew exchange. The reduction half always ships
-// fp64; the gather half ships the parameter allgather's wire dtype.
-
-// PredictReduceScatterNs prices one direct-exchange ReduceScatter of elems
-// fp64 elements across n ranks under (near-)uniform ownership: each rank
-// scatters the (n−1)/n of the vector it does not own, behind n−1 message
-// latencies.
-func (c CostModel) PredictReduceScatterNs(n, elems int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	k := c.Ring
-	msgs := float64(n - 1)
-	vol := float64(n-1) / float64(n) * 8 * float64(elems)
-	return msgs*k.AlphaNs + vol*k.BetaNsPerByte
-}
-
-// PredictAllGatherWireNs prices one direct-exchange AllGather of elems
-// elements across n ranks with the given wire dtype: each rank ships its
-// owned chunk (≈ elems/n, wire-encoded) to the n−1 peers.
-func (c CostModel) PredictAllGatherWireNs(n, elems int, wire tensor.Dtype) float64 {
-	if n <= 1 {
-		return 0
-	}
-	k := c.Ring
-	msgs := float64(n - 1)
-	vol := float64(n-1) * float64(wire.WireBytes(elems/n))
-	return msgs*k.AlphaNs + vol*k.BetaNsPerByte
 }
 
 // Skew term. On a heterogeneous fabric the equal schedules are bound by the
@@ -638,7 +364,7 @@ func LoadCalibration(path string) (Calibration, error) {
 // the two-point linear system of the critical-path shape. rounds timed
 // collectives are averaged per probe (after a warmup round). Zero
 // arguments select defaults (16 ranks, 1024/65536 dims, 30 rounds): the
-// probe dims bracket the ring↔log-depth crossover region, where the fit
+// probe dims bracket the ring↔tree crossover region, where the fit
 // matters — a two-point fit is exact at its probe sizes and interpolates
 // between them, so probing far outside the decision region (e.g. at 1M
 // elements) would spend the model's two degrees of freedom where no
@@ -695,7 +421,7 @@ func Calibrate(ranks, smallDim, largeDim, rounds int) (Calibration, error) {
 		return float64(time.Since(start).Nanoseconds()) / float64(rounds), nil
 	}
 
-	fit := func(algo Algorithm, shape func(int, int64) (float64, float64)) (AlgoCost, error) {
+	fit := func(algo Algorithm, path func(int, Payload, tensor.Dtype) [2]Hop) (AlgoCost, error) {
 		// The two-point fit solves t = msgs·α + vol·β assuming both probes
 		// run the same schedule shape. The ring dispatches to the inline
 		// allgather inside its small envelope — a different shape with a
@@ -716,11 +442,11 @@ func Calibrate(ranks, smallDim, largeDim, rounds int) (Calibration, error) {
 		if err != nil {
 			return AlgoCost{}, fmt.Errorf("calibrate %s large: %w", algo, err)
 		}
-		msgsS, volS := shape(ranks, int64(probeSmall)*8)
-		_, volL := shape(ranks, int64(largeDim)*8)
-		// Two-point fit: t = msgs·α + vol·β. The shapes share the msgs
-		// term when msgsS == msgsL (all three do at fixed n), so β falls
-		// out of the difference and α from the small probe.
+		msgsS, volS := pathShape(path(ranks, Bytes(8*int64(probeSmall)), tensor.F64))
+		_, volL := pathShape(path(ranks, Bytes(8*int64(largeDim)), tensor.F64))
+		// Two-point fit: t = msgs·α + vol·β. A schedule's msgs term depends
+		// on n alone, so β falls out of the difference and α from the small
+		// probe.
 		beta := (tLarge - tSmall) / (volL - volS)
 		if beta < 0 {
 			beta = 0
@@ -735,108 +461,11 @@ func Calibrate(ranks, smallDim, largeDim, rounds int) (Calibration, error) {
 	var cal Calibration
 	cal.Ranks, cal.SmallDim, cal.LargeDim, cal.Rounds = ranks, smallDim, largeDim, rounds
 	cal.GoMaxProcs, cal.NumCPU = HostFingerprint()
-	if cal.Model.Ring, err = fit(AlgoRing, ringShape); err != nil {
+	if cal.Model.Ring, err = fit(AlgoRing, RingPath); err != nil {
 		return Calibration{}, err
 	}
-	if cal.Model.HalvingDoubling, err = fit(AlgoHalvingDoubling, halvingDoublingShape); err != nil {
+	if cal.Model.Tree, err = fit(AlgoTree, TreePath); err != nil {
 		return Calibration{}, err
-	}
-	if cal.Model.Tree, err = fit(AlgoTree, treeShape); err != nil {
-		return Calibration{}, err
-	}
-
-	// Link-class probes for the multi-level selector. Level 0 is probed as
-	// a ring over a contiguous rank block (the pattern a topology planner
-	// groups onto the fastest links — same machine, same switch), level 1
-	// as a ring over maximally strided ranks (the cross-group leader
-	// pattern). On the in-memory mesh both probes traverse one fabric and
-	// fit near-equal constants; on a deployment whose transport maps rank
-	// distance to link class, the two fits diverge and the level search
-	// starts preferring plans that keep bulk bytes on the close links.
-	probeLinks := func(members []int, dim int) (float64, error) {
-		subs := make([]*transport.SubMesh, len(members))
-		for i, r := range members {
-			s, err := transport.NewSubMesh(eps[r], members)
-			if err != nil {
-				return 0, err
-			}
-			subs[i] = s
-		}
-		vecs := make([]tensor.Vector, len(members))
-		for i := range vecs {
-			vecs[i] = tensor.New(dim)
-			vecs[i].Fill(float64(i + 1))
-		}
-		run := func(iter int64) error {
-			done := make(chan error, len(subs))
-			for i, s := range subs {
-				i, s := i, s
-				go func() { done <- RingAllReduce(s, iter, vecs[i], OpSum) }()
-			}
-			var first error
-			for range subs {
-				if err := <-done; err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		}
-		if err := run(0); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for it := 1; it <= rounds; it++ {
-			if err := run(int64(it)); err != nil {
-				return 0, err
-			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(rounds), nil
-	}
-	fitLinks := func(members []int) (AlgoCost, error) {
-		// Same shape constraint as fit: keep the small probe past the
-		// inline envelope so both points run the pipelined ring.
-		probeSmall := smallDim
-		for ringInlineEligible(len(members), probeSmall) {
-			probeSmall *= 2
-		}
-		tSmall, err := probeLinks(members, probeSmall)
-		if err != nil {
-			return AlgoCost{}, err
-		}
-		tLarge, err := probeLinks(members, largeDim)
-		if err != nil {
-			return AlgoCost{}, err
-		}
-		msgsS, volS := ringShape(len(members), int64(probeSmall)*8)
-		_, volL := ringShape(len(members), int64(largeDim)*8)
-		beta := (tLarge - tSmall) / (volL - volS)
-		if beta < 0 {
-			beta = 0
-		}
-		alpha := (tSmall - volS*beta) / msgsS
-		if alpha < 1 {
-			alpha = 1
-		}
-		return AlgoCost{AlphaNs: alpha, BetaNsPerByte: beta}, nil
-	}
-	if ranks >= 8 {
-		probeSize := 4
-		near := make([]int, probeSize)
-		far := make([]int, probeSize)
-		stride := ranks / probeSize
-		for i := 0; i < probeSize; i++ {
-			near[i] = i
-			far[i] = i * stride
-		}
-		intra, err := fitLinks(near)
-		if err != nil {
-			return Calibration{}, fmt.Errorf("calibrate link class 0: %w", err)
-		}
-		inter, err := fitLinks(far)
-		if err != nil {
-			return Calibration{}, fmt.Errorf("calibrate link class 1: %w", err)
-		}
-		cal.Model.Links = []AlgoCost{intra, inter}
 	}
 	return cal, nil
 }

@@ -1,9 +1,12 @@
 package collective
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // TestSelectPrefersLatencyOptimalSmall: small tensors must never land on a
@@ -16,35 +19,31 @@ import (
 // fitted constants depends on the β spread; the structural invariant is
 // that the pipelined chain is never picked for small tensors.
 func TestSelectPrefersLatencyOptimalSmall(t *testing.T) {
-	alphaOnly := CostModel{
-		Ring:            AlgoCost{AlphaNs: 1},
-		HalvingDoubling: AlgoCost{AlphaNs: 1},
-		Tree:            AlgoCost{AlphaNs: 1},
-	}
+	alphaOnly := CostModel{Ring: AlgoCost{AlphaNs: 1}, Tree: AlgoCost{AlphaNs: 1}}
 	for _, n := range []int{8, 16, 32} {
-		// log₂n inline rounds < 2·log₂n for either log-depth schedule.
-		if got := alphaOnly.Select(n, 64); got != AlgoRing {
+		// log₂n inline rounds < the tree's 2·log₂n.
+		if got := alphaOnly.SelectWire(n, 64, tensor.F64); got != AlgoRing {
 			t.Errorf("alpha-only Select(%d ranks, 64 elems) = %v; want ring (inline allgather is latency-optimal)", n, got)
 		}
 		// 4096 elems = 32 KiB: past the inline cap, ring is 2(n−1) deep.
-		if got := alphaOnly.Select(n, 4096); got == AlgoRing {
+		if got := alphaOnly.SelectWire(n, 4096, tensor.F64); got == AlgoRing {
 			t.Errorf("alpha-only Select(%d ranks, 4096 elems) = ring; want a log-depth schedule", n)
 		}
 	}
 	// Non-power-of-two inline: n−1 direct exchanges still beat
 	// 2⌈log₂n⌉ = 6 at n = 6.
-	if got := alphaOnly.Select(6, 64); got != AlgoRing {
+	if got := alphaOnly.SelectWire(6, 64, tensor.F64); got != AlgoRing {
 		t.Errorf("alpha-only Select(6 ranks, 64 elems) = %v; want ring", got)
 	}
 	m := DefaultCostModel()
 	for _, n := range []int{8, 16, 32} {
-		if got := m.Select(n, 4096); got == AlgoRing {
+		if got := m.SelectWire(n, 4096, tensor.F64); got == AlgoRing {
 			t.Errorf("Select(%d ranks, 4096 elems) = ring; want a log-depth schedule", n)
 		}
 	}
 	// Past the rank cap the inline path is off even for tiny tensors.
 	for _, n := range []int{64, 128} {
-		if got := m.Select(n, 64); got == AlgoRing {
+		if got := m.SelectWire(n, 64, tensor.F64); got == AlgoRing {
 			t.Errorf("Select(%d ranks, 64 elems) = ring; want a log-depth schedule", n)
 		}
 	}
@@ -56,8 +55,8 @@ func TestSelectPrefersLatencyOptimalSmall(t *testing.T) {
 func TestSelectPrefersBandwidthOptimalLarge(t *testing.T) {
 	m := DefaultCostModel()
 	for _, n := range []int{8, 16} {
-		if got := m.Select(n, 1<<22); got == AlgoTree {
-			t.Errorf("Select(%d ranks, 4M elems) = tree; want ring or halving-doubling", n)
+		if got := m.SelectWire(n, 1<<22, tensor.F64); got == AlgoTree {
+			t.Errorf("Select(%d ranks, 4M elems) = tree; want ring", n)
 		}
 	}
 }
@@ -68,9 +67,9 @@ func TestSelectDeterministicAndMonotone(t *testing.T) {
 	m := DefaultCostModel()
 	for _, n := range []int{2, 3, 8, 17} {
 		for _, elems := range []int{0, 1, 512, 4096, 1 << 16, 1 << 20} {
-			first := m.Select(n, elems)
+			first := m.SelectWire(n, elems, tensor.F64)
 			for i := 0; i < 3; i++ {
-				if got := m.Select(n, elems); got != first {
+				if got := m.SelectWire(n, elems, tensor.F64); got != first {
 					t.Fatalf("Select(%d, %d) flapped: %v then %v", n, elems, first, got)
 				}
 			}
@@ -81,11 +80,23 @@ func TestSelectDeterministicAndMonotone(t *testing.T) {
 // TestSelectSingleRank: a 1-rank mesh needs no traffic; any algorithm is a
 // no-op, and the selector must not divide by zero getting there.
 func TestSelectSingleRank(t *testing.T) {
-	if got := DefaultCostModel().Select(1, 1024); got != AlgoRing {
+	if got := DefaultCostModel().SelectWire(1, 1024, tensor.F64); got != AlgoRing {
 		t.Errorf("Select(1, 1024) = %v, want ring fallback", got)
 	}
-	if ns := DefaultCostModel().PredictNs(AlgoAuto, 1, 8192); ns != 0 {
-		t.Errorf("PredictNs(auto, 1 rank) = %v, want 0", ns)
+	if ns := DefaultCostModel().PredictWireNs(AlgoAuto, 1, 1024, tensor.F64); ns != 0 {
+		t.Errorf("PredictWireNs(auto, 1 rank) = %v, want 0", ns)
+	}
+	// 2 and 4 named schedules that were removed: they are not valid and
+	// have no price, at any rank count, rather than pricing as auto.
+	for _, stale := range []Algorithm{2, 4, -1} {
+		if stale.Valid() {
+			t.Errorf("Algorithm(%d).Valid() = true", int(stale))
+		}
+		for _, n := range []int{1, 8} {
+			if ns := DefaultCostModel().PredictWireNs(stale, n, 1024, tensor.F64); !math.IsInf(ns, 1) {
+				t.Errorf("PredictWireNs(Algorithm(%d), %d ranks) = %v, want +Inf", int(stale), n, ns)
+			}
+		}
 	}
 }
 
@@ -93,29 +104,27 @@ func TestSelectSingleRank(t *testing.T) {
 // hand-checkable model: α=1 per message, β=0.
 func TestPredictMatchesConstructedModel(t *testing.T) {
 	unit := AlgoCost{AlphaNs: 1, BetaNsPerByte: 0}
-	m := CostModel{Ring: unit, HalvingDoubling: unit, Tree: unit}
+	m := CostModel{Ring: unit, Tree: unit}
 	cases := []struct {
 		algo  Algorithm
 		n     int
-		bytes int64
+		elems int
 		want  float64
 	}{
 		// 800 B sits inside the inline-ring envelope: log₂n rounds at
 		// power-of-two n, n−1 direct exchanges otherwise.
-		{AlgoRing, 4, 800, 2}, // log2(4)
-		{AlgoRing, 8, 800, 3}, // log2(8)
-		{AlgoRing, 6, 800, 5}, // n−1 (non-power-of-two)
+		{AlgoRing, 4, 100, 2}, // log2(4)
+		{AlgoRing, 8, 100, 3}, // log2(8)
+		{AlgoRing, 6, 100, 5}, // n−1 (non-power-of-two)
 		// 80 KB is past the inline cap: the pipelined ring's 2(n−1).
-		{AlgoRing, 4, 80000, 6},          //
-		{AlgoRing, 8, 80000, 14},         //
-		{AlgoHalvingDoubling, 8, 800, 6}, // 2·log2(8)
-		{AlgoHalvingDoubling, 6, 800, 6}, // 2·log2(4) + 2 fold hops
-		{AlgoTree, 8, 800, 6},            // 2·⌈log2 8⌉
-		{AlgoTree, 5, 800, 6},            // 2·⌈log2 5⌉
+		{AlgoRing, 4, 10000, 6},  //
+		{AlgoRing, 8, 10000, 14}, //
+		{AlgoTree, 8, 100, 6},    // 2·⌈log2 8⌉
+		{AlgoTree, 5, 100, 6},    // 2·⌈log2 5⌉
 	}
 	for _, tc := range cases {
-		if got := m.PredictNs(tc.algo, tc.n, tc.bytes); got != tc.want {
-			t.Errorf("PredictNs(%v, n=%d, %dB) = %v, want %v", tc.algo, tc.n, tc.bytes, got, tc.want)
+		if got := m.PredictWireNs(tc.algo, tc.n, tc.elems, tensor.F64); got != tc.want {
+			t.Errorf("PredictWireNs(%v, n=%d, %d elems) = %v, want %v", tc.algo, tc.n, tc.elems, got, tc.want)
 		}
 	}
 }
@@ -125,13 +134,8 @@ func TestPredictMatchesConstructedModel(t *testing.T) {
 func TestCalibrationSaveLoadRoundTrip(t *testing.T) {
 	cal := Calibration{
 		Model: CostModel{
-			Ring:            AlgoCost{AlphaNs: 123.5, BetaNsPerByte: 0.25},
-			HalvingDoubling: AlgoCost{AlphaNs: 99, BetaNsPerByte: 0.5},
-			Tree:            AlgoCost{AlphaNs: 77.25, BetaNsPerByte: 1.125},
-			Links: []AlgoCost{
-				{AlphaNs: 50, BetaNsPerByte: 0.125},
-				{AlphaNs: 200, BetaNsPerByte: 2.5},
-			},
+			Ring: AlgoCost{AlphaNs: 123.5, BetaNsPerByte: 0.25},
+			Tree: AlgoCost{AlphaNs: 77.25, BetaNsPerByte: 1.125},
 		},
 		Ranks: 8, SmallDim: 256, LargeDim: 1 << 18, Rounds: 30,
 	}
@@ -161,16 +165,15 @@ func TestSetCostModelDrivesSelector(t *testing.T) {
 	defer SetCostModel(DefaultCostModel())
 	// A model where the tree is free wins everywhere.
 	treeOnly := CostModel{
-		Ring:            AlgoCost{AlphaNs: 1e9, BetaNsPerByte: 1e6},
-		HalvingDoubling: AlgoCost{AlphaNs: 1e9, BetaNsPerByte: 1e6},
-		Tree:            AlgoCost{AlphaNs: 1, BetaNsPerByte: 0},
+		Ring: AlgoCost{AlphaNs: 1e9, BetaNsPerByte: 1e6},
+		Tree: AlgoCost{AlphaNs: 1, BetaNsPerByte: 0},
 	}
 	SetCostModel(treeOnly)
-	if got := SelectAlgorithm(8, 1<<20); got != AlgoTree {
-		t.Errorf("with tree-only model SelectAlgorithm = %v, want tree", got)
+	if got := SelectAlgorithmWire(8, 1<<20, tensor.F64); got != AlgoTree {
+		t.Errorf("with tree-only model SelectAlgorithmWire = %v, want tree", got)
 	}
 	SetCostModel(DefaultCostModel())
-	if got := SelectAlgorithm(8, 1<<20); got == AlgoTree {
+	if got := SelectAlgorithmWire(8, 1<<20, tensor.F64); got == AlgoTree {
 		t.Errorf("default model picked tree for 1M elems; want a bandwidth-optimal schedule")
 	}
 }
@@ -188,9 +191,7 @@ func TestCalibrateSmoke(t *testing.T) {
 	if cal.Ranks != 4 || cal.SmallDim != 64 || cal.LargeDim != 8192 || cal.Rounds != 3 {
 		t.Errorf("probe conditions not recorded: %+v", cal)
 	}
-	for name, c := range map[string]AlgoCost{
-		"ring": cal.Model.Ring, "hd": cal.Model.HalvingDoubling, "tree": cal.Model.Tree,
-	} {
+	for name, c := range map[string]AlgoCost{"ring": cal.Model.Ring, "tree": cal.Model.Tree} {
 		if c.AlphaNs <= 0 || c.BetaNsPerByte < 0 {
 			t.Errorf("%s constants out of range: %+v", name, c)
 		}
@@ -236,29 +237,5 @@ func TestCalibrationFingerprint(t *testing.T) {
 	}
 	if got.FingerprintMatches() {
 		t.Error("stale calibration accepted after round trip")
-	}
-}
-
-// TestParseAlgorithm covers the CLI surface of the enum.
-func TestParseAlgorithm(t *testing.T) {
-	cases := map[string]Algorithm{
-		"auto": AlgoAuto, "ring": AlgoRing,
-		"halving-doubling": AlgoHalvingDoubling, "hd": AlgoHalvingDoubling,
-		"tree": AlgoTree,
-	}
-	for s, want := range cases {
-		got, err := ParseAlgorithm(s)
-		if err != nil || got != want {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseAlgorithm("butterfly"); err == nil {
-		t.Error("unknown algorithm name should error")
-	}
-	for _, a := range []Algorithm{AlgoAuto, AlgoRing, AlgoHalvingDoubling, AlgoTree} {
-		back, err := ParseAlgorithm(a.String())
-		if err != nil || back != a {
-			t.Errorf("String/Parse round trip failed for %v", a)
-		}
 	}
 }

@@ -20,7 +20,7 @@ var ErrTagOverflow = errors.New("collective: segment tag overflow")
 // unwraps to ErrProtocol so existing errors.Is checks keep working.
 type ProtocolError struct {
 	// Op names the collective phase that observed the violation
-	// (e.g. "ring", "broadcast", "halving-doubling", "tree-reduce").
+	// (e.g. "ring", "broadcast", "tree-reduce").
 	Op string
 	// From is the parent-mesh rank the offending message came from.
 	From int32

@@ -192,6 +192,23 @@ func TestProtocolErrorWrongType(t *testing.T) {
 	if pe.WantType != transport.MsgBroadcast || pe.GotType != transport.MsgControl {
 		t.Errorf("types = want %v got %v; expected MsgBroadcast/MsgControl", pe.WantType, pe.GotType)
 	}
+
+	// A broadcast frame of the right type and iteration but with a stray
+	// tag (a dense broadcast never sets one) is a violation naming both.
+	if err := ep0.Send(1, transport.Message{
+		Type: transport.MsgBroadcast, Iter: 0, Chunk: 5, Payload: []float64{0},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		leafErr <- Broadcast(ep1, 0, tensor.New(1), 0)
+	}()
+	if err1 = <-leafErr; !errors.As(err1, &pe) {
+		t.Fatalf("stray-tag broadcast: error %v does not unwrap to *ProtocolError", err1)
+	}
+	if pe.WantTag != 0 || pe.GotTag != 5 {
+		t.Errorf("tags = want %d got %d; expected 0/5", pe.WantTag, pe.GotTag)
+	}
 }
 
 // TestSegTagOverflowRejected: a (ranks, segments) combination whose tag

@@ -58,6 +58,20 @@ import (
 // at the owner or at the end), so results are bit-identical to the seed
 // implementation — TestRingMatchesReference locks this in.
 
+// RingPath is the pipelined ring's critical path across n ranks: the N−1
+// reduce-scatter steps each ship one fp64 chunk (a 1/N share of the
+// payload), then the N−1 allgather steps each ship one wire-encoded chunk.
+// Segments of a step travel back to back, so a step prices as one message.
+// This is the only description of the schedule's cost: CostModel and the
+// simulator's workload.CommModel both evaluate it.
+func RingPath(n int, p Payload, wire tensor.Dtype) [2]Hop {
+	if n <= 1 {
+		return [2]Hop{}
+	}
+	fp64, enc := p.share(n, wire)
+	return [2]Hop{{Msgs: n - 1, Bytes: fp64}, {Msgs: n - 1, Bytes: enc}}
+}
+
 // maxSegments bounds the pipeline depth per chunk. Beyond ~4 segments the
 // per-message overhead outgrows the extra overlap.
 const maxSegments = 4

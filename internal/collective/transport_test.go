@@ -87,45 +87,6 @@ func TestAlgorithmsOverSubMesh(t *testing.T) {
 	}
 }
 
-// TestHierarchicalOverTCP exercises the two-level schedule — intra-group
-// rings over SubMesh plus the leader exchange — on the TCP transport.
-func TestHierarchicalOverTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP cluster in -short mode")
-	}
-	rng := rand.New(rand.NewSource(51))
-	const n = 6
-	groups := [][]int{{0, 1, 2}, {3, 4}, {5}}
-	inputs := randomInputs(rng, n, 180)
-	want := serialSum(inputs, OpAverage)
-	meshes, err := transport.NewTCPCluster(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-	got := make([]tensor.Vector, n)
-	done := make(chan error, n)
-	for _, m := range meshes {
-		m := m
-		got[m.Rank()] = inputs[m.Rank()].Clone()
-		go func() { done <- HierarchicalAllReduce(m, 2, got[m.Rank()], OpAverage, groups) }()
-	}
-	for i := 0; i < n; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	for r := range got {
-		if j, ok := withinTol(got[r], want, 1e-12); !ok {
-			t.Fatalf("rank=%d elem %d: got %v, want %v", r, j, got[r][j], want[j])
-		}
-	}
-}
-
 // TestMidCollectiveClose closes one endpoint while a collective is in
 // flight and requires every rank to return a clean error — no hang, no
 // panic. Each algorithm is tried in turn on a fresh cluster.

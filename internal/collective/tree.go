@@ -19,6 +19,16 @@ import (
 // a fixed order — and every rank receives the root's finished bytes via the
 // broadcast, so all ranks end bit-identical.
 
+// TreePath is the binomial tree's critical path across n ranks: ⌈log₂N⌉
+// reduce-to-root hops each ship the whole fp64 vector, then ⌈log₂N⌉
+// broadcast hops each ship the whole wire-encoded vector. Like RingPath, it
+// is the one description both pricers evaluate.
+func TreePath(n int, p Payload, wire tensor.Dtype) [2]Hop {
+	steps := ceilLog2(n)
+	fp64, enc := p.share(1, wire)
+	return [2]Hop{{Msgs: steps, Bytes: fp64}, {Msgs: steps, Bytes: enc}}
+}
+
 // TreeAllReduce reduces v in place across all ranks of m via binomial-tree
 // reduce + broadcast. All ranks must pass vectors of equal length and the
 // same iter; results are identical on every rank.

@@ -77,10 +77,10 @@ type TrainConfig struct {
 	// own proportionally smaller shards. Requires ShardedUpdate.
 	ShardWeights []float64
 	// Algorithm pins the dense collective schedule of the replicated
-	// reduction, whole-vector or per bucket under Overlap (zero = AlgoAuto).
-	// The sharded reduction always runs the direct exchange; pinning
-	// AlgoRing on the replicated side makes the two bit-comparable at any
-	// vector size.
+	// reduction, whole-vector or per bucket under Overlap (zero = AlgoAuto;
+	// validate rejects a value the engine lacks). The sharded reduction
+	// always runs the direct exchange; pinning AlgoRing on the replicated
+	// side makes the two bit-comparable at any vector size.
 	Algorithm collective.Algorithm
 }
 
@@ -94,8 +94,8 @@ func (c *TrainConfig) validate() error {
 	if c.Iterations < 1 {
 		return fmt.Errorf("core: %d iterations", c.Iterations)
 	}
-	if !c.Compression.Valid() {
-		return fmt.Errorf("core: unknown compression dtype %d", c.Compression)
+	if !c.Compression.Valid() || !c.Algorithm.Valid() {
+		return fmt.Errorf("core: unknown compression dtype %d or collective algorithm %d", c.Compression, c.Algorithm)
 	}
 	if c.ShardWeights != nil && !c.ShardedUpdate {
 		return fmt.Errorf("core: shard weights without sharded update")

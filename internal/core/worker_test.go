@@ -321,6 +321,12 @@ func TestTrainConfigValidation(t *testing.T) {
 	if _, err := RunRNAWorker(mesh, ctrl, cfg3); err == nil {
 		t.Error("negative lr should error")
 	}
+	cfg4, _ := blobConfig(t, 5)
+	cfg4.Algorithm = 2 // a schedule that was removed
+	// Rejected by validate, not by the first collective after the barrier.
+	if _, err := RunBSPWorker(mesh, ctrl, cfg4); err == nil || !strings.HasPrefix(err.Error(), "core:") {
+		t.Errorf("unknown collective algorithm: error %v, want one from validate", err)
+	}
 }
 
 func TestRNASingleWorker(t *testing.T) {

@@ -12,9 +12,9 @@ import (
 //
 // Every lossy encoding here is IDEMPOTENT: re-encoding an already-decoded
 // vector reproduces the same bytes. That property is what lets a ring hop
-// (or a halving-doubling doubling step, or a tree broadcast relay) re-encode
-// values it just decoded without drifting — it is the foundation of the
-// cross-rank bit-identity contract for compressed collectives.
+// (or a tree broadcast relay) re-encode values it just decoded without
+// drifting — it is the foundation of the cross-rank bit-identity contract
+// for compressed collectives.
 //
 //   - F32: float64 → float32 → float64. float32 values are exactly
 //     representable in float64, so the second conversion is exact.

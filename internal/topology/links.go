@@ -9,8 +9,8 @@ import (
 
 // Per-link observations.
 //
-// The planner needs to know how fast each (from, to) pair actually moves
-// bytes. Raw sample accumulation is the wrong store for that: a long-running
+// The skew partitioner needs to know how fast each (from, to) pair actually
+// moves bytes. Raw sample accumulation is the wrong store for that: a long-running
 // job observes every link thousands of times, and a link whose speed CHANGED
 // (VM migration, congestion shift, failed NIC bonding leg) would be anchored
 // to its stale history forever while the slice grows without bound. Link
@@ -164,43 +164,4 @@ func (o *LinkObservations) Latency(from, to int) time.Duration {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return time.Duration(o.links[i].latencyNs)
-}
-
-// BandwidthMatrix materializes the current estimates as an n×n matrix in
-// bytes/sec (0 = unobserved, diagonal 0) — the planner's input format.
-func (o *LinkObservations) BandwidthMatrix() [][]float64 {
-	return o.BandwidthMatrixInto(nil)
-}
-
-// BandwidthMatrixInto is BandwidthMatrix writing into dst, reallocating only
-// when dst's shape doesn't fit. A planner that re-plans every iteration
-// passes the previous snapshot back in and the copy becomes allocation-free;
-// the rows of a grown snapshot share one flat backing array, so the
-// steady-state cost is one memcpy-shaped loop under the lock.
-func (o *LinkObservations) BandwidthMatrixInto(dst [][]float64) [][]float64 {
-	if len(dst) != o.n || cap(dst[0]) < o.n {
-		dst = make([][]float64, o.n)
-		flat := make([]float64, o.n*o.n)
-		for i := range dst {
-			dst[i] = flat[i*o.n : (i+1)*o.n]
-		}
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for i := range dst {
-		row := dst[i][:o.n]
-		dst[i] = row
-		for j := 0; j < o.n; j++ {
-			if i == j {
-				row[j] = 0
-				continue
-			}
-			if ns := o.links[i*o.n+j].nsPerByte; ns > 0 {
-				row[j] = 1e9 / ns
-			} else {
-				row[j] = 0
-			}
-		}
-	}
-	return dst
 }

@@ -106,23 +106,3 @@ func TestLinkObservationsAgeOut(t *testing.T) {
 		t.Errorf("EWMA barely moved off the stale estimate: %v vs %v", freshBW, slowBW)
 	}
 }
-
-func TestLinkObservationsBandwidthMatrix(t *testing.T) {
-	o, err := NewLinkObservations(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.ObserveTransfer(0, 2, 1<<20, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	m := o.BandwidthMatrix()
-	if len(m) != 3 || len(m[0]) != 3 {
-		t.Fatalf("matrix shape %dx%d", len(m), len(m[0]))
-	}
-	if m[0][2] == 0 {
-		t.Error("observed link missing from matrix")
-	}
-	if m[2][0] != 0 || m[0][1] != 0 || m[0][0] != 0 {
-		t.Error("unobserved entries must be zero")
-	}
-}

@@ -9,15 +9,13 @@ import (
 
 // Skew-proportional chunk partitions.
 //
-// Multi-level plans (planner.go) handle heterogeneity at the algorithm
-// level: group fast islands, bridge them over the slow links. Partition
-// handles it at the collective level: keep one flat schedule but size each
-// rank's chunk to the speed of the links that have to carry it, so a slow
-// rank serves proportionally fewer bytes instead of binding everyone to its
-// pace. The planner is deliberately a pure function of its inputs — every
-// rank that holds the same rate snapshot computes bit-identical weights,
-// which is what lets a cheap epoch-stamped broadcast of the snapshot stand
-// in for full plan agreement.
+// Partition handles link heterogeneity inside one collective: keep one flat
+// schedule but size each rank's chunk to the speed of the links that have
+// to carry it, so a slow rank serves proportionally fewer bytes instead of
+// binding everyone to its pace. It is deliberately a pure function of its
+// inputs — every rank that holds the same rate snapshot computes
+// bit-identical weights, which is what lets a cheap epoch-stamped broadcast
+// of the snapshot stand in for full plan agreement.
 
 // DefaultPartitionFloor is the default minimum chunk size in elements. It
 // matches the collective's segment floor: a chunk below this is pure framing
@@ -128,7 +126,7 @@ func (p *Partition) Skew() float64 {
 // OutRatesInto fills dst with each rank's mean observed outgoing bandwidth
 // in bytes/sec (0 = no outgoing link of that rank observed) and returns it,
 // growing dst only when too small — the pooled snapshot the re-planning
-// loop takes every iteration instead of materializing a fresh n×n matrix.
+// loop takes every iteration.
 func (o *LinkObservations) OutRatesInto(dst []float64) []float64 {
 	if cap(dst) < o.n {
 		dst = make([]float64, o.n)

@@ -91,45 +91,3 @@ func TestOutRatesInto(t *testing.T) {
 		t.Fatal("OutRatesInto reallocated a sufficient buffer")
 	}
 }
-
-func TestBandwidthMatrixInto(t *testing.T) {
-	o, err := NewLinkObservations(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.ObserveTransfer(0, 1, 1<<20, time.Duration(1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	m := o.BandwidthMatrixInto(nil)
-	if m[0][1] != 1e9 || m[1][0] != 0 || m[0][0] != 0 {
-		t.Fatalf("matrix %v", m)
-	}
-	// Reuse: same backing rows, refreshed values (including zeroing).
-	if err := o.ObserveTransfer(1, 0, 1<<20, time.Duration(2<<20)); err != nil {
-		t.Fatal(err)
-	}
-	again := o.BandwidthMatrixInto(m)
-	if &again[0][0] != &m[0][0] {
-		t.Fatal("BandwidthMatrixInto reallocated a sufficient buffer")
-	}
-	if again[1][0] != 0.5e9 {
-		t.Fatalf("refreshed matrix %v", again)
-	}
-}
-
-func BenchmarkBandwidthMatrixInto(b *testing.B) {
-	o, _ := NewLinkObservations(16)
-	for i := 0; i < 16; i++ {
-		for j := 0; j < 16; j++ {
-			if i != j {
-				_ = o.ObserveTransfer(i, j, 1<<20, time.Duration(1<<20))
-			}
-		}
-	}
-	var m [][]float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m = o.BandwidthMatrixInto(m)
-	}
-}

@@ -96,10 +96,10 @@ type Config struct {
 	Comm     workload.CommModel
 	// Collective selects the AllReduce schedule the engines price: the
 	// zero value is the paper's ring; workload.AllReduceAuto opts into
-	// the cost-model selector (cheapest of ring / halving-doubling /
-	// tree at each rank count and message size), mirroring the runtime
-	// engine in internal/collective. Hierarchical groups inherit it for
-	// their intra-group collectives.
+	// the cost-model selector (the cheaper of ring and tree at each rank
+	// count and message size; both are priced from the runtime engine's
+	// own descriptions in internal/collective). Hierarchical groups
+	// inherit it for their intra-group collectives.
 	Collective workload.AllReduceAlgo
 	// Compression is the gradient wire dtype (tensor.F64, the zero
 	// value, disables it). Lossy dtypes do two things: the priced
@@ -134,9 +134,9 @@ type Config struct {
 	LinkSpeedFactors []float64
 	// SkewAware opts collective pricing into the skew-proportional
 	// partition (workload.SkewAllReduceWire) on uneven LinkSpeedFactors.
-	// Only dense ring/auto schedules qualify — top-k and pinned
-	// tree/halving-doubling keep slowest-link pacing, mirroring what the
-	// runtime SkewEngine accepts.
+	// Only dense ring/auto schedules qualify — top-k and a pinned tree
+	// keep slowest-link pacing, mirroring what the runtime SkewEngine
+	// accepts.
 	SkewAware bool
 
 	// Probes is RNA's power-of-choices q (default 2).

@@ -163,7 +163,7 @@ func (q *chanQueue) isClosed() bool {
 //
 // Per-peer queues are created lazily on first use: a fully connected fabric
 // has n² peer pairs, but real collectives touch only the pairs their
-// schedules use (a ring touches 2n, a multi-level schedule O(n·log n)), so
+// schedules use (a ring touches 2n, a binomial tree 2(n−1)), so
 // eager allocation would dominate memory at 1024 ranks (~3M queues) for
 // structures that are never exercised.
 type LocalNetwork struct {

@@ -55,8 +55,8 @@ const (
 	MsgBroadcast
 	// MsgControl carries small control payloads (activations, acks).
 	MsgControl
-	// MsgReduce carries partial sums during tree and halving-doubling
-	// reductions (fold-in, recursive-halving and reduce-to-root traffic).
+	// MsgReduce carries partial sums during tree reductions (dense and
+	// sparse reduce-to-root traffic).
 	MsgReduce
 	// MsgPSPush carries one chunk of a parameter-server push request: the
 	// payload is the pushed values, the chunk tag packs the update mode

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/collective"
 	"repro/internal/tensor"
 )
 
@@ -41,16 +42,19 @@ func TenGbEComm() CommModel {
 	}
 }
 
+// bytesCost prices the bandwidth term of a transfer without the per-message
+// latency, for the schedules (skew exchange, chunked parameter-server
+// pipeline) whose message count is not what their byte volume implies.
+func (c CommModel) bytesCost(bytes int64) time.Duration {
+	if c.Bandwidth <= 0 || bytes <= 0 {
+		return 0
+	}
+	return time.Duration(float64(bytes) / c.Bandwidth * float64(time.Second))
+}
+
 // transfer prices one point-to-point message of the given size.
 func (c CommModel) transfer(bytes int64) time.Duration {
-	if bytes < 0 {
-		bytes = 0
-	}
-	d := c.Latency
-	if c.Bandwidth > 0 {
-		d += time.Duration(float64(bytes) / c.Bandwidth * float64(time.Second))
-	}
-	return d
+	return c.Latency + c.bytesCost(bytes)
 }
 
 // PointToPoint returns the cost of one message of the given size.
@@ -58,33 +62,60 @@ func (c CommModel) PointToPoint(bytes int64) time.Duration {
 	return c.transfer(bytes)
 }
 
-// RingAllReduce returns the cost of a ring AllReduce of a `bytes`-sized
-// buffer across n workers: 2(N−1) steps each moving bytes/N — the
-// bandwidth-optimal schedule of Section 2.2.
-func (c CommModel) RingAllReduce(n int, bytes int64) time.Duration {
-	if n <= 1 {
-		return 0
+// price evaluates a schedule's critical path (collective.RingPath,
+// collective.TreePath — the descriptions the runtime's selector also
+// prices) in virtual time: every message is one transfer. Each transfer is
+// truncated to the nanosecond on its own, as the event queue would see it,
+// which is why this evaluator and collective.CostModel's float one agree
+// only to within a nanosecond per message.
+func (c CommModel) price(path [2]collective.Hop) time.Duration {
+	var d time.Duration
+	for _, h := range path {
+		d += time.Duration(h.Msgs) * c.transfer(h.Bytes)
 	}
-	chunk := bytes / int64(n)
-	steps := 2 * (n - 1)
-	return time.Duration(steps) * c.transfer(chunk)
+	return d
+}
+
+// RingAllReduce returns the cost of a ring AllReduce of a `bytes`-sized
+// buffer across n workers — the bandwidth-optimal schedule of Section 2.2.
+func (c CommModel) RingAllReduce(n int, bytes int64) time.Duration {
+	return c.price(collective.RingPath(n, collective.Bytes(bytes), tensor.F64))
+}
+
+// RingAllReduceWire prices the ring over elems elements with a compressed
+// distribution phase: the reduce-scatter ships fp64 partial sums, the
+// allgather ships the wire dtype.
+func (c CommModel) RingAllReduceWire(n int, elems int, wire tensor.Dtype) time.Duration {
+	return c.price(collective.RingPath(n, collective.Elems(elems), wire))
+}
+
+// TreeAllReduce returns the cost of a binomial-tree reduce-to-root plus
+// broadcast. The fewest messages of any dense schedule, at log-factor extra
+// byte volume — the small-tensor schedule.
+func (c CommModel) TreeAllReduce(n int, bytes int64) time.Duration {
+	return c.price(collective.TreePath(n, collective.Bytes(bytes), tensor.F64))
+}
+
+// TreeAllReduceWire prices the binomial tree over elems elements with a
+// compressed broadcast: the reduce-to-root ships fp64 full vectors, the
+// broadcast ships the wire dtype.
+func (c CommModel) TreeAllReduceWire(n int, elems int, wire tensor.Dtype) time.Duration {
+	return c.price(collective.TreePath(n, collective.Elems(elems), wire))
 }
 
 // AllReduceAlgo selects which collective schedule CommModel prices for an
 // AllReduce. The zero value is the ring — the paper's schedule and the
 // historical behavior of every engine — so existing configurations are
 // unchanged; AllReduceAuto opts a simulation into cost-model-driven
-// selection, mirroring collective.AllReduce's runtime selector.
+// selection, as collective.AllReduce selects at run time.
 type AllReduceAlgo int
 
 // Priced schedules.
 const (
 	// AllReduceRing is the 2(N−1)-step bandwidth-optimal ring.
 	AllReduceRing AllReduceAlgo = iota
-	// AllReduceAuto prices the cheapest schedule at each (n, bytes).
+	// AllReduceAuto prices the cheaper schedule at each (n, bytes).
 	AllReduceAuto
-	// AllReduceHalvingDoubling is recursive halving-doubling.
-	AllReduceHalvingDoubling
 	// AllReduceTree is binomial-tree reduce + broadcast.
 	AllReduceTree
 )
@@ -96,8 +127,6 @@ func (a AllReduceAlgo) String() string {
 		return "ring"
 	case AllReduceAuto:
 		return "auto"
-	case AllReduceHalvingDoubling:
-		return "halving-doubling"
 	case AllReduceTree:
 		return "tree"
 	default:
@@ -105,168 +134,36 @@ func (a AllReduceAlgo) String() string {
 	}
 }
 
-// HalvingDoublingAllReduce returns the cost of a recursive halving-doubling
-// AllReduce: 2·log2(p) steps moving bytes/2, bytes/4, … (p the largest
-// power of two ≤ n), plus a fold-in pre/post phase of two full-size
-// transfers when n is not a power of two. Latency-optimal among
-// bandwidth-optimal schedules: 2·log2(p) message latencies vs the ring's
-// 2(n−1).
-func (c CommModel) HalvingDoublingAllReduce(n int, bytes int64) time.Duration {
-	if n <= 1 {
-		return 0
-	}
-	p := 1
-	for p<<1 <= n {
-		p <<= 1
-	}
-	var d time.Duration
-	if p != n {
-		d += 2 * c.transfer(bytes)
-	}
-	for half := bytes / 2; p > 1; p >>= 1 {
-		d += 2 * c.transfer(half)
-		half /= 2
-	}
-	return d
-}
-
-// TreeAllReduce returns the cost of a binomial-tree reduce-to-root plus
-// broadcast: 2·⌈log2 n⌉ serialized full-size transfers. The fewest
-// messages of any dense schedule, at log-factor extra byte volume — the
-// small-tensor schedule.
-func (c CommModel) TreeAllReduce(n int, bytes int64) time.Duration {
-	if n <= 1 {
-		return 0
-	}
-	steps := 0
-	for span := 1; span < n; span <<= 1 {
-		steps++
-	}
-	return time.Duration(2*steps) * c.transfer(bytes)
-}
-
-// AllReduce prices one AllReduce under the given schedule; AllReduceAuto
-// returns the cheapest, mirroring the runtime selector in
-// internal/collective.
-func (c CommModel) AllReduce(algo AllReduceAlgo, n int, bytes int64) time.Duration {
+// allReduce prices payload p under the given schedule and wire dtype;
+// AllReduceAuto is the cheaper of the two.
+func (c CommModel) allReduce(algo AllReduceAlgo, n int, p collective.Payload, wire tensor.Dtype) time.Duration {
+	ring := c.price(collective.RingPath(n, p, wire))
+	tree := c.price(collective.TreePath(n, p, wire))
 	switch algo {
-	case AllReduceHalvingDoubling:
-		return c.HalvingDoublingAllReduce(n, bytes)
 	case AllReduceTree:
-		return c.TreeAllReduce(n, bytes)
+		return tree
 	case AllReduceAuto:
-		best := c.RingAllReduce(n, bytes)
-		if t := c.HalvingDoublingAllReduce(n, bytes); t < best {
-			best = t
-		}
-		if t := c.TreeAllReduce(n, bytes); t < best {
-			best = t
-		}
-		return best
+		return min(ring, tree)
 	default:
-		return c.RingAllReduce(n, bytes)
+		return ring
 	}
 }
 
-// bytesCost prices the bandwidth term of a transfer without the per-message
-// latency — wire-aware schedules need the two split because compressed
-// phases can carry a different message count than byte volume implies.
-func (c CommModel) bytesCost(bytes int64) time.Duration {
-	if c.Bandwidth <= 0 || bytes <= 0 {
-		return 0
-	}
-	return time.Duration(float64(bytes) / c.Bandwidth * float64(time.Second))
-}
-
-// RingAllReduceWire prices the ring with a compressed distribution phase:
-// the (N−1) reduce-scatter steps ship fp64 partial sums, the (N−1) allgather
-// steps ship the wire dtype. Mirrors collective.ringShapeWire.
-func (c CommModel) RingAllReduceWire(n int, elems int, wire tensor.Dtype) time.Duration {
-	if n <= 1 {
-		return 0
-	}
-	chunk := elems / n
-	steps := time.Duration(n - 1)
-	return steps*c.transfer(8*int64(chunk)) + steps*c.transfer(int64(wire.WireBytes(chunk)))
-}
-
-// HalvingDoublingAllReduceWire prices halving-doubling with a compressed
-// doubling phase. Halving windows carry fp64 partial sums; the doubling
-// window at level ℓ (size elems·2^ℓ/p) ships the wire dtype — as one message
-// for per-element dtypes, as 2^ℓ block-aligned sub-messages for I8 (see
-// collective.forEachSubWindow). Fold-in/out for non-power-of-two n stays
-// fp64 full-size.
-func (c CommModel) HalvingDoublingAllReduceWire(n int, elems int, wire tensor.Dtype) time.Duration {
-	if n <= 1 {
-		return 0
-	}
-	p := 1
-	for p<<1 <= n {
-		p <<= 1
-	}
-	var d time.Duration
-	if p != n {
-		d += 2 * c.transfer(8*int64(elems))
-	}
-	q := p
-	for half := elems / 2; q > 1; q >>= 1 {
-		d += c.transfer(8 * int64(half)) // halving: fp64
-		half /= 2
-	}
-	subMsgs := 1
-	for w, q := elems/p, p; q > 1; q >>= 1 { // doubling: wire dtype
-		m := 1
-		if !wire.PerElement() {
-			m = subMsgs
-		}
-		d += time.Duration(m)*c.Latency + c.bytesCost(int64(wire.WireBytes(w)))
-		w *= 2
-		subMsgs *= 2
-	}
-	return d
-}
-
-// TreeAllReduceWire prices the binomial tree with a compressed broadcast:
-// the reduce-to-root steps ship fp64 full vectors, the broadcast steps ship
-// the wire dtype.
-func (c CommModel) TreeAllReduceWire(n int, elems int, wire tensor.Dtype) time.Duration {
-	if n <= 1 {
-		return 0
-	}
-	steps := 0
-	for span := 1; span < n; span <<= 1 {
-		steps++
-	}
-	return time.Duration(steps)*c.transfer(8*int64(elems)) +
-		time.Duration(steps)*c.transfer(int64(wire.WireBytes(elems)))
+// AllReduce prices one uncompressed AllReduce of a `bytes`-sized buffer
+// under the given schedule.
+func (c CommModel) AllReduce(algo AllReduceAlgo, n int, bytes int64) time.Duration {
+	return c.allReduce(algo, n, collective.Bytes(bytes), tensor.F64)
 }
 
 // AllReduceWire prices one AllReduce of `elems` fp64 elements whose
 // distribution phase ships the given wire dtype. For tensor.F64 it agrees
 // exactly with AllReduce(algo, n, 8·elems), preserving every existing
-// simulation; AllReduceAuto returns the cheapest schedule under the wire,
-// mirroring collective.SelectAlgorithmWire.
+// simulation.
 func (c CommModel) AllReduceWire(algo AllReduceAlgo, n int, elems int, wire tensor.Dtype) time.Duration {
 	if wire == tensor.F64 {
 		return c.AllReduce(algo, n, 8*int64(elems))
 	}
-	switch algo {
-	case AllReduceHalvingDoubling:
-		return c.HalvingDoublingAllReduceWire(n, elems, wire)
-	case AllReduceTree:
-		return c.TreeAllReduceWire(n, elems, wire)
-	case AllReduceAuto:
-		best := c.RingAllReduceWire(n, elems, wire)
-		if t := c.HalvingDoublingAllReduceWire(n, elems, wire); t < best {
-			best = t
-		}
-		if t := c.TreeAllReduceWire(n, elems, wire); t < best {
-			best = t
-		}
-		return best
-	default:
-		return c.RingAllReduceWire(n, elems, wire)
-	}
+	return c.allReduce(algo, n, collective.Elems(elems), wire)
 }
 
 // ReduceScatter prices the reduction half of the sharded owner-computes

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/tensor"
 )
@@ -21,37 +20,26 @@ func TestAllReduceAlgoZeroValueIsRing(t *testing.T) {
 	}
 }
 
-// TestAllReduceAutoIsMin: the auto price is the min of the three schedules.
+// TestAllReduceAutoIsMin: the auto price is the min of the two schedules.
 func TestAllReduceAutoIsMin(t *testing.T) {
 	c := TenGbEComm()
 	for _, n := range []int{2, 3, 8, 12} {
 		for _, bytes := range []int64{64, 8192, 1 << 22} {
 			got := c.AllReduce(AllReduceAuto, n, bytes)
-			min := c.RingAllReduce(n, bytes)
-			for _, alt := range []time.Duration{
-				c.HalvingDoublingAllReduce(n, bytes), c.TreeAllReduce(n, bytes),
-			} {
-				if alt < min {
-					min = alt
-				}
-			}
-			if got != min {
-				t.Errorf("AllReduce(auto, %d, %d) = %v, want min %v", n, bytes, got, min)
+			if want := min(c.RingAllReduce(n, bytes), c.TreeAllReduce(n, bytes)); got != want {
+				t.Errorf("AllReduce(auto, %d, %d) = %v, want min %v", n, bytes, got, want)
 			}
 		}
 	}
 }
 
 // TestAllReduceCrossover: small messages on a high-latency fabric are
-// latency-dominated (log-depth schedules beat the ring); huge messages are
+// latency-dominated (the log-depth tree beats the ring); huge messages are
 // bandwidth-dominated (the tree's log-factor byte volume loses).
 func TestAllReduceCrossover(t *testing.T) {
 	c := TenGbEComm()
 	const n = 16
 	smallRing := c.RingAllReduce(n, 256)
-	if hd := c.HalvingDoublingAllReduce(n, 256); hd >= smallRing {
-		t.Errorf("small message: halving-doubling %v should beat ring %v at n=%d", hd, smallRing, n)
-	}
 	if tree := c.TreeAllReduce(n, 256); tree >= smallRing {
 		t.Errorf("small message: tree %v should beat ring %v at n=%d", tree, smallRing, n)
 	}
@@ -61,22 +49,10 @@ func TestAllReduceCrossover(t *testing.T) {
 	}
 }
 
-// TestHalvingDoublingFoldPenalty: a non-power-of-two rank count pays the two
-// full-size fold hops.
-func TestHalvingDoublingFoldPenalty(t *testing.T) {
-	c := DefaultComm()
-	const bytes = int64(1 << 20)
-	pow2 := c.HalvingDoublingAllReduce(8, bytes)
-	folded := c.HalvingDoublingAllReduce(12, bytes) // p=8 plus fold
-	if folded != pow2+2*c.PointToPoint(bytes) {
-		t.Errorf("fold penalty: got %v, want %v", folded, pow2+2*c.PointToPoint(bytes))
-	}
-}
-
 // TestAllReduceSingleWorkerFree: every schedule is free at n=1.
 func TestAllReduceSingleWorkerFree(t *testing.T) {
 	c := DefaultComm()
-	for _, algo := range []AllReduceAlgo{AllReduceRing, AllReduceAuto, AllReduceHalvingDoubling, AllReduceTree} {
+	for _, algo := range []AllReduceAlgo{AllReduceRing, AllReduceAuto, AllReduceTree} {
 		if d := c.AllReduce(algo, 1, 1<<20); d != 0 {
 			t.Errorf("AllReduce(%v, 1 worker) = %v, want 0", algo, d)
 		}
@@ -86,8 +62,7 @@ func TestAllReduceSingleWorkerFree(t *testing.T) {
 // TestAllReduceAlgoString pins the CLI-facing names.
 func TestAllReduceAlgoString(t *testing.T) {
 	want := map[AllReduceAlgo]string{
-		AllReduceRing: "ring", AllReduceAuto: "auto",
-		AllReduceHalvingDoubling: "halving-doubling", AllReduceTree: "tree",
+		AllReduceRing: "ring", AllReduceAuto: "auto", AllReduceTree: "tree",
 	}
 	for a, s := range want {
 		if a.String() != s {
@@ -100,7 +75,7 @@ func TestAllReduceWireF64MatchesLegacy(t *testing.T) {
 	// F64 wire pricing must be bit-identical to the legacy byte model so
 	// existing simulations are untouched.
 	for _, c := range []CommModel{DefaultComm(), TenGbEComm()} {
-		for _, algo := range []AllReduceAlgo{AllReduceRing, AllReduceAuto, AllReduceHalvingDoubling, AllReduceTree} {
+		for _, algo := range []AllReduceAlgo{AllReduceRing, AllReduceAuto, AllReduceTree} {
 			for _, n := range []int{1, 2, 3, 8, 16, 33} {
 				for _, elems := range []int{0, 1, 1023, 1 << 18} {
 					if got, want := c.AllReduceWire(algo, n, elems, tensor.F64), c.AllReduce(algo, n, 8*int64(elems)); got != want {
@@ -116,7 +91,7 @@ func TestAllReduceWireCompressionCheaper(t *testing.T) {
 	// On bandwidth-dominated transfers a narrower wire must price cheaper,
 	// and wider compression must never price above narrower.
 	c := DefaultComm()
-	for _, algo := range []AllReduceAlgo{AllReduceRing, AllReduceAuto, AllReduceHalvingDoubling, AllReduceTree} {
+	for _, algo := range []AllReduceAlgo{AllReduceRing, AllReduceAuto, AllReduceTree} {
 		for _, n := range []int{2, 8, 16} {
 			elems := 1 << 20
 			f64 := c.AllReduceWire(algo, n, elems, tensor.F64)
