@@ -11,65 +11,142 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/model"
+	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
-// Sharded owner-computes benchmarks: the half-collective sweep recorded in
+// Sharded owner-computes benchmarks: the update sweep recorded in
 // BENCH_collective.json, the end-to-end sharded-vs-replicated Adam sweep
 // recorded in BENCH_train.json, and the bench-smoke bit-identity slice.
 
-// shardSweepPoint is the bandwidth-bound acceptance point of the composed
-// RS+AG gate (matches the RingAllReduce n8 acceptance case).
-var shardSweepPoint = struct{ n, dim int }{8, 1 << 18}
+// The update sweep's grid: the rank counts and vector sizes over which
+// AlgoAuto may hand a synchronization to the owner-computes update.
+var (
+	shardSweepRanks = []int{2, 3, 4, 8}
+	shardSweepDims  = []int{2 << 10, 16 << 10, 128 << 10, 1 << 20}
+)
 
-const shardSweepReps = 5
+const (
+	shardSweepReps  = 5
+	shardSweepIters = 20
+)
 
-// runShardSweep measures ReduceScatter, AllGather, their composition, and
-// the fused pipelined ring at the acceptance point, and derives the
-// composed-ratio gate: carving the AllReduce into its two halves (what the
-// sharded optimizer path runs) must stay within 10% of the fused schedule.
-func runShardSweep(rep *collectiveBenchReport) error {
-	n, dim := shardSweepPoint.n, shardSweepPoint.dim
-	bodies := []struct {
-		name string
-		body func(m transport.Mesh, iter int64, v tensor.Vector) error
-	}{
-		{"ReduceScatter", func(m transport.Mesh, iter int64, v tensor.Vector) error {
-			return collective.ReduceScatter(m, iter, v, collective.OpAverage, nil)
-		}},
-		{"AllGather", func(m transport.Mesh, iter int64, v tensor.Vector) error {
-			return collective.AllGather(m, iter, v, nil, collective.Options{})
-		}},
-		{"ReduceScatter+AllGather", func(m transport.Mesh, iter int64, v tensor.Vector) error {
-			if err := collective.ReduceScatter(m, iter, v, collective.OpAverage, nil); err != nil {
-				return err
-			}
-			return collective.AllGather(m, iter, v, nil, collective.Options{})
-		}},
-		{"RingAllReduce/fused", func(m transport.Mesh, iter int64, v tensor.Vector) error {
-			return collective.RingAllReduce(m, iter, v, collective.OpAverage)
-		}},
+// shardSweepRow is one (ranks, dim) point: what a synchronization costs after
+// the gradient, both ways core can run it on the ring, over loopback TCP.
+type shardSweepRow struct {
+	Ranks int `json:"ranks"`
+	Dim   int `json:"dim"`
+	// ReplicatedNs: RingAllReduce, then every rank steps the whole vector.
+	ReplicatedNs int64 `json:"replicated_ns"`
+	// OwnerNs: RingReduceScatter, each rank steps the chunk it owns,
+	// RingAllGather of the parameters.
+	OwnerNs int64   `json:"owner_computes_ns"`
+	Ratio   float64 `json:"owner_over_replicated"`
+	// AutoSelects: core's AlgoAuto runs the owner-computes update here.
+	AutoSelects bool `json:"auto_selects"`
+}
+
+// timeShardUpdate times one update body over a fresh n-rank TCP cluster:
+// momentum-SGD over dim parameters, min over shardSweepReps of the mean of
+// shardSweepIters synchronizations after two warm ones.
+func timeShardUpdate(n, dim int, owner bool) (int64, error) {
+	meshes, err := transport.NewTCPCluster(n)
+	if err != nil {
+		return 0, err
 	}
-	ns := map[string]int64{}
-	for _, c := range bodies {
-		fmt.Fprintf(os.Stderr, "collective bench: sharded %s n%d dim%d...\n", c.name, n, dim)
-		var best collectiveBenchCase
-		for r := 0; r < shardSweepReps; r++ {
-			res, err := benchRing(c.name, n, dim, c.body)
-			if err != nil {
-				return err
+	defer func() {
+		for _, m := range meshes {
+			_ = m.Close()
+		}
+	}()
+	steps := make([]func(iter int64) error, n)
+	for i, m := range meshes {
+		params, grad := tensor.New(dim), tensor.New(dim)
+		for j := range grad {
+			grad[j] = float64(i+j) * 1e-3
+		}
+		lo, hi := 0, dim
+		if owner {
+			lo, hi = collective.RingOwned(dim, n, i)
+		}
+		optim, err := opt.NewSGD(max(hi-lo, 1), 0.01, 0.9, 0)
+		if err != nil {
+			return 0, err
+		}
+		steps[i] = func(iter int64) error {
+			var err error
+			if owner {
+				err = collective.RingReduceScatter(m, iter, grad, collective.OpAverage)
+			} else {
+				err = collective.RingAllReduce(m, iter, grad, collective.OpAverage)
 			}
-			if r == 0 || res.NsPerOp < best.NsPerOp {
-				best = res
+			if err == nil && hi > lo {
+				_, err = optim.Step(params[lo:hi], grad[lo:hi], 1)
+			}
+			if err == nil && owner {
+				err = collective.RingAllGather(m, iter, params, collective.Options{})
+			}
+			return err
+		}
+	}
+	round := func(iter int64) error {
+		done := make(chan error, n)
+		for _, step := range steps {
+			go func() { done <- step(iter) }()
+		}
+		var first error
+		for range steps {
+			if err := <-done; err != nil && first == nil {
+				first = err
 			}
 		}
-		rep.Sharded = append(rep.Sharded, best)
-		ns[c.name] = best.NsPerOp
+		return first
 	}
-	if fused := ns["RingAllReduce/fused"]; fused > 0 {
-		rep.GateShardedComposedRatio = float64(ns["ReduceScatter+AllGather"]) / float64(fused)
+	var best time.Duration
+	iter := int64(0)
+	for r := 0; r < shardSweepReps; r++ {
+		var start time.Time
+		for i := -2; i < shardSweepIters; i++ {
+			if i == 0 {
+				start = time.Now()
+			}
+			if err := round(iter); err != nil {
+				return 0, fmt.Errorf("sharded sweep n%d dim%d: %w", n, dim, err)
+			}
+			iter++
+		}
+		if d := time.Since(start); r == 0 || d < best {
+			best = d
+		}
+	}
+	return best.Nanoseconds() / shardSweepIters, nil
+}
+
+// runShardSweep measures the update both ways at every grid point and derives
+// the gate: wherever AlgoAuto selects the owner-computes update it must not
+// cost more than the replicated one (the largest ratio over those rows; the
+// bar is <= 1.1, the sweep's own run-to-run spread on a shared host, and the
+// rows outside the selection show what a size floor would have to exclude).
+func runShardSweep(rep *collectiveBenchReport) error {
+	for _, n := range shardSweepRanks {
+		for _, dim := range shardSweepDims {
+			fmt.Fprintf(os.Stderr, "collective bench: owner-computes update n%d dim%d (TCP)...\n", n, dim)
+			row := shardSweepRow{Ranks: n, Dim: dim, AutoSelects: collective.AutoRunsPipelinedRing(n, dim, tensor.F64)}
+			var err error
+			if row.ReplicatedNs, err = timeShardUpdate(n, dim, false); err != nil {
+				return err
+			}
+			if row.OwnerNs, err = timeShardUpdate(n, dim, true); err != nil {
+				return err
+			}
+			row.Ratio = float64(row.OwnerNs) / float64(row.ReplicatedNs)
+			rep.Sharded = append(rep.Sharded, row)
+			if row.AutoSelects && row.Ratio > rep.GateShardedComposedRatio {
+				rep.GateShardedComposedRatio = row.Ratio
+			}
+		}
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -215,11 +214,5 @@ func PartialAllReduceInPlace(m transport.Mesh, iter int64, work tensor.Vector, c
 	if extRes != nil {
 		_ = opts.Residual.Add(extRes[:dim]) // lengths checked above
 	}
-	contributors = int(math.Round(work[dim]))
-	if contributors < 0 {
-		contributors = 0
-	} else if contributors > m.Size() {
-		contributors = m.Size()
-	}
-	return contributors, nil
+	return decodeCount(work[dim], m.Size()), nil
 }

@@ -212,6 +212,20 @@ func SelectAlgorithmWire(n, elems int, wire tensor.Dtype) Algorithm {
 	return ActiveCostModel().SelectWire(n, elems, wire)
 }
 
+// AutoRunsPipelinedRing reports whether AlgoAuto reduces elems elements across
+// n ranks under the given wire on the pipelined ring: the selector picks the
+// ring and the vector is outside the ring's inline small-tensor envelope.
+// That is where a training stack can carve the reduction into
+// RingReduceScatter + RingAllGather and step the optimizer in between for the
+// same bytes on the wire. Like the selection it is a pure function of
+// SPMD-agreed inputs and the shared model.
+func AutoRunsPipelinedRing(n, elems int, wire tensor.Dtype) bool {
+	if n <= 1 || (wire == tensor.F64 && ringInlineEligible(n, elems)) {
+		return false
+	}
+	return SelectAlgorithmWire(n, elems, wire) == AlgoRing
+}
+
 // Skew term. On a heterogeneous fabric the equal schedules are bound by the
 // slowest rank RELAYING (nearly) the whole tensor, while the weighted
 // direct exchange (skewAllReduce) lets a slow rank serve only its

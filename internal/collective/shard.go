@@ -8,7 +8,7 @@ import (
 	"repro/internal/transport"
 )
 
-// First-class ReduceScatter / AllGather primitives.
+// First-class ReduceScatter / AllGather primitives over an ownership table.
 //
 // These are the two halves of the skew-aware direct exchange (see skew.go),
 // promoted to independently callable collectives so an owner-computes update
@@ -24,7 +24,11 @@ import (
 // offs[r]:offs[r+1]. Spans must be monotone and cover the vector exactly;
 // ShardOffsets derives the two partitions the training stack uses (uniform
 // tensor.ChunkBounds spans, or tensor.WeightedSizes spans so slow ranks own
-// smaller shards). A nil offs selects the uniform table.
+// smaller shards). A nil offs selects the uniform table. Every table runs the
+// direct exchange; the uniform partition on the ring schedule is a separate
+// pair with its own ownership (RingReduceScatter / RingAllGather in
+// shard_ring.go), which is what the training stack runs when it has no table
+// to honour.
 //
 // Bit-identity contract (inherited from skew.go): element g is folded
 // left-associatively in ring order starting from g's UNIFORM chunk index —
@@ -119,14 +123,9 @@ func ReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, o
 	return reduceScatter(m, iter, v, op, offs, make([][]float64, n))
 }
 
-// AllGather distributes each rank's owned span offs[rank]:offs[rank+1] of v
-// to every peer, so all ranks finish with identical vectors. A nil offs
-// selects the uniform partition. opts carries the wire dtype of the
-// distribution (Options.Compression; the owner quantizes its span once,
-// in place, capturing the error into Options.Residual's matching span) —
-// Algorithm must be AlgoAuto or AlgoRing and TopK must be 0, as the direct
-// exchange owns the schedule.
-func AllGather(m transport.Mesh, iter int64, v tensor.Vector, offs []int, opts Options) error {
+// checkGatherOpts validates the Options of an allgather over a total-element
+// vector: the gather owns its schedule, so no pinned tree and no top-k.
+func checkGatherOpts(opts Options, total int) error {
 	if opts.Algorithm != AlgoAuto && opts.Algorithm != AlgoRing {
 		return fmt.Errorf("collective: allgather cannot run %v", opts.Algorithm)
 	}
@@ -136,8 +135,43 @@ func AllGather(m transport.Mesh, iter int64, v tensor.Vector, offs []int, opts O
 	if !opts.Compression.Valid() {
 		return fmt.Errorf("collective: unknown compression dtype %d", opts.Compression)
 	}
-	if opts.Residual != nil && len(opts.Residual) != len(v) {
-		return fmt.Errorf("collective: residual length %d != vector length %d", len(opts.Residual), len(v))
+	if opts.Residual != nil && len(opts.Residual) != total {
+		return fmt.Errorf("collective: residual length %d != vector length %d", len(opts.Residual), total)
+	}
+	return nil
+}
+
+// quantizeOwned round-trips the owner's span own (starting at element lo of
+// the vector) through a lossy wire, in place: the values this rank keeps are
+// exactly the values every peer decodes (re-encode is exact by idempotence),
+// and the error-feedback residual is captured at the only point where exact
+// fp64 values exist.
+func quantizeOwned(wire tensor.Dtype, own, residual tensor.Vector, lo int) {
+	switch {
+	case wire == tensor.F64 || len(own) == 0:
+	case residual != nil:
+		tensor.RoundTripEF(wire, own, residual[lo:lo+len(own)])
+	default:
+		tensor.RoundTrip(wire, own)
+	}
+}
+
+// decodeCount reads a contributor count out of the fp64 it was summed in:
+// rounded, and clamped to the rank count.
+func decodeCount(sum float64, n int) int {
+	return min(max(int(math.Round(sum)), 0), n)
+}
+
+// AllGather distributes each rank's owned span offs[rank]:offs[rank+1] of v
+// to every peer, so all ranks finish with identical vectors. A nil offs
+// selects the uniform partition. opts carries the wire dtype of the
+// distribution (Options.Compression; the owner quantizes its span once,
+// in place, capturing the error into Options.Residual's matching span) —
+// Algorithm must be AlgoAuto or AlgoRing and TopK must be 0, as the direct
+// exchange owns the schedule.
+func AllGather(m transport.Mesh, iter int64, v tensor.Vector, offs []int, opts Options) error {
+	if err := checkGatherOpts(opts, len(v)); err != nil {
+		return err
 	}
 	n := m.Size()
 	if n == 1 {
@@ -221,11 +255,6 @@ func reduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, o
 	if err := checkShardOffsets(n, len(v), offs); err != nil {
 		return err
 	}
-	if uniformShardOffsets(len(v), n, offs) {
-		// Uniform partition: the ring schedule forwards rotating buffers
-		// instead of copying every span at both ends (see shard_ring.go).
-		return ringReduceScatter(m, iter, v, op)
-	}
 
 	// Sends: each peer's chunk goes straight to its owner. All sends
 	// complete before any receive — the TCP mesh's drain-assist protocol
@@ -293,24 +322,9 @@ func allGather(m transport.Mesh, iter int64, v tensor.Vector, offs []int, wire t
 	if err := checkShardOffsets(n, len(v), offs); err != nil {
 		return err
 	}
-	if uniformShardOffsets(len(v), n, offs) {
-		// Uniform partition: ring forwarding, one copy per hop instead of a
-		// per-peer copy at the sender plus one at the receiver.
-		return ringAllGather(m, iter, v, wire, residual)
-	}
 	own := v[offs[rank]:offs[rank+1]]
 	if len(own) > 0 {
-		if wire != tensor.F64 {
-			// Owner-side quantization: the values this rank keeps are exactly
-			// the values every peer decodes (re-encode is exact by
-			// idempotence), and the error-feedback residual is captured at the
-			// only point where exact fp64 values exist.
-			if residual != nil {
-				tensor.RoundTripEF(wire, own, residual[offs[rank]:offs[rank+1]])
-			} else {
-				tensor.RoundTrip(wire, own)
-			}
-		}
+		quantizeOwned(wire, own, residual, offs[rank])
 		for d := 1; d < n; d++ {
 			to := (rank + d) % n
 			if err := m.Send(to, transport.Message{
@@ -437,11 +451,5 @@ func partialReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, contrib
 		}
 	}
 	releaseSrcs(srcs, rank, n, n)
-	count := int(math.Round(flagSum))
-	if count < 0 {
-		count = 0
-	} else if count > n {
-		count = n
-	}
-	return count, nil
+	return decodeCount(flagSum, n), nil
 }

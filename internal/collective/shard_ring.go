@@ -7,232 +7,214 @@ import (
 	"repro/internal/transport"
 )
 
-// Ring-schedule fast path for the uniform partition.
+// The uniform ring pair: the two halves of the ring AllReduce as separate
+// calls, so an owner-computes update can step the optimizer between them.
 //
-// The direct exchange in shard.go is latency-optimal (one send round) and
-// handles arbitrary ownership tables, but on a shared-memory mesh it pays
-// roughly twice the fused ring's memory traffic: every one of the n−1 spans
-// is copied into a pooled buffer at the sender AND copied out at the
-// receiver, and the fold reads all n contributions with strided modular
-// indexing. The pipelined ring instead forwards one rotating buffer per
-// chunk around the whole ring — each hop is a single vectorized Add (scatter)
-// or copy (gather) and the forward itself is an ownership-transfer send with
-// no copy at all.
+// The direct exchange in shard.go handles arbitrary ownership tables in one
+// send round, but it copies every one of the n−1 spans at both ends and folds
+// with strided modular indexing. The ring forwards one rotating buffer per
+// chunk instead — each hop is a single vectorized Add (scatter) or copy
+// (gather) and the forward is an ownership-transfer send with no copy — so the
+// pair ships exactly the fused ring's 2(n−1) chunks per rank, one frame each.
 //
-// When the ownership table IS the uniform tensor.ChunkBounds partition (the
-// common case: the sharded optimizer path with no skew weights), the halves
-// below run the ring's own schedule instead of the direct exchange, so
-// composing ReduceScatter + AllGather costs what the fused RingAllReduce
-// costs. Weighted tables and degenerate shapes (dim < n, empty spans) keep
-// the direct exchange, which handles them naturally.
+// The owner is where the ring completes the chunk. Chunk c starts at rank c
+// and travels c, c+1, …, c−1, each hop folding payload += v-segment (bitwise
+// equal to v + payload), so it completes at rank c−1: rank r owns uniform
+// chunk (r+1) mod n (RingOwned), the chunk the fused ring also completes at r.
+// That fold order — every element left-associatively from its uniform chunk
+// index around the ring — is the fused ring's and the direct exchange's, and
+// it is the whole bit-identity argument: which rank holds the completed sum
+// changes nothing about how it was summed. An earlier version kept "rank r
+// owns span r" and paid for it with an n-th hop delivering the chunk from rank
+// c−1 to rank c; DESIGN.md, "Sharded optimizer", has what that hop cost.
 //
-// Bit-identity is preserved by construction: chunk c starts at rank c and
-// travels in ring order c, c+1, …, c−1, each hop folding payload += v-segment
-// (bitwise equal to v + payload), which is exactly the fused ring's — and the
-// direct exchange's — left-associative accumulation order. The one wrinkle is
-// that the ring scatter finishes chunk c at rank c−1, while the shard
-// ownership contract says rank c owns span c; the schedule therefore runs one
-// extra hop, with rank c−1 completing chunk c IN THE ROTATING BUFFER
-// (payload += v, scale while cache-hot) and forwarding that buffer to its
-// contractual owner with one more ownership-transfer send. The owner's single
-// CopyFrom into v is the only cost of the extra hop, and v is never written
-// outside the owned span — the price of keeping the rank↔span mapping
-// identical across the fast path, the direct exchange, and the skew engine.
-//
-// The allgather half needs no shuffle: rank r already owns span r, so it
-// injects its chunk at step 0 and every hop forwards the received buffer
-// after copying it into place. Compression follows the same owner-quantize
-// contract as the direct exchange: the owner round-trips its span once
-// (capturing the error-feedback residual), and forwarded buffers already sit
-// on the quantization grid, so re-encoding them on the next hop is exact by
-// idempotence.
+// Compression follows the owner-quantize contract of the direct exchange: the
+// owner round-trips its chunk once (capturing the error-feedback residual),
+// and forwarded buffers already sit on the quantization grid, so re-encoding
+// them on the next hop is exact by idempotence.
 
-// shardRingShuffleTag tags the ownership-shuffle hop that moves the completed
-// chunk from the ring position that finished it to its contractual owner. It
-// lives past both the scatter (0..n−1) and gather (n..2n−1) tag spaces.
-func shardRingShuffleTag(n, chunk int) int32 { return int32(2*n + chunk) }
-
-// uniformShardOffsets reports whether offs is exactly the uniform
-// tensor.ChunkBounds partition with no empty chunk — the shape the ring
-// schedule requires. Every input is SPMD-agreed, so all ranks branch the
-// same way.
-func uniformShardOffsets(total, n int, offs []int) bool {
-	if total < n {
-		return false
-	}
-	for c := 0; c < n; c++ {
-		_, end, err := tensor.ChunkBounds(total, n, c)
-		if err != nil || offs[c+1] != end {
-			return false
-		}
-	}
-	return true
+// RingOwned returns the span of a total-element vector that rank owns under
+// the ring pair: uniform chunk (rank+1) mod n.
+func RingOwned(total, n, rank int) (lo, hi int) {
+	lo, hi, _ = tensor.ChunkBounds(total, n, (rank+1)%n)
+	return lo, hi
 }
 
-// ringReduceScatter runs the scatter-reduce half of the pipelined ring over
-// the uniform partition: n−1 ring hops with rotating-buffer forwarding, plus
-// the ownership-delivery hop that carries each completed chunk from the ring
-// position that finished it to its contractual owner. On return rank r owns
-// the fully reduced (and, for OpAverage, scaled) uniform chunk r of v; every
-// other span still holds this rank's stale local values.
-func ringReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp) error {
+// RingReduceScatter reduces v across all ranks of m on the ring and leaves
+// rank r holding the fully reduced (and, for OpAverage, scaled) span
+// RingOwned(len(v), n, r); the rest of v keeps this rank's local values. It
+// ships exact fp64 and, followed by RingAllGather, is bit-identical to
+// RingAllReduce.
+func RingReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp) error {
+	if op != OpSum && op != OpAverage {
+		return fmt.Errorf("collective: unknown reduce op %d", op)
+	}
+	n := m.Size()
+	if n == 1 {
+		return nil
+	}
+	if _, err := ringScatter(m, iter, v, 0, 0); err != nil {
+		return err
+	}
+	if op == OpAverage {
+		// Owner-side scale, identical to the fused ring's.
+		lo, hi := RingOwned(len(v), n, m.Rank())
+		v[lo:hi].Scale(1 / float64(n))
+	}
+	return nil
+}
+
+// PartialRingReduceScatter is RingReduceScatter with RNA's partial
+// participation, on the flag-extended vector PartialAllReduceInPlace rings
+// over: work is dim data elements plus the flag slot, and the uniform chunks
+// of all dim+1 elements set the fold boundaries, so every data element keeps
+// the fold start it has in the replicated partial collective and finishes
+// with the same bits. A rank with contributes=false joins with a null gradient
+// (work is zeroed). The owned span RingOwned(len(work), n, r) holds the
+// UNSCALED sum over contributors; the caller divides by the returned count,
+// identical on every rank.
+//
+// Every owner needs the count before it steps and only the last chunk holds
+// the flag slot, so each scatter message carries, as one trailing element,
+// the count of contributors among the ranks it has visited: a chunk visits
+// all n on its way to its owner, and no extra round is needed.
+func PartialRingReduceScatter(m transport.Mesh, iter int64, work tensor.Vector, contributes bool) (int, error) {
+	dim := len(work) - 1
+	if dim < 0 {
+		return 0, fmt.Errorf("collective: partial reduce-scatter needs a flag slot, got an empty vector")
+	}
+	flag := 0.0
+	if contributes {
+		flag, work[dim] = 1, 1
+	} else {
+		work.Zero()
+	}
+	n := m.Size()
+	if n == 1 {
+		return int(flag), nil
+	}
+	count, err := ringScatter(m, iter, work, 1, flag)
+	return decodeCount(count, n), err
+}
+
+// ringScatter runs the scatter-reduce half of the ring over the uniform
+// chunks of v: n−1 hops, the last of which completes chunk rank+1 in v. Every
+// message carries `trail` (0 or 1) elements after the chunk: the sum of flag
+// over the ranks the chunk has visited, whose total is returned.
+func ringScatter(m transport.Mesh, iter int64, v tensor.Vector, trail int, flag float64) (float64, error) {
 	n := m.Size()
 	rank := m.Rank()
-	if err := checkSegTagSpace(n, 3); err != nil {
-		return err
+	if err := checkSegTagSpace(n, 2); err != nil {
+		return 0, err
 	}
 	left := (rank + 1) % n
 	right := mod(rank-1, n)
-	var fwd []float64
+	// Step 0 sends this rank's own chunk, staged in the buffer that then
+	// rotates; every later step forwards the buffer the previous hop folded
+	// into — an ownership-transfer send, no copy.
+	cs, ce, _ := tensor.ChunkBounds(len(v), n, rank)
+	fwd := transport.GetPayload(ce - cs + trail)
+	copy(fwd, v[cs:ce])
+	if trail > 0 {
+		fwd[ce-cs] = flag
+	}
 	for st := 0; st < n-1; st++ {
-		sendIdx := mod(rank-st, n)
-		msg := transport.Message{Type: transport.MsgChunk, Iter: iter, Chunk: skewScatterTag(sendIdx)}
-		var err error
-		if st == 0 {
-			// Step 0 sources this rank's own chunk from v; Send copies, so v
-			// stays live.
-			cs, ce, _ := tensor.ChunkBounds(len(v), n, sendIdx)
-			msg.Payload = v[cs:ce]
-			err = m.Send(left, msg)
-		} else {
-			// Later steps forward the buffer the previous hop folded into —
-			// an ownership-transfer send, no copy.
-			msg.Payload = fwd
-			fwd = nil
-			err = transport.SendOwned(m, left, msg)
-		}
+		err := transport.SendOwned(m, left, transport.Message{
+			Type: transport.MsgChunk, Iter: iter, Chunk: skewScatterTag(mod(rank-st, n)), Payload: fwd,
+		})
 		if err != nil {
-			return fmt.Errorf("reduce-scatter ring send: %w", err)
+			return 0, fmt.Errorf("reduce-scatter ring send: %w", err)
 		}
 		recvIdx := mod(rank-st-1, n)
 		rs, re, _ := tensor.ChunkBounds(len(v), n, recvIdx)
 		in, err := m.Recv(right)
 		if err != nil {
-			return fmt.Errorf("reduce-scatter ring recv: %w", err)
-		}
-		if cerr := checkMsg("reduce-scatter", in, transport.MsgChunk, iter, skewScatterTag(recvIdx)); cerr != nil {
-			transport.PutPayload(in.Payload)
-			return cerr
-		}
-		seg := v[rs:re]
-		if len(in.Payload) != len(seg) {
-			transport.PutPayload(in.Payload)
-			return fmt.Errorf("%w: reduce-scatter ring chunk %d elems, want %d", ErrProtocol, len(in.Payload), len(seg))
-		}
-		// Every hop — including the last — folds v into the rotating buffer
-		// (payload + v is bitwise equal to v + payload). Intermediate hops
-		// pass the buffer to the next scatter step; the last hop completes
-		// chunk rank+1 in the buffer itself.
-		if err := tensor.Vector(in.Payload).Add(seg); err != nil {
-			transport.PutPayload(in.Payload)
-			return fmt.Errorf("reduce-scatter ring fold: %w", err)
+			return 0, fmt.Errorf("reduce-scatter ring recv: %w", err)
 		}
 		fwd = in.Payload
-	}
-	// Ownership delivery: the buffer now holds the completed sum of chunk
-	// rank+1, whose contractual owner is the left neighbor. Scale while the
-	// buffer is cache-hot (sum·(1/n) is the same two floats wherever it
-	// runs), forward the buffer itself — no copy — and receive this rank's
-	// own completed span from the right.
-	done := mod(rank+1, n)
-	if op == OpAverage {
-		tensor.Vector(fwd).Scale(1 / float64(n))
-	}
-	if err := transport.SendOwned(m, left, transport.Message{
-		Type:    transport.MsgChunk,
-		Iter:    iter,
-		Chunk:   shardRingShuffleTag(n, done),
-		Payload: fwd,
-	}); err != nil {
-		return fmt.Errorf("reduce-scatter delivery send: %w", err)
-	}
-	os, oe, _ := tensor.ChunkBounds(len(v), n, rank)
-	in, err := m.Recv(right)
-	if err != nil {
-		return fmt.Errorf("reduce-scatter delivery recv: %w", err)
-	}
-	if cerr := checkMsg("reduce-scatter", in, transport.MsgChunk, iter, shardRingShuffleTag(n, rank)); cerr != nil {
-		transport.PutPayload(in.Payload)
-		return cerr
-	}
-	own := v[os:oe]
-	if len(in.Payload) != len(own) {
-		transport.PutPayload(in.Payload)
-		return fmt.Errorf("%w: reduce-scatter delivery %d elems, want %d", ErrProtocol, len(in.Payload), len(own))
-	}
-	err = own.CopyFrom(in.Payload)
-	transport.PutPayload(in.Payload)
-	if err != nil {
-		return fmt.Errorf("reduce-scatter delivery copy: %w", err)
-	}
-	return nil
-}
-
-// ringAllGather runs the gather half of the pipelined ring over the uniform
-// partition: rank r injects its owned chunk r at step 0 and every subsequent
-// hop copies the received chunk into v and forwards the buffer onward with no
-// copy. wire and residual follow the owner-quantize contract of allGather.
-func ringAllGather(m transport.Mesh, iter int64, v tensor.Vector, wire tensor.Dtype, residual tensor.Vector) error {
-	n := m.Size()
-	rank := m.Rank()
-	if err := checkSegTagSpace(n, 3); err != nil {
-		return err
-	}
-	left := (rank + 1) % n
-	right := mod(rank-1, n)
-	os, oe, _ := tensor.ChunkBounds(len(v), n, rank)
-	own := v[os:oe]
-	if wire != tensor.F64 {
-		// Owner-side quantization: the values this rank keeps are exactly the
-		// values every peer decodes, and the error-feedback residual is
-		// captured at the only point where exact fp64 values exist. Forwarded
-		// buffers already sit on the grid — re-encoding them is exact.
-		if residual != nil {
-			tensor.RoundTripEF(wire, own, residual[os:oe])
-		} else {
-			tensor.RoundTrip(wire, own)
+		if err := checkMsg("reduce-scatter", in, transport.MsgChunk, iter, skewScatterTag(recvIdx)); err != nil {
+			transport.PutPayload(fwd)
+			return 0, err
+		}
+		seg := v[rs:re]
+		if len(fwd) != len(seg)+trail {
+			transport.PutPayload(fwd)
+			return 0, fmt.Errorf("%w: reduce-scatter ring chunk %d elems, want %d", ErrProtocol, len(fwd), len(seg)+trail)
+		}
+		if trail > 0 {
+			fwd[len(seg)] += flag
+		}
+		if st < n-2 {
+			// Intermediate hop: fold v into the rotating buffer (payload + v
+			// is bitwise equal to v + payload).
+			_ = tensor.Vector(fwd[:len(seg)]).Add(seg) // lengths checked above
 		}
 	}
+	// Last hop: chunk rank+1 has visited every other rank and completes in v,
+	// as in the fused ring.
+	lo, hi := RingOwned(len(v), n, rank)
+	_ = v[lo:hi].Add(fwd[:hi-lo])
+	count := 0.0
+	if trail > 0 {
+		count = fwd[hi-lo]
+	}
+	transport.PutPayload(fwd)
+	return count, nil
+}
+
+// RingAllGather distributes each rank's owned span RingOwned(len(v), n, rank)
+// of v to every peer on the ring, so all ranks finish with identical vectors:
+// rank r injects its chunk at step 0 and every later hop copies the received
+// chunk into v and forwards the buffer onward with no copy. opts carries the
+// wire dtype and the owner's error-feedback residual, as for AllGather.
+func RingAllGather(m transport.Mesh, iter int64, v tensor.Vector, opts Options) error {
+	if err := checkGatherOpts(opts, len(v)); err != nil {
+		return err
+	}
+	n := m.Size()
+	if n == 1 {
+		return nil
+	}
+	rank := m.Rank()
+	if err := checkSegTagSpace(n, 2); err != nil {
+		return err
+	}
+	wire := opts.Compression
+	left := (rank + 1) % n
+	right := mod(rank-1, n)
+	lo, hi := RingOwned(len(v), n, rank)
+	quantizeOwned(wire, v[lo:hi], opts.Residual, lo)
 	var fwd []float64
 	for st := 0; st < n-1; st++ {
-		sendIdx := mod(rank-st, n)
-		msg := transport.Message{Type: transport.MsgChunk, Iter: iter, Chunk: skewGatherTag(n, sendIdx), Dtype: wire}
+		msg := transport.Message{Type: transport.MsgChunk, Iter: iter, Chunk: skewGatherTag(n, mod(rank+1-st, n)), Dtype: wire, Payload: fwd}
 		var err error
 		if st == 0 {
-			msg.Payload = own
+			// Send copies, so v stays live.
+			msg.Payload = v[lo:hi]
 			err = m.Send(left, msg)
 		} else {
-			msg.Payload = fwd
-			fwd = nil
 			err = transport.SendOwned(m, left, msg)
 		}
 		if err != nil {
 			return fmt.Errorf("allgather ring send: %w", err)
 		}
-		recvIdx := mod(rank-st-1, n)
+		recvIdx := mod(rank-st, n)
 		rs, re, _ := tensor.ChunkBounds(len(v), n, recvIdx)
 		in, err := m.Recv(right)
 		if err != nil {
 			return fmt.Errorf("allgather ring recv: %w", err)
 		}
-		if cerr := checkMsg("allgather", in, transport.MsgChunk, iter, skewGatherTag(n, recvIdx)); cerr != nil {
-			transport.PutPayload(in.Payload)
-			return cerr
+		fwd = in.Payload
+		if err := checkMsg("allgather", in, transport.MsgChunk, iter, skewGatherTag(n, recvIdx)); err != nil {
+			transport.PutPayload(fwd)
+			return err
 		}
-		dst := v[rs:re]
-		if len(in.Payload) != len(dst) {
-			transport.PutPayload(in.Payload)
-			return fmt.Errorf("%w: allgather ring chunk %d elems, want %d", ErrProtocol, len(in.Payload), len(dst))
+		if len(fwd) != re-rs {
+			transport.PutPayload(fwd)
+			return fmt.Errorf("%w: allgather ring chunk %d elems, want %d", ErrProtocol, len(fwd), re-rs)
 		}
-		if err := dst.CopyFrom(in.Payload); err != nil {
-			transport.PutPayload(in.Payload)
-			return fmt.Errorf("allgather ring copy: %w", err)
-		}
-		if st < n-2 {
-			fwd = in.Payload
-			continue
-		}
-		transport.PutPayload(in.Payload)
+		copy(v[rs:re], fwd)
 	}
+	transport.PutPayload(fwd)
 	return nil
 }

@@ -5,11 +5,14 @@
 //     staleness-weighted local reduction of Section 3.3
 //     (g' = Σ[t−(k−τ)+1]·g_t / Σ[t−(k−τ)+1]) and bounded-staleness
 //     overwrite;
-//   - Worker: a goroutine-runtime training worker with decoupled compute
-//     and communication threads (cross-iteration execution, Fig. 4),
-//     driven by a controller.Controller and a collective partial
-//     AllReduce;
-//   - BSPWorker: the Horovod-style blocking baseline on the same runtime.
+//   - RunRNAWorker: a goroutine-runtime training worker with decoupled
+//     compute and communication threads (cross-iteration execution,
+//     Fig. 4) sharing immutable parameter versions, driven by a
+//     controller.Controller and a collective partial reduction;
+//     RunEagerWorker and RunHierarchicalWorker are the same loop with
+//     another gradient source or a parameter-server hook;
+//   - RunBSPWorker: the Horovod-style blocking baseline on the same
+//     runtime and the same sync stages (stage.go).
 package core
 
 import (
@@ -45,8 +48,13 @@ type Accumulator struct {
 
 	// free holds recycled buffers for future Leases, at most maxFree of
 	// them: the steady state needs one per gradient the bounded-staleness
-	// window lets compute run ahead plus one on each thread, and a burst
-	// beyond that goes to the GC instead of pinning memory for the run.
+	// window lets compute run ahead plus one on each thread, and two more
+	// ride out a compute thread that was descheduled for a few
+	// synchronizations and catches up in one go (it copies nothing and takes
+	// no lock any more, so it does; the buffers exist by then, and dropping
+	// them only to allocate them again at the next catch-up fed the collector
+	// that caused the next stall). A burst beyond that goes to the GC instead
+	// of pinning memory for the run.
 	free    []tensor.Vector
 	maxFree int
 }
@@ -61,7 +69,7 @@ func NewAccumulator(dim int, bound int) (*Accumulator, error) {
 	}
 	a := &Accumulator{dim: dim, bound: 1<<62 - 1, maxFree: 2}
 	if bound >= 1 {
-		a.bound, a.maxFree = int64(bound), bound+2
+		a.bound, a.maxFree = int64(bound), bound+4
 	}
 	return a, nil
 }

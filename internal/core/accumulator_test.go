@@ -365,7 +365,7 @@ func TestAccumulatorTakeMatchesWeightedMeanBits(t *testing.T) {
 }
 
 // TestAccumulatorBufferOwnership: only leased-shape buffers enter the free
-// list, which never grows past bound+2, and a committed buffer of the wrong
+// list, which never grows past bound+4, and a committed buffer of the wrong
 // shape is refused.
 func TestAccumulatorBufferOwnership(t *testing.T) {
 	const dim, bound = 4, 3
@@ -393,7 +393,7 @@ func TestAccumulatorBufferOwnership(t *testing.T) {
 	}
 
 	// A burst far beyond the staleness window is committed and dropped
-	// wholesale; the free list keeps bound+2 of its buffers.
+	// wholesale; the free list keeps bound+4 of its buffers.
 	for k := int64(0); k < 40; k++ {
 		if err := a.Commit(k, a.Lease()); err != nil {
 			t.Fatal(err)
@@ -402,14 +402,14 @@ func TestAccumulatorBufferOwnership(t *testing.T) {
 	if _, ok, _ := a.Take(1000); ok {
 		t.Fatal("stale burst survived")
 	}
-	if n := freeLen(); n != bound+2 {
-		t.Errorf("free list holds %d buffers after a burst, want %d", n, bound+2)
+	if n := freeLen(); n != bound+4 {
+		t.Errorf("free list holds %d buffers after a burst, want %d", n, bound+4)
 	}
 	for i := 0; i < 10; i++ {
 		a.Recycle(make(tensor.Vector, dim, dim+1))
 	}
-	if n := freeLen(); n != bound+2 {
-		t.Errorf("free list holds %d buffers after extra recycles, want %d", n, bound+2)
+	if n := freeLen(); n != bound+4 {
+		t.Errorf("free list holds %d buffers after extra recycles, want %d", n, bound+4)
 	}
 	// A recycled buffer is what the next Lease hands out.
 	g := a.Lease()

@@ -143,3 +143,32 @@ func TestHierarchicalExchangeSteadyStateAllocs(t *testing.T) {
 		t.Errorf("%.0f bytes allocated per rank per exchange, want < 8·dim = %d", perExchange, 8*allocGateDim)
 	}
 }
+
+// TestBSPWorkerSteadyStateAllocs: the default configuration at this size is
+// the owner-computes update on the ring pair, and a 4-rank in-memory BSP run
+// on it allocates less than dim bytes per rank per synchronization: no
+// per-call scratch on the path every dense run now takes.
+func TestBSPWorkerSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const n, warm, iters = 4, 12, 72
+	cfg := allocGateConfig(t, iters)
+	if !ownerComputes(&cfg, n, allocGateDim) {
+		t.Fatalf("the default configuration does not select the owner-computes update at %d ranks, dim %d", n, allocGateDim)
+	}
+	ctrl, err := controller.New(controller.AllReady, n, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := steadyStateBytes(&cfg, warm, func() {
+		trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
+			return RunBSPWorker(m, ctrl, cfg)
+		})
+	})
+	perSync := float64(bytes) / float64((iters-warm)*n)
+	t.Logf("%.0f bytes per rank per sync at dim %d", perSync, allocGateDim)
+	if perSync >= allocGateDim {
+		t.Errorf("%.0f bytes allocated per rank per sync, want < dim = %d", perSync, allocGateDim)
+	}
+}

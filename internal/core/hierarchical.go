@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/collective"
 	"repro/internal/controller"
@@ -143,62 +142,49 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 		}
 	}
 
-	// Persistent exchange buffers, allocated at the first exchange. global
-	// is the model as of this rank's last exchange: the leader pulls into it
-	// (it is also the baseline of the next delta), everyone else receives
-	// the broadcast into it. delta is the leader's push scratch.
+	// The leader's persistent exchange buffers, allocated at the first
+	// exchange: global is the model as of its last pull (the baseline of the
+	// next delta), delta its push scratch. The other members keep nothing:
+	// the broadcast lands in the version under construction.
 	var global, delta tensor.Vector
 	period := int64(cfg.psEvery())
 	nGroups := int64(len(cfg.Groups))
 	exchanges := int64(0)
 
-	post := func(k int64, mu *sync.Mutex, params tensor.Vector) error {
+	post := func(k int64, vs *versions) error {
 		if (k+1)%period != 0 {
 			return nil
 		}
-		if global == nil {
-			if leader {
-				// First exchange: baseline is the shared init.
-				initial, err := InitialParams(cfg.Train)
-				if err != nil {
-					return err
-				}
-				global = initial
-				delta = tensor.New(len(params))
-			} else {
-				global = tensor.New(len(params))
-			}
+		// The in-group broadcast of the pulled global model is tagged with a
+		// distinct iteration namespace so it cannot be confused with
+		// AllReduce chunks.
+		if !leader {
+			return collective.Broadcast(sub, ^k, vs.begin(), 0)
 		}
-		if leader {
-			// The group's update since its last pull, in one pass under
-			// the lock.
-			mu.Lock()
-			err := tensor.DiffInto(delta, params, global)
-			mu.Unlock()
+		if global == nil {
+			// First exchange: baseline is the shared init.
+			initial, err := InitialParams(cfg.Train)
 			if err != nil {
 				return err
 			}
-			var minVersion int64
-			if cfg.OrderedPS {
-				// The seed publish is version 1; this leader's r-th
-				// exchange is the (r·G + gi)-th global operation.
-				minVersion = 1 + exchanges*nGroups + int64(gi)
-			}
-			if _, err := store.PushPullInto(global, delta, ps.Add, minVersion); err != nil {
-				return err
-			}
-			exchanges++
+			global, delta = initial, tensor.New(len(initial))
 		}
-		// In-group broadcast of the pulled global model. Tag with a
-		// distinct iteration namespace so it cannot be confused with
-		// AllReduce chunks.
-		if err := collective.Broadcast(sub, ^k, global, 0); err != nil {
+		// The group's update since its last pull.
+		if err := tensor.DiffInto(delta, vs.latest(), global); err != nil {
 			return err
 		}
-		mu.Lock()
-		copy(params, global)
-		mu.Unlock()
-		return nil
+		var minVersion int64
+		if cfg.OrderedPS {
+			// The seed publish is version 1; this leader's r-th
+			// exchange is the (r·G + gi)-th global operation.
+			minVersion = 1 + exchanges*nGroups + int64(gi)
+		}
+		if _, err := store.PushPullInto(global, delta, ps.Add, minVersion); err != nil {
+			return err
+		}
+		exchanges++
+		copy(vs.begin(), global)
+		return collective.Broadcast(sub, ^k, global, 0)
 	}
 
 	res, err := runRNA(sub, ctrls[gi], cfg.Train, post)

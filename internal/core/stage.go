@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/collective"
@@ -15,12 +14,17 @@ import (
 // Sync stages: what a synchronization does between the trigger and the next
 // compute step. bspLoop and rnaLoop (worker.go) own the trigger, the
 // threads and the bookkeeping; a stage owns the reduction and the update.
-// It is chosen once per run, by newStage, from TrainConfig alone:
+// It is chosen once per run, by newStage, from TrainConfig, the mesh size and
+// the length of the vector the loop reduces:
 //
+//   - owner-computes: reduce-scatter, every rank steps the span it owns,
+//     parameter allgather (shardedReducer). Selected by ShardedUpdate, and by
+//     AlgoAuto itself wherever it would run the pipelined ring at an fp64
+//     wire (ownerComputes): the two ring halves ship the ring's bytes, the
+//     result is bit-identical, and the optimizer step runs once per element
+//     instead of once per element per rank;
 //   - replicated: AllReduce the whole gradient, every rank steps the whole
-//     vector (replicatedReducer);
-//   - sharded (ShardedUpdate): reduce-scatter, every rank steps the span it
-//     owns, parameter allgather (shardedReducer);
+//     vector (replicatedReducer): the tree, lossy wires, a pinned Algorithm;
 //   - bucketed (Overlap): not a third reduction but a wrapper — either of the
 //     two above runs once per bucket of the shared plan, each bucket on its
 //     own collective.Async stream; the update stays one call.
@@ -43,9 +47,11 @@ type reducer interface {
 	reducePartial(m transport.Mesh, k int64, buf tensor.Vector, b int, contributes bool) (int, error)
 	// owned is the span of the vector this rank steps.
 	owned() (lo, hi int)
-	// update steps params over the owned span from the reduced gradient g
-	// and leaves params complete and identical on all ranks.
-	update(k int64, params, g tensor.Vector, scale float64) error
+	// update steps the parameters over the owned span from the reduced
+	// gradient g: it reads them from cur, writes them to next and leaves next
+	// complete and identical on all ranks. cur is never written, unless it is
+	// next itself (BSP, whose one vector is updated in place).
+	update(k int64, cur, next, g tensor.Vector, scale float64) error
 	// stateBytes is the rank's persistent optimizer-state footprint.
 	stateBytes() int64
 }
@@ -82,9 +88,23 @@ type stage struct {
 	launched int   // buckets launched by the current BSP backward pass
 }
 
+// ownerComputes is the one predicate, the same for BSP and RNA, that turns the
+// owner-computes update on: asked for, or free. It is free where AlgoAuto
+// would reduce the loop's vector (reduced elements: the gradient, plus RNA's
+// flag slot) on the pipelined ring at an fp64 wire — collective answers that —
+// because the ring pair then ships the same bytes and produces the same bits.
+// A pinned Algorithm keeps meaning the replicated update on exactly that
+// schedule; lossy wires (master weights are different arithmetic) and the
+// bucketed stage stay where the configuration put them.
+func ownerComputes(cfg *TrainConfig, n, reduced int) bool {
+	return cfg.ShardedUpdate || (cfg.Algorithm == collective.AlgoAuto && cfg.Compression == tensor.F64 &&
+		!cfg.Overlap && collective.AutoRunsPipelinedRing(n, reduced, tensor.F64))
+}
+
 // newStage selects the stage for cfg: the plan (Overlap), then the reducer
-// over it (ShardedUpdate).
-func newStage(mesh transport.Mesh, cfg *TrainConfig) (*stage, error) {
+// over it (ownerComputes). reduced is the length of the vector the loop hands
+// the reduction: dim for BSP, dim+1 for the flag-extended RNA buffers.
+func newStage(mesh transport.Mesh, cfg *TrainConfig, reduced int) (*stage, error) {
 	dim := cfg.Model.Dim()
 	s := &stage{mesh: mesh, plan: []model.Bucket{{Span: model.Span{Lo: 0, Hi: dim}}}}
 	if cfg.Overlap {
@@ -102,8 +122,8 @@ func newStage(mesh transport.Mesh, cfg *TrainConfig) (*stage, error) {
 		s.counts = make([]int, len(s.plan))
 	}
 	var err error
-	if cfg.ShardedUpdate {
-		s.red, err = newShardedReducer(mesh, cfg, s.plan)
+	if ownerComputes(cfg, mesh.Size(), reduced) {
+		s.red, err = newShardedReducer(mesh, cfg, s.plan, reduced)
 	} else {
 		s.red, err = newReplicatedReducer(mesh, cfg, s.plan)
 	}
@@ -175,30 +195,32 @@ func (s *stage) full(k int64, params, grad tensor.Vector) error {
 			return fmt.Errorf("core: %d of %d buckets launched", s.launched, len(s.plan))
 		}
 	}
-	return s.red.update(k, params, grad, 1)
+	return s.red.update(k, params, params, grad, 1)
 }
 
 // partial is the stage's RNA entry: reduce buf over the contributing ranks
 // and apply ḡ = W·Σg, W = 1/Σw, with γ_k scaled by Σw/N (the Linear Scaling
-// Rule of Algorithm 2). buf belongs to the stage for the call. mu is held for
-// the whole update — step and, when sharded, parameter allgather — so compute
-// snapshots never observe a half-updated vector; compute threads waiting on
-// the staleness gate sit in cond.Wait and do not block the collective. When
-// nobody contributed, every rank skips the update in lockstep.
-func (s *stage) partial(k int64, mu *sync.Mutex, params, buf tensor.Vector, contributes bool) error {
+// Rule of Algorithm 2). buf belongs to the stage for the call. The update
+// reads the newest parameters and writes the version under construction
+// (versions, worker.go), which no other thread can see: no lock is held, so
+// neither the step nor the parameter allgather can stall the compute thread.
+// When nobody contributed, every rank skips the update in lockstep. One
+// contributor needs no scale pass: x·1 is x, bit for bit.
+func (s *stage) partial(k int64, vs *versions, buf tensor.Vector, contributes bool) error {
 	count, err := s.reducePartial(k, buf, contributes)
 	if err != nil || count == 0 {
 		return err
 	}
-	lo, hi := s.red.owned()
-	buf[lo:hi].Scale(1 / float64(count))
+	if count > 1 {
+		lo, hi := s.red.owned()
+		buf[lo:hi].Scale(1 / float64(count))
+	}
 	scale, err := opt.LinearScale(count, s.mesh.Size())
 	if err != nil {
 		return err
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	return s.red.update(k, params, buf, scale)
+	cur := vs.latest()
+	return s.red.update(k, cur, vs.begin(), buf, scale)
 }
 
 // reducePartial runs the partial reduction over the plan. Every bucket
@@ -314,8 +336,11 @@ func (r *replicatedReducer) reducePartial(m transport.Mesh, k int64, buf tensor.
 
 func (r *replicatedReducer) owned() (lo, hi int) { return 0, r.dim }
 
-func (r *replicatedReducer) update(_ int64, params, g tensor.Vector, scale float64) error {
-	_, err := r.optim.Step(params, g, scale)
+func (r *replicatedReducer) update(_ int64, cur, next, g tensor.Vector, scale float64) error {
+	if &next[0] != &cur[0] {
+		copy(next, cur)
+	}
+	_, err := r.optim.Step(next, g, scale)
 	return err
 }
 
@@ -324,23 +349,31 @@ func (r *replicatedReducer) stateBytes() int64 { return r.optim.StateBytes() }
 // shardedReducer is the owner-computes update (ZeRO-style): instead of every
 // rank reducing the full gradient and redundantly running the full optimizer
 // over a full copy of optimizer state, the synchronization decomposes into
-// reduce-scatter → owned-shard optimizer step → parameter allgather. Rank r
-// owns the span offs[r]:offs[r+1] of the parameter vector; it is the only
-// rank holding optimizer state for that span, so state memory and update
-// compute both shrink N×.
+// reduce-scatter → owned-shard optimizer step → parameter allgather. Each
+// rank is the only one holding optimizer state for the span it owns, so state
+// memory and update compute both shrink N×.
 //
-// Bit-identity. The reduce-scatter folds in the pipelined ring's order and
-// scales at the owner (collective/shard.go), the optimizers are strictly
+// Who owns what is decided once, here, because both halves must agree on it
+// for the whole run. With no ownership table to honour (no ShardWeights, one
+// whole-vector span) the halves are the uniform ring pair over the reduced
+// vector — the gradient for BSP, the flag-extended buffer for RNA — and rank
+// r owns the chunk the ring completes at it (collective.RingOwned), minus the
+// flag slot. Otherwise rank r owns span offs[r]:offs[r+1] of the table and
+// the halves are the direct exchange; per bucket the reduce-scatter runs over
+// the table clipped to the bucket's span (the buckets partition the vector,
+// so the owned parts add up to the owned span, and the step and the allgather
+// run once over it).
+//
+// Bit-identity. Both scatters fold every element in the pipelined ring's
+// order from its uniform chunk index and scale at the owner
+// (collective/shard_ring.go, shard.go), the optimizers are strictly
 // element-wise with state depending only on the step count, and the fp64
-// allgather moves bits verbatim — so under ANY partition the sharded update
+// allgather moves bits verbatim — so under ANY ownership the sharded update
 // reproduces the replicated one (with a pinned ring schedule) bit for bit,
 // and each rank's optimizer state equals the matching slice of the
-// replicated state. Per bucket the reduce-scatter runs over the ownership
-// table clipped to the bucket's span: the buckets partition the vector, so
-// the owned parts add up to the owned span, and the step and the allgather
-// run once over it. The fold order then follows the bucket, not the vector —
-// bit-identical across schedules of one plan, and to the unbucketed update
-// when the plan is one bucket.
+// replicated state. Bucketed, the fold order follows the bucket, not the
+// vector — bit-identical across schedules of one plan, and to the unbucketed
+// update when the plan is one bucket.
 //
 // Lossy wires (the fp64-reduce / compressed-allgather invariant). The
 // reduction always ships exact fp64, so there is no gradient error feedback
@@ -352,44 +385,58 @@ func (r *replicatedReducer) stateBytes() int64 { return r.optim.StateBytes() }
 // mixed-precision contract — and all ranks stay bit-identical because they
 // all hold the same decoded grid values.
 type shardedReducer struct {
-	plan    []model.Bucket
-	mesh    transport.Mesh
+	plan []model.Bucket
+	mesh transport.Mesh
+	// reduced is the length of the ring pair's vector; 0 selects the direct
+	// exchange over offs.
+	reduced int
 	offs    []int         // ownership table over the whole vector
 	clipped [][]int       // per bucket: offs clipped to the span, span-relative
+	lo, hi  int           // the owned span of the parameters
 	optim   opt.Optimizer // nil when the owned span is empty
 	// gather carries the allgather's wire dtype and, for a lossy one, the
 	// master-weights residual (nil otherwise).
 	gather collective.Options
 }
 
-func newShardedReducer(mesh transport.Mesh, cfg *TrainConfig, plan []model.Bucket) (*shardedReducer, error) {
+func newShardedReducer(mesh transport.Mesh, cfg *TrainConfig, plan []model.Bucket, reduced int) (*shardedReducer, error) {
 	dim, n := cfg.Model.Dim(), mesh.Size()
 	if cfg.ShardWeights != nil && len(cfg.ShardWeights) != n {
 		return nil, fmt.Errorf("core: %d shard weights over %d ranks", len(cfg.ShardWeights), n)
 	}
-	offs, err := collective.ShardOffsets(dim, n, cfg.ShardWeights)
-	if err != nil {
-		return nil, err
-	}
-	r := &shardedReducer{
-		plan: plan, mesh: mesh, offs: offs,
-		gather: collective.Options{Compression: cfg.Compression, Residual: cfg.residual(dim)},
-	}
-	for _, sp := range plan {
-		c := make([]int, n+1)
-		for i, o := range offs {
-			c[i] = min(max(o, sp.Lo), sp.Hi) - sp.Lo
+	r := &shardedReducer{plan: plan, mesh: mesh, gather: collective.Options{Compression: cfg.Compression}}
+	if cfg.ShardWeights == nil && !cfg.Overlap {
+		r.reduced = reduced
+		r.lo, r.hi = collective.RingOwned(reduced, n, mesh.Rank())
+		r.lo, r.hi = min(r.lo, dim), min(r.hi, dim)
+		r.gather.Residual = cfg.residual(reduced)
+	} else {
+		offs, err := collective.ShardOffsets(dim, n, cfg.ShardWeights)
+		if err != nil {
+			return nil, err
 		}
-		r.clipped = append(r.clipped, c)
+		r.offs, r.lo, r.hi = offs, offs[mesh.Rank()], offs[mesh.Rank()+1]
+		for _, sp := range plan {
+			c := make([]int, n+1)
+			for i, o := range offs {
+				c[i] = min(max(o, sp.Lo), sp.Hi) - sp.Lo
+			}
+			r.clipped = append(r.clipped, c)
+		}
+		r.gather.Residual = cfg.residual(dim)
 	}
 	// A rank can own zero elements under an extreme partition.
-	if lo, hi := r.owned(); hi > lo {
-		r.optim, err = cfg.newOptimizer(hi - lo)
+	var err error
+	if r.hi > r.lo {
+		r.optim, err = cfg.newOptimizer(r.hi - r.lo)
 	}
 	return r, err
 }
 
 func (r *shardedReducer) reduce(m transport.Mesh, k int64, grad tensor.Vector, b int) error {
+	if r.reduced > 0 {
+		return collective.RingReduceScatter(m, k, grad, collective.OpAverage)
+	}
 	sp := r.plan[b]
 	return collective.ReduceScatter(m, k, grad[sp.Lo:sp.Hi], collective.OpAverage, r.clipped[b])
 }
@@ -397,28 +444,37 @@ func (r *shardedReducer) reduce(m transport.Mesh, k int64, grad tensor.Vector, b
 // reducePartial: the contributor count rides the scatter, so every rank
 // skips or applies the update in lockstep.
 func (r *shardedReducer) reducePartial(m transport.Mesh, k int64, buf tensor.Vector, b int, contributes bool) (int, error) {
+	if r.reduced > 0 {
+		return collective.PartialRingReduceScatter(m, k, buf[:r.reduced], contributes)
+	}
 	sp := r.plan[b]
 	return collective.PartialReduceScatter(m, k, buf[sp.Lo:sp.Hi], contributes, r.clipped[b])
 }
 
-func (r *shardedReducer) owned() (lo, hi int) {
-	return r.offs[r.mesh.Rank()], r.offs[r.mesh.Rank()+1]
-}
+func (r *shardedReducer) owned() (lo, hi int) { return r.lo, r.hi }
 
-func (r *shardedReducer) update(k int64, params, g tensor.Vector, scale float64) error {
-	lo, hi := r.owned()
+func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, scale float64) error {
+	lo, hi := r.lo, r.hi
 	if r.optim != nil {
+		if &next[0] != &cur[0] {
+			copy(next[lo:hi], cur[lo:hi])
+		}
 		if res := r.gather.Residual; res != nil {
 			// Restore the exact fp64 master weights; the residual is
 			// re-captured by the allgather's RoundTripEF below.
-			_ = params[lo:hi].Add(res[lo:hi])
+			_ = next[lo:hi].Add(res[lo:hi])
 			res[lo:hi].Zero()
 		}
-		if _, err := r.optim.Step(params[lo:hi], g[lo:hi], scale); err != nil {
+		if _, err := r.optim.Step(next[lo:hi], g[lo:hi], scale); err != nil {
 			return err
 		}
 	}
-	return collective.AllGather(r.mesh, k, params, r.offs, r.gather)
+	if r.reduced > 0 {
+		// RNA's versions carry the flag slot as spare capacity, so the gather
+		// rings over the partition the scatter used.
+		return collective.RingAllGather(r.mesh, k, next[:r.reduced], r.gather)
+	}
+	return collective.AllGather(r.mesh, k, next, r.offs, r.gather)
 }
 
 func (r *shardedReducer) stateBytes() int64 {

@@ -61,26 +61,32 @@ type TrainConfig struct {
 	// Adam selects the Adam optimizer (standard β₁/β₂/ε) instead of
 	// momentum-SGD; LR and WeightDecay apply, Momentum is ignored.
 	Adam bool
-	// ShardedUpdate enables the owner-computes update path: reduce-scatter
-	// (always exact fp64) → owned-shard optimizer step → parameter
-	// allgather at the Compression wire dtype. Optimizer state and update
-	// compute shrink from full-vector-per-rank to one owned span per rank,
-	// and the result is bit-identical to the replicated path under uniform
-	// partitions (ring fold order, owner-side scale, one quantization per
-	// shard). With a lossy wire the owner keeps master weights: the
-	// error-feedback residual holds exact-minus-quantized for the owned
-	// span, restored before each step. With Overlap the reduce-scatter runs
-	// once per bucket; the step and the allgather stay whole-span.
+	// ShardedUpdate forces the owner-computes update path at any size and
+	// wire: reduce-scatter (always exact fp64) → owned-shard optimizer step →
+	// parameter allgather at the Compression wire dtype. Optimizer state and
+	// update compute shrink from full-vector-per-rank to one owned span per
+	// rank, and the result is bit-identical to the replicated path on a
+	// pinned ring (ring fold order, owner-side scale, one quantization per
+	// shard). Leaving it off does not mean the replicated update: AlgoAuto
+	// takes this path by itself wherever it costs nothing (see Algorithm).
+	// With a lossy wire the owner keeps master weights: the error-feedback
+	// residual holds exact-minus-quantized for the owned span, restored
+	// before each step. With Overlap the reduce-scatter runs once per bucket;
+	// the step and the allgather stay whole-span.
 	ShardedUpdate bool
 	// ShardWeights optionally skews the ownership spans (len = mesh size;
 	// nil = uniform): spans follow tensor.WeightedSizes, so slow ranks can
 	// own proportionally smaller shards. Requires ShardedUpdate.
 	ShardWeights []float64
-	// Algorithm pins the dense collective schedule of the replicated
-	// reduction, whole-vector or per bucket under Overlap (zero = AlgoAuto;
-	// validate rejects a value the engine lacks). The sharded reduction
-	// always runs the direct exchange; pinning AlgoRing on the replicated
-	// side makes the two bit-comparable at any vector size.
+	// Algorithm selects the dense collective schedule, whole-vector or per
+	// bucket under Overlap (validate rejects a value the engine lacks). The
+	// zero value, AlgoAuto, lets the cost model choose per (ranks, size,
+	// wire) — and where it chooses the pipelined ring at an fp64 wire without
+	// Overlap, the ring runs as its two halves with the owner-computes update
+	// between them: same bytes, same bits, one optimizer step per element
+	// instead of one per element per rank. A pinned value means the
+	// replicated update on exactly that schedule; pinning AlgoRing is how a
+	// test or an A/B asks for the replicated ring at any vector size.
 	Algorithm collective.Algorithm
 }
 
@@ -148,15 +154,18 @@ type Result struct {
 	// collectives the bucketed stage reached (0 when Overlap is off).
 	MaxInFlight int
 	// OptStateBytes is this rank's persistent optimizer-state footprint —
-	// full-vector for the replicated path, one owned span under
-	// ShardedUpdate (the N× memory reduction the benchmarks record).
+	// full-vector for the replicated update, one owned span for the
+	// owner-computes one (ShardedUpdate, or AlgoAuto on the pipelined ring):
+	// the N× memory reduction the benchmarks record. Over the ranks of an
+	// owner-computes run it sums to the replicated per-rank figure.
 	OptStateBytes int64
 }
 
 // newRank returns what every discipline starts a rank from: the initial
 // parameters, identical on all ranks, and the rank's private batch stream.
+// The vector has one spare element of capacity, the shape of an RNA version.
 func (c *TrainConfig) newRank(rank int) (params tensor.Vector, batches *rng.Source) {
-	params = tensor.New(c.Model.Dim())
+	params = make(tensor.Vector, c.Model.Dim(), c.Model.Dim()+1)
 	c.Model.Init(rng.New(c.Seed+7777), params)
 	return params, rng.New(c.Seed).Split(rank + 1)
 }
@@ -192,7 +201,7 @@ func RunBSPWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 func bspLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) (*Result, error) {
 	start := time.Now()
 	rank := mesh.Rank()
-	st, err := newStage(mesh, &cfg)
+	st, err := newStage(mesh, &cfg, cfg.Model.Dim())
 	if err != nil {
 		return nil, err
 	}
@@ -260,9 +269,127 @@ func runRNA(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, p
 }
 
 // postSyncHook runs on the communication thread after a synchronization's
-// update is applied; the hierarchical scheme uses it for the periodic PS
-// exchange. It may mutate params under mu.
-type postSyncHook func(k int64, mu *sync.Mutex, params tensor.Vector) error
+// update is applied and before it is published; the hierarchical scheme uses
+// it for the periodic PS exchange. It reads the parameters through
+// vs.latest() and may rewrite them through vs.begin().
+type postSyncHook func(k int64, vs *versions) error
+
+// versions is the RNA worker's parameter store. A published parameter vector
+// is immutable: the compute thread pins the current one for the length of one
+// Gradient call and copies nothing, and the communication thread — the only
+// writer — builds the next one in a buffer that is neither current nor pinned
+// and makes it current in one step, together with synced. Nothing of a
+// synchronization (the update, a half-finished allgather, the post hook's
+// rewrite) is visible before that step, and no lock is held while a version
+// is read or written, only while an index changes hands.
+//
+// Three buffers bound it: one current, at most one pinned (a pin is always
+// taken on the current version, so only a pin that outlived a publish is a
+// second buffer), one free. Each has the spare element of a gradSource buffer,
+// so the owner-computes allgather rings over the flag-extended partition its
+// scatter used.
+//
+// It also holds the rest of what the two threads share: synced, and the first
+// error of either, which stops both (fail).
+type versions struct {
+	mu   sync.Mutex // guards cur, pinned, synced and err
+	cond *sync.Cond
+	bufs [3]tensor.Vector
+	// cur is the published version, pinned the one the compute thread reads
+	// (-1: none), next the one under construction (-1: none; communication
+	// thread only).
+	cur, pinned, next int
+	synced            int64         // last published synchronization
+	err               error         // first failure of either thread
+	failed            chan struct{} // closed when err is set
+}
+
+// newVersions publishes params (from newRank) as the version before
+// synchronization 0.
+func newVersions(params tensor.Vector) *versions {
+	v := &versions{pinned: -1, next: -1, synced: -1, failed: make(chan struct{})}
+	v.cond = sync.NewCond(&v.mu)
+	v.bufs[0] = params
+	for i := 1; i < len(v.bufs); i++ {
+		v.bufs[i] = make(tensor.Vector, len(params), cap(params))
+	}
+	return v
+}
+
+// pin waits until iteration k is within bound of the last published
+// synchronization (bounded staleness) and returns the current version, which
+// stays untouched until unpin. ok is false when the worker failed instead.
+func (v *versions) pin(k, bound int64) (params tensor.Vector, ok bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for k-v.synced > bound && v.err == nil {
+		v.cond.Wait()
+	}
+	if v.err != nil {
+		return nil, false
+	}
+	v.pinned = v.cur
+	return v.bufs[v.cur], true
+}
+
+func (v *versions) unpin() {
+	v.mu.Lock()
+	v.pinned = -1
+	v.mu.Unlock()
+}
+
+// latest returns the newest parameters as the communication thread sees
+// them, read-only: the version under construction once this synchronization
+// has begun one, the published one otherwise.
+func (v *versions) latest() tensor.Vector {
+	if v.next >= 0 {
+		return v.bufs[v.next]
+	}
+	return v.bufs[v.cur]
+}
+
+// begin returns the version under construction, starting one — contents
+// unspecified, for the caller to write in full — if this synchronization has
+// none yet. Communication thread only.
+func (v *versions) begin() tensor.Vector {
+	if v.next < 0 {
+		v.mu.Lock()
+		for i := range v.bufs {
+			if i != v.cur && i != v.pinned {
+				v.next = i
+				break
+			}
+		}
+		v.mu.Unlock()
+	}
+	return v.bufs[v.next]
+}
+
+// publish completes synchronization k: the version under construction, if
+// there is one, becomes current in the same step that advances synced.
+func (v *versions) publish(k int64) {
+	v.mu.Lock()
+	if v.next >= 0 {
+		v.cur, v.next = v.next, -1
+	}
+	v.synced = k
+	v.cond.Broadcast()
+	v.mu.Unlock()
+}
+
+// fail records the worker's first error and stops both threads: it wakes a
+// compute thread parked on the staleness gate (through cond) and a
+// communication thread parked on a trigger this rank will never announce
+// (through the closed channel).
+func (v *versions) fail(err error) {
+	v.mu.Lock()
+	if v.err == nil {
+		v.err = err
+		close(v.failed)
+		v.cond.Broadcast()
+	}
+	v.mu.Unlock()
+}
 
 // gradSource is where the RNA compute thread leaves its gradients and the
 // communication thread collects the rank's contribution: the Accumulator for
@@ -288,7 +415,7 @@ var errStopped = errors.New("core: worker stopped")
 
 // rnaLoop is the one non-blocking worker: a compute thread and a
 // communication thread decoupled through src (cross-iteration execution,
-// Fig. 4), sharing params under mu.
+// Fig. 4), sharing the parameters through versions.
 //
 // The compute thread never runs more than the staleness bound ahead of the
 // last published synchronization; the communication thread joins every
@@ -296,47 +423,30 @@ var errStopped = errors.New("core: worker stopped")
 // null gradient, and has the stage apply the result.
 //
 // The first error of either thread, wrapped once with its rank and iteration,
-// stops both: failed wakes a compute thread parked on the staleness gate
-// (through cond) and a communication thread parked on a trigger this rank
-// will never announce (through the closed channel).
+// stops both (versions.fail).
 func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, src gradSource, post postSyncHook) (*Result, error) {
 	start := time.Now()
 	rank := mesh.Rank()
 	bound := int64(cfg.bound())
-	st, err := newStage(mesh, &cfg)
+	st, err := newStage(mesh, &cfg, cfg.Model.Dim()+1)
 	if err != nil {
 		return nil, err
 	}
 	params, batches := cfg.newRank(rank)
+	vs := newVersions(params)
 	res := &Result{Losses: make([]float64, 0, cfg.Iterations)}
 
-	var (
-		mu     sync.Mutex // guards params, synced and runErr
-		cond   = sync.NewCond(&mu)
-		synced = int64(-1)
-		runErr error
-		failed = make(chan struct{}) // closed when runErr is set
-	)
-	snapshot := tensor.New(len(params))
-
 	compute := func(k int64) error {
-		// Bounded staleness: never run more than `bound` ahead of the last
-		// completed synchronization.
-		mu.Lock()
-		for k-synced > bound && runErr == nil {
-			cond.Wait()
-		}
-		if runErr != nil {
-			mu.Unlock()
+		params, ok := vs.pin(k, bound)
+		if !ok {
 			return errStopped
 		}
-		copy(snapshot, params)
-		mu.Unlock()
-
 		batch := cfg.Batch(batches)
-		// The model writes straight into a source-owned buffer.
+		// The model reads the pinned version and writes straight into a
+		// source-owned buffer.
 		g := src.Lease()
-		loss, err := cfg.Model.Gradient(snapshot, g, batch)
+		loss, err := cfg.Model.Gradient(params, g, batch)
+		vs.unpin()
 		if err != nil {
 			return err
 		}
@@ -352,7 +462,7 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 		fired, _ := ctrl.Await(k)
 		select {
 		case <-fired:
-		case <-failed:
+		case <-vs.failed:
 			return errStopped
 		}
 		buf, ok, err := src.Take(k)
@@ -367,23 +477,20 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 			buf = src.Lease()
 			res.NullContribs++
 		}
-		if err := st.partial(k, &mu, params, buf, ok); err != nil {
+		if err := st.partial(k, vs, buf, ok); err != nil {
 			return err
 		}
 		src.Recycle(buf)
 		if post != nil {
-			if err := post(k, &mu, params); err != nil {
+			if err := post(k, vs); err != nil {
 				return err
 			}
 		}
-		// Publish the completed synchronization only after the post hook:
-		// compute snapshots taken at k+1 then deterministically include the
-		// hook's parameter mutation (the PS broadcast), which is what keeps
-		// ordered hierarchical runs bitwise reproducible.
-		mu.Lock()
-		synced = k
-		cond.Broadcast()
-		mu.Unlock()
+		// One publish per synchronization, after the post hook: the compute
+		// step that passes the gate at k+1 then deterministically sees the
+		// update and the hook's rewrite (the PS broadcast) together, which is
+		// what keeps ordered hierarchical runs bitwise reproducible.
+		vs.publish(k)
 		if rank == 0 {
 			ctrl.Forget(k - bound - 2)
 		}
@@ -396,25 +503,17 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 		go func() {
 			defer wg.Done()
 			for k := int64(0); k < int64(cfg.Iterations); k++ {
-				err := step(k)
-				if err == nil {
-					continue
+				if err := step(k); err != nil {
+					vs.fail(fmt.Errorf("rank %d iter %d: %w", rank, k, err))
+					return
 				}
-				mu.Lock()
-				if runErr == nil {
-					runErr = fmt.Errorf("rank %d iter %d: %w", rank, k, err)
-					close(failed)
-					cond.Broadcast()
-				}
-				mu.Unlock()
-				return
 			}
 		}()
 	}
 	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
+	if vs.err != nil {
+		return nil, vs.err
 	}
 	res.StaleDropped = int(src.Dropped())
-	return st.finish(res, params, start), nil
+	return st.finish(res, vs.latest(), start), nil
 }
