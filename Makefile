@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race purego cross results-check loc alloc-gate bench bench-smoke fuzz-smoke microbench calibrate collective-bench train-bench check
+.PHONY: all vet build test race purego cross results-check loc alloc-gate bench bench-smoke hetero-ratio fuzz-smoke microbench calibrate collective-bench train-bench check
 
 all: vet build test
 
@@ -67,16 +67,36 @@ bench: collective-bench train-bench
 bench-smoke:
 	$(GO) run ./cmd/rnabench -bench-smoke
 
+# hetero-ratio is the paper's headline number on the real runtime: the
+# repository's benchmark (benchmark/run.sh, real core workers over loopback
+# TCP under a uniform 0-50 ms delay per rank per step) on hetero_bsp and
+# hetero_rna for three seeds, the median time to the target loss of each, and
+# their ratio (the paper's Fig. 6 reads 1.4-1.8x; the gate is 1.3). About
+# 2.5 minutes; HETERO_SECONDS shortens the runs.
+HETERO_SECONDS ?= 20
+hetero-ratio:
+	@for w in hetero_bsp hetero_rna; do for s in 1 2 3; do \
+		bash benchmark/run.sh --workload $$w --seed $$s --seconds $(HETERO_SECONDS) --trace 0 | tail -n 1 | \
+			sed -n 's/.*"time_to_target_s":{"value":\([0-9.e+-]*\).*/'$$w' \1/p'; \
+	done; done | sort -k1,1 -k2,2g | awk '{ v[$$1] = v[$$1] " " $$2; if (++n[$$1] == 2) med[$$1] = $$2 } \
+		END { if (n["hetero_bsp"] != 3 || n["hetero_rna"] != 3) { print "hetero-ratio: a run reported no time_to_target_s"; exit 1 } \
+		      split("hetero_bsp hetero_rna", ws); \
+		      for (i = 1; i <= 2; i++) printf "%s time_to_target_s%s, median %.3f s\n", ws[i], v[ws[i]], med[ws[i]]; \
+		      printf "hetero_bsp / hetero_rna = %.2f\n", med["hetero_bsp"] / med["hetero_rna"] }'
+
 # fuzz-smoke runs each wire-protocol fuzz target for a short budget — enough
 # to cover the seeded v1 corpus (header truncations, forged fields, hello
 # garbage, parameter-server push/pull/ack frames with packed mode<<24|chunk
 # tags) plus a burst of mutations, quick enough for CI. The kernel target
 # holds the AVX2 bodies to the bits of the Go loops over random lengths,
-# misalignments and values.
+# misalignments and values; the controller target holds the trigger rule
+# (probed tag, bounded-delay floor, drain) over random interleavings of
+# Ready, Await, Probes and Forget under every policy.
 fuzz-smoke:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 20s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadHello -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzKernelsMatchGeneric -fuzztime 10s
+	$(GO) test ./internal/controller/ -run '^$$' -fuzz FuzzControllerTrigger -fuzztime 10s
 
 # microbench runs the collective, kernel, model and engine micro-benchmarks
 # interactively.

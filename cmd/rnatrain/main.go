@@ -141,6 +141,7 @@ func run(args []string) error {
 		fmt.Printf("done in %v wall clock\n", time.Since(start).Round(time.Millisecond))
 		fmt.Printf("rank0: %d real contributions, %d null contributions\n",
 			results[0].Contributed, results[0].NullContribs)
+		fmt.Printf("participation: %s\n", rna.Participation(results))
 	}
 
 	valModel, err := model.NewLogistic(val)

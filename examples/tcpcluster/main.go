@@ -73,6 +73,7 @@ func run() error {
 	for r, res := range results {
 		fmt.Printf("  rank %d: %3d real + %2d null contributions\n", r, res.Contributed, res.NullContribs)
 	}
+	fmt.Printf("  %s\n", rna.Participation(results))
 	fmt.Printf("validation top-1 accuracy: %.1f%%\n", top1*100)
 	return nil
 }

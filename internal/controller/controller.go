@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/rng"
@@ -15,7 +16,12 @@ import (
 //
 // Readiness is monotone: Ready(w, k) implies readiness for every iteration
 // ≤ k, mirroring the paper's probe expiry ("the probe identification is
-// updated to the next iteration" when a stale reply arrives).
+// updated to the next iteration" when a stale reply arrives). What k counts is
+// the caller's: a BSP worker announces its step; an RNA worker announces the
+// first synchronization that can still take the gradient it just finished
+// (core.Accumulator.Commit), so "a probed worker announced ≥ k" reads "a
+// probed worker holds a gradient no synchronization has taken", the fresh
+// reply of the simulator's probe.
 type Controller struct {
 	policy Policy
 	n      int
@@ -26,8 +32,12 @@ type Controller struct {
 	readyIter []int64
 	// started[w] is true once w announced any readiness.
 	started []bool
-	iters   map[int64]*iterState
-	src     *rng.Source
+	// announced[w] counts w's announcements, one per gradient; bound is the
+	// window the probe policies hold synchronizations to (Floor; 0: none).
+	announced []int64
+	bound     int64
+	iters     map[int64]*iterState
+	src       *rng.Source
 }
 
 type iterState struct {
@@ -54,6 +64,7 @@ func New(policy Policy, n, q int, seed int64) (*Controller, error) {
 		q:         q,
 		readyIter: make([]int64, n),
 		started:   make([]bool, n),
+		announced: make([]int64, n),
 		iters:     make(map[int64]*iterState),
 		src:       rng.New(seed),
 	}, nil
@@ -61,6 +72,16 @@ func New(policy Policy, n, q int, seed int64) (*Controller, error) {
 
 // Policy returns the controller's trigger policy.
 func (c *Controller) Policy() Policy { return c.policy }
+
+// Bound sets the bounded-delay window η of the probe policies: from now on
+// synchronization k fires only once every worker has announced Floor(k, η)
+// gradients. The workers of a run all pass the same η, before they announce
+// anything.
+func (c *Controller) Bound(eta int64) {
+	c.mu.Lock()
+	c.bound = eta
+	c.mu.Unlock()
+}
 
 // Ready announces that worker w has a gradient available for iteration
 // iter. Announcements are monotone; regressions are ignored.
@@ -70,6 +91,7 @@ func (c *Controller) Ready(w int, iter int64) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.announced[w]++
 	if !c.started[w] || iter > c.readyIter[w] {
 		c.started[w] = true
 		if iter > c.readyIter[w] {
@@ -157,6 +179,9 @@ func (c *Controller) maybeFireLocked(iter int64, st *iterState) {
 			}
 		}
 	case RandomInitiator, PowerOfChoices:
+		if c.bound > 0 && slices.Min(c.announced) < Floor(iter, c.bound) {
+			break
+		}
 		for _, p := range st.probes {
 			if c.readyForLocked(p, iter) {
 				fire = true

@@ -146,6 +146,12 @@ func kthSmallest(ready []time.Duration, k int) (time.Duration, int) {
 	return es[k-1].t, es[k-1].w
 }
 
+// Floor is the bounded-delay gate (Assumption 2), stated once for the
+// simulator and the runtime: synchronization k may not fire before every
+// worker has produced Floor(k, η) gradients, so no synchronization outruns the
+// slowest worker by more than the staleness bound η.
+func Floor(k, bound int64) int64 { return k + 1 - bound }
+
 // Contributors returns which workers have gradients ready at the trigger
 // time and therefore contribute real (non-null) gradients to the partial
 // AllReduce.

@@ -4,7 +4,7 @@
 //   - Accumulator: the comm-thread gradient buffer with the
 //     staleness-weighted local reduction of Section 3.3
 //     (g' = Σ[t−(k−τ)+1]·g_t / Σ[t−(k−τ)+1]) and bounded-staleness
-//     overwrite;
+//     overwrite, t being the parameter version a gradient was computed for;
 //   - RunRNAWorker: a goroutine-runtime training worker with decoupled
 //     compute and communication threads (cross-iteration execution,
 //     Fig. 4) sharing immutable parameter versions, driven by a
@@ -43,8 +43,12 @@ type Accumulator struct {
 	dim     int
 	bound   int64
 	grads   []tensor.Vector // committed buffers in commit order, oldest first
-	iters   []int64
+	iters   []int64         // their stamps: local steps for Put, versions+1 in rnaLoop
 	dropped int64
+	// lastTake is the last synchronization that drained the buffer (−1: none),
+	// taken counts the gradients Take handed on by their gap to it.
+	lastTake int64
+	taken    []int
 
 	// free holds recycled buffers for future Leases, at most maxFree of
 	// them: the steady state needs one per gradient the bounded-staleness
@@ -67,10 +71,11 @@ func NewAccumulator(dim int, bound int) (*Accumulator, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("core: accumulator dim %d", dim)
 	}
-	a := &Accumulator{dim: dim, bound: 1<<62 - 1, maxFree: 2}
+	a := &Accumulator{dim: dim, bound: 1<<62 - 1, maxFree: 2, lastTake: -1}
 	if bound >= 1 {
 		a.bound, a.maxFree = int64(bound), bound+4
 	}
+	a.taken = make([]int, max(bound, 1))
 	return a, nil
 }
 
@@ -94,18 +99,23 @@ func (a *Accumulator) leased(g tensor.Vector) bool {
 	return len(g) == a.dim && cap(g) > a.dim
 }
 
-// Commit buffers the leased gradient g as computed at iteration iter. The
-// accumulator owns g from here on; the caller must not touch it again.
-func (a *Accumulator) Commit(iter int64, g tensor.Vector) error {
+// Commit buffers the leased gradient g under stamp: the synchronization whose
+// parameters-to-be it was computed for, one past the version it read. The
+// compute step is not kept. The accumulator owns g from here on; the caller
+// must not touch it again. tag is the first synchronization that can still
+// take g, read under the lock that orders Commit against Take: announcing it
+// says "this rank holds a gradient no synchronization has taken".
+func (a *Accumulator) Commit(_, stamp int64, g tensor.Vector) (tag int64, err error) {
 	if !a.leased(g) {
-		return fmt.Errorf("core: commit of a %d/%d-element buffer, want a leased %d: %w",
+		return 0, fmt.Errorf("core: commit of a %d/%d-element buffer, want a leased %d: %w",
 			len(g), cap(g), a.dim, tensor.ErrShapeMismatch)
 	}
 	a.mu.Lock()
 	a.grads = append(a.grads, g)
-	a.iters = append(a.iters, iter)
+	a.iters = append(a.iters, stamp)
+	tag = a.lastTake + 1
 	a.mu.Unlock()
-	return nil
+	return tag, nil
 }
 
 // Put buffers a copy of the gradient computed at iteration iter, so callers
@@ -116,7 +126,8 @@ func (a *Accumulator) Put(iter int64, grad tensor.Vector) error {
 	}
 	g := a.Lease()
 	copy(g, grad)
-	return a.Commit(iter, g)
+	_, err := a.Commit(iter, iter, g)
+	return err
 }
 
 // Recycle returns a buffer obtained from Lease or Take for reuse. Slices
@@ -152,8 +163,16 @@ func (a *Accumulator) Dropped() int64 {
 	return a.dropped
 }
 
-// Take drains the buffer for a synchronization at iteration current: stale
-// entries (current − iter ≥ bound) are dropped, the survivors are combined
+// Staleness returns how many gradients Take handed on, by τ = current − stamp
+// (bound buckets; an unbounded accumulator has one).
+func (a *Accumulator) Staleness() []int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]int(nil), a.taken...)
+}
+
+// Take drains the buffer for synchronization current: stale entries
+// (τ = current − stamp ≥ bound) are dropped, the survivors are combined
 // with the paper's weights w_t = t − (current − τ) + 1 where τ is the
 // largest surviving gap, and the buffer is reset. ok is false when nothing
 // survives — the worker then contributes a null gradient.
@@ -166,13 +185,16 @@ func (a *Accumulator) Dropped() int64 {
 func (a *Accumulator) Take(current int64) (grad tensor.Vector, ok bool, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.lastTake = current
 	keep := 0
 	for i, it := range a.iters {
-		if gap := current - it; gap >= a.bound && gap > 0 {
+		gap := current - it
+		if gap >= a.bound && gap > 0 {
 			a.dropped++
 			a.release(a.grads[i])
 			continue
 		}
+		a.taken[min(max(gap, 0), int64(len(a.taken)-1))]++
 		a.grads[keep], a.iters[keep] = a.grads[i], it
 		keep++
 	}

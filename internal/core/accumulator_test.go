@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,6 +122,42 @@ func TestAccumulatorBoundDropsStale(t *testing.T) {
 	}
 	if a.Dropped() != 1 {
 		t.Errorf("Dropped = %d, want 1", a.Dropped())
+	}
+}
+
+// TestAccumulatorTagAndStaleness: Commit tags a gradient with the first
+// synchronization that can still take it, whatever step or version it came
+// from, and Take files what it hands on under τ = current − stamp.
+func TestAccumulatorTagAndStaleness(t *testing.T) {
+	a, err := NewAccumulator(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(step, stamp, wantTag int64) {
+		t.Helper()
+		if tag, err := a.Commit(step, stamp, a.Lease()); err != nil || tag != wantTag {
+			t.Fatalf("Commit(step %d, stamp %d) = tag %d, %v; want tag %d", step, stamp, tag, err, wantTag)
+		}
+	}
+	commit(0, 0, 0)
+	commit(1, 0, 0) // a second step on the same version: the same synchronization takes both
+	if _, ok, _ := a.Take(0); !ok {
+		t.Fatal("Take(0) found nothing")
+	}
+	if _, ok, _ := a.Take(1); ok { // an empty join still moves the tag on
+		t.Fatal("Take(1) found something")
+	}
+	commit(2, 1, 2) // read version 0, finished after synchronization 1 was joined
+	commit(3, 0, 2) // read the initial parameters: τ = 2 − 0 < 3 survives, at 3 it would not
+	if _, ok, _ := a.Take(2); !ok {
+		t.Fatal("Take(2) found nothing")
+	}
+	commit(4, 1, 3)
+	if _, ok, _ := a.Take(4); ok { // τ = 4 − 1 = 3 = η
+		t.Fatal("Take(4) kept a gradient three versions old")
+	}
+	if got, want := a.Staleness(), []int{2, 1, 1}; !slices.Equal(got, want) || a.Dropped() != 1 {
+		t.Errorf("Staleness = %v, Dropped = %d; want %v and 1", got, a.Dropped(), want)
 	}
 }
 
@@ -325,7 +362,7 @@ func TestAccumulatorTakeMatchesWeightedMeanBits(t *testing.T) {
 					t.Fatalf("Lease: len %d cap %d, want %d and ≥ %d", len(g), cap(g), dim, dim+1)
 				}
 				copy(g, grads[i])
-				if err := a.Commit(iters[i], g); err != nil {
+				if _, err := a.Commit(int64(i), iters[i], g); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -385,17 +422,17 @@ func TestAccumulatorBufferOwnership(t *testing.T) {
 	if n := freeLen(); n != 0 {
 		t.Fatalf("free list holds %d foreign buffers", n)
 	}
-	if err := a.Commit(0, tensor.New(dim)); !errors.Is(err, tensor.ErrShapeMismatch) {
+	if _, err := a.Commit(0, 0, tensor.New(dim)); !errors.Is(err, tensor.ErrShapeMismatch) {
 		t.Errorf("Commit of an unleased vector: %v", err)
 	}
-	if err := a.Commit(0, a.Lease()[:dim-1]); !errors.Is(err, tensor.ErrShapeMismatch) {
+	if _, err := a.Commit(0, 0, a.Lease()[:dim-1]); !errors.Is(err, tensor.ErrShapeMismatch) {
 		t.Errorf("Commit of a short vector: %v", err)
 	}
 
 	// A burst far beyond the staleness window is committed and dropped
 	// wholesale; the free list keeps bound+4 of its buffers.
 	for k := int64(0); k < 40; k++ {
-		if err := a.Commit(k, a.Lease()); err != nil {
+		if _, err := a.Commit(k, k, a.Lease()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,7 +474,7 @@ func TestAccumulatorSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < ahead; i++ {
 			g := a.Lease()
 			g[0] = float64(k)
-			if err := a.Commit(k, g); err != nil {
+			if _, err := a.Commit(k, k, g); err != nil {
 				t.Fatal(err)
 			}
 			k++

@@ -25,17 +25,20 @@ type eagerMailbox struct {
 func (b *eagerMailbox) Lease() tensor.Vector    { return b.bufs.Lease() }
 func (b *eagerMailbox) Recycle(g tensor.Vector) { b.bufs.Recycle(g) }
 
-// Dropped is always zero: the mailbox overwrites, it has no staleness bound.
-func (b *eagerMailbox) Dropped() int64 { return 0 }
+// Dropped is always zero and Staleness empty: the mailbox overwrites, it has
+// no staleness bound.
+func (b *eagerMailbox) Dropped() int64   { return 0 }
+func (b *eagerMailbox) Staleness() []int { return nil }
 
-// Commit stores a fresh gradient, replacing any unconsumed one.
-func (b *eagerMailbox) Commit(_ int64, g tensor.Vector) error {
+// Commit stores a fresh gradient, replacing any unconsumed one, and tags it
+// with its compute step: eager-SGD's triggers count steps, not fresh gradients.
+func (b *eagerMailbox) Commit(step, _ int64, g tensor.Vector) (int64, error) {
 	b.mu.Lock()
 	old := b.fresh
 	b.fresh = g
 	b.mu.Unlock()
 	b.bufs.Recycle(old)
-	return nil
+	return step, nil
 }
 
 // Take returns a copy of the gradient to contribute — the synchronization

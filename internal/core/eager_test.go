@@ -19,7 +19,7 @@ func TestEagerMailbox(t *testing.T) {
 	put := func(v float64) {
 		g := b.Lease()
 		g[0] = v
-		if err := b.Commit(0, g); err != nil {
+		if _, err := b.Commit(0, 0, g); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -86,6 +86,7 @@ type stage struct {
 	handles  []*collective.Handle
 	counts   []int // per-bucket contributor counts of a partial round
 	launched int   // buckets launched by the current BSP backward pass
+	empty    int   // partial rounds nobody contributed to
 }
 
 // ownerComputes is the one predicate, the same for BSP and RNA, that turns the
@@ -208,8 +209,12 @@ func (s *stage) full(k int64, params, grad tensor.Vector) error {
 // contributor needs no scale pass: x·1 is x, bit for bit.
 func (s *stage) partial(k int64, vs *versions, buf tensor.Vector, contributes bool) error {
 	count, err := s.reducePartial(k, buf, contributes)
-	if err != nil || count == 0 {
+	if err != nil {
 		return err
+	}
+	if count == 0 {
+		s.empty++
+		return nil
 	}
 	if count > 1 {
 		lo, hi := s.red.owned()
@@ -254,6 +259,7 @@ func (s *stage) reducePartial(k int64, buf tensor.Vector, contributes bool) (int
 // the stage that ran.
 func (s *stage) finish(res *Result, params tensor.Vector, start time.Time) *Result {
 	res.Params = params
+	res.EmptySyncs = s.empty
 	res.OptStateBytes = s.red.stateBytes()
 	if s.bucketed() {
 		res.MaxInFlight = s.as.MaxInFlight()

@@ -25,11 +25,19 @@ type TrainConfig struct {
 	LR          float64
 	Momentum    float64
 	WeightDecay float64
-	// Iterations is the number of synchronizations to run.
+	// Iterations bounds both halves of a rank: it runs exactly this many
+	// compute steps and joins exactly this many synchronizations. Under BSP
+	// the two are the same count; under RNA a synchronization takes whatever
+	// the rank finished since the last one, so some join empty-handed and
+	// some carry several steps.
 	Iterations int
-	// StalenessBound is the bounded-delay window η (≥ 1; default 8):
-	// compute may run at most η iterations ahead of the last completed
-	// synchronization, and the accumulator drops gradients staler than η.
+	// StalenessBound is the bounded-delay window η (≥ 1; default 8), counted
+	// in parameter versions. Compute step j waits for synchronization j−η;
+	// synchronization k waits until every rank has announced k+1−η gradients
+	// (controller.Floor); and the accumulator drops a gradient whose τ, the
+	// synchronizations published since the parameters it was computed from,
+	// has reached η. A rank that is slow forever still reads fresh parameters,
+	// so it keeps contributing.
 	StalenessBound int
 	// Seed derives this worker's RNG streams.
 	Seed int64
@@ -148,6 +156,12 @@ type Result struct {
 	// discarded because they exceeded the staleness bound before a
 	// synchronization took them (RNA only).
 	StaleDropped int
+	// EmptySyncs counts the synchronizations no rank contributed to (RNA
+	// only; the same on every rank), and Staleness the gradients this rank's
+	// synchronizations took by τ, in StalenessBound buckets (nil for BSP and
+	// eager-SGD).
+	EmptySyncs int
+	Staleness  []int
 	// Elapsed is the worker's wall-clock training time.
 	Elapsed time.Duration
 	// MaxInFlight is the peak number of concurrently in-flight bucket
@@ -318,24 +332,32 @@ func newVersions(params tensor.Vector) *versions {
 
 // pin waits until iteration k is within bound of the last published
 // synchronization (bounded staleness) and returns the current version, which
-// stays untouched until unpin. ok is false when the worker failed instead.
-func (v *versions) pin(k, bound int64) (params tensor.Vector, ok bool) {
+// stays untouched until unpin, with the synchronization that published it. ok
+// is false when the worker failed instead.
+func (v *versions) pin(k, bound int64) (params tensor.Vector, synced int64, ok bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for k-v.synced > bound && v.err == nil {
 		v.cond.Wait()
 	}
 	if v.err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	v.pinned = v.cur
-	return v.bufs[v.cur], true
+	return v.bufs[v.cur], v.synced, true
 }
 
 func (v *versions) unpin() {
 	v.mu.Lock()
 	v.pinned = -1
 	v.mu.Unlock()
+}
+
+// published returns the last published synchronization.
+func (v *versions) published() int64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.synced
 }
 
 // latest returns the newest parameters as the communication thread sees
@@ -398,15 +420,19 @@ func (v *versions) fail(err error) {
 // dim long with capacity ≥ dim+1 (the partial collective's flag slot).
 type gradSource interface {
 	// Lease hands out a buffer with unspecified contents; Commit takes it
-	// back filled with the gradient of iteration iter.
+	// back filled with the gradient of compute step step, computed for
+	// synchronization stamp (one past the version it read), and returns the
+	// tag to announce to the controller.
 	Lease() tensor.Vector
-	Commit(iter int64, g tensor.Vector) error
+	Commit(step, stamp int64, g tensor.Vector) (tag int64, err error)
 	// Take returns the contribution to synchronization current, owned by the
 	// caller until Recycle; ok is false when the rank has nothing to give.
 	Take(current int64) (g tensor.Vector, ok bool, err error)
 	Recycle(g tensor.Vector)
-	// Dropped counts gradients discarded by the staleness bound.
+	// Dropped counts gradients discarded by the staleness bound, Staleness
+	// the ones taken, by τ.
 	Dropped() int64
+	Staleness() []int
 }
 
 // errStopped is what a thread of rnaLoop returns when it stops because the
@@ -422,12 +448,20 @@ var errStopped = errors.New("core: worker stopped")
 // synchronization the controller fires, with the rank's contribution or a
 // null gradient, and has the stage apply the result.
 //
+// The two count different things. A compute step's gradient is stamped with
+// the version it read and announced under the first synchronization that can
+// still take it (gradSource.Commit), so a synchronization fires on a probed
+// rank that holds something new, never on how far a rank has counted, and the
+// next one takes it. The last step announces the last synchronization, so
+// whatever is left of the budget fires without waiting for gradients that will
+// not come.
+//
 // The first error of either thread, wrapped once with its rank and iteration,
 // stops both (versions.fail).
 func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, src gradSource, post postSyncHook) (*Result, error) {
 	start := time.Now()
 	rank := mesh.Rank()
-	bound := int64(cfg.bound())
+	bound, last := int64(cfg.bound()), int64(cfg.Iterations)-1
 	st, err := newStage(mesh, &cfg, cfg.Model.Dim()+1)
 	if err != nil {
 		return nil, err
@@ -435,9 +469,10 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 	params, batches := cfg.newRank(rank)
 	vs := newVersions(params)
 	res := &Result{Losses: make([]float64, 0, cfg.Iterations)}
+	ctrl.Bound(bound)
 
 	compute := func(k int64) error {
-		params, ok := vs.pin(k, bound)
+		params, synced, ok := vs.pin(k, bound)
 		if !ok {
 			return errStopped
 		}
@@ -452,10 +487,19 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 		}
 		cfg.slowDown(rank, k)
 		res.Losses = append(res.Losses, loss)
-		if err := src.Commit(k, g); err != nil {
+		if vs.published() == last {
+			// No synchronization is left to take it.
+			src.Recycle(g)
+			return nil
+		}
+		tag, err := src.Commit(k, synced+1, g)
+		if err != nil {
 			return err
 		}
-		return ctrl.Ready(rank, k)
+		if k == last {
+			tag = last
+		}
+		return ctrl.Ready(rank, tag)
 	}
 
 	comm := func(k int64) error {
@@ -514,6 +558,6 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 	if vs.err != nil {
 		return nil, vs.err
 	}
-	res.StaleDropped = int(src.Dropped())
+	res.StaleDropped, res.Staleness = int(src.Dropped()), src.Staleness()
 	return st.finish(res, vs.latest(), start), nil
 }

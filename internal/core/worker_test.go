@@ -160,10 +160,10 @@ func TestRNAWorkerWithStraggler(t *testing.T) {
 	}
 }
 
-// TestRNAStaleDroppedSurfaced: a rank whose first gradient lands many
-// synchronizations late has it discarded by the staleness bound, and every
-// RNA loop reports that in Result.StaleDropped. No rank can have contributed
-// and dropped more gradients than it computed.
+// TestRNAStaleDroppedSurfaced: a rank whose first gradient lands η parameter
+// versions late has it discarded by the staleness bound, and every RNA loop
+// reports that in Result.StaleDropped. No rank can have contributed and
+// dropped more gradients than it computed.
 func TestRNAStaleDroppedSurfaced(t *testing.T) {
 	const n, iters = 3, 40
 	variants := map[string]func(*TrainConfig){
@@ -174,10 +174,13 @@ func TestRNAStaleDroppedSurfaced(t *testing.T) {
 	for name, variant := range variants {
 		cfg, _ := blobConfig(t, iters)
 		variant(&cfg)
-		// Every step takes a millisecond, so synchronization k fires no
-		// sooner than k ms in; rank 2's iteration-0 gradient arrives at
-		// 12 ms, far beyond the staleness bound of 2 and well before the
-		// run ends.
+		// Every step takes a millisecond and η is 2. The bounded-delay gate
+		// lets synchronizations 0 and 1 fire without rank 2
+		// (controller.Floor(1, 2) = 0 gradients) and holds synchronization 2
+		// until its first gradient arrives at 12 ms. That gradient read the
+		// initial parameters (stamp 0) and the first synchronization that can
+		// still take it is 2: τ = 2 = η, dropped. From then on rank 2 reads
+		// current parameters and keeps its gradients.
 		cfg.SlowDown = func(rank, iter int) time.Duration {
 			if rank == 2 && iter == 0 {
 				return 12 * time.Millisecond
@@ -199,6 +202,50 @@ func TestRNAStaleDroppedSurfaced(t *testing.T) {
 				t.Errorf("%s rank %d: contributed %d + dropped %d of %d computed",
 					name, r, res.Contributed, res.StaleDropped, iters)
 			}
+		}
+	}
+}
+
+// TestRNASlowRankIsNotStarved: staleness is counted in parameter versions, so
+// a rank that is slow for the whole run computes from fresh parameters at its
+// own pace and keeps contributing. Counted in local steps, as it was, rank 3
+// falls η steps behind the synchronization index within a few milliseconds
+// and loses every gradient it computes from there on.
+func TestRNASlowRankIsNotStarved(t *testing.T) {
+	const n, iters, eta = 4, 60, 4
+	cfg, _ := blobConfig(t, iters)
+	cfg.StalenessBound = eta
+	cfg.SlowDown = func(rank, _ int) time.Duration {
+		if rank == 3 {
+			return 3 * time.Millisecond
+		}
+		return time.Millisecond
+	}
+	ctrl, err := controller.New(controller.PowerOfChoices, n, 2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
+		return RunRNAWorker(m, ctrl, cfg)
+	})
+	slow := results[3]
+	if slow.StaleDropped > eta || slow.Contributed < iters*8/10 {
+		t.Errorf("slow rank: dropped %d (want ≤ %d), contributed to %d of %d synchronizations (want ≥ %d)",
+			slow.StaleDropped, eta, slow.Contributed, iters, iters*8/10)
+	}
+	taken := 0
+	for _, c := range slow.Staleness {
+		taken += c
+	}
+	if len(slow.Staleness) != eta || taken+slow.StaleDropped > iters {
+		t.Errorf("slow rank: staleness histogram %v with %d dropped of %d computed", slow.Staleness, slow.StaleDropped, iters)
+	}
+	for r := 1; r < n; r++ {
+		if !results[r].Params.Equal(results[0].Params, 0) {
+			t.Fatalf("rank %d params diverged", r)
+		}
+		if results[r].EmptySyncs != results[0].EmptySyncs {
+			t.Errorf("rank %d counted %d empty synchronizations, rank 0 %d", r, results[r].EmptySyncs, results[0].EmptySyncs)
 		}
 	}
 }

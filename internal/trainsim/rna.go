@@ -111,6 +111,7 @@ type partialSim struct {
 	breakdowns   []stats.Breakdown
 	nulls        int64
 	slots        int64
+	dropped      int64 // gradients overwritten by the staleness bound
 	copyOverhead time.Duration
 	trace        *trace.Trace
 }
@@ -322,7 +323,7 @@ func (s *partialSim) nextRound() (roundOutcome, error) {
 	// paper's Table 4 iteration counts) and bounds how far a probed
 	// laggard must catch up.
 	gate := tNow
-	if floor := int64(k) + 1 - s.cfg.bound(); floor > 0 {
+	if floor := controller.Floor(int64(k), s.cfg.bound()); floor > 0 {
 		for _, w := range s.workers {
 			if err := s.produceUpTo(w, floor); err != nil {
 				return roundOutcome{}, err
@@ -455,7 +456,7 @@ func (s *partialSim) nextRound() (roundOutcome, error) {
 			case e.ready > fire:
 				remain = append(remain, e)
 			case maxIter-e.iter >= s.cfg.bound() && maxIter != e.iter:
-				// overwritten by newer results
+				s.dropped++ // overwritten by newer results
 			default:
 				if minIter < 0 || e.iter < minIter {
 					minIter = e.iter
@@ -613,6 +614,11 @@ func runPartial(cfg Config, policy controller.Policy) (*Result, error) {
 	if s.slots > 0 {
 		res.NullContribRate = float64(s.nulls) / float64(s.slots)
 	}
+	var produced int64
+	for _, w := range s.workers {
+		produced += w.produced
+	}
+	res.DroppedRate = float64(s.dropped) / float64(produced)
 	if len(res.Curve) == 0 {
 		if _, err := sampleCurve(res, ev, s.params, s.now(), res.Iterations, 0); err != nil {
 			return nil, err

@@ -545,6 +545,10 @@ type Result struct {
 	// NullContribRate is the fraction of (worker, sync) slots filled by
 	// null gradients (RNA/eager only).
 	NullContribRate float64
+	// DroppedRate is the fraction of computed gradients the staleness bound
+	// overwrote before a synchronization took them (flat RNA runs; eager-SGD
+	// overwrites by design and reports 0).
+	DroppedRate float64
 	// CopyOverhead is the cumulated host↔device copy time (RNA only).
 	CopyOverhead time.Duration
 	// ReachedTarget reports whether TargetLoss terminated the run.

@@ -71,6 +71,31 @@ type TrainConfig = core.TrainConfig
 // TrainResult reports a real training worker's outcome.
 type TrainResult = core.Result
 
+// Participation summarizes who fed the synchronizations of one AllReduce
+// domain (all ranks of a flat run, or one group): the share of (rank,
+// synchronization) slots filled with a null gradient, the mean number of
+// contributors, the synchronizations nobody contributed to, the gradients the
+// staleness bound discarded, and the gradients taken by τ, the
+// synchronizations published since the parameters they were computed from.
+func Participation(results []*TrainResult) string {
+	var contributed, null, dropped int
+	var tau []int
+	for _, r := range results {
+		contributed += r.Contributed
+		null += r.NullContribs
+		dropped += r.StaleDropped
+		if tau == nil {
+			tau = make([]int, len(r.Staleness))
+		}
+		for i, c := range r.Staleness {
+			tau[i] += c
+		}
+	}
+	syncs := float64(contributed+null) / float64(len(results))
+	return fmt.Sprintf("null share %.2f, %.2f contributors per synchronization, %d of %.0f empty, %d gradients dropped, taken by τ %v",
+		float64(null)/float64(contributed+null), float64(contributed)/syncs, results[0].EmptySyncs, syncs, dropped, tau)
+}
+
 // Policy selects the controller's trigger rule for the real runtime.
 type Policy = controller.Policy
 
