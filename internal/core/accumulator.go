@@ -32,36 +32,47 @@ import (
 // buffer carries a gradient from Model.Gradient to the optimizer step: the
 // compute thread Leases a buffer, has the model write into it and Commits
 // it; the communication thread Takes the reduction (folded in place into the
-// oldest survivor), reduces it across ranks in place, steps the optimizer
-// from it and Recycles it. Every leased buffer is dim long with capacity
-// ≥ dim+1: the spare element is the contributor-flag slot of the partial
-// AllReduce (collective.PartialAllReduceInPlace), so the taken buffer can be
-// resliced to dim+1 and reduced without a copy. A buffer that is never
+// oldest surviving slot), reduces it across ranks in place, steps the
+// optimizer from it and Recycles it. Every leased buffer is dim long with
+// capacity ≥ dim+1: the spare element is the contributor-flag slot of the
+// partial AllReduce (collective.PartialAllReduceInPlace), so the taken buffer
+// can be resliced to dim+1 and reduced without a copy. A buffer that is never
 // recycled is simply garbage-collected.
 type Accumulator struct {
-	mu      sync.Mutex
-	dim     int
-	bound   int64
-	grads   []tensor.Vector // committed buffers in commit order, oldest first
-	iters   []int64         // their stamps: local steps for Put, versions+1 in rnaLoop
+	mu    sync.Mutex
+	dim   int
+	bound int64
+	// pending is what Commit left since the last Take, oldest first: a
+	// gradient's weight depends on its stamp alone (local steps for Put,
+	// versions+1 in rnaLoop), so a run of equal stamps shares one slot.
+	pending []slot
 	dropped int64
 	// lastTake is the last synchronization that drained the buffer (−1: none),
 	// taken counts the gradients Take handed on by their gap to it.
 	lastTake int64
 	taken    []int
 
-	// free holds recycled buffers for future Leases, at most maxFree of
-	// them: the steady state needs one per gradient the bounded-staleness
-	// window lets compute run ahead plus one on each thread, and two more
-	// ride out a compute thread that was descheduled for a few
-	// synchronizations and catches up in one go (it copies nothing and takes
-	// no lock any more, so it does; the buffers exist by then, and dropping
-	// them only to allocate them again at the next catch-up fed the collector
-	// that caused the next stall). A burst beyond that goes to the GC instead
-	// of pinning memory for the run.
-	free    []tensor.Vector
-	maxFree int
+	// free holds recycled buffers for future Leases, at most maxFree;
+	// allocated counts the Leases that found it empty.
+	free      []tensor.Vector
+	allocated int
 }
+
+// slot is one buffer: the sum of n gradients committed in a row under stamp.
+type slot struct {
+	sum   tensor.Vector
+	stamp int64
+	n     int
+}
+
+// maxFree bounds the free list, and is every buffer rnaLoop ever has in use,
+// whatever the staleness bound. Its stamps never decrease and one publish
+// falls between two Takes, so at most three are pending: that of the gradient
+// in flight at the last Take, that Take's synchronization and, once it is
+// published, the next. The communication thread recycles its buffer before
+// it publishes: two pending and one in each thread's hands, or three and the
+// compute thread's. A burst beyond that goes to the GC.
+const maxFree = 4
 
 // NewAccumulator returns an accumulator for dim-sized gradients that keeps
 // at most `bound` iterations of staleness (older entries are overwritten,
@@ -71,9 +82,9 @@ func NewAccumulator(dim int, bound int) (*Accumulator, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("core: accumulator dim %d", dim)
 	}
-	a := &Accumulator{dim: dim, bound: 1<<62 - 1, maxFree: 2, lastTake: -1}
+	a := &Accumulator{dim: dim, bound: 1<<62 - 1, lastTake: -1}
 	if bound >= 1 {
-		a.bound, a.maxFree = int64(bound), bound+4
+		a.bound = int64(bound)
 	}
 	a.taken = make([]int, max(bound, 1))
 	return a, nil
@@ -90,8 +101,16 @@ func (a *Accumulator) Lease() tensor.Vector {
 		a.mu.Unlock()
 		return g
 	}
+	a.allocated++
 	a.mu.Unlock()
 	return make(tensor.Vector, a.dim, a.dim+1)
+}
+
+// Buffers returns how many gradient buffers Lease has allocated.
+func (a *Accumulator) Buffers() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.allocated
 }
 
 // leased reports whether g has the shape of a buffer Lease hands out.
@@ -101,21 +120,28 @@ func (a *Accumulator) leased(g tensor.Vector) bool {
 
 // Commit buffers the leased gradient g under stamp: the synchronization whose
 // parameters-to-be it was computed for, one past the version it read. The
-// compute step is not kept. The accumulator owns g from here on; the caller
-// must not touch it again. tag is the first synchronization that can still
-// take g, read under the lock that orders Commit against Take: announcing it
-// says "this rank holds a gradient no synchronization has taken".
+// compute step is not kept. Under the newest pending stamp g is added into
+// that slot and goes straight back to the free list; otherwise it opens a
+// slot. The accumulator owns g from here on; the caller must not touch it
+// again. tag is the first synchronization that can still take g, read under
+// the lock that orders Commit against Take: announcing it says "this rank
+// holds a gradient no synchronization has taken".
 func (a *Accumulator) Commit(_, stamp int64, g tensor.Vector) (tag int64, err error) {
 	if !a.leased(g) {
 		return 0, fmt.Errorf("core: commit of a %d/%d-element buffer, want a leased %d: %w",
 			len(g), cap(g), a.dim, tensor.ErrShapeMismatch)
 	}
 	a.mu.Lock()
-	a.grads = append(a.grads, g)
-	a.iters = append(a.iters, stamp)
-	tag = a.lastTake + 1
-	a.mu.Unlock()
-	return tag, nil
+	defer a.mu.Unlock()
+	if n := len(a.pending); n > 0 && a.pending[n-1].stamp == stamp {
+		s := &a.pending[n-1]
+		_ = s.sum.Add(g) // equal lengths: both are leased
+		s.n++
+		a.release(g)
+	} else {
+		a.pending = append(a.pending, slot{sum: g, stamp: stamp, n: 1})
+	}
+	return a.lastTake + 1, nil
 }
 
 // Put buffers a copy of the gradient computed at iteration iter, so callers
@@ -144,7 +170,7 @@ func (a *Accumulator) Recycle(g tensor.Vector) {
 
 // release puts g on the free list if there is room; a.mu must be held.
 func (a *Accumulator) release(g tensor.Vector) {
-	if len(a.free) < a.maxFree {
+	if len(a.free) < maxFree {
 		a.free = append(a.free, g)
 	}
 }
@@ -153,7 +179,11 @@ func (a *Accumulator) release(g tensor.Vector) {
 func (a *Accumulator) Len() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.grads)
+	n := 0
+	for _, s := range a.pending {
+		n += s.n
+	}
+	return n
 }
 
 // Dropped returns how many gradients were discarded by the staleness bound.
@@ -177,80 +207,57 @@ func (a *Accumulator) Staleness() []int {
 // largest surviving gap, and the buffer is reset. ok is false when nothing
 // survives — the worker then contributes a null gradient.
 //
-// The reduction Σ (w_i/W)·g_i is folded in commit order into the oldest
-// survivor's own buffer — scaled by w₀/W, then += (w_i/W)·g_i — and that
-// leased buffer is returned; a single survivor (weight 1 of 1) is handed
-// over untouched. The caller owns the result and should Recycle it. The
-// other survivors go back to the free list. err is always nil.
+// A slot's m gradients share one weight, so the reduction is Σ (w_j/W)·sum_j
+// with W = Σ m_j·w_j, folded in commit order into the oldest surviving slot's
+// own buffer — scaled by w₀/W, then += (w_j/W)·sum_j — and that leased buffer
+// is returned; a single surviving gradient (weight 1 of 1) is handed over
+// untouched. The caller owns the result and should Recycle it. The other
+// slots go back to the free list. err is always nil.
 func (a *Accumulator) Take(current int64) (grad tensor.Vector, ok bool, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.lastTake = current
-	keep := 0
-	for i, it := range a.iters {
-		gap := current - it
+	keep, tau := 0, int64(0) // τ: the largest surviving gap
+	for _, s := range a.pending {
+		gap := current - s.stamp
 		if gap >= a.bound && gap > 0 {
-			a.dropped++
-			a.release(a.grads[i])
+			a.dropped += int64(s.n)
+			a.release(s.sum)
 			continue
 		}
-		a.taken[min(max(gap, 0), int64(len(a.taken)-1))]++
-		a.grads[keep], a.iters[keep] = a.grads[i], it
+		tau = max(tau, gap)
+		a.taken[min(max(gap, 0), int64(len(a.taken)-1))] += s.n
+		a.pending[keep] = s
 		keep++
 	}
 	if keep > 0 {
-		grad = a.fold(current, a.grads[:keep], a.iters[:keep])
+		grad = a.fold(current-tau-1, a.pending[:keep])
 	}
 	// Reset to null: after each AllReduce the inputs are overwritten so
 	// outdated gradients are never reused (Section 6). Every survivor now
 	// belongs to the caller or the free list.
-	clear(a.grads)
-	a.grads, a.iters = a.grads[:0], a.iters[:0]
+	clear(a.pending)
+	a.pending = a.pending[:0]
 	return grad, keep > 0, nil
 }
 
-// fold reduces the survivors into survivors[0] and releases the rest; a.mu
-// must be held.
-func (a *Accumulator) fold(current int64, survivors []tensor.Vector, iters []int64) tensor.Vector {
-	// τ = largest gap among survivors; weight of entry t is
-	// t − (current − τ) + 1 = t − base, so the oldest survivor weighs 1 and
-	// newer entries weigh linearly more.
-	var tau int64
-	for _, it := range iters {
-		if g := current - it; g > tau {
-			tau = g
-		}
-	}
-	base := current - tau - 1
+// fold reduces the survivors into survivors[0].sum and releases the rest;
+// a.mu must be held.
+func (a *Accumulator) fold(base int64, survivors []slot) tensor.Vector {
+	// The weight of stamp t is t − (current − τ) + 1 = t − base, so the oldest
+	// survivor weighs 1 and newer entries weigh linearly more.
 	var total float64
-	for _, it := range iters {
-		total += float64(it - base)
+	for _, s := range survivors {
+		total += float64(s.n) * float64(s.stamp-base)
 	}
 	out := survivors[0]
-	if len(survivors) == 1 {
-		return out
+	if len(survivors) == 1 && out.n == 1 {
+		return out.sum
 	}
-	out.Scale(float64(iters[0]-base) / total)
-	for i, g := range survivors[1:] {
-		_ = out.AddScaled(float64(iters[i+1]-base)/total, g) // equal lengths: Commit checked
-		a.release(g)
+	out.sum.Scale(float64(out.stamp-base) / total)
+	for _, s := range survivors[1:] {
+		_ = out.sum.AddScaled(float64(s.stamp-base)/total, s.sum) // equal lengths: Commit checked
+		a.release(s.sum)
 	}
-	return out
-}
-
-// OldestIter returns the iteration of the oldest buffered gradient, and
-// false when empty.
-func (a *Accumulator) OldestIter() (int64, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.iters) == 0 {
-		return 0, false
-	}
-	min := a.iters[0]
-	for _, it := range a.iters[1:] {
-		if it < min {
-			min = it
-		}
-	}
-	return min, true
+	return out.sum
 }

@@ -24,9 +24,6 @@ func TestAccumulatorEmptyTake(t *testing.T) {
 	if ok || g != nil {
 		t.Errorf("empty Take = (%v,%v)", g, ok)
 	}
-	if _, found := a.OldestIter(); found {
-		t.Error("OldestIter on empty should report false")
-	}
 }
 
 func TestAccumulatorSingleGradientIdentity(t *testing.T) {
@@ -217,25 +214,6 @@ func TestAccumulatorCurrentIterationNotDropped(t *testing.T) {
 	}
 }
 
-func TestAccumulatorOldestIter(t *testing.T) {
-	a, err := NewAccumulator(1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range []int64{5, 3, 8} {
-		if err := a.Put(it, tensor.FromSlice([]float64{1})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oldest, found := a.OldestIter()
-	if !found || oldest != 3 {
-		t.Errorf("OldestIter = (%d,%v), want (3,true)", oldest, found)
-	}
-	if a.Len() != 3 {
-		t.Errorf("Len = %d", a.Len())
-	}
-}
-
 func TestAccumulatorErrors(t *testing.T) {
 	if _, err := NewAccumulator(0, 1); err == nil {
 		t.Error("dim 0 should error")
@@ -296,44 +274,77 @@ func absf(x float64) float64 {
 	return x
 }
 
-// referenceTake is the copying reduction Take performed before buffers were
-// leased: filter by the staleness bound, weight by t − (current − τ) + 1,
-// and fold with tensor.WeightedMean into a fresh vector. It is the oracle
-// the in-place fold must match bit for bit.
-func referenceTake(grads []tensor.Vector, iters []int64, current, bound int64) (tensor.Vector, int, error) {
-	var keepG []tensor.Vector
-	var keepI []int64
+// referenceTake is the copying reduction, the oracle the in-place fold must
+// match bit for bit: sum gradients committed in a row under one stamp into a
+// slot (in commit order; equal stamps that are not adjacent stay apart, as in
+// Commit), filter the slots by the staleness bound, weight by
+// t − (current − τ) + 1, and fold Σ (w_j/W)·sum_j in slot order into a fresh
+// vector, with W = Σ m_j·w_j over the m_j gradients of each slot. dropped
+// counts gradients. When every slot holds one gradient, perGradient is
+// tensor.WeightedMean over them (nil otherwise): what Take computed while
+// each gradient kept its own buffer, and what it must still compute there.
+func referenceTake(grads []tensor.Vector, iters []int64, current, bound int64) (out, perGradient tensor.Vector, dropped int, err error) {
+	var sums []tensor.Vector
+	var stamps []int64
+	var counts []float64
 	for i, it := range iters {
-		if current-it >= bound && current-it > 0 {
+		if n := len(stamps); n > 0 && stamps[n-1] == it {
+			if err := sums[n-1].Add(grads[i]); err != nil {
+				return nil, nil, 0, err
+			}
+			counts[n-1]++
 			continue
 		}
-		keepG, keepI = append(keepG, grads[i]), append(keepI, it)
+		sums, stamps, counts = append(sums, grads[i].Clone()), append(stamps, it), append(counts, 1)
 	}
-	if len(keepG) == 0 {
-		return nil, len(iters), nil
+	keep := 0
+	for i, it := range stamps {
+		if current-it >= bound && current-it > 0 {
+			dropped += int(counts[i])
+			continue
+		}
+		sums[keep], stamps[keep], counts[keep] = sums[i], it, counts[i]
+		keep++
+	}
+	sums, stamps, counts = sums[:keep], stamps[:keep], counts[:keep]
+	if keep == 0 {
+		return nil, nil, dropped, nil
 	}
 	var tau int64
-	for _, it := range keepI {
+	for _, it := range stamps {
 		if g := current - it; g > tau {
 			tau = g
 		}
 	}
-	weights := make([]float64, len(keepI))
-	for i, it := range keepI {
+	weights := make([]float64, keep)
+	var total float64
+	for i, it := range stamps {
 		weights[i] = float64(it - (current - tau) + 1)
+		total += counts[i] * weights[i]
 	}
-	out, err := tensor.WeightedMean(keepG, weights)
-	return out, len(iters) - len(keepG), err
+	out = tensor.New(len(sums[0]))
+	for i, sum := range sums {
+		if err := out.AddScaled(weights[i]/total, sum); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if len(grads)-dropped == keep {
+		perGradient, err = tensor.WeightedMean(sums, weights)
+	}
+	return out, perGradient, dropped, err
 }
 
 // TestAccumulatorTakeMatchesWeightedMeanBits drives seeded (iters, current,
-// bound) patterns — in order, out of order, with and without drops, up to
-// everything dropped — through Lease/Commit/Take/Recycle on one long-lived
-// accumulator per bound, and requires Take to equal the copying reference
-// bitwise, on a leased buffer that still carries the flag slot.
+// bound) patterns — in order, out of order, repeated stamps adjacent (one
+// slot) and apart (separate slots), with and without drops, up to everything
+// dropped — through Lease/Commit/Take/Recycle on one long-lived accumulator
+// per bound, and requires Take to equal the copying reference bitwise, on a
+// leased buffer that still carries the flag slot. Where every stamp is
+// distinct the arithmetic is the per-gradient fold's, bit for bit.
 func TestAccumulatorTakeMatchesWeightedMeanBits(t *testing.T) {
 	const dim = 37 // odd: exercises the kernels' unroll tails
 	src := rand.New(rand.NewSource(12))
+	var mergedRounds, plainRounds int
 	for _, bound := range []int{0, 1, 2, 3, 8} {
 		a, err := NewAccumulator(dim, bound)
 		if err != nil {
@@ -366,7 +377,10 @@ func TestAccumulatorTakeMatchesWeightedMeanBits(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want, dropped, err := referenceTake(grads, iters, current, refBound)
+			if a.Len() != count {
+				t.Fatalf("bound %d round %d: Len = %d after %d commits", bound, round, a.Len(), count)
+			}
+			want, perGradient, dropped, err := referenceTake(grads, iters, current, refBound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,10 +401,19 @@ func TestAccumulatorTakeMatchesWeightedMeanBits(t *testing.T) {
 			if len(got) != dim || cap(got) < dim+1 {
 				t.Fatalf("Take: len %d cap %d, want %d and ≥ %d", len(got), cap(got), dim, dim+1)
 			}
+			if perGradient != nil {
+				plainRounds++
+			} else {
+				mergedRounds++
+			}
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 					t.Fatalf("bound %d round %d iters %v current %d elem %d: got %v, want %v",
 						bound, round, iters, current, j, got[j], want[j])
+				}
+				if perGradient != nil && math.Float64bits(got[j]) != math.Float64bits(perGradient[j]) {
+					t.Fatalf("bound %d round %d iters %v (all slots single) current %d elem %d: got %v, per-gradient fold %v",
+						bound, round, iters, current, j, got[j], perGradient[j])
 				}
 			}
 			a.Recycle(got)
@@ -399,11 +422,14 @@ func TestAccumulatorTakeMatchesWeightedMeanBits(t *testing.T) {
 			t.Errorf("bound %d: Dropped = %d, want %d", bound, a.Dropped(), wantDropped)
 		}
 	}
+	if mergedRounds < 50 || plainRounds < 50 {
+		t.Errorf("%d rounds with a shared slot, %d without: the patterns no longer cover both", mergedRounds, plainRounds)
+	}
 }
 
 // TestAccumulatorBufferOwnership: only leased-shape buffers enter the free
-// list, which never grows past bound+4, and a committed buffer of the wrong
-// shape is refused.
+// list, which never grows past maxFree whatever the bound is, and a committed
+// buffer of the wrong shape is refused.
 func TestAccumulatorBufferOwnership(t *testing.T) {
 	const dim, bound = 4, 3
 	a, err := NewAccumulator(dim, bound)
@@ -429,8 +455,9 @@ func TestAccumulatorBufferOwnership(t *testing.T) {
 		t.Errorf("Commit of a short vector: %v", err)
 	}
 
-	// A burst far beyond the staleness window is committed and dropped
-	// wholesale; the free list keeps bound+4 of its buffers.
+	// A burst of distinct stamps far beyond the staleness window is committed
+	// and dropped wholesale; the free list keeps maxFree of its buffers.
+	before := a.Buffers()
 	for k := int64(0); k < 40; k++ {
 		if _, err := a.Commit(k, k, a.Lease()); err != nil {
 			t.Fatal(err)
@@ -439,14 +466,17 @@ func TestAccumulatorBufferOwnership(t *testing.T) {
 	if _, ok, _ := a.Take(1000); ok {
 		t.Fatal("stale burst survived")
 	}
-	if n := freeLen(); n != bound+4 {
-		t.Errorf("free list holds %d buffers after a burst, want %d", n, bound+4)
+	if n := freeLen(); n != maxFree {
+		t.Errorf("free list holds %d buffers after a burst, want %d", n, maxFree)
+	}
+	if n := a.Buffers() - before; n != 40 || a.Dropped() != 40 {
+		t.Errorf("%d buffers allocated, %d gradients dropped by 40 leases on an empty free list; want 40 and 40", n, a.Dropped())
 	}
 	for i := 0; i < 10; i++ {
 		a.Recycle(make(tensor.Vector, dim, dim+1))
 	}
-	if n := freeLen(); n != bound+4 {
-		t.Errorf("free list holds %d buffers after extra recycles, want %d", n, bound+4)
+	if n := freeLen(); n != maxFree {
+		t.Errorf("free list holds %d buffers after extra recycles, want %d", n, maxFree)
 	}
 	// A recycled buffer is what the next Lease hands out.
 	g := a.Lease()
@@ -454,6 +484,61 @@ func TestAccumulatorBufferOwnership(t *testing.T) {
 	a.Recycle(g)
 	if h := a.Lease(); &h[0] != &g[0] {
 		t.Error("Lease did not reuse the recycled buffer")
+	}
+}
+
+// TestAccumulatorSameVersionSharesBuffer: η gradients committed under one
+// stamp — what a compute thread running η steps ahead of synchronization 0
+// produces — occupy one pending slot and one buffer, are counted one by one,
+// and come out as their plain mean.
+func TestAccumulatorSameVersionSharesBuffer(t *testing.T) {
+	const dim, eta = 5, 8
+	a, err := NewAccumulator(dim, eta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(step, stamp int64, v float64) {
+		t.Helper()
+		g := a.Lease()
+		g.Fill(v)
+		if _, err := a.Commit(step, stamp, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < eta; i++ {
+		commit(i, 0, float64(i+1))
+	}
+	if len(a.pending) != 1 || a.Len() != eta {
+		t.Errorf("%d pending slots holding %d gradients, want 1 and %d", len(a.pending), a.Len(), eta)
+	}
+	if a.Buffers() > 2 {
+		t.Errorf("%d buffers allocated for %d gradients of one version, want ≤ 2", a.Buffers(), eta)
+	}
+	got, ok, err := a.Take(0)
+	if err != nil || !ok {
+		t.Fatalf("Take = (%v, %v)", ok, err)
+	}
+	want := tensor.New(dim)
+	want.Fill((1 + 2 + 3 + 4 + 5 + 6 + 7 + 8) / 8.0)
+	if !got.Equal(want, 0) {
+		t.Errorf("Take = %v, want the plain mean %v", got, want)
+	}
+	a.Recycle(got)
+	if got, want := a.Staleness()[0], eta; got != want {
+		t.Errorf("Staleness[0] = %d gradients, want %d", got, want)
+	}
+
+	// Dropped counts gradients too: three of one stale version, one fresh.
+	for i := int64(0); i < 3; i++ {
+		commit(eta+i, 1, 100)
+	}
+	commit(eta+3, eta+1, 7)
+	got, ok, _ = a.Take(eta + 1) // τ = η for stamp 1
+	if !ok || got[0] != 7 {
+		t.Errorf("Take = %v, %v; want the fresh gradient alone", got, ok)
+	}
+	if a.Dropped() != 3 || a.Buffers() > 2 {
+		t.Errorf("Dropped = %d, Buffers = %d; want 3 gradients and ≤ 2 buffers", a.Dropped(), a.Buffers())
 	}
 }
 

@@ -172,3 +172,31 @@ func TestBSPWorkerSteadyStateAllocs(t *testing.T) {
 		t.Errorf("%.0f bytes allocated per rank per sync, want < dim = %d", perSync, allocGateDim)
 	}
 }
+
+// TestRNAGradBuffersIndependentOfBound: however far the staleness bound lets
+// compute run ahead, a rank's gradient source allocates at most maxFree
+// buffers for the whole run, because gradients of one parameter version share
+// one. With a buffer per gradient the count grew with η (2–3 at η = 2, 6–9 at
+// 8, 23–33 at 32).
+func TestRNAGradBuffersIndependentOfBound(t *testing.T) {
+	const n, iters = 4, 64
+	for _, eta := range []int{2, 8, 32} {
+		cfg := allocGateConfig(t, iters)
+		cfg.StalenessBound = eta
+		ctrl, err := controller.New(controller.PowerOfChoices, n, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
+			return RunRNAWorker(m, ctrl, cfg)
+		})
+		buffers := make([]int, n)
+		for r, res := range results {
+			buffers[r] = res.GradBuffers
+			if res.GradBuffers < 1 || res.GradBuffers > maxFree {
+				t.Errorf("η = %d rank %d: %d gradient buffers allocated, want 1 to %d", eta, r, res.GradBuffers, maxFree)
+			}
+		}
+		t.Logf("η = %d: gradient buffers per rank %v", eta, buffers)
+	}
+}

@@ -14,7 +14,7 @@ import (
 // re-contribution.
 type eagerMailbox struct {
 	// bufs lends the buffers (Lease/Recycle: right shape, bounded free
-	// list); its own gradient list stays empty.
+	// list); its own pending list stays empty.
 	bufs *Accumulator
 
 	mu    sync.Mutex
@@ -24,6 +24,7 @@ type eagerMailbox struct {
 
 func (b *eagerMailbox) Lease() tensor.Vector    { return b.bufs.Lease() }
 func (b *eagerMailbox) Recycle(g tensor.Vector) { b.bufs.Recycle(g) }
+func (b *eagerMailbox) Buffers() int            { return b.bufs.Buffers() }
 
 // Dropped is always zero and Staleness empty: the mailbox overwrites, it has
 // no staleness bound.
@@ -71,7 +72,7 @@ func RunEagerWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainC
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	bufs, err := NewAccumulator(cfg.Model.Dim(), 2)
+	bufs, err := NewAccumulator(cfg.Model.Dim(), 0)
 	if err != nil {
 		return nil, err
 	}

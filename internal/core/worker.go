@@ -162,6 +162,10 @@ type Result struct {
 	// eager-SGD).
 	EmptySyncs int
 	Staleness  []int
+	// GradBuffers counts the gradient-sized buffers this rank's gradient
+	// source ever allocated (Lease calls that found the free list empty): at
+	// most four under RNA and eager-SGD whatever StalenessBound is, 0 for BSP.
+	GradBuffers int
 	// Elapsed is the worker's wall-clock training time.
 	Elapsed time.Duration
 	// MaxInFlight is the peak number of concurrently in-flight bucket
@@ -430,9 +434,10 @@ type gradSource interface {
 	Take(current int64) (g tensor.Vector, ok bool, err error)
 	Recycle(g tensor.Vector)
 	// Dropped counts gradients discarded by the staleness bound, Staleness
-	// the ones taken, by τ.
+	// the ones taken, by τ, Buffers the buffers Lease had to allocate.
 	Dropped() int64
 	Staleness() []int
+	Buffers() int
 }
 
 // errStopped is what a thread of rnaLoop returns when it stops because the
@@ -558,6 +563,6 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 	if vs.err != nil {
 		return nil, vs.err
 	}
-	res.StaleDropped, res.Staleness = int(src.Dropped()), src.Staleness()
+	res.StaleDropped, res.Staleness, res.GradBuffers = int(src.Dropped()), src.Staleness(), src.Buffers()
 	return st.finish(res, vs.latest(), start), nil
 }

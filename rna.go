@@ -75,15 +75,17 @@ type TrainResult = core.Result
 // domain (all ranks of a flat run, or one group): the share of (rank,
 // synchronization) slots filled with a null gradient, the mean number of
 // contributors, the synchronizations nobody contributed to, the gradients the
-// staleness bound discarded, and the gradients taken by τ, the
-// synchronizations published since the parameters they were computed from.
+// staleness bound discarded, the gradients taken by τ, the synchronizations
+// published since the parameters they were computed from, and the most
+// gradient buffers one rank allocated.
 func Participation(results []*TrainResult) string {
-	var contributed, null, dropped int
+	var contributed, null, dropped, buffers int
 	var tau []int
 	for _, r := range results {
 		contributed += r.Contributed
 		null += r.NullContribs
 		dropped += r.StaleDropped
+		buffers = max(buffers, r.GradBuffers)
 		if tau == nil {
 			tau = make([]int, len(r.Staleness))
 		}
@@ -92,8 +94,8 @@ func Participation(results []*TrainResult) string {
 		}
 	}
 	syncs := float64(contributed+null) / float64(len(results))
-	return fmt.Sprintf("null share %.2f, %.2f contributors per synchronization, %d of %.0f empty, %d gradients dropped, taken by τ %v",
-		float64(null)/float64(contributed+null), float64(contributed)/syncs, results[0].EmptySyncs, syncs, dropped, tau)
+	return fmt.Sprintf("null share %.2f, %.2f contributors per synchronization, %d of %.0f empty, %d gradients dropped, taken by τ %v, ≤ %d gradient buffers per rank",
+		float64(null)/float64(contributed+null), float64(contributed)/syncs, results[0].EmptySyncs, syncs, dropped, tau, buffers)
 }
 
 // Policy selects the controller's trigger rule for the real runtime.
