@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race purego cross results-check loc alloc-gate bench bench-smoke hetero-ratio rss-ratio fuzz-smoke microbench calibrate collective-bench train-bench check
+.PHONY: all vet build test race purego cross results-check loc alloc-gate bench bench-smoke hetero-ratio rss-ratio fuzz-smoke microbench profile-gradient calibrate collective-bench train-bench check
 
 all: vet build test
 
@@ -52,8 +52,9 @@ loc:
 # skip under -race (its instrumentation allocates), so `check` alone would
 # never run them. They hold the RNA data path to zero gradient-sized
 # allocations per step (accumulator lease cycle, in-place partial AllReduce,
-# parameter-server exchange into a persistent buffer, and the two end-to-end
-# worker gates).
+# parameter-server exchange into a persistent buffer, the two end-to-end
+# worker gates, and the owner-computes ring pair over 4-rank TCP, whose
+# chunks land in the caller's vector).
 alloc-gate:
 	$(GO) test -count=1 -run 'Alloc' ./internal/core ./internal/collective ./internal/ps
 
@@ -109,9 +110,14 @@ rss-ratio:
 # holds the AVX2 bodies to the bits of the Go loops over random lengths,
 # misalignments and values; the controller target holds the trigger rule
 # (probed tag, bounded-delay floor, drain) over random interleavings of
-# Ready, Await, Probes and Forget under every policy.
+# Ready, Await, Probes and Forget under every policy. FuzzRecvInto holds a
+# frame landed off the socket (copy or add, with or without a tail) to the
+# bits of the pooled decode it replaces; its minimization budget is short
+# because its corpus holds multi-KB frames, whose minimization would eat the
+# whole smoke budget.
 fuzz-smoke:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 20s
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzRecvInto -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadHello -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzKernelsMatchGeneric -fuzztime 10s
 	$(GO) test ./internal/controller/ -run '^$$' -fuzz FuzzControllerTrigger -fuzztime 10s
@@ -123,6 +129,15 @@ microbench:
 	$(GO) test -run xxx -bench BenchmarkTensorKernels -benchmem ./internal/tensor/
 	$(GO) test -run xxx -bench BenchmarkModel -benchmem ./internal/model/
 	$(GO) test -run xxx -bench BenchmarkTrainsim -benchmem ./internal/trainsim/
+
+# profile-gradient profiles the MLP gradient micro-benchmarks (the dense
+# workloads' backprop, one CPU) into the git-ignored $(PROFILE_DIR); read it
+# with `go tool pprof -top $(PROFILE_DIR)/model.test $(PROFILE_DIR)/gradient.prof`.
+PROFILE_DIR ?= .profile
+profile-gradient:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench BenchmarkModelGradientMLP -cpu 1 -o $(PROFILE_DIR)/model.test \
+		-outputdir $(PROFILE_DIR) -cpuprofile gradient.prof ./internal/model
 
 # collective-bench regenerates the machine-readable BENCH_collective.json
 # (per-algorithm sweep + crossover table). Run `make calibrate` first to

@@ -11,6 +11,7 @@ package collective
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -123,18 +124,8 @@ func broadcast(m transport.Mesh, iter int64, v tensor.Vector, root int, wire ten
 		// The parent of vrank is vrank with its highest set bit cleared.
 		parent := vrank &^ highestBit(vrank)
 		src := mod(parent+root, n)
-		msg, err := m.Recv(src)
-		if err != nil {
-			return fmt.Errorf("broadcast recv: %w", err)
-		}
-		if err := checkMsg("broadcast", msg, transport.MsgBroadcast, iter, 0); err != nil {
-			transport.PutPayload(msg.Payload)
+		if _, err := land(m, src, "broadcast", transport.Landing{Type: transport.MsgBroadcast, Iter: iter, Dst: v}); err != nil {
 			return err
-		}
-		err = v.CopyFrom(msg.Payload)
-		transport.PutPayload(msg.Payload)
-		if err != nil {
-			return fmt.Errorf("broadcast copy: %w", err)
 		}
 	}
 
@@ -173,9 +164,5 @@ func highestBit(x int) int {
 	if x <= 0 {
 		return 0
 	}
-	b := 1
-	for b<<1 <= x {
-		b <<= 1
-	}
-	return b
+	return 1 << (bits.Len(uint(x)) - 1)
 }

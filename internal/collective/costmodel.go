@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"runtime"
 	"sync"
@@ -164,24 +165,12 @@ func (c CostModel) SelectWire(n, elems int, wire tensor.Dtype) Algorithm {
 	return AlgoRing
 }
 
-// log2 returns log2(p) for a power of two p ≥ 1.
-func log2(p int) int {
-	l := 0
-	for p > 1 {
-		p >>= 1
-		l++
-	}
-	return l
-}
+// log2 returns log2(p) for a power of two p ≥ 1 (⌊log2 p⌋ for any p ≥ 1,
+// 0 below).
+func log2(p int) int { return bits.Len(uint(max(p, 1))) - 1 }
 
-// ceilLog2 returns ⌈log2 n⌉ for n ≥ 1.
-func ceilLog2(n int) int {
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	return l
-}
+// ceilLog2 returns ⌈log2 n⌉ for n ≥ 1 (0 below).
+func ceilLog2(n int) int { return bits.Len(uint(max(n, 1) - 1)) }
 
 // The active model drives AllReduce's auto selection. It is process-global:
 // one training job runs one fabric.

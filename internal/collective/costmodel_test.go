@@ -239,3 +239,44 @@ func TestCalibrationFingerprint(t *testing.T) {
 		t.Error("stale calibration accepted after round trip")
 	}
 }
+
+// TestBitHelpersMatchLoops holds the math/bits forms of log2, ceilLog2 and
+// highestBit to the hand loops they replaced, over 0–4 096.
+func TestBitHelpersMatchLoops(t *testing.T) {
+	log2Loop := func(p int) int {
+		l := 0
+		for p > 1 {
+			p >>= 1
+			l++
+		}
+		return l
+	}
+	ceilLog2Loop := func(n int) int {
+		l := 0
+		for (1 << l) < n {
+			l++
+		}
+		return l
+	}
+	highestBitLoop := func(x int) int {
+		if x <= 0 {
+			return 0
+		}
+		b := 1
+		for b<<1 <= x {
+			b <<= 1
+		}
+		return b
+	}
+	for x := 0; x <= 4096; x++ {
+		if got, want := log2(x), log2Loop(x); got != want {
+			t.Errorf("log2(%d) = %d, loop %d", x, got, want)
+		}
+		if got, want := ceilLog2(x), ceilLog2Loop(x); got != want {
+			t.Errorf("ceilLog2(%d) = %d, loop %d", x, got, want)
+		}
+		if got, want := highestBit(x), highestBitLoop(x); got != want {
+			t.Errorf("highestBit(%d) = %d, loop %d", x, got, want)
+		}
+	}
+}

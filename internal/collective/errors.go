@@ -56,3 +56,29 @@ func checkMsg(op string, msg transport.Message, wantType transport.MsgType, want
 		WantType: wantType, GotType: msg.Type,
 	}
 }
+
+// land receives the frame l names from rank `from` into l.Dst
+// (transport.RecvInto: off the socket when the mesh can, else through a
+// pooled payload) and returns its tail element. A frame that is not the one
+// expected leaves l.Dst untouched and becomes a *ProtocolError for a header
+// field, ErrProtocol for a length.
+func land(m transport.Mesh, from int, op string, l transport.Landing) (float64, error) {
+	msg, err := transport.RecvInto(m, from, l)
+	if err == nil {
+		return msg.Tail, nil
+	}
+	if !errors.Is(err, transport.ErrUnexpectedFrame) {
+		return 0, fmt.Errorf("%s recv: %w", op, err)
+	}
+	got, sparse := len(msg.Payload), msg.Indices != nil
+	transport.PutPayload(msg.Payload)
+	transport.PutIndices(msg.Indices)
+	if err := checkMsg(op, msg, l.Type, l.Iter, l.Chunk); err != nil {
+		return 0, err
+	}
+	want := len(l.Dst)
+	if l.HasTail {
+		want++
+	}
+	return 0, fmt.Errorf("%w: %s frame of %d elems (sparse: %t), want %d dense", ErrProtocol, op, got, sparse, want)
+}

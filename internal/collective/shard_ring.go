@@ -12,15 +12,19 @@ import (
 //
 // The direct exchange in shard.go handles arbitrary ownership tables in one
 // send round, but it copies every one of the n−1 spans at both ends and folds
-// with strided modular indexing. The ring forwards one rotating buffer per
-// chunk instead — each hop is a single vectorized Add (scatter) or copy
-// (gather) and the forward is an ownership-transfer send with no copy — so the
-// pair ships exactly the fused ring's 2(n−1) chunks per rank, one frame each.
+// with strided modular indexing. On the ring each hop lands the received
+// chunk in v — folded in (scatter) or copied (gather) by transport.RecvInto,
+// straight off the socket where the mesh can — and the next hop sends that
+// span of v with a plain Send: the TCP mesh aliases it in the writev and has
+// flushed it when Send returns, the in-memory mesh copies. No buffer rotates
+// and nothing is staged, and the pair ships exactly the fused ring's 2(n−1)
+// chunks per rank, one frame each.
 //
 // The owner is where the ring completes the chunk. Chunk c starts at rank c
-// and travels c, c+1, …, c−1, each hop folding payload += v-segment (bitwise
-// equal to v + payload), so it completes at rank c−1: rank r owns uniform
-// chunk (r+1) mod n (RingOwned), the chunk the fused ring also completes at r.
+// and travels c, c+1, …, c−1, each hop adding the partial sum it receives
+// into its own segment of v (v + payload has the bits of payload + v), so it
+// completes at rank c−1: rank r owns uniform chunk (r+1) mod n (RingOwned),
+// the chunk the fused ring also completes at r.
 // That fold order — every element left-associatively from its uniform chunk
 // index around the ring — is the fused ring's and the direct exchange's, and
 // it is the whole bit-identity argument: which rank holds the completed sum
@@ -42,8 +46,9 @@ func RingOwned(total, n, rank int) (lo, hi int) {
 
 // RingReduceScatter reduces v across all ranks of m on the ring and leaves
 // rank r holding the fully reduced (and, for OpAverage, scaled) span
-// RingOwned(len(v), n, r); the rest of v keeps this rank's local values. It
-// ships exact fp64 and, followed by RingAllGather, is bit-identical to
+// RingOwned(len(v), n, r). Only that span is defined afterwards: the rest of
+// v holds partial sums the chunks picked up on their way through this rank.
+// It ships exact fp64 and, followed by RingAllGather, is bit-identical to
 // RingAllReduce.
 func RingReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp) error {
 	if op != OpSum && op != OpAverage {
@@ -53,7 +58,7 @@ func RingReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceO
 	if n == 1 {
 		return nil
 	}
-	if _, err := ringScatter(m, iter, v, 0, 0); err != nil {
+	if _, err := ringScatter(m, iter, v, false, 0); err != nil {
 		return err
 	}
 	if op == OpAverage {
@@ -71,13 +76,14 @@ func RingReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceO
 // the fold start it has in the replicated partial collective and finishes
 // with the same bits. A rank with contributes=false joins with a null gradient
 // (work is zeroed). The owned span RingOwned(len(work), n, r) holds the
-// UNSCALED sum over contributors; the caller divides by the returned count,
-// identical on every rank.
+// UNSCALED sum over contributors, and only it is defined afterwards; the
+// caller divides by the returned count, identical on every rank.
 //
 // Every owner needs the count before it steps and only the last chunk holds
-// the flag slot, so each scatter message carries, as one trailing element,
-// the count of contributors among the ranks it has visited: a chunk visits
-// all n on its way to its owner, and no extra round is needed.
+// the flag slot, so each scatter message carries, as its one-element tail
+// (transport.Message.Tail), the count of contributors among the ranks it has
+// visited: a chunk visits all n on its way to its owner, and no extra round
+// is needed.
 func PartialRingReduceScatter(m transport.Mesh, iter int64, work tensor.Vector, contributes bool) (int, error) {
 	dim := len(work) - 1
 	if dim < 0 {
@@ -93,15 +99,16 @@ func PartialRingReduceScatter(m transport.Mesh, iter int64, work tensor.Vector, 
 	if n == 1 {
 		return int(flag), nil
 	}
-	count, err := ringScatter(m, iter, work, 1, flag)
+	count, err := ringScatter(m, iter, work, true, flag)
 	return decodeCount(count, n), err
 }
 
 // ringScatter runs the scatter-reduce half of the ring over the uniform
-// chunks of v: n−1 hops, the last of which completes chunk rank+1 in v. Every
-// message carries `trail` (0 or 1) elements after the chunk: the sum of flag
-// over the ranks the chunk has visited, whose total is returned.
-func ringScatter(m transport.Mesh, iter int64, v tensor.Vector, trail int, flag float64) (float64, error) {
+// chunks of v: n−1 hops, each folding the received chunk into v, the last of
+// which completes chunk rank+1. With trail, every message carries one tail
+// element: the sum of flag over the ranks the chunk has visited, whose total
+// is returned.
+func ringScatter(m transport.Mesh, iter int64, v tensor.Vector, trail bool, flag float64) (float64, error) {
 	n := m.Size()
 	rank := m.Rank()
 	if err := checkSegTagSpace(n, 2); err != nil {
@@ -109,64 +116,38 @@ func ringScatter(m transport.Mesh, iter int64, v tensor.Vector, trail int, flag 
 	}
 	left := (rank + 1) % n
 	right := mod(rank-1, n)
-	// Step 0 sends this rank's own chunk, staged in the buffer that then
-	// rotates; every later step forwards the buffer the previous hop folded
-	// into — an ownership-transfer send, no copy.
-	cs, ce, _ := tensor.ChunkBounds(len(v), n, rank)
-	fwd := transport.GetPayload(ce - cs + trail)
-	copy(fwd, v[cs:ce])
-	if trail > 0 {
-		fwd[ce-cs] = flag
-	}
+	count := flag
 	for st := 0; st < n-1; st++ {
-		err := transport.SendOwned(m, left, transport.Message{
-			Type: transport.MsgChunk, Iter: iter, Chunk: skewScatterTag(mod(rank-st, n)), Payload: fwd,
+		// Step 0 sends this rank's own chunk; every later step sends the
+		// chunk the previous hop folded into v.
+		idx := mod(rank-st, n)
+		cs, ce, _ := tensor.ChunkBounds(len(v), n, idx)
+		err := m.Send(left, transport.Message{
+			Type: transport.MsgChunk, Iter: iter, Chunk: skewScatterTag(idx),
+			Payload: v[cs:ce], Tail: count, HasTail: trail,
 		})
 		if err != nil {
 			return 0, fmt.Errorf("reduce-scatter ring send: %w", err)
 		}
-		recvIdx := mod(rank-st-1, n)
+		recvIdx := mod(idx-1, n)
 		rs, re, _ := tensor.ChunkBounds(len(v), n, recvIdx)
-		in, err := m.Recv(right)
+		visited, err := land(m, right, "reduce-scatter", transport.Landing{
+			Type: transport.MsgChunk, Iter: iter, Chunk: skewScatterTag(recvIdx),
+			Dst: v[rs:re], HasTail: trail, Add: true,
+		})
 		if err != nil {
-			return 0, fmt.Errorf("reduce-scatter ring recv: %w", err)
-		}
-		fwd = in.Payload
-		if err := checkMsg("reduce-scatter", in, transport.MsgChunk, iter, skewScatterTag(recvIdx)); err != nil {
-			transport.PutPayload(fwd)
 			return 0, err
 		}
-		seg := v[rs:re]
-		if len(fwd) != len(seg)+trail {
-			transport.PutPayload(fwd)
-			return 0, fmt.Errorf("%w: reduce-scatter ring chunk %d elems, want %d", ErrProtocol, len(fwd), len(seg)+trail)
-		}
-		if trail > 0 {
-			fwd[len(seg)] += flag
-		}
-		if st < n-2 {
-			// Intermediate hop: fold v into the rotating buffer (payload + v
-			// is bitwise equal to v + payload).
-			_ = tensor.Vector(fwd[:len(seg)]).Add(seg) // lengths checked above
-		}
+		count = visited + flag
 	}
-	// Last hop: chunk rank+1 has visited every other rank and completes in v,
-	// as in the fused ring.
-	lo, hi := RingOwned(len(v), n, rank)
-	_ = v[lo:hi].Add(fwd[:hi-lo])
-	count := 0.0
-	if trail > 0 {
-		count = fwd[hi-lo]
-	}
-	transport.PutPayload(fwd)
 	return count, nil
 }
 
 // RingAllGather distributes each rank's owned span RingOwned(len(v), n, rank)
 // of v to every peer on the ring, so all ranks finish with identical vectors:
-// rank r injects its chunk at step 0 and every later hop copies the received
-// chunk into v and forwards the buffer onward with no copy. opts carries the
-// wire dtype and the owner's error-feedback residual, as for AllGather.
+// rank r sends its chunk at step 0, and every later hop lands the received
+// chunk in v and sends it on from there. opts carries the wire dtype and the
+// owner's error-feedback residual, as for AllGather.
 func RingAllGather(m transport.Mesh, iter int64, v tensor.Vector, opts Options) error {
 	if err := checkGatherOpts(opts, len(v)); err != nil {
 		return err
@@ -184,37 +165,24 @@ func RingAllGather(m transport.Mesh, iter int64, v tensor.Vector, opts Options) 
 	right := mod(rank-1, n)
 	lo, hi := RingOwned(len(v), n, rank)
 	quantizeOwned(wire, v[lo:hi], opts.Residual, lo)
-	var fwd []float64
 	for st := 0; st < n-1; st++ {
-		msg := transport.Message{Type: transport.MsgChunk, Iter: iter, Chunk: skewGatherTag(n, mod(rank+1-st, n)), Dtype: wire, Payload: fwd}
-		var err error
-		if st == 0 {
-			// Send copies, so v stays live.
-			msg.Payload = v[lo:hi]
-			err = m.Send(left, msg)
-		} else {
-			err = transport.SendOwned(m, left, msg)
-		}
+		// Step 0 sends the owned chunk; every later step sends the chunk that
+		// just landed, already on the wire's grid, so re-encoding it is exact.
+		idx := mod(rank+1-st, n)
+		cs, ce, _ := tensor.ChunkBounds(len(v), n, idx)
+		err := m.Send(left, transport.Message{
+			Type: transport.MsgChunk, Iter: iter, Chunk: skewGatherTag(n, idx), Dtype: wire, Payload: v[cs:ce],
+		})
 		if err != nil {
 			return fmt.Errorf("allgather ring send: %w", err)
 		}
-		recvIdx := mod(rank-st, n)
+		recvIdx := mod(idx-1, n)
 		rs, re, _ := tensor.ChunkBounds(len(v), n, recvIdx)
-		in, err := m.Recv(right)
-		if err != nil {
-			return fmt.Errorf("allgather ring recv: %w", err)
-		}
-		fwd = in.Payload
-		if err := checkMsg("allgather", in, transport.MsgChunk, iter, skewGatherTag(n, recvIdx)); err != nil {
-			transport.PutPayload(fwd)
+		if _, err := land(m, right, "allgather", transport.Landing{
+			Type: transport.MsgChunk, Iter: iter, Chunk: skewGatherTag(n, recvIdx), Dst: v[rs:re],
+		}); err != nil {
 			return err
 		}
-		if len(fwd) != re-rs {
-			transport.PutPayload(fwd)
-			return fmt.Errorf("%w: allgather ring chunk %d elems, want %d", ErrProtocol, len(fwd), re-rs)
-		}
-		copy(v[rs:re], fwd)
 	}
-	transport.PutPayload(fwd)
 	return nil
 }

@@ -2,9 +2,11 @@ package collective
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -12,8 +14,8 @@ import (
 // TestRingPairMatchesRingAllReduce: RingReduceScatter + RingAllGather is the
 // fused ring carved in two — same bits on every rank, both ops, over both
 // transports, at rank counts and lengths that leave ragged and empty chunks —
-// and after the scatter alone rank r holds the reduction on RingOwned and its
-// own values everywhere else.
+// and after the scatter alone rank r holds the reduction on RingOwned (the
+// rest of v is undefined).
 func TestRingPairMatchesRingAllReduce(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 8} {
 		for kind, meshes := range memAndTCP(t, n) {
@@ -31,13 +33,9 @@ func TestRingPairMatchesRingAllReduce(t *testing.T) {
 					})
 					for r := range got {
 						lo, hi := RingOwned(dim, n, r)
-						for j := range got[r] {
-							want := in[r][j]
-							if j >= lo && j < hi {
-								want = ref[r][j]
-							}
-							if _, ok := sameBits(got[r][j:j+1], tensor.Vector{want}); !ok {
-								t.Fatalf("%s: after the scatter rank %d elem %d (owned %d:%d) = %x, want %x", name, r, j, lo, hi, got[r][j], want)
+						for j := lo; j < hi; j++ {
+							if _, ok := sameBits(got[r][j:j+1], ref[r][j:j+1]); !ok {
+								t.Fatalf("%s: after the scatter rank %d elem %d (owned %d:%d) = %x, want %x", name, r, j, lo, hi, got[r][j], ref[r][j])
 							}
 						}
 					}
@@ -170,6 +168,62 @@ func TestRingPairShipsTheRingsBytes(t *testing.T) {
 		if want := int64(2 * (n - 1) * n); pairMsgs != want || pairMsgs > ringMsgs {
 			t.Errorf("n=%d: the pair sends %d frames, want %d (fused ring: %d)", n, pairMsgs, want, ringMsgs)
 		}
+	}
+}
+
+// TestRingPairTCPAllocs: the owner-computes ring pair at the dense
+// workloads' geometry over 4-rank TCP — full and partial scatter, then the
+// allgather — allocates under 256 B per rank per synchronization once warm
+// (it reads 6 B). Received chunks land in the caller's vector and sent ones
+// are views of it: one chunk-sized buffer per frame would be 280 KB, and a
+// writer that regrew its iovec list on every flush read 543 B.
+func TestRingPairTCPAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("TCP cluster in -short mode")
+	}
+	const n, dim, warm, rounds = 4, 139792, 4, 20
+	tcp, err := transport.NewTCPCluster(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meshes := make([]transport.Mesh, n)
+	for r, m := range tcp {
+		meshes[r] = m
+		defer m.Close()
+	}
+	bufs := shardInputs(n, dim+1, 3)
+	run := func(from, to int64) {
+		spmd(t, meshes, func(m transport.Mesh) error {
+			v := bufs[m.Rank()]
+			for k := from; k < to; k++ {
+				if err := RingReduceScatter(m, 2*k, v[:dim], OpAverage); err != nil {
+					return err
+				}
+				if err := RingAllGather(m, 2*k, v[:dim], Options{}); err != nil {
+					return err
+				}
+				if _, err := PartialRingReduceScatter(m, 2*k+1, v, m.Rank() != 2); err != nil {
+					return err
+				}
+				if err := RingAllGather(m, 2*k+1, v, Options{}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	run(0, warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(warm, warm+rounds)
+	runtime.ReadMemStats(&after)
+	perSync := float64(after.TotalAlloc-before.TotalAlloc) / (2 * rounds * n)
+	t.Logf("%.0f bytes per rank per synchronization at dim %d", perSync, dim)
+	if perSync >= 256 {
+		t.Errorf("%.0f bytes allocated per rank per ring-pair synchronization over TCP, want < 256", perSync)
 	}
 }
 

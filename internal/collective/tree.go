@@ -65,18 +65,10 @@ func treeAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, w
 		if child >= n {
 			continue
 		}
-		msg, err := m.Recv(child)
-		if err != nil {
-			return fmt.Errorf("tree reduce recv: %w", err)
-		}
-		if err := checkMsg("tree-reduce", msg, transport.MsgReduce, iter, int32(span)); err != nil {
-			transport.PutPayload(msg.Payload)
+		if _, err := land(m, child, "tree-reduce", transport.Landing{
+			Type: transport.MsgReduce, Iter: iter, Chunk: int32(span), Dst: v, Add: true,
+		}); err != nil {
 			return err
-		}
-		err = v.Add(msg.Payload)
-		transport.PutPayload(msg.Payload)
-		if err != nil {
-			return fmt.Errorf("tree reduce: %w", err)
 		}
 	}
 

@@ -161,14 +161,14 @@ func (m *MLP) GradientBuckets() []Span {
 // GradientLayers implements LayeredModel and is the one backprop body
 // (Gradient calls it). Two passes. Pass 1 runs the forward and the output
 // layer example by example and stashes each example's layer-1 coefficients
-// δh·inv; W2/b2 are then final and emit. Pass 2 walks W1 row by row, from
-// the top block down: it zeroes the row, applies the examples' Axpy to it in
-// batch order while the row sits in L1, and emits each block as it
-// completes, with b1 last. A per-example sweep would read and write all of
-// gW1 once per example; this touches every row once. Per element the
-// additions are those of the per-example sweep in the same order, so grad
-// and loss have the same bits (reference_test.go keeps that sweep as the
-// oracle).
+// δh·inv, hidden-major; W2/b2 are then final and emit. Pass 2 walks W1 row
+// by row, from the top block down: one tensor.LinComb writes the row as the
+// examples' coefficients times their inputs, summed from +0 in batch order,
+// and each block emits as it completes, with b1 last. A per-example sweep
+// would read and write all of gW1 once per example; this writes every row
+// once. Per element the additions are those of the per-example sweep in the
+// same order, so grad and loss have the same bits (reference_test.go keeps
+// that sweep as the oracle).
 //
 // The batch is validated before the first write: grad may be a leased
 // accumulator buffer, and an error must leave it as it was.
@@ -188,12 +188,20 @@ func (m *MLP) GradientLayers(params, grad tensor.Vector, batch []int, emit func(
 	defer ws.release()
 	ws.hid = grow(ws.hid, h)
 	ws.probs = grow(ws.probs, c)
-	ws.stash = grow(ws.stash, len(batch)*h)
-	hid, probs := ws.hid, ws.probs
-	inv := 1 / float64(len(batch))
+	B := len(batch)
+	ws.stash = grow(ws.stash, h*B)
+	ws.delta = grow(ws.delta, h)
+	if cap(ws.xs) < B {
+		ws.xs = make([][]float64, B)
+	}
+	ws.xs = ws.xs[:B]
+	defer clear(ws.xs) // the pooled workspace must not pin the dataset
+	hid, probs, deltaH := ws.hid, ws.probs, tensor.Vector(ws.delta)
+	inv := 1 / float64(B)
 	var loss float64
 	for bi, idx := range batch {
 		ex := m.ds.Examples[idx]
+		ws.xs[bi] = ex.X
 		m.forward(params, ex.X, hid, probs)
 		softmaxInPlace(probs)
 		p := probs[ex.Label]
@@ -202,7 +210,6 @@ func (m *MLP) GradientLayers(params, grad tensor.Vector, batch []int, emit func(
 		}
 		loss -= math.Log(p)
 
-		deltaH := tensor.Vector(ws.stash[bi*h : (bi+1)*h])
 		deltaH.Zero()
 		for k := 0; k < c; k++ {
 			d := probs[k]
@@ -215,7 +222,7 @@ func (m *MLP) GradientLayers(params, grad tensor.Vector, batch []int, emit func(
 		}
 		for j, a := range hid {
 			dh := deltaH[j] * (1 - a*a)
-			deltaH[j] = dh * inv
+			ws.stash[j*B+bi] = dh * inv
 		}
 	}
 	if err := emit(0); err != nil {
@@ -225,13 +232,11 @@ func (m *MLP) GradientLayers(params, grad tensor.Vector, batch []int, emit func(
 	for blk := R - 1; blk >= 0; blk-- {
 		lo, hi, _ := tensor.ChunkBounds(h, R, blk)
 		for j := lo; j < hi; j++ {
-			row := gw1[j*f : (j+1)*f]
-			row.Zero()
+			coef := ws.stash[j*B : (j+1)*B]
+			tensor.LinComb(gw1[j*f:(j+1)*f], coef, ws.xs)
 			var gb float64
-			for bi, idx := range batch {
-				coef := ws.stash[bi*h+j]
-				tensor.Axpy(row, coef, m.ds.Examples[idx].X)
-				gb += coef
+			for _, cf := range coef {
+				gb += cf
 			}
 			gb1[j] = gb
 		}

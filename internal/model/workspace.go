@@ -13,10 +13,14 @@ type workspace struct {
 	hid   []float64
 	probs []float64
 	order []int
-	// stash holds the MLP backward pass's per-example layer-1 coefficients
-	// (batch × hidden), written by the pass over the examples and read by
-	// the pass over the rows of W1.
+	// stash holds the MLP backward pass's layer-1 coefficients hidden-major
+	// (hidden × batch: one row of W1's coefficients is contiguous), written
+	// by the pass over the examples and read by the pass over the rows of
+	// W1; delta is one example's δh before it is scattered into the stash,
+	// and xs the batch's example vectors.
 	stash []float64
+	delta []float64
+	xs    [][]float64
 }
 
 var wsPool = sync.Pool{New: func() any { return &workspace{} }}

@@ -1,5 +1,10 @@
 package tensor
 
+import (
+	"encoding/binary"
+	"math"
+)
+
 // Element-wise kernels. Every hot loop in the repository (the ring reduce,
 // the accumulator's weighted mean, the SGD update, the models' backprop)
 // bottoms out in one of these.
@@ -206,6 +211,59 @@ func axpyVecGo(a []float64, c float64, b []float64) {
 // unchecked form of Vector.AddScaled for hot loops (model backprop) whose
 // slice lengths are fixed by construction. b must be at least as long as a.
 func Axpy(a []float64, c float64, b []float64) { axpyVec(a, c, b) }
+
+// LinComb sets dst[i] = ((+0 + c[0]·xs[0][i]) + c[1]·xs[1][i]) + …, the
+// sources in order: the bits of zeroing dst and then one Axpy(dst, c[j],
+// xs[j]) per source, with dst written once per four sources instead of once
+// per source and once more for the zeroing. c must hold len(xs) coefficients
+// and every source at least len(dst) elements.
+func LinComb(dst, c []float64, xs [][]float64) {
+	c = c[:len(xs)]
+	j := 0
+	if useAVX2 && len(dst) >= vecMin {
+		n := len(dst)
+		for ; j+4 <= len(xs); j += 4 {
+			linComb4AVX2(dst, c[j:j+4], xs[j][:n], xs[j+1][:n], xs[j+2][:n], xs[j+3][:n], j > 0)
+		}
+	}
+	if j == 0 {
+		clear(dst)
+	}
+	for ; j < len(xs); j++ {
+		axpyVec(dst, c[j], xs[j])
+	}
+}
+
+// linCombGo is the Go loop of LinComb.
+func linCombGo(dst, c []float64, xs [][]float64) {
+	clear(dst)
+	for j, x := range xs {
+		axpyVecGo(dst, c[j], x)
+	}
+}
+
+// AddLE computes dst[i] += x_i, where x_i is the float64 whose little-endian
+// bytes are src[8i:8i+8]: the fold of a received frame body straight out of
+// the transport's read window. A body starts 36 bytes into its frame, so the
+// window cannot be viewed as a []float64 (misaligned, and invalid under
+// checkptr); the assembly loads it with VMOVUPD like any other operand.
+// src must hold at least 8·len(dst) bytes.
+func AddLE(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	if useAVX2 && len(dst) >= vecMin {
+		sumToLEAVX2(dst, dst, src) // dst = dst + x: addVec's operation per element
+		return
+	}
+	addLEGo(dst, src)
+}
+
+// addLEGo is the Go loop of AddLE.
+func addLEGo(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] += math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
 
 // Dot returns Σ a[i]*b[i] over raw slices with no shape checking — the
 // unchecked form of Vector.Dot for hot loops. b must be at least as long

@@ -51,6 +51,18 @@ func sumToAVX2(dst, a, b []float64)
 //go:noescape
 func diffToAVX2(dst, a, b []float64)
 
+// sumToLEAVX2 is sumToAVX2 with b read as little-endian wire bytes.
+//
+//go:noescape
+func sumToLEAVX2(dst, a []float64, b []byte)
+
+// linComb4AVX2 computes dst[i] = (((d + c[0]·x0[i]) + c[1]·x1[i]) +
+// c[2]·x2[i]) + c[3]·x3[i], where d is dst[i] when cont is set and +0
+// otherwise.
+//
+//go:noescape
+func linComb4AVX2(dst, c, x0, x1, x2, x3 []float64, cont bool)
+
 //go:noescape
 func sgdStepAVX2(params, vel, grad []float64, mu, wd, lr float64)
 

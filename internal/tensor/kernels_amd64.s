@@ -198,6 +198,142 @@ TEXT ·diffToAVX2(SB), NOSPLIT, $0-72
 	MOVQ b_base+48(FP), DX
 	BINARY_TO(VSUBPD, VSUBSD)
 
+// func sumToLEAVX2(dst, a []float64, b []byte)  dst[i] = a[i] + b's i-th float64
+// amd64 is little-endian, so the wire bytes are the float64s; VMOVUPD and the
+// memory operand of VADDPD take any byte offset.
+TEXT ·sumToLEAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	BINARY_TO(VADDPD, VADDSD)
+
+// TERM16 adds c·x for sixteen elements of source X, coefficient C, into the
+// accumulators Y0–Y3: acc + (c·x), the Go loop's order.
+#define TERM16(X, C) \
+	VMULPD 0(X), C, Y4  \
+	VMULPD 32(X), C, Y5 \
+	VMULPD 64(X), C, Y6 \
+	VMULPD 96(X), C, Y7 \
+	VADDPD Y4, Y0, Y0   \
+	VADDPD Y5, Y1, Y1   \
+	VADDPD Y6, Y2, Y2   \
+	VADDPD Y7, Y3, Y3
+
+// func linComb4AVX2(dst, c, x0, x1, x2, x3 []float64, cont bool)
+//   dst[i] = (((d + c0·x0[i]) + c1·x1[i]) + c2·x2[i]) + c3·x3[i]
+// with d = dst[i] when cont, else +0 (VXORPD). The four sources of a pass are
+// folded while the accumulator sits in a register, so dst is written once.
+TEXT ·linComb4AVX2(SB), NOSPLIT, $0-145
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         c_base+24(FP), SI
+	VBROADCASTSD 0(SI), Y12
+	VBROADCASTSD 8(SI), Y13
+	VBROADCASTSD 16(SI), Y14
+	VBROADCASTSD 24(SI), Y15
+	MOVQ         x0_base+48(FP), R8
+	MOVQ         x1_base+72(FP), R9
+	MOVQ         x2_base+96(FP), R10
+	MOVQ         x3_base+120(FP), R11
+	MOVBQZX      cont+144(FP), BX
+
+loop16:
+	CMPQ    CX, $16
+	JLT     loop4
+	TESTQ   BX, BX
+	JZ      zero16
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	JMP     sum16
+
+zero16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+sum16:
+	TERM16(R8, Y12)
+	TERM16(R9, Y13)
+	TERM16(R10, Y14)
+	TERM16(R11, Y15)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, R8
+	ADDQ    $128, R9
+	ADDQ    $128, R10
+	ADDQ    $128, R11
+	SUBQ    $16, CX
+	JMP     loop16
+
+loop4:
+	CMPQ    CX, $4
+	JLT     loop1
+	TESTQ   BX, BX
+	JZ      zero4
+	VMOVUPD (DI), Y0
+	JMP     sum4
+
+zero4:
+	VXORPD Y0, Y0, Y0
+
+sum4:
+	VMULPD  (R8), Y12, Y4
+	VADDPD  Y4, Y0, Y0
+	VMULPD  (R9), Y13, Y4
+	VADDPD  Y4, Y0, Y0
+	VMULPD  (R10), Y14, Y4
+	VADDPD  Y4, Y0, Y0
+	VMULPD  (R11), Y15, Y4
+	VADDPD  Y4, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, R11
+	SUBQ    $4, CX
+	JMP     loop4
+
+loop1:
+	TESTQ  CX, CX
+	JZ     done
+	TESTQ  BX, BX
+	JZ     zero1
+	VMOVSD (DI), X0
+	JMP    sum1
+
+zero1:
+	VXORPD X0, X0, X0
+
+sum1:
+	VMULSD (R8), X12, X4
+	VADDSD X4, X0, X0
+	VMULSD (R9), X13, X4
+	VADDSD X4, X0, X0
+	VMULSD (R10), X14, X4
+	VADDSD X4, X0, X0
+	VMULSD (R11), X15, X4
+	VADDSD X4, X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, R8
+	ADDQ   $8, R9
+	ADDQ   $8, R10
+	ADDQ   $8, R11
+	DECQ   CX
+	JMP    loop1
+
+done:
+	VZEROUPPER
+	RET
+
 // func sgdStepAVX2(params, vel, grad []float64, mu, wd, lr float64)
 //   v' = ((mu*v) + g) + (wd*x);  vel = v';  params = x − (lr*v')
 TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-96

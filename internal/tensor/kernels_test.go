@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -166,9 +168,10 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// checkKernels runs every kernel case and DotRows once, dispatched and
-// through the Go loop on copies of the same operands, and compares whole
-// backing arrays: results, untouched inputs and canaries alike.
+// checkKernels runs every kernel case, DotRows, LinComb and AddLE once,
+// dispatched and through the Go loop on copies of the same operands, and
+// compares whole backing arrays: results, untouched inputs and canaries
+// alike.
 func checkKernels(t testing.TB, n, offset int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -200,6 +203,77 @@ func checkKernels(t testing.TB, n, offset int, seed int64) {
 		}
 	}
 	checkDotRows(t, rng, 1+int(uint64(seed)%9), n, n+int(uint64(seed)%3), offset)
+	checkLinComb(t, rng, rng.Intn(10), n, offset, scalars)
+	checkAddLE(t, rng, n, offset, int(uint64(seed)%8))
+}
+
+// checkLinComb compares LinComb over k sources with its Go loop: dst starts
+// full of stale values (the kernel must not read them on its first pass),
+// sources are misaligned against dst and each other and some are longer than
+// dst, and 0–9 sources cover no pass, one pass, and passes that continue from
+// dst with and without a remainder.
+func checkLinComb(t testing.TB, rng *rand.Rand, k, n, offset int, scalars [3]float64) {
+	t.Helper()
+	xs := make([][]float64, k)
+	xsBack := make([][]float64, k)
+	c := make([]float64, k)
+	for j := range xs {
+		xs[j], xsBack[j] = guarded(rng, n+j%2, (offset+1+j)%4)
+		xsBack[j] = append([]float64(nil), xsBack[j]...) // the inputs as they were
+		c[j] = scalars[j%3]
+		if j%4 == 3 {
+			c[j] = kernelValue(rng)
+		}
+	}
+	dst, dstBack := guarded(rng, n, offset)
+	want := append([]float64(nil), dstBack...)
+	lo := offset + canaryPad
+	linCombGo(want[lo:lo+n:lo+n], c, xs)
+	LinComb(dst, c, xs)
+	for i := range dstBack {
+		if !sameBits(dstBack[i], want[i]) {
+			t.Fatalf("LinComb k=%d n=%d offset=%d: backing[%d] = %x, Go loop %x (dst spans [%d,%d))",
+				k, n, offset, i, math.Float64bits(dstBack[i]), math.Float64bits(want[i]), lo, lo+n)
+		}
+	}
+	for j := range xs {
+		lo := (offset+1+j)%4 + canaryPad
+		for i, x := range xs[j] {
+			if math.Float64bits(x) != math.Float64bits(xsBack[j][lo+i]) {
+				t.Fatalf("LinComb k=%d n=%d offset=%d: source %d elem %d clobbered", k, n, offset, j, i)
+			}
+		}
+	}
+}
+
+// checkAddLE compares AddLE with its Go loop, the source bytes starting
+// byteOff bytes into a byte array with canary bytes on both sides — wire
+// bodies sit at any byte offset of the read window.
+func checkAddLE(t testing.TB, rng *rand.Rand, n, offset, byteOff int) {
+	t.Helper()
+	src := make([]byte, byteOff+8*n+8*canaryPad)
+	for i := range src {
+		src[i] = 0xa5
+	}
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(src[byteOff+8*i:], math.Float64bits(kernelValue(rng)))
+	}
+	srcBefore := append([]byte(nil), src...)
+	body := src[byteOff : byteOff+8*n]
+	dst, dstBack := guarded(rng, n, offset)
+	want := append([]float64(nil), dstBack...)
+	lo := offset + canaryPad
+	addLEGo(want[lo:lo+n:lo+n], body)
+	AddLE(dst, body)
+	for i := range dstBack {
+		if !sameBits(dstBack[i], want[i]) {
+			t.Fatalf("AddLE n=%d offset=%d byteOff=%d: backing[%d] = %x, Go loop %x (dst spans [%d,%d))",
+				n, offset, byteOff, i, math.Float64bits(dstBack[i]), math.Float64bits(want[i]), lo, lo+n)
+		}
+	}
+	if !bytes.Equal(src, srcBefore) {
+		t.Fatalf("AddLE n=%d byteOff=%d wrote to its source", n, byteOff)
+	}
 }
 
 // checkDotRows compares DotRows with one dotVec call per row.
@@ -310,6 +384,34 @@ func BenchmarkTensorKernels(b *testing.B) {
 			b.SetBytes(int64(n) * 8)
 			for i := 0; i < b.N; i++ {
 				DotRows(out, w, row, x)
+			}
+		})
+	}
+	// LinComb at one W1 row of the dense workloads and their batch of 4,
+	// against its Go loop (zero, then one Axpy per source); AddLE at one row
+	// of wire bytes.
+	dst := New(row)
+	xs := [][]float64{randVec(rng, row), randVec(rng, row), randVec(rng, row), randVec(rng, row)}
+	coef := []float64{0.1, -0.2, 0.3, 0.05}
+	wire := make([]byte, 8*row+4) // a body at a non-element offset, as in a frame
+	for i, v := range randVec(rng, row) {
+		binary.LittleEndian.PutUint64(wire[4+8*i:], math.Float64bits(v))
+	}
+	for _, impl := range []struct {
+		name  string
+		comb  func(dst, c []float64, xs [][]float64)
+		addLE func(dst []float64, src []byte)
+	}{{"go", linCombGo, addLEGo}, {"dispatched", LinComb, AddLE}} {
+		b.Run(fmt.Sprintf("LinComb/%s/%dx4", impl.name, row), func(b *testing.B) {
+			b.SetBytes(row * 8)
+			for i := 0; i < b.N; i++ {
+				impl.comb(dst, coef, xs)
+			}
+		})
+		b.Run(fmt.Sprintf("AddLE/%s/%d", impl.name, row), func(b *testing.B) {
+			b.SetBytes(row * 8)
+			for i := 0; i < b.N; i++ {
+				impl.addLE(dst, wire[4:])
 			}
 		})
 	}

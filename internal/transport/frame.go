@@ -186,6 +186,10 @@ type frameWriter struct {
 	// appends extend it instead of adding an entry per frame).
 	iov  net.Buffers
 	open bool
+	// out is the part of iov a flush has yet to write. WriteTo consumes the
+	// slice it is called on; calling it on iov itself would leave iov
+	// without its capacity and make the next frame's append reallocate.
+	out net.Buffers
 
 	// release lists: buffers owned by the writer until the flush that puts
 	// their bytes on the wire.
@@ -275,7 +279,7 @@ func (w *frameWriter) enqueue(msg *Message, owned bool) error {
 		}
 		return err
 	}
-	putFrameHeader(hdr, msg, n)
+	putFrameHeader(hdr, msg, msg.elems())
 
 	// Index list: tiny lists copy into the arena, big ones go zero-copy.
 	if msg.Indices != nil && n > 0 {
@@ -307,8 +311,21 @@ func (w *frameWriter) enqueue(msg *Message, owned bool) error {
 	} else if owned {
 		PutIndices(msg.Indices)
 	}
+	if err := w.enqueuePayload(msg, owned); err != nil || !msg.HasTail {
+		return err
+	}
+	b, err := w.grabArena(8)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(b, math.Float64bits(msg.Tail))
+	return nil
+}
 
-	// Payload.
+// enqueuePayload appends msg's payload body to the pending batch, with
+// enqueue's ownership rules.
+func (w *frameWriter) enqueuePayload(msg *Message, owned bool) error {
+	n := len(msg.Payload)
 	if n == 0 {
 		if owned {
 			PutPayload(msg.Payload)
@@ -376,7 +393,8 @@ func (w *frameWriter) stage(n int, fill func([]byte)) []byte {
 // the deadline cut the batch).
 func (w *frameWriter) flush() error {
 	var err error
-	for len(w.iov) > 0 {
+	w.out = w.iov
+	for len(w.out) > 0 {
 		if w.stall != nil {
 			// Lazy deadline re-arm: adjusting the runtime poller timer
 			// costs more than the writev itself on small flushes (~12% of
@@ -390,7 +408,7 @@ func (w *frameWriter) flush() error {
 				_ = w.conn.SetWriteDeadline(w.armedUntil)
 			}
 		}
-		_, err = w.iov.WriteTo(w.conn)
+		_, err = w.out.WriteTo(w.conn)
 		if err == nil {
 			break
 		}
@@ -412,7 +430,7 @@ func (w *frameWriter) reset() {
 	for i := range w.iov {
 		w.iov[i] = nil
 	}
-	w.iov = w.iov[:0]
+	w.iov, w.out = w.iov[:0], nil
 	w.open = false
 	w.arena = w.arena[:0]
 	for _, p := range w.ownedPayloads {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"math"
@@ -9,11 +10,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// FuzzReadMessage feeds arbitrary bytes to the wire decoder: it must never
-// panic and never allocate unboundedly, only return messages or errors.
-func FuzzReadMessage(f *testing.F) {
-	// Seed with valid encodings across every dtype and near-valid
-	// corruptions.
+// wireCorpus is the seed corpus of the wire fuzzers: valid encodings across
+// every dtype and frame family, and near-valid corruptions.
+func wireCorpus(tb testing.TB) [][]byte {
+	var corpus [][]byte
+	add := func(b []byte) { corpus = append(corpus, b) }
 	seeds := []Message{
 		{Type: MsgChunk, Iter: 1, Chunk: 2, Payload: []float64{1, 2, 3}},
 		{Type: MsgBroadcast},
@@ -41,18 +42,28 @@ func FuzzReadMessage(f *testing.F) {
 		Message{Type: MsgPSAck, Stream: 1 << 16, Iter: 42, Chunk: 3<<24 | 0, Payload: []float64{4, 5, 6}},
 		Message{Type: MsgPSAck, Stream: 1 << 16, Iter: 1, Chunk: 2<<24 | 3},
 	)
+	// Ring-pair chunks: a body past the writer's zero-copy threshold, and a
+	// scatter chunk with the contributor count as its tail.
+	chunk := make([]float64, 700)
+	for i := range chunk {
+		chunk[i] = math.Sin(float64(i)) * 1e3
+	}
+	seeds = append(seeds,
+		Message{Type: MsgChunk, Iter: 6, Chunk: 3, Payload: chunk},
+		Message{Type: MsgChunk, Iter: 6, Chunk: 2, Payload: chunk[:9], Tail: 3, HasTail: true},
+	)
 	for _, m := range seeds {
 		buf, err := Encode(nil, m)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(buf)
+		add(buf)
 		if len(buf) > 4 {
-			f.Add(buf[:len(buf)-3])
+			add(buf[:len(buf)-3])
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	add([]byte{})
+	add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	// v1 adversarial corpus: truncation at every header byte boundary, plus
 	// forged header fields (unknown version, unknown type, unknown flag bits,
 	// flag/len contradictions, absurd element counts, inconsistent prefix).
@@ -61,26 +72,34 @@ func FuzzReadMessage(f *testing.F) {
 		Payload: []float64{1, 2, 3, 4}, Indices: []int32{0, 5, 9, 12},
 	})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	for cut := 0; cut <= frameHeaderBytes; cut++ {
-		f.Add(base[:cut])
+		add(base[:cut])
 	}
 	forge := func(off int, b byte) []byte {
 		fr := append([]byte(nil), base...)
 		fr[off] = b
 		return fr
 	}
-	f.Add(forge(4, 0))     // version below v1
-	f.Add(forge(4, 0x7F))  // version far future
-	f.Add(forge(5, 0))     // type zero
-	f.Add(forge(5, 0x99))  // type unknown
-	f.Add(forge(6, 0xFF))  // unknown flag bits
-	f.Add(forge(6, 0))     // sparse flag cleared, len still sparse
-	f.Add(forge(0, 0x01))  // frameLen contradicts the header fields
-	f.Add(forge(32, 0xFF)) // nelems inflated
-	f.Add(forge(35, 0x7F)) // nelems beyond MaxPayloadElems
+	add(forge(4, 0))     // version below v1
+	add(forge(4, 0x7F))  // version far future
+	add(forge(5, 0))     // type zero
+	add(forge(5, 0x99))  // type unknown
+	add(forge(6, 0xFF))  // unknown flag bits
+	add(forge(6, 0))     // sparse flag cleared, len still sparse
+	add(forge(0, 0x01))  // frameLen contradicts the header fields
+	add(forge(32, 0xFF)) // nelems inflated
+	add(forge(35, 0x7F)) // nelems beyond MaxPayloadElems
+	return corpus
+}
 
+// FuzzReadMessage feeds arbitrary bytes to the wire decoder: it must never
+// panic and never allocate unboundedly, only return messages or errors.
+func FuzzReadMessage(f *testing.F) {
+	for _, b := range wireCorpus(f) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadMessage(bytes.NewReader(data))
 		if err != nil {
@@ -115,6 +134,111 @@ func FuzzReadMessage(f *testing.F) {
 		}
 		if !bytes.Equal(out, out2) {
 			t.Fatalf("dtype %v encoding not idempotent", msg.Dtype)
+		}
+	})
+}
+
+// FuzzRecvInto holds a landing to the pooled path it replaces. The first
+// frame of any byte stream is received as the TCP mesh's reader receives it
+// for RecvInto — land, and decode plus deliver when it does not land —
+// through read windows of many sizes, into a Landing built from the frame's
+// own header with one field skewed or none, copy or add, with or without a
+// tail. That must end with the bits of decoding the frame into a pooled
+// payload (ReadMessage) and then copying or adding it, and with the same
+// tail; a frame the Landing does not name must leave dst byte-identical and
+// come back whole; a frame that does not decode must fail both ways.
+func FuzzRecvInto(f *testing.F) {
+	for i, b := range wireCorpus(f) {
+		f.Add(b, i%2 == 0, i%3 == 0, uint16(i*37), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, add, tail bool, window uint16, skew uint8) {
+		var hdr Message
+		n := 0
+		if len(data) >= frameHeaderBytes {
+			hdr, n, _ = parseFrameHeader(data[:frameHeaderBytes])
+		}
+		if n > len(data) {
+			// Truncated by more elements than the input has bytes: only the
+			// decoder's bound is at stake, and FuzzReadMessage holds it
+			// without a Dst of up to 128 MiB per input.
+			return
+		}
+		l := Landing{Type: hdr.Type, Iter: hdr.Iter, Chunk: hdr.Chunk, HasTail: tail, Add: add}
+		dn := n
+		if tail && dn > 0 {
+			dn--
+		}
+		switch skew % 8 {
+		case 1:
+			l.Type++
+		case 2:
+			l.Iter++
+		case 3:
+			l.Chunk++
+		case 4:
+			dn++
+		}
+		l.Dst = make([]float64, dn)
+		for i := range l.Dst {
+			l.Dst[i] = float64(i%7) - 2.5
+		}
+		before := append([]float64(nil), l.Dst...)
+
+		// Reference: a pooled payload, then CopyFrom or Add.
+		ref := append([]float64(nil), before...)
+		var refTail float64
+		msg, refErr := ReadMessage(bytes.NewReader(data))
+		match := refErr == nil && l.expects(&msg, len(msg.Payload))
+		if match {
+			body := tensor.Vector(msg.Payload[:dn])
+			if add {
+				_ = tensor.Vector(ref).Add(body)
+			} else {
+				_ = tensor.Vector(ref).CopyFrom(body)
+			}
+			if tail {
+				refTail = msg.Payload[dn]
+			}
+		}
+
+		r := bytes.NewReader(data)
+		br := bufio.NewReaderSize(r, frameHeaderBytes+int(window)%8192) // the header must fit
+		got, landed, err := land(br, r, 0, &l)
+		if err == nil && !landed {
+			var dec Message
+			if dec, err = readFrame(br); err == nil {
+				got, err = l.deliver(dec)
+			}
+		}
+		switch {
+		case refErr != nil:
+			if err == nil {
+				t.Fatalf("a frame ReadMessage rejects (%v) was received", refErr)
+			}
+		case !match:
+			if !errors.Is(err, ErrUnexpectedFrame) {
+				t.Fatalf("a frame the landing does not name: err = %v, want ErrUnexpectedFrame", err)
+			}
+			if len(got.Payload) != len(msg.Payload) {
+				t.Fatalf("unexpected frame came back with %d elems, sent %d", len(got.Payload), len(msg.Payload))
+			}
+			for i := range before {
+				if math.Float64bits(l.Dst[i]) != math.Float64bits(before[i]) {
+					t.Fatalf("unexpected frame wrote dst[%d]", i)
+				}
+			}
+		default:
+			if err != nil {
+				t.Fatalf("landing failed: %v", err)
+			}
+			for i := range ref {
+				if math.Float64bits(l.Dst[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("add=%t landed=%t dst[%d] = %x, pooled path %x", add, landed, i, math.Float64bits(l.Dst[i]), math.Float64bits(ref[i]))
+				}
+			}
+			if tail && (!got.HasTail || math.Float64bits(got.Tail) != math.Float64bits(refTail)) {
+				t.Fatalf("tail = %v (set %t), pooled path %v", got.Tail, got.HasTail, refTail)
+			}
 		}
 	})
 }

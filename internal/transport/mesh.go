@@ -263,35 +263,47 @@ func (m *localMesh) Send(to int, msg Message) error {
 	}
 	msg.From = int32(m.rank)
 	msg.To = int32(to)
-	// Messages are immutable once sent: copy the payload so the sender
-	// may keep mutating its buffers (the TCP mesh gets this for free by
-	// serializing onto the wire). The copy lands in a pooled buffer the
-	// receiver owns — see the ownership contract in pool.go.
-	if msg.Payload != nil {
-		p := GetPayload(len(msg.Payload))
+	return m.net.endpoints[to].queueFrom(m.rank).push(delivered(msg))
+}
+
+// delivered returns msg as its receiver finds it after a copying send.
+// Messages are immutable once sent, so the payload (tail included) and the
+// index list are copied into pooled buffers the receiver owns — see the
+// ownership contract in pool.go — and the sender may keep mutating its own
+// (the TCP mesh gets this for free by serializing onto the wire). A lossy
+// wire dtype quantizes on the real wire; the exact quantize→dequantize round
+// trip is replayed on the copy so in-memory results are bit-identical to the
+// TCP path (RoundTrip is pinned by test to equal Unpack∘Pack).
+func delivered(msg Message) Message {
+	if msg.Payload != nil || msg.HasTail {
+		p := GetPayload(msg.elems())
 		copy(p, msg.Payload)
-		msg.Payload = p
-		// A lossy wire dtype quantizes on the real wire; replay the exact
-		// quantize→dequantize round trip on the copy so in-memory results
-		// are bit-identical to the TCP path. RoundTrip is pinned (by test)
-		// to equal Unpack∘Pack.
+		if msg.HasTail {
+			p[len(msg.Payload)] = msg.Tail
+		}
 		tensor.RoundTrip(msg.Dtype, p)
+		msg.Payload, msg.Tail, msg.HasTail = p, 0, false
 	}
 	if msg.Indices != nil {
-		// Sparse index lists cross the real wire by value too; the copy
-		// lands in a pooled slice matching the wire decoder's behavior.
 		ix := GetIndices(len(msg.Indices))
 		copy(ix, msg.Indices)
 		msg.Indices = ix
 	}
-	return m.net.endpoints[to].queueFrom(m.rank).push(msg)
+	return msg
 }
 
 // SendOwned implements OwnedSender: the sender's buffer is delivered to the
 // receiver as-is, skipping the defensive copy Send performs. The ring
 // AllReduce forwards chunks through the ring this way, so one buffer rotates
-// all the way around instead of being copied at every hop.
+// all the way around instead of being copied at every hop. A message with a
+// tail needs a buffer one element longer, so it goes by copy.
 func (m *localMesh) SendOwned(to int, msg Message) error {
+	if msg.HasTail {
+		err := m.Send(to, msg)
+		PutPayload(msg.Payload)
+		PutIndices(msg.Indices)
+		return err
+	}
 	m.mu.Lock()
 	closed := m.closed
 	m.mu.Unlock()

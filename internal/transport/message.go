@@ -116,6 +116,22 @@ type Message struct {
 	// len(Indices) == len(Payload); the index values themselves are opaque
 	// to the transport (the collective validates range and ordering).
 	Indices []int32
+	// Tail, when HasTail is set, is one more element the frame carries
+	// after Payload: the frame's element count includes it, and a receiver
+	// finds it as the last element of a Recv'd payload (or in its own Tail
+	// after a RecvInto that names it). It lets a sender append a scalar to a
+	// span of its own vector without staging the two in one buffer. Dense
+	// f64 frames only.
+	Tail    float64
+	HasTail bool
+}
+
+// elems is the frame's element count: the payload plus the tail.
+func (m *Message) elems() int {
+	if m.HasTail {
+		return len(m.Payload) + 1
+	}
+	return len(m.Payload)
 }
 
 // Frame protocol constants.
@@ -209,14 +225,17 @@ func frameFlags(m *Message) uint8 {
 // checkEncodable validates the encoder-side invariants shared by Encode and
 // the frame writer.
 func checkEncodable(m *Message) error {
-	if len(m.Payload) > MaxPayloadElems {
-		return fmt.Errorf("%w: %d elems", ErrPayloadTooLarge, len(m.Payload))
+	if m.elems() > MaxPayloadElems {
+		return fmt.Errorf("%w: %d elems", ErrPayloadTooLarge, m.elems())
 	}
 	if !m.Dtype.Valid() {
 		return fmt.Errorf("%w: %d", ErrUnknownDtype, m.Dtype)
 	}
 	if m.Indices != nil && len(m.Indices) != len(m.Payload) {
 		return fmt.Errorf("%w: %d indices, %d values", ErrSparseMismatch, len(m.Indices), len(m.Payload))
+	}
+	if m.HasTail && (m.Indices != nil || m.Dtype != tensor.F64) {
+		return fmt.Errorf("%w: a tail needs a dense f64 frame", ErrBadFrame)
 	}
 	if m.Type == 0 || m.Type > maxMsgType {
 		return fmt.Errorf("%w: type %d", ErrBadFrame, m.Type)
@@ -303,7 +322,7 @@ func Encode(buf []byte, m Message) ([]byte, error) {
 		return nil, err
 	}
 	n := len(m.Payload)
-	need := frameHeaderBytes + frameBodyBytes(m.Dtype, n, m.Indices != nil)
+	need := frameHeaderBytes + frameBodyBytes(m.Dtype, m.elems(), m.Indices != nil)
 	off := len(buf)
 	if cap(buf)-off < need {
 		grown := make([]byte, off, off+need)
@@ -312,7 +331,7 @@ func Encode(buf []byte, m Message) ([]byte, error) {
 	}
 	buf = buf[:off+need]
 	b := buf[off:]
-	putFrameHeader(b, &m, n)
+	putFrameHeader(b, &m, m.elems())
 	p := b[frameHeaderBytes:]
 	if m.Indices != nil {
 		encodeIndices(p, m.Indices)
@@ -320,6 +339,9 @@ func Encode(buf []byte, m Message) ([]byte, error) {
 	}
 	if n > 0 {
 		encodePayload(p, m.Dtype, m.Payload)
+	}
+	if m.HasTail {
+		binary.LittleEndian.PutUint64(p[8*n:], math.Float64bits(m.Tail))
 	}
 	return buf, nil
 }

@@ -25,6 +25,7 @@ var (
 	_ Mesh         = (*SubMesh)(nil)
 	_ OwnedSender  = (*SubMesh)(nil)
 	_ StreamRouter = (*SubMesh)(nil)
+	_ lander       = (*SubMesh)(nil)
 )
 
 // NewSubMesh wraps parent so that only `members` (distinct parent ranks,
@@ -102,6 +103,15 @@ func (s *SubMesh) Recv(from int) (Message, error) {
 		return Message{}, err
 	}
 	return s.parent.Recv(g)
+}
+
+// recvInto implements lander: the parent lands the frame when it can.
+func (s *SubMesh) recvInto(from int, l Landing) (Message, bool, error) {
+	g, err := s.GlobalRank(from)
+	if err != nil {
+		return Message{}, false, err
+	}
+	return recvLanding(s.parent, g, l)
 }
 
 // StreamView implements StreamRouter. When the parent routes streams

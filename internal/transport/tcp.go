@@ -97,6 +97,7 @@ var (
 	_ OwnedSender  = (*TCPMesh)(nil)
 	_ CapsProvider = (*TCPMesh)(nil)
 	_ StreamRouter = (*TCPMesh)(nil)
+	_ lander       = (*TCPMesh)(nil)
 )
 
 // peerConn is one peer's connection state.
@@ -504,21 +505,18 @@ func pacingWait(horizon time.Time) {
 // sendSelf is loopback delivery: mirror the wire path's copy AND
 // quantization semantics, then push straight to the local queue.
 func (m *TCPMesh) sendSelf(msg Message, owned bool) error {
-	if owned {
+	switch {
+	case owned && !msg.HasTail:
 		// The buffers are ours — quantize in place, no copy.
 		tensor.RoundTrip(msg.Dtype, msg.Payload)
-	} else {
-		if msg.Payload != nil {
-			p := GetPayload(len(msg.Payload))
-			copy(p, msg.Payload)
-			msg.Payload = p
-			tensor.RoundTrip(msg.Dtype, p)
-		}
-		if msg.Indices != nil {
-			ix := GetIndices(len(msg.Indices))
-			copy(ix, msg.Indices)
-			msg.Indices = ix
-		}
+	case owned:
+		// A tail needs a buffer one element longer.
+		d := delivered(msg)
+		PutPayload(msg.Payload)
+		PutIndices(msg.Indices)
+		msg = d
+	default:
+		msg = delivered(msg)
 	}
 	if err := m.peers[m.rank].queue(msg.Stream).push(msg); err != nil {
 		PutPayload(msg.Payload)
@@ -579,7 +577,13 @@ func (m *TCPMesh) SetSendObserver(fn SendObserver) {
 
 // Recv implements Mesh: the next stream-0 message from `from`.
 func (m *TCPMesh) Recv(from int) (Message, error) {
-	return m.recvStream(from, 0)
+	msg, _, err := m.receive(from, 0, nil)
+	return msg, err
+}
+
+// recvInto implements lander on stream 0.
+func (m *TCPMesh) recvInto(from int, l Landing) (Message, bool, error) {
+	return m.receive(from, 0, &l)
 }
 
 // StreamView implements StreamRouter: a Mesh view whose traffic travels on
@@ -589,20 +593,23 @@ func (m *TCPMesh) StreamView(id int32) Mesh {
 	return &tcpStream{m: m, id: id}
 }
 
-// recvStream returns the next message rank `from` sent on the given stream.
-func (m *TCPMesh) recvStream(from int, stream int32) (Message, error) {
+// receive returns the next message rank `from` sent on the given stream.
+// With a Landing (see land.go) the reader lands the frame when it can, and
+// landed reports that msg is the frame's header, its body in l.Dst.
+func (m *TCPMesh) receive(from int, stream int32, l *Landing) (msg Message, landed bool, err error) {
 	if from < 0 || from >= m.size {
-		return Message{}, fmt.Errorf("transport: recv from rank %d of %d", from, m.size)
+		return Message{}, false, fmt.Errorf("transport: recv from rank %d of %d", from, m.size)
 	}
 	c := m.peers[from]
 	own := c.queue(stream)
 	if c.conn == nil {
 		// Loopback: queues only.
-		return own.pop()
+		msg, err := own.pop()
+		return msg, false, err
 	}
 	for {
 		if msg, ok := own.tryPop(); ok {
-			return msg, nil
+			return msg, false, nil
 		}
 		select {
 		case <-own.ready():
@@ -611,22 +618,22 @@ func (m *TCPMesh) recvStream(from int, stream int32) (Message, error) {
 			// closed queue fails fast here instead of waiting out the
 			// election.
 			if msg, ok := own.tryPop(); ok {
-				return msg, nil
+				return msg, false, nil
 			}
 			if own.isClosed() {
-				return Message{}, ErrClosed
+				return Message{}, false, ErrClosed
 			}
 		case c.pull <- struct{}{}:
-			// We are the reader: drain one frame off the socket, then stand
+			// We are the reader: take one frame off the socket, then stand
 			// down so the election stays fair and a consumer whose message
 			// we routed can proceed.
-			msg, ok, err := m.readOne(c, own, stream)
+			msg, landed, ok, err := m.readOne(c, own, stream, l)
 			<-c.pull
 			if err != nil {
-				return Message{}, err
+				return Message{}, false, err
 			}
 			if ok {
-				return msg, nil
+				return msg, landed, nil
 			}
 		}
 	}
@@ -634,31 +641,41 @@ func (m *TCPMesh) recvStream(from int, stream int32) (Message, error) {
 
 // readOne, running as the elected reader for connection c, returns this
 // stream's next message when one is available (already routed, or next off
-// the socket). A frame for another stream is routed to its queue — whose
-// wake channel unblocks that stream's consumer even if it is mid-select —
-// and ok=false tells the caller to re-enter the election.
-func (m *TCPMesh) readOne(c *peerConn, own *chanQueue, stream int32) (Message, bool, error) {
+// the socket, landed when l names it). A frame for another stream is routed
+// to its queue — whose wake channel unblocks that stream's consumer even if
+// it is mid-select — and ok=false tells the caller to re-enter the election.
+func (m *TCPMesh) readOne(c *peerConn, own *chanQueue, stream int32, l *Landing) (msg Message, landed, ok bool, err error) {
 	// Another consumer may have routed our message while we waited for the
 	// election; prefer it over reading further.
 	if msg, ok := own.tryPop(); ok {
-		return msg, true, nil
+		return msg, false, true, nil
 	}
-	msg, err := c.readFrame()
+	if l != nil && !c.rx.active {
+		if msg, landed, err = land(c.br, c.conn, stream, l); err != nil {
+			// The connection stopped mid-body; it cannot be resynchronized.
+			c.closeQueues()
+			return Message{}, false, false, ErrClosed
+		}
+		if landed {
+			return msg, true, true, nil
+		}
+	}
+	msg, err = c.readFrame()
 	if err != nil {
 		c.closeQueues()
 		if isDecodeErr(err) {
 			// A malformed or incompatible frame: surface the typed error to
 			// the consumer that hit it; everyone else observes ErrClosed.
-			return Message{}, false, err
+			return Message{}, false, false, err
 		}
-		return Message{}, false, ErrClosed
+		return Message{}, false, false, ErrClosed
 	}
 	if msg.Stream == stream {
-		return msg, true, nil
+		return msg, false, true, nil
 	}
 	// Routed strays never fail: queues close only with the connection.
 	_ = c.queue(msg.Stream).push(msg)
-	return Message{}, false, nil
+	return Message{}, false, false, nil
 }
 
 // isDecodeErr reports whether a readFrame failure is a protocol violation
@@ -769,6 +786,7 @@ type tcpStream struct {
 var (
 	_ Mesh        = (*tcpStream)(nil)
 	_ OwnedSender = (*tcpStream)(nil)
+	_ lander      = (*tcpStream)(nil)
 )
 
 func (s *tcpStream) Rank() int { return s.m.rank }
@@ -785,7 +803,13 @@ func (s *tcpStream) SendOwned(to int, msg Message) error {
 }
 
 func (s *tcpStream) Recv(from int) (Message, error) {
-	return s.m.recvStream(from, s.id)
+	msg, _, err := s.m.receive(from, s.id, nil)
+	return msg, err
+}
+
+// recvInto implements lander on the view's stream.
+func (s *tcpStream) recvInto(from int, l Landing) (Message, bool, error) {
+	return s.m.receive(from, s.id, &l)
 }
 
 // Close closes the underlying mesh (all streams share its lifecycle).
