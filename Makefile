@@ -40,13 +40,14 @@ results-check:
 # recorded simulation results.
 check: vet build race purego cross results-check
 
-# loc prints the non-test Go lines of every internal package and command: the
-# figure a simplicity change reports before and after, counted the same way
-# every time (`find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l`).
+# loc prints the non-test Go lines of every internal package and command, then
+# their total: the figure a simplicity change reports before and after,
+# counted the same way every time (`find internal/core -name '*.go' ! -name
+# '*_test.go' | xargs cat | wc -l`).
 loc:
 	@for d in internal/* cmd/*; do \
 		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
-	done
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 # alloc-gate runs the allocation-count tests WITHOUT the race detector: they
 # skip under -race (its instrumentation allocates), so `check` alone would
@@ -63,8 +64,9 @@ alloc-gate:
 bench: collective-bench train-bench
 
 # bench-smoke runs a tiny end-to-end overlap benchmark (real BSP workers over
-# TCP, multi-bucket reducer pipeline, bit-identity asserted) without writing
-# any JSON — a seconds-long CI check that the benchmark harness still works.
+# TCP, multi-bucket reducer pipeline, bit-identity asserted) and the sharded
+# Adam slice (bit-identical to replicated over TCP) without writing any JSON —
+# a seconds-long CI check that the benchmark harness still works.
 bench-smoke:
 	$(GO) run ./cmd/rnabench -bench-smoke
 

@@ -235,79 +235,3 @@ func BenchmarkSimulatedRNAIteration(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkFusedAllReduce measures tensor fusion: 50 layer-sized gradients
-// reduced through fused buffers (the paper's Horovod baseline enables
-// Tensor Fusion, Section 7.3).
-func BenchmarkFusedAllReduce(b *testing.B) {
-	const n, layers, layerDim = 4, 50, 2000
-	net, err := transport.NewLocalNetwork(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	perRank := make([][]tensor.Vector, n)
-	for r := range perRank {
-		perRank[r] = make([]tensor.Vector, layers)
-		for i := range perRank[r] {
-			perRank[r][i] = tensor.New(layerDim)
-		}
-	}
-	b.SetBytes(int64(layers * layerDim * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		done := make(chan error, n)
-		for r, m := range net.Endpoints() {
-			r, m := r, m
-			go func() {
-				done <- collective.FusedAllReduce(m, int64(i), perRank[r], collective.OpAverage, collective.DefaultFusionBytes)
-			}()
-		}
-		for r := 0; r < n; r++ {
-			if err := <-done; err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkPerTensorAllReduce is the unfused comparison point for
-// BenchmarkFusedAllReduce: one ring collective per layer.
-func BenchmarkPerTensorAllReduce(b *testing.B) {
-	const n, layers, layerDim = 4, 50, 2000
-	net, err := transport.NewLocalNetwork(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	perRank := make([][]tensor.Vector, n)
-	for r := range perRank {
-		perRank[r] = make([]tensor.Vector, layers)
-		for i := range perRank[r] {
-			perRank[r][i] = tensor.New(layerDim)
-		}
-	}
-	b.SetBytes(int64(layers * layerDim * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		done := make(chan error, n)
-		for r, m := range net.Endpoints() {
-			r, m := r, m
-			go func() {
-				for l := 0; l < layers; l++ {
-					tag := int64(i)*int64(layers) + int64(l)
-					if err := collective.RingAllReduce(m, tag, perRank[r][l], collective.OpAverage); err != nil {
-						done <- err
-						return
-					}
-				}
-				done <- nil
-			}()
-		}
-		for r := 0; r < n; r++ {
-			if err := <-done; err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}

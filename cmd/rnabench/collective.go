@@ -117,26 +117,12 @@ type collectiveBenchReport struct {
 	GateOverlapInFlight int     `json:"gate_overlap_in_flight"`
 	// Framing is the v1 wire-protocol sweep (see framing.go): codec cost,
 	// header overhead and sustained TCP message rate across 64 B – 8 MiB
-	// payloads, plus the small-tensor e2e AllReduce comparison against the
-	// pre-framing seed. GateFramingSmallSpeedup is min(seed/current) over the
-	// small dims (bar >= 1.2); GateFramingAllocsPerOp is the worst codec
-	// allocation count (bar == 0); GateFramingHeaderPct is the header
-	// overhead at a 256 KiB payload (bar <= 1).
-	Framing                 []framingRow      `json:"framing"`
-	FramingSmallTCP         []framingSmallRow `json:"framing_small_tcp"`
-	GateFramingSmallSpeedup float64           `json:"gate_framing_small_speedup"`
-	GateFramingAllocsPerOp  int64             `json:"gate_framing_allocs_per_op"`
-	GateFramingHeaderPct    float64           `json:"gate_framing_header_pct"`
-	// Skew is the heterogeneous-fabric sweep (see skewbench.go): the
-	// online skew engine vs the equal-chunk ring over per-peer paced TCP
-	// links at 4:1 skew, with the engine's measured link rates and
-	// converged plan recorded per row. GateSkewSpeedup is the speedup at
-	// the 256 KiB point (bar >= 1.4); GateSkewConvergeIters is how many
-	// iterations a fresh engine needs before its plan weights land within
-	// 5% of the oracle fabric's (bar <= 20).
-	Skew                  []skewRow `json:"skew"`
-	GateSkewSpeedup       float64   `json:"gate_skew_speedup_256k"`
-	GateSkewConvergeIters int       `json:"gate_skew_converge_iters"`
+	// payloads. GateFramingAllocsPerOp is the worst codec allocation count
+	// (bar == 0); GateFramingHeaderPct is the header overhead at a 256 KiB
+	// payload (bar <= 1).
+	Framing                []framingRow `json:"framing"`
+	GateFramingAllocsPerOp int64        `json:"gate_framing_allocs_per_op"`
+	GateFramingHeaderPct   float64      `json:"gate_framing_header_pct"`
 	// Sharded is the owner-computes update sweep over loopback TCP (see
 	// shardbench.go): reduction plus optimizer step, replicated on the fused
 	// ring against the ring pair with the owned step between its halves.
@@ -216,6 +202,56 @@ func benchRing(name string, n, dim int, body func(m transport.Mesh, iter int64, 
 		BytesPerOp:  res.AllocedBytesPerOp(),
 		AllocsPerOp: res.AllocsPerOp(),
 	}, nil
+}
+
+// smokeRingRegression is the benchmark-regression guard: re-measure the
+// in-memory ring at the recorded n8/dim262144 acceptance point and fail if it
+// lands more than 10% above the ns/op recorded in BENCH_collective.json.
+// Min-of-reps damps scheduler noise; a missing or unreadable JSON (fresh
+// checkout mid-rework) skips the guard rather than failing CI on
+// infrastructure.
+func smokeRingRegression(benchPath string) error {
+	recorded, err := recordedRingNs(benchPath, 8, 1<<18)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench-smoke: ring regression guard skipped (%v)\n", err)
+		return nil
+	}
+	var best int64
+	for r := 0; r < 5; r++ {
+		res, err := benchRing("RingAllReduce", 8, 1<<18, func(m transport.Mesh, iter int64, v tensor.Vector) error {
+			return collective.RingAllReduce(m, iter, v, collective.OpAverage)
+		})
+		if err != nil {
+			return err
+		}
+		if best == 0 || res.NsPerOp < best {
+			best = res.NsPerOp
+		}
+	}
+	if float64(best) > 1.10*float64(recorded) {
+		return fmt.Errorf("ring regressed: %d ns/op vs recorded %d ns/op (>10%%)", best, recorded)
+	}
+	fmt.Fprintf(os.Stderr, "bench-smoke: ring regression guard ok (%d ns/op vs recorded %d)\n", best, recorded)
+	return nil
+}
+
+// recordedRingNs pulls the current RingAllReduce ns/op at (ranks, dim) from
+// the recorded benchmark JSON.
+func recordedRingNs(path string, ranks, dim int) (int64, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	var rep collectiveBenchReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		return 0, err
+	}
+	for _, c := range rep.Current {
+		if c.Name == "RingAllReduce" && c.Ranks == ranks && c.Dim == dim {
+			return c.NsPerOp, nil
+		}
+	}
+	return 0, fmt.Errorf("no recorded RingAllReduce n%d dim%d row in %s", ranks, dim, path)
 }
 
 // algoSweepRanks / algoSweepDims define the (ranks, dim) grid of the
@@ -566,9 +602,6 @@ func runCollectiveBench(outPath, calibrationPath string) error {
 	if err := runFramingSweep(&rep); err != nil {
 		return err
 	}
-	if err := runSkewSweep(&rep); err != nil {
-		return err
-	}
 	if err := runShardSweep(&rep); err != nil {
 		return err
 	}
@@ -606,10 +639,8 @@ func runCollectiveBench(outPath, calibrationPath string) error {
 		rep.GateFp16WireSpeedup)
 	fmt.Fprintf(os.Stderr, "collective bench: overlap speedup %.2fx (gate >= 1.3), %d bucket collectives in flight (gate >= 2)\n",
 		rep.GateOverlapSpeedup, rep.GateOverlapInFlight)
-	fmt.Fprintf(os.Stderr, "collective bench: framing small-tensor speedup %.2fx (gate >= 1.2), codec allocs/op %d (gate == 0), header %.3f%% at 256KiB (gate <= 1)\n",
-		rep.GateFramingSmallSpeedup, rep.GateFramingAllocsPerOp, rep.GateFramingHeaderPct)
-	fmt.Fprintf(os.Stderr, "collective bench: skew speedup %.2fx at 256KiB/4:1 (gate >= 1.4), plan within 5%% of oracle in %d iters (gate <= 20)\n",
-		rep.GateSkewSpeedup, rep.GateSkewConvergeIters)
+	fmt.Fprintf(os.Stderr, "collective bench: framing codec allocs/op %d (gate == 0), header %.3f%% at 256KiB (gate <= 1)\n",
+		rep.GateFramingAllocsPerOp, rep.GateFramingHeaderPct)
 	fmt.Fprintf(os.Stderr, "collective bench: owner-computes update / replicated ring update %.2fx at worst where auto selects it (gate <= 1.1)\n",
 		rep.GateShardedComposedRatio)
 	return nil

@@ -7,20 +7,12 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/collective"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
 // Framing sweep: the v1 wire protocol measured in isolation (codec cost,
-// header overhead, message rate) and end to end (TCP ring AllReduce on
-// small tensors, where per-frame overhead dominates). Three acceptance
-// gates ride on it:
+// header overhead, message rate). Two acceptance gates ride on it:
 //
-//   - gate_framing_small_speedup  >= 1.2 — e2e TCP ring AllReduce (n=8) on
-//     tensors of <= 4 KiB against the recorded pre-framing seed timings
-//     (larger dims are measured and reported but sit outside the gate:
-//     they are bandwidth-bound, not framing-bound);
 //   - gate_framing_allocs_per_op  == 0  — steady-state encode+decode of a
 //     frame allocates nothing (pooled payloads, zero-copy f64 views);
 //   - gate_framing_header_pct    <= 1  — header bytes are <= 1% of the
@@ -45,30 +37,8 @@ type framingRow struct {
 	MBPerSec float64 `json:"mb_per_sec"`
 }
 
-// framingSmallRow is one small-tensor point of the e2e AllReduce gate.
-type framingSmallRow struct {
-	Dim       int     `json:"dim"`
-	SeedNs    int64   `json:"seed_ns"`
-	CurrentNs int64   `json:"current_ns"`
-	Speedup   float64 `json:"speedup"`
-}
-
-// framingSeedSmallTCP are the TCP ring AllReduce (n=8) timings recorded at
-// the pre-framing seed commit with the identical benchmark body — the
-// baseline of the 1.2x gate. Small dims only: that is where per-message
-// overhead (per-frame syscalls, reader-goroutine handoffs, header bytes)
-// dominates and frame coalescing pays.
-var framingSeedSmallTCP = map[int]int64{
-	128:  304582,
-	512:  292231,
-	2048: 393781,
-	4096: 513527,
-}
-
 // framingPayloadElems sweeps 64 B → 8 MiB payloads (f64 elements).
 var framingPayloadElems = []int{8, 64, 512, 4096, 32768, 262144, 1048576}
-
-const framingRanks = 8
 
 // benchFramingCodec measures steady-state encode+decode of one frame and its
 // allocation count. The decode side runs the production zero-copy path (a
@@ -166,51 +136,8 @@ func benchFramingRate(elems int) (msgsPerSec, mbPerSec float64, err error) {
 	return msgsPerSec, mbPerSec, nil
 }
 
-// benchFramingSmallTCP measures one small-dim TCP ring AllReduce point with
-// the same body the seed numbers were recorded with.
-func benchFramingSmallTCP(dim int) (int64, error) {
-	meshes, err := transport.NewTCPCluster(framingRanks)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-	vecs := make([]tensor.Vector, framingRanks)
-	for i := range vecs {
-		vecs[i] = tensor.New(dim)
-		for j := range vecs[i] {
-			vecs[i][j] = float64(i + j)
-		}
-	}
-	var benchErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			done := make(chan error, framingRanks)
-			for _, m := range meshes {
-				m := m
-				go func() {
-					done <- collective.AllReduceWith(m, int64(i), vecs[m.Rank()], collective.OpAverage, collective.AlgoRing)
-				}()
-			}
-			for range meshes {
-				if err := <-done; err != nil && benchErr == nil {
-					benchErr = err
-				}
-			}
-		}
-	})
-	if benchErr != nil {
-		return 0, benchErr
-	}
-	return res.NsPerOp(), nil
-}
-
 // runFramingSweep fills the framing section of the report and derives its
-// three gates.
+// two gates.
 func runFramingSweep(rep *collectiveBenchReport) error {
 	const reps = 3
 	for _, elems := range framingPayloadElems {
@@ -248,29 +175,6 @@ func runFramingSweep(rep *collectiveBenchReport) error {
 		}
 		if row.AllocsPerOp > rep.GateFramingAllocsPerOp {
 			rep.GateFramingAllocsPerOp = row.AllocsPerOp
-		}
-	}
-
-	for _, dim := range []int{128, 512, 2048, 4096} {
-		fmt.Fprintf(os.Stderr, "collective bench: framing e2e TCP ring n%d dim%d...\n", framingRanks, dim)
-		var best int64
-		for r := 0; r < 5; r++ {
-			ns, err := benchFramingSmallTCP(dim)
-			if err != nil {
-				return err
-			}
-			if r == 0 || ns < best {
-				best = ns
-			}
-		}
-		row := framingSmallRow{Dim: dim, SeedNs: framingSeedSmallTCP[dim], CurrentNs: best}
-		row.Speedup = float64(row.SeedNs) / float64(row.CurrentNs)
-		rep.FramingSmallTCP = append(rep.FramingSmallTCP, row)
-		if dim*8 > 4<<10 {
-			continue // reported, but outside the <= 4 KiB gate
-		}
-		if rep.GateFramingSmallSpeedup == 0 || row.Speedup < rep.GateFramingSmallSpeedup {
-			rep.GateFramingSmallSpeedup = row.Speedup
 		}
 	}
 	return nil

@@ -19,9 +19,5 @@ func TestFramingProbe(t *testing.T) {
 		t.Logf("payload %dB frame %dB header %.3f%% codec %dns allocs %d rate %.0f msg/s %.1f MB/s",
 			row.PayloadBytes, row.FrameBytes, row.HeaderPct, row.EncodeDecodeNs, row.AllocsPerOp, row.MsgsPerSec, row.MBPerSec)
 	}
-	for _, row := range rep.FramingSmallTCP {
-		t.Logf("dim %d seed %dns current %dns speedup %.2fx", row.Dim, row.SeedNs, row.CurrentNs, row.Speedup)
-	}
-	t.Logf("gates: small %.2fx allocs %d header %.3f%%",
-		rep.GateFramingSmallSpeedup, rep.GateFramingAllocsPerOp, rep.GateFramingHeaderPct)
+	t.Logf("gates: allocs %d header %.3f%%", rep.GateFramingAllocsPerOp, rep.GateFramingHeaderPct)
 }

@@ -303,15 +303,12 @@ func runBenchSmoke() error {
 	if err := smokeCompression(); err != nil {
 		return fmt.Errorf("bench-smoke compression: %w", err)
 	}
-	if err := smokeSkew(); err != nil {
-		return fmt.Errorf("bench-smoke skew: %w", err)
-	}
 	if err := smokeRingRegression("BENCH_collective.json"); err != nil {
 		return fmt.Errorf("bench-smoke ring regression: %w", err)
 	}
 	if err := smokeSharded(); err != nil {
 		return fmt.Errorf("bench-smoke sharded: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "bench-smoke: ok (%d buckets, %d in flight, skew engine bit-identical to ring, sharded Adam bit-identical to replicated, params bit-identical)\n", buckets, inFlight)
+	fmt.Fprintf(os.Stderr, "bench-smoke: ok (%d buckets, %d in flight, sharded Adam bit-identical to replicated, params bit-identical)\n", buckets, inFlight)
 	return nil
 }

@@ -119,7 +119,7 @@ func benchSeedStore(groups int) (float64, error) {
 // be cloned while the lock is held.
 func benchMemStore(groups int) (float64, error) {
 	chunks := ps.DefaultChunks
-	offsets, err := collective.ShardOffsets(psModelElems, chunks, nil)
+	offsets, err := collective.ShardOffsets(psModelElems, chunks)
 	if err != nil {
 		return 0, err
 	}

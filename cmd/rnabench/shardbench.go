@@ -273,9 +273,8 @@ func runShardedTrainBench(rep *trainBenchReport) error {
 }
 
 // smokeSharded is the bench-smoke slice of the sharded path: a real 4-rank
-// TCP cluster trains with replicated Adam, then with sharded Adam under
-// uniform and 3:1-skewed ownership, and every rank's parameters must match
-// the replicated run bit for bit.
+// TCP cluster trains with replicated Adam, then with sharded Adam, and every
+// rank's parameters must match the replicated run bit for bit.
 func smokeSharded() error {
 	const n, iters = 4, 8
 	src := rng.New(77)
@@ -335,19 +334,16 @@ func smokeSharded() error {
 	if err != nil {
 		return fmt.Errorf("replicated: %w", err)
 	}
-	for _, weights := range [][]float64{nil, {3, 1, 1, 1}} {
-		cfg := base
-		cfg.ShardedUpdate = true
-		cfg.ShardWeights = weights
-		shard, err := run(cfg)
-		if err != nil {
-			return fmt.Errorf("sharded (weights %v): %w", weights, err)
-		}
-		for r := range shard {
-			for j := range repl[0].Params {
-				if math.Float64bits(shard[r].Params[j]) != math.Float64bits(repl[0].Params[j]) {
-					return fmt.Errorf("sharded (weights %v): rank %d diverges from replicated at [%d]", weights, r, j)
-				}
+	cfg := base
+	cfg.ShardedUpdate = true
+	shard, err := run(cfg)
+	if err != nil {
+		return fmt.Errorf("sharded: %w", err)
+	}
+	for r := range shard {
+		for j := range repl[0].Params {
+			if math.Float64bits(shard[r].Params[j]) != math.Float64bits(repl[0].Params[j]) {
+				return fmt.Errorf("sharded: rank %d diverges from replicated at [%d]", r, j)
 			}
 		}
 	}

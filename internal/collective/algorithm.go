@@ -81,15 +81,6 @@ type Options struct {
 	// distributed across ranks by ownership, matching how the error
 	// physically arises.
 	Residual tensor.Vector
-	// TopK, when positive, replaces the dense schedule with the sparse
-	// top-k gradient exchange (see sparse.go): each rank ships only its k
-	// largest-magnitude elements as an index+value frame, the union is
-	// tree-reduced, and every rank materializes the identical sparse sum.
-	// Requires Algorithm == AlgoAuto and Compression == F64 (selected
-	// values travel exact; sparsity IS the compression). With Residual set,
-	// the dropped mass accumulates there — error feedback, same contract as
-	// lossy dense dtypes.
-	TopK int
 }
 
 // AllReduceOpts reduces v in place across all ranks of m under opts. All
@@ -104,26 +95,6 @@ func AllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, o
 	}
 	if opts.Residual != nil && len(opts.Residual) != len(v) {
 		return fmt.Errorf("collective: residual length %d != vector length %d", len(opts.Residual), len(v))
-	}
-	if opts.TopK < 0 {
-		return fmt.Errorf("collective: negative top-k %d", opts.TopK)
-	}
-	if opts.TopK > 0 {
-		if opts.Algorithm != AlgoAuto {
-			return fmt.Errorf("collective: top-k does not compose with a pinned %v schedule", opts.Algorithm)
-		}
-		if opts.Compression != tensor.F64 {
-			return fmt.Errorf("collective: top-k does not compose with %v compression (selected values ship exact)", opts.Compression)
-		}
-		if transport.MeshCaps(m)&transport.CapSparse != 0 {
-			return topKAllReduce(m, iter, v, op, opts.TopK, opts.Residual)
-		}
-		// Capability downgrade: some rank of the mesh negotiated without
-		// sparse frame support, so the sparse exchange cannot run. Fall back
-		// to the dense schedule — exact, so any error-feedback residual
-		// stays untouched. MeshCaps is the same global AND on every rank,
-		// so all SPMD ranks take this branch together.
-		opts.TopK = 0
 	}
 	algo := opts.Algorithm
 	if algo == AlgoAuto {

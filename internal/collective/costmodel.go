@@ -110,19 +110,6 @@ func pathShape(path [2]Hop) (msgs, vol float64) {
 	return msgs, vol
 }
 
-// inlineShape is the shape of the inline allgather the ring runs inside its
-// small-tensor envelope (ring.go): log₂N recursive-doubling rounds at
-// power-of-two N, N−1 direct exchanges otherwise, shipping (N−1)·S bytes per
-// rank. Pricing the schedule that actually runs keeps the selector honest
-// in the latency-bound regime, where the inline ring beats the tree.
-func inlineShape(n, elems int) (msgs, vol float64) {
-	rounds := n - 1
-	if n&(n-1) == 0 {
-		rounds = log2(n)
-	}
-	return float64(rounds), float64(n-1) * float64(8*elems)
-}
-
 // PredictWireNs returns the modeled latency in nanoseconds of one AllReduce
 // of elems elements whose distribution phase ships the given wire dtype
 // (compression applies to that phase only; the reduction ships fp64).
@@ -141,9 +128,6 @@ func (c CostModel) PredictWireNs(a Algorithm, n, elems int, wire tensor.Dtype) f
 	}
 	switch a {
 	case AlgoRing:
-		if wire == tensor.F64 && ringInlineEligible(n, elems) {
-			return c.Ring.ns(inlineShape(n, elems))
-		}
 		return c.Ring.ns(pathShape(RingPath(n, p, wire)))
 	case AlgoTree:
 		return c.Tree.ns(pathShape(TreePath(n, p, wire)))
@@ -164,10 +148,6 @@ func (c CostModel) SelectWire(n, elems int, wire tensor.Dtype) Algorithm {
 	}
 	return AlgoRing
 }
-
-// log2 returns log2(p) for a power of two p ≥ 1 (⌊log2 p⌋ for any p ≥ 1,
-// 0 below).
-func log2(p int) int { return bits.Len(uint(max(p, 1))) - 1 }
 
 // ceilLog2 returns ⌈log2 n⌉ for n ≥ 1 (0 below).
 func ceilLog2(n int) int { return bits.Len(uint(max(n, 1) - 1)) }
@@ -202,98 +182,12 @@ func SelectAlgorithmWire(n, elems int, wire tensor.Dtype) Algorithm {
 }
 
 // AutoRunsPipelinedRing reports whether AlgoAuto reduces elems elements across
-// n ranks under the given wire on the pipelined ring: the selector picks the
-// ring and the vector is outside the ring's inline small-tensor envelope.
-// That is where a training stack can carve the reduction into
-// RingReduceScatter + RingAllGather and step the optimizer in between for the
-// same bytes on the wire. Like the selection it is a pure function of
-// SPMD-agreed inputs and the shared model.
+// n ranks under the given wire on the pipelined ring. That is where a training
+// stack can carve the reduction into RingReduceScatter + RingAllGather and
+// step the optimizer in between for the same bytes on the wire. Like the
+// selection it is a pure function of SPMD-agreed inputs and the shared model.
 func AutoRunsPipelinedRing(n, elems int, wire tensor.Dtype) bool {
-	if n <= 1 || (wire == tensor.F64 && ringInlineEligible(n, elems)) {
-		return false
-	}
-	return SelectAlgorithmWire(n, elems, wire) == AlgoRing
-}
-
-// Skew term. On a heterogeneous fabric the equal schedules are bound by the
-// slowest rank RELAYING (nearly) the whole tensor, while the weighted
-// direct exchange (skewAllReduce) lets a slow rank serve only its
-// proportional share. Both predictions below take the agreed mean-
-// normalized weight vector as the rate proxy, so the decision is a pure
-// function of SPMD-shared inputs — every rank of a skew engine branches the
-// same way.
-
-// skewMinWeight returns the smallest (slowest) normalized weight.
-func skewMinWeight(weights []float64) float64 {
-	min := weights[0]
-	for _, w := range weights[1:] {
-		if w < min {
-			min = w
-		}
-	}
-	return min
-}
-
-// PredictSkewWireNs prices the weighted direct exchange for elems f64
-// elements over per-rank relative rates `weights` (mean-normalized; chunk
-// shares are taken proportional to them, matching the partitioner). Rank
-// r's critical path is its own serialized traffic — scatter out (B − b_r)
-// fp64 bytes plus allgather out (n−1)·b_r wire bytes over a link running at
-// w_r times the calibrated fabric speed — and the collective finishes when
-// the slowest rank does.
-func (c CostModel) PredictSkewWireNs(elems int, wire tensor.Dtype, weights []float64) float64 {
-	n := len(weights)
-	if n <= 1 {
-		return 0
-	}
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	if !(sum > 0) {
-		return math.Inf(1)
-	}
-	msgs := float64(2 * (n - 1))
-	k := c.Ring
-	var worst float64
-	for _, w := range weights {
-		share := w / sum
-		chunk := int(float64(elems) * share)
-		scatterB := float64(8 * (elems - chunk))
-		gatherB := float64(n-1) * float64(wire.WireBytes(chunk))
-		t := (msgs*k.AlphaNs + (scatterB+gatherB)*k.BetaNsPerByte) / w
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
-// PredictRingSkewWireNs prices the EQUAL-chunk ring on the same skewed
-// fabric: every rank relays the same byte volume, so the slowest rank's
-// link (the smallest weight) sets the pace for the whole schedule. For
-// uniform weights this reduces exactly to PredictWireNs(AlgoRing, …).
-func (c CostModel) PredictRingSkewWireNs(n, elems int, wire tensor.Dtype, weights []float64) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return c.PredictWireNs(AlgoRing, n, elems, wire) / skewMinWeight(weights)
-}
-
-// SkewWins reports whether the weighted direct exchange is predicted to
-// beat the equal-chunk ring for this (size, wire, fabric) point. The 1.1×
-// margin keeps the equal ring — with its pooled rotating buffers, segment
-// pipeline and inline fast path — in charge unless unequal chunking is
-// predicted to pay for the schedule switch; in particular tiny tensors stay
-// on the latency-optimal inline path no matter how skewed the fabric is.
-func (c CostModel) SkewWins(elems int, wire tensor.Dtype, weights []float64) bool {
-	n := len(weights)
-	if n <= 1 || elems < n {
-		return false
-	}
-	skewed := c.PredictSkewWireNs(elems, wire, weights)
-	equal := c.PredictRingSkewWireNs(n, elems, wire, weights)
-	return skewed*1.1 < equal
+	return n > 1 && SelectAlgorithmWire(n, elems, wire) == AlgoRing
 }
 
 // Calibration is the persisted form of a fitted cost model.
@@ -425,19 +319,7 @@ func Calibrate(ranks, smallDim, largeDim, rounds int) (Calibration, error) {
 	}
 
 	fit := func(algo Algorithm, path func(int, Payload, tensor.Dtype) [2]Hop) (AlgoCost, error) {
-		// The two-point fit solves t = msgs·α + vol·β assuming both probes
-		// run the same schedule shape. The ring dispatches to the inline
-		// allgather inside its small envelope — a different shape with a
-		// different msgs term — so its small probe must sit just past the
-		// envelope to keep both points on the pipelined schedule. (Fitting
-		// across the two shapes attributes the inline probe's time to
-		// log₂N messages and inflates α ~20×, which then mispredicts the
-		// pipelined ring at every bandwidth-bound size.)
-		probeSmall := smallDim
-		for algo == AlgoRing && ringInlineEligible(ranks, probeSmall) {
-			probeSmall *= 2
-		}
-		tSmall, err := probe(algo, probeSmall)
+		tSmall, err := probe(algo, smallDim)
 		if err != nil {
 			return AlgoCost{}, fmt.Errorf("calibrate %s small: %w", algo, err)
 		}
@@ -445,7 +327,7 @@ func Calibrate(ranks, smallDim, largeDim, rounds int) (Calibration, error) {
 		if err != nil {
 			return AlgoCost{}, fmt.Errorf("calibrate %s large: %w", algo, err)
 		}
-		msgsS, volS := pathShape(path(ranks, Bytes(8*int64(probeSmall)), tensor.F64))
+		msgsS, volS := pathShape(path(ranks, Bytes(8*int64(smallDim)), tensor.F64))
 		_, volL := pathShape(path(ranks, Bytes(8*int64(largeDim)), tensor.F64))
 		// Two-point fit: t = msgs·α + vol·β. A schedule's msgs term depends
 		// on n alone, so β falls out of the difference and α from the small

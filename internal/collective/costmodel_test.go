@@ -9,42 +9,21 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestSelectPrefersLatencyOptimalSmall: small tensors must never land on a
-// 2(n−1)-step latency chain. Inside the inline envelope (≤ 8 KiB, ≤ 32
-// ranks) the ring itself runs the log-depth allgather, so the selector must
-// price it as such: under an α-dominated model the inline ring's log₂N
-// rounds are the shortest critical path at power-of-two n and must win,
-// while outside the envelope — where ring means the pipelined 2(n−1)
-// schedule — ring must lose. Which algorithm wins inside the envelope under
-// fitted constants depends on the β spread; the structural invariant is
-// that the pipelined chain is never picked for small tensors.
+// TestSelectPrefersLatencyOptimalSmall: small tensors must never land on the
+// ring's 2(n−1)-step latency chain. Under an α-dominated model the tree's
+// 2⌈log₂n⌉ messages are the shorter critical path (a tie at n ≤ 3 goes to the
+// tree), and the fitted defaults agree for a tensor of a few KiB.
 func TestSelectPrefersLatencyOptimalSmall(t *testing.T) {
 	alphaOnly := CostModel{Ring: AlgoCost{AlphaNs: 1}, Tree: AlgoCost{AlphaNs: 1}}
-	for _, n := range []int{8, 16, 32} {
-		// log₂n inline rounds < the tree's 2·log₂n.
-		if got := alphaOnly.SelectWire(n, 64, tensor.F64); got != AlgoRing {
-			t.Errorf("alpha-only Select(%d ranks, 64 elems) = %v; want ring (inline allgather is latency-optimal)", n, got)
-		}
-		// 4096 elems = 32 KiB: past the inline cap, ring is 2(n−1) deep.
-		if got := alphaOnly.SelectWire(n, 4096, tensor.F64); got == AlgoRing {
-			t.Errorf("alpha-only Select(%d ranks, 4096 elems) = ring; want a log-depth schedule", n)
-		}
-	}
-	// Non-power-of-two inline: n−1 direct exchanges still beat
-	// 2⌈log₂n⌉ = 6 at n = 6.
-	if got := alphaOnly.SelectWire(6, 64, tensor.F64); got != AlgoRing {
-		t.Errorf("alpha-only Select(6 ranks, 64 elems) = %v; want ring", got)
-	}
 	m := DefaultCostModel()
-	for _, n := range []int{8, 16, 32} {
-		if got := m.SelectWire(n, 4096, tensor.F64); got == AlgoRing {
-			t.Errorf("Select(%d ranks, 4096 elems) = ring; want a log-depth schedule", n)
+	for _, n := range []int{2, 3, 6, 8, 16, 32, 64} {
+		for _, elems := range []int{64, 4096} {
+			if got := alphaOnly.SelectWire(n, elems, tensor.F64); got != AlgoTree {
+				t.Errorf("alpha-only Select(%d ranks, %d elems) = %v; want tree", n, elems, got)
+			}
 		}
-	}
-	// Past the rank cap the inline path is off even for tiny tensors.
-	for _, n := range []int{64, 128} {
-		if got := m.SelectWire(n, 64, tensor.F64); got == AlgoRing {
-			t.Errorf("Select(%d ranks, 64 elems) = ring; want a log-depth schedule", n)
+		if got := m.SelectWire(n, 64, tensor.F64); got != AlgoTree {
+			t.Errorf("Select(%d ranks, 64 elems) = %v; want tree", n, got)
 		}
 	}
 }
@@ -111,16 +90,12 @@ func TestPredictMatchesConstructedModel(t *testing.T) {
 		elems int
 		want  float64
 	}{
-		// 800 B sits inside the inline-ring envelope: log₂n rounds at
-		// power-of-two n, n−1 direct exchanges otherwise.
-		{AlgoRing, 4, 100, 2}, // log2(4)
-		{AlgoRing, 8, 100, 3}, // log2(8)
-		{AlgoRing, 6, 100, 5}, // n−1 (non-power-of-two)
-		// 80 KB is past the inline cap: the pipelined ring's 2(n−1).
-		{AlgoRing, 4, 10000, 6},  //
-		{AlgoRing, 8, 10000, 14}, //
-		{AlgoTree, 8, 100, 6},    // 2·⌈log2 8⌉
-		{AlgoTree, 5, 100, 6},    // 2·⌈log2 5⌉
+		// The pipelined ring's 2(n−1) at any size.
+		{AlgoRing, 4, 100, 6},
+		{AlgoRing, 6, 100, 10},
+		{AlgoRing, 8, 10000, 14},
+		{AlgoTree, 8, 100, 6}, // 2·⌈log2 8⌉
+		{AlgoTree, 5, 100, 6}, // 2·⌈log2 5⌉
 	}
 	for _, tc := range cases {
 		if got := m.PredictWireNs(tc.algo, tc.n, tc.elems, tensor.F64); got != tc.want {
@@ -240,17 +215,9 @@ func TestCalibrationFingerprint(t *testing.T) {
 	}
 }
 
-// TestBitHelpersMatchLoops holds the math/bits forms of log2, ceilLog2 and
+// TestBitHelpersMatchLoops holds the math/bits forms of ceilLog2 and
 // highestBit to the hand loops they replaced, over 0–4 096.
 func TestBitHelpersMatchLoops(t *testing.T) {
-	log2Loop := func(p int) int {
-		l := 0
-		for p > 1 {
-			p >>= 1
-			l++
-		}
-		return l
-	}
 	ceilLog2Loop := func(n int) int {
 		l := 0
 		for (1 << l) < n {
@@ -269,9 +236,6 @@ func TestBitHelpersMatchLoops(t *testing.T) {
 		return b
 	}
 	for x := 0; x <= 4096; x++ {
-		if got, want := log2(x), log2Loop(x); got != want {
-			t.Errorf("log2(%d) = %d, loop %d", x, got, want)
-		}
 		if got, want := ceilLog2(x), ceilLog2Loop(x); got != want {
 			t.Errorf("ceilLog2(%d) = %d, loop %d", x, got, want)
 		}

@@ -91,20 +91,6 @@ func TestBroadcastShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestFusedAllReduceErrorPropagates: a failure in one fusion group surfaces.
-func TestFusedAllReduceErrorPropagates(t *testing.T) {
-	net, err := transport.NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep0, _ := net.Endpoint(0)
-	_ = net.Close()
-	err = FusedAllReduce(ep0, 0, []tensor.Vector{tensor.New(2)}, OpSum, 0)
-	if err == nil {
-		t.Error("fused allreduce on closed mesh should error")
-	}
-}
-
 // TestProtocolErrorFields: a protocol violation must carry enough context to
 // debug it — expected vs received iteration, tag, type, and the peer rank.
 func TestProtocolErrorFields(t *testing.T) {

@@ -76,197 +76,6 @@ func RingPath(n int, p Payload, wire tensor.Dtype) [2]Hop {
 // per-message overhead outgrows the extra overlap.
 const maxSegments = 4
 
-// Small-vector inline fast path.
-//
-// The pipelined ring below is bandwidth-optimal, but its 2(N−1) steps are
-// strictly sequential: the reduction wavefront of a chunk must travel the
-// whole ring before the chunk is complete, so each step costs one full link
-// latency (on the TCP mesh: a writev + read syscall round per hop) while
-// moving only a handful of bytes. A CPU profile of the 8-rank TCP ring at a
-// 4 KiB tensor shows ~39% of samples inside syscalls — the schedule is pure
-// latency, and no amount of framing work amortizes 14 serialized rendezvous
-// rounds.
-//
-// For tensors small enough that bandwidth is irrelevant, the latency-optimal
-// schedule is an allgather of the original vectors followed by a local fold
-// of all N contributions in exact ring order. Power-of-two rank counts use a
-// recursive-doubling (hypercube) allgather: log₂N pairwise exchange rounds,
-// round k swapping the 2^k vectors each side has accumulated, so an 8-rank
-// collective costs 3 sends + 3 receives per rank instead of the ring's 14
-// sequential hops — on a loopback TCP mesh that is the difference between 48
-// and 224 syscalls per collective. Other rank counts fall back to a direct
-// all-to-all: every rank sends its full vector to every peer in one
-// concurrent round (N−1 messages per rank, still one round of latency).
-//
-// Bit-identity is preserved: chunk c is folded starting from rank c's data
-// in ring order c, c+1, …, c−1, which is exactly the serial ring's
-// association (its final seg+=payload step has the operands swapped, and
-// pairwise FP addition is commutative bitwise); OpAverage multiplies the
-// completed sum by 1/n just as the owner-side Scale does. The path is taken
-// on a deterministic SPMD predicate (rank count, vector length, wire dtype,
-// segment pin — all agreed across ranks), so no rank can disagree about the
-// schedule. TestRingMatchesReference covers both paths: its small dims take
-// the inline route, dim 4099 and every pinned segment depth keep exercising
-// the pipelined ring.
-
-// ringInlineMaxBytes is the largest vector the inline path accepts: beyond
-// 8 KiB the N·(N−1) full-vector traffic starts to outweigh the saved hops
-// and the bandwidth-optimal ring wins again.
-const ringInlineMaxBytes = 8 << 10
-
-// ringInlineMaxRanks caps the fan-out (the all-to-all is O(N²) messages)
-// and sizes the path's stack arrays.
-const ringInlineMaxRanks = 32
-
-// ringInlineEligible reports whether the (ranks, elems) point belongs to the
-// inline schedule. Every input is SPMD-agreed, so all ranks branch the same
-// way.
-func ringInlineEligible(n, elems int) bool {
-	return n <= ringInlineMaxRanks && elems*8 <= ringInlineMaxBytes
-}
-
-// ringAllReduceInline dispatches between the two inline allgather schedules
-// and runs the shared ring-order fold.
-func ringAllReduceInline(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp) error {
-	n := m.Size()
-	var srcs [ringInlineMaxRanks][]float64
-	var err error
-	var release func()
-	if n&(n-1) == 0 {
-		release, err = ringInlineHypercube(m, iter, v, srcs[:n])
-	} else {
-		release, err = ringInlinePairwise(m, iter, v, srcs[:n])
-	}
-	if err == nil {
-		ringInlineFold(v, srcs[:n], op)
-	}
-	release()
-	return err
-}
-
-// ringInlineHypercube allgathers the original vectors by recursive doubling:
-// round k exchanges the 2^k vectors accumulated so far with the partner
-// rank^2^k, which owns the adjacent aligned block of the rank space. The
-// gather arena is laid out rank-major, so each round ships one contiguous
-// slice and deposits the partner's block into its contiguous home. Requires
-// a power-of-two rank count. srcs[r] is filled with rank r's original
-// vector; the returned release function frees the arena (and must run after
-// the fold).
-func ringInlineHypercube(m transport.Mesh, iter int64, v tensor.Vector, srcs [][]float64) (func(), error) {
-	n := m.Size()
-	rank := m.Rank()
-	dim := len(v)
-	arena := transport.GetPayload(n * dim)
-	release := func() { transport.PutPayload(arena) }
-	copy(arena[rank*dim:(rank+1)*dim], v)
-	tag := int32(0)
-	for g := 1; g < n; g <<= 1 {
-		partner := rank ^ g
-		mb := rank &^ (g - 1)    // base of the block this rank has gathered
-		pb := partner &^ (g - 1) // base of the partner's block
-		if err := m.Send(partner, transport.Message{
-			Type:    transport.MsgChunk,
-			Iter:    iter,
-			Chunk:   tag, // tag = exchange round
-			Payload: arena[mb*dim : (mb+g)*dim],
-		}); err != nil {
-			return release, fmt.Errorf("ring inline send: %w", err)
-		}
-		msg, err := m.Recv(partner)
-		if err != nil {
-			return release, fmt.Errorf("ring inline recv: %w", err)
-		}
-		if err := checkMsg("ring", msg, transport.MsgChunk, iter, tag); err != nil {
-			transport.PutPayload(msg.Payload)
-			return release, err
-		}
-		if len(msg.Payload) != g*dim {
-			transport.PutPayload(msg.Payload)
-			return release, fmt.Errorf("%w: ring inline payload %d elems, want %d", ErrProtocol, len(msg.Payload), g*dim)
-		}
-		copy(arena[pb*dim:(pb+g)*dim], msg.Payload)
-		transport.PutPayload(msg.Payload)
-		tag++
-	}
-	for r := 0; r < n; r++ {
-		srcs[r] = arena[r*dim : (r+1)*dim]
-	}
-	return release, nil
-}
-
-// ringInlinePairwise allgathers by direct exchange: every rank sends its
-// full vector to every peer, all sends before any receive. The local mesh
-// enqueues without blocking and the TCP mesh's flush/drain-assist protocol
-// makes a send round that overruns the socket buffer drain inbound frames
-// instead of deadlocking, so send-all-then-receive is safe on every mesh.
-// srcs[r] is rank r's vector — peers' arrive as pooled payloads, this rank's
-// slot aliases v itself (safe: the fold reads every contribution of element
-// i before writing v[i]).
-func ringInlinePairwise(m transport.Mesh, iter int64, v tensor.Vector, srcs [][]float64) (func(), error) {
-	n := m.Size()
-	rank := m.Rank()
-	srcs[rank] = v
-	release := func() {
-		for r := 0; r < n; r++ {
-			if r != rank {
-				transport.PutPayload(srcs[r])
-			}
-		}
-	}
-	for d := 1; d < n; d++ {
-		if err := m.Send((rank+d)%n, transport.Message{
-			Type:    transport.MsgChunk,
-			Iter:    iter,
-			Chunk:   int32(rank), // tag = sender rank
-			Payload: v,
-		}); err != nil {
-			return release, fmt.Errorf("ring inline send: %w", err)
-		}
-	}
-	for d := 1; d < n; d++ {
-		from := mod(rank-d, n)
-		msg, err := m.Recv(from)
-		if err != nil {
-			return release, fmt.Errorf("ring inline recv: %w", err)
-		}
-		if err := checkMsg("ring", msg, transport.MsgChunk, iter, int32(from)); err != nil {
-			transport.PutPayload(msg.Payload)
-			return release, err
-		}
-		if len(msg.Payload) != len(v) {
-			transport.PutPayload(msg.Payload)
-			return release, fmt.Errorf("%w: ring inline payload %d elems, want %d", ErrProtocol, len(msg.Payload), len(v))
-		}
-		srcs[from] = msg.Payload
-	}
-	return release, nil
-}
-
-// ringInlineFold reduces all n gathered vectors into v in the serial ring's
-// exact accumulation order: chunk c starts from rank c's data and folds the
-// remaining contributions in ring order c+1, c+2, …, then OpAverage scales
-// the completed sums by 1/n just as the ring's owner-side Scale does.
-func ringInlineFold(v tensor.Vector, srcs [][]float64, op ReduceOp) {
-	n := len(srcs)
-	var ord [ringInlineMaxRanks]int
-	for c := 0; c < n; c++ {
-		cs, ce, _ := tensor.ChunkBounds(len(v), n, c)
-		for j := 0; j < n; j++ {
-			ord[j] = (c + j) % n
-		}
-		for i := cs; i < ce; i++ {
-			acc := srcs[ord[0]][i]
-			for j := 1; j < n; j++ {
-				acc += srcs[ord[j]][i]
-			}
-			v[i] = acc
-		}
-	}
-	if op == OpAverage {
-		v.Scale(1 / float64(n))
-	}
-}
-
 // minSegmentElems is the smallest segment worth pipelining; chunks below
 // 2*minSegmentElems travel as a single message.
 const minSegmentElems = 8192
@@ -483,13 +292,6 @@ func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, s
 	n := m.Size()
 	if n == 1 {
 		return nil
-	}
-	// Small tensors with no pinned pipeline depth and a plain fp64 wire take
-	// the latency-optimal inline schedule (see above). Lossy wire dtypes stay
-	// on the ring: its owner-side quantize point is what makes compression
-	// exact-by-idempotence, and the residual hook lives there too.
-	if segments <= 0 && wire == tensor.F64 && ringInlineEligible(n, len(v)) {
-		return ringAllReduceInline(m, iter, v, op)
 	}
 	rank := m.Rank()
 	right := (rank - 1 + n) % n

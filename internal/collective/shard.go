@@ -8,34 +8,27 @@ import (
 	"repro/internal/transport"
 )
 
-// First-class ReduceScatter / AllGather primitives over an ownership table.
-//
-// These are the two halves of the skew-aware direct exchange (see skew.go),
-// promoted to independently callable collectives so an owner-computes update
-// path can run the optimizer BETWEEN them: reduce-scatter leaves each rank
-// owning the fully reduced span offs[rank]:offs[rank+1], the owner applies
-// its optimizer to that span only, and allgather ships the refreshed
-// parameters back out. Composing ReduceScatter + AllGather with no work in
-// between reproduces skewAllReduce exactly — same tags, same pooled
-// buffers, same fold — which is how the existing skew bit-identity tests
-// also prove the refactor.
+// First-class ReduceScatter / AllGather primitives over an ownership table:
+// the direct exchange. Reduce-scatter sends each peer its span in one hop
+// and the owner folds all contributions; allgather ships the completed span
+// back out in one hop. An owner-computes update runs the optimizer BETWEEN
+// them: reduce-scatter leaves each rank owning the fully reduced span
+// offs[rank]:offs[rank+1], the owner applies its optimizer to that span only,
+// and allgather ships the refreshed parameters back out.
 //
 // Ownership tables. offs is an n+1 prefix table: rank r owns the span
 // offs[r]:offs[r+1]. Spans must be monotone and cover the vector exactly;
-// ShardOffsets derives the two partitions the training stack uses (uniform
-// tensor.ChunkBounds spans, or tensor.WeightedSizes spans so slow ranks own
-// smaller shards). A nil offs selects the uniform table. Every table runs the
-// direct exchange; the uniform partition on the ring schedule is a separate
-// pair with its own ownership (RingReduceScatter / RingAllGather in
-// shard_ring.go), which is what the training stack runs when it has no table
-// to honour.
+// ShardOffsets derives the uniform tensor.ChunkBounds table, and a bucketed
+// stage clips it to each bucket's span. A nil offs selects the uniform
+// table. The uniform partition on the ring schedule is a separate pair with
+// its own ownership (RingReduceScatter / RingAllGather in shard_ring.go),
+// which is what the training stack runs when it does not bucket.
 //
-// Bit-identity contract (inherited from skew.go): element g is folded
-// left-associatively in ring order starting from g's UNIFORM chunk index —
-// regardless of which rank owns g under offs — so the composed
-// ReduceScatter+AllGather produces the same bits as RingAllReduce under ANY
-// partition. OpAverage scales at the owner, exactly like the ring's fused
-// average.
+// Bit-identity contract: element g is folded left-associatively in ring
+// order starting from g's UNIFORM chunk index in v — regardless of which
+// rank owns g under offs — so the composed ReduceScatter+AllGather produces
+// the same bits as RingAllReduce under ANY table. OpAverage scales at the
+// owner, exactly like the ring's fused average.
 //
 // Compression invariant (fp64 reduce / compressed allgather): the
 // reduce-scatter always ships exact fp64 — quantizing partial sums would
@@ -45,38 +38,30 @@ import (
 // point where exact fp64 exists, and every peer decodes the identical grid
 // values.
 
+// Direct-exchange tags: scatter frames carry the owner's rank, gather frames
+// n plus the owner's rank.
+func scatterTag(owner int) int32   { return int32(owner) }
+func gatherTag(n, owner int) int32 { return int32(n + owner) }
+
 // ShardOffsets returns the n+1 ownership offset table over a total-element
-// vector: the uniform tensor.ChunkBounds partition when weights is nil, the
-// tensor.WeightedSizes partition otherwise (no size floor — optimizer spans
-// have no framing cost to amortize — and the default max-skew clamp).
-// Both derivations are pure functions of (total, n, weights), so SPMD ranks
-// given the same inputs agree on every span.
-func ShardOffsets(total, n int, weights []float64) ([]int, error) {
+// vector: the uniform tensor.ChunkBounds partition. It is a pure function of
+// (total, n), so SPMD ranks agree on every span.
+func ShardOffsets(total, n int) ([]int, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("collective: shard offsets over %d ranks", n)
 	}
 	if total < 0 {
 		return nil, fmt.Errorf("collective: shard offsets over %d elements", total)
 	}
-	if weights == nil {
-		offs := make([]int, n+1)
-		for c := 0; c < n; c++ {
-			_, end, err := tensor.ChunkBounds(total, n, c)
-			if err != nil {
-				return nil, err
-			}
-			offs[c+1] = end
+	offs := make([]int, n+1)
+	for c := 0; c < n; c++ {
+		_, end, err := tensor.ChunkBounds(total, n, c)
+		if err != nil {
+			return nil, err
 		}
-		return offs, nil
+		offs[c+1] = end
 	}
-	if len(weights) != n {
-		return nil, fmt.Errorf("collective: %d shard weights over %d ranks", len(weights), n)
-	}
-	sizes, err := tensor.WeightedSizes(total, weights, 0, tensor.DefaultMaxSkew)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.WeightedOffsets(sizes), nil
+	return offs, nil
 }
 
 // checkShardOffsets validates an ownership table against (n ranks, total
@@ -98,7 +83,7 @@ func shardOffsetsOrUniform(total, n int, offs []int) ([]int, error) {
 	if offs != nil {
 		return offs, nil
 	}
-	return ShardOffsets(total, n, nil)
+	return ShardOffsets(total, n)
 }
 
 // ReduceScatter reduces v across all ranks of m and leaves each rank owning
@@ -124,13 +109,10 @@ func ReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, o
 }
 
 // checkGatherOpts validates the Options of an allgather over a total-element
-// vector: the gather owns its schedule, so no pinned tree and no top-k.
+// vector: the gather owns its schedule, so no pinned tree.
 func checkGatherOpts(opts Options, total int) error {
 	if opts.Algorithm != AlgoAuto && opts.Algorithm != AlgoRing {
 		return fmt.Errorf("collective: allgather cannot run %v", opts.Algorithm)
-	}
-	if opts.TopK != 0 {
-		return fmt.Errorf("collective: allgather cannot run top-k")
 	}
 	if !opts.Compression.Valid() {
 		return fmt.Errorf("collective: unknown compression dtype %d", opts.Compression)
@@ -167,8 +149,8 @@ func decodeCount(sum float64, n int) int {
 // selects the uniform partition. opts carries the wire dtype of the
 // distribution (Options.Compression; the owner quantizes its span once,
 // in place, capturing the error into Options.Residual's matching span) —
-// Algorithm must be AlgoAuto or AlgoRing and TopK must be 0, as the direct
-// exchange owns the schedule.
+// Algorithm must be AlgoAuto or AlgoRing, as the direct exchange owns the
+// schedule.
 func AllGather(m transport.Mesh, iter int64, v tensor.Vector, offs []int, opts Options) error {
 	if err := checkGatherOpts(opts, len(v)); err != nil {
 		return err
@@ -268,7 +250,7 @@ func reduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, o
 		if err := m.Send(to, transport.Message{
 			Type:    transport.MsgChunk,
 			Iter:    iter,
-			Chunk:   skewScatterTag(to),
+			Chunk:   scatterTag(to),
 			Payload: v[offs[to]:offs[to+1]],
 		}); err != nil {
 			return fmt.Errorf("reduce-scatter send: %w", err)
@@ -287,7 +269,7 @@ func reduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, o
 			releaseSrcs(srcs, rank, n, d)
 			return fmt.Errorf("reduce-scatter recv: %w", err)
 		}
-		if cerr := checkMsg("reduce-scatter", msg, transport.MsgChunk, iter, skewScatterTag(rank)); cerr != nil {
+		if cerr := checkMsg("reduce-scatter", msg, transport.MsgChunk, iter, scatterTag(rank)); cerr != nil {
 			transport.PutPayload(msg.Payload)
 			releaseSrcs(srcs, rank, n, d)
 			return cerr
@@ -330,7 +312,7 @@ func allGather(m transport.Mesh, iter int64, v tensor.Vector, offs []int, wire t
 			if err := m.Send(to, transport.Message{
 				Type:    transport.MsgChunk,
 				Iter:    iter,
-				Chunk:   skewGatherTag(n, rank),
+				Chunk:   gatherTag(n, rank),
 				Dtype:   wire,
 				Payload: own,
 			}); err != nil {
@@ -347,7 +329,7 @@ func allGather(m transport.Mesh, iter int64, v tensor.Vector, offs []int, wire t
 		if err != nil {
 			return fmt.Errorf("allgather recv: %w", err)
 		}
-		if cerr := checkMsg("allgather", msg, transport.MsgChunk, iter, skewGatherTag(n, from)); cerr != nil {
+		if cerr := checkMsg("allgather", msg, transport.MsgChunk, iter, gatherTag(n, from)); cerr != nil {
 			transport.PutPayload(msg.Payload)
 			return cerr
 		}
@@ -398,7 +380,7 @@ func partialReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, contrib
 		if err := transport.SendOwned(m, to, transport.Message{
 			Type:    transport.MsgChunk,
 			Iter:    iter,
-			Chunk:   skewScatterTag(to),
+			Chunk:   scatterTag(to),
 			Payload: buf,
 		}); err != nil {
 			return 0, fmt.Errorf("partial reduce-scatter send: %w", err)
@@ -415,7 +397,7 @@ func partialReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, contrib
 			releaseSrcs(srcs, rank, n, d)
 			return 0, fmt.Errorf("partial reduce-scatter recv: %w", err)
 		}
-		if cerr := checkMsg("partial-reduce-scatter", msg, transport.MsgChunk, iter, skewScatterTag(rank)); cerr != nil {
+		if cerr := checkMsg("partial-reduce-scatter", msg, transport.MsgChunk, iter, scatterTag(rank)); cerr != nil {
 			transport.PutPayload(msg.Payload)
 			releaseSrcs(srcs, rank, n, d)
 			return 0, cerr

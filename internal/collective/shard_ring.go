@@ -123,7 +123,7 @@ func ringScatter(m transport.Mesh, iter int64, v tensor.Vector, trail bool, flag
 		idx := mod(rank-st, n)
 		cs, ce, _ := tensor.ChunkBounds(len(v), n, idx)
 		err := m.Send(left, transport.Message{
-			Type: transport.MsgChunk, Iter: iter, Chunk: skewScatterTag(idx),
+			Type: transport.MsgChunk, Iter: iter, Chunk: scatterTag(idx),
 			Payload: v[cs:ce], Tail: count, HasTail: trail,
 		})
 		if err != nil {
@@ -132,7 +132,7 @@ func ringScatter(m transport.Mesh, iter int64, v tensor.Vector, trail bool, flag
 		recvIdx := mod(idx-1, n)
 		rs, re, _ := tensor.ChunkBounds(len(v), n, recvIdx)
 		visited, err := land(m, right, "reduce-scatter", transport.Landing{
-			Type: transport.MsgChunk, Iter: iter, Chunk: skewScatterTag(recvIdx),
+			Type: transport.MsgChunk, Iter: iter, Chunk: scatterTag(recvIdx),
 			Dst: v[rs:re], HasTail: trail, Add: true,
 		})
 		if err != nil {
@@ -171,7 +171,7 @@ func RingAllGather(m transport.Mesh, iter int64, v tensor.Vector, opts Options) 
 		idx := mod(rank+1-st, n)
 		cs, ce, _ := tensor.ChunkBounds(len(v), n, idx)
 		err := m.Send(left, transport.Message{
-			Type: transport.MsgChunk, Iter: iter, Chunk: skewGatherTag(n, idx), Dtype: wire, Payload: v[cs:ce],
+			Type: transport.MsgChunk, Iter: iter, Chunk: gatherTag(n, idx), Dtype: wire, Payload: v[cs:ce],
 		})
 		if err != nil {
 			return fmt.Errorf("allgather ring send: %w", err)
@@ -179,7 +179,7 @@ func RingAllGather(m transport.Mesh, iter int64, v tensor.Vector, opts Options) 
 		recvIdx := mod(idx-1, n)
 		rs, re, _ := tensor.ChunkBounds(len(v), n, recvIdx)
 		if _, err := land(m, right, "allgather", transport.Landing{
-			Type: transport.MsgChunk, Iter: iter, Chunk: skewGatherTag(n, recvIdx), Dst: v[rs:re],
+			Type: transport.MsgChunk, Iter: iter, Chunk: gatherTag(n, recvIdx), Dst: v[rs:re],
 		}); err != nil {
 			return err
 		}

@@ -85,7 +85,7 @@ func TestPartialRingReduceScatterMatches(t *testing.T) {
 						_, err := PartialReduceScatter(m, 6, direct[r][:dim], contrib[r], nil)
 						return err
 					})
-					offs, err := ShardOffsets(dim, n, nil)
+					offs, err := ShardOffsets(dim, n)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -240,8 +240,8 @@ func TestAutoRunsPipelinedRing(t *testing.T) {
 		{4, 139793, tensor.F64, true, "dense_rna, flag slot included"},
 		{4, 4680, tensor.F64, false, "hetero_*: the tree"},
 		{2, 139793, tensor.F64, false, "hier_ps's 2-rank groups: the tree"},
-		{4, 1024, tensor.F64, false, "the edge of the ring's inline envelope"},
-		{4, 1025, tensor.F16, SelectAlgorithmWire(4, 1025, tensor.F16) == AlgoRing, "a lossy wire never runs inline"},
+		{4, 1024, tensor.F64, false, "a small vector: the tree"},
+		{4, 139792, tensor.F16, true, "a lossy wire on the ring"},
 		{1, 139792, tensor.F64, false, "one rank reduces nothing"},
 	} {
 		if got := AutoRunsPipelinedRing(c.n, c.elems, c.wire); got != c.want {

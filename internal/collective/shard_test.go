@@ -30,17 +30,12 @@ func cloneVecs(vecs []tensor.Vector) []tensor.Vector {
 	return out
 }
 
-// skew3to1 returns a 3:1 weighted offset table (first rank heavy).
-func skew3to1(t *testing.T, total, n int) []int {
-	t.Helper()
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	w[0] = 3
-	offs, err := ShardOffsets(total, n, w)
-	if err != nil {
-		t.Fatal(err)
+// skew3to1 returns a hand-built ownership table in which the first rank owns
+// three times the span of every other rank.
+func skew3to1(total, n int) []int {
+	offs := make([]int, n+1)
+	for r := 1; r <= n; r++ {
+		offs[r] = total * (r + 2) / (n + 2)
 	}
 	return offs
 }
@@ -56,7 +51,7 @@ func TestReduceScatterAllGatherMatchesRing(t *testing.T) {
 				runSPMD(t, n, func(m transport.Mesh) error {
 					return RingAllReduce(m, 3, ref[m.Rank()], op)
 				})
-				for name, offs := range map[string][]int{"uniform": nil, "skew3to1": skew3to1(t, dim, n)} {
+				for name, offs := range map[string][]int{"uniform": nil, "skew3to1": skew3to1(dim, n)} {
 					got := shardInputs(n, dim, int64(n*dim))
 					runSPMD(t, n, func(m transport.Mesh) error {
 						if err := ReduceScatter(m, 3, got[m.Rank()], op, offs); err != nil {
@@ -82,7 +77,7 @@ func TestReduceScatterAllGatherMatchesRing(t *testing.T) {
 // span holds the reduction and the rest of the vector is untouched.
 func TestReduceScatterOwnsReducedSpan(t *testing.T) {
 	n, dim := 4, 103
-	offs := skew3to1(t, dim, n)
+	offs := skew3to1(dim, n)
 	in := shardInputs(n, dim, 11)
 	want := tensor.New(dim)
 	for r := range in {
@@ -112,7 +107,7 @@ func TestReduceScatterOwnsReducedSpan(t *testing.T) {
 // exact − quantized.
 func TestAllGatherWireEF(t *testing.T) {
 	n, dim := 4, 257
-	offs := skew3to1(t, dim, n)
+	offs := skew3to1(dim, n)
 	in := shardInputs(n, dim, 23)
 	exact := cloneVecs(in)
 	got := cloneVecs(in)
@@ -178,7 +173,7 @@ func TestPartialReduceScatterMatchesPartialRing(t *testing.T) {
 					pr.Release()
 					return nil
 				})
-				for name, offs := range map[string][]int{"uniform": nil, "skew3to1": skew3to1(t, dim, n)} {
+				for name, offs := range map[string][]int{"uniform": nil, "skew3to1": skew3to1(dim, n)} {
 					got := cloneVecs(in)
 					counts := make([]int, n)
 					runSPMD(t, n, func(m transport.Mesh) error {
@@ -190,7 +185,7 @@ func TestPartialReduceScatterMatchesPartialRing(t *testing.T) {
 					resolved := offs
 					if resolved == nil {
 						var err error
-						resolved, err = ShardOffsets(dim, n, nil)
+						resolved, err = ShardOffsets(dim, n)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -230,30 +225,26 @@ func TestShardPrimitiveErrors(t *testing.T) {
 		if err := AllGather(m, 0, v, nil, Options{Algorithm: AlgoTree}); err == nil {
 			t.Error("pinned tree accepted")
 		}
-		if err := AllGather(m, 0, v, nil, Options{TopK: 2}); err == nil {
-			t.Error("top-k accepted")
-		}
 		if err := AllGather(m, 0, v, nil, Options{Residual: tensor.New(3)}); err == nil {
 			t.Error("short residual accepted")
 		}
 		return nil
 	})
-	if _, err := ShardOffsets(10, 0, nil); err == nil {
+	if _, err := ShardOffsets(10, 0); err == nil {
 		t.Error("zero ranks accepted")
 	}
-	if _, err := ShardOffsets(10, 3, []float64{1, 2}); err == nil {
-		t.Error("weight/rank mismatch accepted")
+	if _, err := ShardOffsets(-1, 2); err == nil {
+		t.Error("negative length accepted")
 	}
 }
 
-// checkShardOffsetsInvariants asserts the satellite-2 span properties: full
-// coverage, no overlap, monotone, deterministic, and exactly the
-// ChunkBounds / WeightedSizes partitions.
-func checkShardOffsetsInvariants(t *testing.T, total, n int, weights []float64) {
+// checkShardOffsetsInvariants asserts the span properties: full coverage,
+// monotone, deterministic, and exactly the ChunkBounds partition.
+func checkShardOffsetsInvariants(t *testing.T, total, n int) {
 	t.Helper()
-	offs, err := ShardOffsets(total, n, weights)
+	offs, err := ShardOffsets(total, n)
 	if err != nil {
-		t.Fatalf("total=%d n=%d w=%v: %v", total, n, weights, err)
+		t.Fatalf("total=%d n=%d: %v", total, n, err)
 	}
 	if len(offs) != n+1 || offs[0] != 0 || offs[n] != total {
 		t.Fatalf("total=%d n=%d: offsets %v do not cover", total, n, offs)
@@ -265,7 +256,7 @@ func checkShardOffsetsInvariants(t *testing.T, total, n int, weights []float64) 
 	}
 	// Deterministic across "ranks": a second independent derivation from the
 	// same inputs must agree exactly.
-	again, err := ShardOffsets(total, n, weights)
+	again, err := ShardOffsets(total, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,27 +265,13 @@ func checkShardOffsetsInvariants(t *testing.T, total, n int, weights []float64) 
 			t.Fatalf("total=%d n=%d: derivation not deterministic (%v vs %v)", total, n, offs, again)
 		}
 	}
-	if weights == nil {
-		// Must be exactly the uniform ChunkBounds partition.
-		for c := 0; c < n; c++ {
-			s, e, err := tensor.ChunkBounds(total, n, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if offs[c] != s || offs[c+1] != e {
-				t.Fatalf("total=%d n=%d chunk %d: offsets %v != ChunkBounds [%d,%d)", total, n, c, offs, s, e)
-			}
+	for c := 0; c < n; c++ {
+		s, e, err := tensor.ChunkBounds(total, n, c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return
-	}
-	// Must be exactly the WeightedSizes partition.
-	sizes, err := tensor.WeightedSizes(total, weights, 0, tensor.DefaultMaxSkew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range sizes {
-		if offs[i+1]-offs[i] != s {
-			t.Fatalf("total=%d n=%d: offsets %v != WeightedSizes %v", total, n, offs, sizes)
+		if offs[c] != s || offs[c+1] != e {
+			t.Fatalf("total=%d n=%d chunk %d: offsets %v != ChunkBounds [%d,%d)", total, n, c, offs, s, e)
 		}
 	}
 }
@@ -302,55 +279,22 @@ func checkShardOffsetsInvariants(t *testing.T, total, n int, weights []float64) 
 func TestShardOffsetsProperties(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 8, 64} {
 		for _, total := range []int{0, 1, n - 1, n, n + 1, 1000, 1 << 16} {
-			if total < 0 {
-				continue
-			}
-			checkShardOffsetsInvariants(t, total, n, nil)
-			uniform := make([]float64, n)
-			for i := range uniform {
-				uniform[i] = 2.5
-			}
-			checkShardOffsetsInvariants(t, total, n, uniform)
-			// Uniform weights must degenerate to the equal partition.
-			offs, err := ShardOffsets(total, n, uniform)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equal, err := ShardOffsets(total, n, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range offs {
-				if offs[i] != equal[i] {
-					t.Fatalf("total=%d n=%d: uniform weights gave %v, want %v", total, n, offs, equal)
-				}
-			}
-			skew := make([]float64, n)
-			for i := range skew {
-				skew[i] = float64(1 + i%4)
-			}
-			checkShardOffsetsInvariants(t, total, n, skew)
+			checkShardOffsetsInvariants(t, total, n)
 		}
 	}
 }
 
-// FuzzShardOffsets drives random (total, n, weight-shape) tuples through the
-// span invariants.
+// FuzzShardOffsets drives random (total, n) pairs through the span
+// invariants.
 func FuzzShardOffsets(f *testing.F) {
 	f.Add(int64(1), 256, 4)
 	f.Add(int64(2), 0, 1)
 	f.Add(int64(3), 1<<14, 16)
 	f.Add(int64(4), 7, 8)
-	f.Fuzz(func(t *testing.T, seed int64, total, n int) {
+	f.Fuzz(func(t *testing.T, _ int64, total, n int) {
 		if n < 1 || n > 128 || total < 0 || total > 1<<18 {
 			t.Skip()
 		}
-		rng := rand.New(rand.NewSource(seed))
-		checkShardOffsetsInvariants(t, total, n, nil)
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = 0.25 + 4*rng.Float64()
-		}
-		checkShardOffsetsInvariants(t, total, n, w)
+		checkShardOffsetsInvariants(t, total, n)
 	})
 }

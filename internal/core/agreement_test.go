@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/model"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 	"repro/internal/trainsim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -39,13 +41,28 @@ func TestRuntimeAgreesWithSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A step of this model and a synchronization of its 4 744 parameters
-	// over the in-memory mesh both take about 0.1 ms: priced so, the delays
-	// are all that is left, as they are on the runtime.
+	// The simulator prices a step at what one costs on this host: the median
+	// of 21 gradients of this model and batch, about 0.1 ms, and about 6 ms
+	// under -race, where a fixed 0.1 ms left it reading 0.4 contributors per
+	// synchronization below the runtime. A synchronization of the 4 744
+	// parameters over the in-memory mesh takes about 0.1 ms. Priced so, the
+	// delays are all that is left, as they are on the runtime.
+	params, grad := tensor.New(mlp.Dim()), tensor.New(mlp.Dim())
+	mlp.Init(rng.New(11), params)
+	sample := ds.Batch(rng.New(11), batch)
+	steps := make([]time.Duration, 21)
+	for i := range steps {
+		start := time.Now()
+		if _, err := mlp.Gradient(params, grad, sample); err != nil {
+			t.Fatal(err)
+		}
+		steps[i] = time.Since(start)
+	}
+	slices.Sort(steps)
 	sim, err := trainsim.Run(trainsim.Config{
 		Strategy: trainsim.RNA, Workers: n, Model: mlp, Dataset: ds, BatchSize: batch,
 		LR: 0.05, Momentum: 0.9, Probes: 2, StalenessBound: eta, MaxIterations: syncs, Seed: 11,
-		Step:      workload.Balanced{Base: 100 * time.Microsecond},
+		Step:      workload.Balanced{Base: steps[len(steps)/2]},
 		Injector:  delay,
 		Spec:      workload.ModelSpec{Name: "mlp", Params: int64(mlp.Dim()), BytesPerParam: 8, Layers: 2},
 		Comm:      workload.CommModel{Latency: 10 * time.Microsecond, Bandwidth: 1e9, PCIeBandwidth: 1e10},

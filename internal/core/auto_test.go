@@ -16,9 +16,9 @@ import (
 
 // ringEverywhere installs, for the length of the test, a cost model under
 // which AlgoAuto takes the ring at every size, so the auto path can be
-// exercised just above the inline envelope and at 2 ranks, where the shipped
-// constants give the vector to the tree. The model is process-global: callers
-// must not run in parallel with other tests.
+// exercised at sizes and at 2 ranks where the shipped constants give the
+// vector to the tree. The model is process-global: callers must not run in
+// parallel with other tests.
 func ringEverywhere(t *testing.T) {
 	t.Helper()
 	shipped := collective.ActiveCostModel()
@@ -28,9 +28,8 @@ func ringEverywhere(t *testing.T) {
 	collective.SetCostModel(m)
 }
 
-// autoConfig is a logistic model of 1043 = 7·149 parameters: 19 elements past
-// the ring's 1024-element inline envelope, and neither it nor the
-// flag-extended 1044 = 4·9·29 splits evenly over every rank count the test
+// autoConfig is a logistic model of 1043 = 7·149 parameters: neither it nor
+// the flag-extended 1044 = 4·9·29 splits evenly over every rank count the test
 // uses, so owned chunks are ragged on both the BSP and the RNA partition.
 func autoConfig(t *testing.T, iters int, adam bool) TrainConfig {
 	t.Helper()
@@ -117,7 +116,7 @@ func TestAutoOwnerComputesMatchesPinnedRing(t *testing.T) {
 func TestOwnerComputesSelection(t *testing.T) {
 	const n = 4
 	base := autoConfig(t, 1, false)
-	small, _ := blobConfig(t, 1) // 28 parameters: inside the inline envelope
+	small, _ := blobConfig(t, 1) // 28 parameters: the shipped constants pick the tree
 	net, err := transport.NewLocalNetwork(n)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +131,6 @@ func TestOwnerComputesSelection(t *testing.T) {
 	}{
 		{"auto on the pipelined ring", base, func(*TrainConfig) {}, true, true},
 		{"shipped constants give this size to the tree", base, func(*TrainConfig) {}, false, false},
-		{"below the inline envelope", small, func(*TrainConfig) {}, true, false},
 		{"f16 wire", base, func(c *TrainConfig) { c.Compression = tensor.F16 }, true, false},
 		{"pinned ring", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoRing }, true, false},
 		{"pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, true, false},

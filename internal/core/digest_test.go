@@ -18,70 +18,54 @@ import (
 // that legitimately alters the arithmetic re-records the rows it moves (the
 // failure message prints them in table syntax) and says why.
 var trajectoryDigests = map[string]uint64{
-	"bsp/overlap/f16/adam/n=3":          0x5cec6e1904e2bf5d,
-	"bsp/overlap/f16/adam/n=4":          0xe2ebba1cd12f1fc9,
-	"bsp/overlap/f16/sgd/n=3":           0x15005e1d68b10104,
-	"bsp/overlap/f16/sgd/n=4":           0x559dac3b29ff45a1,
-	"bsp/overlap/f64/adam/n=3":          0x693c5cecfd4c341c,
-	"bsp/overlap/f64/adam/n=4":          0x44cf88977fa9b312,
-	"bsp/overlap/f64/sgd/n=3":           0x68f4d489edd93f8a,
-	"bsp/overlap/f64/sgd/n=4":           0xe52af71b3973a6d9,
-	"bsp/replicated/f16/adam/n=3":       0x5cec6e1904e2bf5d,
-	"bsp/replicated/f16/adam/n=4":       0xe2ebba1cd12f1fc9,
-	"bsp/replicated/f16/sgd/n=3":        0x15005e1d68b10104,
-	"bsp/replicated/f16/sgd/n=4":        0x559dac3b29ff45a1,
-	"bsp/replicated/f64/adam/n=3":       0xf6146c2d6179b009,
-	"bsp/replicated/f64/adam/n=4":       0xa3d9b603eacaf378,
-	"bsp/replicated/f64/sgd/n=3":        0xbef9d64b6e17f2aa,
-	"bsp/replicated/f64/sgd/n=4":        0x1f7b48fbe7e58a03,
-	"bsp/sharded-weighted/f16/adam/n=3": 0x2c0449521af2e33f,
-	"bsp/sharded-weighted/f16/adam/n=4": 0xa5d247e557350ca4,
-	"bsp/sharded-weighted/f16/sgd/n=3":  0xd50b1b1016616a96,
-	"bsp/sharded-weighted/f16/sgd/n=4":  0x9fd30038aef0af8e,
-	"bsp/sharded-weighted/f64/adam/n=3": 0xf6146c2d6179b009,
-	"bsp/sharded-weighted/f64/adam/n=4": 0x8947781760c9cbc1,
-	"bsp/sharded-weighted/f64/sgd/n=3":  0xbef9d64b6e17f2aa,
-	"bsp/sharded-weighted/f64/sgd/n=4":  0x93d66a33cf90c323,
-	"bsp/sharded/f16/adam/n=3":          0x2c0449521af2e33f,
-	"bsp/sharded/f16/adam/n=4":          0xa5d247e557350ca4,
-	"bsp/sharded/f16/sgd/n=3":           0xd50b1b1016616a96,
-	"bsp/sharded/f16/sgd/n=4":           0x9fd30038aef0af8e,
-	"bsp/sharded/f64/adam/n=3":          0xf6146c2d6179b009,
-	"bsp/sharded/f64/adam/n=4":          0x8947781760c9cbc1,
-	"bsp/sharded/f64/sgd/n=3":           0xbef9d64b6e17f2aa,
-	"bsp/sharded/f64/sgd/n=4":           0x93d66a33cf90c323,
-	"rna/overlap/f16/adam/n=3":          0x8375bd89d321642a,
-	"rna/overlap/f16/adam/n=4":          0xf6a10cf9eef5831f,
-	"rna/overlap/f16/sgd/n=3":           0xe48c4d61ed6c0b52,
-	"rna/overlap/f16/sgd/n=4":           0x44a36c95711d7c8e,
-	"rna/overlap/f64/adam/n=3":          0xb2b7f358c48a2a5e,
-	"rna/overlap/f64/adam/n=4":          0x36c9c7e5f3bdc696,
-	"rna/overlap/f64/sgd/n=3":           0x9570d0a12a31dfff,
-	"rna/overlap/f64/sgd/n=4":           0xa27f66c7544f1040,
-	"rna/replicated/f16/adam/n=3":       0x8375bd89d321642a,
-	"rna/replicated/f16/adam/n=4":       0xf6a10cf9eef5831f,
-	"rna/replicated/f16/sgd/n=3":        0xe48c4d61ed6c0b52,
-	"rna/replicated/f16/sgd/n=4":        0x44a36c95711d7c8e,
-	"rna/replicated/f64/adam/n=3":       0xf6146c2d6179b009,
-	"rna/replicated/f64/adam/n=4":       0xa3d9b603eacaf378,
-	"rna/replicated/f64/sgd/n=3":        0xbef9d64b6e17f2aa,
-	"rna/replicated/f64/sgd/n=4":        0x1f7b48fbe7e58a03,
-	"rna/sharded-weighted/f16/adam/n=3": 0x2c0449521af2e33f,
-	"rna/sharded-weighted/f16/adam/n=4": 0xa5d247e557350ca4,
-	"rna/sharded-weighted/f16/sgd/n=3":  0xd50b1b1016616a96,
-	"rna/sharded-weighted/f16/sgd/n=4":  0x9fd30038aef0af8e,
-	"rna/sharded-weighted/f64/adam/n=3": 0xf6146c2d6179b009,
-	"rna/sharded-weighted/f64/adam/n=4": 0xbc6d622766299af5,
-	"rna/sharded-weighted/f64/sgd/n=3":  0xbef9d64b6e17f2aa,
-	"rna/sharded-weighted/f64/sgd/n=4":  0x93d66a33cf90c323,
-	"rna/sharded/f16/adam/n=3":          0x2c0449521af2e33f,
-	"rna/sharded/f16/adam/n=4":          0xa5d247e557350ca4,
-	"rna/sharded/f16/sgd/n=3":           0xd50b1b1016616a96,
-	"rna/sharded/f16/sgd/n=4":           0x9fd30038aef0af8e,
-	"rna/sharded/f64/adam/n=3":          0xf6146c2d6179b009,
-	"rna/sharded/f64/adam/n=4":          0xbc6d622766299af5,
-	"rna/sharded/f64/sgd/n=3":           0xbef9d64b6e17f2aa,
-	"rna/sharded/f64/sgd/n=4":           0x93d66a33cf90c323,
+	"bsp/overlap/f16/adam/n=3":    0x5cec6e1904e2bf5d,
+	"bsp/overlap/f16/adam/n=4":    0xe2ebba1cd12f1fc9,
+	"bsp/overlap/f16/sgd/n=3":     0x15005e1d68b10104,
+	"bsp/overlap/f16/sgd/n=4":     0x559dac3b29ff45a1,
+	"bsp/overlap/f64/adam/n=3":    0xfe6ddff2f869507f,
+	"bsp/overlap/f64/adam/n=4":    0xa3d9b603eacaf378,
+	"bsp/overlap/f64/sgd/n=3":     0xfbca6ab6bd130ab9,
+	"bsp/overlap/f64/sgd/n=4":     0x1f7b48fbe7e58a03,
+	"bsp/replicated/f16/adam/n=3": 0x5cec6e1904e2bf5d,
+	"bsp/replicated/f16/adam/n=4": 0xe2ebba1cd12f1fc9,
+	"bsp/replicated/f16/sgd/n=3":  0x15005e1d68b10104,
+	"bsp/replicated/f16/sgd/n=4":  0x559dac3b29ff45a1,
+	"bsp/replicated/f64/adam/n=3": 0xfe6ddff2f869507f,
+	"bsp/replicated/f64/adam/n=4": 0xa3d9b603eacaf378,
+	"bsp/replicated/f64/sgd/n=3":  0xfbca6ab6bd130ab9,
+	"bsp/replicated/f64/sgd/n=4":  0x1f7b48fbe7e58a03,
+	"bsp/sharded/f16/adam/n=3":    0x2c0449521af2e33f,
+	"bsp/sharded/f16/adam/n=4":    0xa5d247e557350ca4,
+	"bsp/sharded/f16/sgd/n=3":     0xd50b1b1016616a96,
+	"bsp/sharded/f16/sgd/n=4":     0x9fd30038aef0af8e,
+	"bsp/sharded/f64/adam/n=3":    0xf6146c2d6179b009,
+	"bsp/sharded/f64/adam/n=4":    0x8947781760c9cbc1,
+	"bsp/sharded/f64/sgd/n=3":     0xbef9d64b6e17f2aa,
+	"bsp/sharded/f64/sgd/n=4":     0x93d66a33cf90c323,
+	"rna/overlap/f16/adam/n=3":    0x8375bd89d321642a,
+	"rna/overlap/f16/adam/n=4":    0xf6a10cf9eef5831f,
+	"rna/overlap/f16/sgd/n=3":     0xe48c4d61ed6c0b52,
+	"rna/overlap/f16/sgd/n=4":     0x44a36c95711d7c8e,
+	"rna/overlap/f64/adam/n=3":    0xfe6ddff2f869507f,
+	"rna/overlap/f64/adam/n=4":    0xa3d9b603eacaf378,
+	"rna/overlap/f64/sgd/n=3":     0xfbca6ab6bd130ab9,
+	"rna/overlap/f64/sgd/n=4":     0x1f7b48fbe7e58a03,
+	"rna/replicated/f16/adam/n=3": 0x8375bd89d321642a,
+	"rna/replicated/f16/adam/n=4": 0xf6a10cf9eef5831f,
+	"rna/replicated/f16/sgd/n=3":  0xe48c4d61ed6c0b52,
+	"rna/replicated/f16/sgd/n=4":  0x44a36c95711d7c8e,
+	"rna/replicated/f64/adam/n=3": 0xfe6ddff2f869507f,
+	"rna/replicated/f64/adam/n=4": 0xa3d9b603eacaf378,
+	"rna/replicated/f64/sgd/n=3":  0xfbca6ab6bd130ab9,
+	"rna/replicated/f64/sgd/n=4":  0x1f7b48fbe7e58a03,
+	"rna/sharded/f16/adam/n=3":    0x2c0449521af2e33f,
+	"rna/sharded/f16/adam/n=4":    0xa5d247e557350ca4,
+	"rna/sharded/f16/sgd/n=3":     0xd50b1b1016616a96,
+	"rna/sharded/f16/sgd/n=4":     0x9fd30038aef0af8e,
+	"rna/sharded/f64/adam/n=3":    0xf6146c2d6179b009,
+	"rna/sharded/f64/adam/n=4":    0xbc6d622766299af5,
+	"rna/sharded/f64/sgd/n=3":     0xbef9d64b6e17f2aa,
+	"rna/sharded/f64/sgd/n=4":     0x93d66a33cf90c323,
 }
 
 // digestResults hashes every rank's final parameters and per-step losses.
@@ -106,8 +90,8 @@ func digestResults(results []*Result) uint64 {
 
 // TestTrajectoryDigests runs BSP and RNA (StalenessBound 1 + AllReady, the
 // deterministic RNA schedule) over the replicated, overlapped multi-bucket
-// and sharded (uniform and weighted) paths, f64 and f16 wires, SGD and Adam,
-// 3 and 4 in-memory ranks, and compares each run against its recorded digest.
+// and sharded paths, f64 and f16 wires, SGD and Adam, 3 and 4 in-memory
+// ranks, and compares each run against its recorded digest.
 func TestTrajectoryDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are recorded on amd64; other targets may fuse multiply-adds")
@@ -119,7 +103,6 @@ func TestTrajectoryDigests(t *testing.T) {
 		{"replicated", func(*TrainConfig, int) {}},
 		{"overlap", func(c *TrainConfig, _ int) { c.Overlap, c.FusionBytes = true, 8 }},
 		{"sharded", func(c *TrainConfig, _ int) { c.ShardedUpdate = true }},
-		{"sharded-weighted", func(c *TrainConfig, n int) { c.ShardedUpdate, c.ShardWeights = true, skewWeights(n) }},
 	}
 	for _, protocol := range []string{"bsp", "rna"} {
 		for _, path := range paths {

@@ -129,7 +129,7 @@ func assertBitsEqual(t *testing.T, label string, a, b []*Result) {
 // TestOverlapMatchesSequentialBits is the bucketed stage's acceptance test:
 // for BSP and RNA, on in-memory and TCP meshes, with fp64 and f16 wires, over
 // the replicated reduction (auto-selected and pinned-ring schedule) and the
-// sharded one (uniform and weighted ownership), the overlapped stage produces
+// sharded one, the overlapped stage produces
 // bitwise identical parameters to (a) the same bucket plan launched serially
 // and (b) the unbucketed stage when the plan collapses to one bucket.
 func TestOverlapMatchesSequentialBits(t *testing.T) {
@@ -155,7 +155,6 @@ func TestOverlapMatchesSequentialBits(t *testing.T) {
 		// one-bucket run and the unbucketed run reduce differently.
 		{"ring", func(c *TrainConfig, _ int) { c.Algorithm = collective.AlgoRing }},
 		{"sharded", func(c *TrainConfig, _ int) { c.ShardedUpdate = true }},
-		{"sharded-weighted", func(c *TrainConfig, n int) { c.ShardedUpdate, c.ShardWeights = true, skewWeights(n) }},
 	}
 	for _, protocol := range []string{"bsp", "rna"} {
 		for _, red := range reductions {

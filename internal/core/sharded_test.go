@@ -14,10 +14,9 @@ import (
 	"repro/internal/transport"
 )
 
-// shardedBlobConfig is blobConfig with a model big enough that uniform
-// 4-rank spans stay above the ring inline threshold, plus knobs for the
-// sharded matrix. The replicated baseline pins AlgoRing so the comparison
-// is fold-order-exact at any dimension.
+// shardedBlobConfig is blobConfig plus knobs for the sharded matrix. The
+// replicated baseline pins AlgoRing so the comparison is fold-order-exact at
+// any dimension.
 func shardedBlobConfig(t *testing.T, iters int, adam bool) (TrainConfig, *data.Dataset) {
 	t.Helper()
 	cfg, ds := blobConfig(t, iters)
@@ -25,15 +24,6 @@ func shardedBlobConfig(t *testing.T, iters int, adam bool) (TrainConfig, *data.D
 	cfg.Adam = adam
 	cfg.StalenessBound = 1 // deterministic RNA snapshots under AllReady
 	return cfg, ds
-}
-
-func skewWeights(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	w[0] = 3
-	return w
 }
 
 // assertBitIdentical fails unless every rank's params match rank 0 of ref
@@ -55,8 +45,8 @@ func assertBitIdentical(t *testing.T, name string, ref tensor.Vector, results []
 
 // TestShardedBSPBitIdenticalToReplicated is the tentpole contract: the
 // owner-computes BSP path reproduces the replicated baseline bit for bit —
-// for SGD and Adam, under uniform AND 3:1-skewed ownership (the fold order
-// is partition-independent), on the in-memory mesh.
+// for SGD and Adam, unbucketed (the ring pair) and bucketed (the direct
+// exchange over the uniform table), on the in-memory mesh.
 func TestShardedBSPBitIdenticalToReplicated(t *testing.T) {
 	const n, iters = 4, 25
 	for _, adam := range []bool{false, true} {
@@ -68,10 +58,14 @@ func TestShardedBSPBitIdenticalToReplicated(t *testing.T) {
 		repl := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
 			return RunBSPWorker(m, ctrl, cfg)
 		})
-		for _, weights := range [][]float64{nil, skewWeights(n)} {
+		for _, bucketed := range []bool{false, true} {
 			scfg := cfg
 			scfg.ShardedUpdate = true
-			scfg.ShardWeights = weights
+			if bucketed {
+				// One bucket: the plan is the whole vector, so the direct
+				// exchange folds in the same order as the replicated ring.
+				scfg.Overlap, scfg.FusionBytes = true, 1<<30
+			}
 			sctrl, err := controller.New(controller.AllReady, n, 0, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -79,9 +73,9 @@ func TestShardedBSPBitIdenticalToReplicated(t *testing.T) {
 			shard := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
 				return RunBSPWorker(m, sctrl, scfg)
 			})
-			name := "uniform"
-			if weights != nil {
-				name = "skew3to1"
+			name := "ring-pair"
+			if bucketed {
+				name = "direct-exchange"
 			}
 			if adam {
 				name += "/adam"
@@ -119,10 +113,12 @@ func TestShardedRNABitIdenticalToReplicated(t *testing.T) {
 		repl := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
 			return RunRNAWorker(m, ctrl, cfg)
 		})
-		for _, weights := range [][]float64{nil, skewWeights(n)} {
+		for _, bucketed := range []bool{false, true} {
 			scfg := cfg
 			scfg.ShardedUpdate = true
-			scfg.ShardWeights = weights
+			if bucketed {
+				scfg.Overlap, scfg.FusionBytes = true, 1<<30
+			}
 			sctrl, err := controller.New(controller.AllReady, n, 0, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -181,7 +177,6 @@ func TestShardedBSPOverTCP(t *testing.T) {
 		wire := row.wire
 		cfg, _ := shardedBlobConfig(t, iters, true)
 		cfg.ShardedUpdate = true
-		cfg.ShardWeights = skewWeights(n)
 		cfg.Compression = wire
 		cfg.Overlap = row.overlap
 		ctrl, err := controller.New(controller.AllReady, n, 0, 1)
@@ -280,28 +275,6 @@ func TestShardedBSPF16MasterWeights(t *testing.T) {
 		tensor.RoundTripEF(tensor.F16, params, residual)
 	}
 	assertBitIdentical(t, "f16-master-weights", params, results)
-}
-
-func TestShardedConfigValidation(t *testing.T) {
-	cfg, _ := blobConfig(t, 1)
-	cfg.ShardWeights = []float64{1, 1}
-	if err := cfg.validate(); err == nil {
-		t.Error("shard weights without sharded update accepted")
-	}
-	cfg.ShardedUpdate = true
-	ctrl, err := controller.New(controller.AllReady, 2, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ShardWeights = []float64{1, 1, 1} // wrong length for a 2-rank mesh
-	net, err := transport.NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	if _, err := RunBSPWorker(net.Endpoints()[0], ctrl, cfg); err == nil {
-		t.Error("mismatched shard weight count accepted")
-	}
 }
 
 // TestShardedRNAWithStragglerTrains exercises genuine partial participation

@@ -89,6 +89,11 @@ type stage struct {
 	empty    int   // partial rounds nobody contributed to
 }
 
+// DefaultFusionBytes is the bucket-size cap of the bucketed stage when
+// TrainConfig.FusionBytes is unset: Horovod's default fusion-buffer threshold
+// (64 MiB), which the paper's Horovod baseline runs with (Section 7.3).
+const DefaultFusionBytes = 64 << 20
+
 // ownerComputes is the one predicate, the same for BSP and RNA, that turns the
 // owner-computes update on: asked for, or free. It is free where AlgoAuto
 // would reduce the loop's vector (reduced elements: the gradient, plus RNA's
@@ -111,7 +116,7 @@ func newStage(mesh transport.Mesh, cfg *TrainConfig, reduced int) (*stage, error
 	if cfg.Overlap {
 		fusion := cfg.FusionBytes
 		if fusion <= 0 {
-			fusion = collective.DefaultFusionBytes
+			fusion = DefaultFusionBytes
 		}
 		s.plan = model.PlanBuckets(model.Buckets(cfg.Model), fusion)
 		if err := model.ValidateBuckets(s.plan, dim); err != nil {
@@ -360,15 +365,15 @@ func (r *replicatedReducer) stateBytes() int64 { return r.optim.StateBytes() }
 // memory and update compute both shrink N×.
 //
 // Who owns what is decided once, here, because both halves must agree on it
-// for the whole run. With no ownership table to honour (no ShardWeights, one
-// whole-vector span) the halves are the uniform ring pair over the reduced
-// vector — the gradient for BSP, the flag-extended buffer for RNA — and rank
-// r owns the chunk the ring completes at it (collective.RingOwned), minus the
-// flag slot. Otherwise rank r owns span offs[r]:offs[r+1] of the table and
-// the halves are the direct exchange; per bucket the reduce-scatter runs over
-// the table clipped to the bucket's span (the buckets partition the vector,
-// so the owned parts add up to the owned span, and the step and the allgather
-// run once over it).
+// for the whole run. Unbucketed (one whole-vector span) the halves are the
+// uniform ring pair over the reduced vector — the gradient for BSP, the
+// flag-extended buffer for RNA — and rank r owns the chunk the ring completes
+// at it (collective.RingOwned), minus the flag slot. Bucketed, rank r owns
+// span offs[r]:offs[r+1] of the uniform table over the parameters and the
+// halves are the direct exchange; per bucket the reduce-scatter runs over the
+// table clipped to the bucket's span (the buckets partition the vector, so the
+// owned parts add up to the owned span, and the step and the allgather run
+// once over it).
 //
 // Bit-identity. Both scatters fold every element in the pipelined ring's
 // order from its uniform chunk index and scale at the owner
@@ -407,17 +412,14 @@ type shardedReducer struct {
 
 func newShardedReducer(mesh transport.Mesh, cfg *TrainConfig, plan []model.Bucket, reduced int) (*shardedReducer, error) {
 	dim, n := cfg.Model.Dim(), mesh.Size()
-	if cfg.ShardWeights != nil && len(cfg.ShardWeights) != n {
-		return nil, fmt.Errorf("core: %d shard weights over %d ranks", len(cfg.ShardWeights), n)
-	}
 	r := &shardedReducer{plan: plan, mesh: mesh, gather: collective.Options{Compression: cfg.Compression}}
-	if cfg.ShardWeights == nil && !cfg.Overlap {
+	if !cfg.Overlap {
 		r.reduced = reduced
 		r.lo, r.hi = collective.RingOwned(reduced, n, mesh.Rank())
 		r.lo, r.hi = min(r.lo, dim), min(r.hi, dim)
 		r.gather.Residual = cfg.residual(reduced)
 	} else {
-		offs, err := collective.ShardOffsets(dim, n, cfg.ShardWeights)
+		offs, err := collective.ShardOffsets(dim, n)
 		if err != nil {
 			return nil, err
 		}
@@ -431,7 +433,7 @@ func newShardedReducer(mesh transport.Mesh, cfg *TrainConfig, plan []model.Bucke
 		}
 		r.gather.Residual = cfg.residual(dim)
 	}
-	// A rank can own zero elements under an extreme partition.
+	// A rank owns zero elements when the vector has fewer elements than ranks.
 	var err error
 	if r.hi > r.lo {
 		r.optim, err = cfg.newOptimizer(r.hi - r.lo)

@@ -63,7 +63,7 @@ type TrainConfig struct {
 	// overlap benchmarks and bit-identity tests compare against.
 	OverlapSerial bool
 	// FusionBytes caps a reduction bucket's size when coalescing emitted
-	// gradient spans (0 = collective.DefaultFusionBytes). A threshold at
+	// gradient spans (0 = DefaultFusionBytes). A threshold at
 	// least as large as the gradient collapses the plan to one bucket.
 	FusionBytes int
 	// Adam selects the Adam optimizer (standard β₁/β₂/ε) instead of
@@ -82,10 +82,6 @@ type TrainConfig struct {
 	// before each step. With Overlap the reduce-scatter runs once per bucket;
 	// the step and the allgather stay whole-span.
 	ShardedUpdate bool
-	// ShardWeights optionally skews the ownership spans (len = mesh size;
-	// nil = uniform): spans follow tensor.WeightedSizes, so slow ranks can
-	// own proportionally smaller shards. Requires ShardedUpdate.
-	ShardWeights []float64
 	// Algorithm selects the dense collective schedule, whole-vector or per
 	// bucket under Overlap (validate rejects a value the engine lacks). The
 	// zero value, AlgoAuto, lets the cost model choose per (ranks, size,
@@ -110,9 +106,6 @@ func (c *TrainConfig) validate() error {
 	}
 	if !c.Compression.Valid() || !c.Algorithm.Valid() {
 		return fmt.Errorf("core: unknown compression dtype %d or collective algorithm %d", c.Compression, c.Algorithm)
-	}
-	if c.ShardWeights != nil && !c.ShardedUpdate {
-		return fmt.Errorf("core: shard weights without sharded update")
 	}
 	return nil
 }

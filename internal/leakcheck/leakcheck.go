@@ -1,0 +1,97 @@
+// Package leakcheck fails a package's test binary when goroutines its tests
+// started outlive them. Call Main from the package's TestMain.
+package leakcheck
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// idleFrame is the top repository frame of the only goroutines allowed to
+// outlive the tests: ring senders parked on collective's free list (at most
+// maxIdleSenders of them). A sender stuck mid-collective parks in
+// (*ringSender).run instead, so it still counts.
+const idleFrame = "repro/internal/collective.(*ringSender).loop"
+
+// wait is how long the goroutine count has to return to its baseline.
+const wait = 3 * time.Second
+
+// Main runs the tests and exits with their status. When they pass, it then
+// waits for the goroutines other than idle ring senders to number no more
+// than before the tests; if they still do not after 3 s, it prints every
+// such goroutine's stack and exits 1. A fuzzing run is not checked: the fuzz
+// engine leaves os/signal's loop running.
+func Main(m *testing.M) {
+	base := len(live())
+	code := m.Run()
+	if code == 0 && !fuzzing() {
+		if err := settle(base, wait); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// fuzzing reports whether the binary ran the fuzz engine, as coordinator or
+// worker, rather than the tests.
+func fuzzing() bool {
+	set := func(name, off string) bool {
+		f := flag.Lookup(name)
+		return f != nil && f.Value.String() != off
+	}
+	return set("test.fuzz", "") || set("test.fuzzworker", "false")
+}
+
+// settle polls until at most base goroutines are live, or reports the
+// stacks of the live ones once d has passed.
+func settle(base int, d time.Duration) error {
+	deadline := time.Now().Add(d)
+	for {
+		gs := live()
+		if len(gs) <= base {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("leakcheck: %d goroutines live %v after the tests, %d before them:\n\n%s",
+				len(gs), d, base, strings.Join(gs, "\n\n"))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// live returns the stack of every goroutine except the idle ring senders.
+func live() []string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var gs []string
+	for _, g := range strings.Split(strings.TrimSpace(string(buf)), "\n\n") {
+		if topRepoFrame(g) != idleFrame {
+			gs = append(gs, g)
+		}
+	}
+	return gs
+}
+
+// topRepoFrame returns the innermost function of one goroutine's stack dump
+// that belongs to this module, without its arguments; "" when none does.
+func topRepoFrame(g string) string {
+	for _, line := range strings.Split(g, "\n") {
+		if strings.HasPrefix(line, "repro/") {
+			return line[:strings.LastIndexByte(line, '(')]
+		}
+	}
+	return ""
+}

@@ -143,7 +143,7 @@ func NewClient(mesh transport.Mesh, cfg ClientConfig) (*Client, error) {
 		}
 	}
 	chunks := cfg.chunkCount()
-	offsets, err := collective.ShardOffsets(cfg.Dim, chunks, nil)
+	offsets, err := collective.ShardOffsets(cfg.Dim, chunks)
 	if err != nil {
 		return nil, err
 	}

@@ -89,7 +89,7 @@ func NewServer(mesh transport.Mesh, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("ps: server dim %d", cfg.Dim)
 	}
 	chunks := cfg.chunkCount()
-	offsets, err := collective.ShardOffsets(cfg.Dim, chunks, nil)
+	offsets, err := collective.ShardOffsets(cfg.Dim, chunks)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
-// Package topology provides the communication topologies RNA uses: the
-// logical ring of Ring AllReduce and the recursive partition-and-group
-// algorithm of Section 4 that splits a heterogeneous cluster into
-// speed-homogeneous AllReduce groups coordinated by a parameter server.
+// Package topology provides the recursive partition-and-group algorithm of
+// Section 4, which splits a heterogeneous cluster into speed-homogeneous
+// AllReduce groups coordinated by a parameter server.
 package topology
 
 import (
@@ -11,30 +10,6 @@ import (
 	"sort"
 	"time"
 )
-
-// Ring is a logical ring over n workers. Worker i sends to its left
-// neighbor (i+1 mod n) and receives from its right neighbor (i-1 mod n),
-// matching the scatter-and-gather description in Section 2.2.
-type Ring struct {
-	n int
-}
-
-// NewRing returns a ring over n workers; n must be positive.
-func NewRing(n int) (Ring, error) {
-	if n <= 0 {
-		return Ring{}, fmt.Errorf("topology: ring of %d workers", n)
-	}
-	return Ring{n: n}, nil
-}
-
-// Size returns the number of workers in the ring.
-func (r Ring) Size() int { return r.n }
-
-// Left returns the worker that i sends to.
-func (r Ring) Left(i int) int { return (i + 1) % r.n }
-
-// Right returns the worker that i receives from.
-func (r Ring) Right(i int) int { return ((i-1)%r.n + r.n) % r.n }
 
 // Group is one AllReduce group in the hierarchical scheme. Members are
 // global worker IDs.
@@ -48,75 +23,10 @@ func (g Group) Size() int { return len(g.Members) }
 // ErrNoWorkers is returned when partitioning an empty worker set.
 var ErrNoWorkers = errors.New("topology: no workers")
 
-// PartitionByspeed implements the ζ > v rule of Section 4: if the gap
-// between the fastest and slowest per-iteration times (ζ) exceeds the mean
-// per-iteration time (v), split workers into a faster and a slower subset
-// at the mean and recurse into each subset until ζ ≤ v holds inside every
-// group. stepTimes[i] is worker i's characteristic per-iteration time.
-//
-// The returned groups partition all workers; member lists are sorted. With
-// a homogeneous cluster the result is a single group.
-func PartitionBySpeed(stepTimes []time.Duration) ([]Group, error) {
-	if len(stepTimes) == 0 {
-		return nil, ErrNoWorkers
-	}
-	ids := make([]int, len(stepTimes))
-	for i := range ids {
-		ids[i] = i
-	}
-	groups := partition(ids, stepTimes, 0)
-	for _, g := range groups {
-		sort.Ints(g.Members)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Members[0] < groups[j].Members[0] })
-	return groups, nil
-}
-
 // maxPartitionDepth bounds the recursion; 2^30 groups is beyond any real
 // cluster, so hitting the bound means degenerate input, and we stop
 // splitting rather than recurse forever.
 const maxPartitionDepth = 30
-
-func partition(ids []int, stepTimes []time.Duration, depth int) []Group {
-	if len(ids) <= 1 || depth >= maxPartitionDepth {
-		return []Group{{Members: append([]int(nil), ids...)}}
-	}
-	var (
-		sum      time.Duration
-		min, max = stepTimes[ids[0]], stepTimes[ids[0]]
-	)
-	for _, id := range ids {
-		t := stepTimes[id]
-		sum += t
-		if t < min {
-			min = t
-		}
-		if t > max {
-			max = t
-		}
-	}
-	mean := sum / time.Duration(len(ids))
-	zeta := max - min
-	if zeta <= mean {
-		return []Group{{Members: append([]int(nil), ids...)}}
-	}
-	var fast, slow []int
-	for _, id := range ids {
-		if stepTimes[id] > mean {
-			slow = append(slow, id)
-		} else {
-			fast = append(fast, id)
-		}
-	}
-	// A degenerate split (everything on one side) cannot happen when
-	// zeta > mean >= 0 except for pathological inputs; guard anyway.
-	if len(fast) == 0 || len(slow) == 0 {
-		return []Group{{Members: append([]int(nil), ids...)}}
-	}
-	out := partition(fast, stepTimes, depth+1)
-	out = append(out, partition(slow, stepTimes, depth+1)...)
-	return out
-}
 
 // PartitionByObservations applies the grouping rule of Section 4 to
 // profiled per-task times: obs[w] holds worker w's observed task durations
@@ -204,27 +114,4 @@ func partitionObs(ids []int, obs [][]time.Duration, depth int) []Group {
 	out := partitionObs(fast, obs, depth+1)
 	out = append(out, partitionObs(slow, obs, depth+1)...)
 	return out
-}
-
-// NeedsHierarchy reports whether the ζ > v condition holds over the whole
-// cluster, i.e. whether hierarchical synchronization should be enabled.
-func NeedsHierarchy(stepTimes []time.Duration) bool {
-	if len(stepTimes) <= 1 {
-		return false
-	}
-	var (
-		sum      time.Duration
-		min, max = stepTimes[0], stepTimes[0]
-	)
-	for _, t := range stepTimes {
-		sum += t
-		if t < min {
-			min = t
-		}
-		if t > max {
-			max = t
-		}
-	}
-	mean := sum / time.Duration(len(stepTimes))
-	return max-min > mean
 }

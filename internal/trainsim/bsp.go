@@ -107,12 +107,9 @@ func runBSP(cfg Config) (*Result, error) {
 				return nil, err
 			}
 		}
-		// The compute window all workers share (barrier at fire): with
-		// overlap the bucket collectives launch inside it and only the
-		// tail is charged; sequential pricing (1 bucket) is unchanged.
 		// updateTail adds the optimizer term — and under ShardedUpdate
 		// decomposes the round into RS → owned-shard step → AG.
-		commCost := cfg.updateTail(cfg.Workers, cfg.Spec.GradientBytes(), fire-now, 0)
+		commCost := cfg.updateTail(cfg.Workers, cfg.Spec.GradientBytes(), 0)
 		syncEnd := fire + commCost
 		for w := 0; w < cfg.Workers; w++ {
 			res.Breakdowns[w].Wait += fire - ready[w]
@@ -127,20 +124,15 @@ func runBSP(cfg Config) (*Result, error) {
 			}
 		}
 		sum.Scale(1 / float64(cfg.Workers))
-		// Lossy wire: sparsify (top-k) or quantize (narrow dtype) the
-		// averaged gradient with error feedback — the residual carries the
-		// dropped or rounded mass into the next round's average instead of
-		// discarding it. The two modes are mutually exclusive (validate()).
+		// Lossy wire: quantize the averaged gradient with error feedback —
+		// the residual carries the rounded mass into the next round's
+		// average instead of discarding it.
 		if residual != nil {
 			if err := sum.Add(residual); err != nil {
 				return nil, err
 			}
 			residual.Zero()
-			if cfg.TopK > 0 {
-				tensor.TopKEF(sum, cfg.TopK, residual)
-			} else {
-				tensor.RoundTripEF(cfg.Compression, sum, residual)
-			}
+			tensor.RoundTripEF(cfg.Compression, sum, residual)
 		}
 		if _, err := optim.Step(params, sum, 1); err != nil {
 			return nil, err

@@ -488,13 +488,10 @@ func (s *partialSim) nextRound() (roundOutcome, error) {
 		contributors++
 	}
 
-	// Price the collective: one extra payload element per bucket carries
-	// the contribution count (see collective.PartialAllReduce). The
-	// schedule is the configured one (ring by default, auto for selector
-	// runs). With overlap the bucket collectives launch across the window
-	// computation raced until the trigger (tNow → fire) and only the tail
-	// is charged; sequential pricing (1 bucket) is unchanged.
-	commCost := s.cfg.updateTail(s.n, s.cfg.Spec.GradientBytes(), fire-tNow, 8)
+	// Price the collective: one extra payload element carries the
+	// contribution count (see collective.PartialAllReduce). The schedule is
+	// the configured one (ring by default, auto for selector runs).
+	commCost := s.cfg.updateTail(s.n, s.cfg.Spec.GradientBytes(), 8)
 	if s.payCopy && !s.cfg.DirectGPU {
 		oh := s.cfg.Comm.RNACopyOverhead(s.cfg.Spec.GradientBytes())
 		if s.cfg.LayerOverlap {
@@ -513,19 +510,15 @@ func (s *partialSim) nextRound() (roundOutcome, error) {
 	}
 
 	if contributors > 0 {
-		// Lossy wire: the collective quantizes (narrow dtype) or
-		// sparsifies (top-k) the summed gradient — the reduction itself
-		// runs fp64, see internal/collective — and error feedback folds
-		// the previous round's residual back into the sum before it is
-		// re-compressed, so the error is corrected rather than compounded.
+		// Lossy wire: the collective quantizes the summed gradient — the
+		// reduction itself runs fp64, see internal/collective — and error
+		// feedback folds the previous round's residual back into the sum
+		// before it is re-compressed, so the error is corrected rather than
+		// compounded.
 		if s.residual != nil {
 			_ = sum.Add(s.residual)
 			s.residual.Zero()
-			if s.cfg.TopK > 0 {
-				tensor.TopKEF(sum, s.cfg.TopK, s.residual)
-			} else {
-				tensor.RoundTripEF(s.cfg.Compression, sum, s.residual)
-			}
+			tensor.RoundTripEF(s.cfg.Compression, sum, s.residual)
 		}
 		sum.Scale(1 / float64(contributors))
 		scale, err := opt.LinearScale(contributors, s.n)

@@ -109,35 +109,11 @@ type Config struct {
 	// the loss curves reflect the statistical cost of the narrower wire,
 	// not just its speed.
 	Compression tensor.Dtype
-	// TopK, when > 0, switches the synchronization to sparse top-k
-	// gradient exchange (collective.TopKAllReduce): each worker ships
-	// only its k largest-magnitude gradient elements as index+value
-	// pairs, the dropped mass is carried in the error-feedback residual,
-	// and the priced cost follows the sparse exchange's own binomial
-	// schedule (Comm.TopKAllReduce), ignoring Collective. Mutually
-	// exclusive with a lossy Compression dtype — the runtime collective
-	// rejects the combination, and so does validate().
-	TopK int
 	// SpeedFactors optionally scales each worker's compute time
 	// multiplicatively (deterministic hardware heterogeneity: the
 	// paper's Table 2 testbed mixes K80, 1080Ti and 2080Ti GPUs).
 	// Missing entries default to 1.
 	SpeedFactors []float64
-	// LinkSpeedFactors optionally scales each worker's link rate
-	// relative to the fabric mean (network heterogeneity — the
-	// communication-side mirror of SpeedFactors). When the vector is
-	// uneven, collectives are paced by the slowest link; with SkewAware
-	// set they are instead priced as the skew-proportional weighted
-	// exchange of collective.SkewEngine when the cost model says it
-	// wins. A nil, short, or non-positive vector prices a homogeneous
-	// fabric.
-	LinkSpeedFactors []float64
-	// SkewAware opts collective pricing into the skew-proportional
-	// partition (workload.SkewAllReduceWire) on uneven LinkSpeedFactors.
-	// Only dense ring/auto schedules qualify — top-k and a pinned tree
-	// keep slowest-link pacing, mirroring what the runtime SkewEngine
-	// accepts.
-	SkewAware bool
 
 	// Probes is RNA's power-of-choices q (default 2).
 	Probes int
@@ -162,22 +138,11 @@ type Config struct {
 	// 8.5: per-layer copies pipeline against backpropagation, exposing
 	// only one layer's copy in each direction.
 	LayerOverlap bool
-	// OverlapBuckets prices the reducer pipeline (comm/compute overlap):
-	// the gradient splits into this many bucket collectives that launch
-	// as the compute window emits them, and a round charges only the
-	// communication tail left after compute ends
-	// (workload.OverlappedTail). 0 or 1 keeps the sequential pricing —
-	// one whole-gradient collective charged in full after compute —
-	// bit-identical to earlier versions.
-	OverlapBuckets int
 	// ShardedUpdate prices the owner-computes sharded update path
 	// (internal/core's ShardedUpdate mode): the fused AllReduce decomposes
-	// into an exact-fp64 ReduceScatter, an owned-shard optimizer step
-	// (spans proportional to 1/SpeedFactor when the fleet is uneven, so
-	// slower ranks own smaller spans), and a parameter AllGather shipping
-	// the Compression wire dtype. Only the dense Horovod and RNA
-	// strategies qualify, and the path excludes TopK and OverlapBuckets —
-	// mirroring what the runtime collective accepts.
+	// into an exact-fp64 ReduceScatter, an owned-shard optimizer step over
+	// a uniform span, and a parameter AllGather shipping the Compression
+	// wire dtype. Only the dense Horovod and RNA strategies qualify.
 	ShardedUpdate bool
 	// OptNsPerElem prices the optimizer update at this many nanoseconds
 	// per parameter element (scaled by the rank's SpeedFactor). Zero — the
@@ -243,33 +208,19 @@ func (c *Config) validate() error {
 	if !c.Compression.Valid() {
 		return fmt.Errorf("trainsim: unknown compression dtype %d", c.Compression)
 	}
-	if c.TopK < 0 {
-		return fmt.Errorf("trainsim: negative top-k %d", c.TopK)
-	}
-	if c.TopK > 0 && c.Compression != tensor.F64 {
-		return fmt.Errorf("trainsim: top-k sparsification cannot combine with lossy compression %v", c.Compression)
-	}
 	if c.OptNsPerElem < 0 {
 		return fmt.Errorf("trainsim: negative optimizer cost %v", c.OptNsPerElem)
 	}
-	if c.ShardedUpdate {
-		if c.TopK > 0 {
-			return fmt.Errorf("trainsim: sharded update cannot combine with top-k sparsification")
-		}
-		if c.OverlapBuckets > 1 {
-			return fmt.Errorf("trainsim: sharded update cannot combine with overlap buckets")
-		}
-		if c.Strategy != Horovod && c.Strategy != RNA {
-			return fmt.Errorf("trainsim: sharded update requires Horovod or RNA, got %v", c.Strategy)
-		}
+	if c.ShardedUpdate && c.Strategy != Horovod && c.Strategy != RNA {
+		return fmt.Errorf("trainsim: sharded update requires Horovod or RNA, got %v", c.Strategy)
 	}
 	return nil
 }
 
-// residual allocates the error-feedback carry for lossy wires and sparse
-// top-k; nil when the wire is exact, dense fp64.
+// residual allocates the error-feedback carry for lossy wires; nil when the
+// wire is exact fp64.
 func (c *Config) residual(dim int) tensor.Vector {
-	if c.Compression == tensor.F64 && c.TopK == 0 {
+	if c.Compression == tensor.F64 {
 		return nil
 	}
 	return tensor.New(dim)
@@ -308,97 +259,10 @@ func (c *Config) evalEvery() int {
 // payload size; compressed wires are priced per element so the dtype's
 // actual wire bytes (including I8's per-block scales) are charged.
 func (c *Config) allReduceCost(n int, bytes int64) time.Duration {
-	var base time.Duration
-	switch {
-	case c.TopK > 0:
-		base = c.Comm.TopKAllReduce(n, int(bytes/8), c.TopK)
-	case c.Compression == tensor.F64:
-		base = c.Comm.AllReduce(c.Collective, n, bytes)
-	default:
-		base = c.Comm.AllReduceWire(c.Collective, n, int(bytes/8), c.Compression)
+	if c.Compression == tensor.F64 {
+		return c.Comm.AllReduce(c.Collective, n, bytes)
 	}
-	w, min := c.linkWeights(n)
-	if w == nil {
-		return base
-	}
-	// Every equal-share schedule is paced by its slowest link.
-	equal := time.Duration(float64(base) / min)
-	if !c.SkewAware || c.TopK > 0 ||
-		(c.Collective != workload.AllReduceRing && c.Collective != workload.AllReduceAuto) {
-		return equal
-	}
-	if skew := c.Comm.SkewAllReduceWire(n, int(bytes/8), c.Compression, w); skew < equal {
-		return skew
-	}
-	return equal
-}
-
-// linkWeights returns the first n LinkSpeedFactors (missing entries 1) and
-// the smallest mean-relative weight, or (nil, 1) when the fabric is
-// effectively homogeneous — unset, uniform, or invalid factors.
-func (c *Config) linkWeights(n int) ([]float64, float64) {
-	if n <= 1 || len(c.LinkSpeedFactors) == 0 {
-		return nil, 1
-	}
-	w := make([]float64, n)
-	uniform := true
-	var sum float64
-	for i := range w {
-		w[i] = 1
-		if i < len(c.LinkSpeedFactors) {
-			f := c.LinkSpeedFactors[i]
-			if !(f > 0) {
-				return nil, 1
-			}
-			w[i] = f
-		}
-		if w[i] != w[0] {
-			uniform = false
-		}
-		sum += w[i]
-	}
-	if uniform {
-		return nil, 1
-	}
-	min := w[0]
-	for _, f := range w[1:] {
-		if f < min {
-			min = f
-		}
-	}
-	return w, min * float64(n) / sum
-}
-
-// overlapBuckets returns the priced bucket count (min 1).
-func (c *Config) overlapBuckets() int {
-	if c.OverlapBuckets < 1 {
-		return 1
-	}
-	return c.OverlapBuckets
-}
-
-// commTail prices one synchronization's communication given the compute
-// window it may overlap with. With OverlapBuckets ≤ 1 this is exactly
-// allReduceCost of the whole payload — the historical sequential price.
-// With B buckets the payload splits into B collectives (the last takes the
-// remainder; extraPerBucket models per-bucket framing such as RNA's
-// contributor flag) launching as compute emits them, and the round charges
-// only the tail workload.OverlappedTail leaves after the compute window.
-func (c *Config) commTail(n int, bytes int64, compute time.Duration, extraPerBucket int64) time.Duration {
-	b := c.overlapBuckets()
-	if b <= 1 {
-		return c.allReduceCost(n, bytes+extraPerBucket)
-	}
-	per := bytes / int64(b)
-	comms := make([]time.Duration, b)
-	for i := range comms {
-		sz := per
-		if i == b-1 {
-			sz = bytes - per*int64(b-1)
-		}
-		comms[i] = c.allReduceCost(n, sz+extraPerBucket)
-	}
-	return workload.OverlappedTail(compute, comms)
+	return c.Comm.AllReduceWire(c.Collective, n, int(bytes/8), c.Compression)
 }
 
 // optStepCost prices one optimizer step over elems parameter elements on
@@ -411,63 +275,36 @@ func (c *Config) optStepCost(w, elems int) time.Duration {
 	return time.Duration(float64(elems) * c.OptNsPerElem * c.speedFactor(w))
 }
 
-// shardSpanElems returns each rank's owned-span size for the sharded
-// update's pricing: uniform shares on an even fleet, shares proportional to
-// 1/SpeedFactor on an uneven one (a slower rank owns a smaller span — the
-// skew-aware ownership core.TrainConfig.ShardWeights expresses).
-func (c *Config) shardSpanElems(n, elems int) []int {
-	spans := make([]int, n)
-	var sum float64
-	inv := make([]float64, n)
-	for w := 0; w < n; w++ {
-		inv[w] = 1 / c.speedFactor(w)
-		sum += inv[w]
-	}
-	for w := 0; w < n; w++ {
-		spans[w] = int(float64(elems) * inv[w] / sum)
-	}
-	return spans
-}
-
 // updateTail prices one synchronization's full post-compute cost: the
-// collective plus the optimizer update.
+// collective plus the optimizer update. extra is the bytes the loop's vector
+// carries beyond the gradient (RNA's contributor-count flag).
 //
-// Replicated (the default): commTail — the overlap-aware AllReduce — plus
-// one full-vector optimizer step per rank, redundantly; the slowest rank's
-// step paces the round.
+// Replicated (the default): the AllReduce plus one full-vector optimizer
+// step per rank, redundantly; the slowest rank's step paces the round.
 //
 // ShardedUpdate: an exact-fp64 ReduceScatter, the owned-shard optimizer
-// step (the round waits for the slowest owner), and a parameter AllGather
-// shipping the Compression wire dtype, strictly sequential — the owned step
-// gates the gather. Both half-collectives are paced by the slowest link,
-// like every equal-share schedule. Σ spans = dim, so with OptNsPerElem set
-// the update term shrinks ~N× against the replicated path while
-// ReduceScatter + AllGatherWire together move exactly the ring AllReduce's
-// bytes (see workload.CommModel.ReduceScatter).
-func (c *Config) updateTail(n int, bytes int64, compute time.Duration, extraPerBucket int64) time.Duration {
+// step over a uniform span (the round waits for the slowest owner), and a
+// parameter AllGather shipping the Compression wire dtype, strictly
+// sequential — the owned step gates the gather. With OptNsPerElem set the
+// update term shrinks ~N× against the replicated path while ReduceScatter +
+// AllGatherWire together move exactly the ring AllReduce's bytes (see
+// workload.CommModel.ReduceScatter).
+func (c *Config) updateTail(n int, bytes, extra int64) time.Duration {
 	elems := int(bytes / 8)
-	if !c.ShardedUpdate {
-		tail := c.commTail(n, bytes, compute, extraPerBucket)
-		var worst time.Duration
-		for w := 0; w < n; w++ {
-			if t := c.optStepCost(w, elems); t > worst {
-				worst = t
-			}
-		}
-		return tail + worst
+	span := elems
+	var tail time.Duration
+	if c.ShardedUpdate {
+		// The flag rides the scatter once.
+		span = elems / n
+		tail = c.Comm.ReduceScatter(n, elems+int(extra/8)) + c.Comm.AllGatherWire(n, elems, c.Compression)
+	} else {
+		tail = c.allReduceCost(n, bytes+extra)
 	}
-	// extraPerBucket (RNA's contributor-count flag) rides the scatter once.
-	scatterElems := elems + int(extraPerBucket/8)
-	_, min := c.linkWeights(n)
-	rs := time.Duration(float64(c.Comm.ReduceScatter(n, scatterElems)) / min)
-	ag := time.Duration(float64(c.Comm.AllGatherWire(n, elems, c.Compression)) / min)
 	var worst time.Duration
-	for w, span := range c.shardSpanElems(n, elems) {
-		if t := c.optStepCost(w, span); t > worst {
-			worst = t
-		}
+	for w := 0; w < n; w++ {
+		worst = max(worst, c.optStepCost(w, span))
 	}
-	return rs + worst + ag
+	return tail + worst
 }
 
 func (c *Config) injector() hetero.Injector {

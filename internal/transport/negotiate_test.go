@@ -410,114 +410,3 @@ func TestSetLinkRateConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-// TestSetPeerLinkRateConcurrent: the per-peer pacing override racing
-// in-flight sends (and the global setter) must be a clean atomic handoff —
-// the asymmetric-fabric analogue of TestSetLinkRateConcurrent (run under
-// -race).
-func TestSetPeerLinkRateConcurrent(t *testing.T) {
-	meshes, err := NewTCPCluster(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-	const msgs = 50
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rates := []float64{0, 1 << 30, 64 << 20, 16 << 20}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				if err := meshes[0].SetPeerLinkRate(1+i%2, rates[i%len(rates)]); err != nil {
-					t.Errorf("set peer rate: %v", err)
-					return
-				}
-				meshes[0].SetLinkRate(rates[(i+1)%len(rates)])
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < msgs; i++ {
-			for _, to := range []int{1, 2} {
-				if err := meshes[0].Send(to, Message{Type: MsgChunk, Iter: int64(i), Payload: []float64{float64(i)}}); err != nil {
-					t.Errorf("send %d to %d: %v", i, to, err)
-					return
-				}
-			}
-		}
-	}()
-	for _, from := range []int{1, 2} {
-		for i := 0; i < msgs; i++ {
-			msg, err := meshes[from].Recv(0)
-			if err != nil {
-				t.Fatalf("rank %d recv %d: %v", from, i, err)
-			}
-			if msg.Iter != int64(i) {
-				t.Fatalf("rank %d recv %d: iter %d", from, i, msg.Iter)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
-
-// TestSetPeerLinkRateAsymmetric: a per-peer override actually paces only
-// that connection — the peer left on the (fast) global rate must not be
-// slowed, and clearing the override restores the global pace.
-func TestSetPeerLinkRateAsymmetric(t *testing.T) {
-	meshes, err := NewTCPCluster(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-	if err := meshes[0].SetPeerLinkRate(3, 1); err == nil {
-		t.Fatal("out-of-range peer accepted")
-	}
-	payload := make([]float64, 32<<10) // 256 KiB
-	const slowRate = 16e6              // 256 KiB at 16 MB/s ≈ 16 ms
-	if err := meshes[0].SetPeerLinkRate(1, slowRate); err != nil {
-		t.Fatal(err)
-	}
-	elapse := func(to int) time.Duration {
-		start := time.Now()
-		if err := meshes[0].Send(to, Message{Type: MsgChunk, Iter: 1, Payload: payload}); err != nil {
-			t.Fatalf("send to %d: %v", to, err)
-		}
-		d := time.Since(start)
-		if _, err := meshes[to].Recv(0); err != nil {
-			t.Fatalf("recv at %d: %v", to, err)
-		}
-		return d
-	}
-	slow := elapse(1)
-	fast := elapse(2)
-	want := time.Duration(float64(len(payload)*8) / slowRate * 1e9)
-	if slow < want/2 {
-		t.Fatalf("paced send took %v, want >= %v", slow, want/2)
-	}
-	if fast > want/2 {
-		t.Fatalf("unpaced peer took %v, override leaked across connections", fast)
-	}
-	// Clearing the override falls back to the (unset) global rate.
-	if err := meshes[0].SetPeerLinkRate(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if d := elapse(1); d > want/2 {
-		t.Fatalf("cleared override still paced: %v", d)
-	}
-}

@@ -10,8 +10,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Wire-format tests for sparse (index+value) messages — the top-k gradient
-// exchange format. Companion to the dtype fuzz tests in fuzz_test.go.
+// Wire-format tests for sparse (index+value) messages. Companion to the dtype
+// fuzz tests in fuzz_test.go.
 
 func sparseSeed(n int) Message {
 	m := Message{Type: MsgReduce, Iter: 42, Chunk: 7}

@@ -80,13 +80,7 @@ type TCPMesh struct {
 
 	// linkRate, when positive (stored as math.Float64bits), paces outbound
 	// traffic to emulate a link of that many bytes/second (see SetLinkRate).
-	// Per-peer overrides live on the peerConn (see SetPeerLinkRate).
 	linkRate atomic.Uint64
-
-	// sendObs, when set, receives one callback per flushed outbound batch —
-	// the per-segment timing hook skew-aware re-planning feeds from (see
-	// SetSendObserver).
-	sendObs atomic.Value // SendObserver
 
 	mu     sync.Mutex
 	closed bool
@@ -127,11 +121,6 @@ type peerConn struct {
 	waiters  atomic.Int32
 	fw       *frameWriter
 	nextFree time.Time
-
-	// rate, when positive (math.Float64bits), overrides the mesh-wide
-	// linkRate for this connection only — an asymmetric emulated fabric
-	// (see SetPeerLinkRate). Zero defers to the global rate.
-	rate atomic.Uint64
 
 	// Receive side: per-stream routed-frame queues. q0 (stream 0) is
 	// preallocated — the non-multiplexed fast path takes no lock to find it.
@@ -419,15 +408,7 @@ func (m *TCPMesh) send(to int, msg Message, owned bool) error {
 		msg.Dtype = tensor.F64
 	}
 
-	rate := math.Float64frombits(c.rate.Load())
-	if rate == 0 {
-		rate = math.Float64frombits(m.linkRate.Load())
-	}
-	obs, _ := m.sendObs.Load().(SendObserver)
-	var start time.Time
-	if obs != nil {
-		start = time.Now()
-	}
+	rate := math.Float64frombits(m.linkRate.Load())
 	c.waiters.Add(1)
 	c.wmu.Lock()
 	c.waiters.Add(-1)
@@ -466,27 +447,14 @@ func (m *TCPMesh) send(to int, msg Message, owned bool) error {
 	if !horizon.IsZero() {
 		pacingWait(horizon)
 	}
-	if err == nil && obs != nil && queued > 0 {
-		d := time.Since(start)
-		if rate > 0 {
-			// The pacing horizon IS the emulated link: report the batch's
-			// modeled serialization time. Wall time would fold in the
-			// timer overshoot of the pacing sleep — hundreds of µs of
-			// scheduler noise that swamps sub-millisecond serialization
-			// delays and flattens the very skew a link-rate estimator
-			// exists to detect.
-			d = time.Duration(float64(queued) / rate * 1e9)
-		}
-		obs(to, queued, d)
-	}
 	return err
 }
 
 // pacingSpinWindow is the tail of a pacing wait that busy-polls instead of
 // sleeping. Go timers routinely overshoot by hundreds of microseconds under
 // scheduler load; on a small-message emulated fabric that overshoot dwarfs
-// the sub-millisecond serialization delays the pacer exists to model and
-// flattens any configured link-rate skew. Sleeping only to within the window
+// the sub-millisecond serialization delays the pacer exists to model.
+// Sleeping only to within the window
 // and yielding-polling the remainder keeps the modeled rates honest at
 // microsecond granularity while bounding the burned CPU per flush.
 const pacingSpinWindow = 500 * time.Microsecond
@@ -528,51 +496,15 @@ func (m *TCPMesh) sendSelf(msg Message, owned bool) error {
 
 // SetLinkRate makes every subsequent outbound flush pace itself so the
 // connection's wire bytes flow at no more than bytesPerSec — an emulated
-// link bandwidth. It exists for benchmarking and for emulating heterogeneous
-// fabrics on fast loopback hardware: real loopback is CPU-bound, so without
-// a rate cap the wire-byte savings of compressed payloads are invisible.
+// link bandwidth. It exists for benchmarking on fast loopback hardware: real
+// loopback is CPU-bound, so without a rate cap the wire-byte savings of
+// compressed payloads are invisible.
 // A rate of 0 (the default) disables pacing. Pacing is applied per
 // connection on the sender side only. Safe to call concurrently with
 // in-flight sends (the rate is read atomically per flush), though a rate
 // change mid-collective applies only to flushes that start after it.
 func (m *TCPMesh) SetLinkRate(bytesPerSec float64) {
 	m.linkRate.Store(math.Float64bits(bytesPerSec))
-}
-
-// SetPeerLinkRate overrides the emulated link rate for this rank's
-// connection to one peer, so a benchmark can emulate a genuinely
-// heterogeneous fabric (each directed link paced independently) instead of
-// one global pace. A rate of 0 removes the override and the connection
-// falls back to the mesh-wide SetLinkRate value; the global call thus stays
-// the uniform special case. Safe to call concurrently with in-flight sends,
-// with the same flush-boundary semantics as SetLinkRate.
-func (m *TCPMesh) SetPeerLinkRate(rank int, bytesPerSec float64) error {
-	if rank < 0 || rank >= m.size {
-		return fmt.Errorf("transport: peer link rate for rank %d of %d", rank, m.size)
-	}
-	m.peers[rank].rate.Store(math.Float64bits(bytesPerSec))
-	return nil
-}
-
-// SendObserver receives one callback per flushed outbound batch: the
-// destination rank, the wire bytes the flush carried, and the batch's link
-// occupancy. On a paced (emulated) link that is the modeled serialization
-// time queued/rate — the pacing horizon is the link, and reporting the
-// model rather than wall time keeps timer-overshoot noise out of the
-// estimate — so feeding the callbacks into topology.LinkObservations
-// recovers the per-link rates online, the re-planning loop's input. On an
-// unpaced fabric the duration is the wall time of the local write, which
-// underestimates transit; callers that need real transit times should
-// calibrate explicitly instead.
-type SendObserver func(to int, wireBytes int, d time.Duration)
-
-// SetSendObserver installs fn as the mesh's send-timing hook (nil removes
-// it). The callback runs on the sender's goroutine after the paced sleep;
-// it must not block and must be safe for concurrent calls from multiple
-// sender goroutines. Deferred group-commit enqueues are not observed — their
-// bytes are attributed to the flush that carries them.
-func (m *TCPMesh) SetSendObserver(fn SendObserver) {
-	m.sendObs.Store(fn)
 }
 
 // Recv implements Mesh: the next stream-0 message from `from`.

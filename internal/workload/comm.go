@@ -43,8 +43,8 @@ func TenGbEComm() CommModel {
 }
 
 // bytesCost prices the bandwidth term of a transfer without the per-message
-// latency, for the schedules (skew exchange, chunked parameter-server
-// pipeline) whose message count is not what their byte volume implies.
+// latency, for the chunked parameter-server pipeline, whose message count is
+// not what its byte volume implies.
 func (c CommModel) bytesCost(bytes int64) time.Duration {
 	if c.Bandwidth <= 0 || bytes <= 0 {
 		return 0
@@ -190,121 +190,6 @@ func (c CommModel) AllGatherWire(n int, elems int, wire tensor.Dtype) time.Durat
 	return time.Duration(n-1) * c.transfer(int64(wire.WireBytes(elems/n)))
 }
 
-// TopKAllReduce prices the sparse index+value exchange of
-// collective.TopKAllReduce: a binomial tree reduces each rank's top-k
-// entries to a root, then a binomial broadcast ships the merged union
-// back. Each entry costs 12 wire bytes (int32 index + fp64 value). Frame
-// sizes grow as unions accumulate up the tree — at reduce depth i a frame
-// carries at most min(k·2^i, elems) entries; every broadcast frame
-// carries the final union of at most min(n·k, elems) entries. Unions are
-// priced at their worst case (no index overlap), so the model is an upper
-// bound that converges to the true cost as gradients decorrelate.
-func (c CommModel) TopKAllReduce(n int, elems, k int) time.Duration {
-	if n <= 1 || elems <= 0 {
-		return 0
-	}
-	if k > elems {
-		k = elems
-	}
-	if k <= 0 {
-		return 0
-	}
-	const entryBytes = 12 // 4-byte index + 8-byte fp64 value
-	var d time.Duration
-	entries := k
-	for span := 1; span < n; span <<= 1 {
-		d += c.transfer(int64(entryBytes * entries))
-		if entries *= 2; entries > elems {
-			entries = elems
-		}
-	}
-	union := n * k
-	if union > elems {
-		union = elems
-	}
-	return d + c.Broadcast(n, int64(entryBytes*union))
-}
-
-// skewShares normalizes per-rank link weights to mean 1 and reports the
-// minimum normalized weight. A nil/short/invalid weight vector returns
-// (nil, 1): the fabric is priced as homogeneous.
-func skewShares(n int, weights []float64) ([]float64, float64) {
-	if n <= 1 || len(weights) != n {
-		return nil, 1
-	}
-	var sum float64
-	uniform := true
-	for _, w := range weights {
-		if !(w > 0) {
-			return nil, 1
-		}
-		if w != weights[0] {
-			uniform = false
-		}
-		sum += w
-	}
-	if uniform {
-		// A uniform fabric is priced as the plain ring — the engine's
-		// fallback path, bit-identical schedule and all.
-		return nil, 1
-	}
-	mean := sum / float64(n)
-	norm := make([]float64, n)
-	min := weights[0] / mean
-	for i, w := range weights {
-		norm[i] = w / mean
-		if norm[i] < min {
-			min = norm[i]
-		}
-	}
-	return norm, min
-}
-
-// RingAllReduceSkew prices the equal-chunk ring on a heterogeneous fabric:
-// every rank relays the same byte volume, so the slowest link — the
-// smallest weight relative to the mean (the calibrated Bandwidth) — paces
-// the whole schedule. Uniform weights reduce exactly to RingAllReduce.
-func (c CommModel) RingAllReduceSkew(n int, bytes int64, weights []float64) time.Duration {
-	base := c.RingAllReduce(n, bytes)
-	_, min := skewShares(n, weights)
-	return time.Duration(float64(base) / min)
-}
-
-// SkewAllReduceWire prices the skew-aware weighted direct exchange of
-// internal/collective's SkewEngine: chunk shares proportional to the link
-// weights, one-hop reduce-scatter shipping fp64 partial inputs, owner-side
-// quantization, one-hop allgather shipping the wire dtype. Rank r's
-// critical path is its own serialized traffic — (B − b_r) scatter bytes
-// plus (n−1)·b_r gather bytes over a link running at w_r/mean(w) times the
-// calibrated Bandwidth, behind 2(n−1) message latencies — and the
-// collective finishes when the slowest rank does. Mirrors
-// collective.CostModel.PredictSkewWireNs.
-func (c CommModel) SkewAllReduceWire(n int, elems int, wire tensor.Dtype, weights []float64) time.Duration {
-	if n <= 1 {
-		return 0
-	}
-	norm, _ := skewShares(n, weights)
-	if norm == nil {
-		return c.RingAllReduceWire(n, elems, wire)
-	}
-	var worst time.Duration
-	msgs := time.Duration(2 * (n - 1))
-	for _, w := range norm {
-		chunk := int(float64(elems) * w / float64(n))
-		t := msgs*c.Latency + time.Duration(float64(c.bytesCost(8*int64(elems-chunk))+c.bytesCost(int64((n-1)*wire.WireBytes(chunk))))/w)
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
-// SkewAllReduce is SkewAllReduceWire for an uncompressed fp64 payload of
-// the given byte size.
-func (c CommModel) SkewAllReduce(n int, bytes int64, weights []float64) time.Duration {
-	return c.SkewAllReduceWire(n, int(bytes/8), tensor.F64, weights)
-}
-
 // NaiveAllReduce returns the cost of the gather-then-broadcast alternative
 // (everyone sends the full buffer to a root which broadcasts back): 2(N−1)
 // full-size serialized transfers at the root's link. Used by the ablation
@@ -401,44 +286,6 @@ func (c CommModel) RNAOverlappedCopyOverhead(gradientBytes int64, layers int) ti
 		layers = 1
 	}
 	return 2 * c.HostDeviceCopy(gradientBytes/int64(layers))
-}
-
-// OverlappedTail prices a comm/compute-overlapped step: compute runs for
-// `compute` emitting len(comms) gradient buckets at evenly spaced points,
-// and bucket b's collective (cost comms[b]) starts as soon as both the
-// bucket is emitted and the previous bucket's collective finished (the
-// collectives share one link, so they serialize in launch order — the
-// pipeline's bottleneck resource). The returned duration is the
-// communication tail left over after compute ends:
-//
-//	emit_b   = compute · (b+1)/B
-//	finish_b = max(emit_b, finish_{b−1}) + comms[b]
-//	tail     = max(finish_{B−1}, compute) − compute
-//
-// Degenerate cases recover the familiar prices: compute = 0 gives Σ comms
-// (fully sequential), compute ≫ Σ comms gives comms[B−1] (only the last
-// bucket's collective is exposed). An overlapped step then costs
-// compute + OverlappedTail instead of compute + Σ comms.
-func OverlappedTail(compute time.Duration, comms []time.Duration) time.Duration {
-	if len(comms) == 0 {
-		return 0
-	}
-	if compute < 0 {
-		compute = 0
-	}
-	b := len(comms)
-	var finish time.Duration
-	for i, c := range comms {
-		emit := time.Duration(float64(compute) * float64(i+1) / float64(b))
-		if emit > finish {
-			finish = emit
-		}
-		finish += c
-	}
-	if finish < compute {
-		finish = compute
-	}
-	return finish - compute
 }
 
 // String implements fmt.Stringer.

@@ -14,9 +14,8 @@ import (
 // ns) and the simulator's CommModel (virtual time). Given the same constants
 // they price the same path, so they may differ only by the simulator's
 // truncation — under one nanosecond per critical-path message — and auto is
-// the cheaper of ring and tree in both. Sizes stay above the ring's inline
-// envelope: the simulator prices the pipelined ring everywhere, as the paper
-// does.
+// the cheaper of ring and tree in both, small vectors included: both price
+// the pipelined ring at every size, as the paper does.
 func TestCostModelsAgree(t *testing.T) {
 	pairs := []struct {
 		algo AllReduceAlgo
@@ -30,7 +29,7 @@ func TestCostModelsAgree(t *testing.T) {
 		k := collective.AlgoCost{AlphaNs: float64(comm.Latency), BetaNsPerByte: 1e9 / comm.Bandwidth}
 		cost := collective.CostModel{Ring: k, Tree: k}
 		for _, n := range []int{2, 3, 4, 5, 8, 16, 32} {
-			for _, elems := range []int{1025, 4099, 1 << 14, 139792, 1<<18 + 3, 1000003} {
+			for _, elems := range []int{64, 1025, 4099, 1 << 14, 139792, 1<<18 + 3, 1000003} {
 				for _, wire := range []tensor.Dtype{tensor.F64, tensor.F32, tensor.F16, tensor.I8} {
 					for _, p := range pairs {
 						sim := float64(comm.AllReduceWire(p.algo, n, elems, wire))
