@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race purego cross results-check loc alloc-gate bench bench-smoke hetero-ratio rss-ratio fuzz-smoke microbench profile-gradient calibrate collective-bench train-bench check
+.PHONY: all vet build test race purego cross results-check results-check-purego loc alloc-gate bench bench-smoke hetero-ratio rss-ratio fuzz-smoke microbench profile-gradient calibrate collective-bench train-bench check
 
 all: vet build test
 
@@ -34,11 +34,17 @@ cross:
 results-check:
 	$(GO) run ./cmd/rnabench all | diff - results_full.txt
 
+# results-check-purego does the same with the AVX2 assembly compiled out: the
+# simulator's fold runs through the Scale/AddScaled kernels, so the recorded
+# file must not depend on which kernel path ran.
+results-check-purego:
+	$(GO) run -tags purego ./cmd/rnabench all | diff - results_full.txt
+
 # check is the CI gate: static analysis (vet's asmdecl covers the assembly
 # stubs), full build, race-enabled tests (which run the Go loops: the
 # assembly switches itself off under -race), both kernel paths, then the
-# recorded simulation results.
-check: vet build race purego cross results-check
+# recorded simulation results on both kernel paths.
+check: vet build race purego cross results-check results-check-purego
 
 # loc prints the non-test Go lines of every internal package and command, then
 # their total: the figure a simplicity change reports before and after,

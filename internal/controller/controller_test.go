@@ -102,17 +102,6 @@ func TestTriggerTimeEmptyReady(t *testing.T) {
 	}
 }
 
-func TestContributors(t *testing.T) {
-	got := Contributors(ms(10, 30, 20), 20*time.Millisecond)
-	want := []bool{true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Contributors = %v, want %v", got, want)
-			break
-		}
-	}
-}
-
 // Property: the power-of-two trigger never fires later than the random
 // single-probe trigger using the first probe, and never earlier than the
 // solo trigger.

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/opt"
 	"repro/internal/rng"
 )
 
@@ -152,13 +153,53 @@ func kthSmallest(ready []time.Duration, k int) (time.Duration, int) {
 // slowest worker by more than the staleness bound η.
 func Floor(k, bound int64) int64 { return k + 1 - bound }
 
-// Contributors returns which workers have gradients ready at the trigger
-// time and therefore contribute real (non-null) gradients to the partial
-// AllReduce.
-func Contributors(ready []time.Duration, at time.Duration) []bool {
-	out := make([]bool, len(ready))
-	for i, t := range ready {
-		out[i] = t <= at
+// Slot is N gradients pre-summed under one Stamp, the parameter version they
+// were computed for plus one; W is the weight Weigh gives their sum.
+type Slot struct {
+	Stamp int64
+	N     int
+	W     float64
+}
+
+// Weigh is the bounded-staleness rule of Section 3.3 for synchronization k,
+// stated once for the simulator and the runtime. slots are a worker's
+// pending gradients, oldest first. A slot whose gap τ = k − Stamp reaches η
+// (and is positive) is dropped: its W is 0. A survivor weighs Stamp − base
+// with base = k − τ − 1 for the largest surviving τ, so the oldest weighs 1
+// and newer ones linearly more; W is that over Σ N·(Stamp − base), the
+// factor its sum enters the worker's contribution with. It returns how many
+// slots survive.
+func Weigh(k, eta int64, slots []Slot) (kept int) {
+	stale := func(s Slot) bool { gap := k - s.Stamp; return gap >= eta && gap > 0 }
+	var tau int64
+	for _, s := range slots {
+		if !stale(s) {
+			tau = max(tau, k-s.Stamp)
+		}
 	}
-	return out
+	base := k - tau - 1
+	var total float64
+	for i, s := range slots {
+		slots[i].W = 0
+		if !stale(s) {
+			slots[i].W = float64(s.Stamp - base)
+			total += float64(s.N) * slots[i].W
+			kept++
+		}
+	}
+	if kept > 0 {
+		for i := range slots {
+			slots[i].W /= total
+		}
+	}
+	return kept
+}
+
+// Step returns the two factors of Algorithm 2's update once count > 0 of n
+// workers contributed to a synchronization: mean turns the reduced sum into
+// the contributors' mean, and scale is the Linear Scaling Rule's factor on
+// the learning rate.
+func Step(count, n int) (mean, scale float64, err error) {
+	scale, err = opt.LinearScale(count, n)
+	return 1 / float64(count), scale, err
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/controller"
 	"repro/internal/tensor"
 )
 
@@ -42,10 +43,12 @@ type Accumulator struct {
 	mu    sync.Mutex
 	dim   int
 	bound int64
-	// pending is what Commit left since the last Take, oldest first: a
-	// gradient's weight depends on its stamp alone (local steps for Put,
-	// versions+1 in rnaLoop), so a run of equal stamps shares one slot.
-	pending []slot
+	// pending is what Commit left since the last Take, oldest first, and
+	// sums[i] the buffer holding pending[i]'s sum: a gradient's weight depends
+	// on its stamp alone (local steps for Put, versions+1 in rnaLoop), so a
+	// run of equal stamps shares one slot.
+	pending []controller.Slot
+	sums    []tensor.Vector
 	dropped int64
 	// lastTake is the last synchronization that drained the buffer (−1: none),
 	// taken counts the gradients Take handed on by their gap to it.
@@ -56,13 +59,6 @@ type Accumulator struct {
 	// allocated counts the Leases that found it empty.
 	free      []tensor.Vector
 	allocated int
-}
-
-// slot is one buffer: the sum of n gradients committed in a row under stamp.
-type slot struct {
-	sum   tensor.Vector
-	stamp int64
-	n     int
 }
 
 // maxFree bounds the free list, and is every buffer rnaLoop ever has in use,
@@ -133,13 +129,13 @@ func (a *Accumulator) Commit(_, stamp int64, g tensor.Vector) (tag int64, err er
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if n := len(a.pending); n > 0 && a.pending[n-1].stamp == stamp {
-		s := &a.pending[n-1]
-		_ = s.sum.Add(g) // equal lengths: both are leased
-		s.n++
+	if n := len(a.pending); n > 0 && a.pending[n-1].Stamp == stamp {
+		_ = a.sums[n-1].Add(g) // equal lengths: both are leased
+		a.pending[n-1].N++
 		a.release(g)
 	} else {
-		a.pending = append(a.pending, slot{sum: g, stamp: stamp, n: 1})
+		a.pending = append(a.pending, controller.Slot{Stamp: stamp, N: 1})
+		a.sums = append(a.sums, g)
 	}
 	return a.lastTake + 1, nil
 }
@@ -181,7 +177,7 @@ func (a *Accumulator) Len() int {
 	defer a.mu.Unlock()
 	n := 0
 	for _, s := range a.pending {
-		n += s.n
+		n += s.N
 	}
 	return n
 }
@@ -201,11 +197,11 @@ func (a *Accumulator) Staleness() []int {
 	return append([]int(nil), a.taken...)
 }
 
-// Take drains the buffer for synchronization current: stale entries
-// (τ = current − stamp ≥ bound) are dropped, the survivors are combined
-// with the paper's weights w_t = t − (current − τ) + 1 where τ is the
-// largest surviving gap, and the buffer is reset. ok is false when nothing
-// survives — the worker then contributes a null gradient.
+// Take drains the buffer for synchronization current under controller.Weigh:
+// stale entries (τ = current − stamp ≥ bound) are dropped, the survivors are
+// combined with the paper's weights w_t = t − (current − τ) + 1 where τ is
+// the largest surviving gap, and the buffer is reset. ok is false when
+// nothing survives — the worker then contributes a null gradient.
 //
 // A slot's m gradients share one weight, so the reduction is Σ (w_j/W)·sum_j
 // with W = Σ m_j·w_j, folded in commit order into the oldest surviving slot's
@@ -217,47 +213,28 @@ func (a *Accumulator) Take(current int64) (grad tensor.Vector, ok bool, err erro
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.lastTake = current
-	keep, tau := 0, int64(0) // τ: the largest surviving gap
-	for _, s := range a.pending {
-		gap := current - s.stamp
-		if gap >= a.bound && gap > 0 {
-			a.dropped += int64(s.n)
-			a.release(s.sum)
+	kept := controller.Weigh(current, a.bound, a.pending)
+	for i, s := range a.pending {
+		if s.W == 0 {
+			a.dropped += int64(s.N)
+			a.release(a.sums[i])
 			continue
 		}
-		tau = max(tau, gap)
-		a.taken[min(max(gap, 0), int64(len(a.taken)-1))] += s.n
-		a.pending[keep] = s
-		keep++
-	}
-	if keep > 0 {
-		grad = a.fold(current-tau-1, a.pending[:keep])
+		a.taken[min(max(current-s.Stamp, 0), int64(len(a.taken)-1))] += s.N
+		if grad == nil {
+			grad = a.sums[i]
+			if kept > 1 || s.N > 1 {
+				grad.Scale(s.W)
+			}
+			continue
+		}
+		_ = grad.AddScaled(s.W, a.sums[i]) // equal lengths: Commit checked
+		a.release(a.sums[i])
 	}
 	// Reset to null: after each AllReduce the inputs are overwritten so
 	// outdated gradients are never reused (Section 6). Every survivor now
 	// belongs to the caller or the free list.
-	clear(a.pending)
-	a.pending = a.pending[:0]
-	return grad, keep > 0, nil
-}
-
-// fold reduces the survivors into survivors[0].sum and releases the rest;
-// a.mu must be held.
-func (a *Accumulator) fold(base int64, survivors []slot) tensor.Vector {
-	// The weight of stamp t is t − (current − τ) + 1 = t − base, so the oldest
-	// survivor weighs 1 and newer entries weigh linearly more.
-	var total float64
-	for _, s := range survivors {
-		total += float64(s.n) * float64(s.stamp-base)
-	}
-	out := survivors[0]
-	if len(survivors) == 1 && out.n == 1 {
-		return out.sum
-	}
-	out.sum.Scale(float64(out.stamp-base) / total)
-	for _, s := range survivors[1:] {
-		_ = out.sum.AddScaled(float64(s.stamp-base)/total, s.sum) // equal lengths: Commit checked
-		a.release(s.sum)
-	}
-	return out.sum
+	clear(a.sums)
+	a.pending, a.sums = a.pending[:0], a.sums[:0]
+	return grad, kept > 0, nil
 }

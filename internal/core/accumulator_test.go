@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/controller"
 	"repro/internal/race"
 	"repro/internal/tensor"
 )
@@ -214,6 +215,92 @@ func TestAccumulatorCurrentIterationNotDropped(t *testing.T) {
 	}
 }
 
+// TestAccumulatorWeighs holds controller.Weigh to the rule of Section 3.3 on
+// a small table of slots (stamp, pre-summed count) at synchronization k under
+// bound η, and Take to applying its weights bit for bit: Σ W·sum over the
+// survivors in commit order.
+func TestAccumulatorWeighs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		k, eta  int64
+		stamps  []int64
+		counts  []int
+		weights []float64
+	}{
+		{"drop at τ = η", 5, 2, []int64{3, 4, 5}, []int{1, 1, 1}, []float64{0, 1.0 / 3, 2.0 / 3}},
+		{"no drop at τ = 0 when η = 1", 3, 1, []int64{2, 3}, []int{1, 1}, []float64{0, 1}},
+		{"one surviving gradient", 7, 4, []int64{7}, []int{1}, []float64{1}},
+		{"pre-summed slots", 4, 8, []int64{2, 3, 4}, []int{2, 1, 3}, []float64{1.0 / 13, 2.0 / 13, 3.0 / 13}},
+		{"everything stale", 10, 1, []int64{0, 9}, []int{2, 1}, []float64{0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slots := make([]controller.Slot, len(tc.stamps))
+			for i, st := range tc.stamps {
+				slots[i] = controller.Slot{Stamp: st, N: tc.counts[i]}
+			}
+			kept := controller.Weigh(tc.k, tc.eta, slots)
+			var wantKept, wantDropped int
+			for i, sl := range slots {
+				if sl.W != tc.weights[i] {
+					t.Errorf("slot %d: W = %v, want %v", i, sl.W, tc.weights[i])
+				}
+				if tc.weights[i] == 0 {
+					wantDropped += tc.counts[i]
+				} else {
+					wantKept++
+				}
+			}
+			if kept != wantKept {
+				t.Errorf("Weigh kept %d slots, want %d", kept, wantKept)
+			}
+
+			const dim = 5
+			src := rand.New(rand.NewSource(tc.k))
+			a, err := NewAccumulator(dim, int(tc.eta))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tensor.New(dim)
+			var first tensor.Vector // the first committed buffer
+			for i, st := range tc.stamps {
+				sum := tensor.New(dim)
+				for range tc.counts[i] {
+					g := a.Lease()
+					for j := range g {
+						g[j] = src.NormFloat64()
+					}
+					_ = sum.Add(g)
+					if first == nil {
+						first = g
+					}
+					if _, err := a.Commit(0, st, g); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_ = want.AddScaled(tc.weights[i], sum)
+			}
+			got, ok, err := a.Take(tc.k)
+			if err != nil || ok != (wantKept > 0) {
+				t.Fatalf("Take = (%v, %v), want ok = %v", ok, err, wantKept > 0)
+			}
+			if a.Dropped() != int64(wantDropped) {
+				t.Errorf("Dropped = %d, want %d", a.Dropped(), wantDropped)
+			}
+			if !ok {
+				return
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("elem %d: Take %v, Σ W·sum %v", j, got[j], want[j])
+				}
+			}
+			if len(tc.stamps) == 1 && tc.counts[0] == 1 && &got[0] != &first[0] {
+				t.Error("a single surviving gradient was not handed over in its own buffer")
+			}
+		})
+	}
+}
+
 func TestAccumulatorErrors(t *testing.T) {
 	if _, err := NewAccumulator(0, 1); err == nil {
 		t.Error("dim 0 should error")
@@ -280,17 +367,17 @@ func absf(x float64) float64 {
 // Commit), filter the slots by the staleness bound, weight by
 // t − (current − τ) + 1, and fold Σ (w_j/W)·sum_j in slot order into a fresh
 // vector, with W = Σ m_j·w_j over the m_j gradients of each slot. dropped
-// counts gradients. When every slot holds one gradient, perGradient is
-// tensor.WeightedMean over them (nil otherwise): what Take computed while
-// each gradient kept its own buffer, and what it must still compute there.
-func referenceTake(grads []tensor.Vector, iters []int64, current, bound int64) (out, perGradient tensor.Vector, dropped int, err error) {
+// counts gradients; merged reports a surviving slot of more than one. When
+// none is merged this is the weighted mean Take computed while each gradient
+// kept its own buffer.
+func referenceTake(grads []tensor.Vector, iters []int64, current, bound int64) (out tensor.Vector, merged bool, dropped int, err error) {
 	var sums []tensor.Vector
 	var stamps []int64
 	var counts []float64
 	for i, it := range iters {
 		if n := len(stamps); n > 0 && stamps[n-1] == it {
 			if err := sums[n-1].Add(grads[i]); err != nil {
-				return nil, nil, 0, err
+				return nil, false, 0, err
 			}
 			counts[n-1]++
 			continue
@@ -308,7 +395,7 @@ func referenceTake(grads []tensor.Vector, iters []int64, current, bound int64) (
 	}
 	sums, stamps, counts = sums[:keep], stamps[:keep], counts[:keep]
 	if keep == 0 {
-		return nil, nil, dropped, nil
+		return nil, false, dropped, nil
 	}
 	var tau int64
 	for _, it := range stamps {
@@ -325,13 +412,10 @@ func referenceTake(grads []tensor.Vector, iters []int64, current, bound int64) (
 	out = tensor.New(len(sums[0]))
 	for i, sum := range sums {
 		if err := out.AddScaled(weights[i]/total, sum); err != nil {
-			return nil, nil, 0, err
+			return nil, false, 0, err
 		}
 	}
-	if len(grads)-dropped == keep {
-		perGradient, err = tensor.WeightedMean(sums, weights)
-	}
-	return out, perGradient, dropped, err
+	return out, len(grads)-dropped != keep, dropped, nil
 }
 
 // TestAccumulatorTakeMatchesWeightedMeanBits drives seeded (iters, current,
@@ -339,8 +423,8 @@ func referenceTake(grads []tensor.Vector, iters []int64, current, bound int64) (
 // slot) and apart (separate slots), with and without drops, up to everything
 // dropped — through Lease/Commit/Take/Recycle on one long-lived accumulator
 // per bound, and requires Take to equal the copying reference bitwise, on a
-// leased buffer that still carries the flag slot. Where every stamp is
-// distinct the arithmetic is the per-gradient fold's, bit for bit.
+// leased buffer that still carries the flag slot, over patterns with and
+// without a shared slot.
 func TestAccumulatorTakeMatchesWeightedMeanBits(t *testing.T) {
 	const dim = 37 // odd: exercises the kernels' unroll tails
 	src := rand.New(rand.NewSource(12))
@@ -380,7 +464,7 @@ func TestAccumulatorTakeMatchesWeightedMeanBits(t *testing.T) {
 			if a.Len() != count {
 				t.Fatalf("bound %d round %d: Len = %d after %d commits", bound, round, a.Len(), count)
 			}
-			want, perGradient, dropped, err := referenceTake(grads, iters, current, refBound)
+			want, merged, dropped, err := referenceTake(grads, iters, current, refBound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -401,19 +485,15 @@ func TestAccumulatorTakeMatchesWeightedMeanBits(t *testing.T) {
 			if len(got) != dim || cap(got) < dim+1 {
 				t.Fatalf("Take: len %d cap %d, want %d and ≥ %d", len(got), cap(got), dim, dim+1)
 			}
-			if perGradient != nil {
-				plainRounds++
-			} else {
+			if merged {
 				mergedRounds++
+			} else {
+				plainRounds++
 			}
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 					t.Fatalf("bound %d round %d iters %v current %d elem %d: got %v, want %v",
 						bound, round, iters, current, j, got[j], want[j])
-				}
-				if perGradient != nil && math.Float64bits(got[j]) != math.Float64bits(perGradient[j]) {
-					t.Fatalf("bound %d round %d iters %v (all slots single) current %d elem %d: got %v, per-gradient fold %v",
-						bound, round, iters, current, j, got[j], perGradient[j])
 				}
 			}
 			a.Recycle(got)

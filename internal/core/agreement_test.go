@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -17,20 +17,42 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRuntimeAgreesWithSimulator runs one configuration, the benchmark's
-// hetero_rna inputs (4 ranks, MLP 64→64→8, batch 32, uniform 0–50 ms per rank
-// per step, PowerOfChoices q = 2, η = 8, 80 synchronizations), through
+// TestRuntimeAgreesWithSimulator runs the benchmark's hetero_rna inputs (4
+// ranks, MLP 64→64→8, batch 32, uniform 0–50 ms per rank per step,
+// PowerOfChoices q = 2, 80 synchronizations) at two staleness bounds through
 // trainsim in virtual time and through RunRNAWorker with real sleeps, and
 // holds the two protocols to the same participation: contributors per
-// synchronization within 0.5, dropped share within 0.05. The delay streams
-// differ (the simulator draws its own), so this compares distributions, not
-// runs. When the runtime announced local steps and counted staleness in them
-// it read 1.9 contributors against the simulator's 2.75.
+// synchronization and the share of gradients dropped, both over the gradients
+// a synchronization reached (taken or dropped). This compares
+// distributions, not runs: the probe draws and the sleeps differ. At η = 8
+// nothing is dropped on either side; η = 2 is the row the dropped share
+// bites on.
+//
+// One difference is known and has a direction. A probed rank of the
+// simulator answers with a gradient that lands after the synchronization
+// could first fire; the runtime fires on any gradient no synchronization has
+// taken. So the simulator fires on fewer ready ranks: it reads fewer
+// contributors and drops more, never the reverse. Each gap is held to that
+// side: the runtime's contributors exceed the simulator's by at most 0.6
+// (ten runs each with and without -race read 0.15–0.36 at η = 8 and 0.25–0.48
+// at η = 2), and the simulator's dropped share exceeds the runtime's by at
+// most 0.08 (0.01–0.06 at η = 2). A simulator whose probe took any untaken
+// gradient read 2.98 against 3.00 contributors and 0.14 against 0.12 dropped.
+// While the simulator counted staleness in local steps it dropped 0.04
+// against the runtime's 0.11 at η = 2, the wrong side; when the runtime
+// announced local steps and counted staleness in them it read 1.9
+// contributors against the simulator's 2.75.
 func TestRuntimeAgreesWithSimulator(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two seconds of real sleeps")
+		t.Skip("two seconds of real sleeps per bound")
 	}
-	const n, syncs, eta, batch = 4, 80, 8, 32
+	for _, eta := range []int{8, 2} {
+		t.Run(fmt.Sprintf("eta=%d", eta), func(t *testing.T) { agreeWithSimulator(t, eta) })
+	}
+}
+
+func agreeWithSimulator(t *testing.T, eta int) {
+	const n, syncs, batch = 4, 80, 32
 	delay := hetero.UniformRandom{Lo: 0, Hi: 50 * time.Millisecond}
 	ds, err := data.Blobs(rng.New(3), 8, 64, 128, 2.0)
 	if err != nil {
@@ -101,13 +123,17 @@ func TestRuntimeAgreesWithSimulator(t *testing.T) {
 
 	simPerSync := (1 - sim.NullContribRate) * n
 	runPerSync := float64(contributed) / syncs
-	runDropped := float64(dropped) / (n * syncs)
+	taken := 0
+	for _, c := range tau {
+		taken += c
+	}
+	runDropped := float64(dropped) / float64(dropped+taken)
 	t.Logf("contributors per synchronization: simulator %.2f, runtime %.2f; dropped share %.3f, %.3f; runtime: %d empty synchronizations, taken by τ %v",
 		simPerSync, runPerSync, sim.DroppedRate, runDropped, results[0].EmptySyncs, tau)
-	if math.Abs(simPerSync-runPerSync) > 0.5 {
-		t.Errorf("contributors per synchronization: simulator %.2f, runtime %.2f, want within 0.5", simPerSync, runPerSync)
+	if gap := runPerSync - simPerSync; gap < -0.1 || gap > 0.6 {
+		t.Errorf("contributors per synchronization: simulator %.2f, runtime %.2f, want the runtime above by at most 0.6", simPerSync, runPerSync)
 	}
-	if math.Abs(sim.DroppedRate-runDropped) > 0.05 {
-		t.Errorf("dropped share: simulator %.3f, runtime %.3f, want within 0.05", sim.DroppedRate, runDropped)
+	if gap := sim.DroppedRate - runDropped; gap < -0.02 || gap > 0.08 {
+		t.Errorf("dropped share: simulator %.3f, runtime %.3f, want the simulator above by at most 0.08", sim.DroppedRate, runDropped)
 	}
 }

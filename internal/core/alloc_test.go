@@ -17,7 +17,7 @@ import (
 
 // End-to-end allocation gates for the RNA data path. A gradient is one
 // 8·dim-byte vector; before buffers were leased every rank allocated one
-// per synchronization (tensor.WeightedMean's result) and the hierarchical
+// per synchronization (the weighted mean of its gradients) and the hierarchical
 // hook up to four more per exchange, so the gates sit well below one
 // vector per rank per step and fail loudly if a per-step copy comes back.
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/collective"
+	"repro/internal/controller"
 	"repro/internal/model"
 	"repro/internal/opt"
 	"repro/internal/tensor"
@@ -206,7 +207,8 @@ func (s *stage) full(k int64, params, grad tensor.Vector) error {
 
 // partial is the stage's RNA entry: reduce buf over the contributing ranks
 // and apply ḡ = W·Σg, W = 1/Σw, with γ_k scaled by Σw/N (the Linear Scaling
-// Rule of Algorithm 2). buf belongs to the stage for the call. The update
+// Rule of Algorithm 2; controller.Step gives both factors, for the simulator
+// too). buf belongs to the stage for the call. The update
 // reads the newest parameters and writes the version under construction
 // (versions, worker.go), which no other thread can see: no lock is held, so
 // neither the step nor the parameter allgather can stall the compute thread.
@@ -221,13 +223,13 @@ func (s *stage) partial(k int64, vs *versions, buf tensor.Vector, contributes bo
 		s.empty++
 		return nil
 	}
-	if count > 1 {
-		lo, hi := s.red.owned()
-		buf[lo:hi].Scale(1 / float64(count))
-	}
-	scale, err := opt.LinearScale(count, s.mesh.Size())
+	mean, scale, err := controller.Step(count, s.mesh.Size())
 	if err != nil {
 		return err
+	}
+	if count > 1 {
+		lo, hi := s.red.owned()
+		buf[lo:hi].Scale(mean)
 	}
 	cur := vs.latest()
 	return s.red.update(k, cur, vs.begin(), buf, scale)

@@ -221,32 +221,3 @@ func Mean(vs []Vector) (Vector, error) {
 	out.Scale(1 / float64(len(vs)))
 	return out, nil
 }
-
-// WeightedMean computes Σ w_i·v_i / Σ w_i into a new vector. Weights must be
-// non-negative with a positive sum. This is the staleness-weighted local
-// reduction g' = Σ[t−(k−τ)+1]·g_t / Σ[t−(k−τ)+1] from §3.3 of the paper.
-func WeightedMean(vs []Vector, ws []float64) (Vector, error) {
-	if len(vs) == 0 {
-		return nil, errors.New("tensor: weighted mean of zero vectors")
-	}
-	if len(vs) != len(ws) {
-		return nil, fmt.Errorf("%w: %d vectors, %d weights", ErrShapeMismatch, len(vs), len(ws))
-	}
-	var total float64
-	for _, w := range ws {
-		if w < 0 {
-			return nil, fmt.Errorf("tensor: negative weight %v", w)
-		}
-		total += w
-	}
-	if total <= 0 {
-		return nil, errors.New("tensor: weights sum to zero")
-	}
-	out := New(len(vs[0]))
-	for i, v := range vs {
-		if err := out.AddScaled(ws[i]/total, v); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

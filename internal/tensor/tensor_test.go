@@ -178,53 +178,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	got, err := WeightedMean(
-		[]Vector{FromSlice([]float64{0, 0}), FromSlice([]float64{4, 8})},
-		[]float64{1, 3},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(FromSlice([]float64{3, 6}), 1e-12) {
-		t.Errorf("WeightedMean = %v, want [3 6]", got)
-	}
-}
-
-func TestWeightedMeanErrors(t *testing.T) {
-	if _, err := WeightedMean(nil, nil); err == nil {
-		t.Error("empty input should error")
-	}
-	if _, err := WeightedMean([]Vector{New(1)}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := WeightedMean([]Vector{New(1)}, []float64{-1}); err == nil {
-		t.Error("negative weight should error")
-	}
-	if _, err := WeightedMean([]Vector{New(1)}, []float64{0}); err == nil {
-		t.Error("zero total weight should error")
-	}
-}
-
-func TestWeightedMeanEqualWeightsMatchesMean(t *testing.T) {
-	vs := []Vector{
-		FromSlice([]float64{1, -1, 2}),
-		FromSlice([]float64{5, 0, 1}),
-		FromSlice([]float64{0, 4, 3}),
-	}
-	m, err := Mean(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm, err := WeightedMean(vs, []float64{2, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(wm, 1e-12) {
-		t.Errorf("Mean %v != equal-weight WeightedMean %v", m, wm)
-	}
-}
-
 func TestPartitionCoversVector(t *testing.T) {
 	for _, tc := range []struct{ total, n int }{
 		{10, 3}, {10, 10}, {3, 5}, {0, 4}, {1, 1}, {100, 7},
@@ -363,33 +316,6 @@ func TestQuickPartitionCoverage(t *testing.T) {
 		return off == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: WeightedMean with a single positive weight is the identity.
-func TestQuickWeightedMeanIdentity(t *testing.T) {
-	f := func(raw []float64, w float64) bool {
-		w = math.Abs(w)
-		if w == 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			w = 1
-		}
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true // skip pathological inputs
-			}
-		}
-		v := FromSlice(raw)
-		if len(v) == 0 {
-			return true
-		}
-		got, err := WeightedMean([]Vector{v}, []float64{w})
-		if err != nil {
-			return false
-		}
-		return got.Equal(v, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

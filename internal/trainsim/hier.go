@@ -147,15 +147,12 @@ func runHierarchical(cfg Config) (*Result, error) {
 		}
 		s := sims[gi]
 		before := s.now()
-		out, err := s.nextRound()
-		if err != nil {
+		if err := s.nextRound(); err != nil {
 			return nil, err
 		}
-		res.PerIterTimes.Add(float64(out.SyncEnd - before))
+		res.PerIterTimes.Add(float64(s.now() - before))
 		totalRounds++
-		if out.SyncEnd > now {
-			now = out.SyncEnd
-		}
+		now = max(now, s.now())
 		res.Iterations = totalRounds
 
 		if totalRounds%cfg.evalEvery() == 0 || totalRounds == cfg.maxIterations() {

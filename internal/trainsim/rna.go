@@ -19,10 +19,11 @@ import (
 type gradEntry struct {
 	// ready is when the compute finished.
 	ready time.Duration
-	// iter is the worker-local produce index (used by the
-	// staleness-weighted reduction and the bounded-staleness overwrite).
-	iter int64
-	grad tensor.Vector
+	// stamp is one past the last synchronization visible when the compute
+	// started, the runtime's synced+1: what controller.Weigh measures its
+	// staleness and weight by.
+	stamp int64
+	grad  tensor.Vector
 }
 
 // pendingGrad is a gradient computation whose schedule-time inputs (the
@@ -202,7 +203,8 @@ func (s *partialSim) produceOne(w *simWorker) error {
 	} else if _, err := w.mdl.Gradient(version, grad, batch); err != nil {
 		return fmt.Errorf("worker %d iter %d: %w", w.id, j, err)
 	}
-	w.buffer = append(w.buffer, gradEntry{ready: ready, iter: j, grad: grad})
+	stamp := sort.Search(len(s.syncEnds), func(i int) bool { return s.syncEnds[i] > start })
+	w.buffer = append(w.buffer, gradEntry{ready: ready, stamp: int64(stamp), grad: grad})
 	w.readyAt = append(w.readyAt, ready)
 	w.produced++
 	w.busy = ready
@@ -284,32 +286,19 @@ func (s *partialSim) replyTime(w *simWorker, base time.Duration) (time.Duration,
 	return 0, fmt.Errorf("trainsim: worker %d has nothing to reply with", w.id)
 }
 
-// roundOutcome summarizes one synchronization.
-type roundOutcome struct {
-	Fire         time.Duration
-	SyncEnd      time.Duration
-	Contributors int
-}
-
-// nextRound executes one synchronization round: pick probes, determine the
-// trigger per the policy, let computation race until the trigger, reduce
-// the contributions (null gradients for empty buffers), apply the update
-// with the Linear Scaling Rule, and advance the clock past the collective.
-func (s *partialSim) nextRound() (roundOutcome, error) {
+// nextRound executes one synchronization round: pick probes and determine
+// the trigger per the policy (controller.PickProbes, controller.TriggerTime),
+// let computation race until the trigger, reduce the contributions (null
+// gradients for empty buffers), apply the update with controller.Step's mean
+// and Linear Scaling factor, and advance the clock past the collective.
+func (s *partialSim) nextRound() error {
 	tNow := s.now()
 	k := s.rounds()
 
-	// Relevant workers whose readiness can fire the trigger.
-	var probeSet []int
-	switch s.policy {
-	case controller.PowerOfChoices:
-		probeSet = s.probeSrc.SampleDistinct(s.n, s.cfg.probes())
-	case controller.RandomInitiator:
-		probeSet = []int{s.probeSrc.Intn(s.n)}
-	default: // Majority, Solo, AllReady consider everyone.
-		probeSet = nil
-	}
-	relevant := probeSet
+	// Relevant workers whose readiness can fire the trigger: the probed
+	// ones, or everyone under a policy that probes nobody.
+	probes := controller.PickProbes(s.probeSrc, s.policy, s.n, s.cfg.probes())
+	relevant := probes
 	if relevant == nil {
 		relevant = make([]int, s.n)
 		for i := range relevant {
@@ -326,7 +315,7 @@ func (s *partialSim) nextRound() (roundOutcome, error) {
 	if floor := controller.Floor(int64(k), s.cfg.bound()); floor > 0 {
 		for _, w := range s.workers {
 			if err := s.produceUpTo(w, floor); err != nil {
-				return roundOutcome{}, err
+				return err
 			}
 			if r := w.readyAt[floor-1]; r > gate {
 				gate = r
@@ -344,41 +333,15 @@ func (s *partialSim) nextRound() (roundOutcome, error) {
 	if gate > base {
 		base = gate
 	}
-	replies := make([]time.Duration, len(relevant))
-	for ri, i := range relevant {
+	replies := make([]time.Duration, s.n)
+	for _, i := range relevant {
 		r, err := s.replyTime(s.workers[i], base)
 		if err != nil {
-			return roundOutcome{}, err
+			return err
 		}
-		replies[ri] = r
+		replies[i] = r
 	}
-	var fire time.Duration
-	switch s.policy {
-	case controller.Majority:
-		// eager-SGD's majority is strictly more than half: ⌊n/2⌋+1
-		// replies, which is what drags it onto the slow group in a
-		// half-slow mixed cluster.
-		sorted := append([]time.Duration(nil), replies...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		idx := len(sorted)/2 + 1
-		if idx > len(sorted) {
-			idx = len(sorted)
-		}
-		fire = sorted[idx-1]
-	case controller.AllReady:
-		for _, r := range replies {
-			if r > fire {
-				fire = r
-			}
-		}
-	default: // probes and Solo: earliest reply wins.
-		fire = replies[0]
-		for _, r := range replies[1:] {
-			if r < fire {
-				fire = r
-			}
-		}
-	}
+	fire, _ := controller.TriggerTime(s.policy, probes, replies)
 
 	// Let every compute thread race up to the trigger: fast workers may
 	// bank several gradients for this collective.
@@ -391,86 +354,36 @@ func (s *partialSim) nextRound() (roundOutcome, error) {
 				break
 			}
 			if err := s.produceOne(w); err != nil {
-				return roundOutcome{}, err
+				return err
 			}
 		}
 	}
 
 	// Materialize every deferred gradient before the gather reads them.
 	if err := s.flush(); err != nil {
-		return roundOutcome{}, err
+		return err
 	}
 
-	// Gather contributions: entries ready by the trigger. The
-	// bounded-staleness overwrite of Section 3.3 is worker-local: among a
-	// worker's accumulated gradients, those more than `bound` iterations
-	// behind its newest ready one are overwritten (dropped); the
-	// survivors are combined with the linear iteration weights
-	// w_t = t − (k−τ) + 1.
+	// Gather contributions: entries ready by the trigger, a null gradient
+	// from a worker with none.
 	sum := tensor.New(len(s.params))
 	contributors := 0
 	for _, w := range s.workers {
+		ready := sort.Search(len(w.buffer), func(i int) bool { return w.buffer[i].ready > fire })
+		var g tensor.Vector
 		if s.eager {
 			// eager-SGD: newest ready gradient only; stale re-send
 			// when nothing fresh landed by the trigger.
-			var newest tensor.Vector
-			remain := w.buffer[:0]
-			for _, e := range w.buffer {
-				if e.ready <= fire {
-					newest = e.grad // buffer is ready-ordered
-				} else {
-					remain = append(remain, e)
-				}
+			if ready > 0 {
+				w.lastContrib = w.buffer[ready-1].grad
 			}
-			w.buffer = remain
-			s.slots++
-			if newest != nil {
-				w.lastContrib = newest
-			}
-			if w.lastContrib == nil {
-				s.nulls++
-				if s.trace != nil {
-					s.trace.Add(trace.Span{Worker: w.id, Kind: trace.SpanNull,
-						Start: fire, End: fire, Iter: int64(k)})
-				}
-				continue
-			}
-			if err := sum.Add(w.lastContrib); err != nil {
-				return roundOutcome{}, err
-			}
-			contributors++
-			continue
+			g = w.lastContrib
+		} else {
+			g = s.fold(int64(k), w.buffer[:ready])
 		}
-		var maxIter int64 = -1
-		for _, e := range w.buffer {
-			if e.ready <= fire && e.iter > maxIter {
-				maxIter = e.iter
-			}
-		}
-		var takeG []tensor.Vector
-		var takeW []float64
-		var minIter int64 = -1
-		remain := w.buffer[:0]
-		for _, e := range w.buffer {
-			switch {
-			case e.ready > fire:
-				remain = append(remain, e)
-			case maxIter-e.iter >= s.cfg.bound() && maxIter != e.iter:
-				s.dropped++ // overwritten by newer results
-			default:
-				if minIter < 0 || e.iter < minIter {
-					minIter = e.iter
-				}
-				takeG = append(takeG, e.grad)
-				takeW = append(takeW, float64(e.iter))
-			}
-		}
-		w.buffer = remain
-		for i := range takeW {
-			takeW[i] = takeW[i] - float64(minIter) + 1
-		}
+		w.buffer = append(w.buffer[:0], w.buffer[ready:]...)
 		s.slots++
-		if len(takeG) == 0 {
+		if g == nil {
 			s.nulls++
 			if s.trace != nil {
 				s.trace.Add(trace.Span{Worker: w.id, Kind: trace.SpanNull,
@@ -478,13 +391,7 @@ func (s *partialSim) nextRound() (roundOutcome, error) {
 			}
 			continue
 		}
-		local, err := tensor.WeightedMean(takeG, takeW)
-		if err != nil {
-			return roundOutcome{}, err
-		}
-		if err := sum.Add(local); err != nil {
-			return roundOutcome{}, err
-		}
+		_ = sum.Add(g) // equal lengths: both are gradients
 		contributors++
 	}
 
@@ -520,16 +427,16 @@ func (s *partialSim) nextRound() (roundOutcome, error) {
 			s.residual.Zero()
 			tensor.RoundTripEF(s.cfg.Compression, sum, s.residual)
 		}
-		sum.Scale(1 / float64(contributors))
-		scale, err := opt.LinearScale(contributors, s.n)
+		mean, scale, err := controller.Step(contributors, s.n)
 		if err != nil {
-			return roundOutcome{}, err
+			return err
 		}
+		sum.Scale(mean)
 		if s.cfg.DisableLRScale {
 			scale = 1
 		}
 		if _, err := s.optim.Step(s.params, sum, scale); err != nil {
-			return roundOutcome{}, err
+			return err
 		}
 	}
 	if s.postSync != nil {
@@ -547,7 +454,40 @@ func (s *partialSim) nextRound() (roundOutcome, error) {
 	}
 	s.timeline.Prune(frontier)
 
-	return roundOutcome{Fire: fire, SyncEnd: syncEnd, Contributors: contributors}, nil
+	return nil
+}
+
+// fold is one worker's contribution to synchronization k from its entries
+// ready by the trigger, nil when none survives: it pre-sums the gradients of
+// one stamp in commit order, as core.Accumulator does, and combines the slots
+// with controller.Weigh's weights, the bounded-staleness overwrite of
+// Section 3.3.
+func (s *partialSim) fold(k int64, entries []gradEntry) tensor.Vector {
+	var slots []controller.Slot
+	var sums []tensor.Vector
+	for _, e := range entries {
+		if n := len(slots); n > 0 && slots[n-1].Stamp == e.stamp {
+			_ = sums[n-1].Add(e.grad) // equal lengths: both are gradients
+			slots[n-1].N++
+			continue
+		}
+		slots = append(slots, controller.Slot{Stamp: e.stamp, N: 1})
+		sums = append(sums, e.grad)
+	}
+	controller.Weigh(k, s.cfg.bound(), slots)
+	var out tensor.Vector
+	for i, sl := range slots {
+		switch {
+		case sl.W == 0:
+			s.dropped += int64(sl.N) // overwritten by newer results
+		case out == nil:
+			out = sums[i]
+			out.Scale(sl.W)
+		default:
+			_ = out.AddScaled(sl.W, sums[i])
+		}
+	}
+	return out
 }
 
 // finishBreakdowns folds per-worker compute/stall totals into breakdowns.
@@ -580,11 +520,10 @@ func runPartial(cfg Config, policy controller.Policy) (*Result, error) {
 
 	for k := 0; k < cfg.maxIterations(); k++ {
 		before := s.now()
-		out, err := s.nextRound()
-		if err != nil {
+		if err := s.nextRound(); err != nil {
 			return nil, err
 		}
-		res.PerIterTimes.Add(float64(out.SyncEnd - before))
+		res.PerIterTimes.Add(float64(s.now() - before))
 		res.Iterations = k + 1
 
 		if (k+1)%cfg.evalEvery() == 0 || k+1 == cfg.maxIterations() {
@@ -607,11 +546,11 @@ func runPartial(cfg Config, policy controller.Policy) (*Result, error) {
 	if s.slots > 0 {
 		res.NullContribRate = float64(s.nulls) / float64(s.slots)
 	}
-	var produced int64
+	var reached int64 // gradients a synchronization took or dropped
 	for _, w := range s.workers {
-		produced += w.produced
+		reached += w.produced - int64(len(w.buffer))
 	}
-	res.DroppedRate = float64(s.dropped) / float64(produced)
+	res.DroppedRate = float64(s.dropped) / float64(reached)
 	if len(res.Curve) == 0 {
 		if _, err := sampleCurve(res, ev, s.params, s.now(), res.Iterations, 0); err != nil {
 			return nil, err
