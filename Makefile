@@ -19,9 +19,10 @@ race:
 # purego runs the packages that sit on the tensor kernels with the AVX2
 # assembly compiled out, so the Go loops (the kernels' specification, and what
 # every other architecture runs) keep passing on amd64 too, recorded
-# trajectory digests included.
+# trajectory digests included. The parameter-server client forms each pushed
+# delta chunk with a kernel, so ps is among them.
 purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/opt ./internal/model ./internal/core
+	$(GO) test -tags purego ./internal/tensor ./internal/opt ./internal/model ./internal/core ./internal/ps
 
 # cross checks that the fallback compiles where there is no assembly.
 cross:

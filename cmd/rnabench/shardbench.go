@@ -133,7 +133,7 @@ func runShardSweep(rep *collectiveBenchReport) error {
 	for _, n := range shardSweepRanks {
 		for _, dim := range shardSweepDims {
 			fmt.Fprintf(os.Stderr, "collective bench: owner-computes update n%d dim%d (TCP)...\n", n, dim)
-			row := shardSweepRow{Ranks: n, Dim: dim, AutoSelects: collective.AutoRunsPipelinedRing(n, dim, tensor.F64)}
+			row := shardSweepRow{Ranks: n, Dim: dim, AutoSelects: collective.AutoRunsRingPair(n, dim, tensor.F64)}
 			var err error
 			if row.ReplicatedNs, err = timeShardUpdate(n, dim, false); err != nil {
 				return err

@@ -181,12 +181,25 @@ func SelectAlgorithmWire(n, elems int, wire tensor.Dtype) Algorithm {
 	return ActiveCostModel().SelectWire(n, elems, wire)
 }
 
-// AutoRunsPipelinedRing reports whether AlgoAuto reduces elems elements across
-// n ranks under the given wire on the pipelined ring. That is where a training
-// stack can carve the reduction into RingReduceScatter + RingAllGather and
-// step the optimizer in between for the same bytes on the wire. Like the
-// selection it is a pure function of SPMD-agreed inputs and the shared model.
-func AutoRunsPipelinedRing(n, elems int, wire tensor.Dtype) bool {
+// AutoRunsRingPair reports whether AlgoAuto reduces elems elements across n
+// ranks under the given wire as the ring pair, RingReduceScatter +
+// RingAllGather, with a training stack's optimizer step between the halves:
+//
+//   - wherever the model selects the pipelined ring, whose bytes on the wire
+//     the pair ships and whose bits it reproduces;
+//   - at 2 ranks on an fp64 wire, at every size. There the pair has the
+//     tree's two-hop critical path with half the bytes per hop, its fold
+//     gives the tree's bits (a + b = b + a, and halving is exact), and each
+//     rank steps half the vector. The tree-versus-ring constants were fitted
+//     for the replicated ring and hand 2-rank vectors to the tree, which the
+//     pair beats at every size measured (BENCH_collective.json, "sharded").
+//
+// Like the selection it is a pure function of SPMD-agreed inputs and the
+// shared model.
+func AutoRunsRingPair(n, elems int, wire tensor.Dtype) bool {
+	if n == 2 && wire == tensor.F64 {
+		return true
+	}
 	return n > 1 && SelectAlgorithmWire(n, elems, wire) == AlgoRing
 }
 

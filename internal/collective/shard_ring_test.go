@@ -227,9 +227,10 @@ func TestRingPairTCPAllocs(t *testing.T) {
 	}
 }
 
-// TestAutoRunsPipelinedRing: the predicate under the shipped constants, at
-// the geometries the benchmark's workloads reduce.
-func TestAutoRunsPipelinedRing(t *testing.T) {
+// TestAutoRunsRingPair: the predicate under the shipped constants, at the
+// geometries the benchmark's workloads reduce, and the 2-rank rule at every
+// size on an fp64 wire only.
+func TestAutoRunsRingPair(t *testing.T) {
 	for _, c := range []struct {
 		n, elems int
 		wire     tensor.Dtype
@@ -239,12 +240,15 @@ func TestAutoRunsPipelinedRing(t *testing.T) {
 		{4, 139792, tensor.F64, true, "dense_bsp"},
 		{4, 139793, tensor.F64, true, "dense_rna, flag slot included"},
 		{4, 4680, tensor.F64, false, "hetero_*: the tree"},
-		{2, 139793, tensor.F64, false, "hier_ps's 2-rank groups: the tree"},
+		{2, 139793, tensor.F64, true, "hier_ps's 2-rank groups: the pair, where the model picks the tree"},
+		{2, 28, tensor.F64, true, "2 ranks, a tiny vector: the pair"},
+		{2, 1 << 20, tensor.F64, true, "2 ranks, 1 Mi elements: the pair"},
+		{2, 139793, tensor.F16, false, "2 ranks, a lossy wire: the model's tree"},
 		{4, 1024, tensor.F64, false, "a small vector: the tree"},
 		{4, 139792, tensor.F16, true, "a lossy wire on the ring"},
 		{1, 139792, tensor.F64, false, "one rank reduces nothing"},
 	} {
-		if got := AutoRunsPipelinedRing(c.n, c.elems, c.wire); got != c.want {
+		if got := AutoRunsRingPair(c.n, c.elems, c.wire); got != c.want {
 			t.Errorf("n=%d elems=%d wire=%v (%s): %v, want %v", c.n, c.elems, c.wire, c.why, got, c.want)
 		}
 	}

@@ -110,35 +110,110 @@ func TestAutoOwnerComputesMatchesPinnedRing(t *testing.T) {
 	}
 }
 
-// TestOwnerComputesSelection: what newStage picks. The owner-computes update
-// is the default exactly where AlgoAuto would run the pipelined ring at an
-// fp64 wire; everything else keeps the stage its configuration names.
-func TestOwnerComputesSelection(t *testing.T) {
-	const n = 4
-	base := autoConfig(t, 1, false)
-	small, _ := blobConfig(t, 1) // 28 parameters: the shipped constants pick the tree
-	net, err := transport.NewLocalNetwork(n)
+// TestTwoRankAutoMatchesPinnedTree: at 2 ranks AlgoAuto runs the
+// owner-computes update on the ring pair at every size, and the run is
+// bit-identical — parameters and every loss — to the replicated update on the
+// pinned tree, which the shipped constants picked before: BSP and
+// deterministic RNA, in memory and over TCP, SGD and Adam, under the shipped
+// cost model. Each rank holds half the optimizer state.
+func TestTwoRankAutoMatchesPinnedTree(t *testing.T) {
+	const n, iters = 2, 8
+	clusters := map[string]func(*testing.T, int, func(transport.Mesh) (*Result, error)) []*Result{
+		"mem": trainCluster,
+		"tcp": tcpTrainCluster,
+	}
+	workers := map[string]func(transport.Mesh, *controller.Controller, TrainConfig) (*Result, error){
+		"bsp": RunBSPWorker,
+		"rna": RunRNAWorker,
+	}
+	for kind, cluster := range clusters {
+		if kind == "tcp" && testing.Short() {
+			continue
+		}
+		for protocol, worker := range workers {
+			for _, adam := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/adam=%v", kind, protocol, adam)
+				run := func(cfg TrainConfig) []*Result {
+					ctrl, err := controller.New(controller.AllReady, n, 0, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return cluster(t, n, func(m transport.Mesh) (*Result, error) { return worker(m, ctrl, cfg) })
+				}
+				auto := autoConfig(t, iters, adam)
+				pinned := auto
+				pinned.Algorithm = collective.AlgoTree
+				got, want := run(auto), run(pinned)
+				assertBitsEqual(t, name, got, want)
+				if digestResults(got) != digestResults(want) {
+					t.Errorf("%s: same parameters, different losses", name)
+				}
+				if got[0].OptStateBytes+got[1].OptStateBytes != want[0].OptStateBytes || got[0].OptStateBytes >= want[0].OptStateBytes {
+					t.Errorf("%s: owner-computes state %d + %d, one replicated rank holds %d",
+						name, got[0].OptStateBytes, got[1].OptStateBytes, want[0].OptStateBytes)
+				}
+			}
+		}
+	}
+}
+
+// benchGeometryConfig is a model of the benchmark's dense geometry: an MLP of
+// 256 features, 512 hidden units and 16 classes, 139 792 parameters.
+func benchGeometryConfig(t *testing.T) TrainConfig {
+	t.Helper()
+	ds, err := data.Blobs(rng.New(4), 16, 256, 2, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = net.Close() }()
+	m, err := model.NewMLP(ds, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Dim() != 139792 {
+		t.Fatalf("model dim %d, want 139792", m.Dim())
+	}
+	return TrainConfig{Model: m, Batch: func(s *rng.Source) []int { return ds.Batch(s, 4) }, LR: 0.008, Momentum: 0.9, Iterations: 1}
+}
+
+// TestOwnerComputesSelection: what newStage picks. The owner-computes update
+// is the default exactly where AlgoAuto would run the ring pair at an fp64
+// wire — where it picks the pipelined ring, and at 2 ranks at every size;
+// everything else keeps the stage its configuration names.
+func TestOwnerComputesSelection(t *testing.T) {
+	base := autoConfig(t, 1, false)
+	small, _ := blobConfig(t, 1) // 28 parameters: the shipped constants pick the tree
+	bench := benchGeometryConfig(t)
+	meshes := map[int]transport.Mesh{}
+	for _, n := range []int{2, 4} {
+		net, err := transport.NewLocalNetwork(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = net.Close() }()
+		meshes[n] = net.Endpoints()[0]
+	}
 	rows := []struct {
 		name  string
 		cfg   TrainConfig
 		apply func(*TrainConfig)
 		ring  bool // the ring everywhere, or the shipped constants
 		want  bool
+		n     int // ranks; 0 means 4
 	}{
-		{"auto on the pipelined ring", base, func(*TrainConfig) {}, true, true},
-		{"shipped constants give this size to the tree", base, func(*TrainConfig) {}, false, false},
-		{"f16 wire", base, func(c *TrainConfig) { c.Compression = tensor.F16 }, true, false},
-		{"pinned ring", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoRing }, true, false},
-		{"pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, true, false},
-		{"bucketed", base, func(c *TrainConfig) { c.Overlap = true }, true, false},
-		{"asked for, below the envelope", small, func(c *TrainConfig) { c.ShardedUpdate = true }, false, true},
+		{"auto on the pipelined ring", base, func(*TrainConfig) {}, true, true, 0},
+		{"shipped constants give this size to the tree", base, func(*TrainConfig) {}, false, false, 0},
+		{"f16 wire", base, func(c *TrainConfig) { c.Compression = tensor.F16 }, true, false, 0},
+		{"pinned ring", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoRing }, true, false, 0},
+		{"pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, true, false, 0},
+		{"bucketed", base, func(c *TrainConfig) { c.Overlap = true }, true, false, 0},
+		{"asked for, below the envelope", small, func(c *TrainConfig) { c.ShardedUpdate = true }, false, true, 0},
 		{"asked for, pinned and lossy", base, func(c *TrainConfig) {
 			c.ShardedUpdate, c.Algorithm, c.Compression = true, collective.AlgoRing, tensor.F16
-		}, false, true},
+		}, false, true, 0},
+		{"2 ranks, the benchmark geometry", bench, func(*TrainConfig) {}, false, true, 2},
+		{"2 ranks, 28 parameters", small, func(*TrainConfig) {}, false, true, 2},
+		{"2 ranks, f16 wire", base, func(c *TrainConfig) { c.Compression = tensor.F16 }, false, false, 2},
+		{"2 ranks, pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, false, false, 2},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -147,8 +222,12 @@ func TestOwnerComputesSelection(t *testing.T) {
 			}
 			cfg := row.cfg
 			row.apply(&cfg)
+			n := row.n
+			if n == 0 {
+				n = 4
+			}
 			for _, reduced := range []int{cfg.Model.Dim(), cfg.Model.Dim() + 1} {
-				st, err := newStage(net.Endpoints()[0], &cfg, reduced)
+				st, err := newStage(meshes[n], &cfg, reduced)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,10 +239,11 @@ func TestOwnerComputesSelection(t *testing.T) {
 	}
 }
 
-// TestOneContributorNeedsNoScale: stage.partial skips the 1/count pass when
-// one rank contributed, because x·1 is x bit for bit — signed zeros,
-// subnormals, infinities and the largest finite values included — on both the
-// assembly and the Go kernels (the vector is long enough for the former).
+// TestOneContributorNeedsNoScale: the update multiplies the reduced sum by
+// 1/count inside its one pass, and with one contributor that changes no bit,
+// because x·1 is x — signed zeros, subnormals, infinities and the largest
+// finite values included — on both the assembly and the Go kernels (the
+// vector is long enough for the former).
 func TestOneContributorNeedsNoScale(t *testing.T) {
 	special := []float64{
 		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,

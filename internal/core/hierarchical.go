@@ -142,11 +142,13 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 		}
 	}
 
-	// The leader's persistent exchange buffers, allocated at the first
-	// exchange: global is the model as of its last pull (the baseline of the
-	// next delta), delta its push scratch. The other members keep nothing:
-	// the broadcast lands in the version under construction.
-	var global, delta tensor.Vector
+	// The leader's persistent exchange buffer, allocated at the first
+	// exchange: global is the model as of its last pull, the baseline of the
+	// next delta. The delta itself is formed chunk by chunk in the buffers it
+	// is sent from, and the pulled model lands back in global. The other
+	// members keep nothing: the broadcast lands in the version under
+	// construction.
+	var global tensor.Vector
 	period := int64(cfg.psEvery())
 	nGroups := int64(len(cfg.Groups))
 	exchanges := int64(0)
@@ -167,11 +169,7 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 			if err != nil {
 				return err
 			}
-			global, delta = initial, tensor.New(len(initial))
-		}
-		// The group's update since its last pull.
-		if err := tensor.DiffInto(delta, vs.latest(), global); err != nil {
-			return err
+			global = initial
 		}
 		var minVersion int64
 		if cfg.OrderedPS {
@@ -179,7 +177,8 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 			// exchange is the (r·G + gi)-th global operation.
 			minVersion = 1 + exchanges*nGroups + int64(gi)
 		}
-		if _, err := store.PushPullInto(global, delta, ps.Add, minVersion); err != nil {
+		// Push the group's update since its last pull; pull the result.
+		if _, err := store.PushPullDelta(global, vs.latest(), minVersion); err != nil {
 			return err
 		}
 		exchanges++

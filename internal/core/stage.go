@@ -20,10 +20,10 @@ import (
 //
 //   - owner-computes: reduce-scatter, every rank steps the span it owns,
 //     parameter allgather (shardedReducer). Selected by ShardedUpdate, and by
-//     AlgoAuto itself wherever it would run the pipelined ring at an fp64
-//     wire (ownerComputes): the two ring halves ship the ring's bytes, the
-//     result is bit-identical, and the optimizer step runs once per element
-//     instead of once per element per rank;
+//     AlgoAuto itself at an fp64 wire wherever it would run the pipelined
+//     ring, and at 2 ranks (ownerComputes): the two ring halves ship the
+//     ring's bytes, the result is bit-identical, and the optimizer step runs
+//     once per element instead of once per element per rank;
 //   - replicated: AllReduce the whole gradient, every rank steps the whole
 //     vector (replicatedReducer): the tree, lossy wires, a pinned Algorithm;
 //   - bucketed (Overlap): not a third reduction but a wrapper — either of the
@@ -49,10 +49,11 @@ type reducer interface {
 	// owned is the span of the vector this rank steps.
 	owned() (lo, hi int)
 	// update steps the parameters over the owned span from the reduced
-	// gradient g: it reads them from cur, writes them to next and leaves next
-	// complete and identical on all ranks. cur is never written, unless it is
-	// next itself (BSP, whose one vector is updated in place).
-	update(k int64, cur, next, g tensor.Vector, scale float64) error
+	// gradient times mean (the contributors' mean of a partial sum, 1 for
+	// BSP's average): it reads them from cur, writes them to next and leaves
+	// next complete and identical on all ranks. Neither cur nor g is written,
+	// unless cur is next itself (BSP, whose one vector is updated in place).
+	update(k int64, cur, next, g tensor.Vector, mean, scale float64) error
 	// stateBytes is the rank's persistent optimizer-state footprint.
 	stateBytes() int64
 }
@@ -97,15 +98,17 @@ const DefaultFusionBytes = 64 << 20
 
 // ownerComputes is the one predicate, the same for BSP and RNA, that turns the
 // owner-computes update on: asked for, or free. It is free where AlgoAuto
-// would reduce the loop's vector (reduced elements: the gradient, plus RNA's
-// flag slot) on the pipelined ring at an fp64 wire — collective answers that —
-// because the ring pair then ships the same bytes and produces the same bits.
-// A pinned Algorithm keeps meaning the replicated update on exactly that
-// schedule; lossy wires (master weights are different arithmetic) and the
-// bucketed stage stay where the configuration put them.
+// runs the loop's vector (reduced elements: the gradient, plus RNA's flag
+// slot) as the ring pair at an fp64 wire — collective.AutoRunsRingPair
+// answers that: wherever it would pick the pipelined ring, whose bytes and
+// bits the pair reproduces, and at 2 ranks, where the pair has the tree's
+// two-hop critical path and bits at half the bytes per hop. A pinned
+// Algorithm keeps meaning the replicated update on exactly that schedule;
+// lossy wires (master weights are different arithmetic) and the bucketed
+// stage stay where the configuration put them.
 func ownerComputes(cfg *TrainConfig, n, reduced int) bool {
 	return cfg.ShardedUpdate || (cfg.Algorithm == collective.AlgoAuto && cfg.Compression == tensor.F64 &&
-		!cfg.Overlap && collective.AutoRunsPipelinedRing(n, reduced, tensor.F64))
+		!cfg.Overlap && collective.AutoRunsRingPair(n, reduced, tensor.F64))
 }
 
 // newStage selects the stage for cfg: the plan (Overlap), then the reducer
@@ -202,18 +205,18 @@ func (s *stage) full(k int64, params, grad tensor.Vector) error {
 			return fmt.Errorf("core: %d of %d buckets launched", s.launched, len(s.plan))
 		}
 	}
-	return s.red.update(k, params, params, grad, 1)
+	return s.red.update(k, params, params, grad, 1, 1)
 }
 
 // partial is the stage's RNA entry: reduce buf over the contributing ranks
 // and apply ḡ = W·Σg, W = 1/Σw, with γ_k scaled by Σw/N (the Linear Scaling
 // Rule of Algorithm 2; controller.Step gives both factors, for the simulator
-// too). buf belongs to the stage for the call. The update
-// reads the newest parameters and writes the version under construction
-// (versions, worker.go), which no other thread can see: no lock is held, so
-// neither the step nor the parameter allgather can stall the compute thread.
-// When nobody contributed, every rank skips the update in lockstep. One
-// contributor needs no scale pass: x·1 is x, bit for bit.
+// too). buf belongs to the stage for the call. The update folds W into its
+// one pass, reads the newest parameters and writes the version under
+// construction (versions, worker.go), which no other thread can see: no lock
+// is held, so neither the step nor the parameter allgather can stall the
+// compute thread. When nobody contributed, every rank skips the update in
+// lockstep.
 func (s *stage) partial(k int64, vs *versions, buf tensor.Vector, contributes bool) error {
 	count, err := s.reducePartial(k, buf, contributes)
 	if err != nil {
@@ -227,12 +230,8 @@ func (s *stage) partial(k int64, vs *versions, buf tensor.Vector, contributes bo
 	if err != nil {
 		return err
 	}
-	if count > 1 {
-		lo, hi := s.red.owned()
-		buf[lo:hi].Scale(mean)
-	}
 	cur := vs.latest()
-	return s.red.update(k, cur, vs.begin(), buf, scale)
+	return s.red.update(k, cur, vs.begin(), buf, mean, scale)
 }
 
 // reducePartial runs the partial reduction over the plan. Every bucket
@@ -349,11 +348,8 @@ func (r *replicatedReducer) reducePartial(m transport.Mesh, k int64, buf tensor.
 
 func (r *replicatedReducer) owned() (lo, hi int) { return 0, r.dim }
 
-func (r *replicatedReducer) update(_ int64, cur, next, g tensor.Vector, scale float64) error {
-	if &next[0] != &cur[0] {
-		copy(next, cur)
-	}
-	_, err := r.optim.Step(next, g, scale)
+func (r *replicatedReducer) update(_ int64, cur, next, g tensor.Vector, mean, scale float64) error {
+	_, err := r.optim.StepTo(next, cur, g, mean, scale)
 	return err
 }
 
@@ -463,19 +459,18 @@ func (r *shardedReducer) reducePartial(m transport.Mesh, k int64, buf tensor.Vec
 
 func (r *shardedReducer) owned() (lo, hi int) { return r.lo, r.hi }
 
-func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, scale float64) error {
+func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, mean, scale float64) error {
 	lo, hi := r.lo, r.hi
 	if r.optim != nil {
-		if &next[0] != &cur[0] {
-			copy(next[lo:hi], cur[lo:hi])
-		}
+		src := cur[lo:hi]
 		if res := r.gather.Residual; res != nil {
 			// Restore the exact fp64 master weights; the residual is
 			// re-captured by the allgather's RoundTripEF below.
-			_ = next[lo:hi].Add(res[lo:hi])
+			_ = tensor.SumInto(next[lo:hi], src, res[lo:hi])
 			res[lo:hi].Zero()
+			src = next[lo:hi]
 		}
-		if _, err := r.optim.Step(next[lo:hi], g[lo:hi], scale); err != nil {
+		if _, err := r.optim.StepTo(next[lo:hi], src, g[lo:hi], mean, scale); err != nil {
 			return err
 		}
 	}

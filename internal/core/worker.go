@@ -86,9 +86,10 @@ type TrainConfig struct {
 	// bucket under Overlap (validate rejects a value the engine lacks). The
 	// zero value, AlgoAuto, lets the cost model choose per (ranks, size,
 	// wire) — and where it chooses the pipelined ring at an fp64 wire without
-	// Overlap, the ring runs as its two halves with the owner-computes update
-	// between them: same bytes, same bits, one optimizer step per element
-	// instead of one per element per rank. A pinned value means the
+	// Overlap, and at 2 ranks at any size, the ring runs as its two halves
+	// with the owner-computes update between them: the ring's bytes (at 2
+	// ranks the tree's critical path), the same bits, one optimizer step per
+	// element instead of one per element per rank. A pinned value means the
 	// replicated update on exactly that schedule; pinning AlgoRing is how a
 	// test or an A/B asks for the replicated ring at any vector size.
 	Algorithm collective.Algorithm
@@ -166,7 +167,7 @@ type Result struct {
 	MaxInFlight int
 	// OptStateBytes is this rank's persistent optimizer-state footprint —
 	// full-vector for the replicated update, one owned span for the
-	// owner-computes one (ShardedUpdate, or AlgoAuto on the pipelined ring):
+	// owner-computes one (ShardedUpdate, or AlgoAuto on the ring pair):
 	// the N× memory reduction the benchmarks record. Over the ranks of an
 	// owner-computes run it sums to the replicated per-rank figure.
 	OptStateBytes int64

@@ -66,7 +66,13 @@ func NewAdam(dim int, lr, weightDecay float64) (*Adam, error) {
 
 // Step implements Optimizer.
 func (o *Adam) Step(params, grad tensor.Vector, scale float64) (float64, error) {
-	if len(params) != len(o.m) || len(grad) != len(o.m) {
+	return o.StepTo(params, params, grad, 1, scale)
+}
+
+// StepTo implements Optimizer: the update above with g = mean·grad, reading
+// x from src and writing it to dst.
+func (o *Adam) StepTo(dst, src, grad tensor.Vector, mean, scale float64) (float64, error) {
+	if len(dst) != len(o.m) || len(src) != len(o.m) || len(grad) != len(o.m) {
 		return 0, tensor.ErrShapeMismatch
 	}
 	if scale < 0 {
@@ -81,31 +87,35 @@ func (o *Adam) Step(params, grad tensor.Vector, scale float64) (float64, error) 
 		// Nothing contributed; the iteration is a no-op (but still advances
 		// the schedule clock), matching SGD. The moments do not decay on a
 		// skipped step — identical on every rank, so determinism holds.
+		copyParams(dst, src)
 		return 0, nil
 	}
 	t := float64(o.step)
 	bc1 := 1 / (1 - math.Pow(o.Beta1, t))
 	bc2 := 1 / (1 - math.Pow(o.Beta2, t))
-	adamStep(params, o.m, o.u, grad, o.Beta1, o.Beta2, o.Eps, o.WeightDecay, lr, bc1, bc2)
+	adamStep(dst, src, o.m, o.u, grad, mean, o.Beta1, o.Beta2, o.Eps, o.WeightDecay, lr, bc1, bc2)
 	return lr, nil
 }
 
 // adamStep is the fused Adam kernel, 4-way unrolled like the tensor
-// kernels: one pass over memory updates both moments and the parameters.
-// bc1/bc2 are the reciprocal bias corrections 1/(1−βᵗ), hoisted so the
-// per-element work is multiply-only.
-func adamStep(params, m, u, grad []float64, b1, b2, eps, wd, lr, bc1, bc2 float64) {
-	m = m[:len(params)]
-	u = u[:len(params)]
-	grad = grad[:len(params)]
+// kernels: one pass over memory reads x from src and mean·g, updates both
+// moments and writes x' to dst (which may be src). bc1/bc2 are the
+// reciprocal bias corrections 1/(1−βᵗ), hoisted so the per-element work is
+// multiply-only.
+func adamStep(dst, src, m, u, grad []float64, mean, b1, b2, eps, wd, lr, bc1, bc2 float64) {
+	src = src[:len(dst)]
+	m = m[:len(dst)]
+	u = u[:len(dst)]
+	grad = grad[:len(dst)]
 	c1 := 1 - b1
 	c2 := 1 - b2
 	i := 0
-	for ; i+4 <= len(params); i += 4 {
-		g0 := grad[i] + wd*params[i]
-		g1 := grad[i+1] + wd*params[i+1]
-		g2 := grad[i+2] + wd*params[i+2]
-		g3 := grad[i+3] + wd*params[i+3]
+	for ; i+4 <= len(dst); i += 4 {
+		x0, x1, x2, x3 := src[i], src[i+1], src[i+2], src[i+3]
+		g0 := grad[i]*mean + wd*x0
+		g1 := grad[i+1]*mean + wd*x1
+		g2 := grad[i+2]*mean + wd*x2
+		g3 := grad[i+3]*mean + wd*x3
 		m0 := b1*m[i] + c1*g0
 		m1 := b1*m[i+1] + c1*g1
 		m2 := b1*m[i+2] + c1*g2
@@ -116,18 +126,19 @@ func adamStep(params, m, u, grad []float64, b1, b2, eps, wd, lr, bc1, bc2 float6
 		u3 := b2*u[i+3] + c2*g3*g3
 		m[i], m[i+1], m[i+2], m[i+3] = m0, m1, m2, m3
 		u[i], u[i+1], u[i+2], u[i+3] = u0, u1, u2, u3
-		params[i] -= lr * (m0 * bc1) / (math.Sqrt(u0*bc2) + eps)
-		params[i+1] -= lr * (m1 * bc1) / (math.Sqrt(u1*bc2) + eps)
-		params[i+2] -= lr * (m2 * bc1) / (math.Sqrt(u2*bc2) + eps)
-		params[i+3] -= lr * (m3 * bc1) / (math.Sqrt(u3*bc2) + eps)
+		dst[i] = x0 - lr*(m0*bc1)/(math.Sqrt(u0*bc2)+eps)
+		dst[i+1] = x1 - lr*(m1*bc1)/(math.Sqrt(u1*bc2)+eps)
+		dst[i+2] = x2 - lr*(m2*bc1)/(math.Sqrt(u2*bc2)+eps)
+		dst[i+3] = x3 - lr*(m3*bc1)/(math.Sqrt(u3*bc2)+eps)
 	}
-	for ; i < len(params); i++ {
-		g := grad[i] + wd*params[i]
+	for ; i < len(dst); i++ {
+		x := src[i]
+		g := grad[i]*mean + wd*x
 		mv := b1*m[i] + c1*g
 		uv := b2*u[i] + c2*g*g
 		m[i] = mv
 		u[i] = uv
-		params[i] -= lr * (mv * bc1) / (math.Sqrt(uv*bc2) + eps)
+		dst[i] = x - lr*(mv*bc1)/(math.Sqrt(uv*bc2)+eps)
 	}
 }
 

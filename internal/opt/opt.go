@@ -20,8 +20,15 @@ import (
 type Optimizer interface {
 	// Step applies one update with gradient grad and the given Linear
 	// Scaling factor, returning the effective learning rate used. scale==0
-	// is a no-op that still advances the schedule clock.
+	// is a no-op that still advances the schedule clock. It is
+	// StepTo(params, params, grad, 1, scale).
 	Step(params, grad tensor.Vector, scale float64) (float64, error)
+	// StepTo is the out-of-place step: it reads the parameters from src and
+	// the gradient as mean·grad, and writes the updated parameters to dst,
+	// which is src itself or disjoint from it. src and grad are not written
+	// (unless dst is src). The bits are those of copying src to dst, scaling
+	// grad by mean and calling Step(dst, grad, scale), in one pass.
+	StepTo(dst, src, grad tensor.Vector, mean, scale float64) (float64, error)
 	// StepCount returns the number of Step calls so far.
 	StepCount() int
 	// Reset zeroes the optimizer state and step counter.
@@ -73,7 +80,13 @@ func NewSGD(dim int, lr, momentum, weightDecay float64) (*SGD, error) {
 // factor (1 for a full-participation update; Σw/N under RNA's partial
 // collectives). It returns the effective learning rate used.
 func (o *SGD) Step(params, grad tensor.Vector, scale float64) (float64, error) {
-	if len(params) != len(o.velocity) || len(grad) != len(o.velocity) {
+	return o.StepTo(params, params, grad, 1, scale)
+}
+
+// StepTo implements Optimizer: v ← μ·v + mean·g + λ·x, x' ← x − γ_eff·v,
+// reading x from src and writing x' to dst.
+func (o *SGD) StepTo(dst, src, grad tensor.Vector, mean, scale float64) (float64, error) {
+	if len(dst) != len(o.velocity) || len(src) != len(o.velocity) || len(grad) != len(o.velocity) {
 		return 0, tensor.ErrShapeMismatch
 	}
 	if scale < 0 {
@@ -87,18 +100,28 @@ func (o *SGD) Step(params, grad tensor.Vector, scale float64) (float64, error) {
 	if scale == 0 {
 		// Nothing contributed; the iteration is a no-op (but still
 		// advances the schedule clock).
+		copyParams(dst, src)
 		return 0, nil
 	}
 	if o.Momentum == 0 && o.WeightDecay == 0 {
-		// Plain SGD: v = g, x -= lr·g as one fused AddScaled pass.
+		// Plain SGD: v = mean·g, x' = x − lr·v as one fused AddScaled pass
+		// (after a copy when out of place: no workload runs plain SGD).
 		copy(o.velocity, grad)
-		if err := params.AddScaled(-lr, grad); err != nil {
-			return 0, err
+		if mean != 1 {
+			o.velocity.Scale(mean)
 		}
-		return lr, nil
+		copyParams(dst, src)
+		return lr, dst.AddScaled(-lr, o.velocity)
 	}
-	tensor.SGDStep(params, o.velocity, grad, o.Momentum, o.WeightDecay, lr)
+	tensor.SGDStep(dst, src, o.velocity, grad, mean, o.Momentum, o.WeightDecay, lr)
 	return lr, nil
+}
+
+// copyParams copies src to dst unless they are the same vector.
+func copyParams(dst, src tensor.Vector) {
+	if len(dst) > 0 && &dst[0] != &src[0] {
+		copy(dst, src)
+	}
 }
 
 // StepCount returns the number of Step calls so far.

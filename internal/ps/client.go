@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -25,9 +26,13 @@ type GlobalStore interface {
 	PushPull(value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error)
 	// PushPullInto is PushPull writing the resulting model into the
 	// caller's out (model-sized, distinct from value) instead of a fresh
-	// vector — the form a leader exchanging every few synchronizations
-	// uses with one persistent buffer.
+	// vector.
 	PushPullInto(out, value tensor.Vector, mode UpdateMode, minVersion int64) (int64, error)
+	// PushPullDelta adds latest − base to the global model and overwrites
+	// base with the result: the hierarchical leader's exchange, base being
+	// the model as of its last pull. It has the bits of forming the delta in
+	// a vector of its own and calling PushPullInto(base, delta, Add, …).
+	PushPullDelta(base, latest tensor.Vector, minVersion int64) (int64, error)
 }
 
 // Loopback returns the in-process GlobalStore over store's key — the fast
@@ -42,6 +47,7 @@ func Loopback(store *Store, key string) GlobalStore {
 type loopback struct {
 	store *Store
 	key   string
+	delta tensor.Vector // PushPullDelta's scratch, allocated on first use
 }
 
 func (l *loopback) PushPull(value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error) {
@@ -65,6 +71,18 @@ func (l *loopback) PushPullInto(out, value tensor.Vector, mode UpdateMode, minVe
 		return 0, fmt.Errorf("push-pull %q: %w", l.key, err)
 	}
 	return lease.Version, nil
+}
+
+// PushPullDelta forms the delta in a scratch vector the loopback keeps: the
+// store takes whole vectors.
+func (l *loopback) PushPullDelta(base, latest tensor.Vector, minVersion int64) (int64, error) {
+	if len(l.delta) != len(base) {
+		l.delta = tensor.New(len(base))
+	}
+	if err := tensor.DiffInto(l.delta, latest, base); err != nil {
+		return 0, fmt.Errorf("push-pull %q: %w", l.key, err)
+	}
+	return l.PushPullInto(base, l.delta, Add, minVersion)
 }
 
 // ClientConfig configures a networked parameter-server client. Key, Dim
@@ -103,9 +121,10 @@ func (c *ClientConfig) window() int {
 // Client speaks the PS wire protocol toward a set of server ranks: push,
 // pull and push-pull decompose into per-chunk request frames pipelined
 // through the reserved PS stream, so a server can answer early chunks
-// while later ones are still being pushed. Payloads travel through pooled
-// buffers end to end (writev on TCP sends, pooled receives), and lossy
-// wire dtypes carry client-side error-feedback residuals.
+// while later ones are still being pushed. Requests go out from pooled
+// buffers (writev on TCP sends), pulled chunks land in the caller's vector
+// (transport.RecvInto), and lossy wire dtypes carry client-side
+// error-feedback residuals.
 //
 // A Client belongs to one goroutine — the group leader — like every other
 // SPMD communication handle in the repository.
@@ -181,12 +200,22 @@ func (c *Client) PushPullInto(out, value tensor.Vector, mode UpdateMode, minVers
 	if err := c.checkOut(out); err != nil {
 		return 0, err
 	}
-	return c.exchange(transport.MsgPSPushPull, value, mode, minVersion, out)
+	return c.exchange(transport.MsgPSPushPull, value, nil, mode, minVersion, out)
+}
+
+// PushPullDelta implements GlobalStore with no model-sized scratch: each
+// chunk's latest − base is formed in the pooled buffer it is sent from, and
+// the chunk's ack lands in base once the chunk is on its way.
+func (c *Client) PushPullDelta(base, latest tensor.Vector, minVersion int64) (int64, error) {
+	if err := c.checkOut(base); err != nil {
+		return 0, err
+	}
+	return c.exchange(transport.MsgPSPushPull, latest, base, Add, minVersion, base)
 }
 
 // Push applies value to the global model without pulling it back.
 func (c *Client) Push(value tensor.Vector, mode UpdateMode) (int64, error) {
-	return c.exchange(transport.MsgPSPush, value, mode, 0, nil)
+	return c.exchange(transport.MsgPSPush, value, nil, mode, 0, nil)
 }
 
 // Pull returns the current global model and its version.
@@ -204,7 +233,7 @@ func (c *Client) PullInto(out tensor.Vector) (int64, error) {
 	if err := c.checkOut(out); err != nil {
 		return 0, err
 	}
-	return c.exchange(transport.MsgPSPull, nil, 0, 0, out)
+	return c.exchange(transport.MsgPSPull, nil, nil, 0, 0, out)
 }
 
 func (c *Client) checkOut(out tensor.Vector) error {
@@ -218,7 +247,9 @@ func (c *Client) checkOut(out tensor.Vector) error {
 // requests stay in flight, and acks are consumed in send order (each
 // server answers its requests FIFO, and chunks visit servers round-robin,
 // so the next expected ack is always at the head of its server's stream).
-func (c *Client) exchange(typ transport.MsgType, body tensor.Vector, mode UpdateMode, minVersion int64, out tensor.Vector) (int64, error) {
+// With base set the pushed value is body − base. A chunk's ack is received
+// only after the chunk's request is sent, so out may be base.
+func (c *Client) exchange(typ transport.MsgType, body, base tensor.Vector, mode UpdateMode, minVersion int64, out tensor.Vector) (int64, error) {
 	if body != nil && len(body) != c.cfg.Dim {
 		return 0, fmt.Errorf("ps: %w: pushed %d elems, dim %d", tensor.ErrShapeMismatch, len(body), c.cfg.Dim)
 	}
@@ -228,14 +259,14 @@ func (c *Client) exchange(typ transport.MsgType, body tensor.Vector, mode Update
 	var sendErr error
 	for recvd < c.chunks {
 		for sendErr == nil && sent < c.chunks && sent-recvd < window {
-			if sendErr = c.sendReq(typ, sent, mode, minVersion, body); sendErr == nil {
+			if sendErr = c.sendReq(typ, sent, mode, minVersion, body, base); sendErr == nil {
 				sent++
 			}
 		}
 		if recvd == sent {
 			return 0, sendErr
 		}
-		ver, err := c.recvAck(typ, recvd, out)
+		ver, err := c.recvAck(typ, recvd, mode, out)
 		if err != nil {
 			// The response stream is out of step; outstanding acks are
 			// unrecoverable.
@@ -252,11 +283,12 @@ func (c *Client) exchange(typ transport.MsgType, body tensor.Vector, mode Update
 	return version, nil
 }
 
-// sendReq ships one chunk request. Push payloads stage through a pooled
-// buffer handed to the transport zero-copy; lossy wires fold the EF
-// residual in and ship grid values, so the wire encode is bit-exact and
-// the residual update needs no echo from the server.
-func (c *Client) sendReq(typ transport.MsgType, chunk int, mode UpdateMode, minVersion int64, body tensor.Vector) error {
+// sendReq ships one chunk request. Push payloads are formed in a pooled
+// buffer handed to the transport zero-copy — the chunk of body, or of
+// body − base; lossy wires fold the EF residual in and ship grid values,
+// so the wire encode is bit-exact and the residual update needs no echo
+// from the server.
+func (c *Client) sendReq(typ transport.MsgType, chunk int, mode UpdateMode, minVersion int64, body, base tensor.Vector) error {
 	msg := transport.Message{
 		Type: typ, Stream: PSStream, Iter: minVersion,
 		Chunk: psTag(mode, chunk), Dtype: c.cfg.Wire,
@@ -266,7 +298,11 @@ func (c *Client) sendReq(typ transport.MsgType, chunk int, mode UpdateMode, minV
 	}
 	lo, hi := c.offsets[chunk], c.offsets[chunk+1]
 	buf := transport.GetPayload(hi - lo)
-	copy(buf, body[lo:hi])
+	if base != nil {
+		_ = tensor.DiffInto(buf, body[lo:hi], base[lo:hi]) // lengths checked by exchange
+	} else {
+		copy(buf, body[lo:hi])
+	}
 	if c.residual != nil {
 		tensor.RoundTripEF(c.cfg.Wire, buf, c.residual[lo:hi])
 	}
@@ -274,32 +310,52 @@ func (c *Client) sendReq(typ transport.MsgType, chunk int, mode UpdateMode, minV
 	return transport.SendOwned(c.view, c.serverOf(chunk), msg)
 }
 
-// recvAck consumes the ack for chunk and scatters pulled values into out.
-func (c *Client) recvAck(typ transport.MsgType, chunk int, out tensor.Vector) (int64, error) {
-	msg, err := c.view.Recv(c.serverOf(chunk))
-	if err != nil {
-		return 0, err
-	}
-	defer transport.PutPayload(msg.Payload)
-	if msg.Type != transport.MsgPSAck {
-		return 0, fmt.Errorf("ps: expected ack, got frame type %d", msg.Type)
-	}
-	if _, got, err := splitTag(msg.Chunk); err != nil || got != chunk {
-		return 0, fmt.Errorf("ps: ack for chunk %d, want %d (tag %d)", got, chunk, msg.Chunk)
-	}
+// recvAck consumes the ack for chunk. Pulled values land in out through
+// transport.RecvInto, whatever version the ack carries; a frame that is not
+// the expected ack comes back whole and is reported.
+func (c *Client) recvAck(typ transport.MsgType, chunk int, mode UpdateMode, out tensor.Vector) (int64, error) {
+	from := c.serverOf(chunk)
 	if typ == transport.MsgPSPush {
+		msg, err := c.view.Recv(from)
+		if err != nil {
+			return 0, err
+		}
+		defer transport.PutPayload(msg.Payload)
+		if err := c.checkAck(&msg, chunk); err != nil {
+			return 0, err
+		}
 		if len(msg.Payload) != 0 {
 			return 0, fmt.Errorf("ps: push ack carries %d elems", len(msg.Payload))
 		}
 		return msg.Iter, nil
 	}
+	lo, hi := c.offsets[chunk], c.offsets[chunk+1]
+	msg, err := transport.RecvInto(c.view, from, transport.Landing{
+		Type: transport.MsgPSAck, AnyIter: true, Chunk: psTag(mode, chunk), Dst: out[lo:hi],
+	})
+	if err == nil {
+		return msg.Iter, nil
+	}
+	if !errors.Is(err, transport.ErrUnexpectedFrame) {
+		return 0, err
+	}
+	defer transport.PutPayload(msg.Payload)
+	if err := c.checkAck(&msg, chunk); err != nil {
+		return 0, err
+	}
 	if msg.Iter == 0 && len(msg.Payload) == 0 {
 		return 0, fmt.Errorf("pull %q chunk %d: %w", c.cfg.Key, chunk, ErrUnknownKey)
 	}
-	lo, hi := c.offsets[chunk], c.offsets[chunk+1]
-	if len(msg.Payload) != hi-lo {
-		return 0, fmt.Errorf("ps: ack chunk %d carries %d elems, want %d", chunk, len(msg.Payload), hi-lo)
+	return 0, fmt.Errorf("ps: ack chunk %d carries %d elems, want %d", chunk, len(msg.Payload), hi-lo)
+}
+
+// checkAck reports a frame that is not chunk's ack.
+func (c *Client) checkAck(msg *transport.Message, chunk int) error {
+	if msg.Type != transport.MsgPSAck {
+		return fmt.Errorf("ps: expected ack, got frame type %d", msg.Type)
 	}
-	copy(out[lo:hi], msg.Payload)
-	return msg.Iter, nil
+	if _, got, err := splitTag(msg.Chunk); err != nil || got != chunk {
+		return fmt.Errorf("ps: ack for chunk %d, want %d (tag %d)", got, chunk, msg.Chunk)
+	}
+	return nil
 }

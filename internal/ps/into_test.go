@@ -2,6 +2,7 @@ package ps
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -12,8 +13,9 @@ import (
 )
 
 // intoStores builds the two GlobalStore implementations over a model seeded
-// with init: the in-process loopback and a client of a one-server TCP mesh.
-func intoStores(t *testing.T, init tensor.Vector) map[string]GlobalStore {
+// with init: the in-process loopback and a client of a one-server TCP mesh
+// speaking wire (f64 when omitted).
+func intoStores(t *testing.T, init tensor.Vector, wire ...tensor.Dtype) map[string]GlobalStore {
 	t.Helper()
 	store := NewStore(1)
 	if _, err := store.Push("m", init, Overwrite); err != nil {
@@ -31,7 +33,11 @@ func intoStores(t *testing.T, init tensor.Vector) map[string]GlobalStore {
 		}
 		wait()
 	})
-	cli, err := NewClient(eps[0], ClientConfig{Servers: []int{1}, Key: "m", Dim: len(init)})
+	ccfg := ClientConfig{Servers: []int{1}, Key: "m", Dim: len(init)}
+	if len(wire) > 0 {
+		ccfg.Wire = wire[0]
+	}
+	cli, err := NewClient(eps[0], ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +80,64 @@ func TestPushPullIntoMatchesPushPull(t *testing.T) {
 	}
 }
 
+// TestPushPullDeltaMatchesPushPullInto: the leader's exchange, latest − base
+// formed chunk by chunk and the result landed back in base, leaves the bits
+// and the version of forming the delta whole and calling PushPullInto, on
+// both stores and over an f16 wire (whose push error feedback must see the
+// same values); latest is not written, and a mis-sized base is refused.
+func TestPushPullDeltaMatchesPushPullInto(t *testing.T) {
+	const dim = 4099
+	for _, wire := range []tensor.Dtype{tensor.F64, tensor.F16} {
+		pairs := map[string][2]GlobalStore{}
+		for name, gs := range intoStores(t, seq(dim), wire) {
+			pairs[name] = [2]GlobalStore{gs}
+		}
+		for name, gs := range intoStores(t, seq(dim), wire) {
+			p := pairs[name]
+			p[1] = gs
+			pairs[name] = p
+		}
+		for name, p := range pairs {
+			name := fmt.Sprintf("%s/%v", name, wire)
+			base := seq(dim)
+			want := base.Clone()
+			for round := 0; round < 3; round++ {
+				latest := base.Clone()
+				for i := range latest {
+					latest[i] += math.Sin(float64(i+round)) * 0.01
+				}
+				delta := tensor.New(dim)
+				if err := tensor.DiffInto(delta, latest, want); err != nil {
+					t.Fatal(err)
+				}
+				wantVer, err := p[0].PushPullInto(want, delta, Add, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				before := latest.Clone()
+				ver, err := p[1].PushPullDelta(base, latest, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if ver != wantVer {
+					t.Errorf("%s round %d: version %d, want %d", name, round, ver, wantVer)
+				}
+				for i := range want {
+					if math.Float64bits(base[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s round %d: base[%d] = %v, want %v", name, round, i, base[i], want[i])
+					}
+					if math.Float64bits(latest[i]) != math.Float64bits(before[i]) {
+						t.Fatalf("%s round %d: latest[%d] written", name, round, i)
+					}
+				}
+			}
+			if _, err := p[1].PushPullDelta(tensor.New(dim-1), base, 0); !errors.Is(err, tensor.ErrShapeMismatch) {
+				t.Errorf("%s: short base: %v", name, err)
+			}
+		}
+	}
+}
+
 // TestClientPullInto: PullInto fills the caller's buffer with what Pull
 // returns.
 func TestClientPullInto(t *testing.T) {
@@ -100,7 +164,9 @@ func TestClientPullInto(t *testing.T) {
 
 // TestPushPullIntoAllocs: an exchange into a persistent buffer allocates
 // less than dim bytes — an eighth of the model-sized vector PushPull
-// returns — on the loopback and, client and server sides together, over TCP.
+// returns — on the loopback and, client and server sides together, over TCP;
+// so does the leader's delta exchange, whose loopback scratch is allocated
+// once, in the warm-up.
 func TestPushPullIntoAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -109,24 +175,33 @@ func TestPushPullIntoAllocs(t *testing.T) {
 	delta := seq(dim)
 	out := tensor.New(dim)
 	for name, gs := range intoStores(t, seq(dim)) {
-		exchange := func() {
-			if _, err := gs.PushPullInto(out, delta, Add, 0); err != nil {
-				t.Fatalf("%s: %v", name, err)
+		for _, form := range []string{"into", "delta"} {
+			name := name + "/" + form
+			exchange := func() {
+				var err error
+				if form == "into" {
+					_, err = gs.PushPullInto(out, delta, Add, 0)
+				} else {
+					_, err = gs.PushPullDelta(out, delta, 0)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
 			}
-		}
-		for i := 0; i < 5; i++ {
-			exchange() // warm the payload pools and the store's publish buffers
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			exchange()
-		}
-		runtime.ReadMemStats(&after)
-		per := float64(after.TotalAlloc-before.TotalAlloc) / rounds
-		t.Logf("%s: %.0f bytes per exchange at dim %d", name, per, dim)
-		if per >= dim {
-			t.Errorf("%s: %.0f bytes allocated per exchange, want < dim = %d", name, per, dim)
+			for i := 0; i < 5; i++ {
+				exchange() // warm the payload pools and the store's publish buffers
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				exchange()
+			}
+			runtime.ReadMemStats(&after)
+			per := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+			t.Logf("%s: %.0f bytes per exchange at dim %d", name, per, dim)
+			if per >= dim {
+				t.Errorf("%s: %.0f bytes allocated per exchange, want < dim = %d", name, per, dim)
+			}
 		}
 	}
 }

@@ -54,9 +54,9 @@ func (c *ServerConfig) chunkCount() int {
 // Server serves the PS frame protocol for one rank of a mesh: one handler
 // goroutine per peer decodes chunk requests in arrival order, applies them
 // to the snapshot store, and acks — with the chunk's values for pull-class
-// requests, shipped zero-copy from a pooled buffer. Because each chunk is
-// its own store key, concurrent clients touching different chunks never
-// contend, and pulls read published snapshots without blocking pushes.
+// requests, sent from the published snapshot itself at f64. Because each
+// chunk is its own store key, concurrent clients touching different chunks
+// never contend, and pulls read published snapshots without blocking pushes.
 //
 // For lossy reply dtypes the server keeps one error-feedback residual per
 // chunk on the owner side: each compressed reply carries the quantization
@@ -221,24 +221,29 @@ func (s *Server) handle(peer int, msg transport.Message) error {
 	}
 }
 
-// ackValues replies with a chunk's published values. The payload is staged
-// in a pooled buffer and handed to the transport zero-copy (SendOwned);
-// lossy reply dtypes fold in the owner-side EF residual, and ship values
-// already on the quantization grid so the wire encode is bit-exact.
+// ackValues replies with a chunk's published values. An f64 reply goes out
+// straight from the snapshot with a plain Send, which is done with the payload
+// when it returns (the caller releases the snapshot after). Lossy reply dtypes
+// stage the values in a pooled buffer handed to the transport zero-copy
+// (SendOwned), fold in the owner-side EF residual, and ship values already on
+// the quantization grid so the wire encode is bit-exact.
 func (s *Server) ackValues(peer int, tag int32, chunk int, d tensor.Dtype, snap *snapshot) error {
+	msg := transport.Message{
+		Type: transport.MsgPSAck, Stream: PSStream, Iter: snap.version, Chunk: tag, Dtype: d,
+	}
+	if d == tensor.F64 {
+		msg.Payload = snap.value
+		return s.view.Send(peer, msg)
+	}
 	n := len(snap.value)
 	buf := transport.GetPayload(n)
 	copy(buf, snap.value)
-	if d != tensor.F64 {
-		s.resMu[chunk].Lock()
-		if s.res[chunk] == nil {
-			s.res[chunk] = tensor.New(n)
-		}
-		tensor.RoundTripEF(d, buf[:n], s.res[chunk])
-		s.resMu[chunk].Unlock()
+	s.resMu[chunk].Lock()
+	if s.res[chunk] == nil {
+		s.res[chunk] = tensor.New(n)
 	}
-	return transport.SendOwned(s.view, peer, transport.Message{
-		Type: transport.MsgPSAck, Stream: PSStream, Iter: snap.version, Chunk: tag,
-		Dtype: d, Payload: buf,
-	})
+	tensor.RoundTripEF(d, buf[:n], s.res[chunk])
+	s.resMu[chunk].Unlock()
+	msg.Payload = buf
+	return transport.SendOwned(s.view, peer, msg)
 }

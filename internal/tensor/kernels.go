@@ -313,37 +313,44 @@ func DotRows(out, w []float64, stride int, x []float64) {
 	}
 }
 
-// SGDStep is the fused momentum and weight-decay update, one pass over
-// memory instead of three: v ← (μ·v + g) + λ·x, then x ← x − lr·v.
-// vel and grad must be at least as long as params.
-func SGDStep(params, vel, grad []float64, mu, wd, lr float64) {
-	vel, grad = vel[:len(params)], grad[:len(params)]
-	if useAVX2 && len(params) >= vecMin {
-		sgdStepAVX2(params, vel, grad, mu, wd, lr)
+// SGDStep is the fused momentum and weight-decay update, out of place and
+// with the contributor mean folded in, one pass over memory:
+// v ← (μ·v + g·mean) + λ·x, then x' ← x − lr·v, reading x from src and writing
+// x' to dst. dst may be src itself (the in-place step, mean 1) or disjoint
+// from it; either way the bits are those of copying src to dst, scaling g by
+// mean and stepping in place, because g·1 is g. vel and grad must be at least
+// as long as dst, src exactly as long.
+func SGDStep(dst, src, vel, grad []float64, mean, mu, wd, lr float64) {
+	src, vel, grad = src[:len(dst)], vel[:len(dst)], grad[:len(dst)]
+	if useAVX2 && len(dst) >= vecMin {
+		sgdStepAVX2(dst, src, vel, grad, mean, mu, wd, lr)
 		return
 	}
-	sgdStepGo(params, vel, grad, mu, wd, lr)
+	sgdStepGo(dst, src, vel, grad, mean, mu, wd, lr)
 }
 
 // sgdStepGo is the Go loop of SGDStep.
-func sgdStepGo(params, vel, grad []float64, mu, wd, lr float64) {
-	vel = vel[:len(params)]
-	grad = grad[:len(params)]
+func sgdStepGo(dst, src, vel, grad []float64, mean, mu, wd, lr float64) {
+	src = src[:len(dst)]
+	vel = vel[:len(dst)]
+	grad = grad[:len(dst)]
 	i := 0
-	for ; i+4 <= len(params); i += 4 {
-		v0 := mu*vel[i] + grad[i] + wd*params[i]
-		v1 := mu*vel[i+1] + grad[i+1] + wd*params[i+1]
-		v2 := mu*vel[i+2] + grad[i+2] + wd*params[i+2]
-		v3 := mu*vel[i+3] + grad[i+3] + wd*params[i+3]
+	for ; i+4 <= len(dst); i += 4 {
+		x0, x1, x2, x3 := src[i], src[i+1], src[i+2], src[i+3]
+		v0 := mu*vel[i] + grad[i]*mean + wd*x0
+		v1 := mu*vel[i+1] + grad[i+1]*mean + wd*x1
+		v2 := mu*vel[i+2] + grad[i+2]*mean + wd*x2
+		v3 := mu*vel[i+3] + grad[i+3]*mean + wd*x3
 		vel[i], vel[i+1], vel[i+2], vel[i+3] = v0, v1, v2, v3
-		params[i] -= lr * v0
-		params[i+1] -= lr * v1
-		params[i+2] -= lr * v2
-		params[i+3] -= lr * v3
+		dst[i] = x0 - lr*v0
+		dst[i+1] = x1 - lr*v1
+		dst[i+2] = x2 - lr*v2
+		dst[i+3] = x3 - lr*v3
 	}
-	for ; i < len(params); i++ {
-		v := mu*vel[i] + grad[i] + wd*params[i]
+	for ; i < len(dst); i++ {
+		x := src[i]
+		v := mu*vel[i] + grad[i]*mean + wd*x
 		vel[i] = v
-		params[i] -= lr * v
+		dst[i] = x - lr*v
 	}
 }

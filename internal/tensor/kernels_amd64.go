@@ -64,7 +64,7 @@ func sumToLEAVX2(dst, a []float64, b []byte)
 func linComb4AVX2(dst, c, x0, x1, x2, x3 []float64, cont bool)
 
 //go:noescape
-func sgdStepAVX2(params, vel, grad []float64, mu, wd, lr float64)
+func sgdStepAVX2(dst, src, vel, grad []float64, mean, mu, wd, lr float64)
 
 // dotRowsAVX2 computes len(out) rows, a multiple of four, of len(x)
 // elements each.

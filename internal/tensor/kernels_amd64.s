@@ -334,26 +334,31 @@ done:
 	VZEROUPPER
 	RET
 
-// func sgdStepAVX2(params, vel, grad []float64, mu, wd, lr float64)
-//   v' = ((mu*v) + g) + (wd*x);  vel = v';  params = x − (lr*v')
-TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-96
-	MOVQ         params_base+0(FP), DI
-	MOVQ         params_len+8(FP), CX
-	MOVQ         vel_base+24(FP), SI
-	MOVQ         grad_base+48(FP), DX
-	VBROADCASTSD mu+72(FP), Y13
-	VBROADCASTSD wd+80(FP), Y14
-	VBROADCASTSD lr+88(FP), Y15
+// func sgdStepAVX2(dst, src, vel, grad []float64, mean, mu, wd, lr float64)
+//   x = src;  v' = ((mu*v) + (g*mean)) + (wd*x);  vel = v';  dst = x − (lr*v')
+// Each element's src is loaded before its dst is stored, so dst may be src.
+TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-128
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), R8
+	MOVQ         vel_base+48(FP), SI
+	MOVQ         grad_base+72(FP), DX
+	VBROADCASTSD mean+96(FP), Y12
+	VBROADCASTSD mu+104(FP), Y13
+	VBROADCASTSD wd+112(FP), Y14
+	VBROADCASTSD lr+120(FP), Y15
 
 loop8:
 	CMPQ    CX, $8
 	JLT     loop4
 	VMULPD  0(SI), Y13, Y0
 	VMULPD  32(SI), Y13, Y1
-	VMOVUPD 0(DI), Y2
-	VMOVUPD 32(DI), Y3
-	VADDPD  0(DX), Y0, Y0
-	VADDPD  32(DX), Y1, Y1
+	VMULPD  0(DX), Y12, Y6
+	VMULPD  32(DX), Y12, Y7
+	VMOVUPD 0(R8), Y2
+	VMOVUPD 32(R8), Y3
+	VADDPD  Y6, Y0, Y0
+	VADDPD  Y7, Y1, Y1
 	VMULPD  Y2, Y14, Y4
 	VMULPD  Y3, Y14, Y5
 	VADDPD  Y4, Y0, Y0
@@ -367,6 +372,7 @@ loop8:
 	VMOVUPD Y2, 0(DI)
 	VMOVUPD Y3, 32(DI)
 	ADDQ    $64, DI
+	ADDQ    $64, R8
 	ADDQ    $64, SI
 	ADDQ    $64, DX
 	SUBQ    $8, CX
@@ -376,8 +382,9 @@ loop4:
 	CMPQ    CX, $4
 	JLT     loop1
 	VMULPD  (SI), Y13, Y0
-	VMOVUPD (DI), Y2
-	VADDPD  (DX), Y0, Y0
+	VMULPD  (DX), Y12, Y6
+	VMOVUPD (R8), Y2
+	VADDPD  Y6, Y0, Y0
 	VMULPD  Y2, Y14, Y4
 	VADDPD  Y4, Y0, Y0
 	VMOVUPD Y0, (SI)
@@ -385,6 +392,7 @@ loop4:
 	VSUBPD  Y0, Y2, Y2
 	VMOVUPD Y2, (DI)
 	ADDQ    $32, DI
+	ADDQ    $32, R8
 	ADDQ    $32, SI
 	ADDQ    $32, DX
 	SUBQ    $4, CX
@@ -394,8 +402,9 @@ loop1:
 	TESTQ  CX, CX
 	JZ     done
 	VMULSD (SI), X13, X0
-	VMOVSD (DI), X2
-	VADDSD (DX), X0, X0
+	VMULSD (DX), X12, X6
+	VMOVSD (R8), X2
+	VADDSD X6, X0, X0
 	VMULSD X2, X14, X4
 	VADDSD X4, X0, X0
 	VMOVSD X0, (SI)
@@ -403,6 +412,7 @@ loop1:
 	VSUBSD X0, X2, X2
 	VMOVSD X2, (DI)
 	ADDQ   $8, DI
+	ADDQ   $8, R8
 	ADDQ   $8, SI
 	ADDQ   $8, DX
 	DECQ   CX

@@ -48,6 +48,14 @@ func TestKernelsMatchScalar(t *testing.T) {
 		if err := DiffInto(diff, a, b); err != nil {
 			t.Fatal(err)
 		}
+		// SGDStep out of place with the mean c, and in place with mean 1,
+		// whose g·1 must vanish from the bits.
+		const mu, wd, lr = 0.9, 1e-4, 0.05
+		vel, g := randVec(rng, n), randVec(rng, n)
+		stepVel, stepDst := vel.Clone(), New(n)
+		SGDStep(stepDst, a, stepVel, g, c, mu, wd, lr)
+		inVel, inPlace := vel.Clone(), a.Clone()
+		SGDStep(inPlace, inPlace, inVel, g, 1, mu, wd, lr)
 
 		for i := 0; i < n; i++ {
 			if got, want := add[i], a[i]+b[i]; math.Float64bits(got) != math.Float64bits(want) {
@@ -67,6 +75,14 @@ func TestKernelsMatchScalar(t *testing.T) {
 			}
 			if got, want := avg[i], (a[i]+b[i])/2; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("avgVec n=%d i=%d: got %v, want %v", n, i, got, want)
+			}
+			v := mu*vel[i] + g[i]*c + wd*a[i]
+			if math.Float64bits(stepVel[i]) != math.Float64bits(v) || math.Float64bits(stepDst[i]) != math.Float64bits(a[i]-lr*v) {
+				t.Fatalf("SGDStep n=%d i=%d: got v=%v x=%v, want v=%v x=%v", n, i, stepVel[i], stepDst[i], v, a[i]-lr*v)
+			}
+			v = mu*vel[i] + g[i] + wd*a[i]
+			if math.Float64bits(inVel[i]) != math.Float64bits(v) || math.Float64bits(inPlace[i]) != math.Float64bits(a[i]-lr*v) {
+				t.Fatalf("SGDStep in place, mean 1, n=%d i=%d: got v=%v x=%v, want v=%v x=%v", n, i, inVel[i], inPlace[i], v, a[i]-lr*v)
 			}
 		}
 	}
@@ -93,32 +109,36 @@ func TestDotMatchesScalar(t *testing.T) {
 }
 
 // kernelCases lists every vectorised element-wise kernel as (dispatcher, Go
-// loop) over up to three equal-length operands and three scalars. Operand 0
+// loop) over up to four equal-length operands and four scalars. Operand 0
 // is always written; the comparison covers all of them, so a kernel that
 // clobbers an input fails too.
 var kernelCases = []struct {
 	name     string
 	operands int
-	vec, ref func(v [3][]float64, s [3]float64)
+	vec, ref func(v [4][]float64, s [4]float64)
 }{
 	{"addVec", 2,
-		func(v [3][]float64, _ [3]float64) { addVec(v[0], v[1]) },
-		func(v [3][]float64, _ [3]float64) { addVecGo(v[0], v[1]) }},
+		func(v [4][]float64, _ [4]float64) { addVec(v[0], v[1]) },
+		func(v [4][]float64, _ [4]float64) { addVecGo(v[0], v[1]) }},
 	{"scaleVec", 1,
-		func(v [3][]float64, s [3]float64) { scaleVec(v[0], s[0]) },
-		func(v [3][]float64, s [3]float64) { scaleVecGo(v[0], s[0]) }},
+		func(v [4][]float64, s [4]float64) { scaleVec(v[0], s[0]) },
+		func(v [4][]float64, s [4]float64) { scaleVecGo(v[0], s[0]) }},
 	{"axpyVec", 2,
-		func(v [3][]float64, s [3]float64) { axpyVec(v[0], s[0], v[1]) },
-		func(v [3][]float64, s [3]float64) { axpyVecGo(v[0], s[0], v[1]) }},
+		func(v [4][]float64, s [4]float64) { axpyVec(v[0], s[0], v[1]) },
+		func(v [4][]float64, s [4]float64) { axpyVecGo(v[0], s[0], v[1]) }},
 	{"sumTo", 3,
-		func(v [3][]float64, _ [3]float64) { sumTo(v[0], v[1], v[2]) },
-		func(v [3][]float64, _ [3]float64) { sumToGo(v[0], v[1], v[2]) }},
+		func(v [4][]float64, _ [4]float64) { sumTo(v[0], v[1], v[2]) },
+		func(v [4][]float64, _ [4]float64) { sumToGo(v[0], v[1], v[2]) }},
 	{"diffTo", 3,
-		func(v [3][]float64, _ [3]float64) { diffTo(v[0], v[1], v[2]) },
-		func(v [3][]float64, _ [3]float64) { diffToGo(v[0], v[1], v[2]) }},
-	{"SGDStep", 3,
-		func(v [3][]float64, s [3]float64) { SGDStep(v[0], v[1], v[2], s[0], s[1], s[2]) },
-		func(v [3][]float64, s [3]float64) { sgdStepGo(v[0], v[1], v[2], s[0], s[1], s[2]) }},
+		func(v [4][]float64, _ [4]float64) { diffTo(v[0], v[1], v[2]) },
+		func(v [4][]float64, _ [4]float64) { diffToGo(v[0], v[1], v[2]) }},
+	{"SGDStep", 4,
+		func(v [4][]float64, s [4]float64) { SGDStep(v[0], v[1], v[2], v[3], s[3], s[0], s[1], s[2]) },
+		func(v [4][]float64, s [4]float64) { sgdStepGo(v[0], v[1], v[2], v[3], s[3], s[0], s[1], s[2]) }},
+	// dst == src: the in-place step BSP and the owner of a span take.
+	{"SGDStep/in-place", 3,
+		func(v [4][]float64, s [4]float64) { SGDStep(v[0], v[0], v[1], v[2], s[3], s[0], s[1], s[2]) },
+		func(v [4][]float64, s [4]float64) { sgdStepGo(v[0], v[0], v[1], v[2], s[3], s[0], s[1], s[2]) }},
 }
 
 // specials is the row of values every kernel must carry through exactly as
@@ -175,13 +195,16 @@ func sameBits(a, b float64) bool {
 func checkKernels(t testing.TB, n, offset int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	scalars := [3]float64{kernelValue(rng), kernelValue(rng), kernelValue(rng)}
+	scalars := [4]float64{kernelValue(rng), kernelValue(rng), kernelValue(rng), kernelValue(rng)}
 	if seed%2 == 0 { // the common case: plain finite coefficients
-		scalars = [3]float64{0.9, 1e-4, 0.05}
+		scalars = [4]float64{0.9, 1e-4, 0.05, 0.5}
+		if seed%4 == 0 {
+			scalars[3] = 1 // one contributor's mean
+		}
 	}
 	for _, kc := range kernelCases {
-		var vec, ref [3][]float64
-		var vecBack, refBack [3][]float64
+		var vec, ref [4][]float64
+		var vecBack, refBack [4][]float64
 		for j := 0; j < kc.operands; j++ {
 			// Operand j sits j elements further into its array, so the
 			// operands are also misaligned against each other.
@@ -212,7 +235,7 @@ func checkKernels(t testing.TB, n, offset int, seed int64) {
 // sources are misaligned against dst and each other and some are longer than
 // dst, and 0–9 sources cover no pass, one pass, and passes that continue from
 // dst with and without a remainder.
-func checkLinComb(t testing.TB, rng *rand.Rand, k, n, offset int, scalars [3]float64) {
+func checkLinComb(t testing.TB, rng *rand.Rand, k, n, offset int, scalars [4]float64) {
 	t.Helper()
 	xs := make([][]float64, k)
 	xsBack := make([][]float64, k)
@@ -351,14 +374,14 @@ func BenchmarkTensorKernels(b *testing.B) {
 	sizes := []int{256, 1 << 16, 1 << 20}
 	for _, kc := range kernelCases {
 		for _, n := range sizes {
-			v := [3][]float64{randVec(rng, n), randVec(rng, n), randVec(rng, n)}
-			s := [3]float64{0.9, 1e-4, 1e-3}
+			v := [4][]float64{randVec(rng, n), randVec(rng, n), randVec(rng, n), randVec(rng, n)}
+			s := [4]float64{0.9, 1e-4, 1e-3, 0.5}
 			if kc.name == "scaleVec" {
 				s[0] = 1.0000001
 			}
 			for _, impl := range []struct {
 				name string
-				run  func([3][]float64, [3]float64)
+				run  func([4][]float64, [4]float64)
 			}{{"go", kc.ref}, {"dispatched", kc.vec}} {
 				b.Run(fmt.Sprintf("%s/%s/%d", kc.name, impl.name, n), func(b *testing.B) {
 					b.SetBytes(int64(n) * 8)

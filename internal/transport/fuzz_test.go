@@ -139,18 +139,32 @@ func FuzzReadMessage(f *testing.F) {
 }
 
 // FuzzRecvInto holds a landing to the pooled path it replaces. The first
-// frame of any byte stream is received as the TCP mesh's reader receives it
-// for RecvInto — land, and decode plus deliver when it does not land —
-// through read windows of many sizes, into a Landing built from the frame's
-// own header with one field skewed or none, copy or add, with or without a
-// tail. That must end with the bits of decoding the frame into a pooled
-// payload (ReadMessage) and then copying or adding it, and with the same
-// tail; a frame the Landing does not name must leave dst byte-identical and
-// come back whole; a frame that does not decode must fail both ways.
+// frame of any byte stream is received as the TCP mesh's reader of the
+// frame's stream receives it for RecvInto — land, and decode plus deliver
+// when it does not land — through read windows of many sizes, into a Landing
+// built from the frame's own header with one field skewed or none (or any
+// iteration accepted, as a parameter-server client takes an ack), copy or
+// add, with or without a tail. That must end with the bits of decoding the
+// frame into a pooled payload (ReadMessage) and then copying or adding it,
+// and with the same tail; a frame the Landing does not name must leave dst
+// byte-identical and come back whole; a frame that does not decode must fail
+// both ways.
 func FuzzRecvInto(f *testing.F) {
 	for i, b := range wireCorpus(f) {
 		f.Add(b, i%2 == 0, i%3 == 0, uint16(i*37), uint8(i))
 	}
+	// A parameter server's f64 ack on its stream, its version unknown to the
+	// landing: it lands, and with another tag it does not.
+	ack := make([]float64, 600)
+	for i := range ack {
+		ack[i] = math.Cos(float64(i)) * 1e-2
+	}
+	psAck, err := Encode(nil, Message{Type: MsgPSAck, Stream: 1 << 16, Iter: 9, Chunk: 3<<24 | 2, Payload: ack})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(psAck, false, false, uint16(1000), uint8(5))
+	f.Add(psAck, false, false, uint16(100), uint8(6))
 	f.Fuzz(func(t *testing.T, data []byte, add, tail bool, window uint16, skew uint8) {
 		var hdr Message
 		n := 0
@@ -177,6 +191,10 @@ func FuzzRecvInto(f *testing.F) {
 			l.Chunk++
 		case 4:
 			dn++
+		case 5:
+			l.AnyIter, l.Iter = true, l.Iter+1
+		case 6:
+			l.AnyIter, l.Chunk = true, l.Chunk+1
 		}
 		l.Dst = make([]float64, dn)
 		for i := range l.Dst {
@@ -203,7 +221,7 @@ func FuzzRecvInto(f *testing.F) {
 
 		r := bytes.NewReader(data)
 		br := bufio.NewReaderSize(r, frameHeaderBytes+int(window)%8192) // the header must fit
-		got, landed, err := land(br, r, 0, &l)
+		got, landed, err := land(br, r, hdr.Stream, &l)
 		if err == nil && !landed {
 			var dec Message
 			if dec, err = readFrame(br); err == nil {

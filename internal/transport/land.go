@@ -43,6 +43,10 @@ type Landing struct {
 	Type  MsgType
 	Iter  int64
 	Chunk int32
+	// AnyIter accepts the frame whatever its Iter, which the returned
+	// Message carries: a parameter-server ack's Iter is the version it
+	// publishes, which the client cannot know in advance.
+	AnyIter bool
 	// Dst takes the frame's first len(Dst) elements.
 	Dst []float64
 	// HasTail says the frame carries exactly one element after Dst's;
@@ -111,7 +115,7 @@ func (l *Landing) elems() int {
 // names. The dtype does not enter: a compressed frame decodes to the same
 // float64s a pooled payload carries.
 func (l *Landing) expects(m *Message, n int) bool {
-	return m.Type == l.Type && m.Iter == l.Iter && m.Chunk == l.Chunk && n == l.elems() && m.Indices == nil
+	return m.Type == l.Type && (l.AnyIter || m.Iter == l.Iter) && m.Chunk == l.Chunk && n == l.elems() && m.Indices == nil
 }
 
 // deliver completes the landing from a decoded message: the pooled path.

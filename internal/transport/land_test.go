@@ -34,20 +34,25 @@ func filled(n int, v float64) []float64 {
 // element count differs from what the Landing names comes back whole, as a
 // pooled payload with ErrUnexpectedFrame, and dst keeps every bit — over TCP,
 // where the reader sees the header before it can decide to land, and on the
-// in-memory mesh. The expected frame that follows on the same connection
-// lands. Matching on the element count alone fails this test.
+// in-memory mesh. A Landing that accepts any iteration (a parameter-server
+// ack's version) still refuses another tag. The expected frame that follows
+// on the same connection lands, and so does one of another iteration into an
+// any-version Landing, which returns that iteration. Matching on the element
+// count alone fails this test.
 func TestRecvIntoMismatchNeverWritesDst(t *testing.T) {
 	const n = 4096
 	payload := landPayload(n)
 	wrong := []struct {
-		name string
-		msg  Message
+		name    string
+		msg     Message
+		anyIter bool
 	}{
-		{"type", Message{Type: MsgReduce, Iter: landCase.Iter, Chunk: landCase.Chunk, Payload: payload}},
-		{"iter", Message{Type: landCase.Type, Iter: landCase.Iter + 1, Chunk: landCase.Chunk, Payload: payload}},
-		{"tag", Message{Type: landCase.Type, Iter: landCase.Iter, Chunk: landCase.Chunk + 1, Payload: payload}},
-		{"longer", Message{Type: landCase.Type, Iter: landCase.Iter, Chunk: landCase.Chunk, Payload: payload, Tail: 1, HasTail: true}},
-		{"shorter", Message{Type: landCase.Type, Iter: landCase.Iter, Chunk: landCase.Chunk, Payload: payload[:n-1]}},
+		{"type", Message{Type: MsgReduce, Iter: landCase.Iter, Chunk: landCase.Chunk, Payload: payload}, false},
+		{"iter", Message{Type: landCase.Type, Iter: landCase.Iter + 1, Chunk: landCase.Chunk, Payload: payload}, false},
+		{"tag", Message{Type: landCase.Type, Iter: landCase.Iter, Chunk: landCase.Chunk + 1, Payload: payload}, false},
+		{"longer", Message{Type: landCase.Type, Iter: landCase.Iter, Chunk: landCase.Chunk, Payload: payload, Tail: 1, HasTail: true}, false},
+		{"shorter", Message{Type: landCase.Type, Iter: landCase.Iter, Chunk: landCase.Chunk, Payload: payload[:n-1]}, false},
+		{"any version, tag", Message{Type: landCase.Type, Iter: landCase.Iter + 3, Chunk: landCase.Chunk + 1, Payload: payload}, true},
 	}
 	for kind, pair := range landPairs(t) {
 		for _, add := range []bool{false, true} {
@@ -57,7 +62,7 @@ func TestRecvIntoMismatchNeverWritesDst(t *testing.T) {
 					t.Fatal(err)
 				}
 				l := landCase
-				l.Dst, l.Add = filled(n, 7), add
+				l.Dst, l.Add, l.AnyIter = filled(n, 7), add, w.anyIter
 				got, err := RecvInto(pair[0], 1, l)
 				if !errors.Is(err, ErrUnexpectedFrame) {
 					t.Fatalf("%s: err = %v, want ErrUnexpectedFrame", name, err)
@@ -77,28 +82,38 @@ func TestRecvIntoMismatchNeverWritesDst(t *testing.T) {
 				}
 				PutPayload(got.Payload)
 			}
-			// The connection is still framed: the expected frame lands.
-			if err := pair[1].Send(0, Message{Type: landCase.Type, Iter: landCase.Iter, Chunk: landCase.Chunk, Payload: payload}); err != nil {
-				t.Fatal(err)
-			}
-			l := landCase
-			l.Dst, l.Add = filled(n, 7), add
-			stop := CountLandings()
-			_, err := RecvInto(pair[0], 1, l)
-			landed, _ := stop()
-			if err != nil {
-				t.Fatalf("%s/add=%t: the expected frame: %v", kind, add, err)
-			}
-			if kind == "tcp" && landed != 1 {
-				t.Errorf("%s/add=%t: the expected frame did not land off the socket", kind, add)
-			}
-			for i, x := range l.Dst {
-				want := payload[i]
-				if add {
-					want += 7
+			// The connection is still framed: the expected frame lands, and
+			// so does one of another iteration where any is accepted.
+			for _, anyIter := range []bool{false, true} {
+				iter := landCase.Iter
+				if anyIter {
+					iter += 11
 				}
-				if x != want {
-					t.Fatalf("%s/add=%t: dst[%d] = %v, want %v", kind, add, i, x, want)
+				if err := pair[1].Send(0, Message{Type: landCase.Type, Iter: iter, Chunk: landCase.Chunk, Payload: payload}); err != nil {
+					t.Fatal(err)
+				}
+				l := landCase
+				l.Dst, l.Add, l.AnyIter = filled(n, 7), add, anyIter
+				stop := CountLandings()
+				got, err := RecvInto(pair[0], 1, l)
+				landed, _ := stop()
+				if err != nil {
+					t.Fatalf("%s/add=%t/any=%t: the expected frame: %v", kind, add, anyIter, err)
+				}
+				if got.Iter != iter {
+					t.Errorf("%s/add=%t/any=%t: landed frame reports iteration %d, sent %d", kind, add, anyIter, got.Iter, iter)
+				}
+				if kind == "tcp" && landed != 1 {
+					t.Errorf("%s/add=%t/any=%t: the expected frame did not land off the socket", kind, add, anyIter)
+				}
+				for i, x := range l.Dst {
+					want := payload[i]
+					if add {
+						want += 7
+					}
+					if x != want {
+						t.Fatalf("%s/add=%t/any=%t: dst[%d] = %v, want %v", kind, add, anyIter, i, x, want)
+					}
 				}
 			}
 		}
