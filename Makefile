@@ -60,9 +60,10 @@ loc:
 # skip under -race (its instrumentation allocates), so `check` alone would
 # never run them. They hold the RNA data path to zero gradient-sized
 # allocations per step (accumulator lease cycle, in-place partial AllReduce,
-# parameter-server exchange into a persistent buffer, the two end-to-end
-# worker gates, and the owner-computes ring pair over 4-rank TCP, whose
-# chunks land in the caller's vector).
+# parameter-server exchange into a persistent buffer, whole or by chunk run,
+# the two end-to-end worker gates, the hierarchical run over TCP, where every
+# group member exchanges its own chunks, and the owner-computes ring pair
+# over 4-rank TCP, whose chunks land in the caller's vector).
 alloc-gate:
 	$(GO) test -count=1 -run 'Alloc' ./internal/core ./internal/collective ./internal/ps
 
@@ -123,13 +124,19 @@ rss-ratio:
 # frame landed off the socket (copy or add, with or without a tail) to the
 # bits of the pooled decode it replaces; its minimization budget is short
 # because its corpus holds multi-KB frames, whose minimization would eat the
-# whole smoke budget.
+# whole smoke budget. FuzzServerRequests sends the parameter server request
+# sequences from two client ranks (chunk indices in and past the table, forged
+# tags, modes and payload lengths, version horizons that never wait): each
+# request is acked with the right length, version and values or ends the
+# sender's service with ps.ErrBadRequest, and two clients exchanging
+# complementary chunk runs leave the model one whole-vector client leaves.
 fuzz-smoke:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 20s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzRecvInto -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadHello -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzKernelsMatchGeneric -fuzztime 10s
 	$(GO) test ./internal/controller/ -run '^$$' -fuzz FuzzControllerTrigger -fuzztime 10s
+	$(GO) test ./internal/ps/ -run '^$$' -fuzz FuzzServerRequests -fuzztime 10s
 
 # microbench runs the collective, kernel, model and engine micro-benchmarks
 # interactively.

@@ -96,10 +96,11 @@ func TestRNAWorkerSteadyStateAllocs(t *testing.T) {
 // TestHierarchicalExchangeSteadyStateAllocs: two groups of two over TCP
 // with a networked PS rank and an exchange after every synchronization
 // allocate less than an eighth of one model-sized vector (dim bytes) per
-// exchange, everything the process allocates — four ranks' RNA steps, both
-// leaders' push-pulls and broadcasts, the server — charged to the exchanges:
-// a leader that allocated a model-sized buffer per exchange (a delta, a
-// staged pull) would read at least 8·dim.
+// group exchange, everything the process allocates — four ranks' RNA steps,
+// every member's chunk exchange, the server — charged to the exchanges, so
+// each member's share is below half of that: a member that allocated a
+// buffer the size of its span per exchange (a delta, a staged pull) would
+// read at least 4·dim.
 func TestHierarchicalExchangeSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -141,7 +142,7 @@ func TestHierarchicalExchangeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("ps server: %v", err)
 	}
 	perExchange := float64(bytes) / float64((iters-warm)*len(cfg.Groups))
-	t.Logf("%.0f bytes per exchange at dim %d", perExchange, allocGateDim)
+	t.Logf("%.0f bytes per group exchange (%.0f per member) at dim %d", perExchange, perExchange/2, allocGateDim)
 	if perExchange >= allocGateDim {
 		t.Errorf("%.0f bytes allocated per exchange, want < dim = %d", perExchange, allocGateDim)
 	}

@@ -227,7 +227,7 @@ func TestOwnerComputesSelection(t *testing.T) {
 				n = 4
 			}
 			for _, reduced := range []int{cfg.Model.Dim(), cfg.Model.Dim() + 1} {
-				st, err := newStage(meshes[n], &cfg, reduced)
+				st, err := newStage(meshes[n], &cfg, reduced, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/collective"
 	"repro/internal/controller"
 	"repro/internal/model"
 	"repro/internal/ps"
@@ -84,9 +86,15 @@ func TestHierarchicalWorkerTrains(t *testing.T) {
 	if top1 < 0.75 {
 		t.Errorf("hierarchical top-1 = %v", top1)
 	}
-	// The PS saw exchanges from both groups.
-	if store.Pushes(HierarchicalPSKey) < 3 {
-		t.Errorf("PS pushes = %d, want several", store.Pushes(HierarchicalPSKey))
+	// The PS saw exchanges from both groups, on every chunk.
+	keys := store.Keys()
+	if len(keys) < 2 {
+		t.Fatalf("PS keys %v, want the model's chunks", keys)
+	}
+	for _, key := range keys {
+		if store.Pushes(key) < 3 {
+			t.Errorf("PS pushes to %q = %d, want several", key, store.Pushes(key))
+		}
 	}
 }
 
@@ -118,6 +126,17 @@ func TestHierarchicalValidation(t *testing.T) {
 	}
 	if err := SeedStore(ps.NewStore(1), TrainConfig{}); err == nil {
 		t.Error("seeding with nil model should error")
+	}
+	for name, pin := range map[string]func(*TrainConfig){
+		"pinned ring": func(c *TrainConfig) { c.Algorithm = collective.AlgoRing },
+		"pinned tree": func(c *TrainConfig) { c.Algorithm = collective.AlgoTree },
+		"overlap":     func(c *TrainConfig) { c.Overlap = true },
+	} {
+		cfg := HierarchicalConfig{Train: train, Groups: groups, Store: store}
+		pin(&cfg.Train)
+		if _, err := RunHierarchicalWorker(mesh, nil, cfg); !errors.Is(err, ErrHierarchicalSchedule) {
+			t.Errorf("%s: %v, want ErrHierarchicalSchedule", name, err)
+		}
 	}
 }
 

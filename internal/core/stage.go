@@ -15,15 +15,21 @@ import (
 // Sync stages: what a synchronization does between the trigger and the next
 // compute step. bspLoop and rnaLoop (worker.go) own the trigger, the
 // threads and the bookkeeping; a stage owns the reduction and the update.
-// It is chosen once per run, by newStage, from TrainConfig, the mesh size and
-// the length of the vector the loop reduces:
+// It is chosen once per run, by newStage, from TrainConfig, the mesh size,
+// the length of the vector the loop reduces and whether the rank is a
+// hierarchical group member with a parameter-server exchange:
 //
 //   - owner-computes: reduce-scatter, every rank steps the span it owns,
 //     parameter allgather (shardedReducer). Selected by ShardedUpdate, and by
 //     AlgoAuto itself at an fp64 wire wherever it would run the pipelined
 //     ring, and at 2 ranks (ownerComputes): the two ring halves ship the
 //     ring's bytes, the result is bit-identical, and the optimizer step runs
-//     once per element instead of once per element per rank;
+//     once per element instead of once per element per rank. A hierarchical
+//     member always runs it, whatever its group size and wire: its table
+//     follows the parameter server's chunks, and on an exchange
+//     synchronization each member exchanges the span it owns between its step
+//     and the allgather, which then ships the pulled global model (exchanger,
+//     hierarchical.go);
 //   - replicated: AllReduce the whole gradient, every rank steps the whole
 //     vector (replicatedReducer): the tree, lossy wires, a pinned Algorithm;
 //   - bucketed (Overlap): not a third reduction but a wrapper — either of the
@@ -53,6 +59,8 @@ type reducer interface {
 	// BSP's average): it reads them from cur, writes them to next and leaves
 	// next complete and identical on all ranks. Neither cur nor g is written,
 	// unless cur is next itself (BSP, whose one vector is updated in place).
+	// A nil g (owner-computes with an exchange due only) skips the step and
+	// exchanges cur's owned span.
 	update(k int64, cur, next, g tensor.Vector, mean, scale float64) error
 	// stateBytes is the rank's persistent optimizer-state footprint.
 	stateBytes() int64
@@ -82,6 +90,7 @@ type stage struct {
 	red  reducer
 	mesh transport.Mesh
 	plan []model.Bucket
+	ex   exchanger // the hierarchical member's exchange, nil otherwise
 
 	as       *collective.Async
 	serial   bool
@@ -112,11 +121,13 @@ func ownerComputes(cfg *TrainConfig, n, reduced int) bool {
 }
 
 // newStage selects the stage for cfg: the plan (Overlap), then the reducer
-// over it (ownerComputes). reduced is the length of the vector the loop hands
-// the reduction: dim for BSP, dim+1 for the flag-extended RNA buffers.
-func newStage(mesh transport.Mesh, cfg *TrainConfig, reduced int) (*stage, error) {
+// over it (ownerComputes, or an exchange to run). reduced is the length of the
+// vector the loop hands the reduction: dim for BSP, dim+1 for the
+// flag-extended RNA buffers. A stage with an exchange runs unbucketed
+// (RunHierarchicalWorker refuses Overlap).
+func newStage(mesh transport.Mesh, cfg *TrainConfig, reduced int, ex exchanger) (*stage, error) {
 	dim := cfg.Model.Dim()
-	s := &stage{mesh: mesh, plan: []model.Bucket{{Span: model.Span{Lo: 0, Hi: dim}}}}
+	s := &stage{mesh: mesh, plan: []model.Bucket{{Span: model.Span{Lo: 0, Hi: dim}}}, ex: ex}
 	if cfg.Overlap {
 		fusion := cfg.FusionBytes
 		if fusion <= 0 {
@@ -132,8 +143,8 @@ func newStage(mesh transport.Mesh, cfg *TrainConfig, reduced int) (*stage, error
 		s.counts = make([]int, len(s.plan))
 	}
 	var err error
-	if ownerComputes(cfg, mesh.Size(), reduced) {
-		s.red, err = newShardedReducer(mesh, cfg, s.plan, reduced)
+	if ex != nil || ownerComputes(cfg, mesh.Size(), reduced) {
+		s.red, err = newShardedReducer(mesh, cfg, s.plan, reduced, ex)
 	} else {
 		s.red, err = newReplicatedReducer(mesh, cfg, s.plan)
 	}
@@ -215,8 +226,9 @@ func (s *stage) full(k int64, params, grad tensor.Vector) error {
 // one pass, reads the newest parameters and writes the version under
 // construction (versions, worker.go), which no other thread can see: no lock
 // is held, so neither the step nor the parameter allgather can stall the
-// compute thread. When nobody contributed, every rank skips the update in
-// lockstep.
+// compute thread. When nobody contributed, every rank skips the step in
+// lockstep; on an exchange synchronization the exchange still runs, its delta
+// taken from the published parameters.
 func (s *stage) partial(k int64, vs *versions, buf tensor.Vector, contributes bool) error {
 	count, err := s.reducePartial(k, buf, contributes)
 	if err != nil {
@@ -224,7 +236,10 @@ func (s *stage) partial(k int64, vs *versions, buf tensor.Vector, contributes bo
 	}
 	if count == 0 {
 		s.empty++
-		return nil
+		if s.ex == nil || !s.ex.due(k) {
+			return nil
+		}
+		return s.red.update(k, vs.latest(), vs.begin(), nil, 0, 0)
 	}
 	mean, scale, err := controller.Step(count, s.mesh.Size())
 	if err != nil {
@@ -364,9 +379,11 @@ func (r *replicatedReducer) stateBytes() int64 { return r.optim.StateBytes() }
 //
 // Who owns what is decided once, here, because both halves must agree on it
 // for the whole run. Unbucketed (one whole-vector span) the halves are the
-// uniform ring pair over the reduced vector — the gradient for BSP, the
-// flag-extended buffer for RNA — and rank r owns the chunk the ring completes
-// at it (collective.RingOwned), minus the flag slot. Bucketed, rank r owns
+// ring pair over the reduced vector — the gradient for BSP, the flag-extended
+// buffer for RNA — and rank r owns the part the ring completes at it
+// (collective.RingOwned), minus the flag slot: a uniform chunk, or, for a
+// hierarchical member, the run of parameter-server chunks its exchanger's
+// table gives it, the flag slot closing the last part. Bucketed, rank r owns
 // span offs[r]:offs[r+1] of the uniform table over the parameters and the
 // halves are the direct exchange; per bucket the reduce-scatter runs over the
 // table clipped to the bucket's span (the buckets partition the vector, so the
@@ -380,9 +397,11 @@ func (r *replicatedReducer) stateBytes() int64 { return r.optim.StateBytes() }
 // allgather moves bits verbatim — so under ANY ownership the sharded update
 // reproduces the replicated one (with a pinned ring schedule) bit for bit,
 // and each rank's optimizer state equals the matching slice of the
-// replicated state. Bucketed, the fold order follows the bucket, not the
-// vector — bit-identical across schedules of one plan, and to the unbucketed
-// update when the plan is one bucket.
+// replicated state. A hierarchical member's table moves fold starts off the
+// uniform chunks, so from three ranks up its group is bit-identical to itself
+// only; at two ranks every table gives the same bits. Bucketed, the fold
+// order follows the bucket, not the vector — bit-identical across schedules
+// of one plan, and to the unbucketed update when the plan is one bucket.
 //
 // Lossy wires (the fp64-reduce / compressed-allgather invariant). The
 // reduction always ships exact fp64, so there is no gradient error feedback
@@ -399,6 +418,8 @@ type shardedReducer struct {
 	// reduced is the length of the ring pair's vector; 0 selects the direct
 	// exchange over offs.
 	reduced int
+	table   []int         // the ring pair's ownership table; nil: uniform
+	ex      exchanger     // run between the step and the allgather when due
 	offs    []int         // ownership table over the whole vector
 	clipped [][]int       // per bucket: offs clipped to the span, span-relative
 	lo, hi  int           // the owned span of the parameters
@@ -408,12 +429,18 @@ type shardedReducer struct {
 	gather collective.Options
 }
 
-func newShardedReducer(mesh transport.Mesh, cfg *TrainConfig, plan []model.Bucket, reduced int) (*shardedReducer, error) {
+func newShardedReducer(mesh transport.Mesh, cfg *TrainConfig, plan []model.Bucket, reduced int, ex exchanger) (*shardedReducer, error) {
 	dim, n := cfg.Model.Dim(), mesh.Size()
-	r := &shardedReducer{plan: plan, mesh: mesh, gather: collective.Options{Compression: cfg.Compression}}
+	r := &shardedReducer{plan: plan, mesh: mesh, ex: ex, gather: collective.Options{Compression: cfg.Compression}}
 	if !cfg.Overlap {
 		r.reduced = reduced
-		r.lo, r.hi = collective.RingOwned(reduced, n, mesh.Rank())
+		if ex != nil && ex.table() != nil {
+			// The table covers the parameters; the flag slot closes its last
+			// part.
+			r.table = append([]int(nil), ex.table()...)
+			r.table[n] = reduced
+		}
+		r.lo, r.hi = collective.RingOwned(reduced, n, mesh.Rank(), r.table...)
 		r.lo, r.hi = min(r.lo, dim), min(r.hi, dim)
 		r.gather.Residual = cfg.residual(reduced)
 	} else {
@@ -441,7 +468,7 @@ func newShardedReducer(mesh transport.Mesh, cfg *TrainConfig, plan []model.Bucke
 
 func (r *shardedReducer) reduce(m transport.Mesh, k int64, grad tensor.Vector, b int) error {
 	if r.reduced > 0 {
-		return collective.RingReduceScatter(m, k, grad, collective.OpAverage)
+		return collective.RingReduceScatter(m, k, grad, collective.OpAverage, r.table...)
 	}
 	sp := r.plan[b]
 	return collective.ReduceScatter(m, k, grad[sp.Lo:sp.Hi], collective.OpAverage, r.clipped[b])
@@ -451,7 +478,7 @@ func (r *shardedReducer) reduce(m transport.Mesh, k int64, grad tensor.Vector, b
 // skips or applies the update in lockstep.
 func (r *shardedReducer) reducePartial(m transport.Mesh, k int64, buf tensor.Vector, b int, contributes bool) (int, error) {
 	if r.reduced > 0 {
-		return collective.PartialRingReduceScatter(m, k, buf[:r.reduced], contributes)
+		return collective.PartialRingReduceScatter(m, k, buf[:r.reduced], contributes, r.table...)
 	}
 	sp := r.plan[b]
 	return collective.PartialReduceScatter(m, k, buf[sp.Lo:sp.Hi], contributes, r.clipped[b])
@@ -461,8 +488,8 @@ func (r *shardedReducer) owned() (lo, hi int) { return r.lo, r.hi }
 
 func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, mean, scale float64) error {
 	lo, hi := r.lo, r.hi
+	src := cur[lo:hi]
 	if r.optim != nil {
-		src := cur[lo:hi]
 		if res := r.gather.Residual; res != nil {
 			// Restore the exact fp64 master weights; the residual is
 			// re-captured by the allgather's RoundTripEF below.
@@ -470,14 +497,24 @@ func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, mean, scale
 			res[lo:hi].Zero()
 			src = next[lo:hi]
 		}
-		if _, err := r.optim.StepTo(next[lo:hi], src, g[lo:hi], mean, scale); err != nil {
+		if g != nil {
+			if _, err := r.optim.StepTo(next[lo:hi], src, g[lo:hi], mean, scale); err != nil {
+				return err
+			}
+			src = next[lo:hi]
+		}
+	}
+	if r.ex != nil && r.ex.due(k) {
+		// The owned span goes to the parameter server and the pulled span
+		// replaces it, so the allgather ships the global model.
+		if err := r.ex.exchange(k, src, next[lo:hi]); err != nil {
 			return err
 		}
 	}
 	if r.reduced > 0 {
 		// RNA's versions carry the flag slot as spare capacity, so the gather
 		// rings over the partition the scatter used.
-		return collective.RingAllGather(r.mesh, k, next[:r.reduced], r.gather)
+		return collective.RingAllGather(r.mesh, k, next[:r.reduced], r.gather, r.table...)
 	}
 	return collective.AllGather(r.mesh, k, next, r.offs, r.gather)
 }

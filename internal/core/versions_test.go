@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/collective"
 	"repro/internal/controller"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -16,7 +17,7 @@ import (
 // of a vector whose elements are all equal leaves them all equal; it counts
 // the parameter vectors it is shown that hold two distinct values (a torn
 // version) or a value that is not a whole number (a version published between
-// the update and the post hook, which sets every parameter to k+1).
+// the step and the exchange, which sets every parameter to k+1).
 type uniformModel struct {
 	dim              int
 	torn, halfSynced atomic.Int64
@@ -44,21 +45,37 @@ func (m *uniformModel) Gradient(params, grad tensor.Vector, _ []int) (float64, e
 	return 0, nil
 }
 
+// rewriteExchange is an exchanger due at every synchronization that sets the
+// owned span to k+1, whatever it is handed: the probe's stand-in for a
+// parameter-server pull.
+type rewriteExchange struct{ calls atomic.Int64 }
+
+func (*rewriteExchange) table() []int       { return nil }
+func (*rewriteExchange) seed(tensor.Vector) {}
+func (*rewriteExchange) due(int64) bool     { return true }
+func (e *rewriteExchange) exchange(k int64, _, out tensor.Vector) error {
+	out.Fill(float64(k + 1))
+	e.calls.Add(1)
+	return nil
+}
+
 // TestVersionsNeverTornNorHalfSynced: the compute thread only ever sees whole
-// versions, and only versions a synchronization published after its post
-// hook. Four ranks over TCP under PowerOfChoices (partial participation, null
-// contributions, compute running ahead) on the owner-computes update, whose
-// version under construction is piecewise stale until the allgather ends, with
-// a post hook that rewrites every parameter. Every update moves the
-// parameters off the whole numbers and every hook puts them back on, so a
-// fractional value in Gradient is a leaked half-synchronization. Run under
+// versions, and only versions a synchronization published after its exchange.
+// Four ranks over TCP under PowerOfChoices (partial participation, null
+// contributions, empty synchronizations, compute running ahead) on the
+// owner-computes update, whose version under construction is piecewise stale
+// until the allgather ends, with an exchange that rewrites every owned span
+// between the step and the allgather. Every step moves the parameters off the
+// whole numbers and every exchange puts them back on, so a fractional value in
+// Gradient is a leaked half-synchronization. The replicated update on the
+// tree, which runs no exchange, is held to whole versions only. Run under
 // -race -count=10 (make race).
 func TestVersionsNeverTornNorHalfSynced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster in -short mode")
 	}
 	const n, iters = 4, 60
-	for name, sharded := range map[string]bool{"owner-computes": true, "replicated": false} {
+	for _, name := range []string{"owner-computes", "replicated"} {
 		m := &uniformModel{dim: 4099}
 		cfg := TrainConfig{
 			Model:          m,
@@ -68,33 +85,42 @@ func TestVersionsNeverTornNorHalfSynced(t *testing.T) {
 			Iterations:     iters,
 			StalenessBound: 3,
 			Seed:           1,
-			ShardedUpdate:  sharded,
 		}
 		ctrl, err := controller.New(controller.PowerOfChoices, n, 2, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rewrites atomic.Int64
-		post := func(k int64, vs *versions) error {
-			next := vs.begin()
-			for i := range next {
-				next[i] = float64(k + 1)
-			}
-			rewrites.Add(1)
-			return nil
+		var rewrite *rewriteExchange
+		if name == "owner-computes" {
+			rewrite = new(rewriteExchange)
+		} else {
+			// The tree folds every element in one order, so a version
+			// whose elements differ was torn; the ring's chunks start
+			// their folds at different ranks and may differ in the last
+			// bit.
+			cfg.Algorithm = collective.AlgoTree
 		}
 		results := tcpTrainCluster(t, n, func(mesh transport.Mesh) (*Result, error) {
-			return runRNA(mesh, ctrl, cfg, post)
+			if rewrite == nil {
+				return runRNA(mesh, ctrl, cfg, nil)
+			}
+			return runRNA(mesh, ctrl, cfg, rewrite)
 		})
 		assertBitIdentical(t, name, results[0].Params, results)
-		if torn, half := m.torn.Load(), m.halfSynced.Load(); torn != 0 || half != 0 {
-			t.Errorf("%s: Gradient saw %d torn versions and %d published before their post hook", name, torn, half)
+		if torn := m.torn.Load(); torn != 0 {
+			t.Errorf("%s: Gradient saw %d torn versions", name, torn)
 		}
-		if got := rewrites.Load(); got != n*iters {
-			t.Errorf("%s: %d post hooks ran, want %d", name, got, n*iters)
+		if rewrite == nil {
+			continue
+		}
+		if half := m.halfSynced.Load(); half != 0 {
+			t.Errorf("%s: Gradient saw %d versions published before their exchange", name, half)
+		}
+		if got := rewrite.calls.Load(); got != n*iters {
+			t.Errorf("%s: %d exchanges ran, want %d", name, got, n*iters)
 		}
 		if p := results[0].Params[0]; p != iters {
-			t.Errorf("%s: final parameters %v, want the last hook's %d", name, p, iters)
+			t.Errorf("%s: final parameters %v, want the last exchange's %d", name, p, iters)
 		}
 	}
 }

@@ -213,7 +213,7 @@ func RunBSPWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 func bspLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) (*Result, error) {
 	start := time.Now()
 	rank := mesh.Rank()
-	st, err := newStage(mesh, &cfg, cfg.Model.Dim())
+	st, err := newStage(mesh, &cfg, cfg.Model.Dim(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -268,8 +268,9 @@ func RunRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 	return runRNA(mesh, ctrl, cfg, nil)
 }
 
-// runRNA is RunRNAWorker with an optional post-synchronization hook.
-func runRNA(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, post postSyncHook) (*Result, error) {
+// runRNA is RunRNAWorker with an optional parameter-server exchange, run by
+// the owner-computes update (the hierarchical scheme's member).
+func runRNA(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, ex exchanger) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -277,22 +278,16 @@ func runRNA(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, p
 	if err != nil {
 		return nil, err
 	}
-	return rnaLoop(mesh, ctrl, cfg, acc, post)
+	return rnaLoop(mesh, ctrl, cfg, acc, ex)
 }
-
-// postSyncHook runs on the communication thread after a synchronization's
-// update is applied and before it is published; the hierarchical scheme uses
-// it for the periodic PS exchange. It reads the parameters through
-// vs.latest() and may rewrite them through vs.begin().
-type postSyncHook func(k int64, vs *versions) error
 
 // versions is the RNA worker's parameter store. A published parameter vector
 // is immutable: the compute thread pins the current one for the length of one
 // Gradient call and copies nothing, and the communication thread — the only
 // writer — builds the next one in a buffer that is neither current nor pinned
 // and makes it current in one step, together with synced. Nothing of a
-// synchronization (the update, a half-finished allgather, the post hook's
-// rewrite) is visible before that step, and no lock is held while a version
+// synchronization (the update, a parameter-server exchange, a half-finished
+// allgather) is visible before that step, and no lock is held while a version
 // is read or written, only while an index changes hands.
 //
 // Three buffers bound it: one current, at most one pinned (a pin is always
@@ -457,15 +452,18 @@ var errStopped = errors.New("core: worker stopped")
 //
 // The first error of either thread, wrapped once with its rank and iteration,
 // stops both (versions.fail).
-func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, src gradSource, post postSyncHook) (*Result, error) {
+func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, src gradSource, ex exchanger) (*Result, error) {
 	start := time.Now()
 	rank := mesh.Rank()
 	bound, last := int64(cfg.bound()), int64(cfg.Iterations)-1
-	st, err := newStage(mesh, &cfg, cfg.Model.Dim()+1)
+	st, err := newStage(mesh, &cfg, cfg.Model.Dim()+1, ex)
 	if err != nil {
 		return nil, err
 	}
 	params, batches := cfg.newRank(rank)
+	if ex != nil {
+		ex.seed(params)
+	}
 	vs := newVersions(params)
 	res := &Result{Losses: make([]float64, 0, cfg.Iterations)}
 	ctrl.Bound(bound)
@@ -524,15 +522,10 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 			return err
 		}
 		src.Recycle(buf)
-		if post != nil {
-			if err := post(k, vs); err != nil {
-				return err
-			}
-		}
-		// One publish per synchronization, after the post hook: the compute
-		// step that passes the gate at k+1 then deterministically sees the
-		// update and the hook's rewrite (the PS broadcast) together, which is
-		// what keeps ordered hierarchical runs bitwise reproducible.
+		// One publish per synchronization, after the stage: the compute step
+		// that passes the gate at k+1 then deterministically sees the update
+		// and the parameter-server exchange together, which is what keeps
+		// ordered hierarchical runs bitwise reproducible.
 		vs.publish(k)
 		if rank == 0 {
 			ctrl.Forget(k - bound - 2)

@@ -15,10 +15,10 @@ import (
 // what overlaps the first returned chunks with later pushes.
 const DefaultWindow = 4
 
-// GlobalStore is the vector-level view of the global model a hierarchical
-// group leader exchanges with: the in-process Store behind Loopback (the
-// fast path) or a networked Client — interchangeable, and bit-identical
-// where the wire dtype is f64.
+// GlobalStore is the vector-level view of the global model the hierarchical
+// scheme exchanges with: the in-process Store behind Loopback (the fast path)
+// or a networked Client — interchangeable, and bit-identical where the wire
+// dtype is f64.
 type GlobalStore interface {
 	// PushPull applies value under mode and returns the resulting global
 	// model and its version. A positive minVersion delays the exchange
@@ -28,18 +28,23 @@ type GlobalStore interface {
 	// caller's out (model-sized, distinct from value) instead of a fresh
 	// vector.
 	PushPullInto(out, value tensor.Vector, mode UpdateMode, minVersion int64) (int64, error)
-	// PushPullDelta adds latest − base to the global model and overwrites
-	// base with the result: the hierarchical leader's exchange, base being
-	// the model as of its last pull. It has the bits of forming the delta in
-	// a vector of its own and calling PushPullInto(base, delta, Add, …).
-	PushPullDelta(base, latest tensor.Vector, minVersion int64) (int64, error)
+	// ChunkOffsets returns the model's chunk table: chunk c spans
+	// offsets[c]:offsets[c+1], and the server stores it under "Key#c".
+	ChunkOffsets() ([]int, error)
+	// PushPullDeltaChunks adds latest − base to chunks [first, last) of the
+	// global model and overwrites base with the result: a hierarchical
+	// member's exchange of the span it owns, base being that span as of its
+	// last pull. base and latest cover offsets[first]:offsets[last]; latest
+	// is not written. An empty range exchanges nothing and returns version 0.
+	PushPullDeltaChunks(first, last int, base, latest tensor.Vector, minVersion int64) (int64, error)
 }
 
 // Loopback returns the in-process GlobalStore over store's key — the fast
-// path when the parameter server shares the trainer's process. It performs
-// the whole-vector operation directly; because the networked client's
-// chunked updates touch disjoint spans element-wise, the two produce
-// bit-identical results at f64.
+// path when the parameter server shares the trainer's process. PushPull and
+// PushPullInto perform the whole-vector operation on key itself; the chunk
+// exchange works on the chunk keys "key#c" a Server (or Seed) laid out in
+// store. Because the networked client's chunked updates touch disjoint spans
+// element-wise, the two produce bit-identical results at f64.
 func Loopback(store *Store, key string) GlobalStore {
 	return &loopback{store: store, key: key}
 }
@@ -47,7 +52,10 @@ func Loopback(store *Store, key string) GlobalStore {
 type loopback struct {
 	store *Store
 	key   string
-	delta tensor.Vector // PushPullDelta's scratch, allocated on first use
+	// keys and offsets are the chunk layout, read from the store by the
+	// first ChunkOffsets.
+	keys    []string
+	offsets []int
 }
 
 func (l *loopback) PushPull(value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error) {
@@ -73,16 +81,70 @@ func (l *loopback) PushPullInto(out, value tensor.Vector, mode UpdateMode, minVe
 	return lease.Version, nil
 }
 
-// PushPullDelta forms the delta in a scratch vector the loopback keeps: the
-// store takes whole vectors.
-func (l *loopback) PushPullDelta(base, latest tensor.Vector, minVersion int64) (int64, error) {
-	if len(l.delta) != len(base) {
-		l.delta = tensor.New(len(base))
+// ChunkOffsets reads the layout from the store: the chunk keys from "key#0"
+// up to the first one absent, each chunk as long as its value.
+func (l *loopback) ChunkOffsets() ([]int, error) {
+	if l.offsets != nil {
+		return l.offsets, nil
 	}
-	if err := tensor.DiffInto(l.delta, latest, base); err != nil {
-		return 0, fmt.Errorf("push-pull %q: %w", l.key, err)
+	offsets := []int{0}
+	for c := 0; c < MaxChunks; c++ {
+		snap, ok := l.store.acquireSnap(chunkKey(l.key, c))
+		if !ok {
+			break
+		}
+		offsets = append(offsets, offsets[c]+len(snap.value))
+		snap.release()
 	}
-	return l.PushPullInto(base, l.delta, Add, minVersion)
+	if len(offsets) == 1 {
+		return nil, fmt.Errorf("chunks of %q: %w", l.key, ErrUnknownKey)
+	}
+	l.keys, l.offsets = chunkKeys(l.key, len(offsets)-1), offsets
+	return offsets, nil
+}
+
+// PushPullDeltaChunks forms each chunk's delta in a pooled buffer and copies
+// the result out of a zero-copy lease on the chunk's published snapshot.
+func (l *loopback) PushPullDeltaChunks(first, last int, base, latest tensor.Vector, minVersion int64) (int64, error) {
+	offsets, err := l.ChunkOffsets()
+	if err != nil {
+		return 0, err
+	}
+	if err := checkChunkRange(offsets, first, last, base, latest); err != nil {
+		return 0, err
+	}
+	version := int64(0)
+	for c := first; c < last; c++ {
+		lo, hi := offsets[c]-offsets[first], offsets[c+1]-offsets[first]
+		delta := transport.GetPayload(hi - lo)
+		_ = tensor.DiffInto(delta, latest[lo:hi], base[lo:hi]) // lengths checked above
+		lease, err := l.store.PushPullLease(l.keys[c], delta, Add, minVersion)
+		transport.PutPayload(delta)
+		if err != nil {
+			return 0, err
+		}
+		copy(base[lo:hi], lease.Value) // the store refused a length mismatch
+		if c == first || lease.Version < version {
+			version = lease.Version
+		}
+		lease.Release()
+	}
+	return version, nil
+}
+
+// checkChunkRange validates a chunk range [first, last) of an offsets table
+// and the span-sized vectors that carry it.
+func checkChunkRange(offsets []int, first, last int, span ...tensor.Vector) error {
+	if first < 0 || last < first || last >= len(offsets) {
+		return fmt.Errorf("ps: chunk range [%d, %d) of %d chunks", first, last, len(offsets)-1)
+	}
+	want := offsets[last] - offsets[first]
+	for _, v := range span {
+		if len(v) != want {
+			return fmt.Errorf("ps: %w: %d elems for chunks [%d, %d), want %d", tensor.ErrShapeMismatch, len(v), first, last, want)
+		}
+	}
+	return nil
 }
 
 // ClientConfig configures a networked parameter-server client. Key, Dim
@@ -126,8 +188,8 @@ func (c *ClientConfig) window() int {
 // (transport.RecvInto), and lossy wire dtypes carry client-side
 // error-feedback residuals.
 //
-// A Client belongs to one goroutine — the group leader — like every other
-// SPMD communication handle in the repository.
+// A Client belongs to one goroutine — a group member's communication
+// thread — like every other SPMD communication handle in the repository.
 type Client struct {
 	view     transport.Mesh
 	cfg      ClientConfig
@@ -182,9 +244,12 @@ func (c *Client) serverOf(chunk int) int {
 	return c.cfg.Servers[chunk%len(c.cfg.Servers)]
 }
 
+// ChunkOffsets returns the chunk table the client shares with its servers.
+func (c *Client) ChunkOffsets() ([]int, error) { return c.offsets, nil }
+
 // PushPull applies value to the global model and returns the post-update
-// model — the hierarchical leader's exchange. The returned version is the
-// minimum across chunks (they are equal whenever exchanges are ordered).
+// model. The returned version is the minimum across chunks (they are equal
+// whenever exchanges are ordered).
 func (c *Client) PushPull(value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error) {
 	out := tensor.New(c.cfg.Dim)
 	ver, err := c.PushPullInto(out, value, mode, minVersion)
@@ -197,25 +262,28 @@ func (c *Client) PushPull(value tensor.Vector, mode UpdateMode, minVersion int64
 // PushPullInto is PushPull scattering the post-update model into out, which
 // must have the model's dimension and must not alias value.
 func (c *Client) PushPullInto(out, value tensor.Vector, mode UpdateMode, minVersion int64) (int64, error) {
-	if err := c.checkOut(out); err != nil {
+	if err := checkChunkRange(c.offsets, 0, c.chunks, out, value); err != nil {
 		return 0, err
 	}
-	return c.exchange(transport.MsgPSPushPull, value, nil, mode, minVersion, out)
+	return c.exchange(transport.MsgPSPushPull, 0, c.chunks, value, nil, mode, minVersion, out)
 }
 
-// PushPullDelta implements GlobalStore with no model-sized scratch: each
+// PushPullDeltaChunks implements GlobalStore with no scratch of its own: each
 // chunk's latest − base is formed in the pooled buffer it is sent from, and
 // the chunk's ack lands in base once the chunk is on its way.
-func (c *Client) PushPullDelta(base, latest tensor.Vector, minVersion int64) (int64, error) {
-	if err := c.checkOut(base); err != nil {
+func (c *Client) PushPullDeltaChunks(first, last int, base, latest tensor.Vector, minVersion int64) (int64, error) {
+	if err := checkChunkRange(c.offsets, first, last, base, latest); err != nil {
 		return 0, err
 	}
-	return c.exchange(transport.MsgPSPushPull, latest, base, Add, minVersion, base)
+	return c.exchange(transport.MsgPSPushPull, first, last, latest, base, Add, minVersion, base)
 }
 
 // Push applies value to the global model without pulling it back.
 func (c *Client) Push(value tensor.Vector, mode UpdateMode) (int64, error) {
-	return c.exchange(transport.MsgPSPush, value, nil, mode, 0, nil)
+	if err := checkChunkRange(c.offsets, 0, c.chunks, value); err != nil {
+		return 0, err
+	}
+	return c.exchange(transport.MsgPSPush, 0, c.chunks, value, nil, mode, 0, nil)
 }
 
 // Pull returns the current global model and its version.
@@ -230,43 +298,37 @@ func (c *Client) Pull() (tensor.Vector, int64, error) {
 
 // PullInto is Pull scattering the current global model into out.
 func (c *Client) PullInto(out tensor.Vector) (int64, error) {
-	if err := c.checkOut(out); err != nil {
+	if err := checkChunkRange(c.offsets, 0, c.chunks, out); err != nil {
 		return 0, err
 	}
-	return c.exchange(transport.MsgPSPull, nil, nil, 0, 0, out)
+	return c.exchange(transport.MsgPSPull, 0, c.chunks, nil, nil, 0, 0, out)
 }
 
-func (c *Client) checkOut(out tensor.Vector) error {
-	if len(out) != c.cfg.Dim {
-		return fmt.Errorf("ps: %w: output of %d elems, dim %d", tensor.ErrShapeMismatch, len(out), c.cfg.Dim)
-	}
-	return nil
-}
-
-// exchange runs one chunked, windowed operation: up to Window chunk
-// requests stay in flight, and acks are consumed in send order (each
-// server answers its requests FIFO, and chunks visit servers round-robin,
-// so the next expected ack is always at the head of its server's stream).
-// With base set the pushed value is body − base. A chunk's ack is received
-// only after the chunk's request is sent, so out may be base.
-func (c *Client) exchange(typ transport.MsgType, body, base tensor.Vector, mode UpdateMode, minVersion int64, out tensor.Vector) (int64, error) {
-	if body != nil && len(body) != c.cfg.Dim {
-		return 0, fmt.Errorf("ps: %w: pushed %d elems, dim %d", tensor.ErrShapeMismatch, len(body), c.cfg.Dim)
+// exchange runs one chunked, windowed operation over chunks [first, last),
+// whose span body, base and out cover (checkChunkRange): up to Window chunk
+// requests stay in flight, and acks are consumed in send order (each server
+// answers its requests FIFO, and chunks visit servers round-robin, so the
+// next expected ack is always at the head of its server's stream). With base
+// set the pushed value is body − base. A chunk's ack is received only after
+// the chunk's request is sent, so out may be base.
+func (c *Client) exchange(typ transport.MsgType, first, last int, body, base tensor.Vector, mode UpdateMode, minVersion int64, out tensor.Vector) (int64, error) {
+	if first == last {
+		return 0, nil
 	}
 	window := c.cfg.window()
 	version := int64(math.MaxInt64)
-	sent, recvd := 0, 0
+	sent, recvd := first, first
 	var sendErr error
-	for recvd < c.chunks {
-		for sendErr == nil && sent < c.chunks && sent-recvd < window {
-			if sendErr = c.sendReq(typ, sent, mode, minVersion, body, base); sendErr == nil {
+	for recvd < last {
+		for sendErr == nil && sent < last && sent-recvd < window {
+			if sendErr = c.sendReq(typ, first, sent, mode, minVersion, body, base); sendErr == nil {
 				sent++
 			}
 		}
 		if recvd == sent {
 			return 0, sendErr
 		}
-		ver, err := c.recvAck(typ, recvd, mode, out)
+		ver, err := c.recvAck(typ, first, recvd, mode, out)
 		if err != nil {
 			// The response stream is out of step; outstanding acks are
 			// unrecoverable.
@@ -283,12 +345,12 @@ func (c *Client) exchange(typ transport.MsgType, body, base tensor.Vector, mode 
 	return version, nil
 }
 
-// sendReq ships one chunk request. Push payloads are formed in a pooled
-// buffer handed to the transport zero-copy — the chunk of body, or of
-// body − base; lossy wires fold the EF residual in and ship grid values,
-// so the wire encode is bit-exact and the residual update needs no echo
-// from the server.
-func (c *Client) sendReq(typ transport.MsgType, chunk int, mode UpdateMode, minVersion int64, body, base tensor.Vector) error {
+// sendReq ships one chunk request of an exchange starting at chunk first.
+// Push payloads are formed in a pooled buffer handed to the transport
+// zero-copy — the chunk of body, or of body − base; lossy wires fold the EF
+// residual in and ship grid values, so the wire encode is bit-exact and the
+// residual update needs no echo from the server.
+func (c *Client) sendReq(typ transport.MsgType, first, chunk int, mode UpdateMode, minVersion int64, body, base tensor.Vector) error {
 	msg := transport.Message{
 		Type: typ, Stream: PSStream, Iter: minVersion,
 		Chunk: psTag(mode, chunk), Dtype: c.cfg.Wire,
@@ -297,11 +359,12 @@ func (c *Client) sendReq(typ transport.MsgType, chunk int, mode UpdateMode, minV
 		return c.view.Send(c.serverOf(chunk), msg)
 	}
 	lo, hi := c.offsets[chunk], c.offsets[chunk+1]
+	rlo, rhi := lo-c.offsets[first], hi-c.offsets[first]
 	buf := transport.GetPayload(hi - lo)
 	if base != nil {
-		_ = tensor.DiffInto(buf, body[lo:hi], base[lo:hi]) // lengths checked by exchange
+		_ = tensor.DiffInto(buf, body[rlo:rhi], base[rlo:rhi]) // lengths checked by the caller
 	} else {
-		copy(buf, body[lo:hi])
+		copy(buf, body[rlo:rhi])
 	}
 	if c.residual != nil {
 		tensor.RoundTripEF(c.cfg.Wire, buf, c.residual[lo:hi])
@@ -310,10 +373,11 @@ func (c *Client) sendReq(typ transport.MsgType, chunk int, mode UpdateMode, minV
 	return transport.SendOwned(c.view, c.serverOf(chunk), msg)
 }
 
-// recvAck consumes the ack for chunk. Pulled values land in out through
-// transport.RecvInto, whatever version the ack carries; a frame that is not
-// the expected ack comes back whole and is reported.
-func (c *Client) recvAck(typ transport.MsgType, chunk int, mode UpdateMode, out tensor.Vector) (int64, error) {
+// recvAck consumes the ack for chunk of an exchange starting at chunk first.
+// Pulled values land in out through transport.RecvInto, whatever version the
+// ack carries; a frame that is not the expected ack comes back whole and is
+// reported.
+func (c *Client) recvAck(typ transport.MsgType, first, chunk int, mode UpdateMode, out tensor.Vector) (int64, error) {
 	from := c.serverOf(chunk)
 	if typ == transport.MsgPSPush {
 		msg, err := c.view.Recv(from)
@@ -329,7 +393,7 @@ func (c *Client) recvAck(typ transport.MsgType, chunk int, mode UpdateMode, out 
 		}
 		return msg.Iter, nil
 	}
-	lo, hi := c.offsets[chunk], c.offsets[chunk+1]
+	lo, hi := c.offsets[chunk]-c.offsets[first], c.offsets[chunk+1]-c.offsets[first]
 	msg, err := transport.RecvInto(c.view, from, transport.Landing{
 		Type: transport.MsgPSAck, AnyIter: true, Chunk: psTag(mode, chunk), Dst: out[lo:hi],
 	})

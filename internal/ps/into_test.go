@@ -13,12 +13,15 @@ import (
 )
 
 // intoStores builds the two GlobalStore implementations over a model seeded
-// with init: the in-process loopback and a client of a one-server TCP mesh
-// speaking wire (f64 when omitted).
+// with init: the in-process loopback (whole key and default chunk layout) and
+// a client of a one-server TCP mesh speaking wire (f64 when omitted).
 func intoStores(t *testing.T, init tensor.Vector, wire ...tensor.Dtype) map[string]GlobalStore {
 	t.Helper()
 	store := NewStore(1)
 	if _, err := store.Push("m", init, Overwrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := Seed(store, ServerConfig{Key: "m", Dim: len(init), Init: init}); err != nil {
 		t.Fatal(err)
 	}
 	meshes, err := transport.NewTCPCluster(2)
@@ -80,12 +83,14 @@ func TestPushPullIntoMatchesPushPull(t *testing.T) {
 	}
 }
 
-// TestPushPullDeltaMatchesPushPullInto: the leader's exchange, latest − base
-// formed chunk by chunk and the result landed back in base, leaves the bits
-// and the version of forming the delta whole and calling PushPullInto, on
-// both stores and over an f16 wire (whose push error feedback must see the
-// same values); latest is not written, and a mis-sized base is refused.
-func TestPushPullDeltaMatchesPushPullInto(t *testing.T) {
+// TestPushPullDeltaChunksMatchesPushPullInto: a member's exchange, latest −
+// base formed chunk by chunk over a run of chunks and the result landed back
+// in base, leaves the bits and the version of forming the delta whole and
+// calling PushPullInto, on both stores and over an f16 wire (whose push error
+// feedback must see the same values), when runs that partition the chunks
+// (one of them empty) exchange in turn; latest is not written, and a
+// mis-sized base or a range outside the table is refused.
+func TestPushPullDeltaChunksMatchesPushPullInto(t *testing.T) {
 	const dim = 4099
 	for _, wire := range []tensor.Dtype{tensor.F64, tensor.F16} {
 		pairs := map[string][2]GlobalStore{}
@@ -99,6 +104,15 @@ func TestPushPullDeltaMatchesPushPullInto(t *testing.T) {
 		}
 		for name, p := range pairs {
 			name := fmt.Sprintf("%s/%v", name, wire)
+			offsets, err := p[1].ChunkOffsets()
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := len(offsets) - 1
+			if chunks != DefaultChunks || offsets[chunks] != dim {
+				t.Fatalf("%s: chunk table %v", name, offsets)
+			}
+			runs := [][2]int{{0, 3}, {3, 3}, {3, chunks}}
 			base := seq(dim)
 			want := base.Clone()
 			for round := 0; round < 3; round++ {
@@ -115,12 +129,19 @@ func TestPushPullDeltaMatchesPushPullInto(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				before := latest.Clone()
-				ver, err := p[1].PushPullDelta(base, latest, 0)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if ver != wantVer {
-					t.Errorf("%s round %d: version %d, want %d", name, round, ver, wantVer)
+				for _, run := range runs {
+					lo, hi := offsets[run[0]], offsets[run[1]]
+					ver, err := p[1].PushPullDeltaChunks(run[0], run[1], base[lo:hi], latest[lo:hi], 0)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if run[0] == run[1] {
+						if ver != 0 {
+							t.Errorf("%s round %d: empty run at version %d", name, round, ver)
+						}
+					} else if ver != wantVer {
+						t.Errorf("%s round %d chunks %v: version %d, want %d", name, round, run, ver, wantVer)
+					}
 				}
 				for i := range want {
 					if math.Float64bits(base[i]) != math.Float64bits(want[i]) {
@@ -131,8 +152,11 @@ func TestPushPullDeltaMatchesPushPullInto(t *testing.T) {
 					}
 				}
 			}
-			if _, err := p[1].PushPullDelta(tensor.New(dim-1), base, 0); !errors.Is(err, tensor.ErrShapeMismatch) {
+			if _, err := p[1].PushPullDeltaChunks(0, 1, tensor.New(offsets[1]-1), base[:offsets[1]], 0); !errors.Is(err, tensor.ErrShapeMismatch) {
 				t.Errorf("%s: short base: %v", name, err)
+			}
+			if _, err := p[1].PushPullDeltaChunks(chunks, chunks+1, nil, nil, 0); err == nil {
+				t.Errorf("%s: a range past the table was accepted", name)
 			}
 		}
 	}
@@ -165,8 +189,8 @@ func TestClientPullInto(t *testing.T) {
 // TestPushPullIntoAllocs: an exchange into a persistent buffer allocates
 // less than dim bytes — an eighth of the model-sized vector PushPull
 // returns — on the loopback and, client and server sides together, over TCP;
-// so does the leader's delta exchange, whose loopback scratch is allocated
-// once, in the warm-up.
+// so does the chunk exchange of a member's delta, whose chunks are formed in
+// pooled buffers on both.
 func TestPushPullIntoAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -182,7 +206,7 @@ func TestPushPullIntoAllocs(t *testing.T) {
 				if form == "into" {
 					_, err = gs.PushPullInto(out, delta, Add, 0)
 				} else {
-					_, err = gs.PushPullDelta(out, delta, 0)
+					_, err = gs.PushPullDeltaChunks(0, DefaultChunks, out, delta, 0)
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

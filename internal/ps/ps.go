@@ -345,11 +345,11 @@ func (l *Lease) Release() {
 //
 // minVersion gates the exchange on a version horizon: the push blocks until
 // the key's published version is at least minVersion, and minVersion ≤ 0
-// does not wait. Group leaders use it to impose a deterministic global
+// does not wait. Group members use it to impose a deterministic global
 // exchange order on an otherwise asynchronous hierarchy (core's OrderedPS
-// mode): leader g of G groups waits for version 1 + r·G + g before its r-th
-// exchange, so every run applies the same operation sequence and stays
-// bitwise reproducible.
+// mode): a member of group g of G waits for version 1 + r·G + g of each of
+// its chunks before its r-th exchange, so every run applies the same
+// operation sequence and stays bitwise reproducible.
 func (s *Store) PushPullLease(key string, value tensor.Vector, mode UpdateMode, minVersion int64) (Lease, error) {
 	snap, err := s.applySnap(key, value, mode, minVersion)
 	if err != nil {

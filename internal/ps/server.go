@@ -32,8 +32,9 @@ type ServerConfig struct {
 	// top of it.
 	Init tensor.Vector
 	// Store optionally supplies the backing store (a fresh one is built
-	// when nil). Sharing a store between a Server and in-process callers
-	// is how the loopback and networked paths stay interchangeable.
+	// when nil). A Loopback over the same store and Key exchanges chunks
+	// with this server's clients: both read and write the same "Key#c"
+	// entries, so their exchanges interleave in one version order.
 	Store *Store
 }
 
@@ -106,13 +107,8 @@ func NewServer(mesh transport.Mesh, cfg ServerConfig) (*Server, error) {
 		res:     make([]tensor.Vector, chunks),
 	}
 	if cfg.Init != nil {
-		if len(cfg.Init) != cfg.Dim {
-			return nil, fmt.Errorf("ps: init vector %d elems, dim %d", len(cfg.Init), cfg.Dim)
-		}
-		for c := range s.keys {
-			if _, err := store.Push(s.keys[c], cfg.Init[offsets[c]:offsets[c+1]], Overwrite); err != nil {
-				return nil, err
-			}
+		if err := seed(store, s.keys, offsets, cfg.Init); err != nil {
+			return nil, err
 		}
 	}
 	for peer := 0; peer < mesh.Size(); peer++ {
@@ -123,6 +119,33 @@ func NewServer(mesh transport.Mesh, cfg ServerConfig) (*Server, error) {
 		go s.serve(peer)
 	}
 	return s, nil
+}
+
+// Seed publishes cfg.Init under cfg.Key's chunk keys in store — the layout a
+// Server with cfg serves and a Loopback's chunk exchange reads — at version 1
+// on a fresh store.
+func Seed(store *Store, cfg ServerConfig) error {
+	if cfg.Dim < 1 {
+		return fmt.Errorf("ps: seed dim %d", cfg.Dim)
+	}
+	chunks := cfg.chunkCount()
+	offsets, err := collective.ShardOffsets(cfg.Dim, chunks)
+	if err != nil {
+		return err
+	}
+	return seed(store, chunkKeys(cfg.Key, chunks), offsets, cfg.Init)
+}
+
+func seed(store *Store, keys []string, offsets []int, init tensor.Vector) error {
+	if len(init) != offsets[len(offsets)-1] {
+		return fmt.Errorf("ps: init vector %d elems, dim %d", len(init), offsets[len(offsets)-1])
+	}
+	for c := range keys {
+		if _, err := store.Push(keys[c], init[offsets[c]:offsets[c+1]], Overwrite); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Store returns the backing store (shared with the loopback fast path).
@@ -176,7 +199,7 @@ func (s *Server) handle(peer int, msg transport.Message) error {
 	}
 	if chunk >= len(s.keys) {
 		transport.PutPayload(msg.Payload)
-		return fmt.Errorf("ps: chunk %d of %d", chunk, len(s.keys))
+		return fmt.Errorf("%w: chunk %d of %d", ErrBadRequest, chunk, len(s.keys))
 	}
 	span := s.offsets[chunk+1] - s.offsets[chunk]
 	if err := reqPayloadLen(msg.Type, len(msg.Payload), span); err != nil {
@@ -187,7 +210,7 @@ func (s *Server) handle(peer int, msg transport.Message) error {
 	case transport.MsgPSPush, transport.MsgPSPushPull:
 		if mode < Overwrite {
 			transport.PutPayload(msg.Payload)
-			return fmt.Errorf("ps: push request without update mode")
+			return fmt.Errorf("%w: push without update mode", ErrBadRequest)
 		}
 		snap, err := s.store.applySnap(s.keys[chunk], msg.Payload, mode, msg.Iter)
 		transport.PutPayload(msg.Payload)
@@ -217,7 +240,7 @@ func (s *Server) handle(peer int, msg transport.Message) error {
 		return err
 	default:
 		transport.PutPayload(msg.Payload)
-		return fmt.Errorf("ps: unexpected frame type %d", msg.Type)
+		return fmt.Errorf("%w: frame type %d", ErrBadRequest, msg.Type)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/transport"
@@ -40,6 +41,13 @@ import (
 // server, so acks match requests positionally; the echoed tag is a
 // cross-check, not a router.
 
+// ErrBadRequest is the error a Server stops serving a peer with when one of
+// its frames is not a well-formed request: a forged tag, a chunk outside the
+// table, a payload whose length does not match its type and chunk, a push
+// without an update mode, or a frame of another type. Server.Wait reports it
+// wrapped.
+var ErrBadRequest = errors.New("ps: bad request")
+
 // PSStream is the reserved stream id all parameter-server frames travel
 // on. It sits far above the bucket ids the overlap reducer allocates, so
 // PS and collective traffic multiplexed over one mesh cannot collide.
@@ -62,21 +70,24 @@ func psTag(mode UpdateMode, chunk int) int32 {
 // validated by the caller against its offset table.
 func splitTag(tag int32) (UpdateMode, int, error) {
 	if tag < 0 {
-		return 0, 0, fmt.Errorf("ps: negative chunk tag %d", tag)
+		return 0, 0, fmt.Errorf("%w: negative chunk tag %d", ErrBadRequest, tag)
 	}
 	mode := UpdateMode(tag >> chunkTagBits)
 	if mode > maxUpdateMode {
-		return 0, 0, fmt.Errorf("ps: unknown update mode %d in chunk tag", mode)
+		return 0, 0, fmt.Errorf("%w: update mode %d in chunk tag", ErrBadRequest, mode)
 	}
 	return mode, int(tag & (MaxChunks - 1)), nil
 }
+
+// chunkKey is the store key chunk c of the logical key lives under.
+func chunkKey(key string, c int) string { return fmt.Sprintf("%s#%d", key, c) }
 
 // chunkKeys precomputes the store keys the logical key's chunks live
 // under, so the request hot path never formats strings.
 func chunkKeys(key string, chunks int) []string {
 	keys := make([]string, chunks)
 	for c := range keys {
-		keys[c] = fmt.Sprintf("%s#%d", key, c)
+		keys[c] = chunkKey(key, c)
 	}
 	return keys
 }
@@ -89,7 +100,7 @@ func reqPayloadLen(typ transport.MsgType, got, span int) error {
 		want = 0
 	}
 	if got != want {
-		return fmt.Errorf("ps: request type %d chunk payload %d elems, want %d", typ, got, want)
+		return fmt.Errorf("%w: type %d chunk payload %d elems, want %d", ErrBadRequest, typ, got, want)
 	}
 	return nil
 }

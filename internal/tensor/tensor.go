@@ -103,9 +103,9 @@ func SumInto(dst, a, b Vector) error {
 }
 
 // DiffInto computes dst = a − b in a single fused pass, bit-identical to
-// copying a into dst and subtracting b. The parameter-server client forms
-// each chunk of a hierarchical leader's delta with it, in the buffer the
-// chunk is sent from.
+// copying a into dst and subtracting b. The parameter-server client and the
+// loopback form each chunk of a hierarchical member's delta with it, in the
+// buffer the chunk is sent from.
 func DiffInto(dst, a, b Vector) error {
 	if len(dst) != len(a) || len(dst) != len(b) {
 		return fmt.Errorf("%w: dst %d, a %d, b %d", ErrShapeMismatch, len(dst), len(a), len(b))

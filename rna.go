@@ -286,9 +286,10 @@ func PartitionWorkers(obs [][]time.Duration) ([]Group, error) {
 
 // TrainClusterHierarchical runs the Section 4 hierarchical scheme on the
 // real runtime: each group runs RNA internally over its own sub-mesh and
-// controller; group leaders periodically exchange accumulated updates with
-// a shared parameter server and broadcast the global model inside their
-// group (every psEvery group synchronizations; 0 selects the default).
+// controller; periodically (every psEvery group synchronizations; 0 selects
+// the default) every member exchanges its span of the group's update with a
+// shared parameter server, and the group's parameter allgather hands all its
+// members the pulled global model.
 func TrainClusterHierarchical(groups []Group, probes, psEvery int, cfg TrainConfig) ([]*TrainResult, error) {
 	workers := 0
 	for _, g := range groups {
