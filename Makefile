@@ -71,10 +71,10 @@ alloc-gate:
 # (BENCH_collective.json and BENCH_train.json).
 bench: collective-bench train-bench
 
-# bench-smoke runs a tiny end-to-end overlap benchmark (real BSP workers over
-# TCP, multi-bucket reducer pipeline, bit-identity asserted) and the sharded
-# Adam slice (bit-identical to replicated over TCP) without writing any JSON —
-# a seconds-long CI check that the benchmark harness still works.
+# bench-smoke runs one compressed collective, the ring regression guard
+# against BENCH_collective.json and the sharded Adam slice (real workers over
+# TCP, bit-identical to replicated) without writing any JSON — a seconds-long
+# CI check that the benchmark harness still works.
 bench-smoke:
 	$(GO) run ./cmd/rnabench -bench-smoke
 

@@ -106,15 +106,6 @@ type collectiveBenchReport struct {
 	// GateFp16WireSpeedup is the fp16 wire path's effective MB/s over the
 	// fp64 wire path's at the n8/dim262144 point; the bar is >= 1.8.
 	GateFp16WireSpeedup float64 `json:"gate_fp16_wire_speedup"`
-	// Overlap is the comm/compute-overlap sweep: real BSP workers over a
-	// paced TCP cluster, reducer pipeline vs sequential bucket schedule.
-	Overlap []overlapBenchRow `json:"overlap"`
-	// GateOverlapSpeedup is the pipelined schedule's speedup over the
-	// sequential one at the comm-bound mlp-large/500Mbit point; the bar is
-	// >= 1.3. GateOverlapInFlight is the peak concurrently in-flight bucket
-	// collectives there; the bar is >= 2.
-	GateOverlapSpeedup  float64 `json:"gate_overlap_speedup"`
-	GateOverlapInFlight int     `json:"gate_overlap_in_flight"`
 	// Framing is the v1 wire-protocol sweep (see framing.go): codec cost,
 	// header overhead and sustained TCP message rate across 64 B – 8 MiB
 	// payloads. GateFramingAllocsPerOp is the worst codec allocation count
@@ -596,9 +587,6 @@ func runCollectiveBench(outPath, calibrationPath string) error {
 	if err := runWirePathSweep(&rep); err != nil {
 		return err
 	}
-	if err := runOverlapSweep(&rep); err != nil {
-		return err
-	}
 	if err := runFramingSweep(&rep); err != nil {
 		return err
 	}
@@ -637,8 +625,6 @@ func runCollectiveBench(outPath, calibrationPath string) error {
 		rep.GateAutoWithinPct)
 	fmt.Fprintf(os.Stderr, "collective bench: fp16 wire speedup %.2fx over fp64 (gate >= 1.8)\n",
 		rep.GateFp16WireSpeedup)
-	fmt.Fprintf(os.Stderr, "collective bench: overlap speedup %.2fx (gate >= 1.3), %d bucket collectives in flight (gate >= 2)\n",
-		rep.GateOverlapSpeedup, rep.GateOverlapInFlight)
 	fmt.Fprintf(os.Stderr, "collective bench: framing codec allocs/op %d (gate == 0), header %.3f%% at 256KiB (gate <= 1)\n",
 		rep.GateFramingAllocsPerOp, rep.GateFramingHeaderPct)
 	fmt.Fprintf(os.Stderr, "collective bench: owner-computes update / replicated ring update %.2fx at worst where auto selects it (gate <= 1.1)\n",

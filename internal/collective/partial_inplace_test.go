@@ -176,3 +176,25 @@ func TestPartialAllReduceInPlaceAllocs(t *testing.T) {
 		t.Errorf("%.0f bytes allocated per in-place partial allreduce at dim %d, want < dim", perCall, dim)
 	}
 }
+
+// TestPartialResultReleaseIdempotent: Release must be safe to call twice —
+// the regression is a double PutPayload poisoning the payload pool with the
+// same backing array twice.
+func TestPartialResultReleaseIdempotent(t *testing.T) {
+	pr := PartialResult{Sum: tensor.Vector(transport.GetPayload(64)), Contributors: 3}
+	pr.Release()
+	if pr.Sum != nil || pr.Contributors != 0 {
+		t.Fatalf("release left %+v", pr)
+	}
+	pr.Release() // second release: must be a no-op
+	// If the double release had pushed the same buffer twice, two gets
+	// would alias: writing through one would be visible through the other.
+	a := transport.GetPayload(64)
+	b := transport.GetPayload(64)
+	a[0] = 1
+	if b[0] == 1 && &a[0] == &b[0] {
+		t.Fatal("double release leaked the same buffer to two owners")
+	}
+	transport.PutPayload(a)
+	transport.PutPayload(b)
+}

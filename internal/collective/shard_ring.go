@@ -10,15 +10,13 @@ import (
 // The ring pair: the two halves of the ring AllReduce as separate
 // calls, so an owner-computes update can step the optimizer between them.
 //
-// The direct exchange in shard.go handles arbitrary ownership tables in one
-// send round, but it copies every one of the n−1 spans at both ends and folds
-// with strided modular indexing. On the ring each hop lands the received
-// chunk in v — folded in (scatter) or copied (gather) by transport.RecvInto,
-// straight off the socket where the mesh can — and the next hop sends that
-// span of v with a plain Send: the TCP mesh aliases it in the writev and has
-// flushed it when Send returns, the in-memory mesh copies. No buffer rotates
-// and nothing is staged, and the pair ships exactly the fused ring's 2(n−1)
-// chunks per rank, one frame each.
+// On the ring each hop lands the received chunk in v — folded in (scatter)
+// or copied (gather) by transport.RecvInto, straight off the socket where
+// the mesh can — and the next hop sends that span of v with a plain Send:
+// the TCP mesh aliases it in the writev and has flushed it when Send
+// returns, the in-memory mesh copies. No buffer rotates and nothing is
+// staged, and the pair ships exactly the fused ring's 2(n−1) chunks per
+// rank, one frame each.
 //
 // The owner is where the ring completes the chunk. Chunk c starts at rank c
 // and travels c, c+1, …, c−1, each hop adding the partial sum it receives
@@ -26,15 +24,15 @@ import (
 // completes at rank c−1: rank r owns uniform chunk (r+1) mod n (RingOwned),
 // the chunk the fused ring also completes at r.
 // That fold order — every element left-associatively from its uniform chunk
-// index around the ring — is the fused ring's and the direct exchange's, and
-// it is the whole bit-identity argument: which rank holds the completed sum
-// changes nothing about how it was summed. An earlier version kept "rank r
-// owns span r" and paid for it with an n-th hop delivering the chunk from rank
-// c−1 to rank c; DESIGN.md, "Sharded optimizer", has what that hop cost.
+// index around the ring — is the fused ring's, and it is the whole
+// bit-identity argument: which rank holds the completed sum changes nothing
+// about how it was summed. An earlier version kept "rank r owns span r" and
+// paid for it with an n-th hop delivering the chunk from rank c−1 to rank c;
+// DESIGN.md, "Sharded optimizer", has what that hop cost.
 //
-// Compression follows the owner-quantize contract of the direct exchange: the
-// owner round-trips its chunk once (capturing the error-feedback residual),
-// and forwarded buffers already sit on the quantization grid, so re-encoding
+// Compression follows the owner-quantize contract (shard.go): the owner
+// round-trips its chunk once (capturing the error-feedback residual), and
+// forwarded buffers already sit on the quantization grid, so re-encoding
 // them on the next hop is exact by idempotence.
 //
 // Ownership tables. Each call of the pair takes an optional table: n+1
@@ -181,7 +179,7 @@ func ringScatter(m transport.Mesh, iter int64, v tensor.Vector, trail bool, flag
 // table...) of v to every peer on the ring, so all ranks finish with identical
 // vectors: rank r sends its part at step 0, and every later hop lands the
 // received part in v and sends it on from there. opts carries the wire dtype
-// and the owner's error-feedback residual, as for AllGather.
+// and the owner's error-feedback residual (quantizeOwned).
 func RingAllGather(m transport.Mesh, iter int64, v tensor.Vector, opts Options, table ...int) error {
 	if err := checkGatherOpts(opts, len(v)); err != nil {
 		return err

@@ -205,7 +205,6 @@ func TestOwnerComputesSelection(t *testing.T) {
 		{"f16 wire", base, func(c *TrainConfig) { c.Compression = tensor.F16 }, true, false, 0},
 		{"pinned ring", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoRing }, true, false, 0},
 		{"pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, true, false, 0},
-		{"bucketed", base, func(c *TrainConfig) { c.Overlap = true }, true, false, 0},
 		{"asked for, below the envelope", small, func(c *TrainConfig) { c.ShardedUpdate = true }, false, true, 0},
 		{"asked for, pinned and lossy", base, func(c *TrainConfig) {
 			c.ShardedUpdate, c.Algorithm, c.Compression = true, collective.AlgoRing, tensor.F16

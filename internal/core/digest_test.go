@@ -18,14 +18,6 @@ import (
 // that legitimately alters the arithmetic re-records the rows it moves (the
 // failure message prints them in table syntax) and says why.
 var trajectoryDigests = map[string]uint64{
-	"bsp/overlap/f16/adam/n=3":    0x5cec6e1904e2bf5d,
-	"bsp/overlap/f16/adam/n=4":    0xe2ebba1cd12f1fc9,
-	"bsp/overlap/f16/sgd/n=3":     0x15005e1d68b10104,
-	"bsp/overlap/f16/sgd/n=4":     0x559dac3b29ff45a1,
-	"bsp/overlap/f64/adam/n=3":    0xfe6ddff2f869507f,
-	"bsp/overlap/f64/adam/n=4":    0xa3d9b603eacaf378,
-	"bsp/overlap/f64/sgd/n=3":     0xfbca6ab6bd130ab9,
-	"bsp/overlap/f64/sgd/n=4":     0x1f7b48fbe7e58a03,
 	"bsp/replicated/f16/adam/n=3": 0x5cec6e1904e2bf5d,
 	"bsp/replicated/f16/adam/n=4": 0xe2ebba1cd12f1fc9,
 	"bsp/replicated/f16/sgd/n=3":  0x15005e1d68b10104,
@@ -42,14 +34,6 @@ var trajectoryDigests = map[string]uint64{
 	"bsp/sharded/f64/adam/n=4":    0x8947781760c9cbc1,
 	"bsp/sharded/f64/sgd/n=3":     0xbef9d64b6e17f2aa,
 	"bsp/sharded/f64/sgd/n=4":     0x93d66a33cf90c323,
-	"rna/overlap/f16/adam/n=3":    0x8375bd89d321642a,
-	"rna/overlap/f16/adam/n=4":    0xf6a10cf9eef5831f,
-	"rna/overlap/f16/sgd/n=3":     0xe48c4d61ed6c0b52,
-	"rna/overlap/f16/sgd/n=4":     0x44a36c95711d7c8e,
-	"rna/overlap/f64/adam/n=3":    0xfe6ddff2f869507f,
-	"rna/overlap/f64/adam/n=4":    0xa3d9b603eacaf378,
-	"rna/overlap/f64/sgd/n=3":     0xfbca6ab6bd130ab9,
-	"rna/overlap/f64/sgd/n=4":     0x1f7b48fbe7e58a03,
 	"rna/replicated/f16/adam/n=3": 0x8375bd89d321642a,
 	"rna/replicated/f16/adam/n=4": 0xf6a10cf9eef5831f,
 	"rna/replicated/f16/sgd/n=3":  0xe48c4d61ed6c0b52,
@@ -89,8 +73,7 @@ func digestResults(results []*Result) uint64 {
 }
 
 // TestTrajectoryDigests runs BSP and RNA (StalenessBound 1 + AllReady, the
-// deterministic RNA schedule) over the replicated, overlapped multi-bucket
-// and sharded paths, f64 and f16 wires, SGD and Adam, 3 and 4 in-memory
+// deterministic RNA schedule) over the replicated and sharded paths, f64 and f16 wires, SGD and Adam, 3 and 4 in-memory
 // ranks, and compares each run against its recorded digest.
 func TestTrajectoryDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -101,7 +84,6 @@ func TestTrajectoryDigests(t *testing.T) {
 		apply func(c *TrainConfig, n int)
 	}{
 		{"replicated", func(*TrainConfig, int) {}},
-		{"overlap", func(c *TrainConfig, _ int) { c.Overlap, c.FusionBytes = true, 8 }},
 		{"sharded", func(c *TrainConfig, _ int) { c.ShardedUpdate = true }},
 	}
 	for _, protocol := range []string{"bsp", "rna"} {
@@ -119,7 +101,7 @@ func TestTrajectoryDigests(t *testing.T) {
 							cfg := mlpConfig(t, 12, 24, 10)
 							cfg.Compression, cfg.Adam = wire, adam
 							path.apply(&cfg, n)
-							got := digestResults(runOverlapCluster(t, n, false, protocol, cfg))
+							got := digestResults(runCluster(t, n, protocol, cfg))
 							if want, ok := trajectoryDigests[name]; !ok || got != want {
 								t.Errorf("trajectory moved (recorded %#016x):\n\t%q: %#016x,", want, name, got)
 							}

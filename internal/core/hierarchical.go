@@ -20,7 +20,7 @@ import (
 type HierarchicalConfig struct {
 	// Train carries the per-worker training configuration. A group always
 	// runs the owner-computes update on the ring pair, so Algorithm must be
-	// AlgoAuto and Overlap off (ErrHierarchicalSchedule).
+	// AlgoAuto (ErrHierarchicalSchedule).
 	Train TrainConfig
 	// Groups partitions the worker ranks (e.g. from
 	// topology.PartitionByObservations). Every worker rank must appear
@@ -54,7 +54,7 @@ type HierarchicalConfig struct {
 // ErrHierarchicalSchedule is returned for a hierarchical configuration that
 // pins the group's schedule: a group member always runs the owner-computes
 // update on the ring pair, because the span it exchanges is the span it owns.
-var ErrHierarchicalSchedule = errors.New("core: a hierarchical group runs the owner-computes ring pair; Algorithm and Overlap cannot be set")
+var ErrHierarchicalSchedule = errors.New("core: a hierarchical group runs the owner-computes ring pair; Algorithm cannot be set")
 
 // HierarchicalPSKey is the store key holding the hierarchical global model.
 // Networked deployments point ps.ServerConfig.Key at it.
@@ -136,7 +136,7 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 	if cfg.Store == nil && cfg.PS == nil {
 		return nil, fmt.Errorf("core: nil store")
 	}
-	if cfg.Train.Algorithm != collective.AlgoAuto || cfg.Train.Overlap {
+	if cfg.Train.Algorithm != collective.AlgoAuto {
 		return nil, ErrHierarchicalSchedule
 	}
 	if err := cfg.Train.validate(); err != nil {

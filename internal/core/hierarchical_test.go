@@ -130,7 +130,6 @@ func TestHierarchicalValidation(t *testing.T) {
 	for name, pin := range map[string]func(*TrainConfig){
 		"pinned ring": func(c *TrainConfig) { c.Algorithm = collective.AlgoRing },
 		"pinned tree": func(c *TrainConfig) { c.Algorithm = collective.AlgoTree },
-		"overlap":     func(c *TrainConfig) { c.Overlap = true },
 	} {
 		cfg := HierarchicalConfig{Train: train, Groups: groups, Store: store}
 		pin(&cfg.Train)

@@ -45,8 +45,7 @@ func assertBitIdentical(t *testing.T, name string, ref tensor.Vector, results []
 
 // TestShardedBSPBitIdenticalToReplicated is the tentpole contract: the
 // owner-computes BSP path reproduces the replicated baseline bit for bit —
-// for SGD and Adam, unbucketed (the ring pair) and bucketed (the direct
-// exchange over the uniform table), on the in-memory mesh.
+// for SGD and Adam, on the in-memory mesh.
 func TestShardedBSPBitIdenticalToReplicated(t *testing.T) {
 	const n, iters = 4, 25
 	for _, adam := range []bool{false, true} {
@@ -58,42 +57,30 @@ func TestShardedBSPBitIdenticalToReplicated(t *testing.T) {
 		repl := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
 			return RunBSPWorker(m, ctrl, cfg)
 		})
-		for _, bucketed := range []bool{false, true} {
-			scfg := cfg
-			scfg.ShardedUpdate = true
-			if bucketed {
-				// One bucket: the plan is the whole vector, so the direct
-				// exchange folds in the same order as the replicated ring.
-				scfg.Overlap, scfg.FusionBytes = true, 1<<30
-			}
-			sctrl, err := controller.New(controller.AllReady, n, 0, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shard := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
-				return RunBSPWorker(m, sctrl, scfg)
-			})
-			name := "ring-pair"
-			if bucketed {
-				name = "direct-exchange"
-			}
-			if adam {
-				name += "/adam"
-			} else {
-				name += "/sgd"
-			}
-			assertBitIdentical(t, "bsp/"+name, repl[0].Params, shard)
-			// State memory: each rank holds only its span's optimizer state.
-			var total int64
-			for _, res := range shard {
-				total += res.OptStateBytes
-			}
-			if total != repl[0].OptStateBytes {
-				t.Errorf("bsp/%s: sharded state sums to %d, replicated per-rank is %d", name, total, repl[0].OptStateBytes)
-			}
-			if shard[0].OptStateBytes >= repl[0].OptStateBytes {
-				t.Errorf("bsp/%s: rank 0 state %d not reduced from %d", name, shard[0].OptStateBytes, repl[0].OptStateBytes)
-			}
+		scfg := cfg
+		scfg.ShardedUpdate = true
+		sctrl, err := controller.New(controller.AllReady, n, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
+			return RunBSPWorker(m, sctrl, scfg)
+		})
+		name := "sgd"
+		if adam {
+			name = "adam"
+		}
+		assertBitIdentical(t, "bsp/"+name, repl[0].Params, shard)
+		// State memory: each rank holds only its span's optimizer state.
+		var total int64
+		for _, res := range shard {
+			total += res.OptStateBytes
+		}
+		if total != repl[0].OptStateBytes {
+			t.Errorf("bsp/%s: sharded state sums to %d, replicated per-rank is %d", name, total, repl[0].OptStateBytes)
+		}
+		if shard[0].OptStateBytes >= repl[0].OptStateBytes {
+			t.Errorf("bsp/%s: rank 0 state %d not reduced from %d", name, shard[0].OptStateBytes, repl[0].OptStateBytes)
 		}
 	}
 }
@@ -113,21 +100,16 @@ func TestShardedRNABitIdenticalToReplicated(t *testing.T) {
 		repl := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
 			return RunRNAWorker(m, ctrl, cfg)
 		})
-		for _, bucketed := range []bool{false, true} {
-			scfg := cfg
-			scfg.ShardedUpdate = true
-			if bucketed {
-				scfg.Overlap, scfg.FusionBytes = true, 1<<30
-			}
-			sctrl, err := controller.New(controller.AllReady, n, 0, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shard := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
-				return RunRNAWorker(m, sctrl, scfg)
-			})
-			assertBitIdentical(t, "rna", repl[0].Params, shard)
+		scfg := cfg
+		scfg.ShardedUpdate = true
+		sctrl, err := controller.New(controller.AllReady, n, 0, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		shard := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
+			return RunRNAWorker(m, sctrl, scfg)
+		})
+		assertBitIdentical(t, "rna", repl[0].Params, shard)
 	}
 }
 
@@ -166,19 +148,13 @@ func tcpTrainCluster(t *testing.T, n int, run func(m transport.Mesh) (*Result, e
 
 // TestShardedBSPOverTCP: the sharded path produces the same bits over a real
 // TCP fabric as in memory, for the exact fp64 wire and the f16 parameter
-// allgather (grid values survive the wire exactly), and with the
-// reduce-scatter bucketed (f16 only: the wire that exercises the residual).
+// allgather (grid values survive the wire exactly).
 func TestShardedBSPOverTCP(t *testing.T) {
 	const n, iters = 4, 12
-	for _, row := range []struct {
-		wire    tensor.Dtype
-		overlap bool
-	}{{tensor.F64, false}, {tensor.F16, false}, {tensor.F16, true}} {
-		wire := row.wire
+	for _, wire := range []tensor.Dtype{tensor.F64, tensor.F16} {
 		cfg, _ := shardedBlobConfig(t, iters, true)
 		cfg.ShardedUpdate = true
 		cfg.Compression = wire
-		cfg.Overlap = row.overlap
 		ctrl, err := controller.New(controller.AllReady, n, 0, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -50,22 +50,6 @@ type TrainConfig struct {
 	// SlowDown optionally injects extra compute latency per iteration
 	// for a given rank (tests and examples use it to create stragglers).
 	SlowDown func(rank, iter int) time.Duration
-	// Overlap enables the reducer pipeline: the backward pass emits
-	// gradient buckets (model.LayeredModel) and each bucket's collective
-	// launches as soon as its last layer finalizes, overlapping the rest of
-	// backprop with communication. All ranks must agree on Overlap,
-	// OverlapSerial and FusionBytes. Bit-identical to itself under any
-	// scheduling — the bucket plan is a pure function of the model and
-	// FusionBytes, and bucket collectives touch disjoint spans.
-	Overlap bool
-	// OverlapSerial keeps the bucketed data path but waits for each bucket
-	// collective before launching the next — the sequential reference the
-	// overlap benchmarks and bit-identity tests compare against.
-	OverlapSerial bool
-	// FusionBytes caps a reduction bucket's size when coalescing emitted
-	// gradient spans (0 = DefaultFusionBytes). A threshold at
-	// least as large as the gradient collapses the plan to one bucket.
-	FusionBytes int
 	// Adam selects the Adam optimizer (standard β₁/β₂/ε) instead of
 	// momentum-SGD; LR and WeightDecay apply, Momentum is ignored.
 	Adam bool
@@ -79,17 +63,16 @@ type TrainConfig struct {
 	// takes this path by itself wherever it costs nothing (see Algorithm).
 	// With a lossy wire the owner keeps master weights: the error-feedback
 	// residual holds exact-minus-quantized for the owned span, restored
-	// before each step. With Overlap the reduce-scatter runs once per bucket;
-	// the step and the allgather stay whole-span.
+	// before each step.
 	ShardedUpdate bool
-	// Algorithm selects the dense collective schedule, whole-vector or per
-	// bucket under Overlap (validate rejects a value the engine lacks). The
-	// zero value, AlgoAuto, lets the cost model choose per (ranks, size,
-	// wire) — and where it chooses the pipelined ring at an fp64 wire without
-	// Overlap, and at 2 ranks at any size, the ring runs as its two halves
-	// with the owner-computes update between them: the ring's bytes (at 2
-	// ranks the tree's critical path), the same bits, one optimizer step per
-	// element instead of one per element per rank. A pinned value means the
+	// Algorithm selects the dense collective schedule (validate rejects a
+	// value the engine lacks). The zero value, AlgoAuto, lets the cost model
+	// choose per (ranks, size, wire) — and where it chooses the pipelined
+	// ring at an fp64 wire, and at 2 ranks at any size, the ring runs as its
+	// two halves with the owner-computes update between them: the ring's
+	// bytes (at 2 ranks the tree's critical path), the same bits, one
+	// optimizer step per element instead of one per element per rank. A
+	// pinned value means the
 	// replicated update on exactly that schedule; pinning AlgoRing is how a
 	// test or an A/B asks for the replicated ring at any vector size.
 	Algorithm collective.Algorithm
@@ -162,9 +145,6 @@ type Result struct {
 	GradBuffers int
 	// Elapsed is the worker's wall-clock training time.
 	Elapsed time.Duration
-	// MaxInFlight is the peak number of concurrently in-flight bucket
-	// collectives the bucketed stage reached (0 when Overlap is off).
-	MaxInFlight int
 	// OptStateBytes is this rank's persistent optimizer-state footprint —
 	// full-vector for the replicated update, one owned span for the
 	// owner-computes one (ShardedUpdate, or AlgoAuto on the ring pair):
@@ -205,11 +185,6 @@ func RunBSPWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainCon
 }
 
 // bspLoop is the one blocking step loop: sample, gradient, barrier, stage.
-// With a bucketed stage the gradient runs through model.GradientEmit and
-// every bucket's reduction launches the moment backprop finalizes its last
-// layer; the stage then only joins them. The barrier stays ahead of the join:
-// the bucket collectives already synchronize all ranks, so the controller
-// round-trip is bookkeeping and adds nothing to the critical path.
 func bspLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) (*Result, error) {
 	start := time.Now()
 	rank := mesh.Rank()
@@ -222,14 +197,7 @@ func bspLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) 
 	grad := tensor.New(len(params))
 
 	step := func(k int64) error {
-		batch := cfg.Batch(batches)
-		var loss float64
-		var err error
-		if st.bucketed() {
-			loss, err = model.GradientEmit(cfg.Model, params, grad, batch, st.emitter(k, grad))
-		} else {
-			loss, err = cfg.Model.Gradient(params, grad, batch)
-		}
+		loss, err := cfg.Model.Gradient(params, grad, cfg.Batch(batches))
 		if err != nil {
 			return err
 		}

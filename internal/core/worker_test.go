@@ -168,7 +168,6 @@ func TestRNAStaleDroppedSurfaced(t *testing.T) {
 	const n, iters = 3, 40
 	variants := map[string]func(*TrainConfig){
 		"replicated": func(*TrainConfig) {},
-		"overlap":    func(c *TrainConfig) { c.Overlap = true },
 		"sharded":    func(c *TrainConfig) { c.ShardedUpdate = true },
 	}
 	for name, variant := range variants {

@@ -1,22 +1,13 @@
 package model
 
-import (
-	"fmt"
-	"sort"
+import "repro/internal/tensor"
 
-	"repro/internal/tensor"
-)
-
-// Layer-aware gradients for comm/compute overlap.
-//
-// A blocking data-parallel step computes the whole gradient, then reduces
-// it: the network idles during backprop and the CPU idles during the
-// collective. Overlap needs the backward pass to hand out finished pieces
-// early — in reverse layer order, since backprop finalizes the output
-// layer's gradient first — so the reducer can put them on the wire while
-// earlier layers are still computing. LayeredModel is that contract; flat
-// models fall back to a single whole-vector bucket (no overlap, same
-// result).
+// Layer-aware gradients. A LayeredModel's backward pass reports each piece
+// of the gradient the moment it is final — in reverse layer order, since
+// backprop finalizes the output layer's gradient first — while computing
+// exactly the bits Gradient computes. The training stack reduces the whole
+// gradient after the pass and calls Gradient; the benchmark's tracing
+// wrapper (benchmark/trace.go) forwards this interface.
 
 // Span is a contiguous half-open range [Lo, Hi) of the flat parameter
 // vector.
@@ -41,134 +32,4 @@ type LayeredModel interface {
 	// GradientBuckets is fully accumulated and will not be written again.
 	// A non-nil error from emit aborts the pass.
 	GradientLayers(params, grad tensor.Vector, batch []int, emit func(layer int) error) (float64, error)
-}
-
-// Buckets returns m's gradient emission spans: a LayeredModel reports its
-// own, any other model degrades to one whole-vector span.
-func Buckets(m Model) []Span {
-	if lm, ok := m.(LayeredModel); ok {
-		return lm.GradientBuckets()
-	}
-	return []Span{{Lo: 0, Hi: m.Dim()}}
-}
-
-// GradientEmit runs the layered backward pass when m supports it and the
-// plain gradient otherwise, in which case the single whole-vector span is
-// emitted at the end. The emit callback receives indices into Buckets(m).
-func GradientEmit(m Model, params, grad tensor.Vector, batch []int, emit func(layer int) error) (float64, error) {
-	if lm, ok := m.(LayeredModel); ok {
-		return lm.GradientLayers(params, grad, batch, emit)
-	}
-	loss, err := m.Gradient(params, grad, batch)
-	if err != nil {
-		return loss, err
-	}
-	return loss, emit(0)
-}
-
-// Bucket is one reduction bucket of the overlap plan: a contiguous
-// parameter span plus the emission layer that completes it.
-type Bucket struct {
-	Span
-	// LastLayer is the index (into the emission span list) of the last
-	// span merged into this bucket; the bucket is ready for reduction as
-	// soon as that layer emits.
-	LastLayer int
-}
-
-// PlanBuckets coalesces emission spans into reduction buckets holding at
-// most fusionBytes bytes (8 per element; fusionBytes <= 0 disables
-// coalescing, one bucket per span; a single span larger than the threshold
-// keeps its own bucket). Merging is by adjacency IN MEMORY, independent of
-// emission order: a span fuses into any open bucket it touches, and a span
-// that touches two open buckets bridges them into one. Every bucket is
-// therefore a contiguous parameter range that collectives can reduce in
-// place, and an unbounded threshold genuinely collapses a partition of the
-// vector to one whole-vector bucket — which is what makes the single-bucket
-// overlap schedule bit-identical to the legacy whole-vector worker even for
-// collectives whose per-element reduction order depends on the element's
-// offset (the ring chunks by position; the tree does not). Emission-order
-// merging cannot promise that: a backward pass that emits W before its
-// bias leaves a hole the pairwise walk never bridges.
-//
-// Buckets are returned in readiness order — ascending LastLayer, the
-// emission layer that completes the bucket (the max over everything merged
-// into it) — so the reducer can launch plan[i] the moment layer
-// plan[i].LastLayer finalizes.
-//
-// The plan is a pure function of (spans, fusionBytes): fixed bucket
-// boundaries, deterministic order. That is the bit-identity argument for
-// the overlap reducer — every rank derives the identical plan from the
-// shared model architecture and threshold, each bucket's collective is a
-// deterministic function of its inputs, and bucket results land in
-// disjoint spans, so launching the collectives concurrently cannot change
-// a single bit relative to running them back to back.
-func PlanBuckets(spans []Span, fusionBytes int) []Bucket {
-	if len(spans) == 0 {
-		return nil
-	}
-	maxElems := 0
-	if fusionBytes > 0 {
-		maxElems = fusionBytes / 8
-		if maxElems < 1 {
-			maxElems = 1
-		}
-	}
-	// Open buckets, kept sorted by Lo (spans partition the vector, so
-	// adjacency is an exact endpoint match against at most two neighbors).
-	open := make([]Bucket, 0, len(spans))
-	for layer, s := range spans {
-		b := Bucket{Span: s, LastLayer: layer}
-		i := sort.Search(len(open), func(i int) bool { return open[i].Lo >= b.Lo })
-		if maxElems > 0 {
-			// Fuse with the left neighbor first, then the right — the
-			// right check sees the already-fused size, so a bridge only
-			// happens when all three pieces fit under the cap together.
-			if i > 0 && open[i-1].Hi == b.Lo && open[i-1].Len()+b.Len() <= maxElems {
-				b.Lo = open[i-1].Lo
-				if open[i-1].LastLayer > b.LastLayer {
-					b.LastLayer = open[i-1].LastLayer
-				}
-				open = append(open[:i-1], open[i:]...)
-				i--
-			}
-			if i < len(open) && open[i].Lo == b.Hi && b.Len()+open[i].Len() <= maxElems {
-				b.Hi = open[i].Hi
-				if open[i].LastLayer > b.LastLayer {
-					b.LastLayer = open[i].LastLayer
-				}
-				open = append(open[:i], open[i+1:]...)
-			}
-		}
-		open = append(open, Bucket{})
-		copy(open[i+1:], open[i:])
-		open[i] = b
-	}
-	sort.Slice(open, func(i, j int) bool { return open[i].LastLayer < open[j].LastLayer })
-	return open
-}
-
-// validateSpans checks that spans partition [0, dim) — used by tests and
-// the reducer's startup validation.
-func validateSpans(spans []Span, dim int) error {
-	seen := 0
-	for _, s := range spans {
-		if s.Lo < 0 || s.Hi > dim || s.Lo >= s.Hi {
-			return fmt.Errorf("model: bad span [%d,%d) of dim %d", s.Lo, s.Hi, dim)
-		}
-		seen += s.Len()
-	}
-	if seen != dim {
-		return fmt.Errorf("model: spans cover %d of %d parameters", seen, dim)
-	}
-	return nil
-}
-
-// ValidateBuckets checks that a plan's buckets partition [0, dim).
-func ValidateBuckets(plan []Bucket, dim int) error {
-	spans := make([]Span, len(plan))
-	for i, b := range plan {
-		spans[i] = b.Span
-	}
-	return validateSpans(spans, dim)
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/data"
@@ -124,137 +125,17 @@ func TestMLPGradientLayersEmitError(t *testing.T) {
 	}
 }
 
-func TestBucketsFallback(t *testing.T) {
-	src := rng.New(3)
-	q, err := NewQuadratic(src, 9, 10, 0)
-	if err != nil {
-		t.Fatal(err)
+// validateSpans checks that spans partition [0, dim).
+func validateSpans(spans []Span, dim int) error {
+	seen := 0
+	for _, s := range spans {
+		if s.Lo < 0 || s.Hi > dim || s.Lo >= s.Hi {
+			return fmt.Errorf("model: bad span [%d,%d) of dim %d", s.Lo, s.Hi, dim)
+		}
+		seen += s.Len()
 	}
-	spans := Buckets(q)
-	if len(spans) != 1 || spans[0] != (Span{Lo: 0, Hi: 9}) {
-		t.Fatalf("flat model spans = %v", spans)
+	if seen != dim {
+		return fmt.Errorf("model: spans cover %d of %d parameters", seen, dim)
 	}
-	// GradientEmit on a flat model emits the single span once, at the end,
-	// and matches Gradient bitwise.
-	ref := tensor.New(q.Dim())
-	refLoss, err := q.Gradient(q.Optimum, ref, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grad := tensor.New(q.Dim())
-	emits := 0
-	loss, err := GradientEmit(q, q.Optimum, grad, nil, func(layer int) error {
-		emits++
-		if layer != 0 {
-			t.Errorf("layer = %d", layer)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emits != 1 {
-		t.Errorf("emits = %d", emits)
-	}
-	if loss != refLoss {
-		t.Errorf("loss %v != %v", loss, refLoss)
-	}
-	for i := range grad {
-		if grad[i] != ref[i] {
-			t.Fatalf("grad[%d] = %v != %v", i, grad[i], ref[i])
-		}
-	}
-}
-
-func TestPlanBuckets(t *testing.T) {
-	// MLP-like emission spans partitioning [0, 80): the top span first,
-	// then four 16-element blocks in descending memory order.
-	spans := []Span{{64, 80}, {48, 64}, {32, 48}, {16, 32}, {0, 16}}
-
-	t.Run("disabled", func(t *testing.T) {
-		plan := PlanBuckets(spans, 0)
-		if len(plan) != len(spans) {
-			t.Fatalf("plan = %v", plan)
-		}
-		for i, b := range plan {
-			if b.Span != spans[i] || b.LastLayer != i {
-				t.Errorf("bucket %d = %+v", i, b)
-			}
-		}
-	})
-	t.Run("merge-pairs", func(t *testing.T) {
-		// 32 elems * 8 bytes = 256-byte cap: pairs of 16-elem spans merge.
-		plan := PlanBuckets(spans, 256)
-		want := []Bucket{
-			{Span{48, 80}, 1},
-			{Span{16, 48}, 3},
-			{Span{0, 16}, 4},
-		}
-		if len(plan) != len(want) {
-			t.Fatalf("plan = %v", plan)
-		}
-		for i := range want {
-			if plan[i] != want[i] {
-				t.Errorf("bucket %d = %+v, want %+v", i, plan[i], want[i])
-			}
-		}
-		if err := ValidateBuckets(plan, 80); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("merge-all", func(t *testing.T) {
-		plan := PlanBuckets(spans, 1<<20)
-		if len(plan) != 1 || plan[0].Span != (Span{0, 80}) || plan[0].LastLayer != 4 {
-			t.Fatalf("plan = %v", plan)
-		}
-	})
-	t.Run("non-contiguous-never-merges", func(t *testing.T) {
-		gap := []Span{{0, 10}, {20, 30}}
-		plan := PlanBuckets(gap, 1<<20)
-		if len(plan) != 2 {
-			t.Fatalf("plan = %v", plan)
-		}
-	})
-	t.Run("deterministic", func(t *testing.T) {
-		a := PlanBuckets(spans, 256)
-		b := PlanBuckets(spans, 256)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatal("plan not deterministic")
-			}
-		}
-	})
-
-	// The real MLP plan must partition the parameter vector at every
-	// fusion threshold.
-	m, _, _ := layeredMLP(t)
-	for _, fb := range []int{0, 1, 4096, 1 << 14, 1 << 30} {
-		plan := PlanBuckets(m.GradientBuckets(), fb)
-		if err := ValidateBuckets(plan, m.Dim()); err != nil {
-			t.Fatalf("fusionBytes=%d: %v", fb, err)
-		}
-		last := -1
-		for _, b := range plan {
-			if b.LastLayer <= last {
-				t.Fatalf("fusionBytes=%d: LastLayer not increasing: %v", fb, plan)
-			}
-			last = b.LastLayer
-		}
-	}
-}
-
-func TestValidateSpans(t *testing.T) {
-	if err := validateSpans([]Span{{0, 5}, {5, 10}}, 10); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range [][]Span{
-		{{0, 5}},           // under-cover
-		{{0, 5}, {4, 10}},  // overlap (covers 11)
-		{{-1, 5}, {5, 11}}, // out of range
-		{{5, 5}, {0, 10}},  // empty span
-	} {
-		if err := validateSpans(bad, 10); err == nil {
-			t.Errorf("spans %v accepted", bad)
-		}
-	}
+	return nil
 }

@@ -115,9 +115,8 @@ func (m *MLP) Gradient(params, grad tensor.Vector, batch []int) (float64, error)
 }
 
 // mlpEmitElems is the target W1 elements per emission block (~128 KiB):
-// fine enough that the overlap reducer can put early blocks on the wire
-// while later ones compute, coarse enough that per-block loop overhead
-// stays negligible.
+// fine enough that early blocks are reported while later ones compute,
+// coarse enough that per-block loop overhead stays negligible.
 const mlpEmitElems = 16384
 
 // mlpMaxEmitBlocks caps the W1 block count.
@@ -142,7 +141,7 @@ func (m *MLP) layer1Blocks() int {
 // GradientBuckets implements LayeredModel. Backprop finalizes the output
 // layer first, so emission order is W2++b2, then W1 in row blocks from the
 // top of the parameter range downward (adjacent emitted spans stay
-// memory-contiguous for bucket coalescing), and finally b1, which is
+// memory-contiguous), and finally b1, which is
 // accumulated alongside the W1 blocks and certain only once all of them
 // are done.
 func (m *MLP) GradientBuckets() []Span {

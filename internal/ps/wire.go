@@ -49,8 +49,8 @@ import (
 var ErrBadRequest = errors.New("ps: bad request")
 
 // PSStream is the reserved stream id all parameter-server frames travel
-// on. It sits far above the bucket ids the overlap reducer allocates, so
-// PS and collective traffic multiplexed over one mesh cannot collide.
+// on. It sits far above the collectives' default stream, so PS and
+// collective traffic multiplexed over one mesh cannot collide.
 const PSStream int32 = 1 << 16
 
 // chunkTagBits is the width of the chunk-index field inside the chunk tag;

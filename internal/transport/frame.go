@@ -158,7 +158,7 @@ func peekElems(br *bufio.Reader, elem, limit int) ([]byte, error) {
 // beats another iovec — are encoded into a fixed arena; large f64 payloads
 // and index lists are queued as zero-copy views of their backing arrays. A
 // flush hands the queued iovec list to writev (net.Buffers), so a burst of
-// small frames (ring chunk tails, control messages, bucketed-overlap heads)
+// small frames (ring chunk tails, control messages, parameter-server requests)
 // costs one syscall instead of one each.
 //
 // The writer is NOT self-flushing: callers own the flush boundary. The TCP

@@ -11,12 +11,12 @@ import (
 // message that peer sent, whatever it belongs to. That is exactly right for
 // one collective at a time and exactly wrong for concurrent collectives —
 // two in-flight ring reductions on one mesh would steal each other's
-// messages off the shared per-peer queue. The overlap reducer needs several
-// bucket collectives in flight at once, so the transport provides tag
-// streams: independent virtual FIFOs multiplexed over one mesh, identified
-// by the Message.Stream field (a first-class header field of the v1 frame
-// format — stream routing no longer borrows Iter's high bits, and the full
-// int64 iteration space belongs to the collective).
+// messages off the shared per-peer queue. The parameter-server client
+// shares a mesh with the collectives (ps.PSStream), so the transport
+// provides tag streams: independent virtual FIFOs multiplexed over one
+// mesh, identified by the Message.Stream field (a first-class header field
+// of the v1 frame format — stream routing no longer borrows Iter's high
+// bits, and the full int64 iteration space belongs to the collective).
 //
 // Transports that route streams natively implement StreamRouter: the TCP
 // mesh demultiplexes on the frame header as frames leave the socket, with no

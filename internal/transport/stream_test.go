@@ -383,7 +383,7 @@ func TestTCPStreamRoutedDeliveryWhilePullerParked(t *testing.T) {
 }
 
 // TestStreamDemuxRoutedDeliveryWhilePullerParked pins the liveness property
-// that makes concurrent bucket collectives safe: a stream whose message is
+// that makes concurrent collectives on one mesh safe: a stream whose message is
 // routed by the elected puller must receive it even though the puller stays
 // parked in parent.Recv. With a mutex election the waiter would be committed
 // to the lock acquire, blind to its own queue, and a distributed cycle
