@@ -30,11 +30,13 @@ import (
 // behaviour of Section 6.
 //
 // The accumulator owns the gradient buffers and lends them out, so one
-// buffer carries a gradient from Model.Gradient to the optimizer step: the
-// compute thread Leases a buffer, has the model write into it and Commits
-// it; the communication thread Takes the reduction (folded in place into the
-// oldest surviving slot), reduces it across ranks in place, steps the
-// optimizer from it and Recycles it. Every leased buffer is dim long with
+// buffer carries a gradient from Model.Gradient to the optimizer step and on
+// into the parameters: the compute thread Leases a buffer, has the model
+// write into it and Commits it; the communication thread Takes the reduction
+// (folded in place into the oldest surviving slot), reduces it across ranks
+// in place, steps the optimizer into it and publishes it as the next
+// parameter version, and the version it supersedes comes back through
+// Recycle (versions, worker.go). Every leased buffer is dim long with
 // capacity ≥ dim+1: the spare element is the contributor-flag slot of the
 // partial AllReduce (collective.PartialAllReduceInPlace), so the taken buffer
 // can be resliced to dim+1 and reduced without a copy. A buffer that is never
@@ -61,13 +63,29 @@ type Accumulator struct {
 	allocated int
 }
 
-// maxFree bounds the free list, and is every buffer rnaLoop ever has in use,
-// whatever the staleness bound. Its stamps never decrease and one publish
-// falls between two Takes, so at most three are pending: that of the gradient
-// in flight at the last Take, that Take's synchronization and, once it is
-// published, the next. The communication thread recycles its buffer before
-// it publishes: two pending and one in each thread's hands, or three and the
-// compute thread's. A burst beyond that goes to the GC.
+// maxFree bounds the free list. rnaLoop's versions and gradients share this
+// pool, and it never has more than five buffers in use at once, whatever the
+// staleness bound: the current version and the compute thread's lease, plus
+// at most three of
+//
+//   - the pending slots: their stamps never decrease and one publish falls
+//     between two Takes, so at most three — that of the gradient in flight
+//     at the last Take, that Take's synchronization and, once it is
+//     published, the next;
+//   - the communication thread's buffer (taken, or leased for a null
+//     contribution) until it is published, while at most two are pending:
+//     the third stamp needs that publish;
+//   - a pinned version a publish superseded: every pending gradient was
+//     committed before the pin, so at most two, and none once the
+//     communication thread has taken again.
+//
+// The eager mailbox's fresh and stale gradients stand in for the slots under
+// the same bound.
+//
+// The current version is never free, so the free list needs four places to
+// keep every buffer: a retired version is never dropped to the GC, and Lease
+// allocates at most four, the fifth being the initial parameters. Only a
+// burst beyond that (Put without Take) goes to the GC.
 const maxFree = 4
 
 // NewAccumulator returns an accumulator for dim-sized gradients that keeps
@@ -102,7 +120,7 @@ func (a *Accumulator) Lease() tensor.Vector {
 	return make(tensor.Vector, a.dim, a.dim+1)
 }
 
-// Buffers returns how many gradient buffers Lease has allocated.
+// Buffers returns how many buffers Lease has allocated.
 func (a *Accumulator) Buffers() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

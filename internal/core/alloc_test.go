@@ -178,10 +178,15 @@ func TestBSPWorkerSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRNAGradBuffersIndependentOfBound: however far the staleness bound lets
-// compute run ahead, a rank's gradient source allocates at most maxFree
-// buffers for the whole run, because gradients of one parameter version share
-// one. With a buffer per gradient the count grew with η (2–3 at η = 2, 6–9 at
-// 8, 23–33 at 32).
+// compute run ahead, a rank's pool of gradients and parameter versions
+// allocates at most maxFree = 4 buffers for the whole run, because gradients
+// of one parameter version share one and the reduced one becomes the next
+// version. The pool has at most five buffers in use at once (the current
+// version, the compute thread's lease and at most three of the pending
+// slots, the communication thread's buffer and a superseded pinned version;
+// maxFree has the argument), one of which is the initial parameters, which
+// Lease does not allocate. With a buffer per gradient the count grew with η
+// (2–3 at η = 2, 6–9 at 8, 23–33 at 32).
 func TestRNAGradBuffersIndependentOfBound(t *testing.T) {
 	const n, iters = 4, 64
 	for _, eta := range []int{2, 8, 32} {
@@ -198,9 +203,9 @@ func TestRNAGradBuffersIndependentOfBound(t *testing.T) {
 		for r, res := range results {
 			buffers[r] = res.GradBuffers
 			if res.GradBuffers < 1 || res.GradBuffers > maxFree {
-				t.Errorf("η = %d rank %d: %d gradient buffers allocated, want 1 to %d", eta, r, res.GradBuffers, maxFree)
+				t.Errorf("η = %d rank %d: %d model-sized buffers allocated, want 1 to %d", eta, r, res.GradBuffers, maxFree)
 			}
 		}
-		t.Logf("η = %d: gradient buffers per rank %v", eta, buffers)
+		t.Logf("η = %d: model-sized buffers per rank %v", eta, buffers)
 	}
 }

@@ -13,8 +13,9 @@ import (
 // accumulation), and the last contributed gradient is retained for stale
 // re-contribution.
 type eagerMailbox struct {
-	// bufs lends the buffers (Lease/Recycle: right shape, bounded free
-	// list); its own pending list stays empty.
+	// bufs lends the buffers, gradients and parameter versions alike
+	// (Lease/Recycle: right shape, bounded free list); its own pending list
+	// stays empty.
 	bufs *Accumulator
 
 	mu    sync.Mutex

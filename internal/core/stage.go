@@ -49,10 +49,11 @@ type reducer interface {
 	// update steps the parameters over the owned span from the reduced
 	// gradient times mean (the contributors' mean of a partial sum, 1 for
 	// BSP's average): it reads them from cur, writes them to next and leaves
-	// next complete and identical on all ranks. Neither cur nor g is written,
-	// unless cur is next itself (BSP, whose one vector is updated in place).
-	// A nil g (owner-computes with an exchange due only) skips the step and
-	// exchanges cur's owned span.
+	// next complete and identical on all ranks. next is cur itself (BSP, whose
+	// one vector is updated in place) or g (RNA, whose reduced buffer becomes
+	// the next version); cur is not written otherwise. A nil g (owner-computes
+	// with an exchange due only) skips the step and exchanges cur's owned
+	// span.
 	update(k int64, cur, next, g tensor.Vector, mean, scale float64) error
 	// stateBytes is the rank's persistent optimizer-state footprint.
 	stateBytes() int64
@@ -108,31 +109,35 @@ func (s *stage) full(k int64, params, grad tensor.Vector) error {
 // partial is the stage's RNA entry: reduce buf over the contributing ranks
 // and apply ḡ = W·Σg, W = 1/Σw, with γ_k scaled by Σw/N (the Linear Scaling
 // Rule of Algorithm 2; controller.Step gives both factors, for the simulator
-// too). buf belongs to the stage for the call. The update folds W into its
-// one pass, reads the newest parameters and writes the version under
-// construction (versions, worker.go), which no other thread can see: no lock
-// is held, so neither the step nor the parameter allgather can stall the
-// compute thread. When nobody contributed, every rank skips the step in
-// lockstep; on an exchange synchronization the exchange still runs, its delta
-// taken from the published parameters.
-func (s *stage) partial(k int64, vs *versions, buf tensor.Vector, contributes bool) error {
+// too). The update folds W into its one pass, reads the published parameters
+// cur and writes the next version into buf itself, over the gradient it has
+// just read: the owner-computes update its owned span, the allgather the
+// rest, the replicated update the whole vector. No other thread can see buf
+// and no lock is held, so neither the step nor the parameter allgather can
+// stall the compute thread. next is buf, for the caller to publish, or nil
+// when nobody contributed: every rank then skips the step in lockstep, unless
+// an exchange is due, which still runs, its delta taken from cur, and builds
+// next in buf.
+func (s *stage) partial(k int64, cur, buf tensor.Vector, contributes bool) (next tensor.Vector, err error) {
 	count, err := s.red.reducePartial(k, buf, contributes)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	// The flag slot holds the count; a version's spare element stays zero,
+	// so an allgather never ships it inside the parameters' last block.
+	buf[:len(buf)+1][len(buf)] = 0
 	if count == 0 {
 		s.empty++
 		if s.ex == nil || !s.ex.due(k) {
-			return nil
+			return nil, nil
 		}
-		return s.red.update(k, vs.latest(), vs.begin(), nil, 0, 0)
+		return buf, s.red.update(k, cur, buf, nil, 0, 0)
 	}
 	mean, scale, err := controller.Step(count, s.n)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cur := vs.latest()
-	return s.red.update(k, cur, vs.begin(), buf, mean, scale)
+	return buf, s.red.update(k, cur, buf, buf, mean, scale)
 }
 
 // finish is the one Result epilogue: whatever the path, the fields come from
@@ -287,20 +292,18 @@ func (r *shardedReducer) reducePartial(k int64, buf tensor.Vector, contributes b
 func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, mean, scale float64) error {
 	lo, hi := r.lo, r.hi
 	src := cur[lo:hi]
-	if r.optim != nil {
-		if res := r.gather.Residual; res != nil {
-			// Restore the exact fp64 master weights; the residual is
-			// re-captured by the allgather's RoundTripEF below.
-			_ = tensor.SumInto(next[lo:hi], src, res[lo:hi])
-			res[lo:hi].Zero()
-			src = next[lo:hi]
+	res := r.gather.Residual
+	if res != nil {
+		// Restore the exact fp64 master weights in the residual's own span:
+		// next may be g, which the step has yet to read.
+		_ = tensor.SumInto(res[lo:hi], src, res[lo:hi])
+		src = res[lo:hi]
+	}
+	if g != nil && r.optim != nil {
+		if _, err := r.optim.StepTo(next[lo:hi], src, g[lo:hi], mean, scale); err != nil {
+			return err
 		}
-		if g != nil {
-			if _, err := r.optim.StepTo(next[lo:hi], src, g[lo:hi], mean, scale); err != nil {
-				return err
-			}
-			src = next[lo:hi]
-		}
+		src = next[lo:hi]
 	}
 	if r.ex != nil && r.ex.due(k) {
 		// The owned span goes to the parameter server and the pulled span
@@ -308,6 +311,10 @@ func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, mean, scale
 		if err := r.ex.exchange(k, src, next[lo:hi]); err != nil {
 			return err
 		}
+	}
+	if res != nil {
+		// The allgather's RoundTripEF re-captures the residual.
+		res[lo:hi].Zero()
 	}
 	// RNA's versions carry the flag slot as spare capacity, so the gather
 	// rings over the partition the scatter used.

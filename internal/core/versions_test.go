@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -122,5 +123,104 @@ func TestVersionsNeverTornNorHalfSynced(t *testing.T) {
 		if p := results[0].Params[0]; p != iters {
 			t.Errorf("%s: final parameters %v, want the last exchange's %d", name, p, iters)
 		}
+	}
+}
+
+// TestVersionsRetireSuperseded: versions hands every superseded version back
+// to the pool exactly once, and never one a compute step still reads. A
+// compute goroutine pins version A; two publishes supersede A with B and B
+// with C. B, superseded while unpinned, is retired at C's publish; A's bits
+// stay as they were, no Lease returns A, and A is retired exactly once, at
+// unpin, after which the pool hands it out again. Unpinning the current
+// version retires nothing. Run under -race (make race).
+func TestVersionsRetireSuperseded(t *testing.T) {
+	const dim = 37
+	pool, err := NewAccumulator(dim, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	retired := map[*float64]int{}
+	times := func(v tensor.Vector) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return retired[&v[0]]
+	}
+	lease := func(x float64) tensor.Vector {
+		v := pool.Lease()
+		v.Fill(x)
+		return v
+	}
+	a, b, c := lease(1), lease(2), lease(3)
+	vs := newVersions(a, func(v tensor.Vector) {
+		mu.Lock()
+		retired[&v[0]]++
+		mu.Unlock()
+		pool.Recycle(v)
+	})
+
+	pinned, release, done := make(chan tensor.Vector), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		p, synced, ok := vs.pin(0, 1)
+		if !ok || synced != -1 {
+			t.Errorf("pin: synced %d ok %v, want -1 true", synced, ok)
+		}
+		pinned <- p
+		<-release
+		vs.unpin()
+	}()
+	p := <-pinned
+	if !sameVector(p, a) {
+		t.Fatal("pin did not return the current version")
+	}
+	want := p.Clone()
+	vs.publish(0, b)
+	if n := times(a); n != 0 {
+		t.Fatalf("pinned version retired %d times at the publish that superseded it", n)
+	}
+	vs.publish(1, c)
+	if n := times(b); n != 1 {
+		t.Fatalf("unpinned superseded version retired %d times at publish, want 1", n)
+	}
+	// Everything the pool holds, and then some, is handed out and written:
+	// none of it may be the pinned version.
+	var leased []tensor.Vector
+	for i := 0; i < 2*maxFree; i++ {
+		v := lease(math.NaN())
+		if sameVector(v, a) {
+			t.Fatalf("lease %d returned the pinned version", i)
+		}
+		leased = append(leased, v)
+	}
+	for i := range want {
+		if math.Float64bits(p[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("pinned version changed at elem %d: %v, want %v", i, p[i], want[i])
+		}
+	}
+	// Leave the free list one place, so the version unpin retires is the next
+	// one Lease hands out.
+	for _, v := range leased[:maxFree-1] {
+		pool.Recycle(v)
+	}
+	close(release)
+	<-done
+	if n := times(a); n != 1 {
+		t.Fatalf("pinned superseded version retired %d times at unpin, want 1", n)
+	}
+	if v := pool.Lease(); !sameVector(v, a) {
+		t.Error("the version retired at unpin did not return to the pool")
+	}
+	if n := times(b); n != 1 {
+		t.Errorf("version retired %d times, want 1", n)
+	}
+
+	// A pin on the current version ends without retiring it.
+	if cur, synced, ok := vs.pin(2, 1); !ok || synced != 1 || !sameVector(cur, c) {
+		t.Fatalf("pin: synced %d ok %v, want the version published at 1", synced, ok)
+	}
+	vs.unpin()
+	if n := times(c); n != 0 {
+		t.Errorf("current version retired %d times at unpin", n)
 	}
 }

@@ -139,9 +139,12 @@ type Result struct {
 	// eager-SGD).
 	EmptySyncs int
 	Staleness  []int
-	// GradBuffers counts the gradient-sized buffers this rank's gradient
-	// source ever allocated (Lease calls that found the free list empty): at
-	// most four under RNA and eager-SGD whatever StalenessBound is, 0 for BSP.
+	// GradBuffers counts the model-sized buffers this rank's gradient source
+	// ever allocated (Lease calls that found the free list empty). Under RNA
+	// and eager-SGD the parameter versions live in the same pool — a reduced
+	// gradient becomes the next version — so this is every model-sized
+	// buffer the rank holds besides the initial parameters: at most four
+	// whatever StalenessBound is (maxFree). 0 for BSP.
 	GradBuffers int
 	// Elapsed is the worker's wall-clock training time.
 	Elapsed time.Duration
@@ -252,42 +255,38 @@ func runRNA(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, e
 // versions is the RNA worker's parameter store. A published parameter vector
 // is immutable: the compute thread pins the current one for the length of one
 // Gradient call and copies nothing, and the communication thread — the only
-// writer — builds the next one in a buffer that is neither current nor pinned
-// and makes it current in one step, together with synced. Nothing of a
-// synchronization (the update, a parameter-server exchange, a half-finished
-// allgather) is visible before that step, and no lock is held while a version
-// is read or written, only while an index changes hands.
+// writer — builds the next one in the buffer its synchronization reduced
+// (stage.partial) and makes it current in one step, together with synced.
+// Nothing of a synchronization (the update, a parameter-server exchange, a
+// half-finished allgather) is visible before that step, and no lock is held
+// while a version is read or written, only while one changes hands.
 //
-// Three buffers bound it: one current, at most one pinned (a pin is always
-// taken on the current version, so only a pin that outlived a publish is a
-// second buffer), one free. Each has the spare element of a gradSource buffer,
-// so the owner-computes allgather rings over the flag-extended partition its
-// scatter used.
+// Versions and gradients share one pool, the gradient source's: a reduced
+// buffer becomes the next version, and the version it supersedes goes back
+// through retire (gradSource.Recycle) at publish, or at unpin when a compute
+// step still reads it. Each version therefore has the shape of a gradient
+// buffer, dim long with a spare element, so the owner-computes allgather rings
+// over the flag-extended partition its scatter used.
 //
 // It also holds the rest of what the two threads share: synced, and the first
 // error of either, which stops both (fail).
 type versions struct {
 	mu   sync.Mutex // guards cur, pinned, synced and err
 	cond *sync.Cond
-	bufs [3]tensor.Vector
 	// cur is the published version, pinned the one the compute thread reads
-	// (-1: none), next the one under construction (-1: none; communication
-	// thread only).
-	cur, pinned, next int
-	synced            int64         // last published synchronization
-	err               error         // first failure of either thread
-	failed            chan struct{} // closed when err is set
+	// (nil: none): cur itself, or a version a publish has since superseded.
+	cur, pinned tensor.Vector
+	retire      func(tensor.Vector) // takes back a superseded version; under mu, must not block
+	synced      int64               // last published synchronization
+	err         error               // first failure of either thread
+	failed      chan struct{}       // closed when err is set
 }
 
 // newVersions publishes params (from newRank) as the version before
-// synchronization 0.
-func newVersions(params tensor.Vector) *versions {
-	v := &versions{pinned: -1, next: -1, synced: -1, failed: make(chan struct{})}
+// synchronization 0; retire takes back every version a later one supersedes.
+func newVersions(params tensor.Vector, retire func(tensor.Vector)) *versions {
+	v := &versions{cur: params, retire: retire, synced: -1, failed: make(chan struct{})}
 	v.cond = sync.NewCond(&v.mu)
-	v.bufs[0] = params
-	for i := 1; i < len(v.bufs); i++ {
-		v.bufs[i] = make(tensor.Vector, len(params), cap(params))
-	}
 	return v
 }
 
@@ -305,12 +304,17 @@ func (v *versions) pin(k, bound int64) (params tensor.Vector, synced int64, ok b
 		return nil, 0, false
 	}
 	v.pinned = v.cur
-	return v.bufs[v.cur], v.synced, true
+	return v.cur, v.synced, true
 }
 
+// unpin ends the pin, retiring the pinned version if a publish superseded it
+// meanwhile.
 func (v *versions) unpin() {
 	v.mu.Lock()
-	v.pinned = -1
+	if !sameVector(v.pinned, v.cur) {
+		v.retire(v.pinned)
+	}
+	v.pinned = nil
 	v.mu.Unlock()
 }
 
@@ -321,43 +325,32 @@ func (v *versions) published() int64 {
 	return v.synced
 }
 
-// latest returns the newest parameters as the communication thread sees
-// them, read-only: the version under construction once this synchronization
-// has begun one, the published one otherwise.
-func (v *versions) latest() tensor.Vector {
-	if v.next >= 0 {
-		return v.bufs[v.next]
-	}
-	return v.bufs[v.cur]
-}
+// current returns the published version. Communication thread only: it is
+// cur's one writer, so it reads it without the lock.
+func (v *versions) current() tensor.Vector { return v.cur }
 
-// begin returns the version under construction, starting one — contents
-// unspecified, for the caller to write in full — if this synchronization has
-// none yet. Communication thread only.
-func (v *versions) begin() tensor.Vector {
-	if v.next < 0 {
-		v.mu.Lock()
-		for i := range v.bufs {
-			if i != v.cur && i != v.pinned {
-				v.next = i
-				break
-			}
-		}
-		v.mu.Unlock()
-	}
-	return v.bufs[v.next]
-}
-
-// publish completes synchronization k: the version under construction, if
-// there is one, becomes current in the same step that advances synced.
-func (v *versions) publish(k int64) {
+// publish completes synchronization k: next, if the synchronization built a
+// version, becomes current in the same step that advances synced, and the
+// version it supersedes is retired in that step too, unless a compute step
+// still reads it. Retiring before the compute thread can pass the gate at
+// k+1 is what keeps a version and the gradients of the next one from being
+// in use at once (maxFree). Communication thread only.
+func (v *versions) publish(k int64, next tensor.Vector) {
 	v.mu.Lock()
-	if v.next >= 0 {
-		v.cur, v.next = v.next, -1
+	if next != nil {
+		if !sameVector(v.cur, v.pinned) {
+			v.retire(v.cur)
+		}
+		v.cur = next
 	}
 	v.synced = k
 	v.cond.Broadcast()
 	v.mu.Unlock()
+}
+
+// sameVector reports whether a and b are the same buffer.
+func sameVector(a, b tensor.Vector) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // fail records the worker's first error and stops both threads: it wakes a
@@ -432,7 +425,7 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 	if ex != nil {
 		ex.seed(params)
 	}
-	vs := newVersions(params)
+	vs := newVersions(params, src.Recycle)
 	res := &Result{Losses: make([]float64, 0, cfg.Iterations)}
 	ctrl.Bound(bound)
 
@@ -486,15 +479,18 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 			buf = src.Lease()
 			res.NullContribs++
 		}
-		if err := st.partial(k, vs, buf, ok); err != nil {
+		next, err := st.partial(k, vs.current(), buf, ok)
+		if err != nil {
 			return err
 		}
-		src.Recycle(buf)
+		if next == nil {
+			src.Recycle(buf)
+		}
 		// One publish per synchronization, after the stage: the compute step
 		// that passes the gate at k+1 then deterministically sees the update
 		// and the parameter-server exchange together, which is what keeps
 		// ordered hierarchical runs bitwise reproducible.
-		vs.publish(k)
+		vs.publish(k, next)
 		if rank == 0 {
 			ctrl.Forget(k - bound - 2)
 		}
@@ -519,5 +515,5 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 		return nil, vs.err
 	}
 	res.StaleDropped, res.Staleness, res.GradBuffers = int(src.Dropped()), src.Staleness(), src.Buffers()
-	return st.finish(res, vs.latest(), start), nil
+	return st.finish(res, vs.current(), start), nil
 }

@@ -99,7 +99,7 @@ func (o *Adam) StepTo(dst, src, grad tensor.Vector, mean, scale float64) (float6
 
 // adamStep is the fused Adam kernel, 4-way unrolled like the tensor
 // kernels: one pass over memory reads x from src and mean·g, updates both
-// moments and writes x' to dst (which may be src). bc1/bc2 are the
+// moments and writes x' to dst (which may be src or grad). bc1/bc2 are the
 // reciprocal bias corrections 1/(1−βᵗ), hoisted so the per-element work is
 // multiply-only.
 func adamStep(dst, src, m, u, grad []float64, mean, b1, b2, eps, wd, lr, bc1, bc2 float64) {

@@ -25,9 +25,12 @@ type Optimizer interface {
 	Step(params, grad tensor.Vector, scale float64) (float64, error)
 	// StepTo is the out-of-place step: it reads the parameters from src and
 	// the gradient as mean·grad, and writes the updated parameters to dst,
-	// which is src itself or disjoint from it. src and grad are not written
-	// (unless dst is src). The bits are those of copying src to dst, scaling
-	// grad by mean and calling Step(dst, grad, scale), in one pass.
+	// which is src itself, grad itself (RNA's reduced gradient becomes the
+	// next parameter version) or disjoint from both. src and grad are not
+	// written unless dst is one of them. The bits are those of copying src to
+	// a disjoint dst, scaling grad by mean and calling Step(dst, grad, scale),
+	// in one pass: every kernel reads element i of its operands before it
+	// writes element i of dst.
 	StepTo(dst, src, grad tensor.Vector, mean, scale float64) (float64, error)
 	// StepCount returns the number of Step calls so far.
 	StepCount() int
@@ -105,7 +108,8 @@ func (o *SGD) StepTo(dst, src, grad tensor.Vector, mean, scale float64) (float64
 	}
 	if o.Momentum == 0 && o.WeightDecay == 0 {
 		// Plain SGD: v = mean·g, x' = x − lr·v as one fused AddScaled pass
-		// (after a copy when out of place: no workload runs plain SGD).
+		// (after a copy when out of place: no workload runs plain SGD). g is
+		// in v before dst, which may be g, is written.
 		copy(o.velocity, grad)
 		if mean != 1 {
 			o.velocity.Scale(mean)

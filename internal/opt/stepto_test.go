@@ -128,3 +128,61 @@ func TestStepToShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestStepToIntoGradient: StepTo may write the updated parameters over the
+// gradient it reads (RNA publishes its reduced gradient buffer as the next
+// parameter version), with the bits of stepping into a disjoint dst, in the
+// parameters and in the optimizer state. The rows cover momentum with weight
+// decay, plain SGD (whose velocity copy must precede the parameter copy),
+// Adam and a scale-0 step; the lengths cover the kernels' tails and vector
+// bodies. Run under -tags purego too for the Go loops.
+func TestStepToIntoGradient(t *testing.T) {
+	rows := []struct {
+		name        string
+		make        func(dim int) (Optimizer, error)
+		mean, scale float64
+	}{
+		{"sgd/momentum+weight-decay", func(dim int) (Optimizer, error) { return NewSGD(dim, 0.05, 0.9, 1e-3) }, 0.5, 0.75},
+		{"sgd/plain", func(dim int) (Optimizer, error) { return NewSGD(dim, 0.05, 0, 0) }, 1.0 / 3, 1},
+		{"adam", func(dim int) (Optimizer, error) { return NewAdam(dim, 0.01, 1e-3) }, 0.25, 0.5},
+		{"sgd/scale-0", func(dim int) (Optimizer, error) { return NewSGD(dim, 0.05, 0.9, 1e-3) }, 0.5, 0},
+		{"adam/scale-0", func(dim int) (Optimizer, error) { return NewAdam(dim, 0.01, 1e-3) }, 0.5, 0},
+	}
+	for _, row := range rows {
+		for _, dim := range []int{1, 7, 37, 1000} {
+			t.Run(fmt.Sprintf("%s/dim=%d", row.name, dim), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(dim)))
+				disjoint, err := row.make(dim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				aliased, _ := row.make(dim)
+				cur := randVec(rng, dim)
+				// Three steps, so the state the aliased step reads is one it
+				// wrote itself.
+				for k := 0; k < 3; k++ {
+					g := randVec(rng, dim)
+					want := tensor.New(dim)
+					wantLR, err := disjoint.StepTo(want, cur, g, row.mean, row.scale)
+					if err != nil {
+						t.Fatal(err)
+					}
+					curBefore, got := cur.Clone(), g.Clone()
+					lr, err := aliased.StepTo(got, cur, got, row.mean, row.scale)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if lr != wantLR {
+						t.Fatalf("step %d: effective lr %v, want %v", k, lr, wantLR)
+					}
+					sameBits(t, fmt.Sprintf("step %d: params", k), got, want)
+					sameBits(t, fmt.Sprintf("step %d: source", k), cur, curBefore)
+					for i, s := range optState(disjoint) {
+						sameBits(t, fmt.Sprintf("step %d: state %d", k, i), optState(aliased)[i], s)
+					}
+					cur = got
+				}
+			})
+		}
+	}
+}

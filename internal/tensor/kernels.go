@@ -316,9 +316,10 @@ func DotRows(out, w []float64, stride int, x []float64) {
 // SGDStep is the fused momentum and weight-decay update, out of place and
 // with the contributor mean folded in, one pass over memory:
 // v ← (μ·v + g·mean) + λ·x, then x' ← x − lr·v, reading x from src and writing
-// x' to dst. dst may be src itself (the in-place step, mean 1) or disjoint
-// from it; either way the bits are those of copying src to dst, scaling g by
-// mean and stepping in place, because g·1 is g. vel and grad must be at least
+// x' to dst. dst may be src itself (the in-place step, mean 1), grad itself
+// or disjoint from both; either way the bits are those of copying src to dst,
+// scaling g by mean and stepping in place, because g·1 is g and element i of
+// every operand is read before dst's is written. vel and grad must be at least
 // as long as dst, src exactly as long.
 func SGDStep(dst, src, vel, grad []float64, mean, mu, wd, lr float64) {
 	src, vel, grad = src[:len(dst)], vel[:len(dst)], grad[:len(dst)]

@@ -336,7 +336,8 @@ done:
 
 // func sgdStepAVX2(dst, src, vel, grad []float64, mean, mu, wd, lr float64)
 //   x = src;  v' = ((mu*v) + (g*mean)) + (wd*x);  vel = v';  dst = x − (lr*v')
-// Each element's src is loaded before its dst is stored, so dst may be src.
+// Each element's src and grad are loaded before its dst is stored, so dst may
+// be src or grad.
 TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-128
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         dst_len+8(FP), CX

@@ -77,7 +77,8 @@ type TrainResult = core.Result
 // contributors, the synchronizations nobody contributed to, the gradients the
 // staleness bound discarded, the gradients taken by τ, the synchronizations
 // published since the parameters they were computed from, and the most
-// gradient buffers one rank allocated.
+// model-sized buffers, gradients and parameter versions alike, one rank's
+// pool allocated.
 func Participation(results []*TrainResult) string {
 	var contributed, null, dropped, buffers int
 	var tau []int
@@ -94,7 +95,7 @@ func Participation(results []*TrainResult) string {
 		}
 	}
 	syncs := float64(contributed+null) / float64(len(results))
-	return fmt.Sprintf("null share %.2f, %.2f contributors per synchronization, %d of %.0f empty, %d gradients dropped, taken by τ %v, ≤ %d gradient buffers per rank",
+	return fmt.Sprintf("null share %.2f, %.2f contributors per synchronization, %d of %.0f empty, %d gradients dropped, taken by τ %v, ≤ %d model-sized buffers per rank",
 		float64(null)/float64(contributed+null), float64(contributed)/syncs, results[0].EmptySyncs, syncs, dropped, tau, buffers)
 }
 
