@@ -71,10 +71,10 @@ alloc-gate:
 # (BENCH_collective.json and BENCH_train.json).
 bench: collective-bench train-bench
 
-# bench-smoke runs one compressed collective, the ring regression guard
-# against BENCH_collective.json and the sharded Adam slice (real workers over
-# TCP, bit-identical to replicated) without writing any JSON — a seconds-long
-# CI check that the benchmark harness still works.
+# bench-smoke runs the ring regression guard against BENCH_collective.json
+# and the sharded Adam slice (real workers over TCP, bit-identical to
+# replicated) without writing any JSON — a seconds-long CI check that the
+# benchmark harness still works.
 bench-smoke:
 	$(GO) run ./cmd/rnabench -bench-smoke
 
@@ -115,11 +115,12 @@ rss-ratio:
 	$(call ratio-of-medians,dense_rna,dense_bsp,peak_rss_mb,$(RSS_SECONDS),1.3)
 
 # fuzz-smoke runs each wire-protocol fuzz target for a short budget — enough
-# to cover the seeded v1 corpus (header truncations, forged fields, hello
-# garbage, parameter-server push/pull/ack frames with packed mode<<24|chunk
-# tags) plus a burst of mutations, quick enough for CI. The kernel target
-# holds the AVX2 bodies to the bits of the Go loops over random lengths,
-# misalignments and values; the controller target holds the trigger rule
+# to cover the seeded v1 corpus (header truncations, forged fields, frames of
+# the f32/f16/i8 dtypes earlier builds shipped, hello garbage,
+# parameter-server push/pull/ack frames with packed mode<<24|chunk tags) plus
+# a burst of mutations, quick enough for CI. The kernel target holds the AVX2
+# bodies to the bits of the Go loops over random lengths, misalignments and
+# values; the controller target holds the trigger rule
 # (probed tag, bounded-delay floor, drain) over random interleavings of
 # Ready, Await, Probes and Forget under every policy. FuzzRecvInto holds a
 # frame landed off the socket (copy or add, with or without a tail) to the
@@ -127,8 +128,8 @@ rss-ratio:
 # because its corpus holds multi-KB frames, whose minimization would eat the
 # whole smoke budget. FuzzServerRequests sends the parameter server request
 # sequences from two client ranks (chunk indices in and past the table, forged
-# tags, modes and payload lengths, version horizons that never wait): each
-# request is acked with the right length, version and values or ends the
+# tags, modes, dtypes and payload lengths, version horizons that never wait):
+# each request is acked with the right length, version and values or ends the
 # sender's service with ps.ErrBadRequest, and two clients exchanging
 # complementary chunk runs leave the model one whole-vector client leaves.
 fuzz-smoke:

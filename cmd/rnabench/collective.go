@@ -37,20 +37,6 @@ type algoBenchCase struct {
 	MBPerSec  float64 `json:"mb_per_sec"`
 }
 
-// compressionBenchCase is one (dtype, ranks, dim) point of the compressed
-// ring sweep, measured over real TCP loopback (the in-memory mesh moves no
-// bytes, so only the TCP path shows the wire saving). MBPerSec counts the
-// LOGICAL fp64 payload (8·dim bytes), so dtype rows are directly comparable:
-// a narrower wire shows up as higher effective throughput.
-type compressionBenchCase struct {
-	Dtype     string  `json:"dtype"`
-	Ranks     int     `json:"ranks"`
-	Dim       int     `json:"dim"`
-	NsPerOp   int64   `json:"ns_per_op"`
-	MBPerSec  float64 `json:"mb_per_sec"`
-	WireRatio float64 `json:"wire_ratio"`
-}
-
 // crossoverRow summarizes one (ranks, dim) point: the measured cost of each
 // schedule, which fixed schedule won, what the auto-selector picked, and the
 // selection regret — the picked schedule's fixed-run timing vs the best
@@ -88,24 +74,6 @@ type collectiveBenchReport struct {
 	// how far the schedule the auto-selector picks lands above the best
 	// fixed run, in percent; the bar is <= 10.
 	GateAutoWithinPct float64 `json:"gate_auto_within_pct"`
-	// Compression is the compressed end-to-end AllReduce sweep over TCP
-	// loopback. Only the allgather half of the ring compresses (the
-	// reduce-scatter ships fp64 partial sums to keep the reduction exact),
-	// so even a free fp16 codec caps these rows at 1.6x — the honest
-	// end-to-end number.
-	Compression []compressionBenchCase `json:"compression"`
-	// WirePath is the transport-level sweep: a TCP ring cycle where every
-	// byte ships the dtype — codec + link + decode with no fp64 reduce
-	// traffic mixed in — over connections paced to an emulated 500 Mbit/s
-	// link (see wireLinkRate), the bandwidth-bound regime the compression
-	// targets. This is the path the fp16 gate measures.
-	WirePath []compressionBenchCase `json:"wire_path"`
-	// WirePathLinkMBps records the emulated link rate of the WirePath rows
-	// in MB/s, so the numbers are interpretable later.
-	WirePathLinkMBps float64 `json:"wire_path_link_mbps"`
-	// GateFp16WireSpeedup is the fp16 wire path's effective MB/s over the
-	// fp64 wire path's at the n8/dim262144 point; the bar is >= 1.8.
-	GateFp16WireSpeedup float64 `json:"gate_fp16_wire_speedup"`
 	// Framing is the v1 wire-protocol sweep (see framing.go): codec cost,
 	// header overhead and sustained TCP message rate across 64 B – 8 MiB
 	// payloads. GateFramingAllocsPerOp is the worst codec allocation count
@@ -126,7 +94,7 @@ type collectiveBenchReport struct {
 	// PS is the parameter-server sweep (see psbench.go): aggregate
 	// concurrent push-pull throughput by group count for the in-process
 	// snapshot store (with the seed single-lock store as the baseline
-	// column) and for the networked TCP PS service at f64/f16 wires.
+	// column) and for the networked TCP PS service.
 	// GatePSSpeedup is the 8-group in-memory throughput over the seed
 	// store's (bar >= 2.0); GatePSBitwise records that an ordered chunked
 	// f64 exchange sequence over TCP bitwise-matched the loopback store.
@@ -304,7 +272,7 @@ func runAlgoSweep(rep *collectiveBenchReport) error {
 				RingNs:   point[collective.AlgoRing.String()],
 				TreeNs:   point[collective.AlgoTree.String()],
 				AutoNs:   point[collective.AlgoAuto.String()],
-				AutoPick: collective.SelectAlgorithmWire(n, dim, tensor.F64).String(),
+				AutoPick: collective.SelectAlgorithm(n, dim).String(),
 			}
 			best := row.RingNs
 			row.Best = collective.AlgoRing.String()
@@ -326,215 +294,6 @@ func runAlgoSweep(rep *collectiveBenchReport) error {
 				rep.GateAutoWithinPct = row.AutoWithinPct
 			}
 		}
-	}
-	return nil
-}
-
-// compressionSweep defines the compressed-ring grid: the two bandwidth-bound
-// acceptance points, every wire dtype at each.
-var (
-	compressionPoints = []struct{ n, dim int }{{8, 1 << 18}, {16, 1 << 20}}
-	compressionDtypes = []tensor.Dtype{tensor.F64, tensor.F32, tensor.F16, tensor.I8}
-	compressionReps   = 3
-)
-
-// benchCompressedTCP measures one ring AllReduce configuration over a real
-// TCP loopback cluster with the given wire dtype (error feedback enabled, as
-// in training).
-func benchCompressedTCP(n, dim int, wire tensor.Dtype) (compressionBenchCase, error) {
-	meshes, err := transport.NewTCPCluster(n)
-	if err != nil {
-		return compressionBenchCase{}, err
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-	vecs := make([]tensor.Vector, n)
-	residuals := make([]tensor.Vector, n)
-	for i := range vecs {
-		vecs[i] = tensor.New(dim)
-		for j := range vecs[i] {
-			vecs[i][j] = float64(i+j) * 1e-3
-		}
-		residuals[i] = tensor.New(dim)
-	}
-	var benchErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(int64(dim * 8))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			done := make(chan error, n)
-			for _, m := range meshes {
-				m := m
-				go func() {
-					done <- collective.AllReduceOpts(m, int64(i), vecs[m.Rank()], collective.OpAverage, collective.Options{
-						Algorithm: collective.AlgoRing, Compression: wire, Residual: residuals[m.Rank()],
-					})
-				}()
-			}
-			for range meshes {
-				if err := <-done; err != nil && benchErr == nil {
-					benchErr = err
-				}
-			}
-		}
-	})
-	if benchErr != nil {
-		return compressionBenchCase{}, fmt.Errorf("compressed ring %v n%d dim%d: %w", wire, n, dim, benchErr)
-	}
-	mbps := 0.0
-	if s := res.T.Seconds(); s > 0 {
-		mbps = float64(res.Bytes) * float64(res.N) / 1e6 / s
-	}
-	return compressionBenchCase{
-		Dtype: wire.String(), Ranks: n, Dim: dim,
-		NsPerOp: res.NsPerOp(), MBPerSec: mbps,
-		WireRatio: wire.WireRatio(),
-	}, nil
-}
-
-// runCompressionSweep measures every wire dtype at every compression point.
-// These are end-to-end AllReduce numbers: the reduce-scatter half always ships
-// fp64 partial sums (the determinism contract), so the dtype only thins the
-// allgather half and the ideal fp16 end-to-end ceiling is 1.6x.
-func runCompressionSweep(rep *collectiveBenchReport) error {
-	for _, p := range compressionPoints {
-		for _, wire := range compressionDtypes {
-			fmt.Fprintf(os.Stderr, "collective bench: compressed ring %v n%d dim%d (TCP)...\n", wire, p.n, p.dim)
-			var best compressionBenchCase
-			for r := 0; r < compressionReps; r++ {
-				res, err := benchCompressedTCP(p.n, p.dim, wire)
-				if err != nil {
-					return err
-				}
-				if r == 0 || res.NsPerOp < best.NsPerOp {
-					best = res
-				}
-			}
-			rep.Compression = append(rep.Compression, best)
-		}
-	}
-	return nil
-}
-
-// wireLinkRate is the emulated link bandwidth of the wire-path sweep:
-// 500 Mbit/s, a commodity-cluster fabric. Unthrottled loopback on this
-// container is CPU-bound — every wire byte is just more kernel copy work, so
-// byte savings and codec cost trade against each other and no "bandwidth-
-// bound point" exists. Pacing each connection to a real link speed restores
-// the regime the paper (and the gate) is about: serialization delay
-// dominates, and shipping 4x fewer bytes shows up as ~4x the effective
-// throughput.
-const wireLinkRate = 500e6 / 8
-
-// benchWirePathTCP measures the transport wire path in isolation: every rank
-// sends one dim-element tensor with the given wire dtype to its right
-// neighbor and receives one from its left, over TCP loopback paced to
-// wireLinkRate. Unlike the AllReduce rows there is no fp64 reduce-scatter
-// traffic mixed in — every byte on the socket is dtype-encoded, so the
-// measurement is exactly encode + link + decode. MBPerSec again counts the
-// LOGICAL 8·dim bytes.
-func benchWirePathTCP(n, dim int, wire tensor.Dtype) (compressionBenchCase, error) {
-	meshes, err := transport.NewTCPCluster(n)
-	if err != nil {
-		return compressionBenchCase{}, err
-	}
-	for _, m := range meshes {
-		m.SetLinkRate(wireLinkRate)
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-	vecs := make([]tensor.Vector, n)
-	for i := range vecs {
-		vecs[i] = tensor.New(dim)
-		for j := range vecs[i] {
-			// Gradient-scale magnitudes: the fp16 fast path (normals) is the
-			// regime training traffic lives in.
-			vecs[i][j] = float64(i+j) * 1e-3
-		}
-	}
-	var benchErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(int64(dim * 8))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			done := make(chan error, n)
-			for _, m := range meshes {
-				m := m
-				go func() {
-					right := (m.Rank() + 1) % n
-					left := (m.Rank() - 1 + n) % n
-					if err := m.Send(right, transport.Message{
-						Type: transport.MsgReduce, Iter: int64(i),
-						Dtype: wire, Payload: vecs[m.Rank()],
-					}); err != nil {
-						done <- err
-						return
-					}
-					msg, err := m.Recv(left)
-					if err == nil {
-						transport.PutPayload(msg.Payload)
-					}
-					done <- err
-				}()
-			}
-			for range meshes {
-				if err := <-done; err != nil && benchErr == nil {
-					benchErr = err
-				}
-			}
-		}
-	})
-	if benchErr != nil {
-		return compressionBenchCase{}, fmt.Errorf("wire path %v n%d dim%d: %w", wire, n, dim, benchErr)
-	}
-	mbps := 0.0
-	if s := res.T.Seconds(); s > 0 {
-		mbps = float64(res.Bytes) * float64(res.N) / 1e6 / s
-	}
-	return compressionBenchCase{
-		Dtype: wire.String(), Ranks: n, Dim: dim,
-		NsPerOp: res.NsPerOp(), MBPerSec: mbps,
-		WireRatio: wire.WireRatio(),
-	}, nil
-}
-
-// runWirePathSweep measures every wire dtype on the transport-only path and
-// derives the fp16-vs-fp64 wire throughput gate at the n8/dim262144 point.
-func runWirePathSweep(rep *collectiveBenchReport) error {
-	rep.WirePathLinkMBps = wireLinkRate / 1e6
-	var f64MBps, f16MBps float64
-	for _, p := range compressionPoints {
-		for _, wire := range compressionDtypes {
-			fmt.Fprintf(os.Stderr, "collective bench: wire path %v n%d dim%d (TCP, %.0f MB/s emulated link)...\n", wire, p.n, p.dim, wireLinkRate/1e6)
-			var best compressionBenchCase
-			for r := 0; r < compressionReps; r++ {
-				res, err := benchWirePathTCP(p.n, p.dim, wire)
-				if err != nil {
-					return err
-				}
-				if r == 0 || res.NsPerOp < best.NsPerOp {
-					best = res
-				}
-			}
-			rep.WirePath = append(rep.WirePath, best)
-			if p.n == 8 && p.dim == 1<<18 {
-				switch wire {
-				case tensor.F64:
-					f64MBps = best.MBPerSec
-				case tensor.F16:
-					f16MBps = best.MBPerSec
-				}
-			}
-		}
-	}
-	if f64MBps > 0 {
-		rep.GateFp16WireSpeedup = f16MBps / f64MBps
 	}
 	return nil
 }
@@ -581,12 +340,6 @@ func runCollectiveBench(outPath, calibrationPath string) error {
 	if err := runAlgoSweep(&rep); err != nil {
 		return err
 	}
-	if err := runCompressionSweep(&rep); err != nil {
-		return err
-	}
-	if err := runWirePathSweep(&rep); err != nil {
-		return err
-	}
 	if err := runFramingSweep(&rep); err != nil {
 		return err
 	}
@@ -623,8 +376,6 @@ func runCollectiveBench(outPath, calibrationPath string) error {
 		outPath, rep.GateSpeedup, rep.GateAllocRatio)
 	fmt.Fprintf(os.Stderr, "collective bench: auto within %.1f%% of best (gate <= 10)\n",
 		rep.GateAutoWithinPct)
-	fmt.Fprintf(os.Stderr, "collective bench: fp16 wire speedup %.2fx over fp64 (gate >= 1.8)\n",
-		rep.GateFp16WireSpeedup)
 	fmt.Fprintf(os.Stderr, "collective bench: framing codec allocs/op %d (gate == 0), header %.3f%% at 256KiB (gate <= 1)\n",
 		rep.GateFramingAllocsPerOp, rep.GateFramingHeaderPct)
 	fmt.Fprintf(os.Stderr, "collective bench: owner-computes update / replicated ring update %.2fx at worst where auto selects it (gate <= 1.1)\n",

@@ -49,9 +49,9 @@ func run(args []string) error {
 		trainBench = fs.Bool("train", false, "run the training-engine benchmarks and write BENCH_train.json")
 		trainOut   = fs.String("train-out", "BENCH_train.json", "output path for -train")
 
-		psBench = fs.Bool("ps", false, "run only the parameter-server sweep (push-pull throughput vs group count, in-memory + TCP, f64 + f16 wires) and merge its rows into -collective-out")
+		psBench = fs.Bool("ps", false, "run only the parameter-server sweep (push-pull throughput vs group count, in-memory + TCP) and merge its rows into -collective-out")
 
-		benchSmoke = fs.Bool("bench-smoke", false, "run a compressed collective, the ring regression guard and a sharded training slice (real workers over TCP, bit-identity asserted) without writing any JSON; CI wiring check")
+		benchSmoke = fs.Bool("bench-smoke", false, "run the ring regression guard and a sharded training slice (real workers over TCP, bit-identity asserted) without writing any JSON; CI wiring check")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

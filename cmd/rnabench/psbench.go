@@ -32,7 +32,6 @@ var psSweepGroups = []int{1, 2, 4, 8}
 type psRow struct {
 	Groups     int     `json:"groups"`
 	Transport  string  `json:"transport"` // "mem" (in-process) or "tcp"
-	Wire       string  `json:"wire"`      // wire dtype of the tcp rows
 	ModelBytes int64   `json:"model_bytes"`
 	OpsPerSec  float64 `json:"ops_per_sec"`
 	MBPerSec   float64 `json:"mb_per_sec"`
@@ -166,8 +165,8 @@ func benchMemStore(groups int) (float64, error) {
 }
 
 // benchTCPPS runs `groups` networked clients against one dedicated PS rank
-// over real TCP at the given wire dtype.
-func benchTCPPS(groups int, wire tensor.Dtype) (float64, error) {
+// over real TCP.
+func benchTCPPS(groups int) (float64, error) {
 	meshes, err := transport.NewTCPCluster(groups + 1)
 	if err != nil {
 		return 0, err
@@ -194,7 +193,7 @@ func benchTCPPS(groups int, wire tensor.Dtype) (float64, error) {
 		go func() {
 			defer wg.Done()
 			cli, err := ps.NewClient(meshes[g], ps.ClientConfig{
-				Servers: []int{serverRank}, Key: "bench-model", Dim: psModelElems, Wire: wire,
+				Servers: []int{serverRank}, Key: "bench-model", Dim: psModelElems,
 			})
 			if err != nil {
 				errs[g] = err
@@ -300,7 +299,7 @@ func psBitwiseTCPCheck() (bool, error) {
 // runPSSweep fills the report's parameter-server rows and gates: aggregate
 // push-pull throughput by concurrent group count for the in-process
 // snapshot store (vs the seed store's single-lock baseline) and for the
-// networked TCP service at f64 and f16 wires.
+// networked TCP service.
 func runPSSweep(rep *collectiveBenchReport) error {
 	const modelBytes = psModelElems * 8
 	for _, groups := range psSweepGroups {
@@ -314,24 +313,22 @@ func runPSSweep(rep *collectiveBenchReport) error {
 			return err
 		}
 		rep.PS = append(rep.PS, psRow{
-			Groups: groups, Transport: "mem", Wire: "f64", ModelBytes: modelBytes,
+			Groups: groups, Transport: "mem", ModelBytes: modelBytes,
 			OpsPerSec: memMBps * 1e6 / (2 * modelBytes), MBPerSec: memMBps,
 			SeedMBPerSec: seedMBps,
 		})
 		if groups == 8 && seedMBps > 0 {
 			rep.GatePSSpeedup = memMBps / seedMBps
 		}
-		for _, wire := range []tensor.Dtype{tensor.F64, tensor.F16} {
-			fmt.Fprintf(os.Stderr, "ps bench: tcp groups=%d wire=%v...\n", groups, wire)
-			mbps, err := benchTCPPS(groups, wire)
-			if err != nil {
-				return err
-			}
-			rep.PS = append(rep.PS, psRow{
-				Groups: groups, Transport: "tcp", Wire: wire.String(), ModelBytes: modelBytes,
-				OpsPerSec: mbps * 1e6 / (2 * modelBytes), MBPerSec: mbps,
-			})
+		fmt.Fprintf(os.Stderr, "ps bench: tcp groups=%d...\n", groups)
+		mbps, err := benchTCPPS(groups)
+		if err != nil {
+			return err
 		}
+		rep.PS = append(rep.PS, psRow{
+			Groups: groups, Transport: "tcp", ModelBytes: modelBytes,
+			OpsPerSec: mbps * 1e6 / (2 * modelBytes), MBPerSec: mbps,
+		})
 	}
 	fmt.Fprintf(os.Stderr, "ps bench: tcp bitwise check...\n")
 	ok, err := psBitwiseTCPCheck()

@@ -86,7 +86,7 @@ func timeShardUpdate(n, dim int, owner bool) (int64, error) {
 				_, err = optim.Step(params[lo:hi], grad[lo:hi], 1)
 			}
 			if err == nil && owner {
-				err = collective.RingAllGather(m, iter, params, collective.Options{})
+				err = collective.RingAllGather(m, iter, params)
 			}
 			return err
 		}
@@ -133,7 +133,7 @@ func runShardSweep(rep *collectiveBenchReport) error {
 	for _, n := range shardSweepRanks {
 		for _, dim := range shardSweepDims {
 			fmt.Fprintf(os.Stderr, "collective bench: owner-computes update n%d dim%d (TCP)...\n", n, dim)
-			row := shardSweepRow{Ranks: n, Dim: dim, AutoSelects: collective.AutoRunsRingPair(n, dim, tensor.F64)}
+			row := shardSweepRow{Ranks: n, Dim: dim, AutoSelects: collective.AutoRunsRingPair(n, dim)}
 			var err error
 			if row.ReplicatedNs, err = timeShardUpdate(n, dim, false); err != nil {
 				return err

@@ -60,50 +60,27 @@ func AllReduceWith(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, a
 }
 
 // Options bundles the tunables of one AllReduce call beyond (op, iter).
-// The zero value reproduces AllReduce exactly: auto-selected schedule,
-// uncompressed fp64 wire, no error feedback.
+// The zero value reproduces AllReduce exactly: the auto-selected schedule.
 type Options struct {
 	// Algorithm pins a schedule; AlgoAuto defers to the cost-model
-	// selector (which prices the Compression dtype's wire volume).
+	// selector.
 	Algorithm Algorithm
-	// Compression is the wire dtype of the distribution phase — the ring
-	// allgather, the tree broadcast. The reduction itself always runs in
-	// fp64, and every rank still finishes with bit-identical bytes:
-	// elements are quantized exactly once, by the rank that owns them, and
-	// re-encoding forwarded grid values is exact (see tensor.RoundTrip).
-	// tensor.F64 disables compression.
-	Compression tensor.Dtype
-	// Residual, when non-nil (it must then have v's length), accumulates
-	// the quantization error (pre − post) of the regions THIS rank
-	// compressed from exact fp64 — its owned chunks, or the whole vector
-	// at the tree root. Adding the residual into the next iteration's
-	// local gradient implements error-feedback compression; the residual is
-	// distributed across ranks by ownership, matching how the error
-	// physically arises.
-	Residual tensor.Vector
 }
 
 // AllReduceOpts reduces v in place across all ranks of m under opts. All
-// ranks must pass the same algorithm, compression dtype, iter, op and
-// vector length (residuals are rank-local and may differ).
+// ranks must pass the same algorithm, iter, op and vector length.
 func AllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, opts Options) error {
 	if !opts.Algorithm.Valid() {
 		return fmt.Errorf("collective: unknown algorithm %d", opts.Algorithm)
 	}
-	if !opts.Compression.Valid() {
-		return fmt.Errorf("collective: unknown compression dtype %d", opts.Compression)
-	}
-	if opts.Residual != nil && len(opts.Residual) != len(v) {
-		return fmt.Errorf("collective: residual length %d != vector length %d", len(opts.Residual), len(v))
-	}
 	algo := opts.Algorithm
 	if algo == AlgoAuto {
-		algo = SelectAlgorithmWire(m.Size(), len(v), opts.Compression)
+		algo = SelectAlgorithm(m.Size(), len(v))
 	}
 	if algo == AlgoTree {
-		return treeAllReduce(m, iter, v, op, opts.Compression, opts.Residual)
+		return TreeAllReduce(m, iter, v, op)
 	}
-	return ringAllReduce(m, iter, v, op, 0, opts.Compression, opts.Residual)
+	return ringAllReduce(m, iter, v, op, 0)
 }
 
 // PartialAllReduce is PartialRingAllReduce with cost-model algorithm
@@ -114,12 +91,7 @@ func PartialAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contributes
 	return partialAllReduce(m, iter, v, contributes, Options{})
 }
 
-// PartialAllReduceOpts is the partial collective under Options — the entry
-// point for compressed RNA training. Compression keeps the partial
-// semantics: the contributor count rides the reduction as one extra
-// element, decoded with round-and-clamp so block quantization noise (the
-// count shares its block's scale under I8) cannot corrupt it for any
-// realistic count; counts are exact whenever the flag block's scale is ≤ 1.
+// PartialAllReduceOpts is the partial collective under Options.
 func PartialAllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, contributes bool, opts Options) (PartialResult, error) {
 	return partialAllReduce(m, iter, v, contributes, opts)
 }
@@ -147,7 +119,6 @@ func partialAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contributes
 // work (whatever it held) so the rank joins with a null gradient. On return
 // work[:dim] holds the element-wise sum over contributing ranks and the
 // contributor count Σ w_{k,i} is returned (zero means nobody had data).
-// opts.Residual, when set, has dim elements.
 //
 // core's accumulator leases gradient buffers with the flag slot as spare
 // capacity, so a taken gradient is reduced where it lies.
@@ -161,29 +132,8 @@ func PartialAllReduceInPlace(m transport.Mesh, iter int64, work tensor.Vector, c
 	} else {
 		work.Zero()
 	}
-	// The caller's residual covers the data, but the reduced vector carries
-	// the extra flag element; collect error feedback into an extended
-	// scratch residual and fold the data part back. The flag element's
-	// quantization error is deliberately dropped — feeding it back would
-	// distort future counts.
-	innerOpts := opts
-	var extRes tensor.Vector
-	if opts.Residual != nil && opts.Compression != tensor.F64 {
-		if len(opts.Residual) != dim {
-			return 0, fmt.Errorf("collective: residual length %d != vector length %d", len(opts.Residual), dim)
-		}
-		extRes = tensor.Vector(transport.GetPayload(dim + 1))
-		defer transport.PutPayload(extRes)
-		extRes.Zero()
-		innerOpts.Residual = extRes
-	} else {
-		innerOpts.Residual = nil
-	}
-	if err := AllReduceOpts(m, iter, work, OpSum, innerOpts); err != nil {
+	if err := AllReduceOpts(m, iter, work, OpSum, opts); err != nil {
 		return 0, err
-	}
-	if extRes != nil {
-		_ = opts.Residual.Add(extRes[:dim]) // lengths checked above
 	}
 	return decodeCount(work[dim], m.Size()), nil
 }

@@ -203,3 +203,15 @@ func TestRepeatedMixedAlgorithms(t *testing.T) {
 		}
 	}
 }
+
+// TestAllReduceOptsValidation rejects malformed options on every rank
+// before any traffic.
+func TestAllReduceOptsValidation(t *testing.T) {
+	runSPMD(t, 2, func(m transport.Mesh) error {
+		v := tensor.New(16)
+		if err := AllReduceOpts(m, 0, v, OpSum, Options{Algorithm: Algorithm(2)}); err == nil {
+			t.Error("unknown algorithm accepted")
+		}
+		return nil
+	})
+}

@@ -44,7 +44,7 @@ var ErrProtocol = errors.New("collective: protocol violation")
 // compute hides behind transfer. Results are bit-identical to the serial
 // schedule.
 func RingAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp) error {
-	return ringAllReduce(m, iter, v, op, 0, tensor.F64, nil)
+	return ringAllReduce(m, iter, v, op, 0)
 }
 
 // RingAllReduceSegmented is RingAllReduce with an explicit pipeline depth:
@@ -52,7 +52,7 @@ func RingAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp) e
 // selects the depth automatically (the RingAllReduce default). All ranks
 // must pass the same depth.
 func RingAllReduceSegmented(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, segments int) error {
-	return ringAllReduce(m, iter, v, op, segments, tensor.F64, nil)
+	return ringAllReduce(m, iter, v, op, segments)
 }
 
 // PartialResult is the outcome of a partial AllReduce.
@@ -100,14 +100,6 @@ func PartialRingAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contrib
 // root. On non-root ranks v is overwritten with the received data; all
 // ranks must pass a v of equal length.
 func Broadcast(m transport.Mesh, iter int64, v tensor.Vector, root int) error {
-	return broadcast(m, iter, v, root, tensor.F64)
-}
-
-// broadcast is Broadcast with a wire dtype. The root must already hold
-// quantized (grid) values when wire is lossy — every relay then re-encodes
-// the full vector it decoded, which is exact by idempotence, so all ranks
-// finish with the root's bytes.
-func broadcast(m transport.Mesh, iter int64, v tensor.Vector, root int, wire tensor.Dtype) error {
 	n := m.Size()
 	if n == 1 {
 		return nil
@@ -145,7 +137,6 @@ func broadcast(m transport.Mesh, iter int64, v tensor.Vector, root int, wire ten
 		if err := m.Send(dst, transport.Message{
 			Type:    transport.MsgBroadcast,
 			Iter:    iter,
-			Dtype:   wire,
 			Payload: v,
 		}); err != nil {
 			return fmt.Errorf("broadcast send: %w", err)

@@ -27,8 +27,8 @@ import (
 // the in-memory mesh and are re-fit for a deployment by Calibrate (exposed
 // as `rnabench -calibrate`), whose output persists as JSON and reloads via
 // LoadCalibration. All ranks must share one model: selection depends only
-// on (rank count, message size, wire dtype), so a shared model keeps the
-// SPMD ranks' choices consistent.
+// on (rank count, message size), so a shared model keeps the SPMD ranks'
+// choices consistent.
 //
 // The simulator's workload.CommModel prices the same paths in virtual time,
 // one truncated transfer per message; TestCostModelsAgree in that package
@@ -39,30 +39,6 @@ import (
 type Hop struct {
 	Msgs  int   // sequential messages
 	Bytes int64 // size of each
-}
-
-// Payload is the fp64 data one AllReduce reduces, counted in the unit its
-// pricer knows it in. A schedule cuts a payload into shares of whole units,
-// so the unit sets the granularity of a chunk: the compressed prices and
-// the sharded halves count whole elements, while the uncompressed prices
-// have always cut to the byte — the simulator's model zoo has 4-byte
-// parameters, so its payloads need not be a whole number of fp64 elements.
-type Payload struct{ units, unitBytes int64 }
-
-// Elems is a payload of n fp64 elements.
-func Elems(n int) Payload { return Payload{int64(n), 8} }
-
-// Bytes is a payload of n bytes of fp64 data.
-func Bytes(n int64) Payload { return Payload{n, 1} }
-
-// share returns the size in bytes of one of `parts` equal shares of p, as
-// raw fp64 and as encoded in wire.
-func (p Payload) share(parts int, wire tensor.Dtype) (fp64, enc int64) {
-	fp64 = p.units / int64(parts) * p.unitBytes
-	if wire == tensor.F64 {
-		return fp64, fp64
-	}
-	return fp64, int64(wire.WireBytes(int(fp64 / 8)))
 }
 
 // AlgoCost holds one algorithm's fitted α–β constants.
@@ -110,40 +86,38 @@ func pathShape(path [2]Hop) (msgs, vol float64) {
 	return msgs, vol
 }
 
-// PredictWireNs returns the modeled latency in nanoseconds of one AllReduce
-// of elems elements whose distribution phase ships the given wire dtype
-// (compression applies to that phase only; the reduction ships fp64).
-// AlgoAuto predicts the cheaper of the two schedules; an algorithm the
-// engine does not have never finishes.
-func (c CostModel) PredictWireNs(a Algorithm, n, elems int, wire tensor.Dtype) float64 {
+// PredictNs returns the modeled latency in nanoseconds of one AllReduce of
+// elems fp64 elements across n ranks. AlgoAuto predicts the cheaper of the
+// two schedules; an algorithm the engine does not have never finishes.
+func (c CostModel) PredictNs(a Algorithm, n, elems int) float64 {
 	if !a.Valid() {
 		return math.Inf(1)
 	}
 	if n <= 1 {
 		return 0
 	}
-	p := Elems(elems)
-	if wire == tensor.F64 {
-		p = Bytes(8 * int64(elems)) // uncompressed chunks are cut to the byte
-	}
 	switch a {
 	case AlgoRing:
-		return c.Ring.ns(pathShape(RingPath(n, p, wire)))
+		return c.Ring.ns(pathShape(RingPath(n, 8*int64(elems))))
 	case AlgoTree:
-		return c.Tree.ns(pathShape(TreePath(n, p, wire)))
+		return c.Tree.ns(pathShape(TreePath(n, 8*int64(elems))))
 	default: // AlgoAuto
-		return math.Min(c.PredictWireNs(AlgoRing, n, elems, wire), c.PredictWireNs(AlgoTree, n, elems, wire))
+		return math.Min(c.PredictNs(AlgoRing, n, elems), c.PredictNs(AlgoTree, n, elems))
 	}
 }
 
-// SelectWire returns the cheaper schedule for an AllReduce of elems elements
-// across n ranks under the given distribution-phase wire dtype — compression
-// shifts the ring↔tree crossover (a narrower wire shrinks the ring's
-// bandwidth advantage), so the selector must see it. A tie goes to the tree,
-// the latency-optimal schedule. The choice is a pure function of (n, elems,
-// wire) and the model, so SPMD ranks sharing a model always agree.
-func (c CostModel) SelectWire(n, elems int, wire tensor.Dtype) Algorithm {
-	if n > 1 && c.PredictWireNs(AlgoTree, n, elems, wire) <= c.PredictWireNs(AlgoRing, n, elems, wire) {
+// PredictWireNs is PredictNs for a caller that names the payload's wire
+// dtype, which is always tensor.F64; benchmark/probes.go calls it.
+func (c CostModel) PredictWireNs(a Algorithm, n, elems int, _ tensor.Dtype) float64 {
+	return c.PredictNs(a, n, elems)
+}
+
+// Select returns the cheaper schedule for an AllReduce of elems elements
+// across n ranks. A tie goes to the tree, the latency-optimal schedule. The
+// choice is a pure function of (n, elems) and the model, so SPMD ranks
+// sharing a model always agree.
+func (c CostModel) Select(n, elems int) Algorithm {
+	if n > 1 && c.PredictNs(AlgoTree, n, elems) <= c.PredictNs(AlgoRing, n, elems) {
 		return AlgoTree
 	}
 	return AlgoRing
@@ -174,33 +148,36 @@ func SetCostModel(m CostModel) {
 	costModelMu.Unlock()
 }
 
-// SelectAlgorithmWire picks the schedule the active model predicts faster
-// for an AllReduce of elems elements across n ranks under the given
-// distribution-phase wire dtype.
-func SelectAlgorithmWire(n, elems int, wire tensor.Dtype) Algorithm {
-	return ActiveCostModel().SelectWire(n, elems, wire)
+// SelectAlgorithm picks the schedule the active model predicts faster for an
+// AllReduce of elems elements across n ranks.
+func SelectAlgorithm(n, elems int) Algorithm {
+	return ActiveCostModel().Select(n, elems)
+}
+
+// SelectAlgorithmWire is SelectAlgorithm for a caller that names the
+// payload's wire dtype, which is always tensor.F64; benchmark/probes.go
+// calls it.
+func SelectAlgorithmWire(n, elems int, _ tensor.Dtype) Algorithm {
+	return SelectAlgorithm(n, elems)
 }
 
 // AutoRunsRingPair reports whether AlgoAuto reduces elems elements across n
-// ranks under the given wire as the ring pair, RingReduceScatter +
-// RingAllGather, with a training stack's optimizer step between the halves:
+// ranks as the ring pair, RingReduceScatter + RingAllGather, with a training
+// stack's optimizer step between the halves:
 //
 //   - wherever the model selects the pipelined ring, whose bytes on the wire
 //     the pair ships and whose bits it reproduces;
-//   - at 2 ranks on an fp64 wire, at every size. There the pair has the
-//     tree's two-hop critical path with half the bytes per hop, its fold
-//     gives the tree's bits (a + b = b + a, and halving is exact), and each
-//     rank steps half the vector. The tree-versus-ring constants were fitted
-//     for the replicated ring and hand 2-rank vectors to the tree, which the
-//     pair beats at every size measured (BENCH_collective.json, "sharded").
+//   - at 2 ranks, at every size. There the pair has the tree's two-hop
+//     critical path with half the bytes per hop, its fold gives the tree's
+//     bits (a + b = b + a, and halving is exact), and each rank steps half
+//     the vector. The tree-versus-ring constants were fitted for the
+//     replicated ring and hand 2-rank vectors to the tree, which the pair
+//     beats at every size measured (BENCH_collective.json, "sharded").
 //
 // Like the selection it is a pure function of SPMD-agreed inputs and the
 // shared model.
-func AutoRunsRingPair(n, elems int, wire tensor.Dtype) bool {
-	if n == 2 && wire == tensor.F64 {
-		return true
-	}
-	return n > 1 && SelectAlgorithmWire(n, elems, wire) == AlgoRing
+func AutoRunsRingPair(n, elems int) bool {
+	return n == 2 || n > 1 && SelectAlgorithm(n, elems) == AlgoRing
 }
 
 // Calibration is the persisted form of a fitted cost model.
@@ -331,7 +308,7 @@ func Calibrate(ranks, smallDim, largeDim, rounds int) (Calibration, error) {
 		return float64(time.Since(start).Nanoseconds()) / float64(rounds), nil
 	}
 
-	fit := func(algo Algorithm, path func(int, Payload, tensor.Dtype) [2]Hop) (AlgoCost, error) {
+	fit := func(algo Algorithm, path func(int, int64) [2]Hop) (AlgoCost, error) {
 		tSmall, err := probe(algo, smallDim)
 		if err != nil {
 			return AlgoCost{}, fmt.Errorf("calibrate %s small: %w", algo, err)
@@ -340,8 +317,8 @@ func Calibrate(ranks, smallDim, largeDim, rounds int) (Calibration, error) {
 		if err != nil {
 			return AlgoCost{}, fmt.Errorf("calibrate %s large: %w", algo, err)
 		}
-		msgsS, volS := pathShape(path(ranks, Bytes(8*int64(smallDim)), tensor.F64))
-		_, volL := pathShape(path(ranks, Bytes(8*int64(largeDim)), tensor.F64))
+		msgsS, volS := pathShape(path(ranks, 8*int64(smallDim)))
+		_, volL := pathShape(path(ranks, 8*int64(largeDim)))
 		// Two-point fit: t = msgs·α + vol·β. A schedule's msgs term depends
 		// on n alone, so β falls out of the difference and α from the small
 		// probe.

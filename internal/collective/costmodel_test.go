@@ -18,11 +18,11 @@ func TestSelectPrefersLatencyOptimalSmall(t *testing.T) {
 	m := DefaultCostModel()
 	for _, n := range []int{2, 3, 6, 8, 16, 32, 64} {
 		for _, elems := range []int{64, 4096} {
-			if got := alphaOnly.SelectWire(n, elems, tensor.F64); got != AlgoTree {
+			if got := alphaOnly.Select(n, elems); got != AlgoTree {
 				t.Errorf("alpha-only Select(%d ranks, %d elems) = %v; want tree", n, elems, got)
 			}
 		}
-		if got := m.SelectWire(n, 64, tensor.F64); got != AlgoTree {
+		if got := m.Select(n, 64); got != AlgoTree {
 			t.Errorf("Select(%d ranks, 64 elems) = %v; want tree", n, got)
 		}
 	}
@@ -34,7 +34,7 @@ func TestSelectPrefersLatencyOptimalSmall(t *testing.T) {
 func TestSelectPrefersBandwidthOptimalLarge(t *testing.T) {
 	m := DefaultCostModel()
 	for _, n := range []int{8, 16} {
-		if got := m.SelectWire(n, 1<<22, tensor.F64); got == AlgoTree {
+		if got := m.Select(n, 1<<22); got == AlgoTree {
 			t.Errorf("Select(%d ranks, 4M elems) = tree; want ring", n)
 		}
 	}
@@ -46,9 +46,9 @@ func TestSelectDeterministicAndMonotone(t *testing.T) {
 	m := DefaultCostModel()
 	for _, n := range []int{2, 3, 8, 17} {
 		for _, elems := range []int{0, 1, 512, 4096, 1 << 16, 1 << 20} {
-			first := m.SelectWire(n, elems, tensor.F64)
+			first := m.Select(n, elems)
 			for i := 0; i < 3; i++ {
-				if got := m.SelectWire(n, elems, tensor.F64); got != first {
+				if got := m.Select(n, elems); got != first {
 					t.Fatalf("Select(%d, %d) flapped: %v then %v", n, elems, first, got)
 				}
 			}
@@ -59,11 +59,11 @@ func TestSelectDeterministicAndMonotone(t *testing.T) {
 // TestSelectSingleRank: a 1-rank mesh needs no traffic; any algorithm is a
 // no-op, and the selector must not divide by zero getting there.
 func TestSelectSingleRank(t *testing.T) {
-	if got := DefaultCostModel().SelectWire(1, 1024, tensor.F64); got != AlgoRing {
+	if got := DefaultCostModel().Select(1, 1024); got != AlgoRing {
 		t.Errorf("Select(1, 1024) = %v, want ring fallback", got)
 	}
-	if ns := DefaultCostModel().PredictWireNs(AlgoAuto, 1, 1024, tensor.F64); ns != 0 {
-		t.Errorf("PredictWireNs(auto, 1 rank) = %v, want 0", ns)
+	if ns := DefaultCostModel().PredictNs(AlgoAuto, 1, 1024); ns != 0 {
+		t.Errorf("PredictNs(auto, 1 rank) = %v, want 0", ns)
 	}
 	// 2 and 4 named schedules that were removed: they are not valid and
 	// have no price, at any rank count, rather than pricing as auto.
@@ -72,8 +72,8 @@ func TestSelectSingleRank(t *testing.T) {
 			t.Errorf("Algorithm(%d).Valid() = true", int(stale))
 		}
 		for _, n := range []int{1, 8} {
-			if ns := DefaultCostModel().PredictWireNs(stale, n, 1024, tensor.F64); !math.IsInf(ns, 1) {
-				t.Errorf("PredictWireNs(Algorithm(%d), %d ranks) = %v, want +Inf", int(stale), n, ns)
+			if ns := DefaultCostModel().PredictNs(stale, n, 1024); !math.IsInf(ns, 1) {
+				t.Errorf("PredictNs(Algorithm(%d), %d ranks) = %v, want +Inf", int(stale), n, ns)
 			}
 		}
 	}
@@ -98,8 +98,8 @@ func TestPredictMatchesConstructedModel(t *testing.T) {
 		{AlgoTree, 5, 100, 6}, // 2·⌈log2 5⌉
 	}
 	for _, tc := range cases {
-		if got := m.PredictWireNs(tc.algo, tc.n, tc.elems, tensor.F64); got != tc.want {
-			t.Errorf("PredictWireNs(%v, n=%d, %d elems) = %v, want %v", tc.algo, tc.n, tc.elems, got, tc.want)
+		if got := m.PredictNs(tc.algo, tc.n, tc.elems); got != tc.want {
+			t.Errorf("PredictNs(%v, n=%d, %d elems) = %v, want %v", tc.algo, tc.n, tc.elems, got, tc.want)
 		}
 	}
 }
@@ -144,11 +144,11 @@ func TestSetCostModelDrivesSelector(t *testing.T) {
 		Tree: AlgoCost{AlphaNs: 1, BetaNsPerByte: 0},
 	}
 	SetCostModel(treeOnly)
-	if got := SelectAlgorithmWire(8, 1<<20, tensor.F64); got != AlgoTree {
-		t.Errorf("with tree-only model SelectAlgorithmWire = %v, want tree", got)
+	if got := SelectAlgorithm(8, 1<<20); got != AlgoTree {
+		t.Errorf("with tree-only model SelectAlgorithm = %v, want tree", got)
 	}
 	SetCostModel(DefaultCostModel())
-	if got := SelectAlgorithmWire(8, 1<<20, tensor.F64); got == AlgoTree {
+	if got := SelectAlgorithm(8, 1<<20); got == AlgoTree {
 		t.Errorf("default model picked tree for 1M elems; want a bandwidth-optimal schedule")
 	}
 }
@@ -241,6 +241,24 @@ func TestBitHelpersMatchLoops(t *testing.T) {
 		}
 		if got, want := highestBit(x), highestBitLoop(x); got != want {
 			t.Errorf("highestBit(%d) = %d, loop %d", x, got, want)
+		}
+	}
+}
+
+// TestPredictWireConsistency: the forms that name a wire dtype, which
+// benchmark/probes.go calls, price and select exactly as the f64 forms do.
+func TestPredictWireConsistency(t *testing.T) {
+	c := ActiveCostModel()
+	for _, n := range []int{1, 2, 4, 8, 16} {
+		for _, elems := range []int{0, 64, 4680, 139792, 1 << 20} {
+			for _, a := range []Algorithm{AlgoAuto, AlgoRing, AlgoTree} {
+				if got, want := c.PredictWireNs(a, n, elems, tensor.F64), c.PredictNs(a, n, elems); got != want {
+					t.Errorf("%v n=%d elems=%d: PredictWireNs %v, PredictNs %v", a, n, elems, got, want)
+				}
+			}
+			if got, want := SelectAlgorithmWire(n, elems, tensor.F64), SelectAlgorithm(n, elems); got != want {
+				t.Errorf("n=%d elems=%d: SelectAlgorithmWire %v, SelectAlgorithm %v", n, elems, got, want)
+			}
 		}
 	}
 }

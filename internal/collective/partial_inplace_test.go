@@ -66,73 +66,52 @@ func TestPartialAllReduceInPlaceMatchesCopying(t *testing.T) {
 			patterns["all"][r] = true
 		}
 		inputs := randomInputs(src, n, dim)
-		carry := randomInputs(src, n, dim) // residual each rank starts from
-		for r := range carry {
-			carry[r].Scale(1e-3)
-		}
 		for kind, meshes := range memAndTCP(t, n) {
 			iter := int64(0)
 			for _, algo := range append([]Algorithm{AlgoAuto}, fixedAlgos...) {
-				for _, wire := range []tensor.Dtype{tensor.F64, tensor.F16} {
-					for name, contributes := range patterns {
-						label := fmt.Sprintf("%s n=%d %v %v %s", kind, n, algo, wire, name)
-						base := iter
-						iter += 2
-						spmd(t, meshes, func(m transport.Mesh) error {
-							r := m.Rank()
-							opts := Options{Algorithm: algo, Compression: wire}
-							resCopy, resInPlace := carry[r].Clone(), carry[r].Clone()
-							if wire != tensor.F64 {
-								opts.Residual = resCopy
-							}
-							pr, err := PartialAllReduceOpts(m, base, inputs[r], contributes[r], opts)
-							if err != nil {
-								return err
-							}
-							defer pr.Release()
+				for name, contributes := range patterns {
+					label := fmt.Sprintf("%s n=%d %v %s", kind, n, algo, name)
+					base := iter
+					iter += 2
+					spmd(t, meshes, func(m transport.Mesh) error {
+						r := m.Rank()
+						opts := Options{Algorithm: algo}
+						pr, err := PartialAllReduceOpts(m, base, inputs[r], contributes[r], opts)
+						if err != nil {
+							return err
+						}
+						defer pr.Release()
 
-							work := make(tensor.Vector, dim+1)
-							copy(work, inputs[r])
-							work[dim] = 7 // the call owns the flag slot
-							if !contributes[r] {
-								work.Fill(math.NaN())
-							}
-							if wire != tensor.F64 {
-								opts.Residual = resInPlace
-							}
-							count, err := PartialAllReduceInPlace(m, base+1, work, contributes[r], opts)
-							if err != nil {
-								return err
-							}
-							if count != pr.Contributors {
-								return fmt.Errorf("%s: in-place counted %d, copying %d", label, count, pr.Contributors)
-							}
-							if j, ok := sameBits(work[:dim], pr.Sum); !ok {
-								return fmt.Errorf("%s: sum differs at %d: in-place %v, copying %v", label, j, work[j], pr.Sum[j])
-							}
-							if j, ok := sameBits(resInPlace, resCopy); !ok {
-								return fmt.Errorf("%s: residual differs at %d", label, j)
-							}
-							return nil
-						})
-					}
+						work := make(tensor.Vector, dim+1)
+						copy(work, inputs[r])
+						work[dim] = 7 // the call owns the flag slot
+						if !contributes[r] {
+							work.Fill(math.NaN())
+						}
+						count, err := PartialAllReduceInPlace(m, base+1, work, contributes[r], opts)
+						if err != nil {
+							return err
+						}
+						if count != pr.Contributors {
+							return fmt.Errorf("%s: in-place counted %d, copying %d", label, count, pr.Contributors)
+						}
+						if j, ok := sameBits(work[:dim], pr.Sum); !ok {
+							return fmt.Errorf("%s: sum differs at %d: in-place %v, copying %v", label, j, work[j], pr.Sum[j])
+						}
+						return nil
+					})
 				}
 			}
 		}
 	}
 }
 
-// TestPartialAllReduceInPlaceRejects: a vector with no flag slot and a
-// residual that does not cover the data are refused before any traffic.
+// TestPartialAllReduceInPlaceRejects: a vector with no flag slot is refused
+// before any traffic.
 func TestPartialAllReduceInPlaceRejects(t *testing.T) {
 	runSPMD(t, 2, func(m transport.Mesh) error {
 		if _, err := PartialAllReduceInPlace(m, 0, nil, true, Options{}); err == nil {
 			t.Error("empty vector accepted")
-		}
-		_, err := PartialAllReduceInPlace(m, 0, tensor.New(9), true,
-			Options{Compression: tensor.F16, Residual: tensor.New(9)})
-		if err == nil {
-			t.Error("residual covering the flag slot accepted")
 		}
 		return nil
 	})

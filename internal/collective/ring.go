@@ -58,18 +58,18 @@ import (
 // at the owner or at the end), so results are bit-identical to the seed
 // implementation — TestRingMatchesReference locks this in.
 
-// RingPath is the pipelined ring's critical path across n ranks: the N−1
-// reduce-scatter steps each ship one fp64 chunk (a 1/N share of the
-// payload), then the N−1 allgather steps each ship one wire-encoded chunk.
+// RingPath is the pipelined ring's critical path across n ranks for a
+// payload of the given bytes: the N−1 reduce-scatter steps, then the N−1
+// allgather steps, each ship one chunk (a 1/N share, cut to the byte).
 // Segments of a step travel back to back, so a step prices as one message.
 // This is the only description of the schedule's cost: CostModel and the
 // simulator's workload.CommModel both evaluate it.
-func RingPath(n int, p Payload, wire tensor.Dtype) [2]Hop {
+func RingPath(n int, bytes int64) [2]Hop {
 	if n <= 1 {
 		return [2]Hop{}
 	}
-	fp64, enc := p.share(n, wire)
-	return [2]Hop{{Msgs: n - 1, Bytes: fp64}, {Msgs: n - 1, Bytes: enc}}
+	share := bytes / int64(n)
+	return [2]Hop{{Msgs: n - 1, Bytes: share}, {Msgs: n - 1, Bytes: share}}
 }
 
 // maxSegments bounds the pipeline depth per chunk. Beyond ~4 segments the
@@ -131,12 +131,6 @@ type ringJob struct {
 	rank  int
 	segs  int
 	steps int
-	// wire is the allgather phase's wire dtype: sends at steps ≥ n−1 carry
-	// it. Scatter-reduce traffic always ships fp64 — compressing partial
-	// sums would compound quantization error across hops AND break the
-	// bit-identity argument, which needs every gathered element to be the
-	// owner's quantized value forwarded verbatim.
-	wire tensor.Dtype
 }
 
 // ringSender is a persistent sender goroutine plus its gate/result
@@ -252,13 +246,6 @@ func (s *ringSender) run(job ringJob) error {
 				Iter:  job.iter,
 				Chunk: segTag(idx, job.segs, k),
 			}
-			if st >= job.n-1 {
-				// Gather phase: the segment holds final (pre-quantized)
-				// values, so the wire dtype applies. Forwarded buffers
-				// already sit on the quantization grid — re-encoding them
-				// is exact by idempotence.
-				msg.Dtype = job.wire
-			}
 			var err error
 			if buf != nil {
 				// Rotating buffer deposited by the receiver: hand it to
@@ -283,12 +270,7 @@ func (s *ringSender) run(job ringJob) error {
 
 // ringAllReduce is the shared engine behind RingAllReduce and
 // RingAllReduceSegmented. segments <= 0 selects the depth automatically.
-// wire compresses the allgather phase; residual (optional, full vector
-// length) accumulates this rank's quantization error over its own chunk —
-// the error-feedback hook. Only the owner sees exact pre-quantization
-// values, so the residual is naturally distributed across ranks by chunk
-// ownership.
-func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, segments int, wire tensor.Dtype, residual tensor.Vector) error {
+func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, segments int) error {
 	n := m.Size()
 	if n == 1 {
 		return nil
@@ -326,7 +308,7 @@ func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, s
 			s.fwd[k] = buf
 		}
 	}
-	s.jobs <- ringJob{m: m, iter: iter, v: v, n: n, rank: rank, segs: K, steps: steps, wire: wire}
+	s.jobs <- ringJob{m: m, iter: iter, v: v, n: n, rank: rank, segs: K, steps: steps}
 	pushed := 0
 	// fail tears the pipeline down on a receive-side failure: tell the
 	// sender to stop sending, top the gate up to the full token count so it
@@ -402,32 +384,13 @@ func ringAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, s
 				return fail(fmt.Errorf("ring reduce: %w", err))
 			}
 		}
-		if st == n-2 {
+		if st == n-2 && op == OpAverage {
+			// The own chunk just completed and is cache-hot: scale it here
+			// so the gather circulates pre-averaged values and the final
+			// full-vector Scale pass disappears. sum·(1/n) at the owner is
+			// bit-identical to scaling after the gather.
 			ocs, oce, _ := tensor.ChunkBounds(len(v), n, mod(rank+1, n))
-			if op == OpAverage {
-				// The own chunk just completed and is cache-hot: scale it
-				// here so the gather circulates pre-averaged values and the
-				// final full-vector Scale pass disappears. sum·(1/n) at the
-				// owner is bit-identical to scaling after the gather.
-				v[ocs:oce].Scale(1 / float64(n))
-			}
-			if wire != tensor.F64 {
-				// Quantize the own chunk in place, PER SEGMENT — the same
-				// spans the sender packs at step n−1 — so the values this
-				// rank keeps are exactly the values every other rank
-				// decodes (block scales are span-relative for I8). The
-				// error feedback residual is captured here, at the only
-				// point where exact fp64 values exist.
-				for k := 0; k < K; k++ {
-					ss, se, _ := tensor.ChunkBounds(oce-ocs, K, k)
-					seg := v[ocs+ss : ocs+se]
-					if residual != nil {
-						tensor.RoundTripEF(wire, seg, residual[ocs+ss:ocs+se])
-					} else {
-						tensor.RoundTrip(wire, seg)
-					}
-				}
-			}
+			v[ocs:oce].Scale(1 / float64(n))
 		}
 	}
 	err := <-s.done

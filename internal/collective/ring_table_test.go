@@ -26,7 +26,7 @@ func ringPair(t *testing.T, meshes []transport.Mesh, vs []tensor.Vector, op Redu
 		if err != nil || len(scatterOnly) > 0 {
 			return err
 		}
-		return RingAllGather(m, 12, vs[r], Options{}, table...)
+		return RingAllGather(m, 12, vs[r], table...)
 	})
 	return counts
 }
@@ -209,7 +209,7 @@ func TestRingTableRejectsBadTables(t *testing.T) {
 			if _, err := PartialRingReduceScatter(m, 1, v, true, table...); err == nil {
 				return fmt.Errorf("partial reduce-scatter accepted %v", table)
 			}
-			if err := RingAllGather(m, 1, v, Options{}, table...); err == nil {
+			if err := RingAllGather(m, 1, v, table...); err == nil {
 				return fmt.Errorf("allgather accepted %v", table)
 			}
 			return nil

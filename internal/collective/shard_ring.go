@@ -30,11 +30,6 @@ import (
 // paid for it with an n-th hop delivering the chunk from rank c−1 to rank c;
 // DESIGN.md, "Sharded optimizer", has what that hop cost.
 //
-// Compression follows the owner-quantize contract (shard.go): the owner
-// round-trips its chunk once (capturing the error-feedback residual), and
-// forwarded buffers already sit on the quantization grid, so re-encoding
-// them on the next hop is exact by idempotence.
-//
 // Ownership tables. Each call of the pair takes an optional table: n+1
 // nondecreasing offsets from 0 to len(v), part i being table[i]:table[i+1].
 // Part i travels the ring exactly as uniform chunk i does, so rank r still
@@ -75,8 +70,8 @@ func checkRingTable(n, total int, table []int) error {
 // rank r holding the fully reduced (and, for OpAverage, scaled) span
 // RingOwned(len(v), n, r, table...). Only that span is defined afterwards:
 // the rest of v holds partial sums the parts picked up on their way through
-// this rank. It ships exact fp64 and, followed by RingAllGather over the same
-// table, is bit-identical to RingAllReduce when the table is absent.
+// this rank. Followed by RingAllGather over the same table, it is
+// bit-identical to RingAllReduce when the table is absent.
 func RingReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, table ...int) error {
 	if op != OpSum && op != OpAverage {
 		return fmt.Errorf("collective: unknown reduce op %d", op)
@@ -178,12 +173,8 @@ func ringScatter(m transport.Mesh, iter int64, v tensor.Vector, trail bool, flag
 // RingAllGather distributes each rank's owned span RingOwned(len(v), n, rank,
 // table...) of v to every peer on the ring, so all ranks finish with identical
 // vectors: rank r sends its part at step 0, and every later hop lands the
-// received part in v and sends it on from there. opts carries the wire dtype
-// and the owner's error-feedback residual (quantizeOwned).
-func RingAllGather(m transport.Mesh, iter int64, v tensor.Vector, opts Options, table ...int) error {
-	if err := checkGatherOpts(opts, len(v)); err != nil {
-		return err
-	}
+// received part in v and sends it on from there.
+func RingAllGather(m transport.Mesh, iter int64, v tensor.Vector, table ...int) error {
 	n := m.Size()
 	if n == 1 {
 		return nil
@@ -195,18 +186,15 @@ func RingAllGather(m transport.Mesh, iter int64, v tensor.Vector, opts Options, 
 	if err := checkRingTable(n, len(v), table); err != nil {
 		return err
 	}
-	wire := opts.Compression
 	left := (rank + 1) % n
 	right := mod(rank-1, n)
-	lo, hi := RingOwned(len(v), n, rank, table...)
-	quantizeOwned(wire, v[lo:hi], opts.Residual, lo)
 	for st := 0; st < n-1; st++ {
 		// Step 0 sends the owned chunk; every later step sends the chunk that
-		// just landed, already on the wire's grid, so re-encoding it is exact.
+		// just landed.
 		idx := mod(rank+1-st, n)
 		cs, ce := ringPart(len(v), n, idx, table)
 		err := m.Send(left, transport.Message{
-			Type: transport.MsgChunk, Iter: iter, Chunk: gatherTag(n, idx), Dtype: wire, Payload: v[cs:ce],
+			Type: transport.MsgChunk, Iter: iter, Chunk: gatherTag(n, idx), Payload: v[cs:ce],
 		})
 		if err != nil {
 			return fmt.Errorf("allgather ring send: %w", err)

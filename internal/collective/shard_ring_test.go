@@ -40,7 +40,7 @@ func TestRingPairMatchesRingAllReduce(t *testing.T) {
 						}
 					}
 					spmd(t, meshes, func(m transport.Mesh) error {
-						return RingAllGather(m, 5, got[m.Rank()], Options{})
+						return RingAllGather(m, 5, got[m.Rank()])
 					})
 					for r := range got {
 						if j, ok := sameBits(got[r], ref[r]); !ok {
@@ -141,7 +141,7 @@ func TestRingPairShipsTheRingsBytes(t *testing.T) {
 			if err := RingReduceScatter(m, 1, v, OpAverage); err != nil {
 				return err
 			}
-			return RingAllGather(m, 2, v, Options{})
+			return RingAllGather(m, 2, v)
 		})
 		if pairElems != ringElems {
 			t.Errorf("n=%d: the pair ships %d elements, the fused ring %d", n, pairElems, ringElems)
@@ -183,13 +183,13 @@ func TestRingPairTCPAllocs(t *testing.T) {
 				if err := RingReduceScatter(m, 2*k, v[:dim], OpAverage); err != nil {
 					return err
 				}
-				if err := RingAllGather(m, 2*k, v[:dim], Options{}); err != nil {
+				if err := RingAllGather(m, 2*k, v[:dim]); err != nil {
 					return err
 				}
 				if _, err := PartialRingReduceScatter(m, 2*k+1, v, m.Rank() != 2); err != nil {
 					return err
 				}
-				if err := RingAllGather(m, 2*k+1, v, Options{}); err != nil {
+				if err := RingAllGather(m, 2*k+1, v); err != nil {
 					return err
 				}
 			}
@@ -210,27 +210,24 @@ func TestRingPairTCPAllocs(t *testing.T) {
 
 // TestAutoRunsRingPair: the predicate under the shipped constants, at the
 // geometries the benchmark's workloads reduce, and the 2-rank rule at every
-// size on an fp64 wire only.
+// size.
 func TestAutoRunsRingPair(t *testing.T) {
 	for _, c := range []struct {
 		n, elems int
-		wire     tensor.Dtype
 		want     bool
 		why      string
 	}{
-		{4, 139792, tensor.F64, true, "dense_bsp"},
-		{4, 139793, tensor.F64, true, "dense_rna, flag slot included"},
-		{4, 4680, tensor.F64, false, "hetero_*: the tree"},
-		{2, 139793, tensor.F64, true, "hier_ps's 2-rank groups: the pair, where the model picks the tree"},
-		{2, 28, tensor.F64, true, "2 ranks, a tiny vector: the pair"},
-		{2, 1 << 20, tensor.F64, true, "2 ranks, 1 Mi elements: the pair"},
-		{2, 139793, tensor.F16, false, "2 ranks, a lossy wire: the model's tree"},
-		{4, 1024, tensor.F64, false, "a small vector: the tree"},
-		{4, 139792, tensor.F16, true, "a lossy wire on the ring"},
-		{1, 139792, tensor.F64, false, "one rank reduces nothing"},
+		{4, 139792, true, "dense_bsp"},
+		{4, 139793, true, "dense_rna, flag slot included"},
+		{4, 4680, false, "hetero_*: the tree"},
+		{2, 139793, true, "hier_ps's 2-rank groups: the pair, where the model picks the tree"},
+		{2, 28, true, "2 ranks, a tiny vector: the pair"},
+		{2, 1 << 20, true, "2 ranks, 1 Mi elements: the pair"},
+		{4, 1024, false, "a small vector: the tree"},
+		{1, 139792, false, "one rank reduces nothing"},
 	} {
-		if got := AutoRunsRingPair(c.n, c.elems, c.wire); got != c.want {
-			t.Errorf("n=%d elems=%d wire=%v (%s): %v, want %v", c.n, c.elems, c.wire, c.why, got, c.want)
+		if got := AutoRunsRingPair(c.n, c.elems); got != c.want {
+			t.Errorf("n=%d elems=%d (%s): %v, want %v", c.n, c.elems, c.why, got, c.want)
 		}
 	}
 }

@@ -151,3 +151,39 @@ func TestTreeLargeFanIn(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPMatchesInMemory: the TCP mesh and the in-memory mesh must land on
+// identical bits, or the in-memory suite proves nothing about deployment.
+func TestTCPMatchesInMemory(t *testing.T) {
+	const n, dim = 4, 1500
+	rng := rand.New(rand.NewSource(43))
+	inputs := randomInputs(rng, n, dim)
+	for _, algo := range fixedAlgos {
+		mem := runAlgo(t, inputs, 11, OpAverage, algo)
+
+		meshes, err := transport.NewTCPCluster(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcp := make([]tensor.Vector, n)
+		done := make(chan error, n)
+		for r := 0; r < n; r++ {
+			r := r
+			tcp[r] = inputs[r].Clone()
+			go func() { done <- AllReduceWith(meshes[r], 11, tcp[r], OpAverage, algo) }()
+		}
+		for i := 0; i < n; i++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, m := range meshes {
+			_ = m.Close()
+		}
+		for r := 0; r < n; r++ {
+			if j, ok := sameBits(tcp[r], mem[0]); !ok {
+				t.Fatalf("%v: TCP rank %d elem %d = %v, in-memory = %v", algo, r, j, tcp[r][j], mem[0][j])
+			}
+		}
+	}
+}

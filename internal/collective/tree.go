@@ -19,29 +19,19 @@ import (
 // a fixed order — and every rank receives the root's finished bytes via the
 // broadcast, so all ranks end bit-identical.
 
-// TreePath is the binomial tree's critical path across n ranks: ⌈log₂N⌉
-// reduce-to-root hops each ship the whole fp64 vector, then ⌈log₂N⌉
-// broadcast hops each ship the whole wire-encoded vector. Like RingPath, it
-// is the one description both pricers evaluate.
-func TreePath(n int, p Payload, wire tensor.Dtype) [2]Hop {
+// TreePath is the binomial tree's critical path across n ranks for a
+// payload of the given bytes: ⌈log₂N⌉ reduce-to-root hops, then ⌈log₂N⌉
+// broadcast hops, each ship the whole vector. Like RingPath, it is the one
+// description both pricers evaluate.
+func TreePath(n int, bytes int64) [2]Hop {
 	steps := ceilLog2(n)
-	fp64, enc := p.share(1, wire)
-	return [2]Hop{{Msgs: steps, Bytes: fp64}, {Msgs: steps, Bytes: enc}}
+	return [2]Hop{{Msgs: steps, Bytes: bytes}, {Msgs: steps, Bytes: bytes}}
 }
 
 // TreeAllReduce reduces v in place across all ranks of m via binomial-tree
 // reduce + broadcast. All ranks must pass vectors of equal length and the
 // same iter; results are identical on every rank.
 func TreeAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp) error {
-	return treeAllReduce(m, iter, v, op, tensor.F64, nil)
-}
-
-// treeAllReduce is TreeAllReduce with a broadcast wire dtype and an
-// error-feedback residual. The reduce-to-root phase always ships fp64; the
-// root quantizes the finished vector once (capturing the residual — the
-// root is the only rank that ever sees exact values) and the broadcast
-// relays its grid bytes, which re-encode exactly.
-func treeAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, wire tensor.Dtype, residual tensor.Vector) error {
 	n := m.Size()
 	if n == 1 {
 		return nil
@@ -72,19 +62,9 @@ func treeAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, w
 		}
 	}
 
-	// Scale — and, under compression, quantize — at the root so the
-	// broadcast distributes the finished bytes.
-	if rank == 0 {
-		if op == OpAverage {
-			v.Scale(1 / float64(n))
-		}
-		if wire != tensor.F64 {
-			if residual != nil {
-				tensor.RoundTripEF(wire, v, residual)
-			} else {
-				tensor.RoundTrip(wire, v)
-			}
-		}
+	// Scale at the root so the broadcast distributes the finished bytes.
+	if rank == 0 && op == OpAverage {
+		v.Scale(1 / float64(n))
 	}
-	return broadcast(m, iter, v, 0, wire)
+	return Broadcast(m, iter, v, 0)
 }

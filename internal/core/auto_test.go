@@ -176,8 +176,8 @@ func benchGeometryConfig(t *testing.T) TrainConfig {
 }
 
 // TestOwnerComputesSelection: what newStage picks. The owner-computes update
-// is the default exactly where AlgoAuto would run the ring pair at an fp64
-// wire — where it picks the pipelined ring, and at 2 ranks at every size;
+// is the default exactly where AlgoAuto would run the ring pair — where it
+// picks the pipelined ring, and at 2 ranks at every size;
 // everything else keeps the stage its configuration names.
 func TestOwnerComputesSelection(t *testing.T) {
 	base := autoConfig(t, 1, false)
@@ -202,16 +202,14 @@ func TestOwnerComputesSelection(t *testing.T) {
 	}{
 		{"auto on the pipelined ring", base, func(*TrainConfig) {}, true, true, 0},
 		{"shipped constants give this size to the tree", base, func(*TrainConfig) {}, false, false, 0},
-		{"f16 wire", base, func(c *TrainConfig) { c.Compression = tensor.F16 }, true, false, 0},
 		{"pinned ring", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoRing }, true, false, 0},
 		{"pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, true, false, 0},
 		{"asked for, below the envelope", small, func(c *TrainConfig) { c.ShardedUpdate = true }, false, true, 0},
-		{"asked for, pinned and lossy", base, func(c *TrainConfig) {
-			c.ShardedUpdate, c.Algorithm, c.Compression = true, collective.AlgoRing, tensor.F16
+		{"asked for, pinned ring", base, func(c *TrainConfig) {
+			c.ShardedUpdate, c.Algorithm = true, collective.AlgoRing
 		}, false, true, 0},
 		{"2 ranks, the benchmark geometry", bench, func(*TrainConfig) {}, false, true, 2},
 		{"2 ranks, 28 parameters", small, func(*TrainConfig) {}, false, true, 2},
-		{"2 ranks, f16 wire", base, func(c *TrainConfig) { c.Compression = tensor.F16 }, false, false, 2},
 		{"2 ranks, pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, false, false, 2},
 	}
 	for _, row := range rows {

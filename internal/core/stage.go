@@ -19,17 +19,16 @@ import (
 //
 //   - owner-computes: reduce-scatter, every rank steps the span it owns,
 //     parameter allgather (shardedReducer). Selected by ShardedUpdate, and by
-//     AlgoAuto itself at an fp64 wire wherever it would run the pipelined
-//     ring, and at 2 ranks (ownerComputes): the two ring halves ship the
-//     ring's bytes, the result is bit-identical, and the optimizer step runs
-//     once per element instead of once per element per rank. A hierarchical
-//     member always runs it, whatever its group size and wire: its table
-//     follows the parameter server's chunks, and on an exchange
-//     synchronization each member exchanges the span it owns between its step
-//     and the allgather, which then ships the pulled global model (exchanger,
-//     hierarchical.go);
+//     AlgoAuto itself wherever it would run the pipelined ring, and at 2
+//     ranks (ownerComputes): the two ring halves ship the ring's bytes, the
+//     result is bit-identical, and the optimizer step runs once per element
+//     instead of once per element per rank. A hierarchical member always
+//     runs it, whatever its group size: its table follows the parameter
+//     server's chunks, and on an exchange synchronization each member
+//     exchanges the span it owns between its step and the allgather, which
+//     then ships the pulled global model (exchanger, hierarchical.go);
 //   - replicated: AllReduce the whole gradient, every rank steps the whole
-//     vector (replicatedReducer): the tree, lossy wires, a pinned Algorithm.
+//     vector (replicatedReducer): the tree, a pinned Algorithm.
 //
 // Each reduction has a full-participation entry (reduce, for BSP) and a
 // partial-participation entry (reducePartial, for RNA and eager-SGD).
@@ -71,16 +70,14 @@ type stage struct {
 // ownerComputes is the one predicate, the same for BSP and RNA, that turns the
 // owner-computes update on: asked for, or free. It is free where AlgoAuto
 // runs the loop's vector (reduced elements: the gradient, plus RNA's flag
-// slot) as the ring pair at an fp64 wire — collective.AutoRunsRingPair
-// answers that: wherever it would pick the pipelined ring, whose bytes and
-// bits the pair reproduces, and at 2 ranks, where the pair has the tree's
-// two-hop critical path and bits at half the bytes per hop. A pinned
-// Algorithm keeps meaning the replicated update on exactly that schedule;
-// lossy wires (master weights are different arithmetic) stay where the
-// configuration put them.
+// slot) as the ring pair — collective.AutoRunsRingPair answers that:
+// wherever it would pick the pipelined ring, whose bytes and bits the pair
+// reproduces, and at 2 ranks, where the pair has the tree's two-hop critical
+// path and bits at half the bytes per hop. A pinned Algorithm keeps meaning
+// the replicated update on exactly that schedule.
 func ownerComputes(cfg *TrainConfig, n, reduced int) bool {
-	return cfg.ShardedUpdate || (cfg.Algorithm == collective.AlgoAuto && cfg.Compression == tensor.F64 &&
-		collective.AutoRunsRingPair(n, reduced, tensor.F64))
+	return cfg.ShardedUpdate || (cfg.Algorithm == collective.AlgoAuto &&
+		collective.AutoRunsRingPair(n, reduced))
 }
 
 // newStage selects the reducer for cfg: owner-computes (ownerComputes, or an
@@ -123,9 +120,6 @@ func (s *stage) partial(k int64, cur, buf tensor.Vector, contributes bool) (next
 	if err != nil {
 		return nil, err
 	}
-	// The flag slot holds the count; a version's spare element stays zero,
-	// so an allgather never ships it inside the parameters' last block.
-	buf[:len(buf)+1][len(buf)] = 0
 	if count == 0 {
 		s.empty++
 		if s.ex == nil || !s.ex.due(k) {
@@ -152,15 +146,10 @@ func (s *stage) finish(res *Result, params tensor.Vector, start time.Time) *Resu
 
 // replicatedReducer is the replicated update: every rank reduces and steps
 // the whole vector.
-//
-// Error feedback (lossy wires). The residual holds the quantization error
-// this rank's owned regions of the collective suffered in earlier rounds, and
-// is folded into the next contribution.
 type replicatedReducer struct {
-	mesh     transport.Mesh
-	opts     collective.Options // Algorithm and Compression, as configured
-	residual tensor.Vector      // nil when compression is off
-	optim    opt.Optimizer
+	mesh  transport.Mesh
+	opts  collective.Options // the configured Algorithm
+	optim opt.Optimizer
 }
 
 func newReplicatedReducer(mesh transport.Mesh, cfg *TrainConfig) (*replicatedReducer, error) {
@@ -170,39 +159,18 @@ func newReplicatedReducer(mesh transport.Mesh, cfg *TrainConfig) (*replicatedRed
 		return nil, err
 	}
 	return &replicatedReducer{
-		mesh: mesh, optim: optim, residual: cfg.residual(dim),
-		opts: collective.Options{Algorithm: cfg.Algorithm, Compression: cfg.Compression},
+		mesh: mesh, optim: optim,
+		opts: collective.Options{Algorithm: cfg.Algorithm},
 	}, nil
 }
 
 func (r *replicatedReducer) reduce(k int64, grad tensor.Vector) error {
-	opts := r.opts
-	if r.residual != nil {
-		// The residual is the error of the AVERAGED result, so scaling by n
-		// before the local add makes the next average regain exactly
-		// Σ_r residual_r.
-		opts.Residual = r.residual
-		_ = grad.AddScaled(float64(r.mesh.Size()), opts.Residual)
-		opts.Residual.Zero()
-	}
-	return collective.AllReduceOpts(r.mesh, k, grad, collective.OpAverage, opts)
+	return collective.AllReduceOpts(r.mesh, k, grad, collective.OpAverage, r.opts)
 }
 
 func (r *replicatedReducer) reducePartial(k int64, buf tensor.Vector, contributes bool) (int, error) {
-	opts := r.opts
-	if r.residual != nil {
-		opts.Residual = r.residual
-		if contributes {
-			// The partial collective sums contributions before quantizing, so
-			// summing the per-rank residuals back in reconstructs the lost mass
-			// exactly (in expectation the compressed trajectory tracks the
-			// fp64 one).
-			_ = buf.Add(opts.Residual)
-			opts.Residual.Zero()
-		}
-	}
 	// The flag slot is the buffer's spare capacity: reduced where it lies.
-	return collective.PartialAllReduceInPlace(r.mesh, k, buf[:len(buf)+1], contributes, opts)
+	return collective.PartialAllReduceInPlace(r.mesh, k, buf[:len(buf)+1], contributes, r.opts)
 }
 
 func (r *replicatedReducer) update(_ int64, cur, next, g tensor.Vector, mean, scale float64) error {
@@ -237,16 +205,6 @@ func (r *replicatedReducer) stateBytes() int64 { return r.optim.StateBytes() }
 // hierarchical member's table moves fold starts off the uniform chunks, so
 // from three ranks up its group is bit-identical to itself only; at two ranks
 // every table gives the same bits.
-//
-// Lossy wires (the fp64-reduce / compressed-allgather invariant). The
-// reduction always ships exact fp64, so there is no gradient error feedback
-// here; Compression applies to the parameter allgather only. The owner then
-// keeps MASTER WEIGHTS for its span: the residual holds exact-minus-quantized
-// after each gather (tensor.RoundTripEF at the owner), and adding it back
-// before the next step restores the exact fp64 trajectory. Gradients are
-// evaluated at the quantized parameters on every rank — the usual
-// mixed-precision contract — and all ranks stay bit-identical because they
-// all hold the same decoded grid values.
 type shardedReducer struct {
 	mesh    transport.Mesh
 	reduced int           // the length of the ring pair's vector
@@ -254,9 +212,6 @@ type shardedReducer struct {
 	ex      exchanger     // run between the step and the allgather when due
 	lo, hi  int           // the owned span of the parameters
 	optim   opt.Optimizer // nil when the owned span is empty
-	// gather carries the allgather's wire dtype and, for a lossy one, the
-	// master-weights residual (nil otherwise).
-	gather collective.Options
 }
 
 func newShardedReducer(mesh transport.Mesh, cfg *TrainConfig, reduced int, ex exchanger) (*shardedReducer, error) {
@@ -270,7 +225,6 @@ func newShardedReducer(mesh transport.Mesh, cfg *TrainConfig, reduced int, ex ex
 	}
 	r.lo, r.hi = collective.RingOwned(reduced, n, mesh.Rank(), r.table...)
 	r.lo, r.hi = min(r.lo, dim), min(r.hi, dim)
-	r.gather = collective.Options{Compression: cfg.Compression, Residual: cfg.residual(reduced)}
 	// A rank owns zero elements when the vector has fewer elements than ranks.
 	var err error
 	if r.hi > r.lo {
@@ -292,13 +246,6 @@ func (r *shardedReducer) reducePartial(k int64, buf tensor.Vector, contributes b
 func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, mean, scale float64) error {
 	lo, hi := r.lo, r.hi
 	src := cur[lo:hi]
-	res := r.gather.Residual
-	if res != nil {
-		// Restore the exact fp64 master weights in the residual's own span:
-		// next may be g, which the step has yet to read.
-		_ = tensor.SumInto(res[lo:hi], src, res[lo:hi])
-		src = res[lo:hi]
-	}
 	if g != nil && r.optim != nil {
 		if _, err := r.optim.StepTo(next[lo:hi], src, g[lo:hi], mean, scale); err != nil {
 			return err
@@ -312,13 +259,9 @@ func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, mean, scale
 			return err
 		}
 	}
-	if res != nil {
-		// The allgather's RoundTripEF re-captures the residual.
-		res[lo:hi].Zero()
-	}
 	// RNA's versions carry the flag slot as spare capacity, so the gather
 	// rings over the partition the scatter used.
-	return collective.RingAllGather(r.mesh, k, next[:r.reduced], r.gather, r.table...)
+	return collective.RingAllGather(r.mesh, k, next[:r.reduced], r.table...)
 }
 
 func (r *shardedReducer) stateBytes() int64 {

@@ -41,38 +41,27 @@ type TrainConfig struct {
 	StalenessBound int
 	// Seed derives this worker's RNG streams.
 	Seed int64
-	// Compression selects the wire dtype for gradient synchronization
-	// (tensor.F64, the zero value, disables it). Lossy dtypes enable
-	// error-feedback: each worker keeps the quantization residual of the
-	// regions it compressed and folds it into its next contribution, so
-	// the compression error is corrected rather than accumulated.
-	Compression tensor.Dtype
 	// SlowDown optionally injects extra compute latency per iteration
 	// for a given rank (tests and examples use it to create stragglers).
 	SlowDown func(rank, iter int) time.Duration
 	// Adam selects the Adam optimizer (standard β₁/β₂/ε) instead of
 	// momentum-SGD; LR and WeightDecay apply, Momentum is ignored.
 	Adam bool
-	// ShardedUpdate forces the owner-computes update path at any size and
-	// wire: reduce-scatter (always exact fp64) → owned-shard optimizer step →
-	// parameter allgather at the Compression wire dtype. Optimizer state and
-	// update compute shrink from full-vector-per-rank to one owned span per
-	// rank, and the result is bit-identical to the replicated path on a
-	// pinned ring (ring fold order, owner-side scale, one quantization per
-	// shard). Leaving it off does not mean the replicated update: AlgoAuto
-	// takes this path by itself wherever it costs nothing (see Algorithm).
-	// With a lossy wire the owner keeps master weights: the error-feedback
-	// residual holds exact-minus-quantized for the owned span, restored
-	// before each step.
+	// ShardedUpdate forces the owner-computes update path at any size:
+	// reduce-scatter → owned-shard optimizer step → parameter allgather.
+	// Optimizer state and update compute shrink from full-vector-per-rank to
+	// one owned span per rank, and the result is bit-identical to the
+	// replicated path on a pinned ring (ring fold order, owner-side scale).
+	// Leaving it off does not mean the replicated update: AlgoAuto takes this
+	// path by itself wherever it costs nothing (see Algorithm).
 	ShardedUpdate bool
 	// Algorithm selects the dense collective schedule (validate rejects a
 	// value the engine lacks). The zero value, AlgoAuto, lets the cost model
-	// choose per (ranks, size, wire) — and where it chooses the pipelined
-	// ring at an fp64 wire, and at 2 ranks at any size, the ring runs as its
-	// two halves with the owner-computes update between them: the ring's
-	// bytes (at 2 ranks the tree's critical path), the same bits, one
-	// optimizer step per element instead of one per element per rank. A
-	// pinned value means the
+	// choose per (ranks, size) — and where it chooses the pipelined ring, and
+	// at 2 ranks at any size, the ring runs as its two halves with the
+	// owner-computes update between them: the ring's bytes (at 2 ranks the
+	// tree's critical path), the same bits, one optimizer step per element
+	// instead of one per element per rank. A pinned value means the
 	// replicated update on exactly that schedule; pinning AlgoRing is how a
 	// test or an A/B asks for the replicated ring at any vector size.
 	Algorithm collective.Algorithm
@@ -88,8 +77,8 @@ func (c *TrainConfig) validate() error {
 	if c.Iterations < 1 {
 		return fmt.Errorf("core: %d iterations", c.Iterations)
 	}
-	if !c.Compression.Valid() || !c.Algorithm.Valid() {
-		return fmt.Errorf("core: unknown compression dtype %d or collective algorithm %d", c.Compression, c.Algorithm)
+	if !c.Algorithm.Valid() {
+		return fmt.Errorf("core: unknown collective algorithm %d", c.Algorithm)
 	}
 	return nil
 }
@@ -101,15 +90,6 @@ func (c *TrainConfig) newOptimizer(dim int) (opt.Optimizer, error) {
 		return opt.NewAdam(dim, c.LR, c.WeightDecay)
 	}
 	return opt.NewSGD(dim, c.LR, c.Momentum, c.WeightDecay)
-}
-
-// residual allocates the error-feedback buffer for lossy wires; nil
-// disables residual capture in the collective.
-func (c *TrainConfig) residual(dim int) tensor.Vector {
-	if c.Compression == tensor.F64 {
-		return nil
-	}
-	return tensor.New(dim)
 }
 
 func (c *TrainConfig) bound() int {

@@ -17,8 +17,7 @@ const DefaultWindow = 4
 
 // GlobalStore is the vector-level view of the global model the hierarchical
 // scheme exchanges with: the in-process Store behind Loopback (the fast path)
-// or a networked Client — interchangeable, and bit-identical where the wire
-// dtype is f64.
+// or a networked Client — interchangeable, and bit-identical.
 type GlobalStore interface {
 	// PushPull applies value under mode and returns the resulting global
 	// model and its version. A positive minVersion delays the exchange
@@ -161,10 +160,6 @@ type ClientConfig struct {
 	// Chunks is the chunk-shard count (default DefaultChunks, clamped as
 	// on the server).
 	Chunks int
-	// Wire selects the request/reply wire dtype. Lossy dtypes enable
-	// error feedback on both sides: the client keeps the push residual,
-	// the serving rank keeps the pull residual (owner-side).
-	Wire tensor.Dtype
 	// Window bounds in-flight chunk requests (default DefaultWindow).
 	Window int
 }
@@ -184,18 +179,16 @@ func (c *ClientConfig) window() int {
 // pull and push-pull decompose into per-chunk request frames pipelined
 // through the reserved PS stream, so a server can answer early chunks
 // while later ones are still being pushed. Requests go out from pooled
-// buffers (writev on TCP sends), pulled chunks land in the caller's vector
-// (transport.RecvInto), and lossy wire dtypes carry client-side
-// error-feedback residuals.
+// buffers (writev on TCP sends), and pulled chunks land in the caller's
+// vector (transport.RecvInto).
 //
 // A Client belongs to one goroutine — a group member's communication
 // thread — like every other SPMD communication handle in the repository.
 type Client struct {
-	view     transport.Mesh
-	cfg      ClientConfig
-	chunks   int
-	offsets  []int
-	residual tensor.Vector // push-side EF carry, nil for exact wires
+	view    transport.Mesh
+	cfg     ClientConfig
+	chunks  int
+	offsets []int
 }
 
 var _ GlobalStore = (*Client)(nil)
@@ -208,9 +201,6 @@ func NewClient(mesh transport.Mesh, cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.Dim < 1 {
 		return nil, fmt.Errorf("ps: client dim %d", cfg.Dim)
-	}
-	if !cfg.Wire.Valid() {
-		return nil, fmt.Errorf("ps: unknown wire dtype %d", cfg.Wire)
 	}
 	if len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("ps: no server ranks")
@@ -228,16 +218,12 @@ func NewClient(mesh transport.Mesh, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
+	return &Client{
 		view:    transport.Streams(mesh).StreamView(PSStream),
 		cfg:     cfg,
 		chunks:  chunks,
 		offsets: offsets,
-	}
-	if cfg.Wire != tensor.F64 {
-		c.residual = tensor.New(cfg.Dim)
-	}
-	return c, nil
+	}, nil
 }
 
 func (c *Client) serverOf(chunk int) int {
@@ -347,13 +333,11 @@ func (c *Client) exchange(typ transport.MsgType, first, last int, body, base ten
 
 // sendReq ships one chunk request of an exchange starting at chunk first.
 // Push payloads are formed in a pooled buffer handed to the transport
-// zero-copy — the chunk of body, or of body − base; lossy wires fold the EF
-// residual in and ship grid values, so the wire encode is bit-exact and the
-// residual update needs no echo from the server.
+// zero-copy — the chunk of body, or of body − base.
 func (c *Client) sendReq(typ transport.MsgType, first, chunk int, mode UpdateMode, minVersion int64, body, base tensor.Vector) error {
 	msg := transport.Message{
 		Type: typ, Stream: PSStream, Iter: minVersion,
-		Chunk: psTag(mode, chunk), Dtype: c.cfg.Wire,
+		Chunk: psTag(mode, chunk),
 	}
 	if typ == transport.MsgPSPull {
 		return c.view.Send(c.serverOf(chunk), msg)
@@ -365,9 +349,6 @@ func (c *Client) sendReq(typ transport.MsgType, first, chunk int, mode UpdateMod
 		_ = tensor.DiffInto(buf, body[rlo:rhi], base[rlo:rhi]) // lengths checked by the caller
 	} else {
 		copy(buf, body[rlo:rhi])
-	}
-	if c.residual != nil {
-		tensor.RoundTripEF(c.cfg.Wire, buf, c.residual[lo:hi])
 	}
 	msg.Payload = buf
 	return transport.SendOwned(c.view, c.serverOf(chunk), msg)

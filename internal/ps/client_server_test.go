@@ -139,80 +139,6 @@ func TestClientServerTCPMultiServer(t *testing.T) {
 	wait()
 }
 
-// TestClientServerCompressedParity: an f16 exchange over the in-memory mesh
-// and over TCP produce bit-identical results — the in-memory transport
-// simulates the same quantize→dequantize round trip the wire performs, and
-// both EF residuals live outside the transport.
-func TestClientServerCompressedParity(t *testing.T) {
-	const dim = 96
-	run := func(mkMeshes func() ([]transport.Mesh, func())) []tensor.Vector {
-		eps, closeAll := mkMeshes()
-		init := seq(dim)
-		wait := startServers(t, eps, []int{1}, ServerConfig{Key: "m", Dim: dim, Init: init})
-		cli, err := NewClient(eps[0], ClientConfig{Servers: []int{1}, Key: "m", Dim: dim, Wire: tensor.F16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var outs []tensor.Vector
-		for k := 0; k < 3; k++ {
-			delta := seq(dim)
-			delta.Scale(0.1 * float64(k+1))
-			out, _, err := cli.PushPull(delta, Add, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs = append(outs, out)
-		}
-		closeAll()
-		wait()
-		return outs
-	}
-	mem := run(func() ([]transport.Mesh, func()) {
-		net, err := transport.NewLocalNetwork(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net.Endpoints(), func() { _ = net.Close() }
-	})
-	tcp := run(func() ([]transport.Mesh, func()) {
-		meshes, err := transport.NewTCPCluster(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps := make([]transport.Mesh, len(meshes))
-		for i, m := range meshes {
-			eps[i] = m
-		}
-		return eps, func() {
-			for _, m := range meshes {
-				_ = m.Close()
-			}
-		}
-	})
-	for k := range mem {
-		for i := range mem[k] {
-			if math.Float64bits(mem[k][i]) != math.Float64bits(tcp[k][i]) {
-				t.Fatalf("exchange %d elem %d: mem %v vs tcp %v", k, i, mem[k][i], tcp[k][i])
-			}
-		}
-	}
-	// The EF carry keeps the compressed chain close to the exact one.
-	exact := seq(dim)
-	for k := 0; k < 3; k++ {
-		d := seq(dim)
-		d.Scale(0.1 * float64(k+1))
-		if err := exact.Add(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	final := mem[len(mem)-1]
-	for i := range exact {
-		if diff := math.Abs(final[i] - exact[i]); diff > 0.05*(math.Abs(exact[i])+1) {
-			t.Fatalf("EF drift at %d: %v vs %v", i, final[i], exact[i])
-		}
-	}
-}
-
 func TestClientPullUnknownKey(t *testing.T) {
 	net, err := transport.NewLocalNetwork(2)
 	if err != nil {

@@ -18,7 +18,8 @@ const (
 )
 
 // FuzzServerRequests drives a Server with request sequences from two client
-// ranks, four bytes per request: sender and frame type; chunk (or a forged
+// ranks, four bytes per request: sender, frame type and dtype (f64, or one
+// of the narrower encodings earlier builds shipped); chunk (or a forged
 // negative tag); update mode and whether to name the current version as the
 // horizon; payload length (right, or off by a little). The horizon is never
 // above the chunk's version, so nothing waits. Every request the protocol
@@ -34,6 +35,7 @@ func FuzzServerRequests(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 0, 4, 0, 17, 0, 7, 9, 0, 0})   // pull, push-pull Overwrite at the horizon, forged frame
 	f.Add([]byte{4, 4, 2, 0, 5, 1, 3, 0, 4, 0, 2, 1})    // chunk past the table, then a short payload
 	f.Add([]byte{0, 0x90, 1, 0, 1, 2, 4, 0, 4, 1, 0, 0}) // negative tag, mode 4, push without a mode
+	f.Add([]byte{0x1a, 1, 0, 0, 3, 1, 0, 0})             // a pull asking for an f16 ack, a pull from rank 2
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -90,6 +92,11 @@ func fuzzRequests(t *testing.T, ops []byte) {
 			tag = -1 - int32(op[1]&0x7f)
 		}
 		valid := tag >= 0 && mode <= maxUpdateMode && chunk < fuzzChunks && typ != transport.MsgPSAck
+		var dtype tensor.Dtype
+		if op[0]&8 != 0 {
+			dtype = tensor.Dtype(1 + (op[0]>>4)%3) // f32, f16 or i8
+			valid = false
+		}
 		span := 0
 		if chunk < fuzzChunks {
 			span = offsets[chunk+1] - offsets[chunk]
@@ -116,7 +123,7 @@ func fuzzRequests(t *testing.T, ops []byte) {
 		for j := range payload {
 			payload[j] = float64(int(op[j%4])-j) / 8
 		}
-		msg := transport.Message{Type: typ, Stream: PSStream, Iter: horizon, Chunk: tag, Payload: payload}
+		msg := transport.Message{Type: typ, Stream: PSStream, Iter: horizon, Chunk: tag, Dtype: dtype, Payload: payload}
 		if err := views[sender].Send(0, msg); err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package ps
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -14,8 +13,8 @@ import (
 
 // intoStores builds the two GlobalStore implementations over a model seeded
 // with init: the in-process loopback (whole key and default chunk layout) and
-// a client of a one-server TCP mesh speaking wire (f64 when omitted).
-func intoStores(t *testing.T, init tensor.Vector, wire ...tensor.Dtype) map[string]GlobalStore {
+// a client of a one-server TCP mesh.
+func intoStores(t *testing.T, init tensor.Vector) map[string]GlobalStore {
 	t.Helper()
 	store := NewStore(1)
 	if _, err := store.Push("m", init, Overwrite); err != nil {
@@ -36,11 +35,7 @@ func intoStores(t *testing.T, init tensor.Vector, wire ...tensor.Dtype) map[stri
 		}
 		wait()
 	})
-	ccfg := ClientConfig{Servers: []int{1}, Key: "m", Dim: len(init)}
-	if len(wire) > 0 {
-		ccfg.Wire = wire[0]
-	}
-	cli, err := NewClient(eps[0], ccfg)
+	cli, err := NewClient(eps[0], ClientConfig{Servers: []int{1}, Key: "m", Dim: len(init)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,78 +81,74 @@ func TestPushPullIntoMatchesPushPull(t *testing.T) {
 // TestPushPullDeltaChunksMatchesPushPullInto: a member's exchange, latest −
 // base formed chunk by chunk over a run of chunks and the result landed back
 // in base, leaves the bits and the version of forming the delta whole and
-// calling PushPullInto, on both stores and over an f16 wire (whose push error
-// feedback must see the same values), when runs that partition the chunks
+// calling PushPullInto, on both stores, when runs that partition the chunks
 // (one of them empty) exchange in turn; latest is not written, and a
 // mis-sized base or a range outside the table is refused.
 func TestPushPullDeltaChunksMatchesPushPullInto(t *testing.T) {
 	const dim = 4099
-	for _, wire := range []tensor.Dtype{tensor.F64, tensor.F16} {
-		pairs := map[string][2]GlobalStore{}
-		for name, gs := range intoStores(t, seq(dim), wire) {
-			pairs[name] = [2]GlobalStore{gs}
+	pairs := map[string][2]GlobalStore{}
+	for name, gs := range intoStores(t, seq(dim)) {
+		pairs[name] = [2]GlobalStore{gs}
+	}
+	for name, gs := range intoStores(t, seq(dim)) {
+		p := pairs[name]
+		p[1] = gs
+		pairs[name] = p
+	}
+	for name, p := range pairs {
+		offsets, err := p[1].ChunkOffsets()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for name, gs := range intoStores(t, seq(dim), wire) {
-			p := pairs[name]
-			p[1] = gs
-			pairs[name] = p
+		chunks := len(offsets) - 1
+		if chunks != DefaultChunks || offsets[chunks] != dim {
+			t.Fatalf("%s: chunk table %v", name, offsets)
 		}
-		for name, p := range pairs {
-			name := fmt.Sprintf("%s/%v", name, wire)
-			offsets, err := p[1].ChunkOffsets()
-			if err != nil {
+		runs := [][2]int{{0, 3}, {3, 3}, {3, chunks}}
+		base := seq(dim)
+		want := base.Clone()
+		for round := 0; round < 3; round++ {
+			latest := base.Clone()
+			for i := range latest {
+				latest[i] += math.Sin(float64(i+round)) * 0.01
+			}
+			delta := tensor.New(dim)
+			if err := tensor.DiffInto(delta, latest, want); err != nil {
 				t.Fatal(err)
 			}
-			chunks := len(offsets) - 1
-			if chunks != DefaultChunks || offsets[chunks] != dim {
-				t.Fatalf("%s: chunk table %v", name, offsets)
+			wantVer, err := p[0].PushPullInto(want, delta, Add, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			runs := [][2]int{{0, 3}, {3, 3}, {3, chunks}}
-			base := seq(dim)
-			want := base.Clone()
-			for round := 0; round < 3; round++ {
-				latest := base.Clone()
-				for i := range latest {
-					latest[i] += math.Sin(float64(i+round)) * 0.01
-				}
-				delta := tensor.New(dim)
-				if err := tensor.DiffInto(delta, latest, want); err != nil {
-					t.Fatal(err)
-				}
-				wantVer, err := p[0].PushPullInto(want, delta, Add, 0)
+			before := latest.Clone()
+			for _, run := range runs {
+				lo, hi := offsets[run[0]], offsets[run[1]]
+				ver, err := p[1].PushPullDeltaChunks(run[0], run[1], base[lo:hi], latest[lo:hi], 0)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				before := latest.Clone()
-				for _, run := range runs {
-					lo, hi := offsets[run[0]], offsets[run[1]]
-					ver, err := p[1].PushPullDeltaChunks(run[0], run[1], base[lo:hi], latest[lo:hi], 0)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+				if run[0] == run[1] {
+					if ver != 0 {
+						t.Errorf("%s round %d: empty run at version %d", name, round, ver)
 					}
-					if run[0] == run[1] {
-						if ver != 0 {
-							t.Errorf("%s round %d: empty run at version %d", name, round, ver)
-						}
-					} else if ver != wantVer {
-						t.Errorf("%s round %d chunks %v: version %d, want %d", name, round, run, ver, wantVer)
-					}
-				}
-				for i := range want {
-					if math.Float64bits(base[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s round %d: base[%d] = %v, want %v", name, round, i, base[i], want[i])
-					}
-					if math.Float64bits(latest[i]) != math.Float64bits(before[i]) {
-						t.Fatalf("%s round %d: latest[%d] written", name, round, i)
-					}
+				} else if ver != wantVer {
+					t.Errorf("%s round %d chunks %v: version %d, want %d", name, round, run, ver, wantVer)
 				}
 			}
-			if _, err := p[1].PushPullDeltaChunks(0, 1, tensor.New(offsets[1]-1), base[:offsets[1]], 0); !errors.Is(err, tensor.ErrShapeMismatch) {
-				t.Errorf("%s: short base: %v", name, err)
+			for i := range want {
+				if math.Float64bits(base[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s round %d: base[%d] = %v, want %v", name, round, i, base[i], want[i])
+				}
+				if math.Float64bits(latest[i]) != math.Float64bits(before[i]) {
+					t.Fatalf("%s round %d: latest[%d] written", name, round, i)
+				}
 			}
-			if _, err := p[1].PushPullDeltaChunks(chunks, chunks+1, nil, nil, 0); err == nil {
-				t.Errorf("%s: a range past the table was accepted", name)
-			}
+		}
+		if _, err := p[1].PushPullDeltaChunks(0, 1, tensor.New(offsets[1]-1), base[:offsets[1]], 0); !errors.Is(err, tensor.ErrShapeMismatch) {
+			t.Errorf("%s: short base: %v", name, err)
+		}
+		if _, err := p[1].PushPullDeltaChunks(chunks, chunks+1, nil, nil, 0); err == nil {
+			t.Errorf("%s: a range past the table was accepted", name)
 		}
 	}
 }

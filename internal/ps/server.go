@@ -58,21 +58,11 @@ func (c *ServerConfig) chunkCount() int {
 // requests, sent from the published snapshot itself at f64. Because each
 // chunk is its own store key, concurrent clients touching different chunks
 // never contend, and pulls read published snapshots without blocking pushes.
-//
-// For lossy reply dtypes the server keeps one error-feedback residual per
-// chunk on the owner side: each compressed reply carries the quantization
-// error of the previous one, so the lost mass is corrected on the next
-// pull instead of accumulating.
 type Server struct {
 	view    transport.Mesh
 	store   *Store
 	keys    []string
 	offsets []int
-
-	// resMu[c] guards res[c], the owner-side EF residual of chunk c
-	// (allocated on first lossy reply).
-	resMu []sync.Mutex
-	res   []tensor.Vector
 
 	wg       sync.WaitGroup
 	errMu    sync.Mutex
@@ -103,8 +93,6 @@ func NewServer(mesh transport.Mesh, cfg ServerConfig) (*Server, error) {
 		store:   store,
 		keys:    chunkKeys(cfg.Key, chunks),
 		offsets: offsets,
-		resMu:   make([]sync.Mutex, chunks),
-		res:     make([]tensor.Vector, chunks),
 	}
 	if cfg.Init != nil {
 		if err := seed(store, s.keys, offsets, cfg.Init); err != nil {
@@ -192,6 +180,10 @@ func (s *Server) serve(peer int) {
 // handle applies one request frame and acks it. The request payload (a
 // pooled buffer owned by this side since Recv) is released here.
 func (s *Server) handle(peer int, msg transport.Message) error {
+	if msg.Dtype != tensor.F64 {
+		transport.PutPayload(msg.Payload)
+		return fmt.Errorf("%w: %v values", ErrBadRequest, msg.Dtype)
+	}
 	mode, chunk, err := splitTag(msg.Chunk)
 	if err != nil {
 		transport.PutPayload(msg.Payload)
@@ -224,7 +216,7 @@ func (s *Server) handle(peer int, msg transport.Message) error {
 				Type: transport.MsgPSAck, Stream: PSStream, Iter: version, Chunk: msg.Chunk,
 			})
 		}
-		err = s.ackValues(peer, msg.Chunk, chunk, msg.Dtype, snap)
+		err = s.ackValues(peer, msg.Chunk, snap)
 		snap.release()
 		return err
 	case transport.MsgPSPull:
@@ -235,7 +227,7 @@ func (s *Server) handle(peer int, msg transport.Message) error {
 				Type: transport.MsgPSAck, Stream: PSStream, Chunk: msg.Chunk,
 			})
 		}
-		err := s.ackValues(peer, msg.Chunk, chunk, msg.Dtype, snap)
+		err := s.ackValues(peer, msg.Chunk, snap)
 		snap.release()
 		return err
 	default:
@@ -244,29 +236,11 @@ func (s *Server) handle(peer int, msg transport.Message) error {
 	}
 }
 
-// ackValues replies with a chunk's published values. An f64 reply goes out
-// straight from the snapshot with a plain Send, which is done with the payload
-// when it returns (the caller releases the snapshot after). Lossy reply dtypes
-// stage the values in a pooled buffer handed to the transport zero-copy
-// (SendOwned), fold in the owner-side EF residual, and ship values already on
-// the quantization grid so the wire encode is bit-exact.
-func (s *Server) ackValues(peer int, tag int32, chunk int, d tensor.Dtype, snap *snapshot) error {
-	msg := transport.Message{
-		Type: transport.MsgPSAck, Stream: PSStream, Iter: snap.version, Chunk: tag, Dtype: d,
-	}
-	if d == tensor.F64 {
-		msg.Payload = snap.value
-		return s.view.Send(peer, msg)
-	}
-	n := len(snap.value)
-	buf := transport.GetPayload(n)
-	copy(buf, snap.value)
-	s.resMu[chunk].Lock()
-	if s.res[chunk] == nil {
-		s.res[chunk] = tensor.New(n)
-	}
-	tensor.RoundTripEF(d, buf[:n], s.res[chunk])
-	s.resMu[chunk].Unlock()
-	msg.Payload = buf
-	return transport.SendOwned(s.view, peer, msg)
+// ackValues replies with a chunk's published values, straight from the
+// snapshot with a plain Send, which is done with the payload when it returns
+// (the caller releases the snapshot after).
+func (s *Server) ackValues(peer int, tag int32, snap *snapshot) error {
+	return s.view.Send(peer, transport.Message{
+		Type: transport.MsgPSAck, Stream: PSStream, Iter: snap.version, Chunk: tag, Payload: snap.value,
+	})
 }

@@ -25,8 +25,8 @@ import (
 //	            over a network.
 //	    Chunk   psTag(mode, chunk): update mode in the high bits, chunk
 //	            index in the low 24 (pulls carry mode 0)
-//	    Dtype   wire dtype of the pushed values; pulls set it to the dtype
-//	            the reply should ship
+//	    Dtype   f64; a request naming another dtype ends the sender's
+//	            service with ErrBadRequest
 //	    Payload pushed values (empty for pulls)
 //
 //	response (MsgPSAck)
@@ -36,16 +36,15 @@ import (
 //	    Payload chunk values for pull-class requests, empty for pushes
 //
 // Responses carry the version in the iteration tag rather than as a
-// trailing payload element so a compressed reply never quantizes its own
-// version number. Requests from one client are handled in FIFO order per
+// trailing payload element. Requests from one client are handled in FIFO order per
 // server, so acks match requests positionally; the echoed tag is a
 // cross-check, not a router.
 
 // ErrBadRequest is the error a Server stops serving a peer with when one of
 // its frames is not a well-formed request: a forged tag, a chunk outside the
 // table, a payload whose length does not match its type and chunk, a push
-// without an update mode, or a frame of another type. Server.Wait reports it
-// wrapped.
+// without an update mode, a dtype other than f64, or a frame of another type.
+// Server.Wait reports it wrapped.
 var ErrBadRequest = errors.New("ps: bad request")
 
 // PSStream is the reserved stream id all parameter-server frames travel

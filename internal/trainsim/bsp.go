@@ -66,7 +66,6 @@ func runBSP(cfg Config) (*Result, error) {
 	batches := make([][]int, cfg.Workers)
 	gradErrs := make([]error, cfg.Workers)
 	sum := tensor.New(dim)
-	residual := cfg.residual(dim)
 	var now time.Duration
 	for k := 0; k < cfg.maxIterations(); k++ {
 		// Compute phase: all workers start from the barrier. Timing and
@@ -124,16 +123,6 @@ func runBSP(cfg Config) (*Result, error) {
 			}
 		}
 		sum.Scale(1 / float64(cfg.Workers))
-		// Lossy wire: quantize the averaged gradient with error feedback —
-		// the residual carries the rounded mass into the next round's
-		// average instead of discarding it.
-		if residual != nil {
-			if err := sum.Add(residual); err != nil {
-				return nil, err
-			}
-			residual.Zero()
-			tensor.RoundTripEF(cfg.Compression, sum, residual)
-		}
 		if _, err := optim.Step(params, sum, 1); err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/hetero"
-	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -203,15 +202,5 @@ func TestHierarchicalChunkedPSPricing(t *testing.T) {
 	}
 	if a.VirtualTime != b.VirtualTime {
 		t.Error("chunked pricing not deterministic")
-	}
-	// An f16 wire shrinks the exchange further.
-	f16 := chunked
-	f16.PSWire = tensor.F16
-	c, err := Run(f16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.VirtualTime > a.VirtualTime {
-		t.Errorf("f16 PS wire %v slower than f64 %v", c.VirtualTime, a.VirtualTime)
 	}
 }

@@ -98,10 +98,10 @@ func runHierarchical(cfg Config) (*Result, error) {
 				start = psFreeAt
 			}
 			psCost := cfg.Comm.PSPushPull(cfg.Spec.GradientBytes())
-			if cfg.PSChunks > 1 || cfg.PSWire != tensor.F64 {
-				// Pipelined wire-protocol exchange: chunked frames at
-				// the configured wire dtype, acks overlapping pushes.
-				psCost = cfg.Comm.PSPushPullWire(int(cfg.Spec.Params), cfg.PSChunks, cfg.PSWire)
+			if cfg.PSChunks > 1 {
+				// Pipelined wire-protocol exchange: chunked frames, acks
+				// overlapping pushes.
+				psCost = cfg.Comm.PSPushPullWire(int(cfg.Spec.Params), cfg.PSChunks)
 			}
 			psFreeAt = start + psCost
 			return (start - syncEnd) + psCost +

@@ -104,10 +104,6 @@ type partialSim struct {
 	// time before the new parameters become visible.
 	postSync func(params tensor.Vector, syncEnd time.Duration) time.Duration
 
-	// residual carries the error-feedback state across rounds under a
-	// lossy wire dtype (nil for fp64).
-	residual tensor.Vector
-
 	// accounting
 	breakdowns   []stats.Breakdown
 	nulls        int64
@@ -129,7 +125,6 @@ func newPartialSim(cfg *Config, policy controller.Policy, ids []int, seedSalt in
 		probeSrc:   root.Split(0),
 		payCopy:    policy == controller.PowerOfChoices || policy == controller.RandomInitiator,
 		eager:      policy == controller.Majority || policy == controller.Solo,
-		residual:   cfg.residual(dim),
 		breakdowns: make([]stats.Breakdown, len(ids)),
 	}
 	cfg.Model.Init(rng.New(cfg.Seed+7777), s.params)
@@ -417,16 +412,6 @@ func (s *partialSim) nextRound() error {
 	}
 
 	if contributors > 0 {
-		// Lossy wire: the collective quantizes the summed gradient — the
-		// reduction itself runs fp64, see internal/collective — and error
-		// feedback folds the previous round's residual back into the sum
-		// before it is re-compressed, so the error is corrected rather than
-		// compounded.
-		if s.residual != nil {
-			_ = sum.Add(s.residual)
-			s.residual.Zero()
-			tensor.RoundTripEF(s.cfg.Compression, sum, s.residual)
-		}
 		mean, scale, err := controller.Step(contributors, s.n)
 		if err != nil {
 			return err

@@ -3,7 +3,6 @@ package trainsim
 import (
 	"testing"
 
-	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -75,19 +74,5 @@ func TestShardedUpdateCheaperWhenOptimizerPriced(t *testing.T) {
 	}
 	if shard.VirtualTime >= repl.VirtualTime {
 		t.Fatalf("sharded %v not cheaper than replicated %v", shard.VirtualTime, repl.VirtualTime)
-	}
-}
-
-// TestShardedCompressedGather: a narrow parameter allgather shrinks the
-// sharded round against the exact-fp64 one.
-func TestShardedCompressedGather(t *testing.T) {
-	cfg := testConfig(t, Horovod, 8, 1)
-	cfg.Spec = shardedSpec()
-	cfg.ShardedUpdate = true
-	exact := cfg.updateTail(8, cfg.Spec.GradientBytes(), 0)
-	cfg.Compression = tensor.F16
-	narrow := cfg.updateTail(8, cfg.Spec.GradientBytes(), 0)
-	if narrow >= exact {
-		t.Errorf("f16 gather %v not cheaper than fp64 %v", narrow, exact)
 	}
 }

@@ -101,14 +101,6 @@ type Config struct {
 	// own descriptions in internal/collective). Hierarchical groups
 	// inherit it for their intra-group collectives.
 	Collective workload.AllReduceAlgo
-	// Compression is the gradient wire dtype (tensor.F64, the zero
-	// value, disables it). Lossy dtypes do two things: the priced
-	// AllReduce cost shrinks to the compressed wire volume, and the
-	// engines quantize the reduced gradient each round with
-	// error-feedback — the residual is carried to the next round — so
-	// the loss curves reflect the statistical cost of the narrower wire,
-	// not just its speed.
-	Compression tensor.Dtype
 	// SpeedFactors optionally scales each worker's compute time
 	// multiplicatively (deterministic hardware heterogeneity: the
 	// paper's Table 2 testbed mixes K80, 1080Ti and 2080Ti GPUs).
@@ -140,9 +132,9 @@ type Config struct {
 	LayerOverlap bool
 	// ShardedUpdate prices the owner-computes sharded update path
 	// (internal/core's ShardedUpdate mode): the fused AllReduce decomposes
-	// into an exact-fp64 ReduceScatter, an owned-shard optimizer step over
-	// a uniform span, and a parameter AllGather shipping the Compression
-	// wire dtype. Only the dense Horovod and RNA strategies qualify.
+	// into a ReduceScatter, an owned-shard optimizer step over a uniform
+	// span, and a parameter AllGather. Only the dense Horovod and RNA
+	// strategies qualify.
 	ShardedUpdate bool
 	// OptNsPerElem prices the optimizer update at this many nanoseconds
 	// per parameter element (scaled by the rank's SpeedFactor). Zero — the
@@ -160,10 +152,6 @@ type Config struct {
 	// pipelined wire-protocol model (CommModel.PSPushPullWire), where
 	// early acks overlap later pushes.
 	PSChunks int
-	// PSWire is the PS exchange's wire dtype (default tensor.F64); lossy
-	// dtypes shrink the priced bytes exactly like the runtime client's
-	// compressed wire does.
-	PSWire tensor.Dtype
 
 	// Parallelism controls the engine's per-round gradient fan-out: 0
 	// (the default) fans independent per-worker Model.Gradient calls out
@@ -205,9 +193,6 @@ func (c *Config) validate() error {
 	if c.MaxIterations < 1 && c.MaxTime <= 0 {
 		return fmt.Errorf("trainsim: no termination condition")
 	}
-	if !c.Compression.Valid() {
-		return fmt.Errorf("trainsim: unknown compression dtype %d", c.Compression)
-	}
 	if c.OptNsPerElem < 0 {
 		return fmt.Errorf("trainsim: negative optimizer cost %v", c.OptNsPerElem)
 	}
@@ -215,15 +200,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("trainsim: sharded update requires Horovod or RNA, got %v", c.Strategy)
 	}
 	return nil
-}
-
-// residual allocates the error-feedback carry for lossy wires; nil when the
-// wire is exact fp64.
-func (c *Config) residual(dim int) tensor.Vector {
-	if c.Compression == tensor.F64 {
-		return nil
-	}
-	return tensor.New(dim)
 }
 
 func (c *Config) probes() int {
@@ -255,14 +231,9 @@ func (c *Config) evalEvery() int {
 }
 
 // allReduceCost prices one synchronization's collective for n ranks under
-// the configured schedule and wire dtype. The byte count is the fp64
-// payload size; compressed wires are priced per element so the dtype's
-// actual wire bytes (including I8's per-block scales) are charged.
+// the configured schedule.
 func (c *Config) allReduceCost(n int, bytes int64) time.Duration {
-	if c.Compression == tensor.F64 {
-		return c.Comm.AllReduce(c.Collective, n, bytes)
-	}
-	return c.Comm.AllReduceWire(c.Collective, n, int(bytes/8), c.Compression)
+	return c.Comm.AllReduce(c.Collective, n, bytes)
 }
 
 // optStepCost prices one optimizer step over elems parameter elements on
@@ -282,13 +253,12 @@ func (c *Config) optStepCost(w, elems int) time.Duration {
 // Replicated (the default): the AllReduce plus one full-vector optimizer
 // step per rank, redundantly; the slowest rank's step paces the round.
 //
-// ShardedUpdate: an exact-fp64 ReduceScatter, the owned-shard optimizer
-// step over a uniform span (the round waits for the slowest owner), and a
-// parameter AllGather shipping the Compression wire dtype, strictly
-// sequential — the owned step gates the gather. With OptNsPerElem set the
-// update term shrinks ~N× against the replicated path while ReduceScatter +
-// AllGatherWire together move exactly the ring AllReduce's bytes (see
-// workload.CommModel.ReduceScatter).
+// ShardedUpdate: a ReduceScatter, the owned-shard optimizer step over a
+// uniform span (the round waits for the slowest owner), and a parameter
+// AllGather, strictly sequential — the owned step gates the gather. With
+// OptNsPerElem set the update term shrinks ~N× against the replicated path
+// while ReduceScatter + AllGather together move exactly the ring AllReduce's
+// bytes (see workload.CommModel.ReduceScatter).
 func (c *Config) updateTail(n int, bytes, extra int64) time.Duration {
 	elems := int(bytes / 8)
 	span := elems
@@ -296,7 +266,7 @@ func (c *Config) updateTail(n int, bytes, extra int64) time.Duration {
 	if c.ShardedUpdate {
 		// The flag rides the scatter once.
 		span = elems / n
-		tail = c.Comm.ReduceScatter(n, elems+int(extra/8)) + c.Comm.AllGatherWire(n, elems, c.Compression)
+		tail = c.Comm.ReduceScatter(n, elems+int(extra/8)) + c.Comm.AllGather(n, elems)
 	} else {
 		tail = c.allReduceCost(n, bytes+extra)
 	}

@@ -8,8 +8,6 @@ import (
 	"net"
 	"time"
 	"unsafe"
-
-	"repro/internal/tensor"
 )
 
 // Zero-copy field codecs.
@@ -47,13 +45,8 @@ func i32Bytes(p []int32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&p[0])), 4*len(p))
 }
 
-// encodePayload writes src's wire encoding under dtype d into dst, which
-// must hold d.WireBytes(len(src)) bytes.
-func encodePayload(dst []byte, d tensor.Dtype, src []float64) {
-	if d != tensor.F64 {
-		tensor.Pack(d, dst[:d.WireBytes(len(src))], src)
-		return
-	}
+// encodePayload writes src's wire encoding into dst (8·len(src) bytes).
+func encodePayload(dst []byte, src []float64) {
 	if b := f64Bytes(src); b != nil {
 		copy(dst, b)
 		return
@@ -219,15 +212,6 @@ func newFrameWriter(conn net.Conn, stall func()) *frameWriter {
 // pending reports whether any frames are queued but not yet flushed.
 func (w *frameWriter) pending() bool { return len(w.iov) > 0 }
 
-// queuedBytes returns the total bytes currently queued.
-func (w *frameWriter) queuedBytes() int {
-	total := 0
-	for _, b := range w.iov {
-		total += len(b)
-	}
-	return total
-}
-
 // grabArena returns n bytes of arena space as the current iovec tail,
 // flushing queued frames first if the arena is full. n must be ≤ arenaCap.
 func (w *frameWriter) grabArena(n int) ([]byte, error) {
@@ -332,9 +316,8 @@ func (w *frameWriter) enqueuePayload(msg *Message, owned bool) error {
 		}
 		return nil
 	}
-	wire := msg.Dtype.WireBytes(n)
-	switch {
-	case msg.Dtype == tensor.F64 && wire >= zeroCopyMin:
+	wire := 8 * n
+	if wire >= zeroCopyMin {
 		if view := f64Bytes(msg.Payload); view != nil {
 			w.addView(view)
 			if owned {
@@ -342,29 +325,26 @@ func (w *frameWriter) enqueuePayload(msg *Message, owned bool) error {
 			}
 			return nil
 		}
-		fallthrough
-	default:
-		// Quantized payloads always stage (Pack wants a contiguous
-		// destination); small f64 payloads copy because it is cheaper than
-		// pinning. Stage into the arena when the body fits, else into
-		// pooled scratch.
-		if wire <= arenaCap-len(w.arena) || wire <= arenaCap/2 {
-			b, err := w.grabArena(wire)
-			if err != nil {
-				if owned {
-					PutPayload(msg.Payload)
-				}
-				return err
-			}
-			encodePayload(b, msg.Dtype, msg.Payload)
-		} else {
-			w.addView(w.stage(wire, func(b []byte) { encodePayload(b, msg.Dtype, msg.Payload) }))
-		}
-		if owned {
-			PutPayload(msg.Payload)
-		}
-		return nil
 	}
+	// Small payloads copy because it is cheaper than pinning, and so does a
+	// big-endian host. Stage into the arena when the body fits, else into
+	// pooled scratch.
+	if wire <= arenaCap-len(w.arena) || wire <= arenaCap/2 {
+		b, err := w.grabArena(wire)
+		if err != nil {
+			if owned {
+				PutPayload(msg.Payload)
+			}
+			return err
+		}
+		encodePayload(b, msg.Payload)
+	} else {
+		w.addView(w.stage(wire, func(b []byte) { encodePayload(b, msg.Payload) }))
+	}
+	if owned {
+		PutPayload(msg.Payload)
+	}
+	return nil
 }
 
 // stage encodes n bytes into a pooled scratch buffer held until the next

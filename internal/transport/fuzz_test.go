@@ -3,45 +3,86 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"net"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
-// wireCorpus is the seed corpus of the wire fuzzers: valid encodings across
-// every dtype and frame family, and near-valid corruptions.
+// Dtype bytes of the narrower payload encodings earlier builds shipped.
+const (
+	legacyF32 byte = 1
+	legacyF16 byte = 2
+	legacyI8  byte = 3
+)
+
+// legacyFrame forges the frame an earlier build sent for m under dtype byte
+// d: the reserved flag bit 1 set, and a body as long as that encoding's (4
+// or 2 bytes an element for f32 and f16; for i8 one byte an element plus an
+// 8-byte scale per 1024-element block).
+func legacyFrame(tb testing.TB, m Message, d byte) []byte {
+	tb.Helper()
+	f64, err := Encode(nil, m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n := len(m.Payload)
+	index := 0
+	if m.Indices != nil {
+		index = 4 * n
+	}
+	body := make([]byte, map[byte]int{legacyF32: 4 * n, legacyF16: 2 * n, legacyI8: n + 8*((n+1023)/1024)}[d])
+	copy(body, f64[frameHeaderBytes+index:])
+	fr := append(append([]byte(nil), f64[:frameHeaderBytes+index]...), body...)
+	binary.LittleEndian.PutUint32(fr, uint32(len(fr)-4))
+	fr[6] |= 1 << 1
+	fr[7] = d
+	return fr
+}
+
+// wireCorpus is the seed corpus of the wire fuzzers: valid encodings of
+// every frame family, frames of the narrower dtypes earlier builds shipped,
+// and near-valid corruptions.
 func wireCorpus(tb testing.TB) [][]byte {
 	var corpus [][]byte
 	add := func(b []byte) { corpus = append(corpus, b) }
+	// A frame goes in whole and cut short.
+	addCut := func(b []byte) {
+		add(b)
+		if len(b) > 4 {
+			add(b[:len(b)-3])
+		}
+	}
 	seeds := []Message{
 		{Type: MsgChunk, Iter: 1, Chunk: 2, Payload: []float64{1, 2, 3}},
 		{Type: MsgBroadcast},
 		{Type: MsgControl, Iter: -9, Payload: []float64{0.5}},
 	}
-	for _, d := range []tensor.Dtype{tensor.F32, tensor.F16, tensor.I8} {
-		seeds = append(seeds, Message{
-			Type: MsgChunk, Iter: 3, Chunk: 1, Dtype: d,
+	for _, d := range []byte{legacyF32, legacyF16, legacyI8} {
+		addCut(legacyFrame(tb, Message{
+			Type: MsgChunk, Iter: 3, Chunk: 1,
 			Payload: []float64{-1.5, 0, 3.25e-3, 7e4, math.Pi},
-		})
+		}, d))
 	}
-	// Sparse (index+value) frames, dense-equal dtypes and lossy ones.
+	// Sparse (index+value) frames, f64 and f16.
 	seeds = append(seeds,
 		Message{Type: MsgReduce, Iter: 4, Payload: []float64{1.25, -7, 0.5}, Indices: []int32{3, 17, 4096}},
-		Message{Type: MsgReduce, Iter: 5, Dtype: tensor.F16, Payload: []float64{2, 3, 5}, Indices: []int32{0, 1, 2}},
 	)
+	addCut(legacyFrame(tb, Message{Type: MsgReduce, Iter: 5, Payload: []float64{2, 3, 5}, Indices: []int32{0, 1, 2}}, legacyF16))
 	// Parameter-server frame family: chunked push/pull/push-pull requests
 	// (mode packed into the chunk tag's high bits, version horizon in Iter)
-	// and acks (new version in Iter), dense and compressed.
+	// and acks (new version in Iter), f64 and f16.
 	seeds = append(seeds,
 		Message{Type: MsgPSPush, Stream: 1 << 16, Iter: 0, Chunk: 2<<24 | 3, Payload: []float64{0.5, -1}},
 		Message{Type: MsgPSPull, Stream: 1 << 16, Chunk: 1},
 		Message{Type: MsgPSPushPull, Stream: 1 << 16, Iter: 7, Chunk: 3<<24 | 0, Payload: []float64{1, 2, 3}},
-		Message{Type: MsgPSPushPull, Stream: 1 << 16, Iter: 2, Chunk: 2<<24 | 5, Dtype: tensor.F16, Payload: []float64{-2.5, 8}},
 		Message{Type: MsgPSAck, Stream: 1 << 16, Iter: 42, Chunk: 3<<24 | 0, Payload: []float64{4, 5, 6}},
 		Message{Type: MsgPSAck, Stream: 1 << 16, Iter: 1, Chunk: 2<<24 | 3},
 	)
+	addCut(legacyFrame(tb, Message{Type: MsgPSPushPull, Stream: 1 << 16, Iter: 2, Chunk: 2<<24 | 5, Payload: []float64{-2.5, 8}}, legacyF16))
 	// Ring-pair chunks: a body past the writer's zero-copy threshold, and a
 	// scatter chunk with the contributor count as its tail.
 	chunk := make([]float64, 700)
@@ -57,10 +98,7 @@ func wireCorpus(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		add(buf)
-		if len(buf) > 4 {
-			add(buf[:len(buf)-3])
-		}
+		addCut(buf)
 	}
 	add([]byte{})
 	add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -105,11 +143,8 @@ func FuzzReadMessage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A successful decode must round-trip. For a lossy dtype the
-		// fuzzer may have forged a scale our encoder would never emit, so
-		// ONE re-encode may move the values — but the re-encoded message
-		// decodes onto our own quantization grid, which must then be a
-		// fixed point (idempotence).
+		// A successful decode must round-trip: its re-encoding decodes to
+		// the same frame and encodes to the same bytes.
 		out, err := Encode(nil, msg)
 		if err != nil {
 			t.Fatalf("re-encode of decoded message failed: %v", err)
@@ -133,7 +168,7 @@ func FuzzReadMessage(f *testing.F) {
 			t.Fatalf("second re-encode failed: %v", err)
 		}
 		if !bytes.Equal(out, out2) {
-			t.Fatalf("dtype %v encoding not idempotent", msg.Dtype)
+			t.Fatal("encoding not idempotent")
 		}
 	})
 }
@@ -302,55 +337,91 @@ func FuzzReadHello(f *testing.F) {
 	})
 }
 
-// TestReadMessageUnknownDtype: a frame advertising a dtype the decoder does
-// not know must fail with ErrUnknownDtype before any payload read, and the
-// encoder must refuse to produce such a frame in the first place.
+// TestReadMessageUnknownDtype: a frame whose dtype byte names one of the
+// narrower encodings earlier builds shipped fails with ErrUnknownDtype, from
+// the header alone, through the decoder and through a TCP mesh's RecvInto;
+// and the encoder refuses to produce such a frame in the first place.
 func TestReadMessageUnknownDtype(t *testing.T) {
-	buf, err := Encode(nil, Message{Type: MsgChunk, Payload: []float64{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[7] = 0x7E // dtype byte (v1 offset 7)
-	if _, err := ReadMessage(bytes.NewReader(buf)); !errors.Is(err, ErrUnknownDtype) {
-		t.Errorf("forged dtype error = %v, want ErrUnknownDtype", err)
-	}
-	if _, err := Encode(nil, Message{Type: MsgChunk, Dtype: tensor.Dtype(9)}); !errors.Is(err, ErrUnknownDtype) {
-		t.Errorf("encode with bad dtype error = %v, want ErrUnknownDtype", err)
-	}
-}
-
-// TestReadMessageTruncatedQuantized: quantized frames cut anywhere in the
-// payload (including mid-scale for I8) must error, not hang or panic; the
-// intact frame must decode to exactly the values the sender-side RoundTrip
-// predicts.
-func TestReadMessageTruncatedQuantized(t *testing.T) {
-	payload := make([]float64, tensor.I8BlockElems+37)
+	payload := make([]float64, 1024+37)
 	for i := range payload {
 		payload[i] = (float64(i%255) - 127) * 1.7e-3
 	}
-	for _, d := range []tensor.Dtype{tensor.F32, tensor.F16, tensor.I8} {
-		buf, err := Encode(nil, Message{Type: MsgChunk, Dtype: d, Payload: payload})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := frameHeaderBytes + d.WireBytes(len(payload)); len(buf) != want {
-			t.Fatalf("dtype %v frame is %d bytes, want %d", d, len(buf), want)
-		}
-		for _, cut := range []int{frameHeaderBytes, frameHeaderBytes + 1, frameHeaderBytes + 9, len(buf) - 1} {
-			if _, err := ReadMessage(bytes.NewReader(buf[:cut])); err == nil {
-				t.Errorf("dtype %v truncated at %d decoded without error", d, cut)
-			}
-		}
-		msg, err := ReadMessage(bytes.NewReader(buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append([]float64(nil), payload...)
-		tensor.RoundTrip(d, want)
-		for i := range want {
-			if math.Float64bits(msg.Payload[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("dtype %v elem %d: wire %v, RoundTrip %v", d, i, msg.Payload[i], want[i])
-			}
-		}
+	m := Message{Type: MsgChunk, Iter: 6, Chunk: 2, Payload: payload}
+	testCases := []struct {
+		name  string
+		dtype byte
+		cut   int // bytes of the frame sent; 0 sends it whole
+	}{
+		{name: "f32", dtype: legacyF32},
+		{name: "f16", dtype: legacyF16},
+		{name: "i8", dtype: legacyI8},
+		{name: "i8 cut mid-scale", dtype: legacyI8, cut: frameHeaderBytes + 5},
 	}
+	for _, tc := range testCases {
+		t.Run(tc.name, func(t *testing.T) {
+			fr := legacyFrame(t, m, tc.dtype)
+			if tc.cut > 0 {
+				fr = fr[:tc.cut]
+			}
+			if _, err := readFrame(bufio.NewReader(bytes.NewReader(fr))); !errors.Is(err, ErrUnknownDtype) {
+				t.Errorf("readFrame: %v, want ErrUnknownDtype", err)
+			}
+			if _, err := ReadMessage(bytes.NewReader(fr)); !errors.Is(err, ErrUnknownDtype) {
+				t.Errorf("exact read: %v, want ErrUnknownDtype", err)
+			}
+			mesh := rawPeerMesh(t, fr)
+			dst := make([]float64, len(payload))
+			_, err := RecvInto(mesh, 0, Landing{Type: m.Type, Iter: m.Iter, Chunk: m.Chunk, Dst: dst})
+			if !errors.Is(err, ErrUnknownDtype) {
+				t.Errorf("RecvInto: %v, want ErrUnknownDtype", err)
+			}
+			for i, x := range dst {
+				if x != 0 {
+					t.Fatalf("RecvInto wrote dst[%d] = %v", i, x)
+				}
+			}
+		})
+	}
+	if _, err := Encode(nil, Message{Type: MsgChunk, Dtype: tensor.Dtype(legacyF16)}); !errors.Is(err, ErrUnknownDtype) {
+		t.Errorf("encode with dtype f16: %v, want ErrUnknownDtype", err)
+	}
+}
+
+// rawPeerMesh returns rank 1 of a two-rank TCP mesh whose rank 0 is a raw
+// connection: it says hello and then writes frame, and stays open until the
+// test ends.
+func rawPeerMesh(t *testing.T, frame []byte) *TCPMesh {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make(chan net.Conn, 1)
+	go func() {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			close(conns)
+			return
+		}
+		conns <- conn
+		var hello [helloBytes]byte
+		putHello(hello[:], ProtocolV1, CapsAll, 0)
+		_, _ = conn.Write(hello[:])
+		_, _ = conn.Write(frame)
+	}()
+	mesh, err := DialMesh(1, []string{"unused", ln.Addr().String()}, ln)
+	conn := <-conns
+	t.Cleanup(func() {
+		if conn != nil {
+			_ = conn.Close()
+		}
+		if mesh != nil {
+			_ = mesh.Close()
+		}
+		_ = ln.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mesh
 }

@@ -28,8 +28,8 @@ import (
 // Every other frame takes the pooled payload and is folded the same way:
 // frames drain-assist or another stream's reader already routed to the
 // stream's queue (drain-assist cannot land: it does not know where a body
-// goes), frames whose header differs from the expectation, compressed
-// dtypes, and meshes that cannot land. So a collective's receive is one
+// goes), frames whose header differs from the expectation, and meshes that
+// cannot land. So a collective's receive is one
 // RecvInto call whichever way the frame came. TCPMesh, its stream views and
 // SubMesh over them land; the in-memory mesh and wrapping meshes take the
 // pooled path. A landing never outlives its call: the reader keeps the
@@ -112,8 +112,7 @@ func (l *Landing) elems() int {
 }
 
 // expects reports whether a frame with header m and n elements is the one l
-// names. The dtype does not enter: a compressed frame decodes to the same
-// float64s a pooled payload carries.
+// names.
 func (l *Landing) expects(m *Message, n int) bool {
 	return m.Type == l.Type && (l.AnyIter || m.Iter == l.Iter) && m.Chunk == l.Chunk && n == l.elems() && m.Indices == nil
 }
@@ -152,7 +151,7 @@ func land(br *bufio.Reader, raw io.Reader, stream int32, l *Landing) (msg Messag
 		return Message{}, false, nil // readFrame reports it
 	}
 	msg, n, err := parseFrameHeader(hdr)
-	if err != nil || msg.Stream != stream || msg.Dtype != tensor.F64 || !l.expects(&msg, n) {
+	if err != nil || msg.Stream != stream || !l.expects(&msg, n) {
 		return Message{}, false, nil
 	}
 	_, _ = br.Discard(frameHeaderBytes) // buffered: Peek returned it

@@ -116,7 +116,7 @@ func ringPairRun(t *testing.T, meshes []transport.Mesh, dim, syncs int, partial 
 				for i := lo; i < hi; i++ {
 					p[i] -= 0.05 * work[i] * scale
 				}
-				if err := collective.RingAllGather(m, k, p, collective.Options{}); err != nil {
+				if err := collective.RingAllGather(m, k, p); err != nil {
 					errs[r] = fmt.Errorf("rank %d sync %d: %w", r, k, err)
 					return
 				}

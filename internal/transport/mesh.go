@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/tensor"
 )
 
 // ErrClosed is returned by operations on a closed mesh endpoint.
@@ -270,10 +268,7 @@ func (m *localMesh) Send(to int, msg Message) error {
 // Messages are immutable once sent, so the payload (tail included) and the
 // index list are copied into pooled buffers the receiver owns — see the
 // ownership contract in pool.go — and the sender may keep mutating its own
-// (the TCP mesh gets this for free by serializing onto the wire). A lossy
-// wire dtype quantizes on the real wire; the exact quantize→dequantize round
-// trip is replayed on the copy so in-memory results are bit-identical to the
-// TCP path (RoundTrip is pinned by test to equal Unpack∘Pack).
+// (the TCP mesh gets this for free by serializing onto the wire).
 func delivered(msg Message) Message {
 	if msg.Payload != nil || msg.HasTail {
 		p := GetPayload(msg.elems())
@@ -281,7 +276,6 @@ func delivered(msg Message) Message {
 		if msg.HasTail {
 			p[len(msg.Payload)] = msg.Tail
 		}
-		tensor.RoundTrip(msg.Dtype, p)
 		msg.Payload, msg.Tail, msg.HasTail = p, 0, false
 	}
 	if msg.Indices != nil {
@@ -317,12 +311,8 @@ func (m *localMesh) SendOwned(to int, msg Message) error {
 	}
 	msg.From = int32(m.rank)
 	msg.To = int32(to)
-	// The buffer is ours now — quantize in place to mirror the wire (see
-	// Send). Forwarded buffers already hold dequantized grid values, for
-	// which the round trip is an exact no-op by idempotence. Ownership of
-	// msg.Indices transfers with the message as well: the sender must not
-	// touch the slice afterwards.
-	tensor.RoundTrip(msg.Dtype, msg.Payload)
+	// Ownership of msg.Indices transfers with the message as well: the
+	// sender must not touch the slice afterwards.
 	if err := m.net.endpoints[to].queueFrom(m.rank).push(msg); err != nil {
 		PutPayload(msg.Payload)
 		return err

@@ -11,8 +11,8 @@
 //	     0     4  frame length (bytes after this field)
 //	     4     1  protocol version (1)
 //	     5     1  message type
-//	     6     1  flags (bit0 sparse, bit1 compressed; others reserved)
-//	     7     1  payload dtype
+//	     6     1  flags (bit0 sparse; others reserved)
+//	     7     1  payload dtype (0, f64: the only encoding)
 //	     8     4  stream id
 //	    12     4  sender rank
 //	    16     4  receiver rank
@@ -20,13 +20,14 @@
 //	    28     4  chunk tag
 //	    32     4  payload element count
 //	    36     …  indices (4·n bytes, present iff sparse flag) then payload
-//	              (Dtype.WireBytes(n) bytes)
+//	              (8·n bytes)
 //
 // All fields are little-endian. The length prefix lets a receiver (or a
 // fuzzer) bound a frame before trusting any of its fields; the version byte
-// makes the format evolvable; the flags must agree with the dtype and the
-// length prefix or the frame is rejected — a frame can no longer express the
-// index/value mismatches the pre-v1 format had to check for. The stream id
+// makes the format evolvable; a dtype other than f64 is rejected, and the
+// flags must agree with the length prefix or the frame is rejected — a frame
+// can no longer express the index/value mismatches the pre-v1 format had to
+// check for. The stream id
 // moves tag-stream multiplexing into the transport: StreamDemux routes on
 // this field instead of packing stream bits into Iter's high bits, so the
 // full int64 iteration space belongs to the collective again.
@@ -101,14 +102,10 @@ type Message struct {
 	Iter int64
 	// Chunk is the ring chunk index for MsgChunk traffic.
 	Chunk int32
-	// Dtype is the payload's wire encoding. The zero value (tensor.F64)
-	// ships raw float64 bits; lossy dtypes quantize the payload on encode
-	// and the receiver observes the dequantized values. The in-memory mesh
-	// simulates the same quantize→dequantize round trip so in-process and
-	// TCP results are bit-identical.
+	// Dtype is the payload's wire encoding. Only the zero value,
+	// tensor.F64 (raw float64 bits), encodes or decodes.
 	Dtype tensor.Dtype
-	// Payload carries tensor data (always float64 in memory; Dtype only
-	// governs the wire representation).
+	// Payload carries tensor data.
 	Payload []float64
 	// Indices, when non-nil, marks the message as SPARSE: Payload[i] is the
 	// value of dense element Indices[i]. Top-k gradient exchange ships
@@ -121,7 +118,7 @@ type Message struct {
 	// finds it as the last element of a Recv'd payload (or in its own Tail
 	// after a RecvInto that names it). It lets a sender append a scalar to a
 	// span of its own vector without staging the two in one buffer. Dense
-	// f64 frames only.
+	// frames only.
 	Tail    float64
 	HasTail bool
 }
@@ -149,20 +146,18 @@ const (
 	frameLenBase = frameHeaderBytes - 4
 )
 
-// Frame flag bits. Flags are redundant with other header fields by design
-// (sparse ⇔ indices present, compressed ⇔ dtype ≠ F64); the decoder rejects
-// any disagreement, so a corrupt header cannot smuggle one contradictory
-// claim past a check on the other.
+// Frame flag bits. A flag is redundant with other header fields by design
+// (sparse ⇔ indices present); the decoder rejects any disagreement, so a
+// corrupt header cannot smuggle one contradictory claim past a check on the
+// other. Bit 1 once marked a payload narrower than f64; it is reserved.
 const (
 	// FlagSparse marks an index+value frame: 4·n index bytes precede the
 	// payload.
 	FlagSparse uint8 = 1 << 0
-	// FlagCompressed marks a payload whose wire dtype is narrower than f64.
-	FlagCompressed uint8 = 1 << 1
 
 	// flagsKnown is the set of assigned flag bits; anything else is a
 	// frame from the future (or garbage) and is rejected.
-	flagsKnown = FlagSparse | FlagCompressed
+	flagsKnown = FlagSparse
 )
 
 // MaxPayloadElems bounds a single message's payload to guard decoders
@@ -188,15 +183,14 @@ var ErrUnknownDtype = errors.New("transport: unknown payload dtype")
 var ErrSparseMismatch = errors.New("transport: sparse index/value length mismatch")
 
 // ErrBadFrame is returned when a frame header is self-contradictory: a
-// length prefix that disagrees with the element count and flags, a flag bit
-// that disagrees with the dtype, an unknown type or flag, or a negative
-// stream id.
+// length prefix that disagrees with the element count and flags, an unknown
+// type or flag, or a negative stream id.
 var ErrBadFrame = errors.New("transport: malformed frame header")
 
 // frameBodyBytes returns the byte count of a frame's body (indices +
 // payload) for n payload elements.
-func frameBodyBytes(d tensor.Dtype, n int, sparse bool) int {
-	body := d.WireBytes(n)
+func frameBodyBytes(n int, sparse bool) int {
+	body := 8 * n
 	if sparse {
 		body += 4 * n
 	}
@@ -207,19 +201,15 @@ func frameBodyBytes(d tensor.Dtype, n int, sparse bool) int {
 // payload elements — the number benchmark and capacity math needs without
 // encoding anything.
 func FrameBytes(n int) int {
-	return frameHeaderBytes + frameBodyBytes(tensor.F64, n, false)
+	return frameHeaderBytes + frameBodyBytes(n, false)
 }
 
 // frameFlags derives the v1 flag byte for a message.
 func frameFlags(m *Message) uint8 {
-	var f uint8
 	if m.Indices != nil {
-		f |= FlagSparse
+		return FlagSparse
 	}
-	if m.Dtype != tensor.F64 {
-		f |= FlagCompressed
-	}
-	return f
+	return 0
 }
 
 // checkEncodable validates the encoder-side invariants shared by Encode and
@@ -234,8 +224,8 @@ func checkEncodable(m *Message) error {
 	if m.Indices != nil && len(m.Indices) != len(m.Payload) {
 		return fmt.Errorf("%w: %d indices, %d values", ErrSparseMismatch, len(m.Indices), len(m.Payload))
 	}
-	if m.HasTail && (m.Indices != nil || m.Dtype != tensor.F64) {
-		return fmt.Errorf("%w: a tail needs a dense f64 frame", ErrBadFrame)
+	if m.HasTail && m.Indices != nil {
+		return fmt.Errorf("%w: a tail needs a dense frame", ErrBadFrame)
 	}
 	if m.Type == 0 || m.Type > maxMsgType {
 		return fmt.Errorf("%w: type %d", ErrBadFrame, m.Type)
@@ -249,7 +239,7 @@ func checkEncodable(m *Message) error {
 // putFrameHeader writes the fixed v1 header into b (len(b) must be at least
 // frameHeaderBytes) for a message with n payload elements.
 func putFrameHeader(b []byte, m *Message, n int) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(frameLenBase+frameBodyBytes(m.Dtype, n, m.Indices != nil)))
+	binary.LittleEndian.PutUint32(b[0:], uint32(frameLenBase+frameBodyBytes(n, m.Indices != nil)))
 	b[4] = ProtocolV1
 	b[5] = byte(m.Type)
 	b[6] = frameFlags(m)
@@ -282,14 +272,14 @@ func parseFrameHeader(hdr []byte) (Message, int, error) {
 	if m.Type == 0 || m.Type > maxMsgType {
 		return Message{}, 0, fmt.Errorf("%w: type %d", ErrBadFrame, m.Type)
 	}
-	if flags&^flagsKnown != 0 {
-		return Message{}, 0, fmt.Errorf("%w: unknown flags %#02x", ErrBadFrame, flags)
-	}
+	// The dtype goes before the flags: a frame of a build that shipped
+	// narrower dtypes also sets the reserved bit 1, and its dtype is what
+	// this decoder cannot read.
 	if !m.Dtype.Valid() {
 		return Message{}, 0, fmt.Errorf("%w: %d", ErrUnknownDtype, hdr[7])
 	}
-	if compressed := m.Dtype != tensor.F64; compressed != (flags&FlagCompressed != 0) {
-		return Message{}, 0, fmt.Errorf("%w: dtype %v vs compressed flag %t", ErrBadFrame, m.Dtype, !compressed)
+	if flags&^flagsKnown != 0 {
+		return Message{}, 0, fmt.Errorf("%w: unknown flags %#02x", ErrBadFrame, flags)
 	}
 	if m.Stream < 0 {
 		return Message{}, 0, fmt.Errorf("%w: negative stream %d", ErrBadFrame, m.Stream)
@@ -299,7 +289,7 @@ func parseFrameHeader(hdr []byte) (Message, int, error) {
 		return Message{}, 0, fmt.Errorf("%w: %d elems", ErrPayloadTooLarge, n)
 	}
 	sparse := flags&FlagSparse != 0
-	if want := uint32(frameLenBase + frameBodyBytes(m.Dtype, int(n), sparse)); frameLen != want {
+	if want := uint32(frameLenBase + frameBodyBytes(int(n), sparse)); frameLen != want {
 		return Message{}, 0, fmt.Errorf("%w: frame len %d, header implies %d", ErrBadFrame, frameLen, want)
 	}
 	if sparse {
@@ -322,7 +312,7 @@ func Encode(buf []byte, m Message) ([]byte, error) {
 		return nil, err
 	}
 	n := len(m.Payload)
-	need := frameHeaderBytes + frameBodyBytes(m.Dtype, m.elems(), m.Indices != nil)
+	need := frameHeaderBytes + frameBodyBytes(m.elems(), m.Indices != nil)
 	off := len(buf)
 	if cap(buf)-off < need {
 		grown := make([]byte, off, off+need)
@@ -338,7 +328,7 @@ func Encode(buf []byte, m Message) ([]byte, error) {
 		p = p[4*n:]
 	}
 	if n > 0 {
-		encodePayload(p, m.Dtype, m.Payload)
+		encodePayload(p, m.Payload)
 	}
 	if m.HasTail {
 		binary.LittleEndian.PutUint64(p[8*n:], math.Float64bits(m.Tail))
@@ -347,7 +337,7 @@ func Encode(buf []byte, m Message) ([]byte, error) {
 }
 
 // encodeBufs recycles wire-format scratch buffers across sends; readBufs
-// recycles the staging buffer quantized (non-f64) payloads decode through.
+// recycles the staging buffer readFrameExact reads a body through.
 var encodeBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
@@ -396,7 +386,7 @@ func readFrameExact(r io.Reader) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	body := frameBodyBytes(m.Dtype, n, m.Indices != nil)
+	body := frameBodyBytes(n, m.Indices != nil)
 	bp := readBufs.Get().(*[]byte)
 	raw := *bp
 	if cap(raw) < body {
@@ -419,16 +409,12 @@ func readFrameExact(r io.Reader) (Message, error) {
 	}
 	if n > 0 {
 		payload := GetPayload(n)
-		if m.Dtype == tensor.F64 {
-			if view := f64Bytes(payload); view != nil {
-				copy(view, rest)
-			} else {
-				for i := range payload {
-					payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-				}
-			}
+		if view := f64Bytes(payload); view != nil {
+			copy(view, rest)
 		} else {
-			tensor.Unpack(m.Dtype, payload, rest)
+			for i := range payload {
+				payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+			}
 		}
 		m.Payload = payload
 	}
@@ -463,9 +449,7 @@ type frameDecoder struct {
 	msg    Message // header fields; Indices/Payload filled as bytes arrive
 	n      int     // payload elements expected
 	idxOff int     // index elements decoded so far
-	payOff int     // f64 payload elements decoded so far
-	rawOff int     // staged bytes read so far (quantized payloads)
-	rawBox *[]byte // pooled staging buffer for quantized payloads
+	payOff int     // payload elements decoded so far
 }
 
 // step advances the decode as far as br can supply bytes. It returns
@@ -496,7 +480,7 @@ func (d *frameDecoder) step(br *bufio.Reader) (Message, bool, error) {
 			return Message{}, false, err
 		}
 		d.active, d.msg, d.n = true, m, n
-		d.idxOff, d.payOff, d.rawOff = 0, 0, 0
+		d.idxOff, d.payOff = 0, 0
 		if n > 0 {
 			if m.Indices != nil {
 				d.msg.Indices = GetIndices(n)
@@ -514,13 +498,9 @@ func (d *frameDecoder) step(br *bufio.Reader) (Message, bool, error) {
 		}
 	}
 	if d.n > 0 {
-		if d.msg.Dtype == tensor.F64 {
-			k, err := decodeF64From(br, d.msg.Payload[d.payOff:])
-			d.payOff += k
-			if err != nil {
-				return Message{}, false, fmt.Errorf("transport: read payload: %w", err)
-			}
-		} else if err := d.stagePacked(br); err != nil {
+		k, err := decodeF64From(br, d.msg.Payload[d.payOff:])
+		d.payOff += k
+		if err != nil {
 			return Message{}, false, fmt.Errorf("transport: read payload: %w", err)
 		}
 	}
@@ -529,45 +509,10 @@ func (d *frameDecoder) step(br *bufio.Reader) (Message, bool, error) {
 	return msg, true, nil
 }
 
-// stagePacked accumulates a quantized payload's wire bytes into the pooled
-// staging buffer and unpacks once complete (block dtypes want the whole run
-// contiguous). Partial fills persist in rawBox across calls.
-func (d *frameDecoder) stagePacked(br *bufio.Reader) error {
-	wire := d.msg.Dtype.WireBytes(d.n)
-	if d.rawBox == nil {
-		bp := readBufs.Get().(*[]byte)
-		raw := *bp
-		if cap(raw) < wire {
-			raw = make([]byte, wire)
-		}
-		*bp = raw[:wire]
-		d.rawBox = bp
-	}
-	raw := *d.rawBox
-	for d.rawOff < wire {
-		k, err := br.Read(raw[d.rawOff:wire])
-		d.rawOff += k
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
-		}
-	}
-	tensor.Unpack(d.msg.Dtype, d.msg.Payload, raw[:wire])
-	*d.rawBox = raw[:0]
-	readBufs.Put(d.rawBox)
-	d.rawBox = nil
-	return nil
-}
-
 // abort releases any partially-decoded frame's pooled buffers and resets
 // the decoder. Call it when the stream is being torn down (or after a fatal
 // step error); the decoder cannot resync mid-stream.
 func (d *frameDecoder) abort() {
-	if d.rawBox != nil {
-		readBufs.Put(d.rawBox)
-	}
 	if d.active {
 		PutPayload(d.msg.Payload)
 		PutIndices(d.msg.Indices)

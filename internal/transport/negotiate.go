@@ -7,8 +7,6 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"repro/internal/tensor"
 )
 
 // Connection negotiation.
@@ -45,16 +43,12 @@ const helloBytes = 20
 // decoder understands beyond the v1 baseline (dense f64 frames on stream 0).
 type Caps uint64
 
-// Capability bits.
+// Capability bits. Bits 0–2 advertised the f32, f16 and i8 payload
+// encodings of earlier builds; they are reserved, never reused, so a hello
+// from such a build negotiates down to the bits both sides share.
 const (
-	// CapF32 — decodes f32-compressed payloads.
-	CapF32 Caps = 1 << iota
-	// CapF16 — decodes f16-compressed payloads.
-	CapF16
-	// CapI8 — decodes block-quantized i8 payloads.
-	CapI8
 	// CapSparse — decodes sparse (index+value) top-k frames.
-	CapSparse
+	CapSparse Caps = 1 << (iota + 3)
 	// CapStreams — routes frames by the header stream id (without it, only
 	// stream 0 may be used toward this peer).
 	CapStreams
@@ -67,7 +61,7 @@ const (
 
 // CapsAll is every capability this build implements — the default advertised
 // set.
-const CapsAll = CapF32 | CapF16 | CapI8 | CapSparse | CapStreams | CapPS
+const CapsAll = CapSparse | CapStreams | CapPS
 
 // String lists the set bits for diagnostics.
 func (c Caps) String() string {
@@ -77,7 +71,7 @@ func (c Caps) String() string {
 	names := []struct {
 		bit  Caps
 		name string
-	}{{CapF32, "f32"}, {CapF16, "f16"}, {CapI8, "i8"}, {CapSparse, "sparse"}, {CapStreams, "streams"}, {CapPS, "ps"}}
+	}{{CapSparse, "sparse"}, {CapStreams, "streams"}, {CapPS, "ps"}}
 	out := ""
 	for _, n := range names {
 		if c&n.bit != 0 {
@@ -94,20 +88,6 @@ func (c Caps) String() string {
 		out += fmt.Sprintf("unknown(%#x)", uint64(rest))
 	}
 	return out
-}
-
-// dtypeCap maps a wire dtype to the capability required to decode it (0 for
-// the always-on f64 baseline).
-func dtypeCap(d tensor.Dtype) Caps {
-	switch d {
-	case tensor.F32:
-		return CapF32
-	case tensor.F16:
-		return CapF16
-	case tensor.I8:
-		return CapI8
-	}
-	return 0
 }
 
 // ErrVersionMismatch is returned when a peer does not speak a compatible

@@ -17,12 +17,12 @@ import (
 
 func TestHelloRoundTrip(t *testing.T) {
 	var b [helloBytes]byte
-	putHello(b[:], ProtocolV1, CapF32|CapSparse, 7)
+	putHello(b[:], ProtocolV1, CapSparse|CapPS, 7)
 	version, caps, rank, err := parseHello(b[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != ProtocolV1 || caps != CapF32|CapSparse || rank != 7 {
+	if version != ProtocolV1 || caps != CapSparse|CapPS || rank != 7 {
 		t.Errorf("round trip = (v%d, %v, rank %d)", version, caps, rank)
 	}
 }
@@ -77,7 +77,7 @@ func exchangePipe(t *testing.T, va uint8, ca Caps, ra int, vb uint8, cb Caps, rb
 func TestExchangeHelloNegotiation(t *testing.T) {
 	peerA, peerB, verA, verB, capsA, capsB, errA, errB := exchangePipe(t,
 		ProtocolV1, CapsAll, 0,
-		ProtocolV1+2, CapF32|CapSparse|CapStreams, 1)
+		ProtocolV1+2, CapSparse|CapStreams, 1)
 	if errA != nil || errB != nil {
 		t.Fatalf("errs: %v / %v", errA, errB)
 	}
@@ -87,7 +87,7 @@ func TestExchangeHelloNegotiation(t *testing.T) {
 	if verA != ProtocolV1 || verB != ProtocolV1 {
 		t.Errorf("negotiated versions %d / %d, want %d", verA, verB, ProtocolV1)
 	}
-	want := CapF32 | CapSparse | CapStreams
+	want := CapSparse | CapStreams
 	if capsA != want || capsB != want {
 		t.Errorf("negotiated caps %v / %v, want %v", capsA, capsB, want)
 	}
@@ -233,47 +233,66 @@ func TestMixedVersionClusterDowngrades(t *testing.T) {
 	}
 }
 
-// TestCapabilityDowngradeCompressed: toward a peer that cannot decode a
-// compressed dtype, the sender quantizes locally and ships f64 — the receiver
-// observes values bit-identical to a full-capability wire.
-func TestCapabilityDowngradeCompressed(t *testing.T) {
-	for _, d := range []tensor.Dtype{tensor.F32, tensor.F16, tensor.I8} {
-		meshes, err := NewTCPClusterOpts(2, func(rank int) MeshOptions {
-			if rank == 1 {
-				return MeshOptions{Caps: CapsAll &^ (CapF32 | CapF16 | CapI8)}
-			}
-			return MeshOptions{}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := []float64{1.25, -3.7e-3, 99.5, 0, 2.625}
-		want := append([]float64(nil), payload...)
-		tensor.RoundTrip(d, want)
+// TestHelloDowngrade: a peer's hello negotiates down to the capability bits
+// both ends share, whatever else it advertises, and the connection then
+// carries an f64 frame with a tail bit for bit. The first row is a build
+// that still advertised the f32, f16 and i8 encodings in bits 0–2.
+func TestHelloDowngrade(t *testing.T) {
+	if CapSparse != 1<<3 || CapStreams != 1<<4 || CapPS != 1<<5 {
+		t.Fatalf("capability bits moved: sparse %#x, streams %#x, ps %#x", uint64(CapSparse), uint64(CapStreams), uint64(CapPS))
+	}
+	testCases := []struct {
+		name string
+		peer Caps
+		want Caps
+	}{
+		{name: "pre-change CapsAll (bits 0-5)", peer: 0x3f, want: CapsAll},
+		{name: "streams and ps only", peer: CapStreams | CapPS, want: CapStreams | CapPS},
+		{name: "current CapsAll", peer: CapsAll, want: CapsAll},
+	}
+	payload := []float64{1.25, -3.7e-3, math.Pi, 0, math.Copysign(0, -1), 6.02e23}
+	const tail = -2.5e-7
 
-		done := make(chan error, 1)
-		go func() {
-			done <- meshes[0].Send(1, Message{Type: MsgChunk, Dtype: d, Payload: payload})
-		}()
-		msg, err := meshes[1].Recv(0)
-		if err != nil || <-done != nil {
-			t.Fatalf("dtype %v downgrade send failed: %v", d, err)
-		}
-		if msg.Dtype != tensor.F64 {
-			t.Errorf("dtype %v arrived as %v, want downgraded F64", d, msg.Dtype)
-		}
-		for i := range want {
-			if math.Float64bits(msg.Payload[i]) != math.Float64bits(want[i]) {
-				t.Errorf("dtype %v elem %d: got %v, want %v", d, i, msg.Payload[i], want[i])
+	for _, tc := range testCases {
+		t.Run(tc.name, func(t *testing.T) {
+			meshes, err := NewTCPClusterOpts(2, func(rank int) MeshOptions {
+				if rank == 1 {
+					return MeshOptions{Caps: tc.peer}
+				}
+				return MeshOptions{}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// The caller's buffer must not have been quantized in place.
-		if payload[1] != -3.7e-3 {
-			t.Errorf("dtype %v: sender buffer mutated to %v", d, payload[1])
-		}
-		for _, m := range meshes {
-			_ = m.Close()
-		}
+			defer func() {
+				for _, m := range meshes {
+					_ = m.Close()
+				}
+			}()
+			for r, m := range meshes {
+				if m.Caps() != tc.want {
+					t.Errorf("rank %d negotiated %v, want %v", r, m.Caps(), tc.want)
+				}
+			}
+
+			done := make(chan error, 1)
+			go func() {
+				done <- meshes[0].Send(1, Message{Type: MsgChunk, Iter: 4, Chunk: 1, Payload: payload, Tail: tail, HasTail: true})
+			}()
+			msg, err := meshes[1].Recv(0)
+			if err != nil || <-done != nil {
+				t.Fatalf("f64 frame with a tail: %v", err)
+			}
+			want := append(append([]float64(nil), payload...), tail)
+			if msg.Dtype != tensor.F64 || len(msg.Payload) != len(want) {
+				t.Fatalf("got dtype %v, %d elems; want f64, %d", msg.Dtype, len(msg.Payload), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(msg.Payload[i]) != math.Float64bits(want[i]) {
+					t.Errorf("elem %d: got %x, want %x", i, math.Float64bits(msg.Payload[i]), math.Float64bits(want[i]))
+				}
+			}
+		})
 	}
 }
 
@@ -282,7 +301,7 @@ func TestCapabilityDowngradeCompressed(t *testing.T) {
 func TestCapabilityGateSparseAndStreams(t *testing.T) {
 	meshes, err := NewTCPClusterOpts(2, func(rank int) MeshOptions {
 		if rank == 1 {
-			return MeshOptions{Caps: CapF32} // no sparse, no streams
+			return MeshOptions{Caps: CapPS} // no sparse, no streams
 		}
 		return MeshOptions{}
 	})
@@ -358,55 +377,4 @@ func TestCapabilityGatePS(t *testing.T) {
 	if msg, err := meshes[1].Recv(1); err != nil || msg.Iter != 9 {
 		t.Fatalf("loopback ps recv: %+v, %v", msg, err)
 	}
-}
-
-// TestSetLinkRateConcurrent: SetLinkRate racing in-flight sends must be a
-// clean atomic handoff (run under -race).
-func TestSetLinkRateConcurrent(t *testing.T) {
-	meshes, err := NewTCPCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-	const msgs = 50
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rates := []float64{0, 1 << 30, 64 << 20, 0}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				meshes[0].SetLinkRate(rates[i%len(rates)])
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < msgs; i++ {
-			if err := meshes[0].Send(1, Message{Type: MsgChunk, Iter: int64(i), Payload: []float64{float64(i)}}); err != nil {
-				t.Errorf("send %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < msgs; i++ {
-		msg, err := meshes[1].Recv(0)
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if msg.Iter != int64(i) {
-			t.Fatalf("recv %d: iter %d", i, msg.Iter)
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

@@ -4,14 +4,10 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/tensor"
 )
 
 // dialTimeout bounds connection establishment to a peer.
@@ -78,10 +74,6 @@ type TCPMesh struct {
 	caps    Caps
 	version uint8
 
-	// linkRate, when positive (stored as math.Float64bits), paces outbound
-	// traffic to emulate a link of that many bytes/second (see SetLinkRate).
-	linkRate atomic.Uint64
-
 	mu     sync.Mutex
 	closed bool
 }
@@ -115,12 +107,10 @@ type peerConn struct {
 	version uint8
 
 	// Send side: wmu serializes writers; waiters counts senders committed
-	// to acquiring wmu (the group-commit signal); fw coalesces frames;
-	// nextFree is the emulated-link transmit horizon (guarded by wmu).
-	wmu      sync.Mutex
-	waiters  atomic.Int32
-	fw       *frameWriter
-	nextFree time.Time
+	// to acquiring wmu (the group-commit signal); fw coalesces frames.
+	wmu     sync.Mutex
+	waiters atomic.Int32
+	fw      *frameWriter
 
 	// Receive side: per-stream routed-frame queues. q0 (stream 0) is
 	// preallocated — the non-multiplexed fast path takes no lock to find it.
@@ -373,11 +363,8 @@ func (m *TCPMesh) send(to int, msg Message, owned bool) error {
 		return fmt.Errorf("transport: no connection to rank %d", to)
 	}
 
-	// Capability gating against the negotiated per-connection set. Frames
-	// the peer cannot decode are rejected typed (streams, sparse) or
-	// transparently downgraded (compressed dtypes: quantize locally, ship
-	// the result as f64 — the receiver observes bit-identical values at
-	// full wire width).
+	// Capability gating against the negotiated per-connection set: frames
+	// the peer cannot decode are rejected typed.
 	if msg.Stream != 0 && c.caps&CapStreams == 0 {
 		release()
 		return fmt.Errorf("%w: stream %d to rank %d (negotiated %v)", ErrCapability, msg.Stream, to, c.caps)
@@ -390,25 +377,7 @@ func (m *TCPMesh) send(to int, msg Message, owned bool) error {
 		release()
 		return fmt.Errorf("%w: ps frame to rank %d (negotiated %v)", ErrCapability, to, c.caps)
 	}
-	if dc := dtypeCap(msg.Dtype); dc != 0 && c.caps&dc == 0 {
-		if !owned {
-			if msg.Payload != nil {
-				p := GetPayload(len(msg.Payload))
-				copy(p, msg.Payload)
-				msg.Payload = p
-			}
-			if msg.Indices != nil {
-				ix := GetIndices(len(msg.Indices))
-				copy(ix, msg.Indices)
-				msg.Indices = ix
-			}
-			owned = true
-		}
-		tensor.RoundTrip(msg.Dtype, msg.Payload)
-		msg.Dtype = tensor.F64
-	}
 
-	rate := math.Float64frombits(m.linkRate.Load())
 	c.waiters.Add(1)
 	c.wmu.Lock()
 	c.waiters.Add(-1)
@@ -427,63 +396,22 @@ func (m *TCPMesh) send(to int, msg Message, owned bool) error {
 		c.wmu.Unlock()
 		return nil
 	}
-	queued := c.fw.queuedBytes()
 	err = c.fw.flush()
-	var horizon time.Time
-	if err == nil && rate > 0 {
-		// Store-and-forward pacing: advance the connection's transmit
-		// horizon by the batch's serialization time and wait until the
-		// horizon, so outbound wire bytes flow at the emulated link rate.
-		// The horizon is cumulative — back-to-back senders queue behind each
-		// other exactly as frames on a shared link would.
-		now := time.Now()
-		if c.nextFree.Before(now) {
-			c.nextFree = now
-		}
-		c.nextFree = c.nextFree.Add(time.Duration(float64(queued) / rate * 1e9))
-		horizon = c.nextFree
-	}
 	c.wmu.Unlock()
-	if !horizon.IsZero() {
-		pacingWait(horizon)
-	}
 	return err
 }
 
-// pacingSpinWindow is the tail of a pacing wait that busy-polls instead of
-// sleeping. Go timers routinely overshoot by hundreds of microseconds under
-// scheduler load; on a small-message emulated fabric that overshoot dwarfs
-// the sub-millisecond serialization delays the pacer exists to model.
-// Sleeping only to within the window
-// and yielding-polling the remainder keeps the modeled rates honest at
-// microsecond granularity while bounding the burned CPU per flush.
-const pacingSpinWindow = 500 * time.Microsecond
-
-// pacingWait blocks until the transmit horizon: coarse timer sleep first,
-// then a sched-yielding poll across the final spin window.
-func pacingWait(horizon time.Time) {
-	if d := time.Until(horizon); d > pacingSpinWindow {
-		time.Sleep(d - pacingSpinWindow)
-	}
-	for time.Now().Before(horizon) {
-		runtime.Gosched()
-	}
-}
-
-// sendSelf is loopback delivery: mirror the wire path's copy AND
-// quantization semantics, then push straight to the local queue.
+// sendSelf is loopback delivery: mirror the wire path's copy semantics, then
+// push straight to the local queue. Owned buffers go as they are.
 func (m *TCPMesh) sendSelf(msg Message, owned bool) error {
 	switch {
-	case owned && !msg.HasTail:
-		// The buffers are ours — quantize in place, no copy.
-		tensor.RoundTrip(msg.Dtype, msg.Payload)
-	case owned:
+	case owned && msg.HasTail:
 		// A tail needs a buffer one element longer.
 		d := delivered(msg)
 		PutPayload(msg.Payload)
 		PutIndices(msg.Indices)
 		msg = d
-	default:
+	case !owned:
 		msg = delivered(msg)
 	}
 	if err := m.peers[m.rank].queue(msg.Stream).push(msg); err != nil {
@@ -492,19 +420,6 @@ func (m *TCPMesh) sendSelf(msg Message, owned bool) error {
 		return err
 	}
 	return nil
-}
-
-// SetLinkRate makes every subsequent outbound flush pace itself so the
-// connection's wire bytes flow at no more than bytesPerSec — an emulated
-// link bandwidth. It exists for benchmarking on fast loopback hardware: real
-// loopback is CPU-bound, so without a rate cap the wire-byte savings of
-// compressed payloads are invisible.
-// A rate of 0 (the default) disables pacing. Pacing is applied per
-// connection on the sender side only. Safe to call concurrently with
-// in-flight sends (the rate is read atomically per flush), though a rate
-// change mid-collective applies only to flushes that start after it.
-func (m *TCPMesh) SetLinkRate(bytesPerSec float64) {
-	m.linkRate.Store(math.Float64bits(bytesPerSec))
 }
 
 // Recv implements Mesh: the next stream-0 message from `from`.

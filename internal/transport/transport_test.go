@@ -368,55 +368,6 @@ func TestRingBulkSendBeforeRecv(t *testing.T) {
 	}
 }
 
-// TestLinkRatePacing: with an emulated link rate, a burst of messages takes
-// at least its serialization time, and the payloads still arrive intact and
-// in order.
-func TestLinkRatePacing(t *testing.T) {
-	meshes, err := NewTCPCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-	const rate = 16e6 // 16 MB/s emulated link
-	for _, m := range meshes {
-		m.SetLinkRate(rate)
-	}
-	payload := make([]float64, 32*1024) // 256 KiB on an f64 wire
-	for i := range payload {
-		payload[i] = float64(i)
-	}
-	const msgs = 4
-	start := time.Now()
-	go func() {
-		for k := 0; k < msgs; k++ {
-			if err := meshes[0].Send(1, Message{Type: MsgChunk, Iter: int64(k), Payload: payload}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for k := 0; k < msgs; k++ {
-		got, err := meshes[1].Recv(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Iter != int64(k) || len(got.Payload) != len(payload) || got.Payload[777] != 777 {
-			t.Fatalf("message %d corrupted: iter %d len %d", k, got.Iter, len(got.Payload))
-		}
-		PutPayload(got.Payload)
-	}
-	// 4 × 256 KiB at 16 MB/s is 64 ms of serialization; allow generous slack
-	// below it so scheduler jitter can't flake the test, but unpaced
-	// loopback (sub-millisecond) stays clearly excluded.
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Errorf("paced burst finished in %v, want >= 40ms of serialization delay", elapsed)
-	}
-}
-
 func TestTCPClose(t *testing.T) {
 	meshes, err := NewTCPCluster(3)
 	if err != nil {

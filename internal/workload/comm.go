@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/collective"
-	"repro/internal/tensor"
 )
 
 // CommModel prices communication operations in virtual time. It follows the
@@ -79,28 +78,14 @@ func (c CommModel) price(path [2]collective.Hop) time.Duration {
 // RingAllReduce returns the cost of a ring AllReduce of a `bytes`-sized
 // buffer across n workers — the bandwidth-optimal schedule of Section 2.2.
 func (c CommModel) RingAllReduce(n int, bytes int64) time.Duration {
-	return c.price(collective.RingPath(n, collective.Bytes(bytes), tensor.F64))
-}
-
-// RingAllReduceWire prices the ring over elems elements with a compressed
-// distribution phase: the reduce-scatter ships fp64 partial sums, the
-// allgather ships the wire dtype.
-func (c CommModel) RingAllReduceWire(n int, elems int, wire tensor.Dtype) time.Duration {
-	return c.price(collective.RingPath(n, collective.Elems(elems), wire))
+	return c.price(collective.RingPath(n, bytes))
 }
 
 // TreeAllReduce returns the cost of a binomial-tree reduce-to-root plus
 // broadcast. The fewest messages of any dense schedule, at log-factor extra
 // byte volume — the small-tensor schedule.
 func (c CommModel) TreeAllReduce(n int, bytes int64) time.Duration {
-	return c.price(collective.TreePath(n, collective.Bytes(bytes), tensor.F64))
-}
-
-// TreeAllReduceWire prices the binomial tree over elems elements with a
-// compressed broadcast: the reduce-to-root ships fp64 full vectors, the
-// broadcast ships the wire dtype.
-func (c CommModel) TreeAllReduceWire(n int, elems int, wire tensor.Dtype) time.Duration {
-	return c.price(collective.TreePath(n, collective.Elems(elems), wire))
+	return c.price(collective.TreePath(n, bytes))
 }
 
 // AllReduceAlgo selects which collective schedule CommModel prices for an
@@ -134,11 +119,11 @@ func (a AllReduceAlgo) String() string {
 	}
 }
 
-// allReduce prices payload p under the given schedule and wire dtype;
-// AllReduceAuto is the cheaper of the two.
-func (c CommModel) allReduce(algo AllReduceAlgo, n int, p collective.Payload, wire tensor.Dtype) time.Duration {
-	ring := c.price(collective.RingPath(n, p, wire))
-	tree := c.price(collective.TreePath(n, p, wire))
+// AllReduce prices one AllReduce of a `bytes`-sized buffer under the given
+// schedule; AllReduceAuto is the cheaper of the two.
+func (c CommModel) AllReduce(algo AllReduceAlgo, n int, bytes int64) time.Duration {
+	ring := c.RingAllReduce(n, bytes)
+	tree := c.TreeAllReduce(n, bytes)
 	switch algo {
 	case AllReduceTree:
 		return tree
@@ -149,30 +134,13 @@ func (c CommModel) allReduce(algo AllReduceAlgo, n int, p collective.Payload, wi
 	}
 }
 
-// AllReduce prices one uncompressed AllReduce of a `bytes`-sized buffer
-// under the given schedule.
-func (c CommModel) AllReduce(algo AllReduceAlgo, n int, bytes int64) time.Duration {
-	return c.allReduce(algo, n, collective.Bytes(bytes), tensor.F64)
-}
-
-// AllReduceWire prices one AllReduce of `elems` fp64 elements whose
-// distribution phase ships the given wire dtype. For tensor.F64 it agrees
-// exactly with AllReduce(algo, n, 8·elems), preserving every existing
-// simulation.
-func (c CommModel) AllReduceWire(algo AllReduceAlgo, n int, elems int, wire tensor.Dtype) time.Duration {
-	if wire == tensor.F64 {
-		return c.AllReduce(algo, n, 8*int64(elems))
-	}
-	return c.allReduce(algo, n, collective.Elems(elems), wire)
-}
-
 // ReduceScatter prices the reduction half of the sharded owner-computes
-// update: n−1 serialized direct messages, each carrying this rank's fp64
-// share of one uniform chunk (elems/n elements). By construction
-// ReduceScatter + AllGatherWire == RingAllReduceWire exactly — decomposing
-// the ring into its two halves moves no extra bytes, so a simulation that
-// swaps a fused AllReduce for the sharded pair pays only the owned-shard
-// optimizer time on top.
+// update: n−1 serialized direct messages, each carrying this rank's share of
+// one uniform chunk (elems/n whole elements). ReduceScatter + AllGather is
+// the ring AllReduce over the whole elements they cover exactly —
+// decomposing the ring into its two halves moves no extra bytes, so a
+// simulation that swaps a fused AllReduce for the sharded pair pays only the
+// owned-shard optimizer time on top.
 func (c CommModel) ReduceScatter(n int, elems int) time.Duration {
 	if n <= 1 {
 		return 0
@@ -180,14 +148,14 @@ func (c CommModel) ReduceScatter(n int, elems int) time.Duration {
 	return time.Duration(n-1) * c.transfer(8*int64(elems/n))
 }
 
-// AllGatherWire prices the parameter-distribution half of the sharded
-// update: n−1 serialized direct messages, each carrying one wire-encoded
-// uniform chunk. See ReduceScatter for the composition invariant.
-func (c CommModel) AllGatherWire(n int, elems int, wire tensor.Dtype) time.Duration {
+// AllGather prices the parameter-distribution half of the sharded update:
+// n−1 serialized direct messages, each carrying one uniform chunk. See
+// ReduceScatter for the composition invariant.
+func (c CommModel) AllGather(n int, elems int) time.Duration {
 	if n <= 1 {
 		return 0
 	}
-	return time.Duration(n-1) * c.transfer(int64(wire.WireBytes(elems/n)))
+	return time.Duration(n-1) * c.transfer(8*int64(elems/n))
 }
 
 // NaiveAllReduce returns the cost of the gather-then-broadcast alternative
@@ -215,16 +183,15 @@ func (c CommModel) Broadcast(n int, bytes int64) time.Duration {
 }
 
 // PSPushPull returns the cost of one push+pull round trip with a parameter
-// server for `bytes` of parameters — the monolithic (unchunked, f64)
-// exchange. PSPushPullWire prices the pipelined wire protocol.
+// server for `bytes` of parameters — the monolithic (unchunked) exchange.
+// PSPushPullWire prices the pipelined wire protocol.
 func (c CommModel) PSPushPull(bytes int64) time.Duration {
 	return 2 * c.transfer(bytes)
 }
 
 // PSPushPullWire prices one chunked push-pull against the networked
 // parameter server (internal/ps wire protocol): the model's elems split
-// into `chunks` request frames at the wire dtype, pushed back-to-back on
-// the uplink while acks stream back on the downlink. Chunk i's ack can
+// into `chunks` request frames, pushed back-to-back on the uplink while acks stream back on the downlink. Chunk i's ack can
 // start only after its push finishes and the previous ack has drained
 // (full-duplex link, serialized per direction), so with symmetric chunk
 // sizes the pipeline hides all but one ack behind the pushes:
@@ -234,7 +201,7 @@ func (c CommModel) PSPushPull(bytes int64) time.Duration {
 //
 // where B is the bandwidth term. With chunks = 1 this degenerates to the
 // monolithic round trip (one latency charged per direction).
-func (c CommModel) PSPushPullWire(elems int, chunks int, wire tensor.Dtype) time.Duration {
+func (c CommModel) PSPushPullWire(elems int, chunks int) time.Duration {
 	if elems <= 0 {
 		return 0
 	}
@@ -251,7 +218,7 @@ func (c CommModel) PSPushPullWire(elems int, chunks int, wire tensor.Dtype) time
 		if i < elems%chunks {
 			span++
 		}
-		b := c.bytesCost(int64(wire.WireBytes(span)))
+		b := c.bytesCost(8 * int64(span))
 		pushDone += b
 		ready := pushDone + c.Latency
 		if ackDone > ready {

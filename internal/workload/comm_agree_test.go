@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/collective"
-	"repro/internal/tensor"
 )
 
 // TestCostModelsAgree holds the two evaluators of the shared schedule
@@ -30,23 +29,22 @@ func TestCostModelsAgree(t *testing.T) {
 		cost := collective.CostModel{Ring: k, Tree: k}
 		for _, n := range []int{2, 3, 4, 5, 8, 16, 32} {
 			for _, elems := range []int{64, 1025, 4099, 1 << 14, 139792, 1<<18 + 3, 1000003} {
-				for _, wire := range []tensor.Dtype{tensor.F64, tensor.F32, tensor.F16, tensor.I8} {
-					for _, p := range pairs {
-						sim := float64(comm.AllReduceWire(p.algo, n, elems, wire))
-						run := cost.PredictWireNs(p.twin, n, elems, wire)
-						if d := run - sim; d < -1e-3 || d > float64(p.msgs(n)) {
-							t.Errorf("%v %v n=%d elems=%d %v: selector %.3f ns, simulator %.0f ns, apart by more than %d messages' truncation",
-								comm, p.algo, n, elems, wire, run, sim, p.msgs(n))
-						}
+				bytes := 8 * int64(elems)
+				for _, p := range pairs {
+					sim := float64(comm.AllReduce(p.algo, n, bytes))
+					run := cost.PredictNs(p.twin, n, elems)
+					if d := run - sim; d < -1e-3 || d > float64(p.msgs(n)) {
+						t.Errorf("%v %v n=%d elems=%d: selector %.3f ns, simulator %.0f ns, apart by more than %d messages' truncation",
+							comm, p.algo, n, elems, run, sim, p.msgs(n))
 					}
-					simAuto := comm.AllReduceWire(AllReduceAuto, n, elems, wire)
-					if want := min(comm.AllReduceWire(AllReduceRing, n, elems, wire), comm.AllReduceWire(AllReduceTree, n, elems, wire)); simAuto != want {
-						t.Errorf("%v n=%d elems=%d %v: simulator auto %v, cheaper schedule %v", comm, n, elems, wire, simAuto, want)
-					}
-					runAuto := cost.PredictWireNs(collective.AlgoAuto, n, elems, wire)
-					if want := math.Min(cost.PredictWireNs(collective.AlgoRing, n, elems, wire), cost.PredictWireNs(collective.AlgoTree, n, elems, wire)); runAuto != want {
-						t.Errorf("%v n=%d elems=%d %v: selector auto %v, cheaper schedule %v", comm, n, elems, wire, runAuto, want)
-					}
+				}
+				simAuto := comm.AllReduce(AllReduceAuto, n, bytes)
+				if want := min(comm.AllReduce(AllReduceRing, n, bytes), comm.AllReduce(AllReduceTree, n, bytes)); simAuto != want {
+					t.Errorf("%v n=%d elems=%d: simulator auto %v, cheaper schedule %v", comm, n, elems, simAuto, want)
+				}
+				runAuto := cost.PredictNs(collective.AlgoAuto, n, elems)
+				if want := math.Min(cost.PredictNs(collective.AlgoRing, n, elems), cost.PredictNs(collective.AlgoTree, n, elems)); runAuto != want {
+					t.Errorf("%v n=%d elems=%d: selector auto %v, cheaper schedule %v", comm, n, elems, runAuto, want)
 				}
 			}
 		}

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"repro/internal/tensor"
-)
+import "testing"
 
 // TestAllReduceAlgoZeroValueIsRing: the zero value must price exactly like
 // the historical ring so existing engine configurations are unchanged.
@@ -67,40 +63,6 @@ func TestAllReduceAlgoString(t *testing.T) {
 	for a, s := range want {
 		if a.String() != s {
 			t.Errorf("%d.String() = %q, want %q", int(a), a.String(), s)
-		}
-	}
-}
-
-func TestAllReduceWireF64MatchesLegacy(t *testing.T) {
-	// F64 wire pricing must be bit-identical to the legacy byte model so
-	// existing simulations are untouched.
-	for _, c := range []CommModel{DefaultComm(), TenGbEComm()} {
-		for _, algo := range []AllReduceAlgo{AllReduceRing, AllReduceAuto, AllReduceTree} {
-			for _, n := range []int{1, 2, 3, 8, 16, 33} {
-				for _, elems := range []int{0, 1, 1023, 1 << 18} {
-					if got, want := c.AllReduceWire(algo, n, elems, tensor.F64), c.AllReduce(algo, n, 8*int64(elems)); got != want {
-						t.Fatalf("%v n=%d elems=%d: wire=%v legacy=%v", algo, n, elems, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestAllReduceWireCompressionCheaper(t *testing.T) {
-	// On bandwidth-dominated transfers a narrower wire must price cheaper,
-	// and wider compression must never price above narrower.
-	c := DefaultComm()
-	for _, algo := range []AllReduceAlgo{AllReduceRing, AllReduceAuto, AllReduceTree} {
-		for _, n := range []int{2, 8, 16} {
-			elems := 1 << 20
-			f64 := c.AllReduceWire(algo, n, elems, tensor.F64)
-			f32 := c.AllReduceWire(algo, n, elems, tensor.F32)
-			f16 := c.AllReduceWire(algo, n, elems, tensor.F16)
-			i8 := c.AllReduceWire(algo, n, elems, tensor.I8)
-			if !(f32 < f64 && f16 < f32 && i8 < f16) {
-				t.Fatalf("%v n=%d: f64=%v f32=%v f16=%v i8=%v not monotone", algo, n, f64, f32, f16, i8)
-			}
 		}
 	}
 }

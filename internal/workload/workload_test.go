@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/rng"
-	"repro/internal/tensor"
 )
 
 func TestModelSpecs(t *testing.T) {
@@ -262,14 +261,14 @@ func TestPSPushPullWire(t *testing.T) {
 	c := CommModel{Latency: time.Millisecond, Bandwidth: 1e9}
 	const elems = 1 << 20
 	// One chunk degenerates to the monolithic round trip.
-	if got, want := c.PSPushPullWire(elems, 1, tensor.F64), c.PSPushPull(8*elems); got != want {
+	if got, want := c.PSPushPullWire(elems, 1), c.PSPushPull(8*elems); got != want {
 		t.Errorf("1-chunk wire cost = %v, monolithic = %v", got, want)
 	}
 	// Pipelining strictly helps: later acks hide behind earlier pushes,
 	// and more chunks expose less of the downlink.
-	prev := c.PSPushPullWire(elems, 1, tensor.F64)
+	prev := c.PSPushPullWire(elems, 1)
 	for _, chunks := range []int{2, 4, 8, 16} {
-		got := c.PSPushPullWire(elems, chunks, tensor.F64)
+		got := c.PSPushPullWire(elems, chunks)
 		if got >= prev {
 			t.Errorf("%d chunks cost %v, not below %v", chunks, got, prev)
 		}
@@ -277,21 +276,14 @@ func TestPSPushPullWire(t *testing.T) {
 	}
 	// The pipeline can never beat the uplink serialization bound.
 	floor := c.Latency + c.bytesCost(8*elems)
-	if got := c.PSPushPullWire(elems, 1<<10, tensor.F64); got <= floor {
+	if got := c.PSPushPullWire(elems, 1<<10); got <= floor {
 		t.Errorf("wire cost %v at or below uplink bound %v", got, floor)
 	}
-	// A lossy wire shrinks the bandwidth term roughly with its width.
-	f64 := c.PSPushPullWire(elems, 8, tensor.F64)
-	f16 := c.PSPushPullWire(elems, 8, tensor.F16)
-	// The bandwidth term shrinks 4x; the latency terms don't.
-	if f16 >= f64 || float64(f16) > 0.5*float64(f64) {
-		t.Errorf("f16 wire %v not well below f64 %v", f16, f64)
-	}
 	// Degenerate inputs.
-	if c.PSPushPullWire(0, 8, tensor.F64) != 0 {
+	if c.PSPushPullWire(0, 8) != 0 {
 		t.Error("zero elems should cost 0")
 	}
-	if c.PSPushPullWire(4, 100, tensor.F64) == 0 {
+	if c.PSPushPullWire(4, 100) == 0 {
 		t.Error("chunks clamp to elems, cost stays positive")
 	}
 }
