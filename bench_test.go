@@ -5,7 +5,7 @@ package rna
 // executes the corresponding experiment at a reduced scale and reports its
 // headline metrics via b.ReportMetric, so the paper-vs-measured comparison
 // in EXPERIMENTS.md can be regenerated from a single bench run. The
-// full-scale tables are printed by `go run ./cmd/rnabench`.
+// full-scale tables are printed by `go run ./cmd/rnasim -experiment all`.
 
 import (
 	"testing"

@@ -28,8 +28,7 @@ const (
 // Valid reports whether a names a schedule the engine has.
 func (a Algorithm) Valid() bool { return a == AlgoAuto || a == AlgoRing || a == AlgoTree }
 
-// String implements fmt.Stringer; the names match the BENCH_collective.json
-// rows and the rnabench output.
+// String implements fmt.Stringer.
 func (a Algorithm) String() string {
 	switch a {
 	case AlgoAuto:

@@ -26,8 +26,8 @@ func runRanks(b *testing.B, eps []transport.Mesh, fn func(m transport.Mesh) erro
 }
 
 // BenchmarkRingAllReduce sweeps vector size (1K–1M) and rank count (4/8/16)
-// on the in-memory mesh. The 256K/n8 case is the acceptance gate tracked in
-// BENCH_collective.json.
+// on the in-memory mesh. TestRingRegressionGuard (benchsmoke tag) holds the
+// n8/dim262144 case to its recorded ns/op.
 func BenchmarkRingAllReduce(b *testing.B) {
 	for _, n := range []int{4, 8, 16} {
 		for _, dim := range []int{1 << 10, 1 << 14, 1 << 18, 1 << 20} {
@@ -90,9 +90,8 @@ func BenchmarkPartialRingAllReduce(b *testing.B) {
 }
 
 // BenchmarkAllReduceAlgorithms sweeps every schedule (plus the auto
-// selector) over the crossover-relevant sizes. The same grid backs the
-// per-algorithm rows and crossover table in BENCH_collective.json via
-// `rnabench -collective`.
+// selector) over the crossover-relevant sizes, where a refit of
+// DefaultCostModel would start.
 func BenchmarkAllReduceAlgorithms(b *testing.B) {
 	algos := []collective.Algorithm{collective.AlgoRing, collective.AlgoTree, collective.AlgoAuto}
 	for _, algo := range algos {

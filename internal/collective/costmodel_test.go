@@ -2,8 +2,6 @@ package collective
 
 import (
 	"math"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/tensor"
@@ -30,12 +28,18 @@ func TestSelectPrefersLatencyOptimalSmall(t *testing.T) {
 
 // TestSelectPrefersBandwidthOptimalLarge: huge tensors must land on a
 // schedule whose byte volume is O(bytes), i.e. not the tree (which moves the
-// full vector every hop).
+// full vector every hop), and the package-level selector AllReduce consults
+// agrees with the shipped model.
 func TestSelectPrefersBandwidthOptimalLarge(t *testing.T) {
 	m := DefaultCostModel()
 	for _, n := range []int{8, 16} {
-		if got := m.Select(n, 1<<22); got == AlgoTree {
-			t.Errorf("Select(%d ranks, 4M elems) = tree; want ring", n)
+		for _, elems := range []int{1 << 20, 1 << 22} {
+			if got := m.Select(n, elems); got == AlgoTree {
+				t.Errorf("Select(%d ranks, %d elems) = tree; want ring", n, elems)
+			}
+			if got, want := SelectAlgorithm(n, elems), m.Select(n, elems); got != want {
+				t.Errorf("SelectAlgorithm(%d ranks, %d elems) = %v, the shipped model picks %v", n, elems, got, want)
+			}
 		}
 	}
 }
@@ -104,114 +108,11 @@ func TestPredictMatchesConstructedModel(t *testing.T) {
 	}
 }
 
-// TestCalibrationSaveLoadRoundTrip: the persisted calibration must reload
-// bit-for-bit so every rank of a job can install the identical model.
-func TestCalibrationSaveLoadRoundTrip(t *testing.T) {
-	cal := Calibration{
-		Model: CostModel{
-			Ring: AlgoCost{AlphaNs: 123.5, BetaNsPerByte: 0.25},
-			Tree: AlgoCost{AlphaNs: 77.25, BetaNsPerByte: 1.125},
-		},
-		Ranks: 8, SmallDim: 256, LargeDim: 1 << 18, Rounds: 30,
-	}
-	path := filepath.Join(t.TempDir(), "cal.json")
-	if err := cal.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCalibration(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, cal) {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, cal)
-	}
-}
-
-// TestLoadCalibrationErrors: missing and malformed files both fail loudly.
-func TestLoadCalibrationErrors(t *testing.T) {
-	if _, err := LoadCalibration(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("loading a missing calibration should error")
-	}
-}
-
-// TestSetCostModelDrivesSelector: installing a model changes what AllReduce
-// auto-selection picks, and restoring the default restores the choice.
-func TestSetCostModelDrivesSelector(t *testing.T) {
-	defer SetCostModel(DefaultCostModel())
-	// A model where the tree is free wins everywhere.
-	treeOnly := CostModel{
-		Ring: AlgoCost{AlphaNs: 1e9, BetaNsPerByte: 1e6},
-		Tree: AlgoCost{AlphaNs: 1, BetaNsPerByte: 0},
-	}
-	SetCostModel(treeOnly)
-	if got := SelectAlgorithm(8, 1<<20); got != AlgoTree {
-		t.Errorf("with tree-only model SelectAlgorithm = %v, want tree", got)
-	}
-	SetCostModel(DefaultCostModel())
-	if got := SelectAlgorithm(8, 1<<20); got == AlgoTree {
-		t.Errorf("default model picked tree for 1M elems; want a bandwidth-optimal schedule")
-	}
-}
-
-// TestCalibrateSmoke runs a tiny calibration end to end: constants must come
-// out positive and the calibration must record its probe conditions.
-func TestCalibrateSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration probe in -short mode")
-	}
-	cal, err := Calibrate(4, 64, 8192, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.Ranks != 4 || cal.SmallDim != 64 || cal.LargeDim != 8192 || cal.Rounds != 3 {
-		t.Errorf("probe conditions not recorded: %+v", cal)
-	}
-	for name, c := range map[string]AlgoCost{"ring": cal.Model.Ring, "tree": cal.Model.Tree} {
-		if c.AlphaNs <= 0 || c.BetaNsPerByte < 0 {
-			t.Errorf("%s constants out of range: %+v", name, c)
-		}
-	}
-}
-
-// TestCalibrationFingerprint: Calibrate stamps the host fingerprint, the
-// stamp survives the JSON round trip, and FingerprintMatches accepts this
-// host plus legacy (unstamped) files while rejecting foreign shapes.
-func TestCalibrationFingerprint(t *testing.T) {
-	gmp, ncpu := HostFingerprint()
-	if gmp < 1 || ncpu < 1 {
-		t.Fatalf("fingerprint = (%d, %d)", gmp, ncpu)
-	}
-	cal := Calibration{GoMaxProcs: gmp, NumCPU: ncpu}
-	if !cal.FingerprintMatches() {
-		t.Error("own-host fingerprint rejected")
-	}
-	if !(Calibration{}).FingerprintMatches() {
-		t.Error("legacy calibration without fingerprint rejected")
-	}
-	foreign := Calibration{GoMaxProcs: gmp + 3, NumCPU: ncpu}
-	if foreign.FingerprintMatches() {
-		t.Error("foreign fingerprint accepted")
-	}
-	// Round trip through the persisted form.
-	path := filepath.Join(t.TempDir(), "cal.json")
-	stamped := Calibration{
-		Model:      DefaultCostModel(),
-		Ranks:      2,
-		GoMaxProcs: gmp + 1, // deliberately foreign
-		NumCPU:     ncpu,
-	}
-	if err := stamped.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCalibration(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.GoMaxProcs != gmp+1 || got.NumCPU != ncpu {
-		t.Errorf("fingerprint did not survive round trip: %+v", got)
-	}
-	if got.FingerprintMatches() {
-		t.Error("stale calibration accepted after round trip")
+// TestHostFingerprint: the host shape a benchmark report records is a real
+// one.
+func TestHostFingerprint(t *testing.T) {
+	if gmp, ncpu := HostFingerprint(); gmp < 1 || ncpu < 1 {
+		t.Errorf("fingerprint = (%d, %d)", gmp, ncpu)
 	}
 }
 

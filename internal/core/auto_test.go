@@ -14,26 +14,37 @@ import (
 	"repro/internal/transport"
 )
 
-// ringEverywhere installs, for the length of the test, a cost model under
-// which AlgoAuto takes the ring at every size, so the auto path can be
-// exercised at sizes and at 2 ranks where the shipped constants give the
-// vector to the tree. The model is process-global: callers must not run in
-// parallel with other tests.
-func ringEverywhere(t *testing.T) {
-	t.Helper()
-	shipped := collective.ActiveCostModel()
-	t.Cleanup(func() { collective.SetCostModel(shipped) })
-	m := shipped
-	m.Tree.AlphaNs = 1e12
-	collective.SetCostModel(m)
-}
-
-// autoConfig is a logistic model of 1043 = 7·149 parameters: neither it nor
-// the flag-extended 1044 = 4·9·29 splits evenly over every rank count the test
-// uses, so owned chunks are ragged on both the BSP and the RNA partition.
+// autoConfig is a logistic model of 1043 = 7·149 parameters, which the
+// shipped constants give to the tree at 3 to 5 ranks: neither it nor the
+// flag-extended 1044 = 4·9·29 splits evenly over every rank count the tests
+// use, so owned chunks are ragged on both the BSP and the RNA partition.
 func autoConfig(t *testing.T, iters int, adam bool) TrainConfig {
 	t.Helper()
-	ds, err := data.Blobs(rng.New(21), 7, 148, 6, 0.25)
+	return logisticConfig(t, 148, iters, adam)
+}
+
+// ringConfig is the same problem at 13 993 = 7·1999 parameters, where the
+// shipped constants pick the pipelined ring at 3 to 5 ranks, so AlgoAuto runs
+// the ring pair at every rank count from 2 to 5. 13 993 and the
+// flag-extended 13 994 = 2·6997 are ragged over 3, 4 and 5 ranks.
+func ringConfig(t *testing.T, iters int, adam bool) TrainConfig {
+	t.Helper()
+	cfg := logisticConfig(t, 1998, iters, adam)
+	for n := 2; n <= 5; n++ {
+		for _, reduced := range []int{cfg.Model.Dim(), cfg.Model.Dim() + 1} {
+			if !collective.AutoRunsRingPair(n, reduced) {
+				t.Fatalf("the shipped constants no longer run %d elements over %d ranks as the ring pair", reduced, n)
+			}
+		}
+	}
+	return cfg
+}
+
+// logisticConfig is a 7-class logistic model over features inputs, 6
+// examples a class: 7·(features+1) parameters.
+func logisticConfig(t *testing.T, features, iters int, adam bool) TrainConfig {
+	t.Helper()
+	ds, err := data.Blobs(rng.New(21), 7, features, 6, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +52,8 @@ func autoConfig(t *testing.T, iters int, adam bool) TrainConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dim() != 1043 {
-		t.Fatalf("model dim %d, want 1043", m.Dim())
+	if want := 7 * (features + 1); m.Dim() != want {
+		t.Fatalf("model dim %d, want %d", m.Dim(), want)
 	}
 	return TrainConfig{
 		Model:          m,
@@ -60,10 +71,10 @@ func autoConfig(t *testing.T, iters int, adam bool) TrainConfig {
 // pipelined ring runs the owner-computes update, and the run is bit-identical
 // — parameters and every loss — to the replicated update on the pinned ring,
 // which is what it replaces: BSP and RNA, in memory and over TCP, 2 to 5
-// ranks, SGD and Adam. The optimizer state is carved up, not copied: over the
-// ranks it sums to what one replicated rank holds.
+// ranks, SGD and Adam, at a size the shipped constants give to the ring. The
+// optimizer state is carved up, not copied: over the ranks it sums to what
+// one replicated rank holds.
 func TestAutoOwnerComputesMatchesPinnedRing(t *testing.T) {
-	ringEverywhere(t)
 	const iters = 8
 	clusters := map[string]func(*testing.T, int, func(transport.Mesh) (*Result, error)) []*Result{
 		"mem": trainCluster,
@@ -88,7 +99,7 @@ func TestAutoOwnerComputesMatchesPinnedRing(t *testing.T) {
 						}
 						return cluster(t, n, func(m transport.Mesh) (*Result, error) { return worker(m, ctrl, cfg) })
 					}
-					auto := autoConfig(t, iters, adam)
+					auto := ringConfig(t, iters, adam)
 					pinned := auto
 					pinned.Algorithm = collective.AlgoRing
 					got, want := run(auto), run(pinned)
@@ -181,6 +192,7 @@ func benchGeometryConfig(t *testing.T) TrainConfig {
 // everything else keeps the stage its configuration names.
 func TestOwnerComputesSelection(t *testing.T) {
 	base := autoConfig(t, 1, false)
+	ring := ringConfig(t, 1, false)
 	small, _ := blobConfig(t, 1) // 28 parameters: the shipped constants pick the tree
 	bench := benchGeometryConfig(t)
 	meshes := map[int]transport.Mesh{}
@@ -196,27 +208,23 @@ func TestOwnerComputesSelection(t *testing.T) {
 		name  string
 		cfg   TrainConfig
 		apply func(*TrainConfig)
-		ring  bool // the ring everywhere, or the shipped constants
 		want  bool
 		n     int // ranks; 0 means 4
 	}{
-		{"auto on the pipelined ring", base, func(*TrainConfig) {}, true, true, 0},
-		{"shipped constants give this size to the tree", base, func(*TrainConfig) {}, false, false, 0},
-		{"pinned ring", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoRing }, true, false, 0},
-		{"pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, true, false, 0},
-		{"asked for, below the envelope", small, func(c *TrainConfig) { c.ShardedUpdate = true }, false, true, 0},
+		{"auto on the pipelined ring", ring, func(*TrainConfig) {}, true, 0},
+		{"shipped constants give this size to the tree", base, func(*TrainConfig) {}, false, 0},
+		{"pinned ring", ring, func(c *TrainConfig) { c.Algorithm = collective.AlgoRing }, false, 0},
+		{"pinned tree", ring, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, false, 0},
+		{"asked for, below the envelope", small, func(c *TrainConfig) { c.ShardedUpdate = true }, true, 0},
 		{"asked for, pinned ring", base, func(c *TrainConfig) {
 			c.ShardedUpdate, c.Algorithm = true, collective.AlgoRing
-		}, false, true, 0},
-		{"2 ranks, the benchmark geometry", bench, func(*TrainConfig) {}, false, true, 2},
-		{"2 ranks, 28 parameters", small, func(*TrainConfig) {}, false, true, 2},
-		{"2 ranks, pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, false, false, 2},
+		}, true, 0},
+		{"2 ranks, the benchmark geometry", bench, func(*TrainConfig) {}, true, 2},
+		{"2 ranks, 28 parameters", small, func(*TrainConfig) {}, true, 2},
+		{"2 ranks, pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, false, 2},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			if row.ring {
-				ringEverywhere(t)
-			}
 			cfg := row.cfg
 			row.apply(&cfg)
 			n := row.n

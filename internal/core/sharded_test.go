@@ -145,27 +145,23 @@ func tcpTrainCluster(t *testing.T, n int, run func(m transport.Mesh) (*Result, e
 	return results
 }
 
-// TestShardedBSPOverTCP: the sharded path produces the same bits over a real
-// TCP fabric as in memory.
+// TestShardedBSPOverTCP: sharded Adam over a real TCP fabric produces the
+// same bits as in memory and as the replicated update on the pinned ring.
 func TestShardedBSPOverTCP(t *testing.T) {
 	const n, iters = 4, 12
-	cfg, _ := shardedBlobConfig(t, iters, true)
+	repl, _ := shardedBlobConfig(t, iters, true)
+	cfg := repl
 	cfg.ShardedUpdate = true
-	ctrl, err := controller.New(controller.AllReady, n, 0, 1)
-	if err != nil {
-		t.Fatal(err)
+	run := func(cluster func(*testing.T, int, func(transport.Mesh) (*Result, error)) []*Result, cfg TrainConfig) []*Result {
+		ctrl, err := controller.New(controller.AllReady, n, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cluster(t, n, func(m transport.Mesh) (*Result, error) { return RunBSPWorker(m, ctrl, cfg) })
 	}
-	mem := trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
-		return RunBSPWorker(m, ctrl, cfg)
-	})
-	tctrl, err := controller.New(controller.AllReady, n, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp := tcpTrainCluster(t, n, func(m transport.Mesh) (*Result, error) {
-		return RunBSPWorker(m, tctrl, cfg)
-	})
-	assertBitIdentical(t, "tcp", mem[0].Params, tcp)
+	tcp := run(tcpTrainCluster, cfg)
+	assertBitIdentical(t, "tcp vs in memory", run(trainCluster, cfg)[0].Params, tcp)
+	assertBitIdentical(t, "tcp vs replicated", run(trainCluster, repl)[0].Params, tcp)
 }
 
 // TestShardedRNAWithStragglerTrains exercises genuine partial participation

@@ -2,8 +2,8 @@
 // paper's ImageNet/CIFAR-10/UCF101/WMT17 workloads. Statistical-efficiency
 // effects (staleness, partial participation, parameter divergence) only
 // need a real optimization problem with held-out evaluation — these
-// generators provide classification and regression problems with known
-// structure, deterministic given a seed.
+// generators provide classification problems with known structure,
+// deterministic given a seed.
 package data
 
 import (
@@ -13,12 +13,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Example is one labeled observation: features X and an integer label (or,
-// for regression, a real target in Target).
+// Example is one labeled observation: features X and an integer label.
 type Example struct {
-	X      tensor.Vector
-	Label  int
-	Target float64
+	X     tensor.Vector
+	Label int
 }
 
 // Dataset is an in-memory set of examples.
@@ -26,7 +24,7 @@ type Dataset struct {
 	Examples []Example
 	// Features is the dimensionality of X.
 	Features int
-	// Classes is the number of labels (0 for regression data).
+	// Classes is the number of labels.
 	Classes int
 }
 
@@ -101,30 +99,4 @@ func Blobs(src *rng.Source, classes, features, perClass int, spread float64) (*D
 	}
 	d.Examples = shuffled
 	return d, nil
-}
-
-// LinearData generates y = w*·x + b* + noise regression data with a random
-// ground-truth (w*, b*) of unit-scale coefficients.
-func LinearData(src *rng.Source, features, n int, noise float64) (*Dataset, tensor.Vector, error) {
-	if features < 1 || n < 1 {
-		return nil, nil, fmt.Errorf("data: linear(%d features, %d examples)", features, n)
-	}
-	truth := tensor.New(features + 1) // weights then bias
-	for j := range truth {
-		truth[j] = src.Normal(0, 1)
-	}
-	d := &Dataset{Features: features, Examples: make([]Example, n)}
-	for i := 0; i < n; i++ {
-		x := tensor.New(features)
-		for j := range x {
-			x[j] = src.Normal(0, 1)
-		}
-		y := truth[features] // bias
-		for j := range x {
-			y += truth[j] * x[j]
-		}
-		y += src.Normal(0, noise)
-		d.Examples[i] = Example{X: x, Target: y}
-	}
-	return d, truth, nil
 }

@@ -1,7 +1,6 @@
 package data
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -85,44 +84,6 @@ func TestBlobsDeterministic(t *testing.T) {
 		if !a.Examples[i].X.Equal(b.Examples[i].X, 0) {
 			t.Fatal("features differ between same-seed generations")
 		}
-	}
-}
-
-func TestLinearData(t *testing.T) {
-	src := rng.New(3)
-	ds, truth, err := LinearData(src, 6, 200, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Len() != 200 || ds.Features != 6 {
-		t.Errorf("shape = (%d,%d)", ds.Len(), ds.Features)
-	}
-	if len(truth) != 7 {
-		t.Fatalf("truth dim = %d, want 7", len(truth))
-	}
-	// Residuals of the true model should be ~noise-sized.
-	var maxResid float64
-	for _, ex := range ds.Examples {
-		y := truth[6]
-		for j, xj := range ex.X {
-			y += truth[j] * xj
-		}
-		if r := math.Abs(y - ex.Target); r > maxResid {
-			maxResid = r
-		}
-	}
-	if maxResid > 0.1 {
-		t.Errorf("max residual of ground truth = %v, want noise-sized", maxResid)
-	}
-}
-
-func TestLinearDataInvalid(t *testing.T) {
-	src := rng.New(1)
-	if _, _, err := LinearData(src, 0, 10, 0.1); err == nil {
-		t.Error("0 features should error")
-	}
-	if _, _, err := LinearData(src, 3, 0, 0.1); err == nil {
-		t.Error("0 examples should error")
 	}
 }
 

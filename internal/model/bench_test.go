@@ -73,18 +73,6 @@ func BenchmarkModelGradientMLP(b *testing.B) {
 	}
 }
 
-func BenchmarkModelGradientLinReg(b *testing.B) {
-	ds, _, err := data.LinearData(rng.New(7), 64, 512, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := NewLinearRegression(ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchGradient(b, m, ds.Batch(rng.New(3), benchBatch))
-}
-
 func BenchmarkModelLossMLP(b *testing.B) {
 	ds := benchDataset(b, 10, 32, 100)
 	m, err := NewMLP(ds, 64)

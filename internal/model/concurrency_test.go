@@ -26,15 +26,7 @@ func testModels(t *testing.T) (*data.Dataset, []Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, _, err := data.LinearData(src, 4, 24, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lin, err := NewLinearRegression(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds, []Model{logit, mlp, lin}
+	return ds, []Model{logit, mlp}
 }
 
 // TestGradientFuzzedBatchShapes runs the finite-difference check over the
@@ -42,7 +34,7 @@ func testModels(t *testing.T) (*data.Dataset, []Model) {
 // larger than the dataset (sampling with replacement repeats indices), and
 // heavy duplication of one example.
 func TestGradientFuzzedBatchShapes(t *testing.T) {
-	_, models := testModels(t)
+	ds, models := testModels(t)
 	shapes := map[string]func(n int) []int{
 		"batch1": func(n int) []int { return []int{n / 2} },
 		"overfull": func(n int) []int {
@@ -54,14 +46,8 @@ func TestGradientFuzzedBatchShapes(t *testing.T) {
 		},
 		"duplicate": func(n int) []int { return []int{0, 0, 0, n - 1, 0} },
 	}
+	n := ds.Len()
 	for _, m := range models {
-		n := 24
-		if l, ok := m.(*Logistic); ok {
-			n = l.ds.Len()
-		}
-		if mp, ok := m.(*MLP); ok {
-			n = mp.ds.Len()
-		}
 		for name, mk := range shapes {
 			t.Run(name, func(t *testing.T) {
 				checkGradient(t, m, mk(n), 1e-4)

@@ -1,7 +1,7 @@
 // Package model provides the trainable models used to measure statistical
 // efficiency: a noisy quadratic (analytically tractable, used by the
-// convergence tests), linear regression, multinomial logistic regression,
-// and a one-hidden-layer MLP (non-convex, the stand-in for deep networks).
+// convergence tests), multinomial logistic regression and a one-hidden-layer
+// MLP (non-convex, the stand-in for deep networks).
 // All models expose exact gradients over mini-batches; the test suite
 // verifies them against finite differences.
 //
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/data"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -194,81 +193,5 @@ func (q *Quadratic) Gradient(params, grad tensor.Vector, _ []int) (float64, erro
 func (q *Quadratic) Init(src *rng.Source, params tensor.Vector) {
 	for i := range params {
 		params[i] = q.Optimum[i] + src.Normal(0, 2)
-	}
-}
-
-// LinearRegression is mean-squared-error linear regression over a Dataset
-// (params = weights ++ bias). Stateless: safe for concurrent use.
-type LinearRegression struct {
-	ds *data.Dataset
-}
-
-var _ Model = (*LinearRegression)(nil)
-
-// NewLinearRegression binds the model to a regression dataset.
-func NewLinearRegression(ds *data.Dataset) (*LinearRegression, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, errors.New("model: empty dataset")
-	}
-	return &LinearRegression{ds: ds}, nil
-}
-
-// Dim implements Model.
-func (m *LinearRegression) Dim() int { return m.ds.Features + 1 }
-
-func (m *LinearRegression) predict(params tensor.Vector, x tensor.Vector) float64 {
-	return params[m.ds.Features] + tensor.Dot(params[:m.ds.Features], x)
-}
-
-// Loss implements Model: ½·mean squared error.
-func (m *LinearRegression) Loss(params tensor.Vector, batch []int) (float64, error) {
-	if len(params) != m.Dim() {
-		return 0, tensor.ErrShapeMismatch
-	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
-	}
-	var loss float64
-	for _, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
-		ex := m.ds.Examples[idx]
-		r := m.predict(params, ex.X) - ex.Target
-		loss += 0.5 * r * r
-	}
-	return loss / float64(len(batch)), nil
-}
-
-// Gradient implements Model. Per-example contributions accumulate in batch
-// order via the fused Axpy kernel.
-func (m *LinearRegression) Gradient(params, grad tensor.Vector, batch []int) (float64, error) {
-	if len(params) != m.Dim() || len(grad) != m.Dim() {
-		return 0, tensor.ErrShapeMismatch
-	}
-	if len(batch) == 0 {
-		return 0, errors.New("model: empty batch")
-	}
-	grad.Zero()
-	var loss float64
-	inv := 1 / float64(len(batch))
-	gw := grad[:m.ds.Features]
-	for _, idx := range batch {
-		if idx < 0 || idx >= m.ds.Len() {
-			return 0, fmt.Errorf("%w: %d", ErrBadBatch, idx)
-		}
-		ex := m.ds.Examples[idx]
-		r := m.predict(params, ex.X) - ex.Target
-		loss += 0.5 * r * r
-		tensor.Axpy(gw, r*inv, ex.X)
-		grad[m.ds.Features] += r * inv
-	}
-	return loss * inv, nil
-}
-
-// Init implements Model.
-func (m *LinearRegression) Init(src *rng.Source, params tensor.Vector) {
-	for i := range params {
-		params[i] = src.Normal(0, 0.1)
 	}
 }

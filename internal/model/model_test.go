@@ -129,75 +129,6 @@ func TestQuadraticInvalid(t *testing.T) {
 	}
 }
 
-func TestLinearRegressionGradient(t *testing.T) {
-	src := rng.New(4)
-	ds, _, err := data.LinearData(src, 5, 50, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewLinearRegression(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Dim() != 6 {
-		t.Errorf("Dim = %d, want 6", m.Dim())
-	}
-	batch := []int{0, 3, 7, 11, 20}
-	checkGradient(t, m, batch, 1e-5)
-}
-
-func TestLinearRegressionRecoversTruth(t *testing.T) {
-	src := rng.New(5)
-	ds, truth, err := data.LinearData(src, 4, 500, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewLinearRegression(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := tensor.New(m.Dim())
-	m.Init(src, params)
-	grad := tensor.New(m.Dim())
-	all := All(ds)
-	for i := 0; i < 500; i++ {
-		if _, err := m.Gradient(params, grad, all); err != nil {
-			t.Fatal(err)
-		}
-		if err := params.Axpy(-0.1, grad); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !params.Equal(truth, 0.05) {
-		t.Errorf("GD did not recover truth: got %v, want %v", params, truth)
-	}
-}
-
-func TestLinearRegressionErrors(t *testing.T) {
-	if _, err := NewLinearRegression(nil); err == nil {
-		t.Error("nil dataset should error")
-	}
-	src := rng.New(6)
-	ds, _, err := data.LinearData(src, 3, 10, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewLinearRegression(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Loss(tensor.New(m.Dim()), nil); err == nil {
-		t.Error("empty batch should error")
-	}
-	if _, err := m.Loss(tensor.New(m.Dim()), []int{99}); err == nil {
-		t.Error("bad index should error")
-	}
-	g := tensor.New(m.Dim())
-	if _, err := m.Gradient(tensor.New(m.Dim()), g, []int{-1}); err == nil {
-		t.Error("negative index should error")
-	}
-}
-
 func TestLogisticGradient(t *testing.T) {
 	src := rng.New(7)
 	ds, err := data.Blobs(src, 4, 3, 10, 0.3)
@@ -253,12 +184,9 @@ func TestLogisticErrors(t *testing.T) {
 		t.Error("nil dataset should error")
 	}
 	src := rng.New(9)
-	reg, _, err := data.LinearData(src, 3, 5, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewLogistic(reg); err == nil {
-		t.Error("regression dataset (0 classes) should error")
+	unlabeled := &data.Dataset{Features: 3, Examples: []data.Example{{X: tensor.New(3)}}}
+	if _, err := NewLogistic(unlabeled); err == nil {
+		t.Error("dataset without classes should error")
 	}
 	ds, err := data.Blobs(src, 3, 4, 5, 0.5)
 	if err != nil {

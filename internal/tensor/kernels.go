@@ -94,23 +94,6 @@ func scaleVecGo(a []float64, c float64) {
 	}
 }
 
-// avgVec computes a[i] = (a[i]+b[i])/2 — the parameter-server Average mode
-// fused into one pass. The expression matches the scalar loop it replaces
-// exactly (add, then halve), so results stay bit-identical.
-func avgVec(a, b []float64) {
-	b = b[:len(a)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		a[i] = (a[i] + b[i]) / 2
-		a[i+1] = (a[i+1] + b[i+1]) / 2
-		a[i+2] = (a[i+2] + b[i+2]) / 2
-		a[i+3] = (a[i+3] + b[i+3]) / 2
-	}
-	for ; i < len(a); i++ {
-		a[i] = (a[i] + b[i]) / 2
-	}
-}
-
 // sumTo computes dst[i] = a[i] + b[i] in one pass — the out-of-place fused
 // form of addVec, bit-identical to clone-then-add.
 func sumTo(dst, a, b []float64) {
@@ -165,8 +148,9 @@ func diffToGo(dst, a, b []float64) {
 	}
 }
 
-// avgTo computes dst[i] = (a[i]+b[i])/2 in one pass — the out-of-place
-// fused form of avgVec, bit-identical to clone-then-average.
+// avgTo computes dst[i] = (a[i]+b[i])/2 in one pass — the parameter-server
+// Average mode. The expression matches the scalar loop exactly (add, then
+// halve), so results are bit-identical to it.
 func avgTo(dst, a, b []float64) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]

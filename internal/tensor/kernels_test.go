@@ -42,8 +42,10 @@ func TestKernelsMatchScalar(t *testing.T) {
 		scaleVec(scale, c)
 		axpy := a.Clone()
 		axpyVec(axpy, c, b)
-		avg := a.Clone()
-		avgVec(avg, b)
+		avg := New(n)
+		if err := AverageInto(avg, a, b); err != nil {
+			t.Fatal(err)
+		}
 		diff := New(n)
 		if err := DiffInto(diff, a, b); err != nil {
 			t.Fatal(err)
@@ -74,7 +76,7 @@ func TestKernelsMatchScalar(t *testing.T) {
 				t.Fatalf("axpyVec n=%d i=%d: got %v, want %v", n, i, got, want)
 			}
 			if got, want := avg[i], (a[i]+b[i])/2; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("avgVec n=%d i=%d: got %v, want %v", n, i, got, want)
+				t.Fatalf("AverageInto n=%d i=%d: got %v, want %v", n, i, got, want)
 			}
 			v := mu*vel[i] + g[i]*c + wd*a[i]
 			if math.Float64bits(stepVel[i]) != math.Float64bits(v) || math.Float64bits(stepDst[i]) != math.Float64bits(a[i]-lr*v) {

@@ -81,16 +81,6 @@ func (v Vector) Sub(other Vector) error {
 	return nil
 }
 
-// AverageWith computes v = (v+other)/2 element-wise — the model-averaging
-// update the parameter server applies, fused into one pass.
-func (v Vector) AverageWith(other Vector) error {
-	if len(v) != len(other) {
-		return fmt.Errorf("%w: dst %d, src %d", ErrShapeMismatch, len(v), len(other))
-	}
-	avgVec(v, other)
-	return nil
-}
-
 // SumInto computes dst = a + b in a single fused pass, bit-identical to
 // copying a into dst and adding b but without the extra memory sweep. The
 // parameter-server store builds successor snapshots with it.
@@ -114,8 +104,9 @@ func DiffInto(dst, a, b Vector) error {
 	return nil
 }
 
-// AverageInto computes dst = (a + b)/2 in a single fused pass,
-// bit-identical to copy-then-AverageWith.
+// AverageInto computes dst = (a + b)/2 in a single fused pass, the
+// model-averaging update the parameter server applies, bit-identical to the
+// element-wise (a[i] + b[i])/2.
 func AverageInto(dst, a, b Vector) error {
 	if len(dst) != len(a) || len(dst) != len(b) {
 		return fmt.Errorf("%w: dst %d, a %d, b %d", ErrShapeMismatch, len(dst), len(a), len(b))

@@ -10,9 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// benchConfig is the fixed workload measured by the engine benchmarks and by
-// `rnabench -train`: an MLP heavy enough that gradient computation dominates
-// the round bookkeeping.
+// benchConfig is the fixed workload measured by the engine benchmarks: an MLP
+// heavy enough that gradient computation dominates the round bookkeeping.
 func benchConfig(b *testing.B, strategy Strategy, parallelism int) Config {
 	b.Helper()
 	src := rng.New(11)
