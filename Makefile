@@ -47,14 +47,19 @@ results-check-purego:
 # recorded simulation results on both kernel paths.
 check: vet build race purego cross results-check results-check-purego
 
-# loc prints the non-test Go lines of every internal package and command, then
-# their total: the figure a simplicity change reports before and after,
-# counted the same way every time (`find internal/core -name '*.go' ! -name
-# '*_test.go' | xargs cat | wc -l`).
+# loc prints the non-test Go lines of every internal package and command,
+# of the benchmark and of the root package (./*.go), then three totals:
+# internal/ and cmd/ (the figure simplicity changes reported through
+# ROADMAP item 4), benchmark/ with them (ROADMAP item 3's gate), and all of
+# it. Each row is counted the same way every time (`find internal/core -name
+# '*.go' ! -name '*_test.go' | xargs cat | wc -l`).
 loc:
-	@for d in internal/* cmd/*; do \
+	@{ for d in internal/* cmd/* benchmark; do \
 		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
-	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
+	done; \
+	printf '%6d %s\n' "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" './*.go'; \
+	} | awk '{ print; all += $$1 } $$2 ~ /^(internal|cmd)\// { ic += $$1 } $$2 != "./*.go" { ibc += $$1 } \
+		END { printf "%6d total internal/ cmd/\n%6d total benchmark/ internal/ cmd/\n%6d total\n", ic, ibc, all }'
 
 # alloc-gate runs the allocation-count tests WITHOUT the race detector: they
 # skip under -race (its instrumentation allocates), so `check` alone would
@@ -116,9 +121,12 @@ rss-ratio:
 
 # fuzz-smoke runs each wire-protocol fuzz target for a short budget — enough
 # to cover the seeded v1 corpus (header truncations, forged fields, frames of
-# the f32/f16/i8 dtypes earlier builds shipped, hello garbage,
+# the f32/f16/i8 dtypes earlier builds shipped, hello garbage and hellos
+# whose reserved bytes carry the capability masks earlier builds sent,
 # parameter-server push/pull/ack frames with packed mode<<24|chunk tags) plus
-# a burst of mutations, quick enough for CI. The kernel target holds the AVX2
+# a burst of mutations, quick enough for CI. FuzzReadHello holds the hello
+# parser to one rule: accepted exactly when the magic is right, the reserved
+# bytes never read. The kernel target holds the AVX2
 # bodies to the bits of the Go loops over random lengths, misalignments and
 # values; the controller target holds the trigger rule
 # (probed tag, bounded-delay floor, drain) over random interleavings of

@@ -13,7 +13,7 @@ import (
 // complementing the Fig. 10 microbenchmark with the full protocol in the
 // loop: time to target loss and mean per-iteration time per q.
 func AblationProbes(opts Options) (*Report, error) {
-	rep := newReport("ablation-probes", "Probe count q in RNA training")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err
@@ -51,7 +51,7 @@ func AblationProbes(opts Options) (*Report, error) {
 // AblationStaleness sweeps the bounded-staleness window: small bounds keep
 // workers fresh but stall fast workers; large bounds admit stale gradients.
 func AblationStaleness(opts Options) (*Report, error) {
-	rep := newReport("ablation-staleness", "Staleness bound in RNA")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err
@@ -89,7 +89,7 @@ func AblationStaleness(opts Options) (*Report, error) {
 // AblationLRScale compares RNA with and without the Linear Scaling Rule of
 // Algorithm 2 under partial participation.
 func AblationLRScale(opts Options) (*Report, error) {
-	rep := newReport("ablation-lrscale", "Linear Scaling Rule on/off")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err
@@ -135,7 +135,7 @@ func AblationLRScale(opts Options) (*Report, error) {
 // the design choice that makes decentralized training bandwidth-optimal
 // (Section 2.2).
 func AblationRing(opts Options) (*Report, error) {
-	rep := newReport("ablation-ring", "Ring vs naive AllReduce cost")
+	rep := newReport()
 	comm := workload.DefaultComm()
 	models := []workload.ModelSpec{workload.ResNet50(), workload.VGG16()}
 
@@ -164,7 +164,7 @@ func AblationRing(opts Options) (*Report, error) {
 // overhead), the layer-wise overlapped path Section 8.5 proposes, and the
 // NCCL direct-GPU path Section 6 mentions.
 func AblationCopyPath(opts Options) (*Report, error) {
-	rep := newReport("ablation-copypath", "RNA gradient staging: host copy vs overlap vs direct GPU")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err
@@ -221,7 +221,7 @@ func AblationCopyPath(opts Options) (*Report, error) {
 // the frequency tuning the paper leaves as future work — under mixed
 // heterogeneity.
 func AblationPSFrequency(opts Options) (*Report, error) {
-	rep := newReport("ablation-psfreq", "Hierarchical PS exchange frequency")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err

@@ -92,8 +92,10 @@ type Report struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-func newReport(id, title string) *Report {
-	return &Report{ID: id, Title: title, Metrics: make(map[string]float64)}
+// newReport returns an empty report; Run stamps its ID and title from the
+// registry.
+func newReport() *Report {
+	return &Report{Metrics: make(map[string]float64)}
 }
 
 // Runner executes one experiment.
@@ -105,26 +107,26 @@ var registry = []struct {
 	title  string
 	runner Runner
 }{
-	{"fig1", "Training time breakdown under deterministic delays (BSP)", Fig1},
-	{"fig2", "Inherent load imbalance: UCF101 lengths and LSTM batch times", Fig2},
-	{"fig3", "Blocking vs non-blocking AllReduce timeline", Fig3},
-	{"fig4", "RNA cross-iteration working example", Fig4},
-	{"fig6", "Training speedup over Horovod (ResNet50/VGG16/LSTM, +mixed)", Fig6},
-	{"fig7", "LSTM convergence curves per approach", Fig7},
+	{"fig1", "Training time breakdown with different system configurations", Fig1},
+	{"fig2", "Inherent load imbalance from training LSTM on UCF101", Fig2},
+	{"fig3", "Blocking vs non-blocking AllReduce", Fig3},
+	{"fig4", "RNA cross-iteration execution", Fig4},
+	{"fig6", "Training speedup over Horovod", Fig6},
+	{"fig7", "Convergence curve for LSTM", Fig7},
 	{"fig8", "Transformer per-iteration and overall speedups", Fig8},
-	{"fig9", "Transformer throughput scalability (4..32 processes)", Fig9},
-	{"fig10", "Effect of probe count on response time (100 nodes)", Fig10},
-	{"table3", "Final training accuracy per approach", Table3},
-	{"table4", "Validation accuracy and iteration counts", Table4},
-	{"table5", "RNA transmission (host-device copy) overhead", Table5},
-	{"ablation-probes", "Ablation: probe count q in RNA training", AblationProbes},
-	{"ablation-staleness", "Ablation: staleness bound", AblationStaleness},
-	{"ablation-lrscale", "Ablation: linear scaling rule on/off", AblationLRScale},
-	{"ablation-ring", "Ablation: ring vs naive AllReduce cost", AblationRing},
-	{"ablation-copypath", "Ablation: host copy vs layer overlap vs direct GPU", AblationCopyPath},
-	{"ablation-psfreq", "Ablation: hierarchical PS exchange frequency", AblationPSFrequency},
-	{"theory-convergence", "Empirical check of the Section 5 convergence bound", TheoryConvergence},
-	{"testbed", "The paper's Table 2 cluster: 32 GPUs, three generations", Testbed},
+	{"fig9", "Throughput scalability on Transformer/WMT17", Fig9},
+	{"fig10", "Effect of number of choices on response time", Fig10},
+	{"table3", "Final training accuracy for different neural networks", Table3},
+	{"table4", "Validation accuracy for different neural networks", Table4},
+	{"table5", "The transmission cost in RNA", Table5},
+	{"ablation-probes", "Probe count q in RNA training", AblationProbes},
+	{"ablation-staleness", "Staleness bound in RNA", AblationStaleness},
+	{"ablation-lrscale", "Linear Scaling Rule on/off", AblationLRScale},
+	{"ablation-ring", "Ring vs naive AllReduce cost", AblationRing},
+	{"ablation-copypath", "RNA gradient staging: host copy vs overlap vs direct GPU", AblationCopyPath},
+	{"ablation-psfreq", "Hierarchical PS exchange frequency", AblationPSFrequency},
+	{"theory-convergence", "Convergence bound of Section 5 on the noisy quadratic", TheoryConvergence},
+	{"testbed", "The paper's Table 2 cluster: 32 GPUs across three generations", Testbed},
 }
 
 // IDs lists the registered experiment IDs in order.
@@ -146,11 +148,16 @@ func Title(id string) (string, error) {
 	return "", fmt.Errorf("experiment: unknown id %q", id)
 }
 
-// Run executes one experiment by ID.
+// Run executes one experiment by ID and stamps the report with the ID and
+// the registered title, the one `rnasim -list` prints.
 func Run(id string, opts Options) (*Report, error) {
 	for _, e := range registry {
 		if e.id == id {
-			return e.runner(opts)
+			rep, err := e.runner(opts)
+			if rep != nil {
+				rep.ID, rep.Title = e.id, e.title
+			}
+			return rep, err
 		}
 	}
 	return nil, fmt.Errorf("experiment: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))

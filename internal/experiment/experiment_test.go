@@ -42,8 +42,8 @@ func TestAllExperimentsProduceReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.ID != id {
-				t.Errorf("report id = %q", rep.ID)
+			if title, _ := Title(id); rep.ID != id || rep.Title != title {
+				t.Errorf("report (%q, %q), registered (%q, %q)", rep.ID, rep.Title, id, title)
 			}
 			if strings.TrimSpace(rep.Body) == "" {
 				t.Error("empty report body")

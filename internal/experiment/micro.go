@@ -13,7 +13,7 @@ import (
 // load runs 100 iterations per probe count; the whisker statistics of the
 // per-iteration response time are reported for each number of choices.
 func Fig10(opts Options) (*Report, error) {
-	rep := newReport("fig10", "Effect of number of choices on response time")
+	rep := newReport()
 	nodes := opts.workers(100)
 	iters := opts.iters(100) * 10 // stable percentiles need more than 100 draws
 	choices := []int{1, 2, 3, 4, 6, 8}

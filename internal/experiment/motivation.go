@@ -17,7 +17,7 @@ import (
 // 10 ms / 40 ms deterministic delays injected on workers 2 and 3. The table
 // reports each worker's compute vs waiting share of the iteration time.
 func Fig1(opts Options) (*Report, error) {
-	rep := newReport("fig1", "Training time breakdown with different system configurations")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err
@@ -57,7 +57,7 @@ func Fig1(opts Options) (*Report, error) {
 // video-length distribution (13,320 videos) and the per-batch training-time
 // distribution of a single-layer LSTM over 2,000 sampled batches.
 func Fig2(opts Options) (*Report, error) {
-	rep := newReport("fig2", "Inherent load imbalance from training LSTM on UCF101")
+	rep := newReport()
 	src := rng.New(opts.seed())
 
 	// (a) Video length distribution.
@@ -117,7 +117,7 @@ func Fig2(opts Options) (*Report, error) {
 // three-worker cluster with a persistent straggler, first under the default
 // blocking AllReduce, then under the non-blocking (RNA) variant.
 func Fig3(opts Options) (*Report, error) {
-	rep := newReport("fig3", "Blocking vs non-blocking AllReduce")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err
@@ -156,7 +156,7 @@ func Fig3(opts Options) (*Report, error) {
 // workers under RNA where the slower worker sometimes contributes a null
 // gradient and sometimes a locally accumulated multi-iteration reduction.
 func Fig4(opts Options) (*Report, error) {
-	rep := newReport("fig4", "RNA cross-iteration execution")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err

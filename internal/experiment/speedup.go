@@ -37,7 +37,7 @@ func targetConfig(s *suite, strat trainsim.Strategy, pm paperModel, workers, cap
 // LSTM, plus the mixed-heterogeneity rows (group B slowed a further
 // 50–100 ms) marked "-M". Speedups are relative to Horovod on the same row.
 func Fig6(opts Options) (*Report, error) {
-	rep := newReport("fig6", "Training speedup over Horovod")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err
@@ -102,7 +102,7 @@ func Fig6(opts Options) (*Report, error) {
 // and accuracy against virtual time for each approach, sampled at epoch-like
 // intervals.
 func Fig7(opts Options) (*Report, error) {
-	rep := newReport("fig7", "Convergence curve for LSTM")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err

@@ -36,7 +36,7 @@ func table34Columns(workers int) []struct {
 // each approach trains for the same iteration budget per workload column;
 // the cells are final accuracy on the training objective.
 func Table3(opts Options) (*Report, error) {
-	rep := newReport("table3", "Final training accuracy for different neural networks")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err
@@ -91,7 +91,7 @@ func Table3(opts Options) (*Report, error) {
 // trains for the same virtual-time budget; the table reports how many
 // iterations each completed plus held-out top-1/top-5 accuracy.
 func Table4(opts Options) (*Report, error) {
-	rep := newReport("table4", "Validation accuracy for different neural networks")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func Table4(opts Options) (*Report, error) {
 // host memory over PCIe, measured from RNA runs and cross-checked against
 // the analytic cost model.
 func Table5(opts Options) (*Report, error) {
-	rep := newReport("table5", "The transmission cost in RNA")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err

@@ -30,7 +30,7 @@ func Table2SpeedFactors() []float64 {
 // is the heterogeneity. It compares every strategy's time to the target
 // loss and reports the groups the ζ > v rule forms.
 func Testbed(opts Options) (*Report, error) {
-	rep := newReport("testbed", "The paper's Table 2 cluster: 32 GPUs across three generations")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err

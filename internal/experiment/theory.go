@@ -27,7 +27,7 @@ import (
 //     is independent of the staleness window η — doubling η must not
 //     change the achieved gradient norm materially.
 func TheoryConvergence(opts Options) (*Report, error) {
-	rep := newReport("theory-convergence", "Convergence bound of Section 5 on the noisy quadratic")
+	rep := newReport()
 	src := rng.New(opts.seed())
 	quad, err := model.NewQuadratic(src, 32, 25, 0.6)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // environment (only the sentence-length imbalance) and a heterogeneous one
 // (plus random 0–50 ms slowdowns).
 func Fig8(opts Options) (*Report, error) {
-	rep := newReport("fig8", "Transformer per-iteration and overall speedups")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err
@@ -78,7 +78,7 @@ func Fig8(opts Options) (*Report, error) {
 // workload, plus the final model quality (our accuracy analogue of the
 // paper's BLEU comparison between RNA and AD-PSGD).
 func Fig9(opts Options) (*Report, error) {
-	rep := newReport("fig9", "Throughput scalability on Transformer/WMT17")
+	rep := newReport()
 	s, err := newSuite(opts.seed())
 	if err != nil {
 		return nil, err

@@ -219,7 +219,7 @@ func NewClient(mesh transport.Mesh, cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	return &Client{
-		view:    transport.Streams(mesh).StreamView(PSStream),
+		view:    mesh.StreamView(PSStream),
 		cfg:     cfg,
 		chunks:  chunks,
 		offsets: offsets,

@@ -74,8 +74,8 @@ func fuzzRequests(t *testing.T, ops []byte) {
 		versions[c] = 1
 	}
 	views := [2]transport.Mesh{
-		transport.Streams(eps[1]).StreamView(PSStream),
-		transport.Streams(eps[2]).StreamView(PSStream),
+		eps[1].StreamView(PSStream),
+		eps[2].StreamView(PSStream),
 	}
 	var rejected [2]bool
 	for i := 0; i+4 <= len(ops); i += 4 {

@@ -89,7 +89,7 @@ func NewServer(mesh transport.Mesh, cfg ServerConfig) (*Server, error) {
 		store = NewStore(chunks)
 	}
 	s := &Server{
-		view:    transport.Streams(mesh).StreamView(PSStream),
+		view:    mesh.StreamView(PSStream),
 		store:   store,
 		keys:    chunkKeys(cfg.Key, chunks),
 		offsets: offsets,

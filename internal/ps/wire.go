@@ -7,7 +7,7 @@ import (
 	"repro/internal/transport"
 )
 
-// PS wire protocol (protocol v1 frame family, capability CapPS).
+// PS wire protocol (protocol v1 frame family, on stream PSStream).
 //
 // A parameter-server exchange is chunked: the model splits into Chunks
 // spans by the collective layer's ShardOffsets table, and every chunk

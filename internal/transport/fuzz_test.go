@@ -296,13 +296,14 @@ func FuzzRecvInto(f *testing.F) {
 	})
 }
 
-// FuzzReadHello feeds arbitrary bytes to the hello parser and, end to end,
-// to the negotiating side of a live connection: no input may panic the
-// parser, and anything that is not a valid current-version hello must reject
-// the connection with ErrVersionMismatch.
+// FuzzReadHello feeds arbitrary bytes to the hello parser: no input may
+// panic it, a hello is accepted exactly when its magic is right, and the
+// reserved bytes 8–15 are never read. The last three seeds carry capability
+// masks earlier builds sent there: all six bits (0x3f), streams and PS only
+// (0x30), and sparse, streams and PS (0x38).
 func FuzzReadHello(f *testing.F) {
 	var good [helloBytes]byte
-	putHello(good[:], ProtocolV1, CapsAll, 3)
+	putHello(good[:], ProtocolV1, 3)
 	f.Add(good[:])
 	future := good
 	future[4] = ProtocolV1 + 9
@@ -315,24 +316,37 @@ func FuzzReadHello(f *testing.F) {
 	f.Add(bad[:])
 	f.Add([]byte{})
 	f.Add(good[:helloBytes-1])
+	for _, caps := range []uint64{0x3f, 0x30, 0x38} {
+		withCaps := good
+		binary.LittleEndian.PutUint64(withCaps[8:], caps)
+		f.Add(withCaps[:])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < helloBytes {
 			return
 		}
-		version, caps, rank, err := parseHello(data[:helloBytes])
+		version, rank, err := parseHello(data[:helloBytes])
+		if magicOK := binary.LittleEndian.Uint32(data) == helloMagic; magicOK != (err == nil) {
+			t.Fatalf("magic ok %t, parse error %v", magicOK, err)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrVersionMismatch) {
 				t.Fatalf("parse error not typed: %v", err)
 			}
 			return
 		}
-		// A parsed hello must re-encode to the same negotiation inputs.
+		// Reserved bytes do not matter, and a parsed hello re-encodes to the
+		// same version and rank.
 		var out [helloBytes]byte
-		putHello(out[:], version, caps, int(rank))
-		v2, c2, r2, err := parseHello(out[:])
-		if err != nil || v2 != version || c2 != caps || r2 != rank {
-			t.Fatalf("hello round trip: (%d,%v,%d,%v) vs (%d,%v,%d)", v2, c2, r2, err, version, caps, rank)
+		copy(out[:], data)
+		clear(out[5:16])
+		v1, r1, err1 := parseHello(out[:])
+		putHello(out[:], version, int(rank))
+		v2, r2, err2 := parseHello(out[:])
+		if err1 != nil || err2 != nil || v1 != version || r1 != rank || v2 != version || r2 != rank {
+			t.Fatalf("(v%d, rank %d) reads (v%d, rank %d, %v) with reserved bytes cleared, (v%d, rank %d, %v) re-encoded",
+				version, rank, v1, r1, err1, v2, r2, err2)
 		}
 	})
 }
@@ -405,7 +419,7 @@ func rawPeerMesh(t *testing.T, frame []byte) *TCPMesh {
 		}
 		conns <- conn
 		var hello [helloBytes]byte
-		putHello(hello[:], ProtocolV1, CapsAll, 0)
+		putHello(hello[:], ProtocolV1, 0)
 		_, _ = conn.Write(hello[:])
 		_, _ = conn.Write(frame)
 	}()

@@ -14,19 +14,26 @@ var ErrClosed = errors.New("transport: mesh closed")
 // point-to-point network. Send never blocks indefinitely on a live peer;
 // Recv blocks until a message from the named peer arrives or the endpoint
 // closes.
+//
+// Every mesh carries independent tag streams (see StreamRouter): a message
+// travels on its Message.Stream, and the mesh files it by (sender, stream)
+// as it arrives, so Recv and each StreamView see only their own stream.
 type Mesh interface {
 	// Rank returns this endpoint's rank.
 	Rank() int
 	// Size returns the number of ranks in the job.
 	Size() int
-	// Send delivers m to rank `to`. The message's From/To fields are
-	// stamped by the implementation.
+	// Send delivers m to rank `to` on stream m.Stream. The message's
+	// From/To fields are stamped by the implementation.
 	Send(to int, m Message) error
-	// Recv returns the next message sent by rank `from`, in send order.
+	// Recv returns the next stream-0 message sent by rank `from`, in send
+	// order.
 	Recv(from int) (Message, error)
 	// Close releases the endpoint; pending and future Recv calls fail
 	// with ErrClosed.
 	Close() error
+	// StreamView returns this endpoint's view of one tag stream.
+	StreamRouter
 }
 
 // OwnedSender is an optional Mesh capability: SendOwned transfers ownership
@@ -63,7 +70,8 @@ type chanQueue struct {
 	closed bool
 	// notify carries a wake token after every push (and on close), so a
 	// single consumer can select on message arrival alongside other events
-	// (the stream demux selects on it against the pull semaphore). Tokens
+	// (a TCP consumer selects on it against its connection's read
+	// election). Tokens
 	// are sticky, not counted: a consumer must re-check tryPop after every
 	// wake and tolerate stale tokens.
 	notify chan struct{}
@@ -155,6 +163,100 @@ func (q *chanQueue) isClosed() bool {
 	return q.closed
 }
 
+// streamQueues files one peer's inbound messages by stream. Stream 0's
+// queue exists from the start, so a mesh that never multiplexes takes no
+// lock to find it; other streams' queues are created on first touch, born
+// closed once closeQueues has run.
+type streamQueues struct {
+	q0     *chanQueue
+	mu     sync.Mutex
+	byID   map[int32]*chanQueue
+	closed bool
+}
+
+func newStreamQueues() *streamQueues { return &streamQueues{q0: newChanQueue()} }
+
+// queue returns the queue of one stream, creating it on first touch.
+func (s *streamQueues) queue(stream int32) *chanQueue {
+	if stream == 0 {
+		return s.q0
+	}
+	s.mu.Lock()
+	q := s.byID[stream]
+	if q == nil {
+		q = newChanQueue()
+		if s.byID == nil {
+			s.byID = make(map[int32]*chanQueue)
+		}
+		if s.closed {
+			q.close()
+		}
+		s.byID[stream] = q
+	}
+	s.mu.Unlock()
+	return q
+}
+
+// closeQueues fails every present and future consumer of these queues.
+func (s *streamQueues) closeQueues() {
+	s.mu.Lock()
+	s.closed = true
+	qs := make([]*chanQueue, 0, len(s.byID))
+	for _, q := range s.byID {
+		qs = append(qs, q)
+	}
+	s.mu.Unlock()
+	s.q0.close()
+	for _, q := range qs {
+		q.close()
+	}
+}
+
+// deliver pushes msg to q as its receiver finds it: a copying send
+// (owned false) hands over copies of the payload and indices, an owned one
+// the sender's own buffers, except that a payload with a tail needs a buffer
+// one element longer and goes by copy. The buffers are recycled when the
+// push fails.
+func deliver(q *chanQueue, msg Message, owned bool) error {
+	switch {
+	case owned && msg.HasTail:
+		d := delivered(msg)
+		PutPayload(msg.Payload)
+		PutIndices(msg.Indices)
+		msg = d
+	case !owned:
+		msg = delivered(msg)
+	}
+	if err := q.push(msg); err != nil {
+		PutPayload(msg.Payload)
+		PutIndices(msg.Indices)
+		return err
+	}
+	return nil
+}
+
+// delivered returns msg as its receiver finds it after a copying send.
+// Messages are immutable once sent, so the payload (tail included) and the
+// index list are copied into pooled buffers the receiver owns — see the
+// ownership contract in pool.go — and the sender may keep mutating its own
+// (the TCP mesh gets this for free by serializing onto the wire).
+func delivered(msg Message) Message {
+	if msg.Payload != nil || msg.HasTail {
+		p := GetPayload(msg.elems())
+		copy(p, msg.Payload)
+		if msg.HasTail {
+			p[len(msg.Payload)] = msg.Tail
+		}
+		msg.Payload, msg.Tail, msg.HasTail = p, 0, false
+	}
+	if msg.Indices != nil {
+		ix := GetIndices(len(msg.Indices))
+		copy(ix, msg.Indices)
+		msg.Indices = ix
+	}
+	return msg
+}
+
 // LocalNetwork is an in-memory mesh fabric for n ranks within one process.
 // Endpoints returns one Mesh per rank; messages are delivered immediately
 // and in order.
@@ -177,7 +279,7 @@ func NewLocalNetwork(n int) (*LocalNetwork, error) {
 	net := &LocalNetwork{size: n}
 	net.endpoints = make([]*localMesh, n)
 	for i := 0; i < n; i++ {
-		net.endpoints[i] = &localMesh{net: net, rank: i, inbox: make([]atomic.Pointer[chanQueue], n)}
+		net.endpoints[i] = &localMesh{net: net, rank: i, inbox: make([]atomic.Pointer[streamQueues], n)}
 	}
 	return net, nil
 }
@@ -210,9 +312,9 @@ func (n *LocalNetwork) Close() error {
 type localMesh struct {
 	net  *LocalNetwork
 	rank int
-	// inbox[j] holds messages sent by rank j to this rank; slots are
-	// populated lazily by queueFrom on the first send or receive.
-	inbox []atomic.Pointer[chanQueue]
+	// inbox[j] holds messages sent by rank j to this rank, by stream; slots
+	// are populated lazily by queuesFrom on the first send or receive.
+	inbox []atomic.Pointer[streamQueues]
 
 	mu     sync.Mutex
 	closed bool
@@ -227,105 +329,80 @@ func (m *localMesh) Rank() int { return m.rank }
 
 func (m *localMesh) Size() int { return m.net.size }
 
-// queueFrom returns this endpoint's inbox queue for peer `from`, creating it
-// on first touch. A queue created concurrently with Close must come up
+// queuesFrom returns this endpoint's inbox for peer `from`, creating it on
+// first touch. An inbox created concurrently with Close must come up
 // already closed, so the winner of the CAS re-checks the closed flag under
 // the endpoint lock (Close flips the flag under the same lock before it
 // walks the slots).
-func (m *localMesh) queueFrom(from int) *chanQueue {
+func (m *localMesh) queuesFrom(from int) *streamQueues {
 	if q := m.inbox[from].Load(); q != nil {
 		return q
 	}
-	q := newChanQueue()
+	q := newStreamQueues()
 	if m.inbox[from].CompareAndSwap(nil, q) {
-		m.mu.Lock()
-		closed := m.closed
-		m.mu.Unlock()
-		if closed {
-			q.close()
+		if m.isClosed() {
+			q.closeQueues()
 		}
 		return q
 	}
 	return m.inbox[from].Load()
 }
 
-func (m *localMesh) Send(to int, msg Message) error {
+func (m *localMesh) isClosed() bool {
 	m.mu.Lock()
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	if to < 0 || to >= m.net.size {
-		return fmt.Errorf("transport: send to rank %d of %d", to, m.net.size)
-	}
-	msg.From = int32(m.rank)
-	msg.To = int32(to)
-	return m.net.endpoints[to].queueFrom(m.rank).push(delivered(msg))
+	defer m.mu.Unlock()
+	return m.closed
 }
 
-// delivered returns msg as its receiver finds it after a copying send.
-// Messages are immutable once sent, so the payload (tail included) and the
-// index list are copied into pooled buffers the receiver owns — see the
-// ownership contract in pool.go — and the sender may keep mutating its own
-// (the TCP mesh gets this for free by serializing onto the wire).
-func delivered(msg Message) Message {
-	if msg.Payload != nil || msg.HasTail {
-		p := GetPayload(msg.elems())
-		copy(p, msg.Payload)
-		if msg.HasTail {
-			p[len(msg.Payload)] = msg.Tail
-		}
-		msg.Payload, msg.Tail, msg.HasTail = p, 0, false
-	}
-	if msg.Indices != nil {
-		ix := GetIndices(len(msg.Indices))
-		copy(ix, msg.Indices)
-		msg.Indices = ix
-	}
-	return msg
-}
+func (m *localMesh) Send(to int, msg Message) error { return m.send(to, msg, false) }
 
 // SendOwned implements OwnedSender: the sender's buffer is delivered to the
 // receiver as-is, skipping the defensive copy Send performs. The ring
 // AllReduce forwards chunks through the ring this way, so one buffer rotates
-// all the way around instead of being copied at every hop. A message with a
-// tail needs a buffer one element longer, so it goes by copy.
-func (m *localMesh) SendOwned(to int, msg Message) error {
-	if msg.HasTail {
-		err := m.Send(to, msg)
-		PutPayload(msg.Payload)
-		PutIndices(msg.Indices)
+// all the way around instead of being copied at every hop. Ownership of
+// msg.Indices transfers with the message as well.
+func (m *localMesh) SendOwned(to int, msg Message) error { return m.send(to, msg, true) }
+
+// send files msg in the receiver's inbox under (this rank, msg.Stream): the
+// sender routes, so no receiver ever sees another stream's message. When
+// owned, the buffers belong to the mesh from here on, error or not.
+func (m *localMesh) send(to int, msg Message, owned bool) error {
+	var err error
+	switch {
+	case m.isClosed():
+		err = ErrClosed
+	case to < 0 || to >= m.net.size:
+		err = fmt.Errorf("transport: send to rank %d of %d", to, m.net.size)
+	}
+	if err != nil {
+		if owned {
+			PutPayload(msg.Payload)
+			PutIndices(msg.Indices)
+		}
 		return err
-	}
-	m.mu.Lock()
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		PutPayload(msg.Payload)
-		return ErrClosed
-	}
-	if to < 0 || to >= m.net.size {
-		PutPayload(msg.Payload)
-		return fmt.Errorf("transport: send to rank %d of %d", to, m.net.size)
 	}
 	msg.From = int32(m.rank)
 	msg.To = int32(to)
-	// Ownership of msg.Indices transfers with the message as well: the
-	// sender must not touch the slice afterwards.
-	if err := m.net.endpoints[to].queueFrom(m.rank).push(msg); err != nil {
-		PutPayload(msg.Payload)
-		return err
-	}
-	return nil
+	return deliver(m.net.endpoints[to].queuesFrom(m.rank).queue(msg.Stream), msg, owned)
 }
 
 func (m *localMesh) Recv(from int) (Message, error) {
-	if from < 0 || from >= m.net.size {
-		return Message{}, fmt.Errorf("transport: recv from rank %d of %d", from, m.net.size)
-	}
-	return m.queueFrom(from).pop()
+	msg, _, err := m.receive(from, 0, nil)
+	return msg, err
 }
+
+// receive returns the next message rank `from` sent on stream. The
+// in-memory mesh never lands a frame: its messages already sit in buffers.
+func (m *localMesh) receive(from int, stream int32, _ *Landing) (Message, bool, error) {
+	if from < 0 || from >= m.net.size {
+		return Message{}, false, fmt.Errorf("transport: recv from rank %d of %d", from, m.net.size)
+	}
+	msg, err := m.queuesFrom(from).queue(stream).pop()
+	return msg, false, err
+}
+
+// StreamView implements StreamRouter.
+func (m *localMesh) StreamView(id int32) Mesh { return &streamView{m: m, id: id} }
 
 func (m *localMesh) Close() error {
 	m.mu.Lock()
@@ -337,7 +414,7 @@ func (m *localMesh) Close() error {
 	m.mu.Unlock()
 	for i := range m.inbox {
 		if q := m.inbox[i].Load(); q != nil {
-			q.close()
+			q.closeQueues()
 		}
 	}
 	return nil

@@ -1,8 +1,10 @@
 // Package transport provides reliable, ordered point-to-point messaging
 // between the ranks of a training job. Two implementations are provided: an
-// in-memory mesh (goroutines + channels) for single-process clusters and a
-// TCP mesh (net) for multi-process deployments. Both satisfy the Mesh
-// interface consumed by the collective layer.
+// in-memory mesh (per-peer queues in one process) for single-process
+// clusters and a TCP mesh (net) for multi-process deployments. Both satisfy
+// the Mesh interface consumed by the collective layer, and each routes its
+// own tag streams (stream.go): a message is filed under its sender and its
+// stream id by the mesh that carries it.
 //
 // On the wire every message travels as a frame of the explicit, versioned
 // frame protocol v1 (see frame.go for the writer and the layout rationale):
@@ -28,9 +30,9 @@
 // flags must agree with the length prefix or the frame is rejected — a frame
 // can no longer express the index/value mismatches the pre-v1 format had to
 // check for. The stream id
-// moves tag-stream multiplexing into the transport: StreamDemux routes on
-// this field instead of packing stream bits into Iter's high bits, so the
-// full int64 iteration space belongs to the collective again.
+// is what both meshes route tag streams on, instead of packing stream bits
+// into Iter's high bits, so the full int64 iteration space belongs to the
+// collective.
 package transport
 
 import (
@@ -78,10 +80,6 @@ const (
 	maxMsgType = MsgPSAck
 )
 
-// IsPS reports whether t belongs to the parameter-server frame family —
-// the types a peer must advertise CapPS to decode.
-func (t MsgType) IsPS() bool { return t >= MsgPSPush && t <= MsgPSAck }
-
 // Message is the unit of exchange on a Mesh.
 type Message struct {
 	// Type is the message kind.
@@ -92,9 +90,11 @@ type Message struct {
 	To int32
 	// Stream is the logical tag stream the message belongs to (see
 	// stream.go). Zero — the default — is the stream plain Recv observes, so
-	// senders that never multiplex interoperate unchanged. The id travels in
-	// the frame header, so transports route concurrent collectives without
-	// touching the iteration tag.
+	// senders that never multiplex interoperate unchanged. The mesh that
+	// carries the message files it by this id: the in-memory mesh when it is
+	// sent, the TCP mesh from the frame header when it is read. Concurrent
+	// users of one mesh therefore never touch the iteration tag or each
+	// other's messages.
 	Stream int32
 	// Iter tags the training iteration the message belongs to, so
 	// cross-iteration traffic cannot be confused. The full int64 range is

@@ -165,3 +165,4 @@ func (c copyOnlyMesh) Size() int                      { return c.m.Size() }
 func (c copyOnlyMesh) Send(to int, m Message) error   { return c.m.Send(to, m) }
 func (c copyOnlyMesh) Recv(from int) (Message, error) { return c.m.Recv(from) }
 func (c copyOnlyMesh) Close() error                   { return c.m.Close() }
+func (c copyOnlyMesh) StreamView(id int32) Mesh       { return c.m.StreamView(id) }

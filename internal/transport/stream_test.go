@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // TestStreamFieldWireRoundTrip: the stream id travels in its own frame
@@ -41,62 +43,133 @@ func TestStreamFieldWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamsHelperPicksNativeRouter: Streams() must hand back the mesh's
-// own router when the transport routes stream frames natively, and fall back
-// to a demux otherwise.
-func TestStreamsHelperPicksNativeRouter(t *testing.T) {
-	meshes, err := NewTCPCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-	if _, ok := Streams(meshes[0]).(*TCPMesh); !ok {
-		t.Errorf("Streams(TCPMesh) = %T, want the mesh itself", Streams(meshes[0]))
-	}
+// psStream is the parameter server's stream id (ps.PSStream).
+const psStream int32 = 1 << 16
+
+// TestRawRecvBesideStreamView: a plain Recv and a stream view share one
+// endpoint, each taking only its own stream's messages, in whichever order
+// they were sent and received.
+func TestRawRecvBesideStreamView(t *testing.T) {
 	net, err := NewLocalNetwork(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = net.Close() }()
-	if _, ok := Streams(net.endpoints[0]).(*StreamDemux); !ok {
-		t.Errorf("Streams(localMesh) = %T, want *StreamDemux", Streams(net.endpoints[0]))
+	ep0, _ := net.Endpoint(0)
+	ep1, _ := net.Endpoint(1)
+	if err := ep1.StreamView(psStream).Send(0, Message{Type: MsgPSAck, Iter: 11}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep1.Send(0, Message{Type: MsgChunk, Iter: 22}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := recvWithin(t, ep0, 1); err != nil || msg.Type != MsgChunk || msg.Iter != 22 || msg.Stream != 0 {
+		t.Errorf("raw Recv = %+v, %v; want the stream-0 chunk, iter 22", msg, err)
+	}
+	if msg, err := recvWithin(t, ep0.StreamView(psStream), 1); err != nil || msg.Type != MsgPSAck || msg.Iter != 11 {
+		t.Errorf("stream view Recv = %+v, %v; want the PS ack, iter 11", msg, err)
 	}
 }
 
-// TestStreamDemuxIsolation: two streams between the same pair of peers see
-// only their own messages, in order, regardless of the interleaving the
-// sender chose.
-func TestStreamDemuxIsolation(t *testing.T) {
-	net, err := NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
+// recvWithin is m.Recv(from), failing the test when nothing arrives within
+// 5 s.
+func recvWithin(t *testing.T, m Mesh, from int) (Message, error) {
+	t.Helper()
+	type result struct {
+		msg Message
+		err error
 	}
-	defer func() { _ = net.Close() }()
-	d0 := NewStreamDemux(net.endpoints[0])
-	d1 := NewStreamDemux(net.endpoints[1])
+	got := make(chan result, 1)
+	go func() {
+		msg, err := m.Recv(from)
+		got <- result{msg, err}
+	}()
+	select {
+	case r := <-got:
+		return r.msg, r.err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no message from rank %d within 5 s", from)
+		return Message{}, nil
+	}
+}
 
-	// Rank 1 interleaves sends on streams 0, 1, 2; rank 0 receives per
-	// stream and must see exactly that stream's Iter sequence.
+// twoRanks builds a two-rank mesh of one kind; it is torn down when the
+// test ends, and a TCP test then fails if it left a goroutine running.
+type twoRanks struct {
+	name string
+	make func(t *testing.T) (m0, m1 Mesh)
+}
+
+var streamMeshKinds = []twoRanks{
+	{name: "local", make: func(t *testing.T) (Mesh, Mesh) {
+		net, err := NewLocalNetwork(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = net.Close() })
+		return net.endpoints[0], net.endpoints[1]
+	}},
+	{name: "tcp", make: func(t *testing.T) (Mesh, Mesh) {
+		leakcheck.Check(t)
+		meshes, err := NewTCPCluster(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			for _, m := range meshes {
+				_ = m.Close()
+			}
+		})
+		return meshes[0], meshes[1]
+	}},
+}
+
+// TestStreamViews holds both meshes' native stream views to one contract:
+// isolation between streams, order within one, payload integrity, the full
+// iteration range, close and bad-rank errors, and delivery to one stream
+// while another stream's receiver stays blocked.
+func TestStreamViews(t *testing.T) {
+	rows := []struct {
+		name string
+		run  func(t *testing.T, m0, m1 Mesh)
+	}{
+		{"isolation", streamIsolation},
+		{"concurrent_pairs", streamConcurrentPairs},
+		{"payload_routing", streamPayloadRouting},
+		{"full_iter_range", streamFullIterRange},
+		{"close_propagates", streamClosePropagates},
+		{"recv_bad_rank", streamRecvBadRank},
+		{"routed_delivery_while_reader_parked", streamDeliveryWhileParked},
+	}
+	for _, kind := range streamMeshKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					m0, m1 := kind.make(t)
+					row.run(t, m0, m1)
+				})
+			}
+		})
+	}
+}
+
+// streamIsolation: rank 1 interleaves sends on streams 1, 0 and 2; rank 0
+// receives each stream concurrently and must see exactly that stream's
+// sequence, payloads included.
+func streamIsolation(t *testing.T, m0, m1 Mesh) {
 	const perStream = 20
-	send := d1.Stream(0)
-	sendB := d1.Stream(1)
-	sendC := d1.Stream(2)
+	order := []int32{1, 0, 2}
+	want := func(id int32, i int) float64 { return float64(int(id)*100 + i) }
 	go func() {
 		for i := 0; i < perStream; i++ {
-			_ = sendB.Send(0, Message{Type: MsgChunk, Iter: int64(i), Chunk: 1})
-			_ = send.Send(0, Message{Type: MsgChunk, Iter: int64(i), Chunk: 0})
-			_ = sendC.Send(0, Message{Type: MsgChunk, Iter: int64(i), Chunk: 2})
+			for _, id := range order {
+				_ = m1.StreamView(id).Send(0, Message{Type: MsgChunk, Iter: int64(i), Chunk: id, Payload: []float64{want(id, i)}})
+			}
 		}
 	}()
-
 	var wg sync.WaitGroup
-	for id := int32(0); id < 3; id++ {
-		id := id
-		view := d0.Stream(id)
+	for _, id := range order {
+		view := m0.StreamView(id)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -106,8 +179,8 @@ func TestStreamDemuxIsolation(t *testing.T) {
 					t.Errorf("stream %d recv %d: %v", id, i, err)
 					return
 				}
-				if msg.Iter != int64(i) || msg.Chunk != id {
-					t.Errorf("stream %d recv %d: got iter=%d chunk=%d", id, i, msg.Iter, msg.Chunk)
+				if msg.Iter != int64(i) || msg.Chunk != id || len(msg.Payload) != 1 || msg.Payload[0] != want(id, i) {
+					t.Errorf("stream %d recv %d: %+v", id, i, msg)
 					return
 				}
 			}
@@ -116,38 +189,32 @@ func TestStreamDemuxIsolation(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStreamDemuxConcurrentPairs hammers many streams concurrently in both
-// directions between two ranks; every stream must observe its own ordered
-// sequence. Run under -race this also exercises the pull-lock routing.
-func TestStreamDemuxConcurrentPairs(t *testing.T) {
+// streamConcurrentPairs hammers many streams concurrently in both
+// directions; every stream must observe its own ordered sequence. Under
+// -race this also exercises the routing.
+func streamConcurrentPairs(t *testing.T, m0, m1 Mesh) {
 	const streams = 8
 	const msgs = 50
-	net, err := NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	demux := []*StreamDemux{NewStreamDemux(net.endpoints[0]), NewStreamDemux(net.endpoints[1])}
-
+	meshes := []Mesh{m0, m1}
 	var wg sync.WaitGroup
 	for rank := 0; rank < 2; rank++ {
 		peer := 1 - rank
 		for id := int32(0); id < streams; id++ {
-			view := demux[rank].Stream(id)
+			view := meshes[rank].StreamView(id)
 			wg.Add(2)
-			go func(v Mesh) {
+			go func() {
 				defer wg.Done()
 				for i := 0; i < msgs; i++ {
-					if err := v.Send(peer, Message{Type: MsgChunk, Iter: int64(i)}); err != nil {
+					if err := view.Send(peer, Message{Type: MsgChunk, Iter: int64(i)}); err != nil {
 						t.Errorf("send: %v", err)
 						return
 					}
 				}
-			}(view)
-			go func(v Mesh, id int32) {
+			}()
+			go func() {
 				defer wg.Done()
 				for i := 0; i < msgs; i++ {
-					msg, err := v.Recv(peer)
+					msg, err := view.Recv(peer)
 					if err != nil {
 						t.Errorf("stream %d recv: %v", id, err)
 						return
@@ -157,97 +224,71 @@ func TestStreamDemuxConcurrentPairs(t *testing.T) {
 						return
 					}
 				}
-			}(view, id)
+			}()
 		}
 	}
 	wg.Wait()
 }
 
-// TestStreamDemuxPayloadRouting checks payload integrity through the stray
-// routing path: a message parked on another stream's queue must surface
-// unmodified.
-func TestStreamDemuxPayloadRouting(t *testing.T) {
-	net, err := NewLocalNetwork(2)
+// streamPayloadRouting: a message that waits on its stream's queue while
+// another stream is received first surfaces unmodified.
+func streamPayloadRouting(t *testing.T, m0, m1 Mesh) {
+	if err := m1.StreamView(5).Send(0, Message{Type: MsgChunk, Iter: 9, Payload: []float64{5, 55, 555}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.StreamView(2).Send(0, Message{Type: MsgChunk, Iter: 4, Payload: []float64{2, 22}}); err != nil {
+		t.Fatal(err)
+	}
+	got2, err := m0.StreamView(2).Recv(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = net.Close() }()
-	d0 := NewStreamDemux(net.endpoints[0])
-	d1 := NewStreamDemux(net.endpoints[1])
-
-	// Send on stream 5 first, then stream 2; receive stream 2 first so the
-	// stream-5 message takes the routed path.
-	pay5 := []float64{5, 55, 555}
-	pay2 := []float64{2, 22}
-	if err := d1.Stream(5).Send(0, Message{Type: MsgChunk, Iter: 9, Payload: pay5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d1.Stream(2).Send(0, Message{Type: MsgChunk, Iter: 4, Payload: pay2}); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := d0.Stream(2).Recv(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Iter != 4 || len(got2.Payload) != 2 || got2.Payload[0] != 2 {
+	if got2.Iter != 4 || len(got2.Payload) != 2 || got2.Payload[0] != 2 || got2.Payload[1] != 22 {
 		t.Fatalf("stream 2 got %+v", got2)
 	}
-	got5, err := d0.Stream(5).Recv(1)
+	got5, err := m0.StreamView(5).Recv(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got5.Iter != 9 || len(got5.Payload) != 3 || got5.Payload[2] != 555 {
+	if got5.Iter != 9 || len(got5.Payload) != 3 || got5.Payload[0] != 5 || got5.Payload[2] != 555 {
 		t.Fatalf("stream 5 got %+v", got5)
 	}
 }
 
-// TestStreamDemuxFullIterRange: stream views no longer steal Iter's high
-// bits, so iters the old packing rejected must now flow through a view on
-// both send paths.
-func TestStreamDemuxFullIterRange(t *testing.T) {
-	net, err := NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	d0 := NewStreamDemux(net.endpoints[0])
-	d1 := NewStreamDemux(net.endpoints[1])
-	v := d1.Stream(1)
+// streamFullIterRange: a view's stream id travels in its own field, so
+// every int64 iteration tag flows through a view on both send paths.
+func streamFullIterRange(t *testing.T, m0, m1 Mesh) {
+	v := m1.StreamView(1)
 	if err := v.Send(0, Message{Type: MsgChunk, Iter: math.MaxInt64}); err != nil {
 		t.Fatalf("Send err = %v", err)
 	}
-	pay := GetPayload(4)
-	if err := v.(OwnedSender).SendOwned(0, Message{Type: MsgChunk, Iter: -1, Payload: pay}); err != nil {
+	if err := v.(OwnedSender).SendOwned(0, Message{Type: MsgChunk, Iter: -1, Payload: GetPayload(4)}); err != nil {
 		t.Fatalf("SendOwned err = %v", err)
 	}
 	for _, want := range []int64{math.MaxInt64, -1} {
-		msg, err := d0.Stream(1).Recv(1)
+		msg, err := m0.StreamView(1).Recv(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msg.Iter != want {
-			t.Errorf("iter = %d, want %d", msg.Iter, want)
+		if msg.Iter != want || msg.Stream != 1 {
+			t.Errorf("stream %d iter %d, want stream 1 iter %d", msg.Stream, msg.Iter, want)
 		}
 	}
 }
 
-// TestStreamDemuxClosePropagates: closing the parent fails every blocked
-// stream Recv with ErrClosed.
-func TestStreamDemuxClosePropagates(t *testing.T) {
-	net, err := NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewStreamDemux(net.endpoints[0])
+// streamClosePropagates: closing the endpoint fails every blocked stream
+// Recv with ErrClosed.
+func streamClosePropagates(t *testing.T, m0, _ Mesh) {
 	errs := make(chan error, 3)
 	for id := int32(0); id < 3; id++ {
-		view := d.Stream(id)
+		view := m0.StreamView(id)
 		go func() {
 			_, err := view.Recv(1)
 			errs <- err
 		}()
 	}
-	_ = net.Close()
+	time.Sleep(20 * time.Millisecond)
+	_ = m0.Close()
 	for i := 0; i < 3; i++ {
 		if err := <-errs; !errors.Is(err, ErrClosed) {
 			t.Errorf("recv err = %v, want ErrClosed", err)
@@ -255,61 +296,10 @@ func TestStreamDemuxClosePropagates(t *testing.T) {
 	}
 }
 
-// TestStreamDemuxOverTCP runs the isolation scenario over the real TCP
-// transport: the stream id must survive the wire encode/decode of Iter.
-func TestStreamDemuxOverTCP(t *testing.T) {
-	meshes, err := NewTCPCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-	d0 := NewStreamDemux(meshes[0])
-	d1 := NewStreamDemux(meshes[1])
-	const perStream = 10
-	go func() {
-		for i := 0; i < perStream; i++ {
-			for id := int32(0); id < 3; id++ {
-				_ = d1.Stream(id).Send(0, Message{Type: MsgChunk, Iter: int64(i), Chunk: id, Payload: []float64{float64(int(id)*100 + i)}})
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for id := int32(0); id < 3; id++ {
-		id := id
-		view := d0.Stream(id)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perStream; i++ {
-				msg, err := view.Recv(1)
-				if err != nil {
-					t.Errorf("stream %d: %v", id, err)
-					return
-				}
-				want := float64(int(id)*100 + i)
-				if msg.Iter != int64(i) || len(msg.Payload) != 1 || msg.Payload[0] != want {
-					t.Errorf("stream %d pos %d: %+v", id, i, msg)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestStreamDemuxRecvBadRank mirrors the mesh contract for out-of-range
-// peers.
-func TestStreamDemuxRecvBadRank(t *testing.T) {
-	net, err := NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	v := NewStreamDemux(net.endpoints[0]).Stream(0)
+// streamRecvBadRank: a view keeps the mesh contract for out-of-range peers
+// and reports the endpoint's identity.
+func streamRecvBadRank(t *testing.T, m0, _ Mesh) {
+	v := m0.StreamView(3)
 	for _, from := range []int{-1, 2, 99} {
 		if _, err := v.Recv(from); err == nil {
 			t.Errorf("recv from %d accepted", from)
@@ -318,28 +308,18 @@ func TestStreamDemuxRecvBadRank(t *testing.T) {
 	if v.Rank() != 0 || v.Size() != 2 {
 		t.Errorf("view identity: rank %d size %d", v.Rank(), v.Size())
 	}
-	_ = fmt.Sprintf("%v", v)
 }
 
-// TestTCPStreamRoutedDeliveryWhilePullerParked is the TCP-native analogue of
-// TestStreamDemuxRoutedDeliveryWhilePullerParked: the mesh's own read
-// election must deliver a routed stream's frame while another stream's
-// consumer stays parked in the socket read.
-func TestTCPStreamRoutedDeliveryWhilePullerParked(t *testing.T) {
-	meshes, err := NewTCPCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
-
-	// Stream 0 on rank 0 parks first (its frame is sent last).
+// streamDeliveryWhileParked pins the liveness property that makes
+// concurrent collectives on one mesh safe: stream 1's message reaches its
+// receiver while stream 0's receiver stays blocked waiting for a message
+// that is sent only afterwards. Over TCP the stream-0 receiver holds the
+// connection's read election, parked in the socket read, and must route the
+// stream-1 frame to its owner.
+func streamDeliveryWhileParked(t *testing.T, m0, m1 Mesh) {
 	got0 := make(chan error, 1)
 	go func() {
-		msg, err := meshes[0].Recv(1)
+		msg, err := m0.Recv(1)
 		if err == nil && msg.Iter != 7 {
 			err = fmt.Errorf("stream 0 got iter %d", msg.Iter)
 		}
@@ -349,7 +329,7 @@ func TestTCPStreamRoutedDeliveryWhilePullerParked(t *testing.T) {
 
 	got1 := make(chan error, 1)
 	go func() {
-		msg, err := meshes[0].StreamView(1).Recv(1)
+		msg, err := m0.StreamView(1).Recv(1)
 		if err == nil && msg.Iter != 3 {
 			err = fmt.Errorf("stream 1 got iter %d", msg.Iter)
 		}
@@ -357,7 +337,7 @@ func TestTCPStreamRoutedDeliveryWhilePullerParked(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond)
 
-	if err := meshes[1].StreamView(1).Send(0, Message{Type: MsgReduce, Iter: 3}); err != nil {
+	if err := m1.StreamView(1).Send(0, Message{Type: MsgReduce, Iter: 3}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -366,10 +346,10 @@ func TestTCPStreamRoutedDeliveryWhilePullerParked(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("stream 1 never received its routed frame")
+		t.Fatal("stream 1 never received its message while stream 0 waited")
 	}
 
-	if err := meshes[1].Send(0, Message{Type: MsgReduce, Iter: 7}); err != nil {
+	if err := m1.Send(0, Message{Type: MsgReduce, Iter: 7}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -378,72 +358,6 @@ func TestTCPStreamRoutedDeliveryWhilePullerParked(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("parked reader never received its own frame")
-	}
-}
-
-// TestStreamDemuxRoutedDeliveryWhilePullerParked pins the liveness property
-// that makes concurrent collectives on one mesh safe: a stream whose message is
-// routed by the elected puller must receive it even though the puller stays
-// parked in parent.Recv. With a mutex election the waiter would be committed
-// to the lock acquire, blind to its own queue, and a distributed cycle
-// (puller's message depending on the waiter's progress) would deadlock.
-func TestStreamDemuxRoutedDeliveryWhilePullerParked(t *testing.T) {
-	net, err := NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	d0 := NewStreamDemux(net.endpoints[0])
-	d1 := NewStreamDemux(net.endpoints[1])
-
-	// Stream 0 on rank 0 starts first and wins the pull election for peer 1,
-	// then parks in parent.Recv: its message is deliberately sent last.
-	got0 := make(chan error, 1)
-	go func() {
-		msg, err := d0.Stream(0).Recv(1)
-		if err == nil && msg.Iter != 7 {
-			err = fmt.Errorf("stream 0 got iter %d", msg.Iter)
-		}
-		got0 <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-
-	// Stream 1 on rank 0 now waits behind the parked puller.
-	got1 := make(chan error, 1)
-	go func() {
-		msg, err := d0.Stream(1).Recv(1)
-		if err == nil && msg.Iter != 3 {
-			err = fmt.Errorf("stream 1 got iter %d", msg.Iter)
-		}
-		got1 <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-
-	// Rank 1 sends stream 1's message: the parked puller routes it, and
-	// stream 1 must complete while the puller keeps waiting.
-	if err := d1.Stream(1).Send(0, Message{Type: MsgReduce, Iter: 3}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-got1:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stream 1 never received its routed message (waiter blind to its queue)")
-	}
-
-	// Only now release the puller.
-	if err := d1.Stream(0).Send(0, Message{Type: MsgReduce, Iter: 7}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-got0:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked puller never received its own message")
+		t.Fatal("the parked receiver never received its own message")
 	}
 }

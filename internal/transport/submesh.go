@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // SubMesh presents a contiguous view over a subset of a parent mesh's
 // ranks: local rank i maps to parent rank members[i]. Collectives run
@@ -14,18 +11,12 @@ type SubMesh struct {
 	parent  Mesh
 	members []int
 	local   int
-
-	// demuxOnce/demux back StreamView when the parent lacks native stream
-	// routing.
-	demuxOnce sync.Once
-	demux     *StreamDemux
 }
 
 var (
-	_ Mesh         = (*SubMesh)(nil)
-	_ OwnedSender  = (*SubMesh)(nil)
-	_ StreamRouter = (*SubMesh)(nil)
-	_ lander       = (*SubMesh)(nil)
+	_ Mesh        = (*SubMesh)(nil)
+	_ OwnedSender = (*SubMesh)(nil)
+	_ lander      = (*SubMesh)(nil)
 )
 
 // NewSubMesh wraps parent so that only `members` (distinct parent ranks,
@@ -114,26 +105,11 @@ func (s *SubMesh) recvInto(from int, l Landing) (Message, bool, error) {
 	return recvLanding(s.parent, g, l)
 }
 
-// StreamView implements StreamRouter. When the parent routes streams
-// natively (TCPMesh, or another SubMesh over one), the view is the parent's
-// native stream re-windowed to this subset — so a collective on a stream
-// view of a SubMesh still demultiplexes in the transport, one frame-header
-// compare per message. A wrapper demux over a native parent would deadlock
-// instead: the parent files stream frames under its own per-stream queues,
-// so the wrapper's parent.Recv (stream 0) would never observe them.
-// Non-native parents get a lazily created cooperative demux over this
-// SubMesh.
+// StreamView implements StreamRouter: the parent's stream view re-windowed
+// to this subset, so a collective on a stream view of a SubMesh is still
+// routed by the mesh that carries its frames.
 func (s *SubMesh) StreamView(id int32) Mesh {
-	if sr, ok := s.parent.(StreamRouter); ok {
-		view, err := NewSubMesh(sr.StreamView(id), s.members)
-		if err == nil {
-			return view
-		}
-		// Unreachable in practice: members were validated against this same
-		// parent geometry at construction. Fall through to the demux.
-	}
-	s.demuxOnce.Do(func() { s.demux = NewStreamDemux(s) })
-	return s.demux.Stream(id)
+	return &SubMesh{parent: s.parent.StreamView(id), members: s.members, local: s.local}
 }
 
 // Close implements Mesh. Closing a SubMesh closes the parent endpoint,

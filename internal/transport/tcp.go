@@ -40,8 +40,11 @@ func tuneConn(conn net.Conn) {
 // admits one reader at a time, and frames for other logical streams
 // encountered while draining are routed to their stream's queue, whose wake
 // channel unblocks that stream's consumer even while the elected reader
-// stays parked in a blocking read (the same selectable-election pattern as
-// StreamDemux, one layer down). Compared to a reader goroutine pumping an
+// stays parked in a blocking read. The election must be selectable, not a
+// mutex: a waiter committed to a mutex acquire could never observe a frame
+// the parked reader routed to it, and if the reader's own missing frame
+// depends on that waiter's progress on another rank, the job deadlocks.
+// Compared to a reader goroutine pumping an
 // inbox, the common case — consumer already waiting when the frame arrives —
 // saves a full goroutine wakeup and queue handoff per message: the kernel
 // wakes the consumer blocked in read(2) directly.
@@ -68,22 +71,14 @@ type TCPMesh struct {
 	// loopback slot (no conn, queues only).
 	peers []*peerConn
 
-	// caps is the capability set negotiated across ALL peers (AND of every
-	// connection's negotiated set and our own advertisement); version is the
-	// lowest negotiated protocol version. Fixed after DialMesh returns.
-	caps    Caps
-	version uint8
-
 	mu     sync.Mutex
 	closed bool
 }
 
 var (
-	_ Mesh         = (*TCPMesh)(nil)
-	_ OwnedSender  = (*TCPMesh)(nil)
-	_ CapsProvider = (*TCPMesh)(nil)
-	_ StreamRouter = (*TCPMesh)(nil)
-	_ lander       = (*TCPMesh)(nil)
+	_ Mesh        = (*TCPMesh)(nil)
+	_ OwnedSender = (*TCPMesh)(nil)
+	_ lander      = (*TCPMesh)(nil)
 )
 
 // peerConn is one peer's connection state.
@@ -102,112 +97,32 @@ type peerConn struct {
 	// the socket next.
 	rx frameDecoder
 
-	// caps and version are this connection's negotiated values.
-	caps    Caps
-	version uint8
-
 	// Send side: wmu serializes writers; waiters counts senders committed
 	// to acquiring wmu (the group-commit signal); fw coalesces frames.
 	wmu     sync.Mutex
 	waiters atomic.Int32
 	fw      *frameWriter
 
-	// Receive side: per-stream routed-frame queues. q0 (stream 0) is
-	// preallocated — the non-multiplexed fast path takes no lock to find it.
-	qmu     sync.Mutex
-	queues  map[int32]*chanQueue
-	q0      *chanQueue
-	qclosed bool
+	// Receive side: the frames read off this connection (or, in the
+	// loopback slot, sent to self), filed by stream.
+	*streamQueues
 }
 
 func newPeerConn() *peerConn {
-	return &peerConn{pull: make(chan struct{}, 1), q0: newChanQueue()}
+	return &peerConn{pull: make(chan struct{}, 1), streamQueues: newStreamQueues()}
 }
 
-// queue returns the routed-frame queue for a stream, creating it on first
-// touch (born closed if the connection already failed).
-func (c *peerConn) queue(stream int32) *chanQueue {
-	if stream == 0 {
-		return c.q0
-	}
-	c.qmu.Lock()
-	q := c.queues[stream]
-	if q == nil {
-		q = newChanQueue()
-		if c.queues == nil {
-			c.queues = make(map[int32]*chanQueue)
-		}
-		if c.qclosed {
-			q.close()
-		}
-		c.queues[stream] = q
-	}
-	c.qmu.Unlock()
-	return q
-}
-
-// closeQueues fails every present and future consumer of this connection.
-func (c *peerConn) closeQueues() {
-	c.qmu.Lock()
-	c.qclosed = true
-	qs := make([]*chanQueue, 0, len(c.queues))
-	for _, q := range c.queues {
-		qs = append(qs, q)
-	}
-	c.qmu.Unlock()
-	c.q0.close()
-	for _, q := range qs {
-		q.close()
-	}
-}
-
-// MeshOptions tunes what DialMeshOpts advertises in its hello. The zero
-// value advertises everything this build supports at the current protocol
-// version.
-type MeshOptions struct {
-	// Caps is the advertised capability set (zero means CapsAll).
-	Caps Caps
-	// Version is the advertised protocol version (zero means ProtocolV1).
-	// Values above ProtocolV1 exercise forward compatibility: the peer
-	// negotiates the connection down to the highest version both speak.
-	Version uint8
-}
-
-func (o MeshOptions) withDefaults() MeshOptions {
-	if o.Caps == 0 {
-		o.Caps = CapsAll
-	}
-	if o.Version == 0 {
-		o.Version = ProtocolV1
-	}
-	return o
-}
-
-// DialMesh joins a TCP mesh as `rank`, advertising full capabilities. addrs
-// lists every rank's listen address; ln must already be listening on
-// addrs[rank]. Each rank dials every higher rank and accepts from every
-// lower rank; every connection performs the hello exchange and rejects
-// incompatible or non-protocol peers with ErrVersionMismatch.
+// DialMesh joins a TCP mesh as `rank`. addrs lists every rank's listen
+// address; ln must already be listening on addrs[rank]. Each rank dials
+// every higher rank and accepts from every lower rank; every connection
+// performs the hello exchange and rejects incompatible or non-protocol peers
+// with ErrVersionMismatch.
 func DialMesh(rank int, addrs []string, ln net.Listener) (*TCPMesh, error) {
-	return DialMeshOpts(rank, addrs, ln, MeshOptions{})
-}
-
-// DialMeshOpts is DialMesh with an explicit capability/version
-// advertisement — the handle mixed-capability and mixed-version tests and
-// deployments use.
-func DialMeshOpts(rank int, addrs []string, ln net.Listener, opts MeshOptions) (*TCPMesh, error) {
 	size := len(addrs)
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("transport: rank %d of %d", rank, size)
 	}
-	opts = opts.withDefaults()
-	m := &TCPMesh{
-		rank:    rank,
-		size:    size,
-		peers:   make([]*peerConn, size),
-		caps:    opts.Caps,
-		version: opts.Version,
-	}
+	m := &TCPMesh{rank: rank, size: size, peers: make([]*peerConn, size)}
 	for j := range m.peers {
 		m.peers[j] = newPeerConn()
 	}
@@ -219,13 +134,11 @@ func DialMeshOpts(rank int, addrs []string, ln net.Listener, opts MeshOptions) (
 	)
 	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
 
-	attach := func(peer int, conn net.Conn, version uint8, caps Caps) {
+	attach := func(peer int, conn net.Conn) {
 		c := m.peers[peer]
 		c.conn = conn
 		c.br = bufio.NewReaderSize(conn, 1<<16)
 		c.fw = newFrameWriter(conn, m.drainAssist)
-		c.version = version
-		c.caps = caps
 	}
 
 	// Dial higher ranks.
@@ -240,7 +153,7 @@ func DialMeshOpts(rank int, addrs []string, ln net.Listener, opts MeshOptions) (
 				return
 			}
 			tuneConn(conn)
-			peer, version, caps, err := exchangeHello(conn, opts.Version, opts.Caps, rank)
+			peer, _, err := exchangeHello(conn, ProtocolV1, rank)
 			if err != nil {
 				_ = conn.Close()
 				fail(fmt.Errorf("hello with rank %d: %w", j, err))
@@ -251,7 +164,7 @@ func DialMeshOpts(rank int, addrs []string, ln net.Listener, opts MeshOptions) (
 				fail(fmt.Errorf("transport: rank %d answered at %s, want %d", peer, addrs[j], j))
 				return
 			}
-			attach(j, conn, version, caps)
+			attach(j, conn)
 		}()
 	}
 	// Accept lower ranks.
@@ -265,7 +178,7 @@ func DialMeshOpts(rank int, addrs []string, ln net.Listener, opts MeshOptions) (
 				return
 			}
 			tuneConn(conn)
-			peer, version, caps, err := exchangeHello(conn, opts.Version, opts.Caps, rank)
+			peer, _, err := exchangeHello(conn, ProtocolV1, rank)
 			if err != nil {
 				_ = conn.Close()
 				fail(fmt.Errorf("hello on accept: %w", err))
@@ -276,26 +189,13 @@ func DialMeshOpts(rank int, addrs []string, ln net.Listener, opts MeshOptions) (
 				fail(fmt.Errorf("transport: bad hello rank %d", peer))
 				return
 			}
-			attach(int(peer), conn, version, caps)
+			attach(int(peer), conn)
 		}
 	}()
 	wg.Wait()
 	if firstErr != nil {
 		_ = m.Close()
 		return nil, firstErr
-	}
-
-	// The mesh-wide capability set: what EVERY rank of the job can decode.
-	// All ranks compute the same AND on a fully connected mesh, so SPMD
-	// branches on MeshCaps agree globally.
-	for j, c := range m.peers {
-		if j == rank {
-			continue
-		}
-		m.caps &= c.caps
-		if c.version < m.version {
-			m.version = c.version
-		}
 	}
 	return m, nil
 }
@@ -305,14 +205,6 @@ func (m *TCPMesh) Rank() int { return m.rank }
 
 // Size implements Mesh.
 func (m *TCPMesh) Size() int { return m.size }
-
-// Caps implements CapsProvider: the capability set every rank of the mesh
-// supports.
-func (m *TCPMesh) Caps() Caps { return m.caps }
-
-// Version returns the lowest protocol version negotiated with any peer —
-// the version this mesh's frames travel as.
-func (m *TCPMesh) Version() uint8 { return m.version }
 
 func (m *TCPMesh) isClosed() bool {
 	m.mu.Lock()
@@ -355,27 +247,12 @@ func (m *TCPMesh) send(to int, msg Message, owned bool) error {
 	msg.From = int32(m.rank)
 	msg.To = int32(to)
 	if to == m.rank {
-		return m.sendSelf(msg, owned)
+		return deliver(m.peers[m.rank].queue(msg.Stream), msg, owned)
 	}
 	c := m.peers[to]
 	if c.conn == nil {
 		release()
 		return fmt.Errorf("transport: no connection to rank %d", to)
-	}
-
-	// Capability gating against the negotiated per-connection set: frames
-	// the peer cannot decode are rejected typed.
-	if msg.Stream != 0 && c.caps&CapStreams == 0 {
-		release()
-		return fmt.Errorf("%w: stream %d to rank %d (negotiated %v)", ErrCapability, msg.Stream, to, c.caps)
-	}
-	if msg.Indices != nil && c.caps&CapSparse == 0 {
-		release()
-		return fmt.Errorf("%w: sparse frame to rank %d (negotiated %v)", ErrCapability, to, c.caps)
-	}
-	if msg.Type.IsPS() && c.caps&CapPS == 0 {
-		release()
-		return fmt.Errorf("%w: ps frame to rank %d (negotiated %v)", ErrCapability, to, c.caps)
 	}
 
 	c.waiters.Add(1)
@@ -401,27 +278,6 @@ func (m *TCPMesh) send(to int, msg Message, owned bool) error {
 	return err
 }
 
-// sendSelf is loopback delivery: mirror the wire path's copy semantics, then
-// push straight to the local queue. Owned buffers go as they are.
-func (m *TCPMesh) sendSelf(msg Message, owned bool) error {
-	switch {
-	case owned && msg.HasTail:
-		// A tail needs a buffer one element longer.
-		d := delivered(msg)
-		PutPayload(msg.Payload)
-		PutIndices(msg.Indices)
-		msg = d
-	case !owned:
-		msg = delivered(msg)
-	}
-	if err := m.peers[m.rank].queue(msg.Stream).push(msg); err != nil {
-		PutPayload(msg.Payload)
-		PutIndices(msg.Indices)
-		return err
-	}
-	return nil
-}
-
 // Recv implements Mesh: the next stream-0 message from `from`.
 func (m *TCPMesh) Recv(from int) (Message, error) {
 	msg, _, err := m.receive(from, 0, nil)
@@ -434,11 +290,8 @@ func (m *TCPMesh) recvInto(from int, l Landing) (Message, bool, error) {
 }
 
 // StreamView implements StreamRouter: a Mesh view whose traffic travels on
-// logical stream id, routed by the frame header at this layer — no demux
-// wrapper, no Iter-bit packing. Views are cheap and stateless.
-func (m *TCPMesh) StreamView(id int32) Mesh {
-	return &tcpStream{m: m, id: id}
-}
+// logical stream id, routed by the frame header at this layer.
+func (m *TCPMesh) StreamView(id int32) Mesh { return &streamView{m: m, id: id} }
 
 // receive returns the next message rank `from` sent on the given stream.
 // With a Landing (see land.go) the reader lands the frame when it can, and
@@ -624,56 +477,11 @@ func (m *TCPMesh) Close() error {
 	return nil
 }
 
-// tcpStream is one logical stream's view of a TCPMesh.
-type tcpStream struct {
-	m  *TCPMesh
-	id int32
-}
-
-var (
-	_ Mesh        = (*tcpStream)(nil)
-	_ OwnedSender = (*tcpStream)(nil)
-	_ lander      = (*tcpStream)(nil)
-)
-
-func (s *tcpStream) Rank() int { return s.m.rank }
-func (s *tcpStream) Size() int { return s.m.size }
-
-func (s *tcpStream) Send(to int, msg Message) error {
-	msg.Stream = s.id
-	return s.m.send(to, msg, false)
-}
-
-func (s *tcpStream) SendOwned(to int, msg Message) error {
-	msg.Stream = s.id
-	return s.m.send(to, msg, true)
-}
-
-func (s *tcpStream) Recv(from int) (Message, error) {
-	msg, _, err := s.m.receive(from, s.id, nil)
-	return msg, err
-}
-
-// recvInto implements lander on the view's stream.
-func (s *tcpStream) recvInto(from int, l Landing) (Message, bool, error) {
-	return s.m.receive(from, s.id, &l)
-}
-
-// Close closes the underlying mesh (all streams share its lifecycle).
-func (s *tcpStream) Close() error { return s.m.Close() }
-
 // NewTCPCluster starts size TCP mesh endpoints on localhost ephemeral ports
 // and fully connects them. It is the in-process harness used by tests and
 // the tcpcluster example; real deployments call DialMesh with their own
 // address book.
 func NewTCPCluster(size int) ([]*TCPMesh, error) {
-	return NewTCPClusterOpts(size, nil)
-}
-
-// NewTCPClusterOpts is NewTCPCluster with per-rank hello advertisements
-// (optsFor may be nil for all-default), for exercising mixed-capability and
-// mixed-version meshes in one process.
-func NewTCPClusterOpts(size int, optsFor func(rank int) MeshOptions) ([]*TCPMesh, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("transport: cluster of %d ranks", size)
 	}
@@ -699,11 +507,7 @@ func NewTCPClusterOpts(size int, optsFor func(rank int) MeshOptions) ([]*TCPMesh
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var opts MeshOptions
-			if optsFor != nil {
-				opts = optsFor(i)
-			}
-			meshes[i], errs[i] = DialMeshOpts(i, addrs, listeners[i], opts)
+			meshes[i], errs[i] = DialMesh(i, addrs, listeners[i])
 		}()
 	}
 	wg.Wait()
