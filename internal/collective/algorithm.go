@@ -96,13 +96,16 @@ func PartialAllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, contrib
 }
 
 // partialAllReduce is the copying form of the partial collective: it stages
-// v in a pooled flag-extended buffer and runs PartialAllReduceInPlace on it.
+// v in a pooled flag-extended buffer and runs PartialAllReduceInPlace on it,
+// a contributing rank counting as one.
 func partialAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contributes bool, opts Options) (PartialResult, error) {
 	work := tensor.Vector(transport.GetPayload(len(v) + 1))
+	weight := 0
 	if contributes {
 		copy(work, v)
+		weight = 1
 	}
-	contributors, err := PartialAllReduceInPlace(m, iter, work, contributes, opts)
+	contributors, err := PartialAllReduceInPlace(m, iter, work, weight, opts)
 	if err != nil {
 		transport.PutPayload(work)
 		return PartialResult{}, err
@@ -112,27 +115,29 @@ func partialAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contributes
 
 // PartialAllReduceInPlace is the partial collective on the caller's own
 // buffer, on top of any schedule. work is the flag-extended vector: dim data
-// elements followed by one slot for the contribution flag, which rides the
-// reduction so the count is summed by the same pass as the data. The call
-// sets the flag slot itself; with contributes=false it zeroes the whole of
+// elements followed by one slot for the rank's weight, which rides the
+// reduction so the weights are summed by the same pass as the data. The call
+// sets the flag slot itself to weight, the number of mini-batches the rank's
+// gradient sums (RNA's Weigh count); with weight 0 it zeroes the whole of
 // work (whatever it held) so the rank joins with a null gradient. On return
-// work[:dim] holds the element-wise sum over contributing ranks and the
-// contributor count Σ w_{k,i} is returned (zero means nobody had data).
+// work[:dim] holds the element-wise sum over contributing ranks and the sum
+// of the weights is returned, identical on every rank (zero means nobody had
+// data).
 //
 // core's accumulator leases gradient buffers with the flag slot as spare
 // capacity, so a taken gradient is reduced where it lies.
-func PartialAllReduceInPlace(m transport.Mesh, iter int64, work tensor.Vector, contributes bool, opts Options) (contributors int, err error) {
+func PartialAllReduceInPlace(m transport.Mesh, iter int64, work tensor.Vector, weight int, opts Options) (batches int, err error) {
 	dim := len(work) - 1
 	if dim < 0 {
 		return 0, fmt.Errorf("collective: partial allreduce needs a flag slot, got an empty vector")
 	}
-	if contributes {
-		work[dim] = 1
+	if weight > 0 {
+		work[dim] = float64(weight)
 	} else {
 		work.Zero()
 	}
 	if err := AllReduceOpts(m, iter, work, OpSum, opts); err != nil {
 		return 0, err
 	}
-	return decodeCount(work[dim], m.Size()), nil
+	return decodeCount(work[dim]), nil
 }

@@ -88,7 +88,7 @@ func TestPartialAllReduceInPlaceMatchesCopying(t *testing.T) {
 						if !contributes[r] {
 							work.Fill(math.NaN())
 						}
-						count, err := PartialAllReduceInPlace(m, base+1, work, contributes[r], opts)
+						count, err := PartialAllReduceInPlace(m, base+1, work, weight(contributes[r]), opts)
 						if err != nil {
 							return err
 						}
@@ -110,7 +110,7 @@ func TestPartialAllReduceInPlaceMatchesCopying(t *testing.T) {
 // before any traffic.
 func TestPartialAllReduceInPlaceRejects(t *testing.T) {
 	runSPMD(t, 2, func(m transport.Mesh) error {
-		if _, err := PartialAllReduceInPlace(m, 0, nil, true, Options{}); err == nil {
+		if _, err := PartialAllReduceInPlace(m, 0, nil, 1, Options{}); err == nil {
 			t.Error("empty vector accepted")
 		}
 		return nil
@@ -137,7 +137,7 @@ func TestPartialAllReduceInPlaceAllocs(t *testing.T) {
 	run := func(from, to int64) {
 		spmd(t, local.Endpoints(), func(m transport.Mesh) error {
 			for k := from; k < to; k++ {
-				if _, err := PartialAllReduceInPlace(m, k, bufs[m.Rank()], m.Rank() != 1, Options{}); err != nil {
+				if _, err := PartialAllReduceInPlace(m, k, bufs[m.Rank()], weight(m.Rank() != 1), Options{}); err != nil {
 					return err
 				}
 			}
@@ -176,4 +176,61 @@ func TestPartialResultReleaseIdempotent(t *testing.T) {
 	}
 	transport.PutPayload(a)
 	transport.PutPayload(b)
+}
+
+// weight is the flag a rank that contributes one mini-batch, or none, hands
+// the partial collectives.
+func weight(contributes bool) int {
+	if contributes {
+		return 1
+	}
+	return 0
+}
+
+// TestPartialCollectivesSumWeights: a rank's flag is the mini-batches its
+// gradient sums, and every partial schedule — the tree, the in-place ring and
+// the owner-computes scatter — sums the flags uncapped on every rank, over
+// both transports: weights (2, 0, 3, 1) read 6 on four ranks, and the data is
+// the sum over the ranks with a non-zero weight.
+func TestPartialCollectivesSumWeights(t *testing.T) {
+	const n, dim = 4, 37
+	weights := []int{2, 0, 3, 1}
+	in := shardInputs(n, dim+1, 6)
+	want := tensor.New(dim)
+	for r, w := range weights {
+		if w > 0 {
+			_ = want.Add(in[r][:dim])
+		}
+	}
+	for kind, meshes := range memAndTCP(t, n) {
+		for _, sched := range []string{"tree", "ring", "scatter"} {
+			got := cloneVecs(in)
+			counts := make([]int, n)
+			spmd(t, meshes, func(m transport.Mesh) (err error) {
+				r := m.Rank()
+				switch sched {
+				case "tree":
+					counts[r], err = PartialAllReduceInPlace(m, 3, got[r], weights[r], Options{Algorithm: AlgoTree})
+				case "ring":
+					counts[r], err = PartialAllReduceInPlace(m, 3, got[r], weights[r], Options{Algorithm: AlgoRing})
+				default:
+					counts[r], err = PartialRingReduceScatter(m, 3, got[r], weights[r])
+				}
+				return err
+			})
+			for r := range counts {
+				if counts[r] != 6 {
+					t.Errorf("%s/%s: rank %d read %d mini-batches, want 6", kind, sched, r, counts[r])
+				}
+				lo, hi := 0, dim
+				if sched == "scatter" {
+					lo, hi = RingOwned(dim+1, n, r)
+					hi = min(hi, dim)
+				}
+				if !got[r][lo:hi].Equal(want[lo:hi], 1e-12) {
+					t.Errorf("%s/%s: rank %d holds a sum other than the contributors'", kind, sched, r)
+				}
+			}
+		}
+	}
 }

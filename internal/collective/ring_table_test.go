@@ -21,7 +21,7 @@ func ringPair(t *testing.T, meshes []transport.Mesh, vs []tensor.Vector, op Redu
 		if contrib == nil {
 			err = RingReduceScatter(m, 11, vs[r], op, table...)
 		} else {
-			counts[r], err = PartialRingReduceScatter(m, 11, vs[r], contrib[r], table...)
+			counts[r], err = PartialRingReduceScatter(m, 11, vs[r], weight(contrib[r]), table...)
 		}
 		if err != nil || len(scatterOnly) > 0 {
 			return err
@@ -113,7 +113,7 @@ func TestRingTableTwoRanksMatchTree(t *testing.T) {
 				ref, got := cloneVecs(in), cloneVecs(in)
 				refCounts := make([]int, n)
 				spmd(t, meshes, func(m transport.Mesh) (err error) {
-					refCounts[m.Rank()], err = PartialAllReduceInPlace(m, 10, ref[m.Rank()], contrib[m.Rank()], Options{Algorithm: AlgoTree})
+					refCounts[m.Rank()], err = PartialAllReduceInPlace(m, 10, ref[m.Rank()], weight(contrib[m.Rank()]), Options{Algorithm: AlgoTree})
 					return err
 				})
 				counts := ringPair(t, meshes, got, 0, contrib, []int{0, cut, dim + 1})
@@ -206,7 +206,7 @@ func TestRingTableRejectsBadTables(t *testing.T) {
 			if err := RingReduceScatter(m, 1, v, OpSum, table...); err == nil {
 				return fmt.Errorf("reduce-scatter accepted %v", table)
 			}
-			if _, err := PartialRingReduceScatter(m, 1, v, true, table...); err == nil {
+			if _, err := PartialRingReduceScatter(m, 1, v, 1, table...); err == nil {
 				return fmt.Errorf("partial reduce-scatter accepted %v", table)
 			}
 			if err := RingAllGather(m, 1, v, table...); err == nil {

@@ -9,7 +9,7 @@ import (
 
 // What the ring pair (shard_ring.go) and the in-place partial collective
 // share: the tags of the scatter and gather halves, ownership tables and the
-// contributor count decode.
+// decode of the summed flags.
 //
 // Ownership tables. A table is n+1 prefix offsets: part i is
 // table[i]:table[i+1]. Parts must be monotone and cover the vector exactly;
@@ -55,8 +55,9 @@ func checkShardOffsets(n, total int, offs []int) error {
 	return nil
 }
 
-// decodeCount reads a contributor count out of the fp64 it was summed in:
-// rounded, and clamped to the rank count.
-func decodeCount(sum float64, n int) int {
-	return min(max(int(math.Round(sum)), 0), n)
+// decodeCount reads a count of mini-batches out of the fp64 it was summed in:
+// rounded, and never negative. It may exceed the rank count: a rank's weight
+// is the mini-batches it brings.
+func decodeCount(sum float64) int {
+	return max(int(math.Round(sum)), 0)
 }

@@ -76,14 +76,14 @@ func TestPartialRingReduceScatterMatches(t *testing.T) {
 					in := shardInputs(n, dim+1, int64(7*n+dim+pattern))
 					repl := cloneVecs(in)
 					spmd(t, meshes, func(m transport.Mesh) error {
-						_, err := PartialAllReduceInPlace(m, 5, repl[m.Rank()], contrib[m.Rank()], Options{Algorithm: AlgoRing})
+						_, err := PartialAllReduceInPlace(m, 5, repl[m.Rank()], weight(contrib[m.Rank()]), Options{Algorithm: AlgoRing})
 						return err
 					})
 					got := cloneVecs(in)
 					counts := make([]int, n)
 					spmd(t, meshes, func(m transport.Mesh) (err error) {
 						r := m.Rank()
-						counts[r], err = PartialRingReduceScatter(m, 7, got[r], contrib[r])
+						counts[r], err = PartialRingReduceScatter(m, 7, got[r], weight(contrib[r]))
 						return err
 					})
 					covered := 0
@@ -186,7 +186,7 @@ func TestRingPairTCPAllocs(t *testing.T) {
 				if err := RingAllGather(m, 2*k, v[:dim]); err != nil {
 					return err
 				}
-				if _, err := PartialRingReduceScatter(m, 2*k+1, v, m.Rank() != 2); err != nil {
+				if _, err := PartialRingReduceScatter(m, 2*k+1, v, weight(m.Rank() != 2)); err != nil {
 					return err
 				}
 				if err := RingAllGather(m, 2*k+1, v); err != nil {

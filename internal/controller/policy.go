@@ -166,9 +166,12 @@ type Slot struct {
 // pending gradients, oldest first. A slot whose gap τ = k − Stamp reaches η
 // (and is positive) is dropped: its W is 0. A survivor weighs Stamp − base
 // with base = k − τ − 1 for the largest surviving τ, so the oldest weighs 1
-// and newer ones linearly more; W is that over Σ N·(Stamp − base), the
-// factor its sum enters the worker's contribution with. It returns how many
-// slots survive.
+// and newer ones linearly more. W is that times N_kept over
+// Σ N·(Stamp − base), N_kept being the gradients that survive: the factor its
+// sum enters the worker's contribution with. The paper's relative weights
+// stay, and Σ N·W = N_kept, so the contribution counts as the N_kept
+// mini-batches it carries. It returns N_kept, the worker's flag in the
+// partial collective.
 func Weigh(k, eta int64, slots []Slot) (kept int) {
 	stale := func(s Slot) bool { gap := k - s.Stamp; return gap >= eta && gap > 0 }
 	var tau int64
@@ -184,22 +187,24 @@ func Weigh(k, eta int64, slots []Slot) (kept int) {
 		if !stale(s) {
 			slots[i].W = float64(s.Stamp - base)
 			total += float64(s.N) * slots[i].W
-			kept++
+			kept += s.N
 		}
 	}
 	if kept > 0 {
 		for i := range slots {
-			slots[i].W /= total
+			slots[i].W = slots[i].W * float64(kept) / total
 		}
 	}
 	return kept
 }
 
-// Step returns the two factors of Algorithm 2's update once count > 0 of n
-// workers contributed to a synchronization: mean turns the reduced sum into
-// the contributors' mean, and scale is the Linear Scaling Rule's factor on
-// the learning rate.
-func Step(count, n int) (mean, scale float64, err error) {
-	scale, err = opt.LinearScale(count, n)
-	return 1 / float64(count), scale, err
+// Step returns the two factors of Algorithm 2's update once a synchronization
+// of n workers carries batches > 0 mini-batches, the sum of the contributors'
+// Weigh counts: mean turns the reduced sum into the mean over those
+// mini-batches, and scale is the Linear Scaling Rule's factor batches/n on the
+// learning rate. Each mini-batch then moves the model by γ/n, as under BSP,
+// however many a rank brought.
+func Step(batches, n int) (mean, scale float64, err error) {
+	scale, err = opt.LinearScale(batches, n)
+	return 1 / float64(batches), scale, err
 }

@@ -2,9 +2,13 @@
 // (Randomized Non-blocking AllReduce) worker runtime. It provides
 //
 //   - Accumulator: the comm-thread gradient buffer with the
-//     staleness-weighted local reduction of Section 3.3
-//     (g' = Σ[t−(k−τ)+1]·g_t / Σ[t−(k−τ)+1]) and bounded-staleness
-//     overwrite, t being the parameter version a gradient was computed for;
+//     staleness-weighted local reduction of Section 3.3 and
+//     bounded-staleness overwrite. Its N surviving gradients g_t keep the
+//     paper's relative weights [t−(k−τ)+1], t being the parameter version a
+//     gradient was computed for, normalised to sum to N:
+//     g' = N·Σ[t−(k−τ)+1]·g_t / Σ[t−(k−τ)+1]. The rank brings N
+//     mini-batches to the synchronization, and the update is one step on
+//     all the mini-batches it carries (controller.Step);
 //   - RunRNAWorker: a goroutine-runtime training worker with decoupled
 //     compute and communication threads (cross-iteration execution,
 //     Fig. 4) sharing immutable parameter versions, driven by a
@@ -215,23 +219,33 @@ func (a *Accumulator) Staleness() []int {
 	return append([]int(nil), a.taken...)
 }
 
-// Take drains the buffer for synchronization current under controller.Weigh:
-// stale entries (τ = current − stamp ≥ bound) are dropped, the survivors are
-// combined with the paper's weights w_t = t − (current − τ) + 1 where τ is
-// the largest surviving gap, and the buffer is reset. ok is false when
-// nothing survives — the worker then contributes a null gradient.
-//
-// A slot's m gradients share one weight, so the reduction is Σ (w_j/W)·sum_j
-// with W = Σ m_j·w_j, folded in commit order into the oldest surviving slot's
-// own buffer — scaled by w₀/W, then += (w_j/W)·sum_j — and that leased buffer
-// is returned; a single surviving gradient (weight 1 of 1) is handed over
-// untouched. The caller owns the result and should Recycle it. The other
-// slots go back to the free list. err is always nil.
+// Take is TakeN reporting only whether the rank contributes.
 func (a *Accumulator) Take(current int64) (grad tensor.Vector, ok bool, err error) {
+	grad, n, err := a.TakeN(current)
+	return grad, n > 0, err
+}
+
+// TakeN drains the buffer for synchronization current under
+// controller.Weigh: stale entries (τ = current − stamp ≥ bound) are dropped,
+// the survivors are combined with the paper's relative weights
+// w_t = t − (current − τ) + 1 where τ is the largest surviving gap, and the
+// buffer is reset. n is the number of gradients that survive, the
+// mini-batches the contribution carries: 0 when nothing survives — the worker
+// then contributes a null gradient.
+//
+// A slot's m gradients share one weight, so the reduction is
+// Σ (w_j·n/W)·sum_j with W = Σ m_j·w_j: its weights sum to n, and a lone
+// slot's gradients are simply summed. It is folded in commit order into the
+// oldest surviving slot's own buffer — scaled by its weight unless that is 1,
+// then += (w_j·n/W)·sum_j — and that leased buffer is returned; a single
+// surviving gradient is handed over untouched. The caller owns the result and
+// should Recycle it. The other slots go back to the free list. err is always
+// nil.
+func (a *Accumulator) TakeN(current int64) (grad tensor.Vector, n int, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.lastTake = current
-	kept := controller.Weigh(current, a.bound, a.pending)
+	n = controller.Weigh(current, a.bound, a.pending)
 	for i, s := range a.pending {
 		if s.W == 0 {
 			a.dropped += int64(s.N)
@@ -241,7 +255,7 @@ func (a *Accumulator) Take(current int64) (grad tensor.Vector, ok bool, err erro
 		a.taken[min(max(current-s.Stamp, 0), int64(len(a.taken)-1))] += s.N
 		if grad == nil {
 			grad = a.sums[i]
-			if kept > 1 || s.N > 1 {
+			if s.W != 1 {
 				grad.Scale(s.W)
 			}
 			continue
@@ -254,5 +268,5 @@ func (a *Accumulator) Take(current int64) (grad tensor.Vector, ok bool, err erro
 	// belongs to the caller or the free list.
 	clear(a.sums)
 	a.pending, a.sums = a.pending[:0], a.sums[:0]
-	return grad, kept > 0, nil
+	return grad, n, nil
 }

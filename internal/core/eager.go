@@ -43,11 +43,12 @@ func (b *eagerMailbox) Commit(step, _ int64, g tensor.Vector) (int64, error) {
 	return step, nil
 }
 
-// Take returns a copy of the gradient to contribute — the synchronization
+// TakeN returns a copy of the gradient to contribute — the synchronization
 // reduces it in place, and the original must survive for re-contribution:
 // the fresh one if present (promoting it to stale), else the stale duplicate,
-// else nothing.
-func (b *eagerMailbox) Take(int64) (tensor.Vector, bool, error) {
+// else nothing. A contribution is one mini-batch, so eager-SGD's step is a
+// mean over the contributing ranks.
+func (b *eagerMailbox) TakeN(int64) (tensor.Vector, int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.fresh != nil {
@@ -55,11 +56,11 @@ func (b *eagerMailbox) Take(int64) (tensor.Vector, bool, error) {
 		b.stale, b.fresh = b.fresh, nil
 	}
 	if b.stale == nil {
-		return nil, false, nil
+		return nil, 0, nil
 	}
 	g := b.bufs.Lease()
 	copy(g, b.stale)
-	return g, true, nil
+	return g, 1, nil
 }
 
 // RunEagerWorker trains with eager-SGD semantics on the goroutine runtime:

@@ -24,11 +24,14 @@ func TestEagerMailbox(t *testing.T) {
 		}
 	}
 	take := func() tensor.Vector {
-		g, _, _ := b.Take(0)
+		g, n, _ := b.TakeN(0)
+		if n != 1 {
+			t.Fatalf("a contribution carries %d mini-batches, want 1", n)
+		}
 		return g
 	}
-	if got, ok, _ := b.Take(0); ok {
-		t.Fatalf("empty take = %v", got)
+	if got, n, _ := b.TakeN(0); n != 0 {
+		t.Fatalf("empty take = %v, %d mini-batches", got, n)
 	}
 	put(1)
 	put(2) // overwrites unconsumed

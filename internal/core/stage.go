@@ -40,13 +40,13 @@ type reducer interface {
 	// reduce averages grad over all ranks. Afterwards the part this rank
 	// owns (all of it when replicated) is final.
 	reduce(k int64, grad tensor.Vector) error
-	// reducePartial sums buf over the contributing ranks and returns their
-	// count, identical on every rank; with contributes false buf's contents
-	// are ignored. buf is a gradSource buffer: the element after the last
-	// one is spare.
-	reducePartial(k int64, buf tensor.Vector, contributes bool) (int, error)
+	// reducePartial sums buf over the contributing ranks and returns the sum
+	// of their weights, the mini-batches the synchronization carries,
+	// identical on every rank; with weight 0 buf's contents are ignored. buf
+	// is a gradSource buffer: the element after the last one is spare.
+	reducePartial(k int64, buf tensor.Vector, weight int) (int, error)
 	// update steps the parameters over the owned span from the reduced
-	// gradient times mean (the contributors' mean of a partial sum, 1 for
+	// gradient times mean (the mean over a partial sum's mini-batches, 1 for
 	// BSP's average): it reads them from cur, writes them to next and leaves
 	// next complete and identical on all ranks. next is cur itself (BSP, whose
 	// one vector is updated in place) or g (RNA, whose reduced buffer becomes
@@ -103,10 +103,14 @@ func (s *stage) full(k int64, params, grad tensor.Vector) error {
 	return s.red.update(k, params, params, grad, 1, 1)
 }
 
-// partial is the stage's RNA entry: reduce buf over the contributing ranks
-// and apply ḡ = W·Σg, W = 1/Σw, with γ_k scaled by Σw/N (the Linear Scaling
-// Rule of Algorithm 2; controller.Step gives both factors, for the simulator
-// too). The update folds W into its one pass, reads the published parameters
+// partial is the stage's RNA entry: buf holds the rank's contribution, the
+// sum of weight mini-batches' gradients (controller.Weigh), and the flag slot
+// carries weight. It reduces buf over the contributing ranks, the flags to B,
+// the mini-batches the synchronization carries, and applies ḡ = Σg/B with γ
+// scaled by B/n (the Linear Scaling Rule on the effective batch;
+// controller.Step gives both factors, for the simulator too), so each
+// mini-batch moves the model by γ/n as under BSP. The update folds 1/B into
+// its one pass, reads the published parameters
 // cur and writes the next version into buf itself, over the gradient it has
 // just read: the owner-computes update its owned span, the allgather the
 // rest, the replicated update the whole vector. No other thread can see buf
@@ -115,19 +119,19 @@ func (s *stage) full(k int64, params, grad tensor.Vector) error {
 // when nobody contributed: every rank then skips the step in lockstep, unless
 // an exchange is due, which still runs, its delta taken from cur, and builds
 // next in buf.
-func (s *stage) partial(k int64, cur, buf tensor.Vector, contributes bool) (next tensor.Vector, err error) {
-	count, err := s.red.reducePartial(k, buf, contributes)
+func (s *stage) partial(k int64, cur, buf tensor.Vector, weight int) (next tensor.Vector, err error) {
+	batches, err := s.red.reducePartial(k, buf, weight)
 	if err != nil {
 		return nil, err
 	}
-	if count == 0 {
+	if batches == 0 {
 		s.empty++
 		if s.ex == nil || !s.ex.due(k) {
 			return nil, nil
 		}
 		return buf, s.red.update(k, cur, buf, nil, 0, 0)
 	}
-	mean, scale, err := controller.Step(count, s.n)
+	mean, scale, err := controller.Step(batches, s.n)
 	if err != nil {
 		return nil, err
 	}
@@ -168,9 +172,9 @@ func (r *replicatedReducer) reduce(k int64, grad tensor.Vector) error {
 	return collective.AllReduceOpts(r.mesh, k, grad, collective.OpAverage, r.opts)
 }
 
-func (r *replicatedReducer) reducePartial(k int64, buf tensor.Vector, contributes bool) (int, error) {
+func (r *replicatedReducer) reducePartial(k int64, buf tensor.Vector, weight int) (int, error) {
 	// The flag slot is the buffer's spare capacity: reduced where it lies.
-	return collective.PartialAllReduceInPlace(r.mesh, k, buf[:len(buf)+1], contributes, r.opts)
+	return collective.PartialAllReduceInPlace(r.mesh, k, buf[:len(buf)+1], weight, r.opts)
 }
 
 func (r *replicatedReducer) update(_ int64, cur, next, g tensor.Vector, mean, scale float64) error {
@@ -237,10 +241,10 @@ func (r *shardedReducer) reduce(k int64, grad tensor.Vector) error {
 	return collective.RingReduceScatter(r.mesh, k, grad, collective.OpAverage, r.table...)
 }
 
-// reducePartial: the contributor count rides the scatter, so every rank
+// reducePartial: the sum of the weights rides the scatter, so every rank
 // skips or applies the update in lockstep.
-func (r *shardedReducer) reducePartial(k int64, buf tensor.Vector, contributes bool) (int, error) {
-	return collective.PartialRingReduceScatter(r.mesh, k, buf[:r.reduced], contributes, r.table...)
+func (r *shardedReducer) reducePartial(k int64, buf tensor.Vector, weight int) (int, error) {
+	return collective.PartialRingReduceScatter(r.mesh, k, buf[:r.reduced], weight, r.table...)
 }
 
 func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, mean, scale float64) error {

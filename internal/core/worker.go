@@ -212,9 +212,9 @@ func bspLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) 
 // gradients into an Accumulator and announces readiness to the controller;
 // a communication thread joins every partial AllReduce the controller
 // fires, contributing the staleness-weighted local reduction (or a null
-// gradient) and applying the weighted average with the Linear Scaling Rule
-// of Algorithm 2. All ranks converge on identical parameters because every
-// rank applies the same reduced update.
+// gradient) and applying one step on all the mini-batches the
+// synchronization carries (stage.partial). All ranks converge on identical
+// parameters because every rank applies the same reduced update.
 func RunRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) (*Result, error) {
 	return runRNA(mesh, ctrl, cfg, nil)
 }
@@ -359,9 +359,10 @@ type gradSource interface {
 	// tag to announce to the controller.
 	Lease() tensor.Vector
 	Commit(step, stamp int64, g tensor.Vector) (tag int64, err error)
-	// Take returns the contribution to synchronization current, owned by the
-	// caller until Recycle; ok is false when the rank has nothing to give.
-	Take(current int64) (g tensor.Vector, ok bool, err error)
+	// TakeN returns the contribution to synchronization current, owned by
+	// the caller until Recycle, and n, the mini-batches it carries: its weight
+	// in the partial collective, 0 when the rank has nothing to give.
+	TakeN(current int64) (g tensor.Vector, n int, err error)
 	Recycle(g tensor.Vector)
 	// Dropped counts gradients discarded by the staleness bound, Staleness
 	// the ones taken, by τ, Buffers the buffers Lease had to allocate.
@@ -447,11 +448,11 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 		case <-vs.failed:
 			return errStopped
 		}
-		buf, ok, err := src.Take(k)
+		buf, n, err := src.TakeN(k)
 		if err != nil {
 			return err
 		}
-		if ok {
+		if n > 0 {
 			res.Contributed++
 		} else {
 			// A null contribution still needs a buffer to receive the sum;
@@ -459,7 +460,7 @@ func rnaLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, 
 			buf = src.Lease()
 			res.NullContribs++
 		}
-		next, err := st.partial(k, vs.current(), buf, ok)
+		next, err := st.partial(k, vs.current(), buf, n)
 		if err != nil {
 			return err
 		}

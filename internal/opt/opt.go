@@ -1,7 +1,9 @@
 // Package opt implements the SGD optimizer the paper's setups use
 // (momentum + weight decay, Section 7.2) and the learning-rate schedules:
-// step decay and the Linear Scaling Rule that RNA applies per iteration
-// when only part of the workers contribute (Algorithm 2: γ_k = Σw·γ).
+// step decay and the Linear Scaling Rule that RNA applies per
+// synchronization: the learning rate follows the number of mini-batches the
+// update carries (Goyal et al.'s effective batch), so each one moves the
+// model as far as under BSP.
 package opt
 
 import (
@@ -48,7 +50,8 @@ type Optimizer interface {
 //
 // where γ_eff = γ·scale and scale carries the Linear Scaling Rule factor.
 type SGD struct {
-	// LR is the base learning rate γ for a single contributing worker.
+	// LR is the base learning rate γ, that of a step on all n workers'
+	// mini-batches (scale 1).
 	LR float64
 	// Momentum is μ (0 disables momentum).
 	Momentum float64
@@ -80,8 +83,9 @@ func NewSGD(dim int, lr, momentum, weightDecay float64) (*SGD, error) {
 }
 
 // Step applies one update with gradient grad and the given Linear Scaling
-// factor (1 for a full-participation update; Σw/N under RNA's partial
-// collectives). It returns the effective learning rate used.
+// factor (1 for a full-participation update; B/n under RNA's partial
+// collectives, B the mini-batches the update carries). It returns the
+// effective learning rate used.
 func (o *SGD) Step(params, grad tensor.Vector, scale float64) (float64, error) {
 	return o.StepTo(params, params, grad, 1, scale)
 }
@@ -182,16 +186,18 @@ var _ Schedule = Constant{}
 // Factor implements Schedule.
 func (Constant) Factor(int) float64 { return 1 }
 
-// LinearScale returns the Linear Scaling Rule factor for an update in which
-// `contributors` of n workers supplied gradients: γ_k = Σw·γ with γ the
-// per-worker base rate means the factor relative to full participation is
-// contributors/n. It errors on nonsensical inputs.
-func LinearScale(contributors, n int) (float64, error) {
+// LinearScale returns the Linear Scaling Rule factor for an update that
+// carries `batches` mini-batches on a cluster of n workers: the learning rate
+// is set for BSP's n mini-batches per step, so the factor is batches/n. A
+// synchronization may carry more than n when ranks bring several mini-batches
+// each (cross-iteration accumulation, Fig. 4). It errors on n < 1 and on a
+// negative batch count.
+func LinearScale(batches, n int) (float64, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("opt: %d workers", n)
 	}
-	if contributors < 0 || contributors > n {
-		return 0, errors.New("opt: contributors out of range")
+	if batches < 0 {
+		return 0, errors.New("opt: negative mini-batch count")
 	}
-	return float64(contributors) / float64(n), nil
+	return float64(batches) / float64(n), nil
 }

@@ -217,11 +217,11 @@ func TestLinearScale(t *testing.T) {
 	if got, err := LinearScale(4, 4); err != nil || got != 1 {
 		t.Errorf("LinearScale(4,4) = (%v,%v)", got, err)
 	}
-	if _, err := LinearScale(5, 4); err == nil {
-		t.Error("contributors > n should error")
+	if got, err := LinearScale(6, 4); err != nil || got != 1.5 {
+		t.Errorf("LinearScale(6,4) = (%v,%v): more mini-batches than workers scale past 1", got, err)
 	}
 	if _, err := LinearScale(-1, 4); err == nil {
-		t.Error("negative contributors should error")
+		t.Error("a negative mini-batch count should error")
 	}
 	if _, err := LinearScale(1, 0); err == nil {
 		t.Error("zero workers should error")

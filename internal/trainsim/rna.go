@@ -360,12 +360,15 @@ func (s *partialSim) nextRound() error {
 	}
 
 	// Gather contributions: entries ready by the trigger, a null gradient
-	// from a worker with none.
+	// from a worker with none. batches sums the contributions' weights, the
+	// mini-batches the synchronization carries, as the runtime's flag slots
+	// do.
 	sum := tensor.New(len(s.params))
-	contributors := 0
+	batches := 0
 	for _, w := range s.workers {
 		ready := sort.Search(len(w.buffer), func(i int) bool { return w.buffer[i].ready > fire })
 		var g tensor.Vector
+		n := 1
 		if s.eager {
 			// eager-SGD: newest ready gradient only; stale re-send
 			// when nothing fresh landed by the trigger.
@@ -374,7 +377,7 @@ func (s *partialSim) nextRound() error {
 			}
 			g = w.lastContrib
 		} else {
-			g = s.fold(int64(k), w.buffer[:ready])
+			g, n = s.fold(int64(k), w.buffer[:ready])
 		}
 		w.buffer = append(w.buffer[:0], w.buffer[ready:]...)
 		s.slots++
@@ -387,7 +390,7 @@ func (s *partialSim) nextRound() error {
 			continue
 		}
 		_ = sum.Add(g) // equal lengths: both are gradients
-		contributors++
+		batches += n
 	}
 
 	// Price the collective: one extra payload element carries the
@@ -411,8 +414,8 @@ func (s *partialSim) nextRound() error {
 		}
 	}
 
-	if contributors > 0 {
-		mean, scale, err := controller.Step(contributors, s.n)
+	if batches > 0 {
+		mean, scale, err := controller.Step(batches, s.n)
 		if err != nil {
 			return err
 		}
@@ -443,11 +446,12 @@ func (s *partialSim) nextRound() error {
 }
 
 // fold is one worker's contribution to synchronization k from its entries
-// ready by the trigger, nil when none survives: it pre-sums the gradients of
-// one stamp in commit order, as core.Accumulator does, and combines the slots
-// with controller.Weigh's weights, the bounded-staleness overwrite of
-// Section 3.3.
-func (s *partialSim) fold(k int64, entries []gradEntry) tensor.Vector {
+// ready by the trigger and the mini-batches it carries, nil and 0 when none
+// survives: it pre-sums the gradients of one stamp in commit order, as
+// core.Accumulator does, and combines the slots with controller.Weigh's
+// weights, the bounded-staleness overwrite of Section 3.3, which sum to the
+// gradients kept.
+func (s *partialSim) fold(k int64, entries []gradEntry) (tensor.Vector, int) {
 	var slots []controller.Slot
 	var sums []tensor.Vector
 	for _, e := range entries {
@@ -459,7 +463,7 @@ func (s *partialSim) fold(k int64, entries []gradEntry) tensor.Vector {
 		slots = append(slots, controller.Slot{Stamp: e.stamp, N: 1})
 		sums = append(sums, e.grad)
 	}
-	controller.Weigh(k, s.cfg.bound(), slots)
+	kept := controller.Weigh(k, s.cfg.bound(), slots)
 	var out tensor.Vector
 	for i, sl := range slots {
 		switch {
@@ -472,7 +476,7 @@ func (s *partialSim) fold(k int64, entries []gradEntry) tensor.Vector {
 			_ = out.AddScaled(sl.W, sums[i])
 		}
 	}
-	return out
+	return out, kept
 }
 
 // finishBreakdowns folds per-worker compute/stall totals into breakdowns.

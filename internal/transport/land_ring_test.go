@@ -99,8 +99,11 @@ func ringPairRun(t *testing.T, meshes []transport.Mesh, dim, syncs int, partial 
 				}
 				scale := 1.0
 				if partial {
-					contributes := (int(k)+r)%3 != 0
-					count, err := collective.PartialRingReduceScatter(m, k, work, contributes)
+					weight := 0
+					if (int(k)+r)%3 != 0 {
+						weight = 1
+					}
+					count, err := collective.PartialRingReduceScatter(m, k, work, weight)
 					if err != nil {
 						errs[r] = fmt.Errorf("rank %d sync %d: %w", r, k, err)
 						return
