@@ -29,7 +29,10 @@ import (
 func TheoryConvergence(opts Options) (*Report, error) {
 	rep := newReport()
 	src := rng.New(opts.seed())
-	quad, err := model.NewQuadratic(src, 32, 25, 0.6)
+	// The quadratic's curvatures run from 1 to the condition number, so
+	// its gradient is L-Lipschitz with L = condition.
+	const condition = 25
+	quad, err := model.NewQuadratic(src, 32, condition, 0.6)
 	if err != nil {
 		return nil, err
 	}
@@ -42,10 +45,18 @@ func TheoryConvergence(opts Options) (*Report, error) {
 
 	// Theorem 5.2 sets the constant step length γ ∝ 1/sqrt(K); scale the
 	// base rate accordingly so the O(1/sqrt(K)) rate is visible instead
-	// of the constant-step noise floor.
+	// of the constant-step noise floor. The rate holds only below a step
+	// bound. A synchronization steps γ·B/n on B ≤ n·η banked mini-batches,
+	// so one synchronization moves the model by up to η·γ gradients, and
+	// the descent lemma needs that at most 1/L (L the largest curvature).
+	// The base rate is therefore 1/(η·L) at the η = 8 of (a); the η sweep
+	// in (b) runs at 4× the base budget, half that rate, so η = 16 meets
+	// the same bound.
+	const rateBound = 8
 	baseIters := opts.iters(200)
+	baseLR := 1 / float64(rateBound*condition)
 	runRNA := func(iters, bound int) (*trainsim.Result, error) {
-		lr := 0.05 / math.Sqrt(float64(iters)/float64(baseIters))
+		lr := baseLR / math.Sqrt(float64(iters)/float64(baseIters))
 		cfg := trainsim.Config{
 			Strategy:       trainsim.RNA,
 			Workers:        8,
@@ -76,7 +87,9 @@ func TheoryConvergence(opts Options) (*Report, error) {
 	}
 
 	var body strings.Builder
-	body.WriteString("Noisy quadratic (dim 32, condition 25, sigma 0.6), 8 workers, RNA.\n\n")
+	body.WriteString("Noisy quadratic (dim 32, condition 25, sigma 0.6), 8 workers, RNA.\n")
+	fmt.Fprintf(&body, "Step γ = %.4g·sqrt(%d/K) = 1/(η·L)·sqrt(%d/K), η = %d, L = %d: one synchronization\n", baseLR, baseIters, baseIters, rateBound, condition)
+	body.WriteString("moves the model by at most η·γ gradients, within the descent lemma's 1/L.\n\n")
 
 	// (a) Rate: K vs running ‖∇f‖² with γ ∝ 1/sqrt(K) per Theorem 5.2.
 	body.WriteString("(a) O(1/sqrt(K)) rate — final squared gradient norm vs iteration budget:\n")
@@ -85,7 +98,7 @@ func TheoryConvergence(opts Options) (*Report, error) {
 	base := baseIters
 	for _, mult := range []int{1, 4, 16} {
 		k := base * mult
-		res, err := runRNA(k, 0)
+		res, err := runRNA(k, rateBound)
 		if err != nil {
 			return nil, err
 		}
@@ -96,11 +109,11 @@ func TheoryConvergence(opts Options) (*Report, error) {
 		rep.Metrics[fmt.Sprintf("gradsq/K%d", k)] = g2
 	}
 	body.WriteString(renderTable(headers, table))
-	body.WriteString("\nThe sqrt(K)-scaled column stabilizing (rather than growing) is the O(1/sqrt(K)) signature.\n\n")
+	body.WriteString("\nThe sqrt(K)-scaled column not growing is the O(1/sqrt(K)) signature; it falls while the\ninitial-gap term (f(x_0)−f*)/(γK) of the bound still dominates.\n\n")
 
 	// (b) Staleness independence: η sweep at fixed K.
 	body.WriteString("(b) staleness independence — same budget, growing staleness window η:\n")
-	headers = []string{"η", "‖∇f(x_K)‖²", "virtual time"}
+	headers = []string{"η", "‖∇f(x_K)‖²", "virtual time", "dropped"}
 	table = nil
 	k := base * 4
 	for _, bound := range []int{2, 4, 8, 16} {
@@ -111,11 +124,13 @@ func TheoryConvergence(opts Options) (*Report, error) {
 		g2 := gradNormSq(res.FinalParams)
 		table = append(table, []string{
 			fmt.Sprint(bound), fmt.Sprintf("%.4g", g2), fmtDur(res.VirtualTime),
+			fmtPct(res.DroppedRate),
 		})
 		rep.Metrics[fmt.Sprintf("gradsq/eta%d", bound)] = g2
 	}
 	body.WriteString(renderTable(headers, table))
 	body.WriteString("\nTheorem 5.2: once K ≳ (η+1)², the achieved gradient norm does not depend on η.\n")
+	body.WriteString("K counts synchronizations and each steps on the mini-batches it carries, so gradients\nthe window drops (the last column) are steps a run does not take.\n")
 	rep.Body = body.String()
 	return rep, nil
 }
