@@ -75,11 +75,12 @@ alloc-gate:
 	$(GO) test -count=1 -run 'Alloc' ./internal/core ./internal/collective ./internal/ps ./internal/transport
 
 # bench-smoke runs two tests, about ten seconds: the ring regression guard
-# (8 ranks, 262 144 elements on the in-memory mesh, the best of five runs
-# within 10 % of the recorded ns/op), a timing gate built only under the
-# benchsmoke tag so that a plain `go test ./...` never runs it, and sharded
-# Adam over TCP asserted bit-identical to in-memory and to the replicated
-# update.
+# (RingAllReduce, the reduce-scatter/allgather pair, at 8 ranks and 262 144
+# elements on the in-memory mesh, the best of five runs within 10 % of the
+# ns/op recorded on the deleted pipelined engine), a timing gate built only
+# under the benchsmoke tag so that a plain `go test ./...` never runs it, and
+# sharded Adam over TCP asserted bit-identical to in-memory and to the
+# replicated update.
 bench-smoke:
 	$(GO) test -count=1 -tags benchsmoke -run 'TestRingRegressionGuard|TestShardedBSPOverTCP' ./internal/collective ./internal/core
 
@@ -153,7 +154,7 @@ fuzz-smoke:
 # microbench runs the collective, kernel, model and engine micro-benchmarks
 # interactively.
 microbench:
-	$(GO) test -run xxx -bench 'BenchmarkRingAllReduce|BenchmarkPartialRingAllReduce' -benchmem ./internal/collective/
+	$(GO) test -run xxx -bench 'BenchmarkRingAllReduce|BenchmarkPartialAllReduce' -benchmem ./internal/collective/
 	$(GO) test -run xxx -bench BenchmarkTensorKernels -benchmem ./internal/tensor/
 	$(GO) test -run xxx -bench BenchmarkModel -benchmem ./internal/model/
 	$(GO) test -run xxx -bench BenchmarkTrainsim -benchmem ./internal/trainsim/

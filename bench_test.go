@@ -156,9 +156,9 @@ func BenchmarkRingAllReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkPartialRingAllReduce measures the partial collective with null
-// contributors.
-func BenchmarkPartialRingAllReduce(b *testing.B) {
+// BenchmarkPartialAllReduce measures the partial collective on the ring with
+// null contributors.
+func BenchmarkPartialAllReduce(b *testing.B) {
 	const n, dim = 4, 100_000
 	net, err := transport.NewLocalNetwork(n)
 	if err != nil {
@@ -169,6 +169,7 @@ func BenchmarkPartialRingAllReduce(b *testing.B) {
 	for i := range vecs {
 		vecs[i] = tensor.New(dim)
 	}
+	ring := collective.Options{Algorithm: collective.AlgoRing}
 	b.SetBytes(int64(dim * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,7 +177,8 @@ func BenchmarkPartialRingAllReduce(b *testing.B) {
 		for r, m := range net.Endpoints() {
 			r, m := r, m
 			go func() {
-				_, err := collective.PartialRingAllReduce(m, int64(i), vecs[r], r%2 == 0)
+				pr, err := collective.PartialAllReduceOpts(m, int64(i), vecs[r], r%2 == 0, ring)
+				pr.Release()
 				done <- err
 			}()
 		}

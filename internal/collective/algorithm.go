@@ -18,7 +18,8 @@ type Algorithm int
 const (
 	// AlgoAuto lets the calibrated cost model choose per (ranks, size).
 	AlgoAuto Algorithm = 0
-	// AlgoRing is the pipelined ring: bandwidth-optimal, O(N) latency.
+	// AlgoRing is the ring, RingAllReduce: bandwidth-optimal, O(N)
+	// latency.
 	AlgoRing Algorithm = 1
 	// AlgoTree is binomial-tree reduce + broadcast: fewest messages, full
 	// vector per hop — for tiny tensors only.
@@ -42,32 +43,20 @@ func (a Algorithm) String() string {
 	}
 }
 
-// AllReduce reduces v in place across all ranks of m with the schedule the
-// calibrated cost model predicts fastest for (m.Size(), len(v)). Selection
-// is a pure function of those two values and the shared model, so all SPMD
-// ranks take the same branch. This is the entry point the training stack
-// uses; pin a schedule with AllReduceWith when benchmarking.
-func AllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp) error {
-	return AllReduceWith(m, iter, v, op, AlgoAuto)
-}
-
-// AllReduceWith reduces v in place across all ranks of m with the given
-// schedule (AlgoAuto defers to the cost-model selector). All ranks must
-// pass the same algorithm, iter, op and vector length.
-func AllReduceWith(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, algo Algorithm) error {
-	return AllReduceOpts(m, iter, v, op, Options{Algorithm: algo})
-}
-
-// Options bundles the tunables of one AllReduce call beyond (op, iter).
-// The zero value reproduces AllReduce exactly: the auto-selected schedule.
+// Options bundles the tunables of one AllReduceOpts or PartialAllReduceOpts
+// call beyond (op, iter). The zero value runs the schedule the cost model
+// selects.
 type Options struct {
 	// Algorithm pins a schedule; AlgoAuto defers to the cost-model
 	// selector.
 	Algorithm Algorithm
 }
 
-// AllReduceOpts reduces v in place across all ranks of m under opts. All
-// ranks must pass the same algorithm, iter, op and vector length.
+// AllReduceOpts reduces v in place across all ranks of m under opts: the
+// pinned schedule, or with AlgoAuto the one the calibrated cost model
+// predicts fastest for (m.Size(), len(v)). Selection is a pure function of
+// those two values and the shared model, so all SPMD ranks take the same
+// branch. All ranks must pass the same algorithm, iter, op and vector length.
 func AllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, opts Options) error {
 	if !opts.Algorithm.Valid() {
 		return fmt.Errorf("collective: unknown algorithm %d", opts.Algorithm)
@@ -79,18 +68,18 @@ func AllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, o
 	if algo == AlgoTree {
 		return TreeAllReduce(m, iter, v, op)
 	}
-	return ringAllReduce(m, iter, v, op, 0)
+	return RingAllReduce(m, iter, v, op)
 }
 
-// PartialAllReduce is PartialRingAllReduce with cost-model algorithm
-// selection: the partial semantics (null contributions, contributor count)
-// ride on any sum AllReduce, so the selector applies unchanged. The
-// returned Sum lives in a pooled buffer — call Release when done.
-func PartialAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contributes bool) (PartialResult, error) {
-	return partialAllReduce(m, iter, v, contributes, Options{})
-}
-
-// PartialAllReduceOpts is the partial collective under Options.
+// PartialAllReduceOpts performs the paper's partial AllReduce under opts:
+// ranks with contributes=false take part in the communication graph with a
+// null (zero) gradient, exactly as Section 2.3.2 describes, so the schedule
+// is unchanged. The reduction also counts contributors, giving every rank the
+// weight W = 1/Σw needed for the weighted average of Algorithm 2. The partial
+// semantics ride on any sum AllReduce, so the selector applies unchanged.
+//
+// v is not modified; the summed gradient is returned in PartialResult.Sum,
+// which lives in a pooled scratch buffer — call Release when done with it.
 func PartialAllReduceOpts(m transport.Mesh, iter int64, v tensor.Vector, contributes bool, opts Options) (PartialResult, error) {
 	return partialAllReduce(m, iter, v, contributes, opts)
 }

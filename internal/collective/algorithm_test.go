@@ -55,7 +55,7 @@ func runAlgo(t *testing.T, inputs []tensor.Vector, iter int64, op ReduceOp, algo
 		got[r] = inputs[r].Clone()
 	}
 	runSPMD(t, len(inputs), func(m transport.Mesh) error {
-		return AllReduceWith(m, iter, got[m.Rank()], op, algo)
+		return AllReduceOpts(m, iter, got[m.Rank()], op, Options{Algorithm: algo})
 	})
 	return got
 }
@@ -151,7 +151,7 @@ func TestPartialAllReduceAuto(t *testing.T) {
 	}
 	results := make([]PartialResult, n)
 	runSPMD(t, n, func(m transport.Mesh) error {
-		res, err := PartialAllReduce(m, 4, vecs[m.Rank()], contributes[m.Rank()])
+		res, err := PartialAllReduceOpts(m, 4, vecs[m.Rank()], contributes[m.Rank()], Options{})
 		results[m.Rank()] = res
 		return err
 	})
@@ -186,7 +186,7 @@ func TestRepeatedMixedAlgorithms(t *testing.T) {
 			for it, algo := range seq {
 				v := tensor.New(dim)
 				v.Fill(float64(m.Rank() + 1))
-				if err := AllReduceWith(m, int64(it), v, OpAverage, algo); err != nil {
+				if err := AllReduceOpts(m, int64(it), v, OpAverage, Options{Algorithm: algo}); err != nil {
 					done <- err
 					return
 				}

@@ -1,8 +1,9 @@
 // Package collective implements decentralized collective operations over a
 // transport.Mesh: the bandwidth-optimal ring AllReduce of Section 2.2
-// (scatter-reduce + allgather), the partial AllReduce RNA builds on (null
-// contributions from stragglers, contributor counting), and a binomial-tree
-// broadcast used by the hierarchical synchronizer.
+// (reduce-scatter + allgather, also callable as two halves), a binomial-tree
+// AllReduce (reduce to a root, then the binomial-tree Broadcast), a cost
+// model that picks between them, and the partial AllReduce RNA builds on
+// (null contributions from stragglers, contributor counting).
 //
 // All operations are SPMD: every rank calls the same function with its own
 // mesh endpoint, and the call returns when that rank's part completes.
@@ -33,28 +34,6 @@ const (
 // interleaved collectives on one mesh.
 var ErrProtocol = errors.New("collective: protocol violation")
 
-// RingAllReduce reduces v in place across all ranks of m using the ring
-// schedule: N−1 scatter-reduce steps, each sending one 1/N chunk to the
-// left neighbor while reducing the chunk arriving from the right, followed
-// by N−1 allgather steps circulating the fully reduced chunks. iter tags
-// the messages so concurrent iterations cannot be confused.
-//
-// The schedule is pipelined (see ring.go): each step's sends overlap its
-// receives, and large chunks travel as several segments so reduction
-// compute hides behind transfer. Results are bit-identical to the serial
-// schedule.
-func RingAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp) error {
-	return ringAllReduce(m, iter, v, op, 0)
-}
-
-// RingAllReduceSegmented is RingAllReduce with an explicit pipeline depth:
-// each ring chunk travels as `segments` back-to-back messages. segments <= 0
-// selects the depth automatically (the RingAllReduce default). All ranks
-// must pass the same depth.
-func RingAllReduceSegmented(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, segments int) error {
-	return ringAllReduce(m, iter, v, op, segments)
-}
-
 // PartialResult is the outcome of a partial AllReduce.
 type PartialResult struct {
 	// Sum is the element-wise sum over contributing ranks only.
@@ -80,20 +59,6 @@ func (r *PartialResult) Release() {
 		r.Sum = nil
 		r.Contributors = 0
 	}
-}
-
-// PartialRingAllReduce performs the paper's partial AllReduce: ranks with
-// contributes=false take part in the communication graph with a null
-// (zero) gradient, exactly as Section 2.3.2 describes, so the ring schedule
-// is unchanged. The reduction also counts contributors, giving every rank
-// the weight W = 1/Σw needed for the weighted average of Algorithm 2.
-//
-// v is not modified; the summed gradient is returned in PartialResult.Sum,
-// which lives in a pooled scratch buffer — call Release when done with it.
-func PartialRingAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contributes bool) (PartialResult, error) {
-	// The contribution flag piggybacks as one extra element so the count
-	// is reduced by the same pass as the data (see partialAllReduce).
-	return partialAllReduce(m, iter, v, contributes, Options{Algorithm: AlgoRing})
 }
 
 // Broadcast distributes root's v to all ranks via a binomial tree rooted at

@@ -119,7 +119,9 @@ func TestRingAllReduceSmallVector(t *testing.T) {
 	}
 }
 
-func TestPartialRingAllReduce(t *testing.T) {
+// TestPartialAllReduceRing: the partial collective pinned to the ring sums
+// the contributors' gradients, counts them, and leaves the inputs untouched.
+func TestPartialAllReduceRing(t *testing.T) {
 	const n, dim = 5, 12
 	contributes := []bool{true, false, true, true, false}
 	vecs := make([]tensor.Vector, n)
@@ -135,7 +137,7 @@ func TestPartialRingAllReduce(t *testing.T) {
 	}
 	results := make([]PartialResult, n)
 	runSPMD(t, n, func(m transport.Mesh) error {
-		res, err := PartialRingAllReduce(m, 9, vecs[m.Rank()], contributes[m.Rank()])
+		res, err := PartialAllReduceOpts(m, 9, vecs[m.Rank()], contributes[m.Rank()], Options{Algorithm: AlgoRing})
 		results[m.Rank()] = res
 		return err
 	})
@@ -153,11 +155,11 @@ func TestPartialRingAllReduce(t *testing.T) {
 	}
 }
 
-func TestPartialRingAllReduceNobodyContributes(t *testing.T) {
+func TestPartialAllReduceRingNobodyContributes(t *testing.T) {
 	const n = 3
 	results := make([]PartialResult, n)
 	runSPMD(t, n, func(m transport.Mesh) error {
-		res, err := PartialRingAllReduce(m, 2, tensor.FromSlice([]float64{9, 9}), false)
+		res, err := PartialAllReduceOpts(m, 2, tensor.FromSlice([]float64{9, 9}), false, Options{Algorithm: AlgoRing})
 		results[m.Rank()] = res
 		return err
 	})
@@ -171,12 +173,12 @@ func TestPartialRingAllReduceNobodyContributes(t *testing.T) {
 	}
 }
 
-func TestPartialRingAllReduceAllContribute(t *testing.T) {
+func TestPartialAllReduceRingAllContribute(t *testing.T) {
 	const n = 4
 	results := make([]PartialResult, n)
 	runSPMD(t, n, func(m transport.Mesh) error {
 		v := tensor.FromSlice([]float64{1})
-		res, err := PartialRingAllReduce(m, 5, v, true)
+		res, err := PartialAllReduceOpts(m, 5, v, true, Options{Algorithm: AlgoRing})
 		results[m.Rank()] = res
 		return err
 	})

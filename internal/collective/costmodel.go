@@ -11,13 +11,13 @@ import (
 // α–β cost model behind the algorithm auto-selector.
 //
 // Each schedule describes its own critical path, next to its implementation
-// (RingPath in ring.go, TreePath in tree.go), as a short list of hops: runs
+// (RingPath in shard_ring.go, TreePath in tree.go), as a short list of hops: runs
 // of sequential messages of one size. A path prices as msgs·α + bytes·β:
 // the messages' latencies plus the per-byte transfer/reduce cost of what
 // they carry. The (α, β) constants are PER ALGORITHM — the implementations
-// have different per-step machinery (the ring pipelines and rotates buffers,
-// the tree sends whole vectors through one root), so a single shared pair
-// systematically mispredicts. The constants are fixed, measured on the
+// have different per-step machinery (the ring lands 1/N chunks in place at
+// every hop, the tree sends whole vectors through one root), so a single
+// shared pair systematically mispredicts. The constants are fixed, measured on the
 // in-memory mesh (DefaultCostModel). Every rank uses the same model, and
 // selection depends only on (rank count, message size), so the SPMD ranks'
 // choices agree.
@@ -56,11 +56,12 @@ type CostModel struct {
 // last fitted when the multi-algorithm engine landed (commit ebc0209, August
 // 2026): a two-point α–β fit per schedule, a latency-bound and a
 // bandwidth-bound probe size, on the in-memory mesh of a commodity x86 host.
-// They have not been re-fitted since. Note the per-algorithm
-// spread the shared-constant model would miss: the pipelined ring forwards
-// pooled buffers without copying (low β, but α carries its per-step gate
-// synchronization), and the tree does one contiguous add per hop (lowest α
-// and β, but log-factor byte volume).
+// They have not been re-fitted since. The ring's pair was fitted on a
+// pipelined, segmented ring engine that has since been deleted (its pooled
+// sender goroutine's per-step gate showed up in α); RingAllReduce is now the
+// reduce-scatter/allgather pair, and the constants are kept so that no
+// crossover moves. The tree does one contiguous add per hop (lowest α and β,
+// but log-factor byte volume).
 func DefaultCostModel() CostModel {
 	return CostModel{
 		Ring: AlgoCost{AlphaNs: 6343, BetaNsPerByte: 0.94},
@@ -138,14 +139,14 @@ func SelectAlgorithmWire(n, elems int, _ tensor.Dtype) Algorithm {
 // ranks as the ring pair, RingReduceScatter + RingAllGather, with a training
 // stack's optimizer step between the halves:
 //
-//   - wherever the model selects the pipelined ring, whose bytes on the wire
-//     the pair ships and whose bits it reproduces;
+//   - wherever the model selects the ring, which is the pair run back to
+//     back;
 //   - at 2 ranks, at every size. There the pair has the tree's two-hop
 //     critical path with half the bytes per hop, its fold gives the tree's
 //     bits (a + b = b + a, and halving is exact), and each rank steps half
-//     the vector. The tree-versus-ring constants were fitted for the
-//     replicated ring and hand 2-rank vectors to the tree, which the pair
-//     beat at every size of the owner-computes sweep over loopback TCP.
+//     the vector. The tree-versus-ring constants were fitted on the deleted
+//     ring engine and hand 2-rank vectors to the tree, which the pair beat
+//     at every size of the owner-computes sweep over loopback TCP.
 //
 // Like the selection it is a pure function of SPMD-agreed inputs and the
 // shared model.

@@ -94,7 +94,7 @@ func TestPredictMatchesConstructedModel(t *testing.T) {
 		elems int
 		want  float64
 	}{
-		// The pipelined ring's 2(n−1) at any size.
+		// The ring's 2(n−1) at any size.
 		{AlgoRing, 4, 100, 6},
 		{AlgoRing, 6, 100, 10},
 		{AlgoRing, 8, 10000, 14},

@@ -7,11 +7,11 @@ import (
 	"repro/internal/transport"
 )
 
-// ErrTagOverflow is returned when a collective's (chunk, segment) tag space
-// does not fit the int32 message Chunk field: rank·segment products beyond
-// MaxInt32 would silently alias distinct segments onto one tag and corrupt
-// the protocol checks, so the schedule refuses to start instead.
-var ErrTagOverflow = errors.New("collective: segment tag overflow")
+// ErrTagOverflow is returned when a ring's tag space does not fit the int32
+// message Chunk field: with 2n beyond MaxInt32 distinct parts would silently
+// alias onto one tag and corrupt the protocol checks, so the schedule refuses
+// to start instead.
+var ErrTagOverflow = errors.New("collective: tag overflow")
 
 // ProtocolError reports a message that does not belong to the collective
 // step that received it — the signature of interleaved collectives (or a
@@ -20,13 +20,13 @@ var ErrTagOverflow = errors.New("collective: segment tag overflow")
 // unwraps to ErrProtocol so existing errors.Is checks keep working.
 type ProtocolError struct {
 	// Op names the collective phase that observed the violation
-	// (e.g. "ring", "broadcast", "tree-reduce").
+	// (e.g. "reduce-scatter", "allgather", "broadcast", "tree-reduce").
 	Op string
 	// From is the parent-mesh rank the offending message came from.
 	From int32
 	// WantIter/GotIter are the expected and received iteration tags.
 	WantIter, GotIter int64
-	// WantTag/GotTag are the expected and received chunk/segment tags.
+	// WantTag/GotTag are the expected and received chunk tags.
 	WantTag, GotTag int32
 	// WantType/GotType are the expected and received message types.
 	WantType, GotType transport.MsgType

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -54,7 +55,7 @@ func TestRingAllReduceClosedMesh(t *testing.T) {
 	if err := RingAllReduce(ep0, 0, tensor.New(4), OpSum); err == nil {
 		t.Error("allreduce on closed mesh should error")
 	}
-	if _, err := PartialRingAllReduce(ep0, 0, tensor.New(4), true); err == nil {
+	if _, err := PartialAllReduceOpts(ep0, 0, tensor.New(4), true, Options{Algorithm: AlgoRing}); err == nil {
 		t.Error("partial allreduce on closed mesh should error")
 	}
 	if err := Broadcast(ep0, 0, tensor.New(4), 0); err == nil {
@@ -123,8 +124,8 @@ func TestProtocolErrorFields(t *testing.T) {
 	if !errors.Is(err0, ErrProtocol) {
 		t.Errorf("ProtocolError must keep matching errors.Is(_, ErrProtocol); got %v", err0)
 	}
-	if pe.Op != "ring" {
-		t.Errorf("Op = %q, want %q", pe.Op, "ring")
+	if pe.Op != "reduce-scatter" {
+		t.Errorf("Op = %q, want %q", pe.Op, "reduce-scatter")
 	}
 	if pe.From != 1 {
 		t.Errorf("From = %d, want 1", pe.From)
@@ -139,7 +140,7 @@ func TestProtocolErrorFields(t *testing.T) {
 		t.Errorf("GotType = %v, want MsgChunk", pe.GotType)
 	}
 	msg := pe.Error()
-	for _, frag := range []string{"ring", "iter", "tag"} {
+	for _, frag := range []string{"reduce-scatter", "iter", "tag"} {
 		if !strings.Contains(msg, frag) {
 			t.Errorf("error text %q missing %q", msg, frag)
 		}
@@ -197,9 +198,23 @@ func TestProtocolErrorWrongType(t *testing.T) {
 	}
 }
 
-// TestSegTagOverflowRejected: a (ranks, segments) combination whose tag
-// space exceeds int32 must fail fast with ErrTagOverflow instead of
-// colliding tags mid-flight.
+// hugeMesh claims a rank count whose ring tags overflow int32 and fails the
+// test on any Send: the guard must fire before traffic.
+type hugeMesh struct {
+	transport.Mesh
+	t *testing.T
+}
+
+func (h hugeMesh) Size() int { return 1<<30 + 1 }
+
+func (h hugeMesh) Send(int, transport.Message) error {
+	h.t.Error("Send before the tag-space check")
+	return nil
+}
+
+// TestSegTagOverflowRejected: a rank count whose 2n ring tags exceed int32
+// must fail fast with ErrTagOverflow, before any Send, instead of colliding
+// tags mid-flight — for the whole ring and for each half.
 func TestSegTagOverflowRejected(t *testing.T) {
 	net, err := transport.NewLocalNetwork(2)
 	if err != nil {
@@ -207,9 +222,23 @@ func TestSegTagOverflowRejected(t *testing.T) {
 	}
 	defer func() { _ = net.Close() }()
 	ep0, _ := net.Endpoint(0)
-	err = RingAllReduceSegmented(ep0, 0, tensor.New(8), OpSum, 1<<30+1)
-	if !errors.Is(err, ErrTagOverflow) {
-		t.Fatalf("error = %v, want ErrTagOverflow", err)
+	huge := hugeMesh{Mesh: ep0, t: t}
+	for name, call := range map[string]func() error{
+		"allreduce":      func() error { return RingAllReduce(huge, 0, tensor.New(8), OpSum) },
+		"reduce-scatter": func() error { return RingReduceScatter(huge, 0, tensor.New(8), OpAverage) },
+		"allgather":      func() error { return RingAllGather(huge, 0, tensor.New(8)) },
+		"partial": func() error {
+			_, err := PartialRingReduceScatter(huge, 0, tensor.New(9), 1)
+			return err
+		},
+	} {
+		if err := call(); !errors.Is(err, ErrTagOverflow) {
+			t.Errorf("%s: error = %v, want ErrTagOverflow", name, err)
+		}
+	}
+	// The largest rank count that fits passes the check.
+	if err := checkTagSpace(math.MaxInt32 / 2); err != nil {
+		t.Errorf("n = MaxInt32/2: %v", err)
 	}
 	// The guard fires before any traffic, so the mesh stays usable.
 	runDone := make(chan error, 2)

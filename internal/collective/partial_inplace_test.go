@@ -144,7 +144,7 @@ func TestPartialAllReduceInPlaceAllocs(t *testing.T) {
 			return nil
 		})
 	}
-	run(0, 5) // warm the payload pools and the ring senders
+	run(0, 5) // warm the payload pools
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run(5, 5+rounds)

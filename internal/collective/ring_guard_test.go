@@ -11,19 +11,23 @@ import (
 	"repro/internal/transport"
 )
 
-// ringGuardRecordedNs is the pipelined ring's recorded ns/op for an average
-// AllReduce of 262 144 elements over 8 ranks on the in-memory mesh: the
-// n8/dim262144 RingAllReduce row measured when the owner-computes update
-// landed (commit 87da9c7, August 2026) and kept in the collective benchmark
-// report until that report was retired after commit 0dc87d9. The same
-// measurement read 2 377 934 ns/op at 0dc87d9 on a 2-vCPU x86 host.
+// ringGuardRecordedNs is the recorded ns/op for an average AllReduce of
+// 262 144 elements over 8 ranks on the in-memory mesh: the n8/dim262144
+// RingAllReduce row measured when the owner-computes update landed (commit
+// 87da9c7, August 2026) and kept in the collective benchmark report until
+// that report was retired after commit 0dc87d9. The same measurement read
+// 2 377 934 ns/op at 0dc87d9 on a 2-vCPU x86 host. It was recorded on the
+// pipelined, segmented ring engine that was deleted after commit 87229be;
+// RingAllReduce is now the reduce-scatter/allgather pair, which the guard
+// times against the same constant and bound.
 const ringGuardRecordedNs = 3013238
 
-// TestRingRegressionGuard re-measures the in-memory ring at the recorded point
-// and fails if the best of five testing.Benchmark runs lands more than 10 %
-// above ringGuardRecordedNs; the best of five damps scheduler noise. It is a
-// timing gate, so it builds only under the benchsmoke tag (make bench-smoke)
-// and never runs in a plain go test on a shared host.
+// TestRingRegressionGuard re-measures RingAllReduce on the in-memory mesh at
+// the recorded point and fails if the best of five testing.Benchmark runs
+// lands more than 10 % above ringGuardRecordedNs; the best of five damps
+// scheduler noise. It is a timing gate, so it builds only under the
+// benchsmoke tag (make bench-smoke) and never runs in a plain go test on a
+// shared host.
 func TestRingRegressionGuard(t *testing.T) {
 	if race.Enabled {
 		t.Skip("timings are meaningless under the race detector")

@@ -2,43 +2,81 @@ package collective
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
-// The ring pair: the two halves of the ring AllReduce as separate
-// calls, so an owner-computes update can step the optimizer between them.
+// The ring: RingAllReduce is RingReduceScatter then RingAllGather, and an
+// owner-computes update calls the two halves itself so it can step the
+// optimizer between them.
 //
 // On the ring each hop lands the received chunk in v — folded in (scatter)
 // or copied (gather) by transport.RecvInto, straight off the socket where
 // the mesh can — and the next hop sends that span of v with a plain Send:
 // the TCP mesh aliases it in the writev and has flushed it when Send
-// returns, the in-memory mesh copies. No buffer rotates and nothing is
-// staged, and the pair ships exactly the fused ring's 2(n−1) chunks per
-// rank, one frame each.
+// returns, the in-memory mesh copies. No buffer rotates, nothing is staged
+// and no goroutine is started: each rank ships 2(n−1) chunks, one frame
+// each.
 //
 // The owner is where the ring completes the chunk. Chunk c starts at rank c
 // and travels c, c+1, …, c−1, each hop adding the partial sum it receives
-// into its own segment of v (v + payload has the bits of payload + v), so it
-// completes at rank c−1: rank r owns uniform chunk (r+1) mod n (RingOwned),
-// the chunk the fused ring also completes at r.
+// into its own span of v (v + payload has the bits of payload + v), so it
+// completes at rank c−1: rank r owns uniform chunk (r+1) mod n (RingOwned).
 // That fold order — every element left-associatively from its uniform chunk
-// index around the ring — is the fused ring's, and it is the whole
-// bit-identity argument: which rank holds the completed sum changes nothing
-// about how it was summed. An earlier version kept "rank r owns span r" and
-// paid for it with an n-th hop delivering the chunk from rank c−1 to rank c;
-// DESIGN.md, "Sharded optimizer", has what that hop cost.
+// index around the ring — is the serial ring's, and it is the whole
+// bit-identity argument: for OpAverage the owner scales its completed chunk
+// by 1/n before the gather, which has the bits of scaling after it.
+// TestRingMatchesReference holds every rank to a scalar replay of that order.
+// An earlier version kept "rank r owns span r" and paid for it with an n-th
+// hop delivering the chunk from rank c−1 to rank c; DESIGN.md, "Sharded
+// optimizer", has what that hop cost.
 //
 // Ownership tables. Each call of the pair takes an optional table: n+1
 // nondecreasing offsets from 0 to len(v), part i being table[i]:table[i+1].
 // Part i travels the ring exactly as uniform chunk i does, so rank r still
 // owns part (r+1) mod n; only the boundaries move, and parts may be empty.
-// No table means the uniform chunks, and the fused ring's bits. Under any
+// No table means the uniform chunks, and RingAllReduce's bits. Under any
 // other table an element's fold starts at the rank of its part instead of
 // its uniform chunk, which moves its bits from three ranks up; at two ranks
 // each element is one addition, a + b = b + a, so every table gives the bits
 // of every other (and of the tree).
+
+// RingPath is the ring's critical path across n ranks for a payload of the
+// given bytes: the N−1 reduce-scatter steps, then the N−1 allgather steps,
+// each ship one chunk (a 1/N share, cut to the byte). This is the only
+// description of the schedule's cost: CostModel and the simulator's
+// workload.CommModel both evaluate it.
+func RingPath(n int, bytes int64) [2]Hop {
+	if n <= 1 {
+		return [2]Hop{}
+	}
+	share := bytes / int64(n)
+	return [2]Hop{{Msgs: n - 1, Bytes: share}, {Msgs: n - 1, Bytes: share}}
+}
+
+// RingAllReduce reduces v in place across all ranks of m on the ring:
+// RingReduceScatter, then RingAllGather, both tagged iter. All ranks must
+// pass the same iter, op and vector length; every rank finishes with the
+// same bits.
+func RingAllReduce(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp) error {
+	if err := RingReduceScatter(m, iter, v, op); err != nil {
+		return err
+	}
+	return RingAllGather(m, iter, v)
+}
+
+// checkTagSpace rejects rank counts whose ring tags would overflow the int32
+// Chunk field: scatter frames are tagged by part (0…n−1) and gather frames by
+// n plus part, so 2n must stay within MaxInt32. Without this guard distinct
+// parts would silently alias onto one tag and defeat the protocol checks.
+func checkTagSpace(n int) error {
+	if n < 1 || 2*int64(n) > math.MaxInt32 {
+		return fmt.Errorf("%w: %d ranks exceed the int32 tag space", ErrTagOverflow, n)
+	}
+	return nil
+}
 
 // RingOwned returns the span of a total-element vector that rank owns under
 // the ring pair: part (rank+1) mod n of table, uniform chunk (rank+1) mod n
@@ -71,7 +109,7 @@ func checkRingTable(n, total int, table []int) error {
 // RingOwned(len(v), n, r, table...). Only that span is defined afterwards:
 // the rest of v holds partial sums the parts picked up on their way through
 // this rank. Followed by RingAllGather over the same table, it is
-// bit-identical to RingAllReduce when the table is absent.
+// RingAllReduce when the table is absent.
 func RingReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceOp, table ...int) error {
 	if op != OpSum && op != OpAverage {
 		return fmt.Errorf("collective: unknown reduce op %d", op)
@@ -84,7 +122,8 @@ func RingReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceO
 		return err
 	}
 	if op == OpAverage {
-		// Owner-side scale, identical to the fused ring's.
+		// Owner-side scale: sum·(1/n) has the same bits here as after the
+		// gather.
 		lo, hi := RingOwned(len(v), n, m.Rank(), table...)
 		v[lo:hi].Scale(1 / float64(n))
 	}
@@ -136,7 +175,7 @@ func PartialRingReduceScatter(m transport.Mesh, iter int64, work tensor.Vector, 
 func ringScatter(m transport.Mesh, iter int64, v tensor.Vector, trail bool, flag float64, table []int) (float64, error) {
 	n := m.Size()
 	rank := m.Rank()
-	if err := checkSegTagSpace(n, 2); err != nil {
+	if err := checkTagSpace(n); err != nil {
 		return 0, err
 	}
 	if err := checkRingTable(n, len(v), table); err != nil {
@@ -181,7 +220,7 @@ func RingAllGather(m transport.Mesh, iter int64, v tensor.Vector, table ...int) 
 		return nil
 	}
 	rank := m.Rank()
-	if err := checkSegTagSpace(n, 2); err != nil {
+	if err := checkTagSpace(n); err != nil {
 		return err
 	}
 	if err := checkRingTable(n, len(v), table); err != nil {

@@ -11,11 +11,11 @@ import (
 	"repro/internal/transport"
 )
 
-// TestRingPairMatchesRingAllReduce: RingReduceScatter + RingAllGather is the
-// fused ring carved in two — same bits on every rank, both ops, over both
-// transports, at rank counts and lengths that leave ragged and empty chunks —
-// and after the scatter alone rank r holds the reduction on RingOwned (the
-// rest of v is undefined).
+// TestRingPairMatchesRingAllReduce: RingReduceScatter + RingAllGather, and
+// RingAllReduce that runs them, give the serial reference's bits on every
+// rank, both ops, over both transports, at rank counts and lengths that leave
+// ragged and empty chunks — and after the scatter alone rank r holds the
+// reduction on RingOwned (the rest of v is undefined).
 func TestRingPairMatchesRingAllReduce(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 8} {
 		for kind, meshes := range memAndTCP(t, n) {
@@ -23,9 +23,10 @@ func TestRingPairMatchesRingAllReduce(t *testing.T) {
 				for _, op := range []ReduceOp{OpSum, OpAverage} {
 					name := fmt.Sprintf("%s/n=%d/dim=%d/op=%d", kind, n, dim, op)
 					in := shardInputs(n, dim, int64(n*dim))
-					ref := cloneVecs(in)
+					want := referenceAllReduce(in, op)
+					whole := cloneVecs(in)
 					spmd(t, meshes, func(m transport.Mesh) error {
-						return RingAllReduce(m, 3, ref[m.Rank()], op)
+						return RingAllReduce(m, 3, whole[m.Rank()], op)
 					})
 					got := cloneVecs(in)
 					spmd(t, meshes, func(m transport.Mesh) error {
@@ -33,18 +34,19 @@ func TestRingPairMatchesRingAllReduce(t *testing.T) {
 					})
 					for r := range got {
 						lo, hi := RingOwned(dim, n, r)
-						for j := lo; j < hi; j++ {
-							if _, ok := sameBits(got[r][j:j+1], ref[r][j:j+1]); !ok {
-								t.Fatalf("%s: after the scatter rank %d elem %d (owned %d:%d) = %x, want %x", name, r, j, lo, hi, got[r][j], ref[r][j])
-							}
+						if j, ok := sameBits(got[r][lo:hi], want[lo:hi]); !ok {
+							t.Fatalf("%s: after the scatter rank %d elem %d (owned %d:%d) = %x, want %x", name, r, lo+j, lo, hi, got[r][lo+j], want[lo+j])
 						}
 					}
 					spmd(t, meshes, func(m transport.Mesh) error {
 						return RingAllGather(m, 5, got[m.Rank()])
 					})
 					for r := range got {
-						if j, ok := sameBits(got[r], ref[r]); !ok {
-							t.Fatalf("%s: rank %d elem %d: %x != %x", name, r, j, got[r][j], ref[r][j])
+						if j, ok := sameBits(got[r], want); !ok {
+							t.Fatalf("%s: pair rank %d elem %d: %x != %x", name, r, j, got[r][j], want[j])
+						}
+						if j, ok := sameBits(whole[r], want); !ok {
+							t.Fatalf("%s: RingAllReduce rank %d elem %d: %x != %x", name, r, j, whole[r][j], want[j])
 						}
 					}
 				}
@@ -54,11 +56,10 @@ func TestRingPairMatchesRingAllReduce(t *testing.T) {
 }
 
 // TestPartialRingReduceScatterMatches: the partial scatter on the ring gives,
-// on every owned data element, the bits of the replicated partial collective
-// pinned to the ring (PartialAllReduceInPlace) — both fold every element
-// from its uniform chunk of the flag-extended vector — and the same count on
-// every rank, for mixed contributors, everyone and no one. Null ranks hand in
-// garbage.
+// on every owned data element, the bits of the serial reference over the
+// flag-extended vectors — each contributor's data and weight, a null rank's
+// zeros — and the same count on every rank, for mixed contributors, everyone
+// and no one. Null ranks hand in garbage.
 func TestPartialRingReduceScatterMatches(t *testing.T) {
 	for n := 2; n <= 8; n++ {
 		for kind, meshes := range memAndTCP(t, n) {
@@ -74,11 +75,15 @@ func TestPartialRingReduceScatterMatches(t *testing.T) {
 						}
 					}
 					in := shardInputs(n, dim+1, int64(7*n+dim+pattern))
-					repl := cloneVecs(in)
-					spmd(t, meshes, func(m transport.Mesh) error {
-						_, err := PartialAllReduceInPlace(m, 5, repl[m.Rank()], weight(contrib[m.Rank()]), Options{Algorithm: AlgoRing})
-						return err
-					})
+					extended := cloneVecs(in)
+					for r, v := range extended {
+						if contrib[r] {
+							v[dim] = 1
+						} else {
+							v.Zero()
+						}
+					}
+					ref := referenceAllReduce(extended, OpSum)
 					got := cloneVecs(in)
 					counts := make([]int, n)
 					spmd(t, meshes, func(m transport.Mesh) (err error) {
@@ -94,8 +99,8 @@ func TestPartialRingReduceScatterMatches(t *testing.T) {
 						lo, hi := RingOwned(dim+1, n, r)
 						hi = min(hi, dim)
 						covered += hi - lo
-						if j, ok := sameBits(got[r][lo:hi], repl[r][lo:hi]); !ok {
-							t.Fatalf("%s: rank %d elem %d differs from the replicated ring", name, r, lo+j)
+						if j, ok := sameBits(got[r][lo:hi], ref[lo:hi]); !ok {
+							t.Fatalf("%s: rank %d elem %d differs from the reference", name, r, lo+j)
 						}
 					}
 					if covered != dim {
@@ -119,10 +124,10 @@ func (c countingMesh) Send(to int, msg transport.Message) error {
 	return c.Mesh.Send(to, msg)
 }
 
-// TestRingPairShipsTheRingsBytes: at every rank count the owner-computes pair
-// ships the payload the fused ring ships — 2(n−1) chunks per rank — and does
-// it in 2(n−1) frames per rank where the segmented ring takes up to four times
-// as many. countingMesh hides SendOwned, so every send is counted once.
+// TestRingPairShipsTheRingsBytes: at every rank count the ring — the pair
+// called one half at a time, and RingAllReduce — ships each element 2(n−1)
+// times in all, the bandwidth-optimal ring's volume, in 2(n−1) frames per
+// rank. countingMesh hides SendOwned, so every send is counted once.
 func TestRingPairShipsTheRingsBytes(t *testing.T) {
 	const dim = 139792 // the benchmark's dense gradient
 	for _, n := range []int{2, 3, 4, 5, 8} {
@@ -143,11 +148,12 @@ func TestRingPairShipsTheRingsBytes(t *testing.T) {
 			}
 			return RingAllGather(m, 2, v)
 		})
-		if pairElems != ringElems {
-			t.Errorf("n=%d: the pair ships %d elements, the fused ring %d", n, pairElems, ringElems)
+		wantMsgs, wantElems := int64(2*(n-1)*n), int64(2*(n-1)*dim)
+		if pairMsgs != wantMsgs || pairElems != wantElems {
+			t.Errorf("n=%d: the pair sends %d frames of %d elements, want %d of %d", n, pairMsgs, pairElems, wantMsgs, wantElems)
 		}
-		if want := int64(2 * (n - 1) * n); pairMsgs != want || pairMsgs > ringMsgs {
-			t.Errorf("n=%d: the pair sends %d frames, want %d (fused ring: %d)", n, pairMsgs, want, ringMsgs)
+		if ringMsgs != wantMsgs || ringElems != wantElems {
+			t.Errorf("n=%d: RingAllReduce sends %d frames of %d elements, want %d of %d", n, ringMsgs, ringElems, wantMsgs, wantElems)
 		}
 	}
 }

@@ -31,7 +31,7 @@ func TestAlgorithmsOverTCP(t *testing.T) {
 			for _, m := range meshes {
 				m := m
 				got[m.Rank()] = inputs[m.Rank()].Clone()
-				go func() { done <- AllReduceWith(m, 1, got[m.Rank()], OpAverage, algo) }()
+				go func() { done <- AllReduceOpts(m, 1, got[m.Rank()], OpAverage, Options{Algorithm: algo}) }()
 			}
 			for i := 0; i < n; i++ {
 				if err := <-done; err != nil {
@@ -76,7 +76,7 @@ func TestAlgorithmsOverSubMesh(t *testing.T) {
 				return err
 			}
 			got[local] = inputs[local].Clone()
-			return AllReduceWith(sub, 9, got[local], OpSum, algo)
+			return AllReduceOpts(sub, 9, got[local], OpSum, Options{Algorithm: algo})
 		})
 		for r := range got {
 			if j, ok := withinTol(got[r], want, 1e-12); !ok {
@@ -113,7 +113,7 @@ func TestMidCollectiveClose(t *testing.T) {
 					defer wg.Done()
 					v := tensor.New(4096)
 					v.Fill(float64(m.Rank()))
-					errs[m.Rank()] = AllReduceWith(m, 0, v, OpSum, algo)
+					errs[m.Rank()] = AllReduceOpts(m, 0, v, OpSum, Options{Algorithm: algo})
 				}()
 			}
 			_ = meshes[n-1].Close()
@@ -170,7 +170,7 @@ func TestTCPMatchesInMemory(t *testing.T) {
 		for r := 0; r < n; r++ {
 			r := r
 			tcp[r] = inputs[r].Clone()
-			go func() { done <- AllReduceWith(meshes[r], 11, tcp[r], OpAverage, algo) }()
+			go func() { done <- AllReduceOpts(meshes[r], 11, tcp[r], OpAverage, Options{Algorithm: algo}) }()
 		}
 		for i := 0; i < n; i++ {
 			if err := <-done; err != nil {

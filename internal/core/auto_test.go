@@ -24,7 +24,7 @@ func autoConfig(t *testing.T, iters int, adam bool) TrainConfig {
 }
 
 // ringConfig is the same problem at 13 993 = 7·1999 parameters, where the
-// shipped constants pick the pipelined ring at 3 to 5 ranks, so AlgoAuto runs
+// shipped constants pick the ring at 3 to 5 ranks, so AlgoAuto runs
 // the ring pair at every rank count from 2 to 5. 13 993 and the
 // flag-extended 13 994 = 2·6997 are ragged over 3, 4 and 5 ranks.
 func ringConfig(t *testing.T, iters int, adam bool) TrainConfig {
@@ -68,7 +68,7 @@ func logisticConfig(t *testing.T, features, iters int, adam bool) TrainConfig {
 }
 
 // TestAutoOwnerComputesMatchesPinnedRing: with nothing set, AlgoAuto on the
-// pipelined ring runs the owner-computes update, and the run is bit-identical
+// ring runs the owner-computes update, and the run is bit-identical
 // — parameters and every loss — to the replicated update on the pinned ring,
 // which is what it replaces: BSP and RNA, in memory and over TCP, 2 to 5
 // ranks, SGD and Adam, at a size the shipped constants give to the ring. The
@@ -188,7 +188,7 @@ func benchGeometryConfig(t *testing.T) TrainConfig {
 
 // TestOwnerComputesSelection: what newStage picks. The owner-computes update
 // is the default exactly where AlgoAuto would run the ring pair — where it
-// picks the pipelined ring, and at 2 ranks at every size;
+// picks the ring, and at 2 ranks at every size;
 // everything else keeps the stage its configuration names.
 func TestOwnerComputesSelection(t *testing.T) {
 	base := autoConfig(t, 1, false)

@@ -19,7 +19,7 @@ import (
 //
 //   - owner-computes: reduce-scatter, every rank steps the span it owns,
 //     parameter allgather (shardedReducer). Selected by ShardedUpdate, and by
-//     AlgoAuto itself wherever it would run the pipelined ring, and at 2
+//     AlgoAuto itself wherever it would run the ring, and at 2
 //     ranks (ownerComputes): the two ring halves ship the ring's bytes, the
 //     result is bit-identical, and the optimizer step runs once per element
 //     instead of once per element per rank. A hierarchical member always
@@ -71,8 +71,8 @@ type stage struct {
 // owner-computes update on: asked for, or free. It is free where AlgoAuto
 // runs the loop's vector (reduced elements: the gradient, plus RNA's flag
 // slot) as the ring pair — collective.AutoRunsRingPair answers that:
-// wherever it would pick the pipelined ring, whose bytes and bits the pair
-// reproduces, and at 2 ranks, where the pair has the tree's two-hop critical
+// wherever it would pick the ring, which is the pair run back to back, and
+// at 2 ranks, where the pair has the tree's two-hop critical
 // path and bits at half the bytes per hop. A pinned Algorithm keeps meaning
 // the replicated update on exactly that schedule.
 func ownerComputes(cfg *TrainConfig, n, reduced int) bool {
@@ -199,11 +199,10 @@ func (r *replicatedReducer) stateBytes() int64 { return r.optim.StateBytes() }
 // parameter-server chunks its exchanger's table gives it, the flag slot
 // closing the last part.
 //
-// Bit-identity. The scatter folds every element in the pipelined ring's
-// order from its uniform chunk index and scales at the owner
-// (collective/shard_ring.go), the optimizers are strictly element-wise with
-// state depending only on the step count, and the fp64 allgather moves bits
-// verbatim — so under ANY ownership the sharded update reproduces the
+// Bit-identity. The scatter folds every element in the ring's order from its
+// uniform chunk index and scales at the owner (collective/shard_ring.go), the
+// optimizers are strictly element-wise with state depending only on the step
+// count, and the fp64 allgather moves bits verbatim — so under ANY ownership the sharded update reproduces the
 // replicated one (with a pinned ring schedule) bit for bit, and each rank's
 // optimizer state equals the matching slice of the replicated state. A
 // hierarchical member's table moves fold starts off the uniform chunks, so

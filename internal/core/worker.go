@@ -57,7 +57,7 @@ type TrainConfig struct {
 	ShardedUpdate bool
 	// Algorithm selects the dense collective schedule (validate rejects a
 	// value the engine lacks). The zero value, AlgoAuto, lets the cost model
-	// choose per (ranks, size) — and where it chooses the pipelined ring, and
+	// choose per (ranks, size) — and where it chooses the ring, and
 	// at 2 ranks at any size, the ring runs as its two halves with the
 	// owner-computes update between them: the ring's bytes (at 2 ranks the
 	// tree's critical path), the same bits, one optimizer step per element

@@ -13,20 +13,14 @@ import (
 	"time"
 )
 
-// idleFrame is the top repository frame of the only goroutines allowed to
-// outlive the tests: ring senders parked on collective's free list (at most
-// maxIdleSenders of them). A sender stuck mid-collective parks in
-// (*ringSender).run instead, so it still counts.
-const idleFrame = "repro/internal/collective.(*ringSender).loop"
-
 // wait is how long the goroutine count has to return to its baseline.
 const wait = 3 * time.Second
 
 // Main runs the tests and exits with their status. When they pass, it then
-// waits for the goroutines other than idle ring senders to number no more
-// than before the tests; if they still do not after 3 s, it prints every
-// such goroutine's stack and exits 1. A fuzzing run is not checked: the fuzz
-// engine leaves os/signal's loop running.
+// waits for the live goroutines to number no more than before the tests; if
+// they still do not after 3 s, it prints every goroutine's stack and exits 1.
+// A fuzzing run is not checked: the fuzz engine leaves os/signal's loop
+// running.
 func Main(m *testing.M) {
 	base := len(live())
 	code := m.Run()
@@ -40,10 +34,9 @@ func Main(m *testing.M) {
 }
 
 // Check fails t when, after t and the cleanups it registers later have
-// finished, more goroutines other than idle ring senders are live than when
-// Check was called, 3 s after the end at the latest. It checks one test (or
-// subtest) where Main checks the whole binary; the test must not run in
-// parallel with others.
+// finished, more goroutines are live than when Check was called, 3 s after
+// the end at the latest. It checks one test (or subtest) where Main checks
+// the whole binary; the test must not run in parallel with others.
 func Check(t testing.TB) {
 	base := baseline()
 	t.Cleanup(func() {
@@ -93,33 +86,14 @@ func settle(base int, d time.Duration) error {
 	}
 }
 
-// live returns the stack of every goroutine except the idle ring senders.
+// live returns the stack of every goroutine.
 func live() []string {
 	buf := make([]byte, 64<<10)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			buf = buf[:n]
-			break
+			return strings.Split(strings.TrimSpace(string(buf[:n])), "\n\n")
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-	var gs []string
-	for _, g := range strings.Split(strings.TrimSpace(string(buf)), "\n\n") {
-		if topRepoFrame(g) != idleFrame {
-			gs = append(gs, g)
-		}
-	}
-	return gs
-}
-
-// topRepoFrame returns the innermost function of one goroutine's stack dump
-// that belongs to this module, without its arguments; "" when none does.
-func topRepoFrame(g string) string {
-	for _, line := range strings.Split(g, "\n") {
-		if strings.HasPrefix(line, "repro/") {
-			return line[:strings.LastIndexByte(line, '(')]
-		}
-	}
-	return ""
 }

@@ -92,7 +92,7 @@ func (c CommModel) TreeAllReduce(n int, bytes int64) time.Duration {
 // AllReduce. The zero value is the ring — the paper's schedule and the
 // historical behavior of every engine — so existing configurations are
 // unchanged; AllReduceAuto opts a simulation into cost-model-driven
-// selection, as collective.AllReduce selects at run time.
+// selection, as collective.AllReduceOpts selects at run time.
 type AllReduceAlgo int
 
 // Priced schedules.

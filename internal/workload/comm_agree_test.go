@@ -14,7 +14,7 @@ import (
 // they price the same path, so they may differ only by the simulator's
 // truncation — under one nanosecond per critical-path message — and auto is
 // the cheaper of ring and tree in both, small vectors included: both price
-// the pipelined ring at every size, as the paper does.
+// the ring at every size, as the paper does.
 func TestCostModelsAgree(t *testing.T) {
 	pairs := []struct {
 		algo AllReduceAlgo
