@@ -117,10 +117,14 @@ hetero-ratio:
 # gradient). Peak RSS spreads under 1 % run to run, so this one gates: it
 # fails above 1.3 (2.8 while every gradient kept its own buffer, 1.45 once
 # gradients of one parameter version shared one, 1.24 since the reduced
-# gradient buffer becomes the next parameter version). About 45 seconds.
+# gradient buffer becomes the next parameter version). The second gate is
+# what the hierarchical scheme adds on top, hier_ps over dense_rna: it fails
+# above 1.25 (1.29 while every group member kept a private copy of its span as
+# the baseline of its parameter-server delta). About 90 seconds.
 RSS_SECONDS ?= 8
 rss-ratio:
 	$(call ratio-of-medians,dense_rna,dense_bsp,peak_rss_mb,$(RSS_SECONDS),1.3)
+	$(call ratio-of-medians,hier_ps,dense_rna,peak_rss_mb,$(RSS_SECONDS),1.25)
 
 # fuzz-smoke runs each wire-protocol fuzz target for a short budget — enough
 # to cover the seeded v1 corpus (header truncations, forged fields, frames of

@@ -75,6 +75,12 @@ func runHierWorkers(t *testing.T, meshes []transport.Mesh, ctrls []*controller.C
 // must not move it.
 const orderedHierDigest = 0x6f249d79e7840751
 
+// orderedHierDigestEvery1 is the same run's digest at PSEvery=1, the
+// benchmark's cadence, recorded while every member still kept a private
+// baseline of its span and copied each pull out of it: taking the baseline
+// from the published version must not move it.
+const orderedHierDigestEvery1 = 0x6e2b3726a73b5e86
+
 // TestHierarchicalTCPBitwiseMatchesLoopback is the end-to-end gate of the
 // hierarchical scheme: a run whose members reach a dedicated PS rank over TCP
 // at an f64 wire finishes with final parameters and losses bitwise equal to
@@ -82,7 +88,8 @@ const orderedHierDigest = 0x6f249d79e7840751
 // The table covers the ownership geometries over the 28-parameter model:
 // groups of one, two, three and four members, over the default 8 chunks and
 // over 3, where the four-member group has more members than chunks and one
-// member owns none.
+// member owns none; each at hierPSConfig's PSEvery=2 and, in the rows named
+// every=1, at an exchange every synchronization.
 func TestHierarchicalTCPBitwiseMatchesLoopback(t *testing.T) {
 	layouts := map[string][]topology.Group{
 		"1x4": {{Members: []int{0}}, {Members: []int{1}}, {Members: []int{2}}, {Members: []int{3}}},
@@ -90,32 +97,81 @@ func TestHierarchicalTCPBitwiseMatchesLoopback(t *testing.T) {
 		"3x2": {{Members: []int{0, 1, 2}}, {Members: []int{3, 4, 5}}},
 		"4+1": {{Members: []int{0, 1, 2, 3}}, {Members: []int{4}}},
 	}
+	digests := map[int]uint64{2: orderedHierDigest, 1: orderedHierDigestEvery1}
 	for name, groups := range layouts {
 		for _, chunks := range []int{0, 3} {
-			t.Run(fmt.Sprintf("%s/chunks=%d", name, chunks), func(t *testing.T) {
-				workers := 0
-				for _, g := range groups {
-					workers += g.Size()
+			for _, every := range []int{2, 1} {
+				row := fmt.Sprintf("%s/chunks=%d", name, chunks)
+				if every == 1 {
+					row += "/every=1"
 				}
-				resA := runLoopbackHier(t, groups, workers, chunks)
-				resB := runTCPHier(t, groups, workers, chunks)
-				assertHierEqual(t, resA, resB)
-				if name == "2x2" {
-					if got := digestResults(resA); got != orderedHierDigest {
-						t.Errorf("ordered 2x2 digest %#016x, recorded %#016x", got, uint64(orderedHierDigest))
+				t.Run(row, func(t *testing.T) {
+					workers := 0
+					for _, g := range groups {
+						workers += g.Size()
 					}
-				}
-			})
+					resA := runLoopbackHier(t, groups, workers, chunks, every)
+					resB := runTCPHier(t, groups, workers, chunks, every)
+					assertHierEqual(t, resA, resB)
+					if name == "2x2" {
+						if got := digestResults(resA); got != digests[every] {
+							t.Errorf("ordered 2x2 digest at PSEvery=%d %#016x, recorded %#016x", every, got, digests[every])
+						}
+					}
+				})
+			}
 		}
 	}
 }
 
-// runLoopbackHier runs hierPSConfig over groups against an in-process store
-// laid out in chunks chunks (0: the default).
-func runLoopbackHier(t *testing.T, groups []topology.Group, workers, chunks int) []*Result {
+// TestPSExchangeBaseline: a member that exchanges every synchronization takes
+// its delta's baseline from the published version and holds no copy of its
+// span; one with a longer period keeps its last pull.
+func TestPSExchangeBaseline(t *testing.T) {
+	cfg, _ := hierPSConfig(t)
+	store := ps.NewStore(1)
+	if err := SeedStore(store, cfg.Train); err != nil {
+		t.Fatal(err)
+	}
+	init, err := InitialParams(cfg.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := transport.NewLocalNetwork(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = net.Close() }()
+	sub, err := transport.NewSubMesh(net.Endpoints()[0], hierPSGroups[0].Members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, every := range []int{1, 4} {
+		cfg.PSEvery = every
+		e, err := newPSExchange(ps.Loopback(store, HierarchicalPSKey), &cfg, 0, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.seed(init)
+		if e.hi == e.lo {
+			t.Fatalf("PSEvery=%d: the member owns no span", every)
+		}
+		want := 0
+		if every > 1 {
+			want = e.hi - e.lo
+		}
+		if len(e.base) != want {
+			t.Errorf("PSEvery=%d: member owning [%d, %d) holds a %d-element baseline, want %d", every, e.lo, e.hi, len(e.base), want)
+		}
+	}
+}
+
+// runLoopbackHier runs hierPSConfig over groups at PSEvery every against an
+// in-process store laid out in chunks chunks (0: the default).
+func runLoopbackHier(t *testing.T, groups []topology.Group, workers, chunks, every int) []*Result {
 	t.Helper()
 	cfg, _ := hierPSConfig(t)
-	cfg.Groups = groups
+	cfg.Groups, cfg.PSEvery = groups, every
 	init, err := InitialParams(cfg.Train)
 	if err != nil {
 		t.Fatal(err)
@@ -132,12 +188,12 @@ func runLoopbackHier(t *testing.T, groups []topology.Group, workers, chunks int)
 	return runHierWorkers(t, net.Endpoints(), allReadyControllers(t, groups), cfg)
 }
 
-// runTCPHier runs hierPSConfig over groups with one more TCP rank serving the
-// model in chunks chunks.
-func runTCPHier(t *testing.T, groups []topology.Group, workers, chunks int) []*Result {
+// runTCPHier runs hierPSConfig over groups at PSEvery every with one more TCP
+// rank serving the model in chunks chunks.
+func runTCPHier(t *testing.T, groups []topology.Group, workers, chunks, every int) []*Result {
 	t.Helper()
 	cfg, _ := hierPSConfig(t)
-	cfg.Groups = groups
+	cfg.Groups, cfg.PSEvery = groups, every
 	cfg.PS = &ps.ClientConfig{Servers: []int{workers}, Chunks: chunks}
 	meshes, err := transport.NewTCPCluster(workers + 1)
 	if err != nil {

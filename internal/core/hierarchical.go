@@ -180,8 +180,10 @@ type exchanger interface {
 	// due reports whether synchronization k exchanges.
 	due(k int64) bool
 	// exchange sends latest, the owned span, to the parameter server and
-	// writes the pulled span to out; latest may be out.
-	exchange(k int64, latest, out tensor.Vector) error
+	// writes the pulled span to out, the version under construction;
+	// published is the owned span of the published version, which is not
+	// written. latest may be out or published.
+	exchange(k int64, published, latest, out tensor.Vector) error
 }
 
 // psExchange is the exchanger over a ps.GlobalStore. Ownership follows the
@@ -194,8 +196,8 @@ type psExchange struct {
 	first, last int   // the member's chunk run
 	lo, hi      int   // its parameter span
 	// base is the span as of the member's last pull (the initial parameters
-	// before the first): the baseline of the next delta, and where the
-	// pulled span lands.
+	// before the first), the next delta's baseline. At period 1 that is the
+	// published version's span, which no step has moved since, and base is nil.
 	base tensor.Vector
 
 	period        int64
@@ -230,24 +232,33 @@ func newPSExchange(store ps.GlobalStore, cfg *HierarchicalConfig, gi int, sub tr
 
 func (e *psExchange) table() []int { return e.owners }
 
-func (e *psExchange) seed(initial tensor.Vector) { e.base = initial[e.lo:e.hi].Clone() }
+func (e *psExchange) seed(initial tensor.Vector) {
+	if e.period > 1 {
+		e.base = initial[e.lo:e.hi].Clone()
+	}
+}
 
 func (e *psExchange) due(k int64) bool { return (k+1)%e.period == 0 }
 
-// exchange pushes latest − base over the member's chunks and lands the pulled
-// chunks in base, then copies them into out, the version under construction.
-// Under OrderedPS the member's r-th exchange waits for version 1 + r·G + g on
-// each of its chunks: the seed publish is version 1, and every group's
-// exchange advances every chunk once, whichever member sends it.
-func (e *psExchange) exchange(_ int64, latest, out tensor.Vector) error {
+// exchange pushes latest − baseline over the member's chunks, the delta
+// formed in out, and lands the pulled chunks in out, the version under
+// construction; a kept base is refreshed from it. Under OrderedPS the
+// member's r-th exchange waits for version 1 + r·G + g on each of its chunks:
+// the seed publish is version 1, and every group's exchange advances every
+// chunk once, whichever member sends it.
+func (e *psExchange) exchange(_ int64, published, latest, out tensor.Vector) error {
 	var minVersion int64
 	if e.ordered {
 		minVersion = 1 + e.done*e.groups + e.group
 	}
-	if _, err := e.store.PushPullDeltaChunks(e.first, e.last, e.base, latest, minVersion); err != nil {
+	base := e.base
+	if base == nil {
+		base = published
+	}
+	if _, err := e.store.PushPullDeltaChunks(e.first, e.last, out, base, latest, minVersion); err != nil {
 		return err
 	}
 	e.done++
-	copy(out, e.base)
+	copy(e.base, out) // a kept baseline is the pull
 	return nil
 }

@@ -257,8 +257,9 @@ func (r *shardedReducer) update(k int64, cur, next, g tensor.Vector, mean, scale
 	}
 	if r.ex != nil && r.ex.due(k) {
 		// The owned span goes to the parameter server and the pulled span
-		// replaces it, so the allgather ships the global model.
-		if err := r.ex.exchange(k, src, next[lo:hi]); err != nil {
+		// replaces it, so the allgather ships the global model; cur's span
+		// is the last pull when every synchronization exchanges.
+		if err := r.ex.exchange(k, cur[lo:hi], src, next[lo:hi]); err != nil {
 			return err
 		}
 	}

@@ -54,7 +54,7 @@ type rewriteExchange struct{ calls atomic.Int64 }
 func (*rewriteExchange) table() []int       { return nil }
 func (*rewriteExchange) seed(tensor.Vector) {}
 func (*rewriteExchange) due(int64) bool     { return true }
-func (e *rewriteExchange) exchange(k int64, _, out tensor.Vector) error {
+func (e *rewriteExchange) exchange(k int64, _, _, out tensor.Vector) error {
 	out.Fill(float64(k + 1))
 	e.calls.Add(1)
 	return nil

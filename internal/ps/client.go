@@ -31,11 +31,13 @@ type GlobalStore interface {
 	// offsets[c]:offsets[c+1], and the server stores it under "Key#c".
 	ChunkOffsets() ([]int, error)
 	// PushPullDeltaChunks adds latest − base to chunks [first, last) of the
-	// global model and overwrites base with the result: a hierarchical
-	// member's exchange of the span it owns, base being that span as of its
-	// last pull. base and latest cover offsets[first]:offsets[last]; latest
-	// is not written. An empty range exchanges nothing and returns version 0.
-	PushPullDeltaChunks(first, last int, base, latest tensor.Vector, minVersion int64) (int64, error)
+	// global model and writes the result to out: a hierarchical member's
+	// exchange of the span it owns, base being that span as of its last
+	// pull. out, base and latest cover offsets[first]:offsets[last]; out may
+	// be latest, base or a span of its own, and nothing else is written.
+	// Each chunk's delta is formed in out and the chunk's result lands over
+	// it. An empty range exchanges nothing and returns version 0.
+	PushPullDeltaChunks(first, last int, out, base, latest tensor.Vector, minVersion int64) (int64, error)
 }
 
 // Loopback returns the in-process GlobalStore over store's key — the fast
@@ -102,27 +104,26 @@ func (l *loopback) ChunkOffsets() ([]int, error) {
 	return offsets, nil
 }
 
-// PushPullDeltaChunks forms each chunk's delta in a pooled buffer and copies
-// the result out of a zero-copy lease on the chunk's published snapshot.
-func (l *loopback) PushPullDeltaChunks(first, last int, base, latest tensor.Vector, minVersion int64) (int64, error) {
+// PushPullDeltaChunks forms each chunk's delta in out, which the store only
+// reads, and copies the result over it out of a zero-copy lease on the
+// chunk's published snapshot.
+func (l *loopback) PushPullDeltaChunks(first, last int, out, base, latest tensor.Vector, minVersion int64) (int64, error) {
 	offsets, err := l.ChunkOffsets()
 	if err != nil {
 		return 0, err
 	}
-	if err := checkChunkRange(offsets, first, last, base, latest); err != nil {
+	if err := checkChunkRange(offsets, first, last, out, base, latest); err != nil {
 		return 0, err
 	}
 	version := int64(0)
 	for c := first; c < last; c++ {
 		lo, hi := offsets[c]-offsets[first], offsets[c+1]-offsets[first]
-		delta := transport.GetPayload(hi - lo)
-		_ = tensor.DiffInto(delta, latest[lo:hi], base[lo:hi]) // lengths checked above
-		lease, err := l.store.PushPullLease(l.keys[c], delta, Add, minVersion)
-		transport.PutPayload(delta)
+		_ = tensor.DiffInto(out[lo:hi], latest[lo:hi], base[lo:hi]) // lengths checked above
+		lease, err := l.store.PushPullLease(l.keys[c], out[lo:hi], Add, minVersion)
 		if err != nil {
 			return 0, err
 		}
-		copy(base[lo:hi], lease.Value) // the store refused a length mismatch
+		copy(out[lo:hi], lease.Value) // the store refused a length mismatch
 		if c == first || lease.Version < version {
 			version = lease.Version
 		}
@@ -178,9 +179,9 @@ func (c *ClientConfig) window() int {
 // Client speaks the PS wire protocol toward a set of server ranks: push,
 // pull and push-pull decompose into per-chunk request frames pipelined
 // through the reserved PS stream, so a server can answer early chunks
-// while later ones are still being pushed. Requests go out from pooled
-// buffers (writev on TCP sends), and pulled chunks land in the caller's
-// vector (transport.RecvInto).
+// while later ones are still being pushed. Requests go out as views of the
+// caller's vectors (writev on TCP sends), and pulled chunks land in the
+// caller's vector (transport.RecvInto).
 //
 // A Client belongs to one goroutine — a group member's communication
 // thread — like every other SPMD communication handle in the repository.
@@ -255,13 +256,13 @@ func (c *Client) PushPullInto(out, value tensor.Vector, mode UpdateMode, minVers
 }
 
 // PushPullDeltaChunks implements GlobalStore with no scratch of its own: each
-// chunk's latest − base is formed in the pooled buffer it is sent from, and
-// the chunk's ack lands in base once the chunk is on its way.
-func (c *Client) PushPullDeltaChunks(first, last int, base, latest tensor.Vector, minVersion int64) (int64, error) {
-	if err := checkChunkRange(c.offsets, first, last, base, latest); err != nil {
+// chunk's latest − base is formed in out and sent from there, and the chunk's
+// ack lands in the same place once the chunk is on its way.
+func (c *Client) PushPullDeltaChunks(first, last int, out, base, latest tensor.Vector, minVersion int64) (int64, error) {
+	if err := checkChunkRange(c.offsets, first, last, out, base, latest); err != nil {
 		return 0, err
 	}
-	return c.exchange(transport.MsgPSPushPull, first, last, latest, base, Add, minVersion, base)
+	return c.exchange(transport.MsgPSPushPull, first, last, latest, base, Add, minVersion, out)
 }
 
 // Push applies value to the global model without pulling it back.
@@ -295,8 +296,10 @@ func (c *Client) PullInto(out tensor.Vector) (int64, error) {
 // requests stay in flight, and acks are consumed in send order (each server
 // answers its requests FIFO, and chunks visit servers round-robin, so the
 // next expected ack is always at the head of its server's stream). With base
-// set the pushed value is body − base. A chunk's ack is received only after
-// the chunk's request is sent, so out may be base.
+// set the pushed value is body − base, formed in out's chunk. A chunk's ack is
+// received only after the chunk's request is sent, and a Send leaves its
+// payload to the caller when it returns, so the ack may land where the
+// request went out from: out may be body or base.
 func (c *Client) exchange(typ transport.MsgType, first, last int, body, base tensor.Vector, mode UpdateMode, minVersion int64, out tensor.Vector) (int64, error) {
 	if first == last {
 		return 0, nil
@@ -307,7 +310,7 @@ func (c *Client) exchange(typ transport.MsgType, first, last int, body, base ten
 	var sendErr error
 	for recvd < last {
 		for sendErr == nil && sent < last && sent-recvd < window {
-			if sendErr = c.sendReq(typ, first, sent, mode, minVersion, body, base); sendErr == nil {
+			if sendErr = c.sendReq(typ, first, sent, mode, minVersion, body, base, out); sendErr == nil {
 				sent++
 			}
 		}
@@ -332,9 +335,9 @@ func (c *Client) exchange(typ transport.MsgType, first, last int, body, base ten
 }
 
 // sendReq ships one chunk request of an exchange starting at chunk first.
-// Push payloads are formed in a pooled buffer handed to the transport
-// zero-copy — the chunk of body, or of body − base.
-func (c *Client) sendReq(typ transport.MsgType, first, chunk int, mode UpdateMode, minVersion int64, body, base tensor.Vector) error {
+// The payload is a view of the caller's span: the chunk of body, or of
+// body − base formed in out.
+func (c *Client) sendReq(typ transport.MsgType, first, chunk int, mode UpdateMode, minVersion int64, body, base, out tensor.Vector) error {
 	msg := transport.Message{
 		Type: typ, Stream: PSStream, Iter: minVersion,
 		Chunk: psTag(mode, chunk),
@@ -342,16 +345,13 @@ func (c *Client) sendReq(typ transport.MsgType, first, chunk int, mode UpdateMod
 	if typ == transport.MsgPSPull {
 		return c.view.Send(c.serverOf(chunk), msg)
 	}
-	lo, hi := c.offsets[chunk], c.offsets[chunk+1]
-	rlo, rhi := lo-c.offsets[first], hi-c.offsets[first]
-	buf := transport.GetPayload(hi - lo)
+	lo, hi := c.offsets[chunk]-c.offsets[first], c.offsets[chunk+1]-c.offsets[first]
+	msg.Payload = body[lo:hi]
 	if base != nil {
-		_ = tensor.DiffInto(buf, body[rlo:rhi], base[rlo:rhi]) // lengths checked by the caller
-	} else {
-		copy(buf, body[rlo:rhi])
+		msg.Payload = out[lo:hi]
+		_ = tensor.DiffInto(msg.Payload, body[lo:hi], base[lo:hi]) // lengths checked by the caller
 	}
-	msg.Payload = buf
-	return transport.SendOwned(c.view, c.serverOf(chunk), msg)
+	return c.view.Send(c.serverOf(chunk), msg)
 }
 
 // recvAck consumes the ack for chunk of an exchange starting at chunk first.

@@ -264,7 +264,7 @@ func fuzzChunkRuns(t *testing.T, ops []byte) {
 		}
 		for i, run := range [][2]int{{0, split}, {split, fuzzChunks}} {
 			lo, hi := offsets[run[0]], offsets[run[1]]
-			if _, err := members[i].PushPullDeltaChunks(run[0], run[1], base[lo:hi], latest[lo:hi], 0); err != nil {
+			if _, err := members[i].PushPullDeltaChunks(run[0], run[1], base[lo:hi], base[lo:hi], latest[lo:hi], 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -62,11 +62,11 @@ func TestServerAndLoopbackShareStore(t *testing.T) {
 		for i, run := range runs {
 			side := []GlobalStore{cli, shared}[(round+i)%2]
 			lo, hi := offsets[run[0]], offsets[run[1]]
-			ver, err := side.PushPullDeltaChunks(run[0], run[1], base[lo:hi], latest[lo:hi], int64(round+1))
+			ver, err := side.PushPullDeltaChunks(run[0], run[1], base[lo:hi], base[lo:hi], latest[lo:hi], int64(round+1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			refVer, err := ref.PushPullDeltaChunks(run[0], run[1], refBase[lo:hi], latest[lo:hi], 0)
+			refVer, err := ref.PushPullDeltaChunks(run[0], run[1], refBase[lo:hi], refBase[lo:hi], latest[lo:hi], 0)
 			if err != nil {
 				t.Fatal(err)
 			}

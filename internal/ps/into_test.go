@@ -79,76 +79,96 @@ func TestPushPullIntoMatchesPushPull(t *testing.T) {
 }
 
 // TestPushPullDeltaChunksMatchesPushPullInto: a member's exchange, latest −
-// base formed chunk by chunk over a run of chunks and the result landed back
-// in base, leaves the bits and the version of forming the delta whole and
-// calling PushPullInto, on both stores, when runs that partition the chunks
-// (one of them empty) exchange in turn; latest is not written, and a
-// mis-sized base or a range outside the table is refused.
+// base formed chunk by chunk in out over a run of chunks and the result landed
+// over it, leaves in out the bits and the version of forming the delta whole
+// and calling PushPullInto, on both stores, when runs that partition the
+// chunks (one of them empty) exchange in turn; whether out is latest, base or
+// a span of its own, and nothing but out is written. A mis-sized out, base or
+// latest and a range outside the table are refused.
 func TestPushPullDeltaChunksMatchesPushPullInto(t *testing.T) {
 	const dim = 4099
-	pairs := map[string][2]GlobalStore{}
-	for name, gs := range intoStores(t, seq(dim)) {
-		pairs[name] = [2]GlobalStore{gs}
-	}
-	for name, gs := range intoStores(t, seq(dim)) {
-		p := pairs[name]
-		p[1] = gs
-		pairs[name] = p
-	}
-	for name, p := range pairs {
-		offsets, err := p[1].ChunkOffsets()
-		if err != nil {
-			t.Fatal(err)
+	for _, into := range []string{"latest", "base", "separate"} {
+		pairs := map[string][2]GlobalStore{}
+		for name, gs := range intoStores(t, seq(dim)) {
+			pairs[name] = [2]GlobalStore{gs}
 		}
-		chunks := len(offsets) - 1
-		if chunks != DefaultChunks || offsets[chunks] != dim {
-			t.Fatalf("%s: chunk table %v", name, offsets)
+		for name, gs := range intoStores(t, seq(dim)) {
+			p := pairs[name]
+			p[1] = gs
+			pairs[name] = p
 		}
-		runs := [][2]int{{0, 3}, {3, 3}, {3, chunks}}
-		base := seq(dim)
-		want := base.Clone()
-		for round := 0; round < 3; round++ {
-			latest := base.Clone()
-			for i := range latest {
-				latest[i] += math.Sin(float64(i+round)) * 0.01
-			}
-			delta := tensor.New(dim)
-			if err := tensor.DiffInto(delta, latest, want); err != nil {
+		for name, p := range pairs {
+			name := name + "/out=" + into
+			offsets, err := p[1].ChunkOffsets()
+			if err != nil {
 				t.Fatal(err)
 			}
-			wantVer, err := p[0].PushPullInto(want, delta, Add, 0)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+			chunks := len(offsets) - 1
+			if chunks != DefaultChunks || offsets[chunks] != dim {
+				t.Fatalf("%s: chunk table %v", name, offsets)
 			}
-			before := latest.Clone()
-			for _, run := range runs {
-				lo, hi := offsets[run[0]], offsets[run[1]]
-				ver, err := p[1].PushPullDeltaChunks(run[0], run[1], base[lo:hi], latest[lo:hi], 0)
+			runs := [][2]int{{0, 3}, {3, 3}, {3, chunks}}
+			base := seq(dim)
+			want := base.Clone()
+			for round := 0; round < 3; round++ {
+				latest := base.Clone()
+				for i := range latest {
+					latest[i] += math.Sin(float64(i+round)) * 0.01
+				}
+				delta := tensor.New(dim)
+				if err := tensor.DiffInto(delta, latest, want); err != nil {
+					t.Fatal(err)
+				}
+				wantVer, err := p[0].PushPullInto(want, delta, Add, 0)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if run[0] == run[1] {
-					if ver != 0 {
-						t.Errorf("%s round %d: empty run at version %d", name, round, ver)
+				out := tensor.New(dim)
+				out.Fill(math.NaN())
+				switch into {
+				case "latest":
+					out = latest
+				case "base":
+					out = base
+				}
+				baseBefore, latestBefore := base.Clone(), latest.Clone()
+				for _, run := range runs {
+					lo, hi := offsets[run[0]], offsets[run[1]]
+					ver, err := p[1].PushPullDeltaChunks(run[0], run[1], out[lo:hi], base[lo:hi], latest[lo:hi], 0)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-				} else if ver != wantVer {
-					t.Errorf("%s round %d chunks %v: version %d, want %d", name, round, run, ver, wantVer)
+					if run[0] == run[1] {
+						if ver != 0 {
+							t.Errorf("%s round %d: empty run at version %d", name, round, ver)
+						}
+					} else if ver != wantVer {
+						t.Errorf("%s round %d chunks %v: version %d, want %d", name, round, run, ver, wantVer)
+					}
+				}
+				for i := range want {
+					if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s round %d: out[%d] = %v, want %v", name, round, i, out[i], want[i])
+					}
+					if into != "base" && math.Float64bits(base[i]) != math.Float64bits(baseBefore[i]) {
+						t.Fatalf("%s round %d: base[%d] written", name, round, i)
+					}
+					if into != "latest" && math.Float64bits(latest[i]) != math.Float64bits(latestBefore[i]) {
+						t.Fatalf("%s round %d: latest[%d] written", name, round, i)
+					}
+				}
+				base = out
+			}
+			span := base[:offsets[1]]
+			short := tensor.New(offsets[1] - 1)
+			for i, args := range [][3]tensor.Vector{{short, span, span}, {span, short, span}, {span, span, short}} {
+				if _, err := p[1].PushPullDeltaChunks(0, 1, args[0], args[1], args[2], 0); !errors.Is(err, tensor.ErrShapeMismatch) {
+					t.Errorf("%s: short %s: %v", name, []string{"out", "base", "latest"}[i], err)
 				}
 			}
-			for i := range want {
-				if math.Float64bits(base[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s round %d: base[%d] = %v, want %v", name, round, i, base[i], want[i])
-				}
-				if math.Float64bits(latest[i]) != math.Float64bits(before[i]) {
-					t.Fatalf("%s round %d: latest[%d] written", name, round, i)
-				}
+			if _, err := p[1].PushPullDeltaChunks(chunks, chunks+1, nil, nil, nil, 0); err == nil {
+				t.Errorf("%s: a range past the table was accepted", name)
 			}
-		}
-		if _, err := p[1].PushPullDeltaChunks(0, 1, tensor.New(offsets[1]-1), base[:offsets[1]], 0); !errors.Is(err, tensor.ErrShapeMismatch) {
-			t.Errorf("%s: short base: %v", name, err)
-		}
-		if _, err := p[1].PushPullDeltaChunks(chunks, chunks+1, nil, nil, 0); err == nil {
-			t.Errorf("%s: a range past the table was accepted", name)
 		}
 	}
 }
@@ -181,7 +201,7 @@ func TestClientPullInto(t *testing.T) {
 // less than dim bytes — an eighth of the model-sized vector PushPull
 // returns — on the loopback and, client and server sides together, over TCP;
 // so does the chunk exchange of a member's delta, whose chunks are formed in
-// pooled buffers on both.
+// the caller's out and sent from there.
 func TestPushPullIntoAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -197,7 +217,7 @@ func TestPushPullIntoAllocs(t *testing.T) {
 				if form == "into" {
 					_, err = gs.PushPullInto(out, delta, Add, 0)
 				} else {
-					_, err = gs.PushPullDeltaChunks(0, DefaultChunks, out, delta, 0)
+					_, err = gs.PushPullDeltaChunks(0, DefaultChunks, out, out, delta, 0)
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

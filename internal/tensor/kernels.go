@@ -56,21 +56,6 @@ func addVecGo(a, b []float64) {
 	}
 }
 
-// subVec computes a[i] -= b[i].
-func subVec(a, b []float64) {
-	b = b[:len(a)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		a[i] -= b[i]
-		a[i+1] -= b[i+1]
-		a[i+2] -= b[i+2]
-		a[i+3] -= b[i+3]
-	}
-	for ; i < len(a); i++ {
-		a[i] -= b[i]
-	}
-}
-
 // scaleVec computes a[i] *= c.
 func scaleVec(a []float64, c float64) {
 	if useAVX2 && len(a) >= vecMin {
@@ -121,8 +106,8 @@ func sumToGo(dst, a, b []float64) {
 	}
 }
 
-// diffTo computes dst[i] = a[i] - b[i] in one pass — the out-of-place fused
-// form of subVec, bit-identical to clone-then-subtract.
+// diffTo computes dst[i] = a[i] - b[i] in one pass, bit-identical to
+// clone-then-subtract; dst may be a (Vector.Sub).
 func diffTo(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	if useAVX2 && len(dst) >= vecMin {

@@ -37,7 +37,9 @@ func TestKernelsMatchScalar(t *testing.T) {
 		add := a.Clone()
 		addVec(add, b)
 		sub := a.Clone()
-		subVec(sub, b)
+		if err := sub.Sub(b); err != nil {
+			t.Fatal(err)
+		}
 		scale := a.Clone()
 		scaleVec(scale, c)
 		axpy := a.Clone()
@@ -64,7 +66,7 @@ func TestKernelsMatchScalar(t *testing.T) {
 				t.Fatalf("addVec n=%d i=%d: got %v, want %v", n, i, got, want)
 			}
 			if got, want := sub[i], a[i]-b[i]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("subVec n=%d i=%d: got %v, want %v", n, i, got, want)
+				t.Fatalf("Vector.Sub n=%d i=%d: got %v, want %v", n, i, got, want)
 			}
 			if got, want := diff[i], a[i]-b[i]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("DiffInto n=%d i=%d: got %v, want %v", n, i, got, want)

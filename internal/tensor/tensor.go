@@ -77,7 +77,7 @@ func (v Vector) Sub(other Vector) error {
 	if len(v) != len(other) {
 		return fmt.Errorf("%w: dst %d, src %d", ErrShapeMismatch, len(v), len(other))
 	}
-	subVec(v, other)
+	diffTo(v, v, other)
 	return nil
 }
 
