@@ -126,27 +126,33 @@ rss-ratio:
 	$(call ratio-of-medians,dense_rna,dense_bsp,peak_rss_mb,$(RSS_SECONDS),1.3)
 	$(call ratio-of-medians,hier_ps,dense_rna,peak_rss_mb,$(RSS_SECONDS),1.25)
 
-# fuzz-smoke runs each wire-protocol fuzz target for a short budget — enough
-# to cover the seeded v1 corpus (header truncations, forged fields, frames of
-# the f32/f16/i8 dtypes earlier builds shipped, hello garbage and hellos
-# whose reserved bytes carry the capability masks earlier builds sent,
-# parameter-server push/pull/ack frames with packed mode<<24|chunk tags) plus
-# a burst of mutations, quick enough for CI. FuzzReadHello holds the hello
-# parser to one rule: accepted exactly when the magic is right, the reserved
-# bytes never read. The kernel target holds the AVX2
-# bodies to the bits of the Go loops over random lengths, misalignments and
-# values; the controller target holds the trigger rule
-# (probed tag, bounded-delay floor, drain) over random interleavings of
-# Ready, Await, Probes and Forget under every policy. FuzzRecvInto holds a
-# frame landed off the socket (copy or add, with or without a tail) to the
-# bits of the pooled decode it replaces; its minimization budget is short
-# because its corpus holds multi-KB frames, whose minimization would eat the
-# whole smoke budget. FuzzServerRequests sends the parameter server request
-# sequences from two client ranks (chunk indices in and past the table, forged
-# tags, modes, dtypes and payload lengths, version horizons that never wait):
-# each request is acked with the right length, version and values or ends the
+# fuzz-smoke runs every fuzz target for a short budget — enough to cover the
+# seeded corpora plus a burst of mutations, quick enough for CI. The wire
+# targets cover the v1 frame decoder: header truncations, forged fields,
+# frames of the f32/f16/i8 dtypes and the sparse frames earlier builds
+# shipped (each refused with a typed error), parameter-server push-pull
+# requests and acks with packed mode<<24|chunk tags, the retired push-only
+# and pull-only types 5 and 6, hello garbage and hellos whose reserved bytes
+# carry the capability masks earlier builds sent. FuzzReadHello holds the
+# hello parser to one rule: accepted exactly when the magic is right, the
+# reserved bytes never read. FuzzRecvInto holds a frame landed off the socket
+# (copy or add, with or without a tail) to the bits of the pooled decode it
+# replaces; its minimization budget is short because its corpus holds
+# multi-KB frames, whose minimization would eat the whole smoke budget.
+# FuzzServerRequests sends the parameter server request sequences from two
+# client ranks (chunk indices in and past the table, forged tags, types,
+# modes, dtypes and payload lengths, version horizons that never wait): each
+# request is acked with the right length, version and values or ends the
 # sender's service with ps.ErrBadRequest, and two clients exchanging
 # complementary chunk runs leave the model one whole-vector client leaves.
+# The kernel target holds the AVX2 bodies to the bits of the Go loops over
+# random lengths, misalignments and values; the controller target holds the
+# trigger rule (probed tag, bounded-delay floor, drain) over random
+# interleavings of Ready, Await, Probes and Forget under every policy.
+# FuzzReadCheckpoint feeds the checkpoint decoder (a file read from outside
+# the program) arbitrary bytes: no panic, bounded allocation, and every
+# accepted decode round-trips. FuzzShardOffsets holds the shard table to its
+# span invariants over random (total, n) pairs.
 fuzz-smoke:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 20s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzRecvInto -fuzztime 15s -fuzzminimizetime 2s
@@ -154,6 +160,8 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzKernelsMatchGeneric -fuzztime 10s
 	$(GO) test ./internal/controller/ -run '^$$' -fuzz FuzzControllerTrigger -fuzztime 10s
 	$(GO) test ./internal/ps/ -run '^$$' -fuzz FuzzServerRequests -fuzztime 10s
+	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s
+	$(GO) test ./internal/collective/ -run '^$$' -fuzz FuzzShardOffsets -fuzztime 10s
 
 # microbench runs the collective, kernel, model and engine micro-benchmarks
 # interactively.

@@ -70,9 +70,8 @@ func land(m transport.Mesh, from int, op string, l transport.Landing) (float64, 
 	if !errors.Is(err, transport.ErrUnexpectedFrame) {
 		return 0, fmt.Errorf("%s recv: %w", op, err)
 	}
-	got, sparse := len(msg.Payload), msg.Indices != nil
+	got := len(msg.Payload)
 	transport.PutPayload(msg.Payload)
-	transport.PutIndices(msg.Indices)
 	if err := checkMsg(op, msg, l.Type, l.Iter, l.Chunk); err != nil {
 		return 0, err
 	}
@@ -80,5 +79,5 @@ func land(m transport.Mesh, from int, op string, l transport.Landing) (float64, 
 	if l.HasTail {
 		want++
 	}
-	return 0, fmt.Errorf("%w: %s frame of %d elems (sparse: %t), want %d dense", ErrProtocol, op, got, sparse, want)
+	return 0, fmt.Errorf("%w: %s frame of %d elems, want %d", ErrProtocol, op, got, want)
 }

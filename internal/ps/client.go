@@ -176,12 +176,12 @@ func (c *ClientConfig) window() int {
 	return c.Window
 }
 
-// Client speaks the PS wire protocol toward a set of server ranks: push,
-// pull and push-pull decompose into per-chunk request frames pipelined
-// through the reserved PS stream, so a server can answer early chunks
-// while later ones are still being pushed. Requests go out as views of the
-// caller's vectors (writev on TCP sends), and pulled chunks land in the
-// caller's vector (transport.RecvInto).
+// Client speaks the PS wire protocol toward a set of server ranks: a
+// push-pull decomposes into per-chunk request frames pipelined through the
+// reserved PS stream, so a server can answer early chunks while later ones
+// are still being pushed. Requests go out as views of the caller's vectors
+// (writev on TCP sends), and pulled chunks land in the caller's vector
+// (transport.RecvInto).
 //
 // A Client belongs to one goroutine — a group member's communication
 // thread — like every other SPMD communication handle in the repository.
@@ -252,7 +252,7 @@ func (c *Client) PushPullInto(out, value tensor.Vector, mode UpdateMode, minVers
 	if err := checkChunkRange(c.offsets, 0, c.chunks, out, value); err != nil {
 		return 0, err
 	}
-	return c.exchange(transport.MsgPSPushPull, 0, c.chunks, value, nil, mode, minVersion, out)
+	return c.exchange(0, c.chunks, value, nil, mode, minVersion, out)
 }
 
 // PushPullDeltaChunks implements GlobalStore with no scratch of its own: each
@@ -262,33 +262,7 @@ func (c *Client) PushPullDeltaChunks(first, last int, out, base, latest tensor.V
 	if err := checkChunkRange(c.offsets, first, last, out, base, latest); err != nil {
 		return 0, err
 	}
-	return c.exchange(transport.MsgPSPushPull, first, last, latest, base, Add, minVersion, out)
-}
-
-// Push applies value to the global model without pulling it back.
-func (c *Client) Push(value tensor.Vector, mode UpdateMode) (int64, error) {
-	if err := checkChunkRange(c.offsets, 0, c.chunks, value); err != nil {
-		return 0, err
-	}
-	return c.exchange(transport.MsgPSPush, 0, c.chunks, value, nil, mode, 0, nil)
-}
-
-// Pull returns the current global model and its version.
-func (c *Client) Pull() (tensor.Vector, int64, error) {
-	out := tensor.New(c.cfg.Dim)
-	ver, err := c.PullInto(out)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, ver, nil
-}
-
-// PullInto is Pull scattering the current global model into out.
-func (c *Client) PullInto(out tensor.Vector) (int64, error) {
-	if err := checkChunkRange(c.offsets, 0, c.chunks, out); err != nil {
-		return 0, err
-	}
-	return c.exchange(transport.MsgPSPull, 0, c.chunks, nil, nil, 0, 0, out)
+	return c.exchange(first, last, latest, base, Add, minVersion, out)
 }
 
 // exchange runs one chunked, windowed operation over chunks [first, last),
@@ -300,7 +274,7 @@ func (c *Client) PullInto(out tensor.Vector) (int64, error) {
 // received only after the chunk's request is sent, and a Send leaves its
 // payload to the caller when it returns, so the ack may land where the
 // request went out from: out may be body or base.
-func (c *Client) exchange(typ transport.MsgType, first, last int, body, base tensor.Vector, mode UpdateMode, minVersion int64, out tensor.Vector) (int64, error) {
+func (c *Client) exchange(first, last int, body, base tensor.Vector, mode UpdateMode, minVersion int64, out tensor.Vector) (int64, error) {
 	if first == last {
 		return 0, nil
 	}
@@ -310,14 +284,14 @@ func (c *Client) exchange(typ transport.MsgType, first, last int, body, base ten
 	var sendErr error
 	for recvd < last {
 		for sendErr == nil && sent < last && sent-recvd < window {
-			if sendErr = c.sendReq(typ, first, sent, mode, minVersion, body, base, out); sendErr == nil {
+			if sendErr = c.sendReq(first, sent, mode, minVersion, body, base, out); sendErr == nil {
 				sent++
 			}
 		}
 		if recvd == sent {
 			return 0, sendErr
 		}
-		ver, err := c.recvAck(typ, first, recvd, mode, out)
+		ver, err := c.recvAck(first, recvd, mode, out)
 		if err != nil {
 			// The response stream is out of step; outstanding acks are
 			// unrecoverable.
@@ -337,13 +311,10 @@ func (c *Client) exchange(typ transport.MsgType, first, last int, body, base ten
 // sendReq ships one chunk request of an exchange starting at chunk first.
 // The payload is a view of the caller's span: the chunk of body, or of
 // body − base formed in out.
-func (c *Client) sendReq(typ transport.MsgType, first, chunk int, mode UpdateMode, minVersion int64, body, base, out tensor.Vector) error {
+func (c *Client) sendReq(first, chunk int, mode UpdateMode, minVersion int64, body, base, out tensor.Vector) error {
 	msg := transport.Message{
-		Type: typ, Stream: PSStream, Iter: minVersion,
+		Type: transport.MsgPSPushPull, Stream: PSStream, Iter: minVersion,
 		Chunk: psTag(mode, chunk),
-	}
-	if typ == transport.MsgPSPull {
-		return c.view.Send(c.serverOf(chunk), msg)
 	}
 	lo, hi := c.offsets[chunk]-c.offsets[first], c.offsets[chunk+1]-c.offsets[first]
 	msg.Payload = body[lo:hi]
@@ -355,27 +326,12 @@ func (c *Client) sendReq(typ transport.MsgType, first, chunk int, mode UpdateMod
 }
 
 // recvAck consumes the ack for chunk of an exchange starting at chunk first.
-// Pulled values land in out through transport.RecvInto, whatever version the
-// ack carries; a frame that is not the expected ack comes back whole and is
-// reported.
-func (c *Client) recvAck(typ transport.MsgType, first, chunk int, mode UpdateMode, out tensor.Vector) (int64, error) {
-	from := c.serverOf(chunk)
-	if typ == transport.MsgPSPush {
-		msg, err := c.view.Recv(from)
-		if err != nil {
-			return 0, err
-		}
-		defer transport.PutPayload(msg.Payload)
-		if err := c.checkAck(&msg, chunk); err != nil {
-			return 0, err
-		}
-		if len(msg.Payload) != 0 {
-			return 0, fmt.Errorf("ps: push ack carries %d elems", len(msg.Payload))
-		}
-		return msg.Iter, nil
-	}
+// The chunk's values land in out through transport.RecvInto, whatever version
+// the ack carries; a frame that is not the expected ack comes back whole and
+// is reported.
+func (c *Client) recvAck(first, chunk int, mode UpdateMode, out tensor.Vector) (int64, error) {
 	lo, hi := c.offsets[chunk]-c.offsets[first], c.offsets[chunk+1]-c.offsets[first]
-	msg, err := transport.RecvInto(c.view, from, transport.Landing{
+	msg, err := transport.RecvInto(c.view, c.serverOf(chunk), transport.Landing{
 		Type: transport.MsgPSAck, AnyIter: true, Chunk: psTag(mode, chunk), Dst: out[lo:hi],
 	})
 	if err == nil {
@@ -387,9 +343,6 @@ func (c *Client) recvAck(typ transport.MsgType, first, chunk int, mode UpdateMod
 	defer transport.PutPayload(msg.Payload)
 	if err := c.checkAck(&msg, chunk); err != nil {
 		return 0, err
-	}
-	if msg.Iter == 0 && len(msg.Payload) == 0 {
-		return 0, fmt.Errorf("pull %q chunk %d: %w", c.cfg.Key, chunk, ErrUnknownKey)
 	}
 	return 0, fmt.Errorf("ps: ack chunk %d carries %d elems, want %d", chunk, len(msg.Payload), hi-lo)
 }

@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -31,6 +30,24 @@ func startServers(t *testing.T, meshes []transport.Mesh, servers []int, cfg Serv
 	}
 }
 
+// storedModel reads the model store holds under key's chunks, the layout a
+// Server lays out: the chunks' values in order and the least of their
+// versions.
+func storedModel(t *testing.T, store *Store, key string, chunks int) (tensor.Vector, int64) {
+	t.Helper()
+	var model tensor.Vector
+	version := int64(math.MaxInt64)
+	for _, k := range chunkKeys(key, chunks) {
+		v, ver, err := store.Pull(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model = append(model, v...)
+		version = min(version, ver)
+	}
+	return model, version
+}
+
 func seq(dim int) tensor.Vector {
 	v := tensor.New(dim)
 	for i := range v {
@@ -47,23 +64,23 @@ func TestClientServerInMemory(t *testing.T) {
 	}
 	eps := net.Endpoints()
 	init := seq(dim)
-	wait := startServers(t, eps, []int{1}, ServerConfig{Key: "m", Dim: dim, Init: init})
+	srv, err := NewServer(eps[1], ServerConfig{Key: "m", Dim: dim, Init: init})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cli, err := NewClient(eps[0], ClientConfig{Servers: []int{1}, Key: "m", Dim: dim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pull returns the seeded model at version 1.
-	got, ver, err := cli.Pull()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The server holds the seeded model at version 1.
+	got, ver := storedModel(t, srv.Store(), "m", DefaultChunks)
 	if ver != 1 {
-		t.Errorf("pulled version = %d, want 1", ver)
+		t.Errorf("stored version = %d, want 1", ver)
 	}
 	for i := range got {
 		if got[i] != init[i] {
-			t.Fatalf("pulled[%d] = %v, want %v", i, got[i], init[i])
+			t.Fatalf("stored[%d] = %v, want %v", i, got[i], init[i])
 		}
 	}
 	// PushPull(Add) returns init+delta at version 2, bit-identical to the
@@ -86,19 +103,24 @@ func TestClientServerInMemory(t *testing.T) {
 			t.Fatalf("push-pull[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	// Push(Overwrite) then Pull round-trips.
-	if _, err := cli.Push(init, Overwrite); err != nil {
-		t.Fatal(err)
-	}
-	got, ver, err = cli.Pull()
+	// PushPull(Overwrite) returns and leaves the pushed model at version 3.
+	got, ver, err = cli.PushPull(init, Overwrite, 0)
 	if err != nil || ver != 3 {
-		t.Fatalf("pull after push: ver %d, %v", ver, err)
+		t.Fatalf("push-pull overwrite: ver %d, %v", ver, err)
 	}
-	if got[7] != init[7] {
-		t.Errorf("overwritten model diverged: %v vs %v", got[7], init[7])
+	stored, storedVer := storedModel(t, srv.Store(), "m", DefaultChunks)
+	if storedVer != 3 {
+		t.Errorf("stored version after overwrite = %d, want 3", storedVer)
+	}
+	for i := range init {
+		if got[i] != init[i] || stored[i] != init[i] {
+			t.Fatalf("overwritten model [%d]: returned %v, stored %v, want %v", i, got[i], stored[i], init[i])
+		}
 	}
 	_ = net.Close()
-	wait()
+	if err := srv.Wait(); err != nil {
+		t.Errorf("server: %v", err)
+	}
 }
 
 func TestClientServerTCPMultiServer(t *testing.T) {
@@ -136,24 +158,6 @@ func TestClientServerTCPMultiServer(t *testing.T) {
 	for _, m := range meshes {
 		_ = m.Close()
 	}
-	wait()
-}
-
-func TestClientPullUnknownKey(t *testing.T) {
-	net, err := transport.NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := net.Endpoints()
-	wait := startServers(t, eps, []int{1}, ServerConfig{Key: "m", Dim: 16}) // no Init
-	cli, err := NewClient(eps[0], ClientConfig{Servers: []int{1}, Key: "m", Dim: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cli.Pull(); !errors.Is(err, ErrUnknownKey) {
-		t.Errorf("pull of unseeded key = %v, want ErrUnknownKey", err)
-	}
-	_ = net.Close()
 	wait()
 }
 

@@ -18,12 +18,13 @@ const (
 )
 
 // FuzzServerRequests drives a Server with request sequences from two client
-// ranks, four bytes per request: sender, frame type and dtype (f64, or one
-// of the narrower encodings earlier builds shipped); chunk (or a forged
-// negative tag); update mode and whether to name the current version as the
-// horizon; payload length (right, or off by a little). The horizon is never
-// above the chunk's version, so nothing waits. Every request the protocol
-// admits must be acked with the chunk's tag, its new (or current) version and
+// ranks, four bytes per request: sender, frame type (a push-pull request, an
+// ack, or the push-only and pull-only types 5 and 6 earlier builds sent) and
+// dtype (f64, or one of the narrower encodings earlier builds shipped); chunk
+// (or a forged negative tag); update mode and whether to name the current
+// version as the horizon; payload length (right, or off by a little). The
+// horizon is never above the chunk's version, so nothing waits. Every request
+// the protocol admits must be acked with the chunk's tag, its new version and
 // its values — checked against a model the harness keeps with the store's own
 // kernels — and every other one must end the sender's service with
 // ErrBadRequest while the other rank is still served. Then the same bytes pick
@@ -31,11 +32,12 @@ const (
 // must leave the bits one whole-vector client leaves.
 func FuzzServerRequests(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{4, 1, 2, 0, 5, 2, 1, 0, 2, 0, 0, 0})    // push-pull Add, push-pull from rank 2, push
-	f.Add([]byte{2, 3, 0, 0, 4, 0, 17, 0, 7, 9, 0, 0})   // pull, push-pull Overwrite at the horizon, forged frame
-	f.Add([]byte{4, 4, 2, 0, 5, 1, 3, 0, 4, 0, 2, 1})    // chunk past the table, then a short payload
-	f.Add([]byte{0, 0x90, 1, 0, 1, 2, 4, 0, 4, 1, 0, 0}) // negative tag, mode 4, push without a mode
-	f.Add([]byte{0x1a, 1, 0, 0, 3, 1, 0, 0})             // a pull asking for an f16 ack, a pull from rank 2
+	f.Add([]byte{4, 1, 2, 0, 5, 2, 1, 0, 2, 0, 0, 0})    // push-pull Add, push-pull Overwrite from rank 2, a type-6 pull
+	f.Add([]byte{2, 3, 0, 0, 4, 0, 17, 0, 7, 9, 0, 0})   // a type-6 pull, push-pull Add at the horizon, an ack from rank 2
+	f.Add([]byte{4, 4, 2, 0, 5, 1, 3, 0, 4, 0, 2, 1})    // chunk past the table, push-pull Average from rank 2
+	f.Add([]byte{0, 0x90, 1, 0, 1, 2, 4, 0, 4, 1, 0, 0}) // type-5 pushes with a negative tag and with mode 4
+	f.Add([]byte{0x1a, 1, 0, 0, 3, 1, 0, 0})             // a type-6 pull asking for an f16 ack, one from rank 2
+	f.Add([]byte{4, 2, 0, 0, 5, 1, 4, 0})                // push-pulls without a mode, and with mode 4
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -84,14 +86,14 @@ func fuzzRequests(t *testing.T, ops []byte) {
 		if rejected[sender] {
 			continue
 		}
-		typ := []transport.MsgType{transport.MsgPSPush, transport.MsgPSPull, transport.MsgPSPushPull, transport.MsgPSAck}[(op[0]>>1)&3]
+		typ := []transport.MsgType{5, 6, transport.MsgPSPushPull, transport.MsgPSAck}[(op[0]>>1)&3]
 		chunk := int(op[1]&0x7f) % (fuzzChunks + 1) // fuzzChunks is past the table
-		mode := UpdateMode(op[2] % 5)               // 4 is no mode
+		mode := UpdateMode(op[2] % 5)               // 0 and 4 are no mode
 		tag := psTag(mode, chunk)
 		if op[1]&0x80 != 0 {
 			tag = -1 - int32(op[1]&0x7f)
 		}
-		valid := tag >= 0 && mode <= maxUpdateMode && chunk < fuzzChunks && typ != transport.MsgPSAck
+		valid := typ == transport.MsgPSPushPull && tag >= 0 && mode >= Overwrite && mode <= maxUpdateMode && chunk < fuzzChunks
 		var dtype tensor.Dtype
 		if op[0]&8 != 0 {
 			dtype = tensor.Dtype(1 + (op[0]>>4)%3) // f32, f16 or i8
@@ -102,18 +104,12 @@ func fuzzRequests(t *testing.T, ops []byte) {
 			span = offsets[chunk+1] - offsets[chunk]
 		}
 		length := span
-		if typ == transport.MsgPSPull {
-			length = 0
-		}
 		if skew := int(op[3] % 4); skew != 0 {
 			valid = false
 			length = max(0, length+skew-2)
-			if length == span || (typ == transport.MsgPSPull && length == 0) {
+			if length == span {
 				length++
 			}
-		}
-		if typ != transport.MsgPSPull && mode < Overwrite {
-			valid = false
 		}
 		var horizon int64
 		if op[2]&0x10 != 0 && chunk < fuzzChunks {
@@ -132,19 +128,14 @@ func fuzzRequests(t *testing.T, ops []byte) {
 			continue
 		}
 		lo, hi := offsets[chunk], offsets[chunk+1]
-		if typ != transport.MsgPSPull {
-			applyMode(model[lo:hi], payload, mode)
-			versions[chunk]++
-		}
+		applyMode(model[lo:hi], payload, mode)
+		versions[chunk]++
 		ack := recvAck(t, views[sender])
 		if ack.Type != transport.MsgPSAck || ack.Chunk != tag || ack.Iter != versions[chunk] {
 			t.Fatalf("request %d (%v chunk %d): ack type %d tag %d version %d, want tag %d version %d",
 				i/4, typ, chunk, ack.Type, ack.Chunk, ack.Iter, tag, versions[chunk])
 		}
 		want := model[lo:hi]
-		if typ == transport.MsgPSPush {
-			want = nil
-		}
 		if len(ack.Payload) != len(want) {
 			t.Fatalf("request %d: ack of %d elems, want %d", i/4, len(ack.Payload), len(want))
 		}
@@ -273,13 +264,10 @@ func fuzzChunkRuns(t *testing.T, ops []byte) {
 			t.Fatal(err)
 		}
 	}
-	pulled, _, err := members[0].Pull()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stored, _ := storedModel(t, waits[0].Store(), "m", fuzzChunks)
 	for i := range out {
-		if math.Float64bits(pulled[i]) != math.Float64bits(out[i]) || math.Float64bits(base[i]) != math.Float64bits(out[i]) {
-			t.Fatalf("split %d elem %d: chunk runs leave %v (pulled %v), one client %v", split, i, base[i], pulled[i], out[i])
+		if math.Float64bits(stored[i]) != math.Float64bits(out[i]) || math.Float64bits(base[i]) != math.Float64bits(out[i]) {
+			t.Fatalf("split %d elem %d: chunk runs leave %v (stored %v), one client %v", split, i, base[i], stored[i], out[i])
 		}
 	}
 }

@@ -173,30 +173,6 @@ func TestPushPullDeltaChunksMatchesPushPullInto(t *testing.T) {
 	}
 }
 
-// TestClientPullInto: PullInto fills the caller's buffer with what Pull
-// returns.
-func TestClientPullInto(t *testing.T) {
-	const dim = 300
-	cli := intoStores(t, seq(dim))["client"].(*Client)
-	want, v1, err := cli.Pull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tensor.New(dim)
-	v2, err := cli.PullInto(out)
-	if err != nil || v2 != v1 {
-		t.Fatalf("PullInto: version %d (Pull saw %d), %v", v2, v1, err)
-	}
-	for i := range want {
-		if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("out[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	if _, err := cli.PullInto(tensor.New(dim + 1)); !errors.Is(err, tensor.ErrShapeMismatch) {
-		t.Errorf("long output buffer: %v", err)
-	}
-}
-
 // TestPushPullIntoAllocs: an exchange into a persistent buffer allocates
 // less than dim bytes — an eighth of the model-sized vector PushPull
 // returns — on the loopback and, client and server sides together, over TCP;

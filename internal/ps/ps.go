@@ -9,9 +9,9 @@
 // key-value map whose entries publish immutable snapshots, so pulls are
 // wait-free reads that clone outside every lock while pushes serialize
 // only against other pushes on the same key. Server and Client put that
-// engine on the wire: chunked push/pull/push-pull frames of protocol v1
-// (see wire.go) over any transport.Mesh, with request pipelining. The in-process Store remains the loopback
-// fast path behind the same GlobalStore interface.
+// engine on the wire: chunked push-pull frames of protocol v1 (see wire.go)
+// over any transport.Mesh, with request pipelining. The in-process Store
+// remains the loopback fast path behind the same GlobalStore interface.
 package ps
 
 import (

@@ -54,10 +54,9 @@ func (c *ServerConfig) chunkCount() int {
 
 // Server serves the PS frame protocol for one rank of a mesh: one handler
 // goroutine per peer decodes chunk requests in arrival order, applies them
-// to the snapshot store, and acks — with the chunk's values for pull-class
-// requests, sent from the published snapshot itself at f64. Because each
-// chunk is its own store key, concurrent clients touching different chunks
-// never contend, and pulls read published snapshots without blocking pushes.
+// to the snapshot store, and acks with the chunk's values, sent from the
+// published snapshot itself at f64. Because each chunk is its own store key,
+// concurrent clients touching different chunks never contend.
 type Server struct {
 	view    transport.Mesh
 	store   *Store
@@ -177,70 +176,41 @@ func (s *Server) serve(peer int) {
 	}
 }
 
-// handle applies one request frame and acks it. The request payload (a
-// pooled buffer owned by this side since Recv) is released here.
+// handle applies one request frame and acks it with the chunk's published
+// values, straight from the snapshot with a plain Send, which is done with
+// the payload when it returns. The request payload (a pooled buffer owned by
+// this side since Recv) is released here.
 func (s *Server) handle(peer int, msg transport.Message) error {
+	snap, err := s.apply(msg)
+	transport.PutPayload(msg.Payload)
+	if err != nil {
+		return err
+	}
+	err = s.view.Send(peer, transport.Message{
+		Type: transport.MsgPSAck, Stream: PSStream, Iter: snap.version, Chunk: msg.Chunk, Payload: snap.value,
+	})
+	snap.release()
+	return err
+}
+
+// apply validates a request frame and applies it to its chunk, returning the
+// chunk's new snapshot.
+func (s *Server) apply(msg transport.Message) (*snapshot, error) {
+	if msg.Type != transport.MsgPSPushPull {
+		return nil, fmt.Errorf("%w: frame type %d", ErrBadRequest, msg.Type)
+	}
 	if msg.Dtype != tensor.F64 {
-		transport.PutPayload(msg.Payload)
-		return fmt.Errorf("%w: %v values", ErrBadRequest, msg.Dtype)
+		return nil, fmt.Errorf("%w: %v values", ErrBadRequest, msg.Dtype)
 	}
 	mode, chunk, err := splitTag(msg.Chunk)
 	if err != nil {
-		transport.PutPayload(msg.Payload)
-		return err
+		return nil, err
 	}
 	if chunk >= len(s.keys) {
-		transport.PutPayload(msg.Payload)
-		return fmt.Errorf("%w: chunk %d of %d", ErrBadRequest, chunk, len(s.keys))
+		return nil, fmt.Errorf("%w: chunk %d of %d", ErrBadRequest, chunk, len(s.keys))
 	}
-	span := s.offsets[chunk+1] - s.offsets[chunk]
-	if err := reqPayloadLen(msg.Type, len(msg.Payload), span); err != nil {
-		transport.PutPayload(msg.Payload)
-		return err
+	if span := s.offsets[chunk+1] - s.offsets[chunk]; len(msg.Payload) != span {
+		return nil, fmt.Errorf("%w: chunk %d payload %d elems, want %d", ErrBadRequest, chunk, len(msg.Payload), span)
 	}
-	switch msg.Type {
-	case transport.MsgPSPush, transport.MsgPSPushPull:
-		if mode < Overwrite {
-			transport.PutPayload(msg.Payload)
-			return fmt.Errorf("%w: push without update mode", ErrBadRequest)
-		}
-		snap, err := s.store.applySnap(s.keys[chunk], msg.Payload, mode, msg.Iter)
-		transport.PutPayload(msg.Payload)
-		if err != nil {
-			return err
-		}
-		if msg.Type == transport.MsgPSPush {
-			version := snap.version
-			snap.release()
-			return s.view.Send(peer, transport.Message{
-				Type: transport.MsgPSAck, Stream: PSStream, Iter: version, Chunk: msg.Chunk,
-			})
-		}
-		err = s.ackValues(peer, msg.Chunk, snap)
-		snap.release()
-		return err
-	case transport.MsgPSPull:
-		snap, ok := s.store.acquireSnap(s.keys[chunk])
-		if !ok {
-			// Version 0 with an empty payload signals the unknown key.
-			return s.view.Send(peer, transport.Message{
-				Type: transport.MsgPSAck, Stream: PSStream, Chunk: msg.Chunk,
-			})
-		}
-		err := s.ackValues(peer, msg.Chunk, snap)
-		snap.release()
-		return err
-	default:
-		transport.PutPayload(msg.Payload)
-		return fmt.Errorf("%w: frame type %d", ErrBadRequest, msg.Type)
-	}
-}
-
-// ackValues replies with a chunk's published values, straight from the
-// snapshot with a plain Send, which is done with the payload when it returns
-// (the caller releases the snapshot after).
-func (s *Server) ackValues(peer int, tag int32, snap *snapshot) error {
-	return s.view.Send(peer, transport.Message{
-		Type: transport.MsgPSAck, Stream: PSStream, Iter: snap.version, Chunk: tag, Payload: snap.value,
-	})
+	return s.store.applySnap(s.keys[chunk], msg.Payload, mode, msg.Iter)
 }

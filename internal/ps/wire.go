@@ -3,8 +3,6 @@ package ps
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/transport"
 )
 
 // PS wire protocol (protocol v1 frame family, on stream PSStream).
@@ -18,22 +16,24 @@ import (
 //
 // Frame field assignments (on top of the v1 header, message.go):
 //
-//	request  (MsgPSPush / MsgPSPull / MsgPSPushPull)
-//	    Iter    version horizon: the server delays a push-pull until the
+//	request  (MsgPSPushPull, type 7)
+//	    Iter    version horizon: the server delays the request until the
 //	            chunk's published version is ≥ Iter (0 = no wait). This is
 //	            what makes the deterministic OrderedPS hierarchy possible
 //	            over a network.
 //	    Chunk   psTag(mode, chunk): update mode in the high bits, chunk
-//	            index in the low 24 (pulls carry mode 0)
+//	            index in the low 24
 //	    Dtype   f64; a request naming another dtype ends the sender's
 //	            service with ErrBadRequest
-//	    Payload pushed values (empty for pulls)
+//	    Payload pushed values, the chunk's span
 //
-//	response (MsgPSAck)
-//	    Iter    the chunk's new (or current) version; 0 signals an unknown
-//	            key to a pull
+//	response (MsgPSAck, type 8)
+//	    Iter    the chunk's new version
 //	    Chunk   echo of the request tag
-//	    Payload chunk values for pull-class requests, empty for pushes
+//	    Payload the chunk's post-update values
+//
+// Types 5 and 6 once carried push-only and pull-only requests; a frame of
+// either, like any other type, ends the sender's service with ErrBadRequest.
 //
 // Responses carry the version in the iteration tag rather than as a
 // trailing payload element. Requests from one client are handled in FIFO order per
@@ -42,8 +42,8 @@ import (
 
 // ErrBadRequest is the error a Server stops serving a peer with when one of
 // its frames is not a well-formed request: a forged tag, a chunk outside the
-// table, a payload whose length does not match its type and chunk, a push
-// without an update mode, a dtype other than f64, or a frame of another type.
+// table, a payload whose length does not match its chunk, a tag without an
+// update mode, a dtype other than f64, or a frame of another type.
 // Server.Wait reports it wrapped.
 var ErrBadRequest = errors.New("ps: bad request")
 
@@ -65,14 +65,14 @@ func psTag(mode UpdateMode, chunk int) int32 {
 }
 
 // splitTag unpacks a chunk tag. The mode is validated against the known
-// update modes (0 allowed: pulls carry no mode); the chunk index is
-// validated by the caller against its offset table.
+// update modes; the chunk index is validated by the caller against its
+// offset table.
 func splitTag(tag int32) (UpdateMode, int, error) {
 	if tag < 0 {
 		return 0, 0, fmt.Errorf("%w: negative chunk tag %d", ErrBadRequest, tag)
 	}
 	mode := UpdateMode(tag >> chunkTagBits)
-	if mode > maxUpdateMode {
+	if mode < Overwrite || mode > maxUpdateMode {
 		return 0, 0, fmt.Errorf("%w: update mode %d in chunk tag", ErrBadRequest, mode)
 	}
 	return mode, int(tag & (MaxChunks - 1)), nil
@@ -89,17 +89,4 @@ func chunkKeys(key string, chunks int) []string {
 		keys[c] = chunkKey(key, c)
 	}
 	return keys
-}
-
-// reqPayloadLen validates a request's payload length for its type against
-// the chunk span.
-func reqPayloadLen(typ transport.MsgType, got, span int) error {
-	want := span
-	if typ == transport.MsgPSPull {
-		want = 0
-	}
-	if got != want {
-		return fmt.Errorf("%w: type %d chunk payload %d elems, want %d", ErrBadRequest, typ, got, want)
-	}
-	return nil
 }

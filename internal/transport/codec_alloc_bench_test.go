@@ -51,7 +51,7 @@ func TestFrameCodecSteadyStateAllocs(t *testing.T) {
 // carries a 256 KiB payload.
 func TestFrameHeaderOverhead(t *testing.T) {
 	const elems = 32768
-	frame := FrameBytes(elems)
+	frame := frameHeaderBytes + 8*elems
 	if pct := 100 * float64(frame-8*elems) / float64(frame); pct > 1 {
 		t.Errorf("header is %.3f %% of a %d-byte frame, want at most 1 %%", pct, frame)
 	}

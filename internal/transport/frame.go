@@ -13,12 +13,11 @@ import (
 // Zero-copy field codecs.
 //
 // The v1 wire format is little-endian, which is also the byte order of every
-// platform this repo targets. When host and wire order agree, a []float64 or
-// []int32 payload IS its wire encoding — the codec reinterprets the backing
-// array as bytes instead of converting element by element, and the send path
-// hands those byte views to writev untouched. The big-endian fallback
-// converts through encoding/binary, so correctness never depends on the
-// fast path.
+// platform this repo targets. When host and wire order agree, a []float64
+// payload IS its wire encoding — the codec reinterprets the backing array as
+// bytes instead of converting element by element, and the send path hands
+// those byte views to writev untouched. The big-endian fallback converts
+// through encoding/binary, so correctness never depends on the fast path.
 
 // hostLittleEndian reports whether the host's memory order matches the wire.
 var hostLittleEndian = func() bool {
@@ -37,14 +36,6 @@ func f64Bytes(p []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&p[0])), 8*len(p))
 }
 
-// i32Bytes is f64Bytes for index lists.
-func i32Bytes(p []int32) []byte {
-	if !hostLittleEndian || len(p) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&p[0])), 4*len(p))
-}
-
 // encodePayload writes src's wire encoding into dst (8·len(src) bytes).
 func encodePayload(dst []byte, src []float64) {
 	if b := f64Bytes(src); b != nil {
@@ -53,17 +44,6 @@ func encodePayload(dst []byte, src []float64) {
 	}
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-	}
-}
-
-// encodeIndices writes idx's wire encoding into dst (4·len(idx) bytes).
-func encodeIndices(dst []byte, idx []int32) {
-	if b := i32Bytes(idx); b != nil {
-		copy(dst, b)
-		return
-	}
-	for i, v := range idx {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
 	}
 }
 
@@ -99,31 +79,6 @@ func decodeF64From(br *bufio.Reader, dst []float64) (int, error) {
 	return done, nil
 }
 
-// decodeIndicesFrom is decodeF64From for the index list of a sparse frame.
-func decodeIndicesFrom(br *bufio.Reader, dst []int32) (int, error) {
-	done := 0
-	for len(dst) > 0 {
-		b, err := peekElems(br, 4, 4*len(dst))
-		if err != nil {
-			return done, err
-		}
-		n := len(b) / 4
-		if view := i32Bytes(dst[:n]); view != nil {
-			copy(view, b)
-		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-			}
-		}
-		if _, err := br.Discard(4 * n); err != nil {
-			return done, err
-		}
-		dst = dst[n:]
-		done += n
-	}
-	return done, nil
-}
-
 // peekElems returns a whole-element prefix (element size elem bytes) of br's
 // buffered data, at most limit bytes, blocking only when not even one
 // element is buffered. The returned slice is valid until the next read or
@@ -146,18 +101,16 @@ func peekElems(br *bufio.Reader, elem, limit int) ([]byte, error) {
 	return nil, err
 }
 
-// frameWriter coalesces outbound frames on one peer connection into batched
-// vectored writes. Frame headers — and payloads small enough that copying
-// beats another iovec — are encoded into a fixed arena; large f64 payloads
-// and index lists are queued as zero-copy views of their backing arrays. A
-// flush hands the queued iovec list to writev (net.Buffers), so a burst of
-// small frames (ring chunk tails, control messages, parameter-server requests)
-// costs one syscall instead of one each.
+// frameWriter writes outbound frames on one peer connection as vectored
+// writes. A frame's header — and a payload small enough that copying beats
+// another iovec, and a tail — is encoded into a fixed arena; a large f64
+// payload is queued as a zero-copy view of its backing array. A flush hands
+// the queued iovec list to writev (net.Buffers), so one frame costs one
+// syscall whatever its parts.
 //
 // The writer is NOT self-flushing: callers own the flush boundary. The TCP
-// mesh flushes on every Send unless another sender is already queued behind
-// the connection lock (group commit — the last sender in the queue always
-// flushes), so frames never sit in the arena while the connection is idle.
+// mesh flushes every frame before its Send returns, so a zero-copy view never
+// outlives the caller's hold on the buffer it aliases.
 //
 // Not safe for concurrent use; the TCP mesh serializes access per
 // connection.
@@ -168,15 +121,15 @@ type frameWriter struct {
 	// flushes are plain blocking writes.
 	stall func()
 
-	// arena holds header bytes and copy-coalesced small bodies between
+	// arena holds header bytes, tails and copied small bodies between
 	// flushes. Fixed capacity: iovec entries alias it, so it must never
-	// reallocate while frames are queued — enqueue flushes first when the
-	// next frame does not fit.
+	// reallocate while a frame is queued — grabArena flushes first when the
+	// next part does not fit.
 	arena []byte
 	// iov is the pending writev list, in frame order: arena regions
 	// interleaved with zero-copy payload views. open tracks whether the
 	// last entry is the still-growing arena tail (so consecutive arena
-	// appends extend it instead of adding an entry per frame).
+	// appends extend it instead of adding an entry each).
 	iov  net.Buffers
 	open bool
 	// out is the part of iov a flush has yet to write. WriteTo consumes the
@@ -184,20 +137,18 @@ type frameWriter struct {
 	// without its capacity and make the next frame's append reallocate.
 	out net.Buffers
 
-	// release lists: buffers owned by the writer until the flush that puts
-	// their bytes on the wire.
-	ownedPayloads [][]float64
-	ownedIndices  [][]int32
-	scratch       []*[]byte
+	// scratch holds the pooled staging buffers of a big-endian host until
+	// the flush that puts their bytes on the wire.
+	scratch []*[]byte
 
 	// armedUntil is the write deadline currently set on conn; flush re-arms
 	// it only when less than flushMinRunway of runway remains (see flush).
 	armedUntil time.Time
 }
 
-// arenaCap is the coalescing arena size. It bounds one flush's copied bytes;
-// at 32 KiB a burst of 36-byte control frames coalesces ~900 deep, while
-// bulk traffic goes zero-copy and never needs arena space beyond headers.
+// arenaCap is the arena size. It bounds one flush's copied bytes: a frame's
+// header, tail and a body below zeroCopyMin, or on a big-endian host a body
+// of up to half the arena.
 const arenaCap = 32 << 10
 
 // zeroCopyMin is the smallest payload body (bytes) worth queueing as its own
@@ -208,9 +159,6 @@ const zeroCopyMin = 2048
 func newFrameWriter(conn net.Conn, stall func()) *frameWriter {
 	return &frameWriter{conn: conn, stall: stall, arena: make([]byte, 0, arenaCap)}
 }
-
-// pending reports whether any frames are queued but not yet flushed.
-func (w *frameWriter) pending() bool { return len(w.iov) > 0 }
 
 // grabArena returns n bytes of arena space as the current iovec tail,
 // flushing queued frames first if the arena is full. n must be ≤ arenaCap.
@@ -240,62 +188,18 @@ func (w *frameWriter) addView(b []byte) {
 	w.open = false
 }
 
-// enqueue appends one frame to the pending batch. When owned is true the
-// writer takes ownership of msg.Payload/msg.Indices and recycles them after
-// the flush that ships their bytes; otherwise any zero-copy view into the
-// caller's buffers must be flushed before enqueue's caller returns (the TCP
-// mesh guarantees this by flushing non-owned sends with large payloads
-// unconditionally).
-func (w *frameWriter) enqueue(msg *Message, owned bool) error {
+// enqueue appends one frame to the pending batch. A zero-copy view aliases
+// the caller's payload, so the caller flushes before it lets go of it.
+func (w *frameWriter) enqueue(msg *Message) error {
 	if err := checkEncodable(msg); err != nil {
-		if owned {
-			PutPayload(msg.Payload)
-			PutIndices(msg.Indices)
-		}
 		return err
 	}
-	n := len(msg.Payload)
 	hdr, err := w.grabArena(frameHeaderBytes)
 	if err != nil {
-		if owned {
-			PutPayload(msg.Payload)
-			PutIndices(msg.Indices)
-		}
 		return err
 	}
 	putFrameHeader(hdr, msg, msg.elems())
-
-	// Index list: tiny lists copy into the arena, big ones go zero-copy.
-	if msg.Indices != nil && n > 0 {
-		if wire := 4 * n; wire < zeroCopyMin && wire <= arenaCap-frameHeaderBytes {
-			b, err := w.grabArena(wire)
-			if err != nil {
-				if owned {
-					PutPayload(msg.Payload)
-					PutIndices(msg.Indices)
-				}
-				return err
-			}
-			encodeIndices(b, msg.Indices)
-			if owned {
-				PutIndices(msg.Indices)
-			}
-		} else if view := i32Bytes(msg.Indices); view != nil {
-			w.addView(view)
-			if owned {
-				w.ownedIndices = append(w.ownedIndices, msg.Indices)
-			}
-		} else {
-			// Big-endian host: stage the converted bytes in pooled scratch.
-			w.addView(w.stage(4*n, func(b []byte) { encodeIndices(b, msg.Indices) }))
-			if owned {
-				PutIndices(msg.Indices)
-			}
-		}
-	} else if owned {
-		PutIndices(msg.Indices)
-	}
-	if err := w.enqueuePayload(msg, owned); err != nil || !msg.HasTail {
+	if err := w.enqueuePayload(msg.Payload); err != nil || !msg.HasTail {
 		return err
 	}
 	b, err := w.grabArena(8)
@@ -306,23 +210,15 @@ func (w *frameWriter) enqueue(msg *Message, owned bool) error {
 	return nil
 }
 
-// enqueuePayload appends msg's payload body to the pending batch, with
-// enqueue's ownership rules.
-func (w *frameWriter) enqueuePayload(msg *Message, owned bool) error {
-	n := len(msg.Payload)
-	if n == 0 {
-		if owned {
-			PutPayload(msg.Payload)
-		}
+// enqueuePayload appends a payload body to the pending batch.
+func (w *frameWriter) enqueuePayload(p []float64) error {
+	wire := 8 * len(p)
+	if wire == 0 {
 		return nil
 	}
-	wire := 8 * n
 	if wire >= zeroCopyMin {
-		if view := f64Bytes(msg.Payload); view != nil {
+		if view := f64Bytes(p); view != nil {
 			w.addView(view)
-			if owned {
-				w.ownedPayloads = append(w.ownedPayloads, msg.Payload)
-			}
 			return nil
 		}
 	}
@@ -332,17 +228,11 @@ func (w *frameWriter) enqueuePayload(msg *Message, owned bool) error {
 	if wire <= arenaCap-len(w.arena) || wire <= arenaCap/2 {
 		b, err := w.grabArena(wire)
 		if err != nil {
-			if owned {
-				PutPayload(msg.Payload)
-			}
 			return err
 		}
-		encodePayload(b, msg.Payload)
+		encodePayload(b, p)
 	} else {
-		w.addView(w.stage(wire, func(b []byte) { encodePayload(b, msg.Payload) }))
-	}
-	if owned {
-		PutPayload(msg.Payload)
+		w.addView(w.stage(wire, func(b []byte) { encodePayload(b, p) }))
 	}
 	return nil
 }
@@ -362,8 +252,8 @@ func (w *frameWriter) stage(n int, fill func([]byte)) []byte {
 	return buf
 }
 
-// flush writes every queued frame to the connection and releases owned
-// buffers. writev (net.Buffers.WriteTo) ships the whole batch — arena
+// flush writes every queued frame to the connection and releases the
+// staging buffers. writev (net.Buffers.WriteTo) ships the whole batch — arena
 // regions and zero-copy payload views — in as few syscalls as the kernel
 // allows. With a stall hook installed, the write runs under short deadlines
 // and the hook is invoked on each expiry; the TCP mesh uses this to drain
@@ -403,9 +293,9 @@ func (w *frameWriter) flush() error {
 	return err
 }
 
-// reset clears the queue and releases owned buffers. Called after a flush
-// attempt: on error the connection is dead and the bytes will never ship, so
-// the buffers are released either way.
+// reset clears the queue and releases the staging buffers. Called after a
+// flush attempt: on error the connection is dead and the bytes will never
+// ship, so the buffers are released either way.
 func (w *frameWriter) reset() {
 	for i := range w.iov {
 		w.iov[i] = nil
@@ -413,14 +303,6 @@ func (w *frameWriter) reset() {
 	w.iov, w.out = w.iov[:0], nil
 	w.open = false
 	w.arena = w.arena[:0]
-	for _, p := range w.ownedPayloads {
-		PutPayload(p)
-	}
-	w.ownedPayloads = w.ownedPayloads[:0]
-	for _, ix := range w.ownedIndices {
-		PutIndices(ix)
-	}
-	w.ownedIndices = w.ownedIndices[:0]
 	for _, bp := range w.scratch {
 		*bp = (*bp)[:0]
 		encodeBufs.Put(bp)

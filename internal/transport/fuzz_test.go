@@ -30,22 +30,42 @@ func legacyFrame(tb testing.TB, m Message, d byte) []byte {
 		tb.Fatal(err)
 	}
 	n := len(m.Payload)
-	index := 0
-	if m.Indices != nil {
-		index = 4 * n
-	}
 	body := make([]byte, map[byte]int{legacyF32: 4 * n, legacyF16: 2 * n, legacyI8: n + 8*((n+1023)/1024)}[d])
-	copy(body, f64[frameHeaderBytes+index:])
-	fr := append(append([]byte(nil), f64[:frameHeaderBytes+index]...), body...)
+	copy(body, f64[frameHeaderBytes:])
+	fr := append(append([]byte(nil), f64[:frameHeaderBytes]...), body...)
 	binary.LittleEndian.PutUint32(fr, uint32(len(fr)-4))
 	fr[6] |= 1 << 1
 	fr[7] = d
 	return fr
 }
 
+// sparseFrame forges the sparse frame an earlier build sent: fr (a frame of
+// len(idx) elements) with flag bit 0 set and the 4·n index bytes of idx
+// between its header and its payload.
+func sparseFrame(fr []byte, idx []int32) []byte {
+	out := append([]byte(nil), fr[:frameHeaderBytes]...)
+	for _, ix := range idx {
+		out = binary.LittleEndian.AppendUint32(out, uint32(ix))
+	}
+	out = append(out, fr[frameHeaderBytes:]...)
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-4))
+	out[6] |= 1 << 0
+	return out
+}
+
+// encode is Encode for a message the test knows encodes.
+func encode(tb testing.TB, m Message) []byte {
+	tb.Helper()
+	fr, err := Encode(nil, m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fr
+}
+
 // wireCorpus is the seed corpus of the wire fuzzers: valid encodings of
-// every frame family, frames of the narrower dtypes earlier builds shipped,
-// and near-valid corruptions.
+// every frame family, frames of the narrower dtypes and of the sparse and
+// parameter-server kinds earlier builds shipped, and near-valid corruptions.
 func wireCorpus(tb testing.TB) [][]byte {
 	var corpus [][]byte
 	add := func(b []byte) { corpus = append(corpus, b) }
@@ -67,17 +87,16 @@ func wireCorpus(tb testing.TB) [][]byte {
 			Payload: []float64{-1.5, 0, 3.25e-3, 7e4, math.Pi},
 		}, d))
 	}
-	// Sparse (index+value) frames, f64 and f16.
+	// Sparse (index+value) frames as earlier builds sent them, f64 and f16.
+	addCut(sparseFrame(encode(tb, Message{Type: MsgReduce, Iter: 4, Payload: []float64{1.25, -7, 0.5}}), []int32{3, 17, 4096}))
+	addCut(sparseFrame(legacyFrame(tb, Message{Type: MsgReduce, Iter: 5, Payload: []float64{2, 3, 5}}, legacyF16), []int32{0, 1, 2}))
+	// Parameter-server frame family: chunked push-pull requests (mode packed
+	// into the chunk tag's high bits, version horizon in Iter) and acks (new
+	// version in Iter), f64 and f16; and the push-only and pull-only requests
+	// of earlier builds, types 5 and 6.
 	seeds = append(seeds,
-		Message{Type: MsgReduce, Iter: 4, Payload: []float64{1.25, -7, 0.5}, Indices: []int32{3, 17, 4096}},
-	)
-	addCut(legacyFrame(tb, Message{Type: MsgReduce, Iter: 5, Payload: []float64{2, 3, 5}, Indices: []int32{0, 1, 2}}, legacyF16))
-	// Parameter-server frame family: chunked push/pull/push-pull requests
-	// (mode packed into the chunk tag's high bits, version horizon in Iter)
-	// and acks (new version in Iter), f64 and f16.
-	seeds = append(seeds,
-		Message{Type: MsgPSPush, Stream: 1 << 16, Iter: 0, Chunk: 2<<24 | 3, Payload: []float64{0.5, -1}},
-		Message{Type: MsgPSPull, Stream: 1 << 16, Chunk: 1},
+		Message{Type: 5, Stream: 1 << 16, Iter: 0, Chunk: 2<<24 | 3, Payload: []float64{0.5, -1}},
+		Message{Type: 6, Stream: 1 << 16, Chunk: 1},
 		Message{Type: MsgPSPushPull, Stream: 1 << 16, Iter: 7, Chunk: 3<<24 | 0, Payload: []float64{1, 2, 3}},
 		Message{Type: MsgPSAck, Stream: 1 << 16, Iter: 42, Chunk: 3<<24 | 0, Payload: []float64{4, 5, 6}},
 		Message{Type: MsgPSAck, Stream: 1 << 16, Iter: 1, Chunk: 2<<24 | 3},
@@ -94,24 +113,16 @@ func wireCorpus(tb testing.TB) [][]byte {
 		Message{Type: MsgChunk, Iter: 6, Chunk: 2, Payload: chunk[:9], Tail: 3, HasTail: true},
 	)
 	for _, m := range seeds {
-		buf, err := Encode(nil, m)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		addCut(buf)
+		addCut(encode(tb, m))
 	}
 	add([]byte{})
 	add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	// v1 adversarial corpus: truncation at every header byte boundary, plus
-	// forged header fields (unknown version, unknown type, unknown flag bits,
-	// flag/len contradictions, absurd element counts, inconsistent prefix).
-	base, err := Encode(nil, Message{
-		Type: MsgReduce, Stream: 3, Iter: 11, Chunk: 2,
-		Payload: []float64{1, 2, 3, 4}, Indices: []int32{0, 5, 9, 12},
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	// forged header fields (unknown version, unknown type, reserved flag
+	// bits, absurd element counts, inconsistent prefix), and the base forged
+	// into a sparse frame.
+	base := encode(tb, Message{Type: MsgReduce, Stream: 3, Iter: 11, Chunk: 2, Payload: []float64{1, 2, 3, 4}})
+	add(sparseFrame(base, []int32{0, 5, 9, 12}))
 	for cut := 0; cut <= frameHeaderBytes; cut++ {
 		add(base[:cut])
 	}
@@ -124,8 +135,8 @@ func wireCorpus(tb testing.TB) [][]byte {
 	add(forge(4, 0x7F))  // version far future
 	add(forge(5, 0))     // type zero
 	add(forge(5, 0x99))  // type unknown
-	add(forge(6, 0xFF))  // unknown flag bits
-	add(forge(6, 0))     // sparse flag cleared, len still sparse
+	add(forge(6, 0xFF))  // reserved flag bits
+	add(forge(6, 1))     // sparse flag set, len still dense
 	add(forge(0, 0x01))  // frameLen contradicts the header fields
 	add(forge(32, 0xFF)) // nelems inflated
 	add(forge(35, 0x7F)) // nelems beyond MaxPayloadElems
@@ -154,14 +165,8 @@ func FuzzReadMessage(f *testing.F) {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if back.Type != msg.Type || back.Iter != msg.Iter || back.Chunk != msg.Chunk ||
-			back.Dtype != msg.Dtype || len(back.Payload) != len(msg.Payload) ||
-			len(back.Indices) != len(msg.Indices) {
+			back.Dtype != msg.Dtype || len(back.Payload) != len(msg.Payload) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", back, msg)
-		}
-		for i := range msg.Indices {
-			if back.Indices[i] != msg.Indices[i] {
-				t.Fatalf("index %d: round trip %d vs %d", i, back.Indices[i], msg.Indices[i])
-			}
 		}
 		out2, err := Encode(nil, back)
 		if err != nil {
@@ -398,6 +403,79 @@ func TestReadMessageUnknownDtype(t *testing.T) {
 	}
 	if _, err := Encode(nil, Message{Type: MsgChunk, Dtype: tensor.Dtype(legacyF16)}); !errors.Is(err, ErrUnknownDtype) {
 		t.Errorf("encode with dtype f16: %v, want ErrUnknownDtype", err)
+	}
+}
+
+// TestRetiredFramesRejected: the sparse frame earlier builds sent (flag bit
+// 0, an index list before the payload) fails with a typed error from the
+// header alone, through the decoder on either reader and through a TCP
+// consumer's Recv, whole or cut short; and no mesh sends a message that sets
+// Indices, so none is silently dropped.
+func TestRetiredFramesRejected(t *testing.T) {
+	dense := Message{Type: MsgReduce, Iter: 42, Chunk: 7, Payload: []float64{-3, -1.5, 0, 1.5, 3}}
+	idx := []int32{0, 13, 26, 39, 52}
+	sparse := sparseFrame(encode(t, dense), idx)
+	flagged := encode(t, dense)
+	flagged[6] |= 1 << 0
+	huge := append([]byte(nil), sparse...)
+	binary.LittleEndian.PutUint32(huge[32:], MaxPayloadElems+1)
+	frames := []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"sparse", sparse, ErrBadFrame},
+		{"sparse f16", sparseFrame(legacyFrame(t, dense, legacyF16), idx), ErrUnknownDtype},
+		{"sparse flag on a dense frame", flagged, ErrBadFrame},
+		{"sparse cut before the indices", sparse[:frameHeaderBytes], ErrBadFrame},
+		{"sparse cut mid-index", sparse[:frameHeaderBytes+6], ErrBadFrame},
+		{"sparse cut mid-value", sparse[:len(sparse)-3], ErrBadFrame},
+		{"sparse with an absurd count", huge, ErrBadFrame}, // the flag refuses it first
+	}
+	for _, tc := range frames {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadMessage(bytes.NewReader(tc.frame)); !errors.Is(err, tc.want) {
+				t.Errorf("ReadMessage: %v, want %v", err, tc.want)
+			}
+			if _, err := readFrame(bufio.NewReader(bytes.NewReader(tc.frame))); !errors.Is(err, tc.want) {
+				t.Errorf("readFrame: %v, want %v", err, tc.want)
+			}
+			if _, err := rawPeerMesh(t, tc.frame).Recv(0); !errors.Is(err, tc.want) || !isDecodeErr(err) {
+				t.Errorf("TCP Recv: %v, want %v", err, tc.want)
+			}
+		})
+	}
+
+	local, err := NewLocalNetwork(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = local.Close() }()
+	tcp, err := NewTCPCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, m := range tcp {
+			_ = m.Close()
+		}
+	}()
+	ep, _ := local.Endpoint(0)
+	withIndices := dense
+	withIndices.Indices = idx
+	sends := []struct {
+		name string
+		send func(Message) error
+	}{
+		{"Encode", func(m Message) error { _, err := Encode(nil, m); return err }},
+		{"in-memory Send", func(m Message) error { return ep.Send(1, m) }},
+		{"TCP Send", func(m Message) error { return tcp[0].Send(1, m) }},
+		{"TCP Send to itself", func(m Message) error { return tcp[0].Send(0, m) }},
+	}
+	for _, tc := range sends {
+		if err := tc.send(withIndices); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s of a message with indices: %v, want ErrBadFrame", tc.name, err)
+		}
 	}
 }
 

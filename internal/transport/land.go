@@ -57,9 +57,9 @@ type Landing struct {
 }
 
 // ErrUnexpectedFrame is RecvInto's error for a frame that is not the one the
-// Landing names: another type, iteration, tag or element count, or a sparse
-// frame. The frame is returned whole, its payload pooled and Dst untouched,
-// so the caller can report what it got and release the payload.
+// Landing names: another type, iteration, tag or element count. The frame is
+// returned whole, its payload pooled and Dst untouched, so the caller can
+// report what it got and release the payload.
 var ErrUnexpectedFrame = errors.New("transport: unexpected frame")
 
 // RecvInto receives the next message rank `from` sent and completes the
@@ -114,7 +114,7 @@ func (l *Landing) elems() int {
 // expects reports whether a frame with header m and n elements is the one l
 // names.
 func (l *Landing) expects(m *Message, n int) bool {
-	return m.Type == l.Type && (l.AnyIter || m.Iter == l.Iter) && m.Chunk == l.Chunk && n == l.elems() && m.Indices == nil
+	return m.Type == l.Type && (l.AnyIter || m.Iter == l.Iter) && m.Chunk == l.Chunk && n == l.elems()
 }
 
 // deliver completes the landing from a decoded message: the pooled path.

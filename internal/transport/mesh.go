@@ -36,23 +36,17 @@ type Mesh interface {
 	StreamRouter
 }
 
-// OwnedSender is an optional Mesh capability: SendOwned transfers ownership
-// of m.Payload to the transport. The caller must not touch the payload after
-// the call (success or failure) — the in-memory mesh hands the very buffer to
-// the receiver without copying, and the TCP mesh recycles it into the payload
-// pool once it is on the wire. Payloads sent this way should come from
-// GetPayload (or a prior Recv) so the eventual PutPayload finds a pool class.
+// OwnedSender was the capability of a mesh that took ownership of a sent
+// payload. No mesh implements it: every Send copies. It stays while the
+// benchmark's traced mesh names it.
 type OwnedSender interface {
 	SendOwned(to int, m Message) error
 }
 
-// SendOwned delivers m with ownership transfer when the mesh supports it,
-// and otherwise falls back to a plain Send followed by releasing the payload
-// on the caller's behalf. Either way the caller relinquishes m.Payload.
+// SendOwned sends msg and then releases its payload with PutPayload: the
+// caller relinquishes msg.Payload. It stays while the benchmark's stream
+// probe names it.
 func SendOwned(m Mesh, to int, msg Message) error {
-	if os, ok := m.(OwnedSender); ok {
-		return os.SendOwned(to, msg)
-	}
 	err := m.Send(to, msg)
 	PutPayload(msg.Payload)
 	return err
@@ -212,35 +206,15 @@ func (s *streamQueues) closeQueues() {
 	}
 }
 
-// deliver pushes msg to q as its receiver finds it: a copying send
-// (owned false) hands over copies of the payload and indices, an owned one
-// the sender's own buffers, except that a payload with a tail needs a buffer
-// one element longer and goes by copy. The buffers are recycled when the
-// push fails.
-func deliver(q *chanQueue, msg Message, owned bool) error {
-	switch {
-	case owned && msg.HasTail:
-		d := delivered(msg)
-		PutPayload(msg.Payload)
-		PutIndices(msg.Indices)
-		msg = d
-	case !owned:
-		msg = delivered(msg)
+// deliver pushes msg to q as its receiver finds it. Messages are immutable
+// once sent, so the payload (tail included) is copied into a pooled buffer
+// the receiver owns — see the ownership contract in pool.go — and the sender
+// may keep mutating its own (the TCP mesh gets this for free by serializing
+// onto the wire). The copy is recycled when the push fails.
+func deliver(q *chanQueue, msg Message) error {
+	if msg.Indices != nil {
+		return errIndices
 	}
-	if err := q.push(msg); err != nil {
-		PutPayload(msg.Payload)
-		PutIndices(msg.Indices)
-		return err
-	}
-	return nil
-}
-
-// delivered returns msg as its receiver finds it after a copying send.
-// Messages are immutable once sent, so the payload (tail included) and the
-// index list are copied into pooled buffers the receiver owns — see the
-// ownership contract in pool.go — and the sender may keep mutating its own
-// (the TCP mesh gets this for free by serializing onto the wire).
-func delivered(msg Message) Message {
 	if msg.Payload != nil || msg.HasTail {
 		p := GetPayload(msg.elems())
 		copy(p, msg.Payload)
@@ -249,12 +223,11 @@ func delivered(msg Message) Message {
 		}
 		msg.Payload, msg.Tail, msg.HasTail = p, 0, false
 	}
-	if msg.Indices != nil {
-		ix := GetIndices(len(msg.Indices))
-		copy(ix, msg.Indices)
-		msg.Indices = ix
+	if err := q.push(msg); err != nil {
+		PutPayload(msg.Payload)
+		return err
 	}
-	return msg
+	return nil
 }
 
 // LocalNetwork is an in-memory mesh fabric for n ranks within one process.
@@ -320,10 +293,7 @@ type localMesh struct {
 	closed bool
 }
 
-var (
-	_ Mesh        = (*localMesh)(nil)
-	_ OwnedSender = (*localMesh)(nil)
-)
+var _ Mesh = (*localMesh)(nil)
 
 func (m *localMesh) Rank() int { return m.rank }
 
@@ -354,36 +324,19 @@ func (m *localMesh) isClosed() bool {
 	return m.closed
 }
 
-func (m *localMesh) Send(to int, msg Message) error { return m.send(to, msg, false) }
-
-// SendOwned implements OwnedSender: the sender's buffer is delivered to the
-// receiver as-is, skipping the defensive copy Send performs. The ring
-// AllReduce forwards chunks through the ring this way, so one buffer rotates
-// all the way around instead of being copied at every hop. Ownership of
-// msg.Indices transfers with the message as well.
-func (m *localMesh) SendOwned(to int, msg Message) error { return m.send(to, msg, true) }
-
-// send files msg in the receiver's inbox under (this rank, msg.Stream): the
-// sender routes, so no receiver ever sees another stream's message. When
-// owned, the buffers belong to the mesh from here on, error or not.
-func (m *localMesh) send(to int, msg Message, owned bool) error {
-	var err error
+// Send files a copy of msg in the receiver's inbox under (this rank,
+// msg.Stream): the sender routes, so no receiver ever sees another stream's
+// message.
+func (m *localMesh) Send(to int, msg Message) error {
 	switch {
 	case m.isClosed():
-		err = ErrClosed
+		return ErrClosed
 	case to < 0 || to >= m.net.size:
-		err = fmt.Errorf("transport: send to rank %d of %d", to, m.net.size)
-	}
-	if err != nil {
-		if owned {
-			PutPayload(msg.Payload)
-			PutIndices(msg.Indices)
-		}
-		return err
+		return fmt.Errorf("transport: send to rank %d of %d", to, m.net.size)
 	}
 	msg.From = int32(m.rank)
 	msg.To = int32(to)
-	return deliver(m.net.endpoints[to].queuesFrom(m.rank).queue(msg.Stream), msg, owned)
+	return deliver(m.net.endpoints[to].queuesFrom(m.rank).queue(msg.Stream), msg)
 }
 
 func (m *localMesh) Recv(from int) (Message, error) {

@@ -13,7 +13,7 @@
 //	     0     4  frame length (bytes after this field)
 //	     4     1  protocol version (1)
 //	     5     1  message type
-//	     6     1  flags (bit0 sparse; others reserved)
+//	     6     1  flags (all reserved: a frame that sets one is refused)
 //	     7     1  payload dtype (0, f64: the only encoding)
 //	     8     4  stream id
 //	    12     4  sender rank
@@ -21,15 +21,12 @@
 //	    20     8  iteration tag
 //	    28     4  chunk tag
 //	    32     4  payload element count
-//	    36     …  indices (4·n bytes, present iff sparse flag) then payload
-//	              (8·n bytes)
+//	    36     …  payload (8·n bytes)
 //
 // All fields are little-endian. The length prefix lets a receiver (or a
 // fuzzer) bound a frame before trusting any of its fields; the version byte
-// makes the format evolvable; a dtype other than f64 is rejected, and the
-// flags must agree with the length prefix or the frame is rejected — a frame
-// can no longer express the index/value mismatches the pre-v1 format had to
-// check for. The stream id
+// makes the format evolvable; a dtype other than f64 is rejected, and so is a
+// length prefix that disagrees with the element count. The stream id
 // is what both meshes route tag streams on, instead of packing stream bits
 // into Iter's high bits, so the full int64 iteration space belongs to the
 // collective.
@@ -58,23 +55,23 @@ const (
 	MsgBroadcast
 	// MsgControl carries small control payloads (activations, acks).
 	MsgControl
-	// MsgReduce carries partial sums during tree reductions (dense and
-	// sparse reduce-to-root traffic).
+	// MsgReduce carries partial sums during tree reductions.
 	MsgReduce
-	// MsgPSPush carries one chunk of a parameter-server push request: the
-	// payload is the pushed values, the chunk tag packs the update mode
-	// and chunk index (see internal/ps). Answered by an empty MsgPSAck.
-	MsgPSPush
-	// MsgPSPull carries a parameter-server pull request for one chunk
-	// (empty payload). Answered by a MsgPSAck holding the chunk's values.
-	MsgPSPull
-	// MsgPSPushPull carries one chunk of a combined push+pull request;
-	// the MsgPSAck returns the chunk's post-update values.
-	MsgPSPushPull
+)
+
+// Parameter-server message kinds keep the numbers they were assigned when 5
+// and 6 carried push-only and pull-only requests; 5 and 6 are unassigned, and
+// the parameter server refuses a frame that carries one.
+const (
+	// MsgPSPushPull carries one chunk of a parameter-server request: the
+	// payload is the pushed values, the chunk tag packs the update mode and
+	// chunk index (see internal/ps). The MsgPSAck returns the chunk's
+	// post-update values.
+	MsgPSPushPull MsgType = 7
 	// MsgPSAck answers a parameter-server request: the iteration tag
-	// carries the chunk's new version and the chunk tag echoes the
-	// request's. Acks to pull-class requests carry the chunk values.
-	MsgPSAck
+	// carries the chunk's new version, the chunk tag echoes the request's
+	// and the payload holds the chunk's values.
+	MsgPSAck MsgType = 8
 
 	// maxMsgType bounds the valid type range for the frame decoder.
 	maxMsgType = MsgPSAck
@@ -103,22 +100,21 @@ type Message struct {
 	// Chunk is the ring chunk index for MsgChunk traffic.
 	Chunk int32
 	// Dtype is the payload's wire encoding. Only the zero value,
-	// tensor.F64 (raw float64 bits), encodes or decodes.
+	// tensor.F64 (raw float64 bits), encodes or decodes. It stays while the
+	// benchmark's trace sizes frames by it.
 	Dtype tensor.Dtype
 	// Payload carries tensor data.
 	Payload []float64
-	// Indices, when non-nil, marks the message as SPARSE: Payload[i] is the
-	// value of dense element Indices[i]. Top-k gradient exchange ships
-	// (index, value) pairs this way. A sparse message must satisfy
-	// len(Indices) == len(Payload); the index values themselves are opaque
-	// to the transport (the collective validates range and ordering).
+	// Indices is never carried: a frame has no room for an index list, and
+	// a send refuses a message that sets one (ErrBadFrame), so nothing is
+	// silently dropped. It stays while the benchmark's trace sizes frames by
+	// it.
 	Indices []int32
 	// Tail, when HasTail is set, is one more element the frame carries
 	// after Payload: the frame's element count includes it, and a receiver
 	// finds it as the last element of a Recv'd payload (or in its own Tail
 	// after a RecvInto that names it). It lets a sender append a scalar to a
-	// span of its own vector without staging the two in one buffer. Dense
-	// frames only.
+	// span of its own vector without staging the two in one buffer.
 	Tail    float64
 	HasTail bool
 }
@@ -146,27 +142,9 @@ const (
 	frameLenBase = frameHeaderBytes - 4
 )
 
-// Frame flag bits. A flag is redundant with other header fields by design
-// (sparse ⇔ indices present); the decoder rejects any disagreement, so a
-// corrupt header cannot smuggle one contradictory claim past a check on the
-// other. Bit 1 once marked a payload narrower than f64; it is reserved.
-const (
-	// FlagSparse marks an index+value frame: 4·n index bytes precede the
-	// payload.
-	FlagSparse uint8 = 1 << 0
-
-	// flagsKnown is the set of assigned flag bits; anything else is a
-	// frame from the future (or garbage) and is rejected.
-	flagsKnown = FlagSparse
-)
-
 // MaxPayloadElems bounds a single message's payload to guard decoders
 // against corrupt or hostile length prefixes (128 MiB of float64s).
 const MaxPayloadElems = 16 << 20
-
-// maxFrameLen is the largest length prefix a conforming frame can carry:
-// a full sparse f64 payload plus the header remainder.
-const maxFrameLen = frameLenBase + MaxPayloadElems*(4+8)
 
 // ErrPayloadTooLarge is returned when encoding or decoding a message whose
 // payload exceeds MaxPayloadElems.
@@ -176,41 +154,16 @@ var ErrPayloadTooLarge = errors.New("transport: payload too large")
 // dtype byte is not a known wire encoding.
 var ErrUnknownDtype = errors.New("transport: unknown payload dtype")
 
-// ErrSparseMismatch is returned when encoding a sparse message whose index
-// count does not match its payload length. (The v1 frame format cannot
-// express the mismatch — sparse frames carry exactly one index per element —
-// so the decoder never needs it.)
-var ErrSparseMismatch = errors.New("transport: sparse index/value length mismatch")
-
-// ErrBadFrame is returned when a frame header is self-contradictory: a
-// length prefix that disagrees with the element count and flags, an unknown
-// type or flag, or a negative stream id.
+// ErrBadFrame is returned when a frame header is self-contradictory or
+// unassigned: a length prefix that disagrees with the element count, an
+// unknown type, a flag bit set, or a negative stream id. Bit 0 once marked a
+// sparse frame (an index list before the payload), bit 1 a payload narrower
+// than f64; both are reserved like the rest. A send refuses a message that
+// sets Indices with it too.
 var ErrBadFrame = errors.New("transport: malformed frame header")
 
-// frameBodyBytes returns the byte count of a frame's body (indices +
-// payload) for n payload elements.
-func frameBodyBytes(n int, sparse bool) int {
-	body := 8 * n
-	if sparse {
-		body += 4 * n
-	}
-	return body
-}
-
-// FrameBytes returns the full v1 frame size of a dense f64 message with n
-// payload elements — the number benchmark and capacity math needs without
-// encoding anything.
-func FrameBytes(n int) int {
-	return frameHeaderBytes + frameBodyBytes(n, false)
-}
-
-// frameFlags derives the v1 flag byte for a message.
-func frameFlags(m *Message) uint8 {
-	if m.Indices != nil {
-		return FlagSparse
-	}
-	return 0
-}
+// errIndices is every mesh's refusal of a message that sets Indices.
+var errIndices = fmt.Errorf("%w: indices are not carried", ErrBadFrame)
 
 // checkEncodable validates the encoder-side invariants shared by Encode and
 // the frame writer.
@@ -221,11 +174,8 @@ func checkEncodable(m *Message) error {
 	if !m.Dtype.Valid() {
 		return fmt.Errorf("%w: %d", ErrUnknownDtype, m.Dtype)
 	}
-	if m.Indices != nil && len(m.Indices) != len(m.Payload) {
-		return fmt.Errorf("%w: %d indices, %d values", ErrSparseMismatch, len(m.Indices), len(m.Payload))
-	}
-	if m.HasTail && m.Indices != nil {
-		return fmt.Errorf("%w: a tail needs a dense frame", ErrBadFrame)
+	if m.Indices != nil {
+		return errIndices
 	}
 	if m.Type == 0 || m.Type > maxMsgType {
 		return fmt.Errorf("%w: type %d", ErrBadFrame, m.Type)
@@ -239,10 +189,10 @@ func checkEncodable(m *Message) error {
 // putFrameHeader writes the fixed v1 header into b (len(b) must be at least
 // frameHeaderBytes) for a message with n payload elements.
 func putFrameHeader(b []byte, m *Message, n int) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(frameLenBase+frameBodyBytes(n, m.Indices != nil)))
+	binary.LittleEndian.PutUint32(b[0:], uint32(frameLenBase+8*n))
 	b[4] = ProtocolV1
 	b[5] = byte(m.Type)
-	b[6] = frameFlags(m)
+	b[6] = 0 // flags: all reserved
 	b[7] = byte(m.Dtype)
 	binary.LittleEndian.PutUint32(b[8:], uint32(m.Stream))
 	binary.LittleEndian.PutUint32(b[12:], uint32(m.From))
@@ -268,7 +218,6 @@ func parseFrameHeader(hdr []byte) (Message, int, error) {
 		Iter:   int64(binary.LittleEndian.Uint64(hdr[20:])),
 		Chunk:  int32(binary.LittleEndian.Uint32(hdr[28:])),
 	}
-	flags := hdr[6]
 	if m.Type == 0 || m.Type > maxMsgType {
 		return Message{}, 0, fmt.Errorf("%w: type %d", ErrBadFrame, m.Type)
 	}
@@ -278,8 +227,8 @@ func parseFrameHeader(hdr []byte) (Message, int, error) {
 	if !m.Dtype.Valid() {
 		return Message{}, 0, fmt.Errorf("%w: %d", ErrUnknownDtype, hdr[7])
 	}
-	if flags&^flagsKnown != 0 {
-		return Message{}, 0, fmt.Errorf("%w: unknown flags %#02x", ErrBadFrame, flags)
+	if hdr[6] != 0 {
+		return Message{}, 0, fmt.Errorf("%w: reserved flags %#02x", ErrBadFrame, hdr[6])
 	}
 	if m.Stream < 0 {
 		return Message{}, 0, fmt.Errorf("%w: negative stream %d", ErrBadFrame, m.Stream)
@@ -288,20 +237,11 @@ func parseFrameHeader(hdr []byte) (Message, int, error) {
 	if n > MaxPayloadElems {
 		return Message{}, 0, fmt.Errorf("%w: %d elems", ErrPayloadTooLarge, n)
 	}
-	sparse := flags&FlagSparse != 0
-	if want := uint32(frameLenBase + frameBodyBytes(int(n), sparse)); frameLen != want {
+	if want := uint32(frameLenBase + 8*int(n)); frameLen != want {
 		return Message{}, 0, fmt.Errorf("%w: frame len %d, header implies %d", ErrBadFrame, frameLen, want)
-	}
-	if sparse {
-		// Mark the shell sparse; the caller materializes the slice.
-		m.Indices = emptyIndices
 	}
 	return m, int(n), nil
 }
-
-// emptyIndices is the non-nil zero-length marker a sparse frame shell
-// carries before its index list is materialized (and after, when n == 0).
-var emptyIndices = make([]int32, 0)
 
 // Encode appends the v1 wire frame of m to buf and returns the extended
 // slice. The hot transport path uses the vectored frame writer instead (see
@@ -312,7 +252,7 @@ func Encode(buf []byte, m Message) ([]byte, error) {
 		return nil, err
 	}
 	n := len(m.Payload)
-	need := frameHeaderBytes + frameBodyBytes(m.elems(), m.Indices != nil)
+	need := frameHeaderBytes + 8*m.elems()
 	off := len(buf)
 	if cap(buf)-off < need {
 		grown := make([]byte, off, off+need)
@@ -323,10 +263,6 @@ func Encode(buf []byte, m Message) ([]byte, error) {
 	b := buf[off:]
 	putFrameHeader(b, &m, m.elems())
 	p := b[frameHeaderBytes:]
-	if m.Indices != nil {
-		encodeIndices(p, m.Indices)
-		p = p[4*n:]
-	}
 	if n > 0 {
 		encodePayload(p, m.Payload)
 	}
@@ -341,25 +277,10 @@ func Encode(buf []byte, m Message) ([]byte, error) {
 var encodeBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// WriteMessage writes one encoded frame to w, staging the wire bytes in a
-// pooled scratch buffer so the encode allocates nothing steady-state.
-func WriteMessage(w io.Writer, m Message) error {
-	bp := encodeBufs.Get().(*[]byte)
-	buf, err := Encode((*bp)[:0], m)
-	if err != nil {
-		encodeBufs.Put(bp)
-		return err
-	}
-	_, err = w.Write(buf)
-	*bp = buf[:0]
-	encodeBufs.Put(bp)
-	return err
-}
-
 // ReadMessage reads one v1 frame from r. It returns io.EOF unchanged on a
 // clean end-of-stream before any header byte. When r is a *bufio.Reader the
-// decode is zero-copy: f64 payloads and index lists are decoded straight
-// from the peek window into pooled buffers, with no raw staging copy. Any
+// decode is zero-copy: f64 payloads are decoded straight from the peek
+// window into pooled buffers, with no raw staging copy. Any
 // other reader gets the exact-read path, which consumes precisely one
 // frame's bytes and not one more — callers may keep using r for whatever
 // follows the frame.
@@ -386,7 +307,7 @@ func readFrameExact(r io.Reader) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	body := frameBodyBytes(n, m.Indices != nil)
+	body := 8 * n
 	bp := readBufs.Get().(*[]byte)
 	raw := *bp
 	if cap(raw) < body {
@@ -398,22 +319,13 @@ func readFrameExact(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, raw); err != nil {
 		return Message{}, fmt.Errorf("transport: read frame body: %w", err)
 	}
-	rest := raw
-	if m.Indices != nil && n > 0 {
-		idx := GetIndices(n)
-		for i := range idx {
-			idx[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
-		}
-		m.Indices = idx
-		rest = rest[4*n:]
-	}
 	if n > 0 {
 		payload := GetPayload(n)
 		if view := f64Bytes(payload); view != nil {
-			copy(view, rest)
+			copy(view, raw)
 		} else {
 			for i := range payload {
-				payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+				payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 			}
 		}
 		m.Payload = payload
@@ -437,8 +349,8 @@ func readFrame(br *bufio.Reader) (Message, error) {
 // mid-frame — the write-stall drain reads under a short deadline — resumes
 // exactly where the bytes ran out instead of abandoning the frame. Every
 // stage is restartable: a partial header stays buffered in the bufio
-// window, and the index/payload fills record how many whole elements have
-// landed in their pooled destination buffers.
+// window, and the payload fill records how many whole elements have landed
+// in the pooled destination buffer.
 //
 // Only one reader may touch a decoder at a time (the mesh's per-connection
 // read election guarantees that). After a non-timeout error the stream is
@@ -446,9 +358,8 @@ func readFrame(br *bufio.Reader) (Message, error) {
 // connection down.
 type frameDecoder struct {
 	active bool    // header parsed; msg/n describe the frame in progress
-	msg    Message // header fields; Indices/Payload filled as bytes arrive
+	msg    Message // header fields; Payload filled as bytes arrive
 	n      int     // payload elements expected
-	idxOff int     // index elements decoded so far
 	payOff int     // payload elements decoded so far
 }
 
@@ -479,22 +390,11 @@ func (d *frameDecoder) step(br *bufio.Reader) (Message, bool, error) {
 		if err != nil {
 			return Message{}, false, err
 		}
-		d.active, d.msg, d.n = true, m, n
-		d.idxOff, d.payOff = 0, 0
+		d.active, d.msg, d.n, d.payOff = true, m, n, 0
 		if n > 0 {
-			if m.Indices != nil {
-				d.msg.Indices = GetIndices(n)
-			}
 			// The decoded payload comes from the shared pool; the receiver
 			// owns it and may release it with PutPayload once consumed.
 			d.msg.Payload = GetPayload(n)
-		}
-	}
-	if d.n > 0 && d.msg.Indices != nil && d.idxOff < d.n {
-		k, err := decodeIndicesFrom(br, d.msg.Indices[d.idxOff:])
-		d.idxOff += k
-		if err != nil {
-			return Message{}, false, fmt.Errorf("transport: read indices: %w", err)
 		}
 	}
 	if d.n > 0 {
@@ -515,7 +415,6 @@ func (d *frameDecoder) step(br *bufio.Reader) (Message, bool, error) {
 func (d *frameDecoder) abort() {
 	if d.active {
 		PutPayload(d.msg.Payload)
-		PutIndices(d.msg.Indices)
 	}
 	*d = frameDecoder{}
 }

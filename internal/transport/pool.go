@@ -10,14 +10,14 @@ import (
 // Every message delivered through a Mesh carries a payload the receiver
 // owns: the in-memory mesh copies the sender's slice on Send (so the sender
 // may keep mutating its buffers) and the TCP mesh materializes one slice per
-// message read off the wire. Before this pool, both paths allocated a fresh
-// slice per message — on the ring AllReduce hot path that is 2(N−1)
-// large allocations per rank per iteration.
+// message read off the wire that RecvInto does not land. Without this pool,
+// both paths would allocate a fresh slice per message.
 //
 // Ownership contract:
 //
 //   - Send never takes ownership of m.Payload; the caller may reuse its
-//     buffer immediately after Send returns.
+//     buffer immediately after Send returns. Every mesh either copies the
+//     payload or has written it to the socket by then.
 //   - The payload in a message returned by Recv is owned by the receiver.
 //     When the receiver is done with it, it MAY hand it back with
 //     PutPayload; holding it forever is also fine (the pool just misses).
@@ -27,7 +27,7 @@ import (
 //     must overwrite (or zero) every element they read.
 //
 // The pool is bucketed by power-of-two capacity so mixed message sizes
-// (full gradients, ring chunks, pipeline segments) do not poison each
+// (full gradients, ring chunks, parameter-server chunks) do not poison each
 // other: class c holds slices with cap ≥ 1<<c, Get rounds the request up,
 // Put files a slice under the largest class its capacity covers.
 
@@ -111,54 +111,4 @@ func capClass(c int) int {
 		return -1
 	}
 	return class
-}
-
-// Index-list pooling: the int32 analogue of the payload pools, recycling the
-// index halves of sparse (top-k) messages. Same bucketing, same ownership
-// contract — the receiver of a sparse message owns msg.Indices and MAY hand
-// it back with PutIndices; the loopback send path and the wire decoder draw
-// from here so steady-state sparse traffic allocates nothing.
-
-var indexPools [maxPoolClass + 1]sync.Pool
-
-// indexHeaderPool recycles the *[]int32 boxes the index pools store (see
-// headerPool).
-var indexHeaderPool sync.Pool
-
-// GetIndices returns an int32 slice of length n, recycled when possible.
-// Contents are NOT zeroed.
-func GetIndices(n int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	c := poolClass(n)
-	if c > maxPoolClass {
-		return make([]int32, n)
-	}
-	if c < minPoolClass {
-		c = minPoolClass // round tiny requests up to the smallest class
-	}
-	if hp, ok := indexPools[c].Get().(*[]int32); ok {
-		p := *hp
-		*hp = nil
-		indexHeaderPool.Put(hp)
-		return p[:n]
-	}
-	return make([]int32, n, 1<<c)
-}
-
-// PutIndices recycles p for a future GetIndices. Small, nil, or oversized
-// slices are dropped silently; never call it on a slice still referenced
-// elsewhere.
-func PutIndices(p []int32) {
-	c := capClass(cap(p))
-	if c < 0 {
-		return
-	}
-	hp, _ := indexHeaderPool.Get().(*[]int32)
-	if hp == nil {
-		hp = new([]int32)
-	}
-	*hp = p[:cap(p)]
-	indexPools[c].Put(hp)
 }

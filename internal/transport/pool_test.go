@@ -64,105 +64,93 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 // TestSendDoesNotAliasPayload locks in the ownership contract for plain
-// Send: the sender keeps its buffer, so mutating it after Send must not be
-// visible to the receiver.
+// Send on every mesh: the sender keeps its buffer, so scribbling over it
+// once Send returns must not reach the receiver. Payloads sit below and
+// above zeroCopyMin (copied into the TCP writer's arena, or written from the
+// caller's buffer itself), and one frame carries a tail.
 func TestSendDoesNotAliasPayload(t *testing.T) {
-	net, err := NewLocalNetwork(2)
+	local, err := NewLocalNetwork(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = net.Close() }()
-	ep0, _ := net.Endpoint(0)
-	ep1, _ := net.Endpoint(1)
-
-	buf := make([]float64, 100)
-	for i := range buf {
-		buf[i] = float64(i)
-	}
-	if err := ep0.Send(1, Message{Type: MsgChunk, Payload: buf}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range buf {
-		buf[i] = -1 // sender scribbles over its buffer after Send
-	}
-	msg, err := ep1.Recv(0)
+	defer func() { _ = local.Close() }()
+	tcp, err := NewTCPCluster(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, x := range msg.Payload {
-		if x != float64(i) {
-			t.Fatalf("payload[%d] = %v after sender mutation, want %v", i, x, float64(i))
+	defer func() {
+		for _, m := range tcp {
+			_ = m.Close()
+		}
+	}()
+	// A SubMesh of ranks 1 and 2 on each side of a pair.
+	subPair := func(a, b Mesh) (Mesh, Mesh) {
+		t.Helper()
+		sa, err := NewSubMesh(a, []int{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := NewSubMesh(b, []int{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sa, sb
+	}
+	eps := local.Endpoints()
+	localSub0, localSub1 := subPair(eps[1], eps[2])
+	tcpSub0, tcpSub1 := subPair(tcp[1], tcp[2])
+	meshes := []struct {
+		name     string
+		from, to Mesh // sender and receiver, local ranks 0 and 1 of their mesh
+	}{
+		{"in-memory", eps[0], eps[1]},
+		{"in-memory stream view", eps[0].StreamView(3), eps[1].StreamView(3)},
+		{"in-memory SubMesh", localSub0, localSub1},
+		{"TCP", tcp[0], tcp[1]},
+		{"TCP stream view", tcp[0].StreamView(3), tcp[1].StreamView(3)},
+		{"TCP SubMesh", tcpSub0, tcpSub1},
+	}
+	payloads := []struct {
+		name  string
+		elems int
+		tail  bool
+	}{
+		{"below zeroCopyMin", zeroCopyMin/8 - 1, false},
+		{"above zeroCopyMin", 4 * zeroCopyMin / 8, false},
+		{"with a tail", 4 * zeroCopyMin / 8, true},
+	}
+	for _, mc := range meshes {
+		for _, pc := range payloads {
+			t.Run(mc.name+"/"+pc.name, func(t *testing.T) {
+				buf := make([]float64, pc.elems)
+				for i := range buf {
+					buf[i] = float64(i)
+				}
+				msg := Message{Type: MsgChunk, Payload: buf, Tail: -2, HasTail: pc.tail}
+				if err := mc.from.Send(1, msg); err != nil {
+					t.Fatal(err)
+				}
+				for i := range buf {
+					buf[i] = -1 // sender scribbles over its buffer after Send
+				}
+				got, err := mc.to.Recv(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := msg.elems()
+				if len(got.Payload) != want {
+					t.Fatalf("received %d elems, sent %d", len(got.Payload), want)
+				}
+				for i, x := range got.Payload[:pc.elems] {
+					if x != float64(i) {
+						t.Fatalf("payload[%d] = %v after sender mutation, want %v", i, x, float64(i))
+					}
+				}
+				if pc.tail && got.Payload[pc.elems] != -2 {
+					t.Fatalf("tail = %v, want -2", got.Payload[pc.elems])
+				}
+				PutPayload(got.Payload)
+			})
 		}
 	}
-	PutPayload(msg.Payload)
 }
-
-// TestSendOwnedTransfersBuffer: the in-memory mesh must deliver the very
-// buffer passed to SendOwned, with no copy in between.
-func TestSendOwnedTransfersBuffer(t *testing.T) {
-	net, err := NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	ep0, _ := net.Endpoint(0)
-	ep1, _ := net.Endpoint(1)
-
-	buf := GetPayload(100)
-	for i := range buf {
-		buf[i] = float64(2 * i)
-	}
-	if err := SendOwned(ep0, 1, Message{Type: MsgChunk, Payload: buf}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := ep1.Recv(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msg.Payload) != 100 || &msg.Payload[0] != &buf[0] {
-		t.Fatalf("SendOwned copied the payload (got len %d)", len(msg.Payload))
-	}
-	PutPayload(msg.Payload)
-}
-
-// TestSendOwnedFallback: the generic SendOwned helper must work (and release
-// the buffer) on meshes without a native ownership-transfer path.
-func TestSendOwnedFallback(t *testing.T) {
-	net, err := NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	ep0, _ := net.Endpoint(0)
-	ep1, _ := net.Endpoint(1)
-
-	buf := GetPayload(64)
-	for i := range buf {
-		buf[i] = float64(i)
-	}
-	// copyOnlyMesh hides the OwnedSender capability.
-	if err := SendOwned(copyOnlyMesh{ep0}, 1, Message{Type: MsgChunk, Payload: buf}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := ep1.Recv(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range msg.Payload {
-		if x != float64(i) {
-			t.Fatalf("payload[%d] = %v, want %v", i, x, float64(i))
-		}
-	}
-	PutPayload(msg.Payload)
-}
-
-// copyOnlyMesh wraps a Mesh and exposes only the base interface, so the
-// SendOwned helper must take its copying fallback.
-type copyOnlyMesh struct{ m Mesh }
-
-func (c copyOnlyMesh) Rank() int                      { return c.m.Rank() }
-func (c copyOnlyMesh) Size() int                      { return c.m.Size() }
-func (c copyOnlyMesh) Send(to int, m Message) error   { return c.m.Send(to, m) }
-func (c copyOnlyMesh) Recv(from int) (Message, error) { return c.m.Recv(from) }
-func (c copyOnlyMesh) Close() error                   { return c.m.Close() }
-func (c copyOnlyMesh) StreamView(id int32) Mesh       { return c.m.StreamView(id) }

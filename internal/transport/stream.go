@@ -28,9 +28,6 @@ type StreamRouter interface {
 // of the endpoint it views.
 type streamMesh interface {
 	Mesh
-	// send delivers msg on msg.Stream; when owned, the payload and index
-	// buffers belong to the mesh from the call on, error or not.
-	send(to int, msg Message, owned bool) error
 	// receive returns the next message rank `from` sent on stream; with a
 	// Landing (see land.go) the mesh lands the frame when it can, and landed
 	// reports that msg is the frame's header, its body in l.Dst.
@@ -45,9 +42,8 @@ type streamView struct {
 }
 
 var (
-	_ Mesh        = (*streamView)(nil)
-	_ OwnedSender = (*streamView)(nil)
-	_ lander      = (*streamView)(nil)
+	_ Mesh   = (*streamView)(nil)
+	_ lander = (*streamView)(nil)
 )
 
 func (s *streamView) Rank() int { return s.m.Rank() }
@@ -56,13 +52,7 @@ func (s *streamView) Size() int { return s.m.Size() }
 // Send stamps the view's stream id on the message and delivers it.
 func (s *streamView) Send(to int, msg Message) error {
 	msg.Stream = s.id
-	return s.m.send(to, msg, false)
-}
-
-// SendOwned implements OwnedSender.
-func (s *streamView) SendOwned(to int, msg Message) error {
-	msg.Stream = s.id
-	return s.m.send(to, msg, true)
+	return s.m.Send(to, msg)
 }
 
 // Recv returns the next message rank `from` sent on this stream.

@@ -256,14 +256,14 @@ func streamPayloadRouting(t *testing.T, m0, m1 Mesh) {
 }
 
 // streamFullIterRange: a view's stream id travels in its own field, so
-// every int64 iteration tag flows through a view on both send paths.
+// every int64 iteration tag flows through a view, with a payload or without.
 func streamFullIterRange(t *testing.T, m0, m1 Mesh) {
 	v := m1.StreamView(1)
 	if err := v.Send(0, Message{Type: MsgChunk, Iter: math.MaxInt64}); err != nil {
 		t.Fatalf("Send err = %v", err)
 	}
-	if err := v.(OwnedSender).SendOwned(0, Message{Type: MsgChunk, Iter: -1, Payload: GetPayload(4)}); err != nil {
-		t.Fatalf("SendOwned err = %v", err)
+	if err := v.Send(0, Message{Type: MsgChunk, Iter: -1, Payload: []float64{1, 2, 3, 4}}); err != nil {
+		t.Fatalf("Send err = %v", err)
 	}
 	for _, want := range []int64{math.MaxInt64, -1} {
 		msg, err := m0.StreamView(1).Recv(1)

@@ -14,9 +14,8 @@ type SubMesh struct {
 }
 
 var (
-	_ Mesh        = (*SubMesh)(nil)
-	_ OwnedSender = (*SubMesh)(nil)
-	_ lander      = (*SubMesh)(nil)
+	_ Mesh   = (*SubMesh)(nil)
+	_ lander = (*SubMesh)(nil)
 )
 
 // NewSubMesh wraps parent so that only `members` (distinct parent ranks,
@@ -55,9 +54,6 @@ func (s *SubMesh) Rank() int { return s.local }
 // Size implements Mesh (the subset size).
 func (s *SubMesh) Size() int { return len(s.members) }
 
-// Parent returns the wrapped mesh.
-func (s *SubMesh) Parent() Mesh { return s.parent }
-
 // GlobalRank maps a local rank to the parent rank.
 func (s *SubMesh) GlobalRank(local int) (int, error) {
 	if local < 0 || local >= len(s.members) {
@@ -73,18 +69,6 @@ func (s *SubMesh) Send(to int, m Message) error {
 		return err
 	}
 	return s.parent.Send(g, m)
-}
-
-// SendOwned implements OwnedSender by delegating to the parent's
-// ownership-transfer path (or the copying fallback when the parent lacks
-// one). Either way the caller relinquishes m.Payload.
-func (s *SubMesh) SendOwned(to int, m Message) error {
-	g, err := s.GlobalRank(to)
-	if err != nil {
-		PutPayload(m.Payload)
-		return err
-	}
-	return SendOwned(s.parent, g, m)
 }
 
 // Recv implements Mesh.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -76,9 +75,8 @@ type TCPMesh struct {
 }
 
 var (
-	_ Mesh        = (*TCPMesh)(nil)
-	_ OwnedSender = (*TCPMesh)(nil)
-	_ lander      = (*TCPMesh)(nil)
+	_ Mesh   = (*TCPMesh)(nil)
+	_ lander = (*TCPMesh)(nil)
 )
 
 // peerConn is one peer's connection state.
@@ -97,11 +95,9 @@ type peerConn struct {
 	// the socket next.
 	rx frameDecoder
 
-	// Send side: wmu serializes writers; waiters counts senders committed
-	// to acquiring wmu (the group-commit signal); fw coalesces frames.
-	wmu     sync.Mutex
-	waiters atomic.Int32
-	fw      *frameWriter
+	// Send side: wmu serializes writers; fw writes their frames.
+	wmu sync.Mutex
+	fw  *frameWriter
 
 	// Receive side: the frames read off this connection (or, in the
 	// loopback slot, sent to self), filed by stream.
@@ -213,67 +209,29 @@ func (m *TCPMesh) isClosed() bool {
 	return closed
 }
 
-// Send implements Mesh.
+// Send implements Mesh: it enqueues the frame and flushes it before
+// returning, so the caller may reuse msg.Payload as soon as it does.
 func (m *TCPMesh) Send(to int, msg Message) error {
-	return m.send(to, msg, false)
-}
-
-// SendOwned implements OwnedSender. Ownership of msg.Payload (and
-// msg.Indices, when sparse) transfers to the transport: the buffers are
-// recycled once their bytes are on the wire — which, under frame coalescing,
-// may be a later sender's flush — and loopback delivery hands them to the
-// local inbox without a copy.
-func (m *TCPMesh) SendOwned(to int, msg Message) error {
-	return m.send(to, msg, true)
-}
-
-// send is the shared wire path. When owned, the payload/index buffers belong
-// to the transport from this point on, error or not.
-func (m *TCPMesh) send(to int, msg Message, owned bool) error {
-	release := func() {
-		if owned {
-			PutPayload(msg.Payload)
-			PutIndices(msg.Indices)
-		}
-	}
 	if to < 0 || to >= m.size {
-		release()
 		return fmt.Errorf("transport: send to rank %d of %d", to, m.size)
 	}
 	if m.isClosed() {
-		release()
 		return ErrClosed
 	}
 	msg.From = int32(m.rank)
 	msg.To = int32(to)
 	if to == m.rank {
-		return deliver(m.peers[m.rank].queue(msg.Stream), msg, owned)
+		return deliver(m.peers[m.rank].queue(msg.Stream), msg)
 	}
 	c := m.peers[to]
 	if c.conn == nil {
-		release()
 		return fmt.Errorf("transport: no connection to rank %d", to)
 	}
-
-	c.waiters.Add(1)
 	c.wmu.Lock()
-	c.waiters.Add(-1)
-	err := c.fw.enqueue(&msg, owned)
-	if err != nil {
-		c.wmu.Unlock()
-		return err
+	err := c.fw.enqueue(&msg)
+	if err == nil {
+		err = c.fw.flush()
 	}
-	// Group commit: when another sender is already committed to this
-	// connection, leave the batch queued for it — the last sender in line
-	// always flushes, so frames never linger. Only owned sends may defer
-	// (a plain Send's zero-copy iovecs alias the caller's buffers, which
-	// the caller is free to reuse once we return), and a full arena flushes
-	// regardless to bound queue growth.
-	if owned && c.waiters.Load() > 0 && len(c.fw.arena) < arenaCap/2 {
-		c.wmu.Unlock()
-		return nil
-	}
-	err = c.fw.flush()
 	c.wmu.Unlock()
 	return err
 }
