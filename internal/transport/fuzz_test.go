@@ -406,79 +406,6 @@ func TestReadMessageUnknownDtype(t *testing.T) {
 	}
 }
 
-// TestRetiredFramesRejected: the sparse frame earlier builds sent (flag bit
-// 0, an index list before the payload) fails with a typed error from the
-// header alone, through the decoder on either reader and through a TCP
-// consumer's Recv, whole or cut short; and no mesh sends a message that sets
-// Indices, so none is silently dropped.
-func TestRetiredFramesRejected(t *testing.T) {
-	dense := Message{Type: MsgReduce, Iter: 42, Chunk: 7, Payload: []float64{-3, -1.5, 0, 1.5, 3}}
-	idx := []int32{0, 13, 26, 39, 52}
-	sparse := sparseFrame(encode(t, dense), idx)
-	flagged := encode(t, dense)
-	flagged[6] |= 1 << 0
-	huge := append([]byte(nil), sparse...)
-	binary.LittleEndian.PutUint32(huge[32:], MaxPayloadElems+1)
-	frames := []struct {
-		name  string
-		frame []byte
-		want  error
-	}{
-		{"sparse", sparse, ErrBadFrame},
-		{"sparse f16", sparseFrame(legacyFrame(t, dense, legacyF16), idx), ErrUnknownDtype},
-		{"sparse flag on a dense frame", flagged, ErrBadFrame},
-		{"sparse cut before the indices", sparse[:frameHeaderBytes], ErrBadFrame},
-		{"sparse cut mid-index", sparse[:frameHeaderBytes+6], ErrBadFrame},
-		{"sparse cut mid-value", sparse[:len(sparse)-3], ErrBadFrame},
-		{"sparse with an absurd count", huge, ErrBadFrame}, // the flag refuses it first
-	}
-	for _, tc := range frames {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadMessage(bytes.NewReader(tc.frame)); !errors.Is(err, tc.want) {
-				t.Errorf("ReadMessage: %v, want %v", err, tc.want)
-			}
-			if _, err := readFrame(bufio.NewReader(bytes.NewReader(tc.frame))); !errors.Is(err, tc.want) {
-				t.Errorf("readFrame: %v, want %v", err, tc.want)
-			}
-			if _, err := rawPeerMesh(t, tc.frame).Recv(0); !errors.Is(err, tc.want) || !isDecodeErr(err) {
-				t.Errorf("TCP Recv: %v, want %v", err, tc.want)
-			}
-		})
-	}
-
-	local, err := NewLocalNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = local.Close() }()
-	tcp, err := NewTCPCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, m := range tcp {
-			_ = m.Close()
-		}
-	}()
-	ep, _ := local.Endpoint(0)
-	withIndices := dense
-	withIndices.Indices = idx
-	sends := []struct {
-		name string
-		send func(Message) error
-	}{
-		{"Encode", func(m Message) error { _, err := Encode(nil, m); return err }},
-		{"in-memory Send", func(m Message) error { return ep.Send(1, m) }},
-		{"TCP Send", func(m Message) error { return tcp[0].Send(1, m) }},
-		{"TCP Send to itself", func(m Message) error { return tcp[0].Send(0, m) }},
-	}
-	for _, tc := range sends {
-		if err := tc.send(withIndices); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s of a message with indices: %v, want ErrBadFrame", tc.name, err)
-		}
-	}
-}
-
 // rawPeerMesh returns rank 1 of a two-rank TCP mesh whose rank 0 is a raw
 // connection: it says hello and then writes frame, and stays open until the
 // test ends.

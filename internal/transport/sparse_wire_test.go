@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -8,152 +9,154 @@ import (
 	"testing"
 )
 
-// Wire-format tests for sparse (index+value) messages. Companion to the dtype
-// fuzz tests in fuzz_test.go.
+// Tests of the sparse (index+value) frame earlier builds sent: flag bit 0
+// and 4·n index bytes between the header and the payload. No build encodes
+// it now; each of these checks that it is refused, whole or forged or cut
+// short, and that no mesh sends a message that sets Indices. The forger is
+// sparseFrame in fuzz_test.go.
 
-func sparseSeed(n int) Message {
-	m := Message{Type: MsgReduce, Iter: 42, Chunk: 7}
-	m.Payload = make([]float64, n)
-	m.Indices = make([]int32, n)
-	for i := range m.Payload {
-		m.Payload[i] = float64(i)*1.5 - 3
-		m.Indices[i] = int32(i * 13)
-	}
-	return m
+func sparseSeed() (Message, []int32) {
+	dense := Message{Type: MsgReduce, Iter: 42, Chunk: 7, Payload: []float64{-3, -1.5, 0, 1.5, 3}}
+	return dense, []int32{0, 13, 26, 39, 52}
 }
 
-// TestSparseMessageRoundTrip: a sparse frame must decode to exactly the
-// indices and values it was encoded from.
+// requireRefused: frame fails with want through the decoder on either reader
+// and through a TCP consumer's Recv, where it counts as a decode error.
+func requireRefused(t *testing.T, frame []byte, want error) {
+	t.Helper()
+	if _, err := ReadMessage(bytes.NewReader(frame)); !errors.Is(err, want) {
+		t.Errorf("ReadMessage: %v, want %v", err, want)
+	}
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, want) {
+		t.Errorf("readFrame: %v, want %v", err, want)
+	}
+	if _, err := rawPeerMesh(t, frame).Recv(0); !errors.Is(err, want) || !isDecodeErr(err) {
+		t.Errorf("TCP Recv: %v, want %v", err, want)
+	}
+}
+
+// TestSparseMessageRoundTrip: an index list makes no round trip. Encode
+// refuses it, a whole sparse frame is refused from its header alone, and
+// the same values as a dense frame decode bit for bit.
 func TestSparseMessageRoundTrip(t *testing.T) {
-	msg := sparseSeed(9)
-	buf, err := Encode(nil, msg)
+	dense, idx := sparseSeed()
+	withIndices := dense
+	withIndices.Indices = idx
+	if _, err := Encode(nil, withIndices); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("Encode of a message with indices: %v, want ErrBadFrame", err)
+	}
+	t.Run("f64", func(t *testing.T) { requireRefused(t, sparseFrame(encode(t, dense), idx), ErrBadFrame) })
+	t.Run("f16", func(t *testing.T) {
+		requireRefused(t, sparseFrame(legacyFrame(t, dense, legacyF16), idx), ErrUnknownDtype)
+	})
+
+	got, err := ReadMessage(bytes.NewReader(encode(t, dense)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := frameHeaderBytes + 12*len(msg.Indices); len(buf) != want {
-		t.Fatalf("sparse frame is %d bytes, want %d", len(buf), want)
+	if got.Indices != nil || len(got.Payload) != len(dense.Payload) {
+		t.Fatalf("dense frame decoded to %d indices, %d values; want none, %d", len(got.Indices), len(got.Payload), len(dense.Payload))
 	}
-	got, err := ReadMessage(bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Indices) != len(msg.Indices) || len(got.Payload) != len(msg.Payload) {
-		t.Fatalf("lengths %d/%d, want %d/%d", len(got.Indices), len(got.Payload), len(msg.Indices), len(msg.Payload))
-	}
-	for i := range msg.Indices {
-		if got.Indices[i] != msg.Indices[i] {
-			t.Errorf("index %d = %d, want %d", i, got.Indices[i], msg.Indices[i])
-		}
-	}
-	for i := range msg.Payload {
-		if math.Float64bits(got.Payload[i]) != math.Float64bits(msg.Payload[i]) {
-			t.Errorf("value %d = %v, want %v", i, got.Payload[i], msg.Payload[i])
+	for i, x := range dense.Payload {
+		if math.Float64bits(got.Payload[i]) != math.Float64bits(x) {
+			t.Errorf("value %d = %v, want %v", i, got.Payload[i], x)
 		}
 	}
 }
 
-// TestSparseMessageEncodeMismatch: the encoder must refuse index/value
-// length disagreements rather than emit a frame no decoder accepts.
+// TestSparseMessageEncodeMismatch: Encode refuses Indices whatever their
+// length, so no index/value disagreement reaches the wire.
 func TestSparseMessageEncodeMismatch(t *testing.T) {
-	msg := sparseSeed(4)
-	msg.Indices = msg.Indices[:3]
-	if _, err := Encode(nil, msg); !errors.Is(err, ErrSparseMismatch) {
-		t.Errorf("mismatched encode error = %v, want ErrSparseMismatch", err)
+	dense, idx := sparseSeed()
+	for _, ix := range [][]int32{idx, idx[:3], {}} {
+		m := dense
+		m.Indices = ix
+		if _, err := Encode(nil, m); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("Encode with %d indices for %d values: %v, want ErrBadFrame", len(ix), len(m.Payload), err)
+		}
 	}
 }
 
-// TestSparseMessageTruncated: frames cut in the header, mid-index-list, or
-// mid-payload must error, never hang or deliver partial data.
+// TestSparseMessageTruncated: a sparse frame cut before its indices,
+// mid-index or mid-value errors and delivers nothing.
 func TestSparseMessageTruncated(t *testing.T) {
-	msg := sparseSeed(16)
-	buf, err := Encode(nil, msg)
-	if err != nil {
-		t.Fatal(err)
+	dense, idx := sparseSeed()
+	sparse := sparseFrame(encode(t, dense), idx)
+	cuts := []struct {
+		name string
+		n    int
+	}{
+		{"before the indices", frameHeaderBytes},
+		{"mid-index", frameHeaderBytes + 6},
+		{"mid-value", len(sparse) - 3},
 	}
-	cuts := []int{
-		frameHeaderBytes - 1,         // inside the header
-		frameHeaderBytes,             // before any index byte
-		frameHeaderBytes + 1,         // mid-index
-		frameHeaderBytes + 4*16 - 2,  // last index cut short
-		frameHeaderBytes + 4*16,      // indices intact, payload missing
-		frameHeaderBytes + 4*16 + 11, // mid-value
-		len(buf) - 1,                 // one byte short
-	}
-	for _, cut := range cuts {
-		if _, err := ReadMessage(bytes.NewReader(buf[:cut])); err == nil {
-			t.Errorf("frame truncated at %d decoded without error", cut)
-		}
-	}
-	if _, err := ReadMessage(bytes.NewReader(buf)); err != nil {
-		t.Errorf("intact frame failed: %v", err)
+	for _, tc := range cuts {
+		t.Run(tc.name, func(t *testing.T) { requireRefused(t, sparse[:tc.n], ErrBadFrame) })
 	}
 }
 
-// TestSparseMessageGarbageCounts: the v1 frame cannot EXPRESS an
-// index/value count mismatch (sparse frames carry exactly one index per
-// element), so the forgeries that remain are flag/length contradictions and
-// absurd element counts — all of which must be rejected before any
-// allocation-scale damage.
+// TestSparseMessageGarbageCounts: the forgeries a sparse flag allows, the
+// flag set on a dense frame and a sparse frame with an absurd element
+// count, are refused before any allocation-scale damage.
 func TestSparseMessageGarbageCounts(t *testing.T) {
-	msg := sparseSeed(8)
-	buf, err := Encode(nil, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Clearing the sparse flag leaves a frame whose length prefix still
-	// includes the index bytes: a flag/len contradiction.
-	f := append([]byte(nil), buf...)
-	f[6] &^= FlagSparse
-	if _, err := ReadMessage(bytes.NewReader(f)); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("cleared sparse flag error = %v, want ErrBadFrame", err)
-	}
-	// Setting the sparse flag on a dense frame is the mirror-image forgery.
-	dense, err := Encode(nil, Message{Type: MsgChunk, Payload: []float64{1, 2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense[6] |= FlagSparse
-	if _, err := ReadMessage(bytes.NewReader(dense)); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("forged sparse flag error = %v, want ErrBadFrame", err)
-	}
-	// An absurd element count trips the global bound before the length
-	// prefix is even consulted.
-	f = append([]byte(nil), buf...)
-	binary.LittleEndian.PutUint32(f[32:], MaxPayloadElems+1)
-	if _, err := ReadMessage(bytes.NewReader(f)); !errors.Is(err, ErrPayloadTooLarge) {
-		t.Errorf("oversized sparse frame error = %v, want ErrPayloadTooLarge", err)
-	}
-	// The encoder still refuses a caller-side mismatch (see
-	// TestSparseMessageEncodeMismatch); the wire simply cannot carry one.
+	dense, idx := sparseSeed()
+	t.Run("sparse flag on a dense frame", func(t *testing.T) {
+		flagged := encode(t, dense)
+		flagged[6] |= 1 << 0
+		requireRefused(t, flagged, ErrBadFrame)
+	})
+	t.Run("absurd count", func(t *testing.T) {
+		huge := sparseFrame(encode(t, dense), idx)
+		binary.LittleEndian.PutUint32(huge[32:], MaxPayloadElems+1)
+		requireRefused(t, huge, ErrBadFrame) // the flag refuses it first
+	})
 }
 
-// TestSparseSendThroughLocalMesh: the in-memory mesh must deliver sparse
-// messages by value — the receiver's index slice must not alias the
-// sender's.
+// TestSparseSendThroughLocalMesh: no mesh sends a message that sets
+// Indices, so none is silently dropped, and the refusal delivers nothing:
+// the receiver's next message is the dense one sent after it.
 func TestSparseSendThroughLocalMesh(t *testing.T) {
-	net, err := NewLocalNetwork(2)
+	local, err := NewLocalNetwork(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = net.Close() }()
-	eps := net.Endpoints()
-	msg := sparseSeed(5)
-	sent := append([]int32(nil), msg.Indices...)
-	if err := eps[0].Send(1, msg); err != nil {
-		t.Fatal(err)
-	}
-	msg.Indices[0] = -999 // sender keeps mutating its buffers
-	msg.Payload[0] = -999
-	got, err := eps[1].Recv(0)
+	defer func() { _ = local.Close() }()
+	tcp, err := NewTCPCluster(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sent {
-		if got.Indices[i] != sent[i] {
-			t.Errorf("index %d = %d, want %d (aliasing?)", i, got.Indices[i], sent[i])
+	defer func() {
+		for _, m := range tcp {
+			_ = m.Close()
 		}
+	}()
+	eps := local.Endpoints()
+	dense, idx := sparseSeed()
+	withIndices := dense
+	withIndices.Indices = idx
+	meshes := []struct {
+		name     string
+		from, to Mesh
+		toRank   int
+		fromRank int
+	}{
+		{"in-memory", eps[0], eps[1], 1, 0},
+		{"TCP", tcp[0], tcp[1], 1, 0},
+		{"TCP to itself", tcp[0], tcp[0], 0, 0},
 	}
-	if got.Payload[0] == -999 {
-		t.Error("payload aliases the sender's buffer")
+	for _, tc := range meshes {
+		if err := tc.from.Send(tc.toRank, withIndices); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s Send of a message with indices: %v, want ErrBadFrame", tc.name, err)
+		}
+		if err := tc.from.Send(tc.toRank, dense); err != nil {
+			t.Fatalf("%s dense Send: %v", tc.name, err)
+		}
+		got, err := tc.to.Recv(tc.fromRank)
+		if err != nil {
+			t.Fatalf("%s Recv: %v", tc.name, err)
+		}
+		if got.Indices != nil || got.Iter != dense.Iter || len(got.Payload) != len(dense.Payload) {
+			t.Errorf("%s received %d indices, iter %d, %d values; want the dense message", tc.name, len(got.Indices), got.Iter, len(got.Payload))
+		}
 	}
 }
