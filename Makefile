@@ -24,10 +24,14 @@ race:
 purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/opt ./internal/model ./internal/core ./internal/ps
 
-# cross checks that the fallback compiles where there is no assembly.
+# cross checks that the fallback compiles where there is no assembly, and
+# that the converting wire codecs compile and vet on a big-endian target
+# (s390x); TestBigEndianFallback runs them on this host.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
+	GOARCH=s390x $(GO) build ./...
+	GOARCH=s390x $(GO) vet ./internal/transport ./internal/tensor
 
 # results-check re-runs every simulated experiment and requires the committed
 # results_full.txt byte for byte: virtual time is deterministic, so any diff
@@ -43,8 +47,9 @@ results-check-purego:
 
 # check is the CI gate: static analysis (vet's asmdecl covers the assembly
 # stubs), full build, race-enabled tests (which run the Go loops: the
-# assembly switches itself off under -race), both kernel paths, then the
-# recorded simulation results on both kernel paths.
+# assembly switches itself off under -race), both kernel paths, the arm64 and
+# big-endian s390x builds, then the recorded simulation results on both
+# kernel paths.
 check: vet build race purego cross results-check results-check-purego
 
 # loc prints the non-test Go lines of every internal package and command,

@@ -92,8 +92,8 @@ func TestHierarchicalWorkerTrains(t *testing.T) {
 		t.Fatalf("PS keys %v, want the model's chunks", keys)
 	}
 	for _, key := range keys {
-		if store.Pushes(key) < 3 {
-			t.Errorf("PS pushes to %q = %d, want several", key, store.Pushes(key))
+		if store.Version(key) < 3 {
+			t.Errorf("PS version of %q = %d, want several pushes", key, store.Version(key))
 		}
 	}
 }

@@ -91,7 +91,6 @@ type entry struct {
 type snapshot struct {
 	value   tensor.Vector
 	version int64
-	pushes  int64
 	refs    atomic.Int64
 	owner   *entry
 }
@@ -223,7 +222,7 @@ func (e *entry) apply(value tensor.Vector, mode UpdateMode) (*snapshot, error) {
 	defer e.mu.Unlock()
 	cur := e.snap.Load()
 	if cur == nil {
-		next := &snapshot{value: value.Clone(), version: 1, pushes: 1, owner: e}
+		next := &snapshot{value: value.Clone(), version: 1, owner: e}
 		next.refs.Store(2) // the published reference + the caller's
 		e.snap.Store(next)
 		return next, nil
@@ -234,7 +233,7 @@ func (e *entry) apply(value tensor.Vector, mode UpdateMode) (*snapshot, error) {
 	// Build the successor in a single fused pass (dst = f(cur, pushed))
 	// into a recycled buffer: no clone-then-combine sweep, no allocation
 	// zeroing, on the only serialized stretch of a push.
-	next := &snapshot{value: e.takeBuf(len(value)), version: cur.version + 1, pushes: cur.pushes + 1, owner: e}
+	next := &snapshot{value: e.takeBuf(len(value)), version: cur.version + 1, owner: e}
 	switch mode {
 	case Overwrite:
 		copy(next.value, value)
@@ -357,18 +356,8 @@ func (s *Store) PushPullLease(key string, value tensor.Vector, mode UpdateMode, 
 	return Lease{Value: snap.value, Version: snap.version, snap: snap}, nil
 }
 
-// PullLease returns a zero-copy Lease on the key's published value.
-func (s *Store) PullLease(key string) (Lease, error) {
-	snap, ok := s.acquireSnap(key)
-	if !ok {
-		return Lease{}, fmt.Errorf("pull %q: %w", key, ErrUnknownKey)
-	}
-	return Lease{Value: snap.value, Version: snap.version, snap: snap}, nil
-}
-
 // WaitVersion blocks until key exists and its version is at least min,
-// returning the version observed. A key deleted while waited on parks the
-// waiter until the key reappears.
+// returning the version observed.
 func (s *Store) WaitVersion(key string, min int64) int64 {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -428,18 +417,6 @@ func (s *Store) Version(key string) int64 {
 	return 0
 }
 
-// Pushes returns the total number of pushes applied to key (0 if absent).
-func (s *Store) Pushes(key string) int64 {
-	e, _, ok := s.lookup(key)
-	if !ok {
-		return 0
-	}
-	if snap := e.snap.Load(); snap != nil {
-		return snap.pushes
-	}
-	return 0
-}
-
 // Keys returns all stored keys in sorted order, so callers that iterate
 // the store (checkpointing, diagnostics) see a deterministic sequence.
 func (s *Store) Keys() []string {
@@ -454,12 +431,4 @@ func (s *Store) Keys() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Delete removes a key; deleting an absent key is a no-op.
-func (s *Store) Delete(key string) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	delete(sh.entries, key)
-	sh.mu.Unlock()
 }

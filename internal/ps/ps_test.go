@@ -145,8 +145,8 @@ func TestPushPullFirstTouch(t *testing.T) {
 
 func TestVersionAndPushes(t *testing.T) {
 	s := NewStore(3)
-	if s.Version("k") != 0 || s.Pushes("k") != 0 {
-		t.Error("absent key should report zero version/pushes")
+	if s.Version("k") != 0 {
+		t.Error("absent key should report zero version")
 	}
 	for i := 0; i < 5; i++ {
 		if _, err := s.Push("k", tensor.FromSlice([]float64{1}), Add); err != nil {
@@ -155,9 +155,6 @@ func TestVersionAndPushes(t *testing.T) {
 	}
 	if s.Version("k") != 5 {
 		t.Errorf("Version = %d, want 5", s.Version("k"))
-	}
-	if s.Pushes("k") != 5 {
-		t.Errorf("Pushes = %d, want 5", s.Pushes("k"))
 	}
 }
 
@@ -172,13 +169,8 @@ func TestKeysAndDelete(t *testing.T) {
 	if len(keys) != 3 {
 		t.Errorf("Keys = %v", keys)
 	}
-	s.Delete("b")
-	s.Delete("nope") // no-op
-	if len(s.Keys()) != 2 {
-		t.Errorf("after delete Keys = %v", s.Keys())
-	}
-	if _, _, err := s.Pull("b"); !errors.Is(err, ErrUnknownKey) {
-		t.Error("deleted key should be unknown")
+	if _, _, err := s.Pull("nope"); !errors.Is(err, ErrUnknownKey) {
+		t.Error("a key never pushed should be unknown")
 	}
 }
 

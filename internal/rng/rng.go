@@ -98,33 +98,6 @@ func LogNormalParams(mean, stddev float64) (mu, sigma float64) {
 	return mu, math.Sqrt(sigma2)
 }
 
-// Exponential returns an exponential sample with the given mean.
-func (s *Source) Exponential(mean float64) float64 {
-	return s.r.ExpFloat64() * mean
-}
-
-// TruncUniform returns a uniform sample in [lo,hi) clamped to be
-// non-negative; convenient for delay injection where lo may be zero.
-func (s *Source) TruncUniform(lo, hi float64) float64 {
-	x := s.Uniform(lo, hi)
-	if x < 0 {
-		return 0
-	}
-	return x
-}
-
-// TruncNormal returns a normal sample clamped to [lo, hi].
-func (s *Source) TruncNormal(mean, stddev, lo, hi float64) float64 {
-	x := s.Normal(mean, stddev)
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // Bernoulli returns true with probability p.
 func (s *Source) Bernoulli(p float64) bool {
 	return s.r.Float64() < p

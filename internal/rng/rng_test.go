@@ -112,37 +112,6 @@ func TestLogNormalParamsDegenerate(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	s := New(5)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.Exponential(3)
-	}
-	if mean := sum / n; math.Abs(mean-3) > 0.1 {
-		t.Errorf("Exponential mean = %v, want ~3", mean)
-	}
-}
-
-func TestTruncUniformNonNegative(t *testing.T) {
-	s := New(9)
-	for i := 0; i < 1000; i++ {
-		if x := s.TruncUniform(-5, 5); x < 0 {
-			t.Fatalf("TruncUniform returned %v < 0", x)
-		}
-	}
-}
-
-func TestTruncNormalClamps(t *testing.T) {
-	s := New(13)
-	for i := 0; i < 1000; i++ {
-		x := s.TruncNormal(0, 10, -1, 1)
-		if x < -1 || x > 1 {
-			t.Fatalf("TruncNormal out of bounds: %v", x)
-		}
-	}
-}
-
 func TestBernoulliExtremes(t *testing.T) {
 	s := New(17)
 	for i := 0; i < 100; i++ {

@@ -1,8 +1,9 @@
-// Package sim implements a deterministic discrete-event simulation engine
-// with a virtual clock. All cluster-scale experiments in this repository run
-// on virtual time: workers are event-driven state machines, compute steps
-// and message transfers are scheduled as future events, and ties are broken
-// by insertion order so a run is fully reproducible given its RNG seed.
+// Package sim implements a deterministic discrete-event engine with a
+// virtual clock: callbacks scheduled with At or After run in timestamp order,
+// ties broken by insertion order, until the queue drains, Stop is called or
+// an event budget runs out. internal/trainsim's AD-PSGD simulation schedules
+// its workers' compute steps and pairwise averagings on it, so a run is fully
+// reproducible given its RNG seed.
 package sim
 
 import (
@@ -110,29 +111,6 @@ func (e *Engine) Run(maxEvents uint64) error {
 		e.now = ev.at
 		e.processed++
 		ev.fn()
-	}
-	return nil
-}
-
-// RunUntil executes events with timestamps <= deadline, leaving later events
-// queued. The clock is advanced to the deadline if the queue still holds
-// later events; otherwise it stays at the last executed event.
-func (e *Engine) RunUntil(deadline time.Duration, maxEvents uint64) error {
-	e.stopped = false
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		if e.stopped {
-			return ErrStopped
-		}
-		if maxEvents > 0 && e.processed >= maxEvents {
-			return errors.New("sim: event budget exhausted")
-		}
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		e.processed++
-		ev.fn()
-	}
-	if len(e.queue) > 0 && e.now < deadline {
-		e.now = deadline
 	}
 	return nil
 }

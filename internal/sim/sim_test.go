@@ -116,153 +116,3 @@ func TestEventBudget(t *testing.T) {
 		t.Errorf("Processed = %d, want 100", e.Processed())
 	}
 }
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []time.Duration
-	for _, d := range []time.Duration{5, 10, 15, 20} {
-		d := d * time.Millisecond
-		e.At(d, func() { fired = append(fired, d) })
-	}
-	if err := e.RunUntil(12*time.Millisecond, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil executed %d events, want 2", len(fired))
-	}
-	if e.Now() != 12*time.Millisecond {
-		t.Errorf("Now = %v, want clock advanced to deadline 12ms", e.Now())
-	}
-	// Resume runs the rest.
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 4 {
-		t.Errorf("after resume executed %d events, want 4", len(fired))
-	}
-}
-
-func TestRunUntilEmptyQueueKeepsClock(t *testing.T) {
-	e := NewEngine()
-	e.At(3*time.Millisecond, func() {})
-	if err := e.RunUntil(time.Second, 0); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 3*time.Millisecond {
-		t.Errorf("Now = %v, want 3ms (no later events queued)", e.Now())
-	}
-}
-
-func TestMutexFIFO(t *testing.T) {
-	e := NewEngine()
-	m := NewMutex(e)
-	var order []string
-	e.At(0, func() {
-		m.Acquire(func() {
-			order = append(order, "a-acq")
-			e.After(10*time.Millisecond, func() {
-				order = append(order, "a-rel")
-				m.Release()
-			})
-		})
-	})
-	e.At(1*time.Millisecond, func() {
-		m.Acquire(func() { order = append(order, "b-acq"); m.Release() })
-	})
-	e.At(2*time.Millisecond, func() {
-		m.Acquire(func() { order = append(order, "c-acq"); m.Release() })
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a-acq", "a-rel", "b-acq", "c-acq"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if m.Held() {
-		t.Error("mutex still held after all releases")
-	}
-}
-
-func TestMutexWaitAccounting(t *testing.T) {
-	e := NewEngine()
-	m := NewMutex(e)
-	e.At(0, func() {
-		m.Acquire(func() {
-			e.After(20*time.Millisecond, m.Release)
-		})
-	})
-	e.At(5*time.Millisecond, func() {
-		m.Acquire(func() { m.Release() })
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.WaitTotal(); got != 15*time.Millisecond {
-		t.Errorf("WaitTotal = %v, want 15ms", got)
-	}
-}
-
-func TestMutexTryAcquire(t *testing.T) {
-	e := NewEngine()
-	m := NewMutex(e)
-	if !m.TryAcquire() {
-		t.Fatal("TryAcquire on free mutex failed")
-	}
-	if m.TryAcquire() {
-		t.Fatal("TryAcquire on held mutex succeeded")
-	}
-	m.Release()
-	if !m.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
-func TestMutexReleaseUnheldNoop(t *testing.T) {
-	e := NewEngine()
-	m := NewMutex(e)
-	m.Release() // must not panic or corrupt state
-	if m.Held() {
-		t.Error("release of unheld mutex marked it held")
-	}
-}
-
-func TestSemaphore(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(e, 2)
-	var acquired []int
-	for i := 0; i < 4; i++ {
-		i := i
-		e.At(time.Duration(i)*time.Millisecond, func() {
-			s.Acquire(func() { acquired = append(acquired, i) })
-		})
-	}
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(acquired) != 2 {
-		t.Fatalf("acquired = %v, want exactly 2 grants", acquired)
-	}
-	if s.Free() != 0 {
-		t.Errorf("Free = %d, want 0", s.Free())
-	}
-	// Releasing grants queued waiters FIFO.
-	s.Release()
-	s.Release()
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(acquired) != 4 || acquired[2] != 2 || acquired[3] != 3 {
-		t.Errorf("acquired = %v, want FIFO [0 1 2 3]", acquired)
-	}
-	// Release with no waiters returns the slot.
-	s.Release()
-	if s.Free() != 1 {
-		t.Errorf("Free = %d, want 1", s.Free())
-	}
-}

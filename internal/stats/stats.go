@@ -234,12 +234,3 @@ func (h *Histogram) Render(maxWidth int) string {
 	}
 	return sb.String()
 }
-
-// Speedup returns baseline/measured; by convention values above 1 mean
-// "measured is faster than baseline". A non-positive measured time yields 0.
-func Speedup(baseline, measured float64) float64 {
-	if measured <= 0 {
-		return 0
-	}
-	return baseline / measured
-}

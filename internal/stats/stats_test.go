@@ -186,15 +186,6 @@ func TestHistogramRender(t *testing.T) {
 	_ = h.Render(0)
 }
 
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(10, 5); got != 2 {
-		t.Errorf("Speedup(10,5) = %v, want 2", got)
-	}
-	if got := Speedup(10, 0); got != 0 {
-		t.Errorf("Speedup(10,0) = %v, want 0", got)
-	}
-}
-
 func TestBreakdownFractions(t *testing.T) {
 	b := Breakdown{Compute: 600 * time.Millisecond, Comm: 100 * time.Millisecond, Wait: 300 * time.Millisecond}
 	if b.Total() != time.Second {

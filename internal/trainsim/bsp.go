@@ -106,8 +106,6 @@ func runBSP(cfg Config) (*Result, error) {
 				return nil, err
 			}
 		}
-		// updateTail adds the optimizer term — and under ShardedUpdate
-		// decomposes the round into RS → owned-shard step → AG.
 		commCost := cfg.updateTail(cfg.Workers, cfg.Spec.GradientBytes(), 0)
 		syncEnd := fire + commCost
 		for w := 0; w < cfg.Workers; w++ {

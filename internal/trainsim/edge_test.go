@@ -172,35 +172,3 @@ func TestPSSyncEveryKnob(t *testing.T) {
 		t.Error("PS period had no effect")
 	}
 }
-
-// TestHierarchicalChunkedPSPricing: pricing the PS exchange with the
-// pipelined wire protocol (chunked frames, overlapped acks) finishes no
-// later than the monolithic round trip, and stays deterministic.
-func TestHierarchicalChunkedPSPricing(t *testing.T) {
-	base := testConfig(t, RNAHierarchical, 6, 40)
-	base.Injector = hetero.NewMixedGroups(6)
-	mono, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunked := base
-	chunked.PSChunks = 8
-	a, err := Run(chunked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.VirtualTime > mono.VirtualTime {
-		t.Errorf("chunked PS pricing %v slower than monolithic %v", a.VirtualTime, mono.VirtualTime)
-	}
-	// The pricing changes time, never the trajectory.
-	if !a.FinalParams.Equal(mono.FinalParams, 0) {
-		t.Error("PS pricing changed the simulated trajectory")
-	}
-	b, err := Run(chunked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.VirtualTime != b.VirtualTime {
-		t.Error("chunked pricing not deterministic")
-	}
-}

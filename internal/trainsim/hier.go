@@ -98,11 +98,6 @@ func runHierarchical(cfg Config) (*Result, error) {
 				start = psFreeAt
 			}
 			psCost := cfg.Comm.PSPushPull(cfg.Spec.GradientBytes())
-			if cfg.PSChunks > 1 {
-				// Pipelined wire-protocol exchange: chunked frames, acks
-				// overlapping pushes.
-				psCost = cfg.Comm.PSPushPullWire(int(cfg.Spec.Params), cfg.PSChunks)
-			}
 			psFreeAt = start + psCost
 			return (start - syncEnd) + psCost +
 				cfg.Comm.Broadcast(groupSize, cfg.Spec.GradientBytes())

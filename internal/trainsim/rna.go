@@ -394,8 +394,7 @@ func (s *partialSim) nextRound() error {
 	}
 
 	// Price the collective: one extra payload element carries the
-	// contribution count (see collective.PartialAllReduceOpts). The schedule is
-	// the configured one (ring by default, auto for selector runs).
+	// contribution count (see collective.PartialAllReduceOpts).
 	commCost := s.cfg.updateTail(s.n, s.cfg.Spec.GradientBytes(), 8)
 	if s.payCopy && !s.cfg.DirectGPU {
 		oh := s.cfg.Comm.RNACopyOverhead(s.cfg.Spec.GradientBytes())

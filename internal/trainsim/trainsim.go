@@ -94,13 +94,6 @@ type Config struct {
 	Injector hetero.Injector
 	Spec     workload.ModelSpec
 	Comm     workload.CommModel
-	// Collective selects the AllReduce schedule the engines price: the
-	// zero value is the paper's ring; workload.AllReduceAuto opts into
-	// the cost-model selector (the cheaper of ring and tree at each rank
-	// count and message size; both are priced from the runtime engine's
-	// own descriptions in internal/collective). Hierarchical groups
-	// inherit it for their intra-group collectives.
-	Collective workload.AllReduceAlgo
 	// SpeedFactors optionally scales each worker's compute time
 	// multiplicatively (deterministic hardware heterogeneity: the
 	// paper's Table 2 testbed mixes K80, 1080Ti and 2080Ti GPUs).
@@ -130,28 +123,10 @@ type Config struct {
 	// 8.5: per-layer copies pipeline against backpropagation, exposing
 	// only one layer's copy in each direction.
 	LayerOverlap bool
-	// ShardedUpdate prices the owner-computes sharded update path
-	// (internal/core's ShardedUpdate mode): the fused AllReduce decomposes
-	// into a ReduceScatter, an owned-shard optimizer step over a uniform
-	// span, and a parameter AllGather. Only the dense Horovod and RNA
-	// strategies qualify.
-	ShardedUpdate bool
-	// OptNsPerElem prices the optimizer update at this many nanoseconds
-	// per parameter element (scaled by the rank's SpeedFactor). Zero — the
-	// default — keeps updates free, the historical pricing under which
-	// sharded and replicated rounds cost the same; setting it exposes the
-	// N× update-compute reduction the sharded path buys.
-	OptNsPerElem float64
 	// PSSyncEvery is the hierarchical scheme's PS exchange period in
 	// group synchronizations (default 4; the paper leaves frequency
 	// tuning as future work).
 	PSSyncEvery int
-	// PSChunks is the chunk count of the hierarchical PS exchange. With
-	// 0 or 1 the exchange is priced as one monolithic round trip
-	// (CommModel.PSPushPull); with more chunks it is priced by the
-	// pipelined wire-protocol model (CommModel.PSPushPullWire), where
-	// early acks overlap later pushes.
-	PSChunks int
 
 	// Parallelism controls the engine's per-round gradient fan-out: 0
 	// (the default) fans independent per-worker Model.Gradient calls out
@@ -193,12 +168,6 @@ func (c *Config) validate() error {
 	if c.MaxIterations < 1 && c.MaxTime <= 0 {
 		return fmt.Errorf("trainsim: no termination condition")
 	}
-	if c.OptNsPerElem < 0 {
-		return fmt.Errorf("trainsim: negative optimizer cost %v", c.OptNsPerElem)
-	}
-	if c.ShardedUpdate && c.Strategy != Horovod && c.Strategy != RNA {
-		return fmt.Errorf("trainsim: sharded update requires Horovod or RNA, got %v", c.Strategy)
-	}
 	return nil
 }
 
@@ -230,51 +199,11 @@ func (c *Config) evalEvery() int {
 	return c.EvalEvery
 }
 
-// allReduceCost prices one synchronization's collective for n ranks under
-// the configured schedule.
-func (c *Config) allReduceCost(n int, bytes int64) time.Duration {
-	return c.Comm.AllReduce(c.Collective, n, bytes)
-}
-
-// optStepCost prices one optimizer step over elems parameter elements on
-// worker w: OptNsPerElem per element, scaled by the worker's compute speed
-// factor. Zero OptNsPerElem keeps updates free.
-func (c *Config) optStepCost(w, elems int) time.Duration {
-	if c.OptNsPerElem <= 0 || elems <= 0 {
-		return 0
-	}
-	return time.Duration(float64(elems) * c.OptNsPerElem * c.speedFactor(w))
-}
-
-// updateTail prices one synchronization's full post-compute cost: the
-// collective plus the optimizer update. extra is the bytes the loop's vector
-// carries beyond the gradient (RNA's contributor-count flag).
-//
-// Replicated (the default): the AllReduce plus one full-vector optimizer
-// step per rank, redundantly; the slowest rank's step paces the round.
-//
-// ShardedUpdate: a ReduceScatter, the owned-shard optimizer step over a
-// uniform span (the round waits for the slowest owner), and a parameter
-// AllGather, strictly sequential — the owned step gates the gather. With
-// OptNsPerElem set the update term shrinks ~N× against the replicated path
-// while ReduceScatter + AllGather together move exactly the ring AllReduce's
-// bytes (see workload.CommModel.ReduceScatter).
+// updateTail prices one synchronization's post-compute cost: the ring
+// AllReduce of the gradient plus extra, the bytes the loop's vector carries
+// beyond it (RNA's contributor-count flag). The optimizer step is free.
 func (c *Config) updateTail(n int, bytes, extra int64) time.Duration {
-	elems := int(bytes / 8)
-	span := elems
-	var tail time.Duration
-	if c.ShardedUpdate {
-		// The flag rides the scatter once.
-		span = elems / n
-		tail = c.Comm.ReduceScatter(n, elems+int(extra/8)) + c.Comm.AllGather(n, elems)
-	} else {
-		tail = c.allReduceCost(n, bytes+extra)
-	}
-	var worst time.Duration
-	for w := 0; w < n; w++ {
-		worst = max(worst, c.optStepCost(w, span))
-	}
-	return tail + worst
+	return c.Comm.RingAllReduce(n, bytes+extra)
 }
 
 func (c *Config) injector() hetero.Injector {
@@ -509,9 +438,6 @@ func (p *paramsTimeline) Lookup(t time.Duration) tensor.Vector {
 	}
 	return p.params[i]
 }
-
-// Latest returns the newest version.
-func (p *paramsTimeline) Latest() tensor.Vector { return p.params[len(p.params)-1] }
 
 // Prune drops versions strictly older than the one visible at `before`,
 // keeping the timeline bounded.

@@ -409,9 +409,6 @@ func TestParamsTimeline(t *testing.T) {
 	if got := tl.Lookup(time.Hour); got[0] != 2 {
 		t.Errorf("Lookup(1h) = %v, want v2", got)
 	}
-	if got := tl.Latest(); got[0] != 2 {
-		t.Errorf("Latest = %v", got)
-	}
 	tl.Prune(15 * time.Millisecond)
 	if tl.Len() != 2 {
 		t.Errorf("after prune Len = %d, want 2", tl.Len())
@@ -436,39 +433,5 @@ func TestPartialSimStalenessBound(t *testing.T) {
 	}
 	if !res.FinalParams.IsFinite() {
 		t.Error("non-finite params")
-	}
-}
-
-// TestCollectiveAutoNeverSlower: opting a simulation into auto collective
-// selection can only shrink virtual time (the priced min over schedules),
-// and the zero value reproduces the historical ring timing exactly.
-func TestCollectiveAutoNeverSlower(t *testing.T) {
-	for _, strategy := range []Strategy{Horovod, RNA} {
-		cfg := testConfig(t, strategy, 4, 30)
-		ringRes, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg2 := testConfig(t, strategy, 4, 30)
-		cfg2.Collective = workload.AllReduceAuto
-		autoRes, err := Run(cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if autoRes.VirtualTime > ringRes.VirtualTime {
-			t.Errorf("%v: auto collective %v slower than ring %v",
-				strategy, autoRes.VirtualTime, ringRes.VirtualTime)
-		}
-		// Same schedule choice implies identical statistics.
-		explicit := testConfig(t, strategy, 4, 30)
-		explicit.Collective = workload.AllReduceRing
-		explicitRes, err := Run(explicit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if explicitRes.VirtualTime != ringRes.VirtualTime {
-			t.Errorf("%v: explicit ring %v differs from zero value %v",
-				strategy, explicitRes.VirtualTime, ringRes.VirtualTime)
-		}
 	}
 }

@@ -121,10 +121,9 @@ type frameWriter struct {
 	// flushes are plain blocking writes.
 	stall func()
 
-	// arena holds header bytes, tails and copied small bodies between
-	// flushes. Fixed capacity: iovec entries alias it, so it must never
-	// reallocate while a frame is queued — grabArena flushes first when the
-	// next part does not fit.
+	// arena holds one frame's header, tail and copied small body until
+	// the flush. Fixed capacity: iovec entries alias it, so it must never
+	// reallocate while a frame is queued.
 	arena []byte
 	// iov is the pending writev list, in frame order: arena regions
 	// interleaved with zero-copy payload views. open tracks whether the
@@ -146,10 +145,10 @@ type frameWriter struct {
 	armedUntil time.Time
 }
 
-// arenaCap is the arena size. It bounds one flush's copied bytes: a frame's
-// header, tail and a body below zeroCopyMin, or on a big-endian host a body
-// of up to half the arena.
-const arenaCap = 32 << 10
+// arenaCap is the arena size: the largest frame part list the arena ever
+// holds, a header, a body below zeroCopyMin and a tail. Every Send flushes
+// its one frame, and the flush resets the arena.
+const arenaCap = frameHeaderBytes + zeroCopyMin + 8
 
 // zeroCopyMin is the smallest payload body (bytes) worth queueing as its own
 // iovec instead of copying into the arena. Below this, the copy is cheaper
@@ -160,14 +159,9 @@ func newFrameWriter(conn net.Conn, stall func()) *frameWriter {
 	return &frameWriter{conn: conn, stall: stall, arena: make([]byte, 0, arenaCap)}
 }
 
-// grabArena returns n bytes of arena space as the current iovec tail,
-// flushing queued frames first if the arena is full. n must be ≤ arenaCap.
-func (w *frameWriter) grabArena(n int) ([]byte, error) {
-	if len(w.arena)+n > cap(w.arena) {
-		if err := w.flush(); err != nil {
-			return nil, err
-		}
-	}
+// grabArena returns n bytes of arena space as the current iovec tail. One
+// frame's arena-bound parts always fit (see arenaCap).
+func (w *frameWriter) grabArena(n int) []byte {
 	start := len(w.arena)
 	w.arena = w.arena[:start+n]
 	b := w.arena[start : start+n]
@@ -179,7 +173,7 @@ func (w *frameWriter) grabArena(n int) ([]byte, error) {
 		w.iov = append(w.iov, b)
 		w.open = true
 	}
-	return b, nil
+	return b
 }
 
 // addView queues a zero-copy iovec entry.
@@ -188,65 +182,46 @@ func (w *frameWriter) addView(b []byte) {
 	w.open = false
 }
 
-// enqueue appends one frame to the pending batch. A zero-copy view aliases
-// the caller's payload, so the caller flushes before it lets go of it.
+// enqueue queues one frame for the next flush. A zero-copy view aliases the
+// caller's payload, so the caller flushes before it lets go of it.
 func (w *frameWriter) enqueue(msg *Message) error {
 	if err := checkEncodable(msg); err != nil {
 		return err
 	}
-	hdr, err := w.grabArena(frameHeaderBytes)
-	if err != nil {
-		return err
+	putFrameHeader(w.grabArena(frameHeaderBytes), msg, msg.elems())
+	w.enqueuePayload(msg.Payload)
+	if msg.HasTail {
+		binary.LittleEndian.PutUint64(w.grabArena(8), math.Float64bits(msg.Tail))
 	}
-	putFrameHeader(hdr, msg, msg.elems())
-	if err := w.enqueuePayload(msg.Payload); err != nil || !msg.HasTail {
-		return err
-	}
-	b, err := w.grabArena(8)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(b, math.Float64bits(msg.Tail))
 	return nil
 }
 
-// enqueuePayload appends a payload body to the pending batch.
-func (w *frameWriter) enqueuePayload(p []float64) error {
+// enqueuePayload queues a payload body: a body below zeroCopyMin is copied
+// into the arena, a larger one is queued as a view of p on a little-endian
+// host and staged into pooled scratch on a big-endian one.
+func (w *frameWriter) enqueuePayload(p []float64) {
 	wire := 8 * len(p)
-	if wire == 0 {
-		return nil
+	switch {
+	case wire < zeroCopyMin:
+		encodePayload(w.grabArena(wire), p)
+	case hostLittleEndian:
+		w.addView(f64Bytes(p))
+	default:
+		w.addView(w.stage(p))
 	}
-	if wire >= zeroCopyMin {
-		if view := f64Bytes(p); view != nil {
-			w.addView(view)
-			return nil
-		}
-	}
-	// Small payloads copy because it is cheaper than pinning, and so does a
-	// big-endian host. Stage into the arena when the body fits, else into
-	// pooled scratch.
-	if wire <= arenaCap-len(w.arena) || wire <= arenaCap/2 {
-		b, err := w.grabArena(wire)
-		if err != nil {
-			return err
-		}
-		encodePayload(b, p)
-	} else {
-		w.addView(w.stage(wire, func(b []byte) { encodePayload(b, p) }))
-	}
-	return nil
 }
 
-// stage encodes n bytes into a pooled scratch buffer held until the next
-// reset, and returns it.
-func (w *frameWriter) stage(n int, fill func([]byte)) []byte {
+// stage encodes p into a pooled scratch buffer held until the next reset,
+// and returns it.
+func (w *frameWriter) stage(p []float64) []byte {
+	n := 8 * len(p)
 	bp := encodeBufs.Get().(*[]byte)
 	buf := (*bp)[:0]
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	fill(buf)
+	encodePayload(buf, p)
 	*bp = buf
 	w.scratch = append(w.scratch, bp)
 	return buf
