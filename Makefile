@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race purego cross results-check results-check-purego loc alloc-gate bench-smoke hetero-ratio rss-ratio fuzz-smoke microbench profile-gradient check
+.PHONY: all vet build test race purego cross results-check results-check-purego doc-names loc alloc-gate bench-smoke hetero-ratio rss-ratio fuzz-smoke microbench profile-gradient check
 
 all: vet build test
 
@@ -45,12 +45,23 @@ results-check:
 results-check-purego:
 	$(GO) run -tags purego ./cmd/rnasim -experiment all | diff - results_full.txt
 
+# doc-names fails when DESIGN.md, README.md or EXPERIMENTS.md names an
+# identifier that no longer exists in the code: a type, function, field,
+# command or option of a removed feature. A removal narrative names the
+# commit that removed the feature instead. Add a name here when its code
+# goes; CHANGES.md, ROADMAP.md and benchmark/README.md keep the
+# history and are not checked.
+DOC_NAMES = StreamDemux|rnabench|MeshCaps|CapsAll|SetLinkRate|FusedAllReduce|RingAllReduceSegmented|PartialRingAllReduce|PSChunks|OptNsPerElem|PSPushPullWire|AllReduceAlgo|SkewEngine|OverlapSerial|SeedStore|PushPullLease|AverageInto
+doc-names:
+	@if grep -nwE '$(DOC_NAMES)' DESIGN.md README.md EXPERIMENTS.md; then \
+		echo "doc-names: the lines above name identifiers the code no longer has"; exit 1; fi
+
 # check is the CI gate: static analysis (vet's asmdecl covers the assembly
 # stubs), full build, race-enabled tests (which run the Go loops: the
 # assembly switches itself off under -race), both kernel paths, the arm64 and
-# big-endian s390x builds, then the recorded simulation results on both
-# kernel paths.
-check: vet build race purego cross results-check results-check-purego
+# big-endian s390x builds, the recorded simulation results on both kernel
+# paths, then doc-names over the design docs.
+check: vet build race purego cross results-check results-check-purego doc-names
 
 # loc prints the non-test Go lines of every internal package and command,
 # of the benchmark and of the root package (./*.go), then three totals:

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/ps"
+	"repro/internal/tensor"
 	"repro/internal/topology"
 	"repro/internal/transport"
 )
@@ -22,8 +23,8 @@ var hierPSGroups = []topology.Group{
 
 // hierPSConfig builds a deterministic hierarchical config: AllReady
 // controllers and StalenessBound 1 pin the RNA trajectory, OrderedPS pins
-// the global exchange order, so two runs differ only in how the members
-// reach the parameter server.
+// the global exchange order, so two runs differ only in the mesh the
+// members reach the parameter server over.
 func hierPSConfig(t *testing.T) (HierarchicalConfig, []*controller.Controller) {
 	t.Helper()
 	train, _ := blobConfig(t, 8)
@@ -69,7 +70,7 @@ func runHierWorkers(t *testing.T, meshes []transport.Mesh, ctrls []*controller.C
 }
 
 // orderedHierDigest is the digest (digestResults) of the ordered 2×2 run of
-// hierPSConfig, loopback and TCP alike, recorded when a group leader still
+// hierPSConfig, in memory and over TCP alike, recorded when a group leader still
 // exchanged the whole model and broadcast it. At two ranks every ownership
 // table gives the same bits, so members that each exchange their own span
 // must not move it.
@@ -84,7 +85,7 @@ const orderedHierDigestEvery1 = 0x6e2b3726a73b5e86
 // TestHierarchicalTCPBitwiseMatchesLoopback is the end-to-end gate of the
 // hierarchical scheme: a run whose members reach a dedicated PS rank over TCP
 // at an f64 wire finishes with final parameters and losses bitwise equal to
-// the same run against the in-process loopback Store over the same chunks.
+// the same run against a PS rank of the in-memory mesh over the same chunks.
 // The table covers the ownership geometries over the 28-parameter model:
 // groups of one, two, three and four members, over the default 8 chunks and
 // over 3, where the four-member group has more members than chunks and one
@@ -110,8 +111,8 @@ func TestHierarchicalTCPBitwiseMatchesLoopback(t *testing.T) {
 					for _, g := range groups {
 						workers += g.Size()
 					}
-					resA := runLoopbackHier(t, groups, workers, chunks, every)
-					resB := runTCPHier(t, groups, workers, chunks, every)
+					resA := runHier(t, memMeshes(t, workers+1), groups, chunks, every)
+					resB := runHier(t, tcpMeshes(t, workers+1), groups, chunks, every)
 					assertHierEqual(t, resA, resB)
 					if name == "2x2" {
 						if got := digestResults(resA); got != digests[every] {
@@ -129,26 +130,23 @@ func TestHierarchicalTCPBitwiseMatchesLoopback(t *testing.T) {
 // span; one with a longer period keeps its last pull.
 func TestPSExchangeBaseline(t *testing.T) {
 	cfg, _ := hierPSConfig(t)
-	store := ps.NewStore(1)
-	if err := SeedStore(store, cfg.Train); err != nil {
-		t.Fatal(err)
-	}
+	meshes := memMeshes(t, 5)
+	startPS(t, &cfg, meshes, 0)
 	init, err := InitialParams(cfg.Train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := transport.NewLocalNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	sub, err := transport.NewSubMesh(net.Endpoints()[0], hierPSGroups[0].Members)
+	sub, err := transport.NewSubMesh(meshes[0], hierPSGroups[0].Members)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, every := range []int{1, 4} {
 		cfg.PSEvery = every
-		e, err := newPSExchange(ps.Loopback(store, HierarchicalPSKey), &cfg, 0, sub)
+		client, err := cfg.client(meshes[0], sub.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := newPSExchange(client, &cfg, 0, sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,62 +164,70 @@ func TestPSExchangeBaseline(t *testing.T) {
 	}
 }
 
-// runLoopbackHier runs hierPSConfig over groups at PSEvery every against an
-// in-process store laid out in chunks chunks (0: the default).
-func runLoopbackHier(t *testing.T, groups []topology.Group, workers, chunks, every int) []*Result {
+// memMeshes returns the n endpoints of an in-memory mesh.
+func memMeshes(t *testing.T, n int) []transport.Mesh {
 	t.Helper()
-	cfg, _ := hierPSConfig(t)
-	cfg.Groups, cfg.PSEvery = groups, every
-	init, err := InitialParams(cfg.Train)
+	net, err := transport.NewLocalNetwork(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Store = ps.NewStore(4)
-	if err := ps.Seed(cfg.Store, ps.ServerConfig{Key: HierarchicalPSKey, Dim: len(init), Init: init, Chunks: chunks}); err != nil {
-		t.Fatal(err)
-	}
-	net, err := transport.NewLocalNetwork(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	return runHierWorkers(t, net.Endpoints(), allReadyControllers(t, groups), cfg)
+	return net.Endpoints()
 }
 
-// runTCPHier runs hierPSConfig over groups at PSEvery every with one more TCP
-// rank serving the model in chunks chunks.
-func runTCPHier(t *testing.T, groups []topology.Group, workers, chunks, every int) []*Result {
+// tcpMeshes returns the n endpoints of a localhost TCP mesh.
+func tcpMeshes(t *testing.T, n int) []transport.Mesh {
 	t.Helper()
-	cfg, _ := hierPSConfig(t)
-	cfg.Groups, cfg.PSEvery = groups, every
-	cfg.PS = &ps.ClientConfig{Servers: []int{workers}, Chunks: chunks}
-	meshes, err := transport.NewTCPCluster(workers + 1)
+	tcp, err := transport.NewTCPCluster(n)
 	if err != nil {
 		t.Fatal(err)
+	}
+	meshes := make([]transport.Mesh, n)
+	for i, m := range tcp {
+		meshes[i] = m
+	}
+	return meshes
+}
+
+// startPS starts a PS server on the last of meshes, seeded with cfg.Train's
+// initial model in chunks chunks (0: the default), and points cfg.PS at it.
+// When t ends, every mesh closes and a protocol error the server saw fails t.
+func startPS(t *testing.T, cfg *HierarchicalConfig, meshes []transport.Mesh, chunks int) *ps.Server {
+	t.Helper()
+	rank := len(meshes) - 1
+	closeAll := func() {
+		for _, m := range meshes {
+			_ = m.Close()
+		}
 	}
 	init, err := InitialParams(cfg.Train)
 	if err != nil {
+		closeAll()
 		t.Fatal(err)
 	}
-	srv, err := ps.NewServer(meshes[workers], ps.ServerConfig{
-		Key: HierarchicalPSKey, Dim: len(init), Init: init, Chunks: chunks,
-	})
+	srv, err := ps.NewServer(meshes[rank], ps.ServerConfig{Key: HierarchicalPSKey, Dim: len(init), Init: init, Chunks: chunks})
 	if err != nil {
+		closeAll()
 		t.Fatal(err)
 	}
-	eps := make([]transport.Mesh, workers)
-	for i := range eps {
-		eps[i] = meshes[i]
-	}
-	res := runHierWorkers(t, eps, allReadyControllers(t, groups), cfg)
-	for _, m := range meshes {
-		_ = m.Close()
-	}
-	if err := srv.Wait(); err != nil {
-		t.Fatalf("ps server: %v", err)
-	}
-	// The exchanges really went through the networked store: every chunk
-	// advanced past its seed version.
+	t.Cleanup(func() {
+		closeAll()
+		if err := srv.Wait(); err != nil {
+			t.Errorf("ps server: %v", err)
+		}
+	})
+	cfg.PS = &ps.ClientConfig{Servers: []int{rank}, Chunks: chunks}
+	return srv
+}
+
+// runHier runs hierPSConfig over groups at PSEvery every on all but the last
+// of meshes, the last serving the model in chunks chunks. The exchanges
+// really go through the server: every chunk advances past its seed version.
+func runHier(t *testing.T, meshes []transport.Mesh, groups []topology.Group, chunks, every int) []*Result {
+	t.Helper()
+	cfg, _ := hierPSConfig(t)
+	cfg.Groups, cfg.PSEvery = groups, every
+	srv := startPS(t, &cfg, meshes, chunks)
+	res := runHierWorkers(t, meshes[:len(meshes)-1], allReadyControllers(t, groups), cfg)
 	for _, key := range srv.Store().Keys() {
 		if v := srv.Store().Version(key); v < 2 {
 			t.Errorf("chunk %q version = %d, want ≥ 2", key, v)
@@ -237,7 +243,7 @@ func assertHierEqual(t *testing.T, a, b []*Result) {
 	for r := range a {
 		for i := range a[r].Params {
 			if math.Float64bits(a[r].Params[i]) != math.Float64bits(b[r].Params[i]) {
-				t.Fatalf("rank %d param %d: loopback %v vs tcp %v", r, i, a[r].Params[i], b[r].Params[i])
+				t.Fatalf("rank %d param %d: in memory %v vs tcp %v", r, i, a[r].Params[i], b[r].Params[i])
 			}
 		}
 		if len(a[r].Losses) != len(b[r].Losses) {
@@ -245,21 +251,30 @@ func assertHierEqual(t *testing.T, a, b []*Result) {
 		}
 		for i := range a[r].Losses {
 			if math.Float64bits(a[r].Losses[i]) != math.Float64bits(b[r].Losses[i]) {
-				t.Fatalf("rank %d loss %d: loopback %v vs tcp %v", r, i, a[r].Losses[i], b[r].Losses[i])
+				t.Fatalf("rank %d loss %d: in memory %v vs tcp %v", r, i, a[r].Losses[i], b[r].Losses[i])
 			}
 		}
 	}
 }
 
-// frameCounter is a Mesh that counts the frames its rank sends, by kind.
+// frameCounter is a Mesh that counts the frames its rank sends, by kind:
+// the ring pair's scatter and gather frames, parameter-server frames on
+// ps.PSStream, and anything else.
 type frameCounter struct {
 	transport.Mesh
-	n                      int32 // group size: the ring pair's tag split
-	scatter, gather, other atomic.Int64
+	n                          int32 // group size: the ring pair's tag split
+	scatter, gather, ps, other atomic.Int64
 }
 
 func (c *frameCounter) Send(to int, m transport.Message) error {
+	c.count(m)
+	return c.Mesh.Send(to, m)
+}
+
+func (c *frameCounter) count(m transport.Message) {
 	switch {
+	case m.Stream == ps.PSStream:
+		c.ps.Add(1)
 	case m.Type == transport.MsgChunk && m.Chunk < c.n:
 		c.scatter.Add(1)
 	case m.Type == transport.MsgChunk && m.Chunk < 2*c.n:
@@ -267,69 +282,69 @@ func (c *frameCounter) Send(to int, m transport.Message) error {
 	default:
 		c.other.Add(1)
 	}
-	return c.Mesh.Send(to, m)
+}
+
+// StreamView counts what the view sends too: the parameter-server client
+// sends on a view of its mesh.
+func (c *frameCounter) StreamView(id int32) transport.Mesh {
+	return streamCounter{Mesh: c.Mesh.StreamView(id), c: c}
+}
+
+type streamCounter struct {
+	transport.Mesh
+	c *frameCounter
+}
+
+func (s streamCounter) Send(to int, m transport.Message) error {
+	s.c.count(m)
+	return s.Mesh.Send(to, m)
 }
 
 // TestHierarchicalExchangeFrames: with an exchange at every synchronization,
 // a two-member group sends exactly the ring pair's frames — one scatter and
-// one gather frame per member — and nothing else: the pulled model reaches
-// the group through the parameter allgather, with no broadcast.
+// one gather frame per member — and, on ps.PSStream, one request per chunk of
+// each member's run, and nothing else: the pulled model reaches the group
+// through the parameter allgather, with no broadcast.
 func TestHierarchicalExchangeFrames(t *testing.T) {
 	const iters = 12
 	cfg, _ := hierPSConfig(t)
 	cfg.Train.Iterations, cfg.PSEvery = iters, 1
-	store := ps.NewStore(1)
-	if err := SeedStore(store, cfg.Train); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Store = store
-	net, err := transport.NewLocalNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
+	meshes := memMeshes(t, 5)
+	srv := startPS(t, &cfg, meshes, 0)
 	counters := make([]*frameCounter, 4)
-	meshes := make([]transport.Mesh, 4)
-	for r, m := range net.Endpoints() {
-		counters[r] = &frameCounter{Mesh: m, n: 2}
-		meshes[r] = counters[r]
+	workers := make([]transport.Mesh, 4)
+	for r := range workers {
+		counters[r] = &frameCounter{Mesh: meshes[r], n: 2}
+		workers[r] = counters[r]
 	}
-	runHierWorkers(t, meshes, allReadyControllers(t, cfg.Groups), cfg)
+	runHierWorkers(t, workers, allReadyControllers(t, cfg.Groups), cfg)
 	for gi, g := range cfg.Groups {
 		var scatter, gather, other int64
-		for _, r := range g.Members {
+		for i, r := range g.Members {
 			scatter += counters[r].scatter.Load()
 			gather += counters[r].gather.Load()
 			other += counters[r].other.Load()
+			first, last, _ := tensor.ChunkBounds(ps.DefaultChunks, len(g.Members), (i+1)%len(g.Members))
+			if got, want := counters[r].ps.Load(), int64(iters*(last-first)); got != want {
+				t.Errorf("rank %d over %d exchange syncs: %d PS frames, want %d (chunks [%d, %d) each)", r, iters, got, want, first, last)
+			}
 		}
 		if scatter != 2*iters || gather != 2*iters || other != 0 {
 			t.Errorf("group %d over %d exchange syncs: %d scatter, %d gather, %d other frames; want %d, %d, 0",
 				gi, iters, scatter, gather, other, 2*iters, 2*iters)
 		}
 	}
-	if v := store.Version(HierarchicalPSKey + "#0"); v != 1+2*iters {
+	if v := srv.Store().Version(HierarchicalPSKey + "#0"); v != 1+2*iters {
 		t.Errorf("chunk 0 at version %d, want %d", v, 1+2*iters)
 	}
 }
 
-// TestHierarchicalOrderedLoopbackDeterministic: two ordered loopback runs
-// are bitwise identical — the determinism baseline the TCP gate builds on.
+// TestHierarchicalOrderedLoopbackDeterministic: two ordered runs against a PS
+// rank of the in-memory mesh are bitwise identical — the determinism
+// baseline the TCP gate builds on.
 func TestHierarchicalOrderedLoopbackDeterministic(t *testing.T) {
-	run := func() []*Result {
-		cfg, ctrls := hierPSConfig(t)
-		store := ps.NewStore(1)
-		if err := SeedStore(store, cfg.Train); err != nil {
-			t.Fatal(err)
-		}
-		cfg.Store = store
-		net, err := transport.NewLocalNetwork(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = net.Close() }()
-		return runHierWorkers(t, net.Endpoints(), ctrls, cfg)
-	}
-	a, b := run(), run()
+	a := runHier(t, memMeshes(t, 5), hierPSGroups, 0, 2)
+	b := runHier(t, memMeshes(t, 5), hierPSGroups, 0, 2)
 	for r := range a {
 		for i := range a[r].Params {
 			if math.Float64bits(a[r].Params[i]) != math.Float64bits(b[r].Params[i]) {

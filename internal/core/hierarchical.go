@@ -26,26 +26,21 @@ type HierarchicalConfig struct {
 	// topology.PartitionByObservations). Every worker rank must appear
 	// exactly once; PS server ranks (see PS) appear in no group.
 	Groups []topology.Group
-	// Store is the shared in-process parameter server — the loopback
-	// fast path; seed it with SeedStore (or ps.Seed) before starting any
-	// worker. Ignored when PS is set.
-	Store *ps.Store
-	// PS, when set, makes group members speak the networked PS wire
-	// protocol to the configured server ranks instead of calling the
-	// in-process Store. Key defaults to HierarchicalPSKey and Dim to the
-	// model dimension; each member keeps Window/n requests in flight (at
-	// least one) for a group of n, so a group keeps one client's. The server
-	// ranks must run ps.NewServer on the same mesh with matching geometry and
-	// must not be members of any group. With an f64 wire the run is
-	// bit-identical to the loopback path over the same chunks.
+	// PS is the parameter-server client every group member speaks the PS
+	// wire protocol with; it is required. Key defaults to
+	// HierarchicalPSKey and Dim to the model dimension; each member keeps
+	// Window/n requests in flight (at least one) for a group of n, so a
+	// group keeps one client's. The server ranks must run ps.NewServer on
+	// the same mesh with matching geometry, seeded with InitialParams, and
+	// must not be members of any group.
 	PS *ps.ClientConfig
 	// PSEvery is the PS exchange period in group synchronizations
 	// (default 4).
 	PSEvery int
 	// OrderedPS imposes a deterministic global exchange order: group g's
 	// r-th PS exchange waits until the global model's version reaches
-	// 1 + r·G + g (G = len(Groups)), so every run — loopback or
-	// networked — applies the identical operation sequence and finals are
+	// 1 + r·G + g (G = len(Groups)), so every run — in memory or over
+	// TCP — applies the identical operation sequence and finals are
 	// bitwise reproducible at f64. Requires every group to perform the
 	// same number of exchanges (equal Iterations and PSEvery).
 	OrderedPS bool
@@ -56,8 +51,11 @@ type HierarchicalConfig struct {
 // update on the ring pair, because the span it exchanges is the span it owns.
 var ErrHierarchicalSchedule = errors.New("core: a hierarchical group runs the owner-computes ring pair; Algorithm cannot be set")
 
-// HierarchicalPSKey is the store key holding the hierarchical global model.
-// Networked deployments point ps.ServerConfig.Key at it.
+// errNoPS is returned for a hierarchical configuration without a PS client.
+var errNoPS = errors.New("core: a hierarchical configuration needs a parameter server (PS)")
+
+// HierarchicalPSKey is the key holding the hierarchical global model: the
+// PS server's ServerConfig.Key, and a member's ClientConfig.Key by default.
 const HierarchicalPSKey = "hierarchical-global"
 
 func (c *HierarchicalConfig) psEvery() int {
@@ -68,25 +66,14 @@ func (c *HierarchicalConfig) psEvery() int {
 }
 
 // InitialParams returns the deterministic initial global model the
-// hierarchical scheme starts from — the vector SeedStore publishes and a
-// networked ps.Server should be seeded with (ServerConfig.Init).
+// hierarchical scheme starts from, the vector its ps.Server is seeded with
+// (ServerConfig.Init).
 func InitialParams(cfg TrainConfig) (tensor.Vector, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: nil model")
 	}
 	params, _ := cfg.newRank(0)
 	return params, nil
-}
-
-// SeedStore initializes the shared parameter server with the deterministic
-// initial model every worker starts from, in the chunk layout of a ps.Server
-// with the default chunk count. Call once before starting the cluster.
-func SeedStore(store *ps.Store, cfg TrainConfig) error {
-	params, err := InitialParams(cfg)
-	if err != nil {
-		return err
-	}
-	return ps.Seed(store, ps.ServerConfig{Key: HierarchicalPSKey, Dim: len(params), Init: params})
 }
 
 // groupOf finds the group containing the global rank.
@@ -101,26 +88,21 @@ func groupOf(groups []topology.Group, rank int) (int, *topology.Group, error) {
 	return 0, nil, fmt.Errorf("core: rank %d not in any group", rank)
 }
 
-// globalStore resolves a member's PS handle: a networked Client when cfg.PS
-// is set, the in-process loopback otherwise. Both implement ps.GlobalStore
-// and are bit-identical at an f64 wire. n is the member's group size, which
-// splits the request window.
-func (c *HierarchicalConfig) globalStore(mesh transport.Mesh, n int) (ps.GlobalStore, error) {
-	if c.PS != nil {
-		ccfg := *c.PS
-		if ccfg.Key == "" {
-			ccfg.Key = HierarchicalPSKey
-		}
-		if ccfg.Dim == 0 {
-			ccfg.Dim = c.Train.Model.Dim()
-		}
-		if ccfg.Window < 1 {
-			ccfg.Window = ps.DefaultWindow
-		}
-		ccfg.Window = max(1, ccfg.Window/n)
-		return ps.NewClient(mesh, ccfg)
+// client builds a member's PS client from cfg.PS; n is the member's group
+// size, which splits the request window.
+func (c *HierarchicalConfig) client(mesh transport.Mesh, n int) (*ps.Client, error) {
+	ccfg := *c.PS
+	if ccfg.Key == "" {
+		ccfg.Key = HierarchicalPSKey
 	}
-	return ps.Loopback(c.Store, HierarchicalPSKey), nil
+	if ccfg.Dim == 0 {
+		ccfg.Dim = c.Train.Model.Dim()
+	}
+	if ccfg.Window < 1 {
+		ccfg.Window = ps.DefaultWindow
+	}
+	ccfg.Window = max(1, ccfg.Window/n)
+	return ps.NewClient(mesh, ccfg)
 }
 
 // RunHierarchicalWorker trains one rank of a hierarchical cluster. All
@@ -129,12 +111,11 @@ func (c *HierarchicalConfig) globalStore(mesh transport.Mesh, n int) (ps.GlobalS
 // member runs the owner-computes update over the parameter server's chunk
 // table and owns a run of its chunks; on an exchange synchronization it
 // pushes its span's delta since its last pull and pulls its span of the
-// global model — against the in-process Store or a networked PS service, per
-// cfg — between its optimizer step and the parameter allgather, which then
-// hands the group the whole pulled model.
+// global model from the PS server ranks, between its optimizer step and the
+// parameter allgather, which then hands the group the whole pulled model.
 func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, cfg HierarchicalConfig) (*Result, error) {
-	if cfg.Store == nil && cfg.PS == nil {
-		return nil, fmt.Errorf("core: nil store")
+	if cfg.PS == nil {
+		return nil, errNoPS
 	}
 	if cfg.Train.Algorithm != collective.AlgoAuto {
 		return nil, ErrHierarchicalSchedule
@@ -153,11 +134,11 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 	if err != nil {
 		return nil, err
 	}
-	store, err := cfg.globalStore(mesh, sub.Size())
+	client, err := cfg.client(mesh, sub.Size())
 	if err != nil {
 		return nil, err
 	}
-	ex, err := newPSExchange(store, &cfg, gi, sub)
+	ex, err := newPSExchange(client, &cfg, gi, sub)
 	if err != nil {
 		return nil, err
 	}
@@ -186,12 +167,12 @@ type exchanger interface {
 	exchange(k int64, published, latest, out tensor.Vector) error
 }
 
-// psExchange is the exchanger over a ps.GlobalStore. Ownership follows the
-// store's chunk table: part i of a group of n is the chunk run
-// tensor.ChunkBounds(C, n, i) of the store's C chunks, so member r, which the
-// ring pair makes the owner of part (r+1) mod n, exchanges whole chunks.
+// psExchange is the exchanger over a ps.Client. Ownership follows the
+// server's chunk table: part i of a group of n is the chunk run
+// tensor.ChunkBounds(C, n, i) of the server's C chunks, so member r, which
+// the ring pair makes the owner of part (r+1) mod n, exchanges whole chunks.
 type psExchange struct {
-	store       ps.GlobalStore
+	client      *ps.Client
 	owners      []int // n+1 parameter offsets, from the chunk table
 	first, last int   // the member's chunk run
 	lo, hi      int   // its parameter span
@@ -206,8 +187,8 @@ type psExchange struct {
 	done          int64 // exchanges completed
 }
 
-func newPSExchange(store ps.GlobalStore, cfg *HierarchicalConfig, gi int, sub transport.Mesh) (*psExchange, error) {
-	offsets, err := store.ChunkOffsets()
+func newPSExchange(client *ps.Client, cfg *HierarchicalConfig, gi int, sub transport.Mesh) (*psExchange, error) {
+	offsets, err := client.ChunkOffsets()
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +198,7 @@ func newPSExchange(store ps.GlobalStore, cfg *HierarchicalConfig, gi int, sub tr
 	}
 	n := sub.Size()
 	e := &psExchange{
-		store: store, owners: make([]int, n+1), period: int64(cfg.psEvery()),
+		client: client, owners: make([]int, n+1), period: int64(cfg.psEvery()),
 		ordered: cfg.OrderedPS, groups: int64(len(cfg.Groups)), group: int64(gi),
 	}
 	for i := 0; i < n; i++ {
@@ -255,7 +236,7 @@ func (e *psExchange) exchange(_ int64, published, latest, out tensor.Vector) err
 	if base == nil {
 		base = published
 	}
-	if _, err := e.store.PushPullDeltaChunks(e.first, e.last, out, base, latest, minVersion); err != nil {
+	if _, err := e.client.PushPullDeltaChunks(e.first, e.last, out, base, latest, minVersion); err != nil {
 		return err
 	}
 	e.done++

@@ -21,10 +21,6 @@ func TestHierarchicalWorkerTrains(t *testing.T) {
 		{Members: []int{0, 1, 2}},
 		{Members: []int{3, 4, 5}},
 	}
-	store := ps.NewStore(1)
-	if err := SeedStore(store, train); err != nil {
-		t.Fatal(err)
-	}
 	ctrls := make([]*controller.Controller, len(groups))
 	for gi, g := range groups {
 		var err error
@@ -33,17 +29,13 @@ func TestHierarchicalWorkerTrains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net, err := transport.NewLocalNetwork(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-
-	cfg := HierarchicalConfig{Train: train, Groups: groups, Store: store, PSEvery: 4}
+	cfg := HierarchicalConfig{Train: train, Groups: groups, PSEvery: 4}
+	meshes := memMeshes(t, n+1)
+	srv := startPS(t, &cfg, meshes, 0)
 	results := make([]*Result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, m := range net.Endpoints() {
+	for i, m := range meshes[:n] {
 		i, m := i, m
 		wg.Add(1)
 		go func() {
@@ -87,6 +79,7 @@ func TestHierarchicalWorkerTrains(t *testing.T) {
 		t.Errorf("hierarchical top-1 = %v", top1)
 	}
 	// The PS saw exchanges from both groups, on every chunk.
+	store := srv.Store()
 	keys := store.Keys()
 	if len(keys) < 2 {
 		t.Fatalf("PS keys %v, want the model's chunks", keys)
@@ -110,28 +103,28 @@ func TestHierarchicalValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := []topology.Group{{Members: []int{0, 1}}}
-	if _, err := RunHierarchicalWorker(mesh, nil, HierarchicalConfig{Train: train, Groups: groups}); err == nil {
-		t.Error("nil store should error")
+	if _, err := RunHierarchicalWorker(mesh, nil, HierarchicalConfig{Train: train, Groups: groups}); !errors.Is(err, errNoPS) {
+		t.Errorf("no PS: %v, want errNoPS", err)
 	}
-	store := ps.NewStore(1)
+	psCfg := &ps.ClientConfig{Servers: []int{1}}
 	if _, err := RunHierarchicalWorker(mesh, nil, HierarchicalConfig{
-		Train: train, Groups: []topology.Group{{Members: []int{1}}}, Store: store,
+		Train: train, Groups: []topology.Group{{Members: []int{1}}}, PS: psCfg,
 	}); err == nil {
 		t.Error("rank not in any group should error")
 	}
 	if _, err := RunHierarchicalWorker(mesh, nil, HierarchicalConfig{
-		Train: train, Groups: groups, Store: store,
+		Train: train, Groups: groups, PS: psCfg,
 	}); err == nil {
 		t.Error("missing controller should error")
 	}
-	if err := SeedStore(ps.NewStore(1), TrainConfig{}); err == nil {
-		t.Error("seeding with nil model should error")
+	if _, err := InitialParams(TrainConfig{}); err == nil {
+		t.Error("the initial model of a nil model should error")
 	}
 	for name, pin := range map[string]func(*TrainConfig){
 		"pinned ring": func(c *TrainConfig) { c.Algorithm = collective.AlgoRing },
 		"pinned tree": func(c *TrainConfig) { c.Algorithm = collective.AlgoTree },
 	} {
-		cfg := HierarchicalConfig{Train: train, Groups: groups, Store: store}
+		cfg := HierarchicalConfig{Train: train, Groups: groups, PS: psCfg}
 		pin(&cfg.Train)
 		if _, err := RunHierarchicalWorker(mesh, nil, cfg); !errors.Is(err, ErrHierarchicalSchedule) {
 			t.Errorf("%s: %v, want ErrHierarchicalSchedule", name, err)

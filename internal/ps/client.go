@@ -15,37 +15,17 @@ import (
 // what overlaps the first returned chunks with later pushes.
 const DefaultWindow = 4
 
-// GlobalStore is the vector-level view of the global model the hierarchical
-// scheme exchanges with: the in-process Store behind Loopback (the fast path)
-// or a networked Client — interchangeable, and bit-identical.
+// GlobalStore is the whole-model push-pull both a networked Client and an
+// in-process Loopback offer, bit-identical to each other at f64.
 type GlobalStore interface {
 	// PushPull applies value under mode and returns the resulting global
 	// model and its version. A positive minVersion delays the exchange
-	// until the model's version reaches it (see Store.PushPullLease).
+	// until the model's version reaches it.
 	PushPull(value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error)
-	// PushPullInto is PushPull writing the resulting model into the
-	// caller's out (model-sized, distinct from value) instead of a fresh
-	// vector.
-	PushPullInto(out, value tensor.Vector, mode UpdateMode, minVersion int64) (int64, error)
-	// ChunkOffsets returns the model's chunk table: chunk c spans
-	// offsets[c]:offsets[c+1], and the server stores it under "Key#c".
-	ChunkOffsets() ([]int, error)
-	// PushPullDeltaChunks adds latest − base to chunks [first, last) of the
-	// global model and writes the result to out: a hierarchical member's
-	// exchange of the span it owns, base being that span as of its last
-	// pull. out, base and latest cover offsets[first]:offsets[last]; out may
-	// be latest, base or a span of its own, and nothing else is written.
-	// Each chunk's delta is formed in out and the chunk's result lands over
-	// it. An empty range exchanges nothing and returns version 0.
-	PushPullDeltaChunks(first, last int, out, base, latest tensor.Vector, minVersion int64) (int64, error)
 }
 
-// Loopback returns the in-process GlobalStore over store's key — the fast
-// path when the parameter server shares the trainer's process. PushPull and
-// PushPullInto perform the whole-vector operation on key itself; the chunk
-// exchange works on the chunk keys "key#c" a Server (or Seed) laid out in
-// store. Because the networked client's chunked updates touch disjoint spans
-// element-wise, the two produce bit-identical results at f64.
+// Loopback returns the in-process GlobalStore over store's key: PushPull is
+// Store.PushPull on key after the version wait.
 func Loopback(store *Store, key string) GlobalStore {
 	return &loopback{store: store, key: key}
 }
@@ -53,83 +33,13 @@ func Loopback(store *Store, key string) GlobalStore {
 type loopback struct {
 	store *Store
 	key   string
-	// keys and offsets are the chunk layout, read from the store by the
-	// first ChunkOffsets.
-	keys    []string
-	offsets []int
 }
 
 func (l *loopback) PushPull(value tensor.Vector, mode UpdateMode, minVersion int64) (tensor.Vector, int64, error) {
-	out := tensor.New(len(value))
-	ver, err := l.PushPullInto(out, value, mode, minVersion)
-	if err != nil {
-		return nil, 0, err
+	if minVersion > 0 {
+		l.store.WaitVersion(l.key, minVersion)
 	}
-	return out, ver, nil
-}
-
-// PushPullInto copies the result out of a zero-copy lease on the published
-// snapshot, outside every store lock.
-func (l *loopback) PushPullInto(out, value tensor.Vector, mode UpdateMode, minVersion int64) (int64, error) {
-	lease, err := l.store.PushPullLease(l.key, value, mode, minVersion)
-	if err != nil {
-		return 0, err
-	}
-	defer lease.Release()
-	if err := out.CopyFrom(lease.Value); err != nil {
-		return 0, fmt.Errorf("push-pull %q: %w", l.key, err)
-	}
-	return lease.Version, nil
-}
-
-// ChunkOffsets reads the layout from the store: the chunk keys from "key#0"
-// up to the first one absent, each chunk as long as its value.
-func (l *loopback) ChunkOffsets() ([]int, error) {
-	if l.offsets != nil {
-		return l.offsets, nil
-	}
-	offsets := []int{0}
-	for c := 0; c < MaxChunks; c++ {
-		snap, ok := l.store.acquireSnap(chunkKey(l.key, c))
-		if !ok {
-			break
-		}
-		offsets = append(offsets, offsets[c]+len(snap.value))
-		snap.release()
-	}
-	if len(offsets) == 1 {
-		return nil, fmt.Errorf("chunks of %q: %w", l.key, ErrUnknownKey)
-	}
-	l.keys, l.offsets = chunkKeys(l.key, len(offsets)-1), offsets
-	return offsets, nil
-}
-
-// PushPullDeltaChunks forms each chunk's delta in out, which the store only
-// reads, and copies the result over it out of a zero-copy lease on the
-// chunk's published snapshot.
-func (l *loopback) PushPullDeltaChunks(first, last int, out, base, latest tensor.Vector, minVersion int64) (int64, error) {
-	offsets, err := l.ChunkOffsets()
-	if err != nil {
-		return 0, err
-	}
-	if err := checkChunkRange(offsets, first, last, out, base, latest); err != nil {
-		return 0, err
-	}
-	version := int64(0)
-	for c := first; c < last; c++ {
-		lo, hi := offsets[c]-offsets[first], offsets[c+1]-offsets[first]
-		_ = tensor.DiffInto(out[lo:hi], latest[lo:hi], base[lo:hi]) // lengths checked above
-		lease, err := l.store.PushPullLease(l.keys[c], out[lo:hi], Add, minVersion)
-		if err != nil {
-			return 0, err
-		}
-		copy(out[lo:hi], lease.Value) // the store refused a length mismatch
-		if c == first || lease.Version < version {
-			version = lease.Version
-		}
-		lease.Release()
-	}
-	return version, nil
+	return l.store.PushPull(l.key, value, mode)
 }
 
 // checkChunkRange validates a chunk range [first, last) of an offsets table
@@ -211,7 +121,7 @@ func NewClient(mesh transport.Mesh, cfg ClientConfig) (*Client, error) {
 			return nil, fmt.Errorf("ps: server rank %d of %d", r, mesh.Size())
 		}
 		if r == mesh.Rank() {
-			return nil, fmt.Errorf("ps: rank %d cannot be its own server (use Loopback)", r)
+			return nil, fmt.Errorf("ps: rank %d cannot be its own server", r)
 		}
 	}
 	chunks := cfg.chunkCount()
@@ -231,7 +141,9 @@ func (c *Client) serverOf(chunk int) int {
 	return c.cfg.Servers[chunk%len(c.cfg.Servers)]
 }
 
-// ChunkOffsets returns the chunk table the client shares with its servers.
+// ChunkOffsets returns the chunk table the client shares with its servers:
+// chunk c spans offsets[c]:offsets[c+1], and a server stores it under
+// "Key#c".
 func (c *Client) ChunkOffsets() ([]int, error) { return c.offsets, nil }
 
 // PushPull applies value to the global model and returns the post-update
@@ -255,9 +167,14 @@ func (c *Client) PushPullInto(out, value tensor.Vector, mode UpdateMode, minVers
 	return c.exchange(0, c.chunks, value, nil, mode, minVersion, out)
 }
 
-// PushPullDeltaChunks implements GlobalStore with no scratch of its own: each
-// chunk's latest − base is formed in out and sent from there, and the chunk's
-// ack lands in the same place once the chunk is on its way.
+// PushPullDeltaChunks adds latest − base to chunks [first, last) of the
+// global model and writes the result to out: a hierarchical member's exchange
+// of the span it owns, base being that span as of its last pull. out, base and
+// latest cover offsets[first]:offsets[last]; out may be latest, base or a span
+// of its own, and nothing else is written. It needs no scratch of its own:
+// each chunk's delta is formed in out and sent from there, and the chunk's ack
+// lands in the same place once the chunk is on its way. An empty range
+// exchanges nothing and returns version 0.
 func (c *Client) PushPullDeltaChunks(first, last int, out, base, latest tensor.Vector, minVersion int64) (int64, error) {
 	if err := checkChunkRange(c.offsets, first, last, out, base, latest); err != nil {
 		return 0, err

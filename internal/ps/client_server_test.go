@@ -84,7 +84,7 @@ func TestClientServerInMemory(t *testing.T) {
 		}
 	}
 	// PushPull(Add) returns init+delta at version 2, bit-identical to the
-	// whole-vector loopback op.
+	// whole-vector op.
 	delta := seq(dim)
 	delta.Scale(0.25)
 	got, ver, err = cli.PushPull(delta, Add, 0)
@@ -142,7 +142,8 @@ func TestClientServerTCPMultiServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := seq(dim)
-	got, ver, err := cli.PushPull(delta, Average, 0)
+	delta.Scale(0.5)
+	got, ver, err := cli.PushPull(delta, Add, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +151,9 @@ func TestClientServerTCPMultiServer(t *testing.T) {
 		t.Errorf("version = %d, want 2", ver)
 	}
 	for i := range got {
-		want := (init[i] + delta[i]) / 2
+		want := init[i] + delta[i]
 		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("avg[%d] = %v, want %v", i, got[i], want)
+			t.Fatalf("sum[%d] = %v, want %v", i, got[i], want)
 		}
 	}
 	for _, m := range meshes {
@@ -163,7 +164,7 @@ func TestClientServerTCPMultiServer(t *testing.T) {
 
 // TestNetworkedOrderedExchanges: two clients with interlocking version
 // horizons produce a deterministic global operation order over the network,
-// exactly like Store.PushPullLease's minVersion in process.
+// exactly like applySnap's minVersion in process.
 func TestNetworkedOrderedExchanges(t *testing.T) {
 	const dim = 32
 	net, err := transport.NewLocalNetwork(3)

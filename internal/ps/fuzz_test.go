@@ -21,7 +21,8 @@ const (
 // ranks, four bytes per request: sender, frame type (a push-pull request, an
 // ack, or the push-only and pull-only types 5 and 6 earlier builds sent) and
 // dtype (f64, or one of the narrower encodings earlier builds shipped); chunk
-// (or a forged negative tag); update mode and whether to name the current
+// (or a forged negative tag); update mode (Overwrite, Add, or none: 0, 4 and
+// 3, the retired averaging mode) and whether to name the current
 // version as the horizon; payload length (right, or off by a little). The
 // horizon is never above the chunk's version, so nothing waits. Every request
 // the protocol admits must be acked with the chunk's tag, its new version and
@@ -34,7 +35,7 @@ func FuzzServerRequests(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 1, 2, 0, 5, 2, 1, 0, 2, 0, 0, 0})    // push-pull Add, push-pull Overwrite from rank 2, a type-6 pull
 	f.Add([]byte{2, 3, 0, 0, 4, 0, 17, 0, 7, 9, 0, 0})   // a type-6 pull, push-pull Add at the horizon, an ack from rank 2
-	f.Add([]byte{4, 4, 2, 0, 5, 1, 3, 0, 4, 0, 2, 1})    // chunk past the table, push-pull Average from rank 2
+	f.Add([]byte{4, 4, 2, 0, 5, 1, 3, 0, 4, 0, 2, 1})    // chunk past the table, push-pull in the retired mode 3 from rank 2
 	f.Add([]byte{0, 0x90, 1, 0, 1, 2, 4, 0, 4, 1, 0, 0}) // type-5 pushes with a negative tag and with mode 4
 	f.Add([]byte{0x1a, 1, 0, 0, 3, 1, 0, 0})             // a type-6 pull asking for an f16 ack, one from rank 2
 	f.Add([]byte{4, 2, 0, 0, 5, 1, 4, 0})                // push-pulls without a mode, and with mode 4
@@ -88,7 +89,7 @@ func fuzzRequests(t *testing.T, ops []byte) {
 		}
 		typ := []transport.MsgType{5, 6, transport.MsgPSPushPull, transport.MsgPSAck}[(op[0]>>1)&3]
 		chunk := int(op[1]&0x7f) % (fuzzChunks + 1) // fuzzChunks is past the table
-		mode := UpdateMode(op[2] % 5)               // 0 and 4 are no mode
+		mode := UpdateMode(op[2] % 5)               // 0, 3 (retired) and 4 are no mode
 		tag := psTag(mode, chunk)
 		if op[1]&0x80 != 0 {
 			tag = -1 - int32(op[1]&0x7f)
@@ -165,8 +166,6 @@ func applyMode(cur, pushed tensor.Vector, mode UpdateMode) {
 		copy(cur, pushed)
 	case Add:
 		_ = tensor.SumInto(cur, cur, pushed)
-	case Average:
-		_ = tensor.AverageInto(cur, cur, pushed)
 	}
 }
 

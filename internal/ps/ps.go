@@ -1,17 +1,18 @@
 // Package ps implements the parameter-server substrate used by RNA's
 // hierarchical synchronization (Section 4). It follows the ps-lite model
 // the paper builds on: a logically separate store of named parameter
-// shards with push / pull / push-pull operations. The store only performs
-// summation and model averaging — exactly the role the paper assigns it —
-// while the AllReduce groups do the heavy lifting.
+// shards with push / pull / push-pull operations. The store only sums
+// what the groups push — exactly the role the paper assigns it — while the
+// AllReduce groups do the heavy lifting.
 //
 // The package has two layers. Store is the in-process engine: a sharded
 // key-value map whose entries publish immutable snapshots, so pulls are
 // wait-free reads that clone outside every lock while pushes serialize
 // only against other pushes on the same key. Server and Client put that
 // engine on the wire: chunked push-pull frames of protocol v1 (see wire.go)
-// over any transport.Mesh, with request pipelining. The in-process Store
-// remains the loopback fast path behind the same GlobalStore interface.
+// over any transport.Mesh, with request pipelining. A hierarchical group
+// member always reaches the global model through a Client; Loopback is a
+// whole-key view of a Store, which the benchmark's probe times against one.
 package ps
 
 import (
@@ -34,15 +35,12 @@ type UpdateMode int
 const (
 	// Overwrite replaces the stored value.
 	Overwrite UpdateMode = iota + 1
-	// Add accumulates into the stored value (gradient aggregation).
+	// Add accumulates into the stored value: a group member pushes the
+	// delta of its span since its last pull.
 	Add
-	// Average sets stored = (stored + pushed)/2, the asynchronous model
-	// averaging the hierarchical scheme performs between a group's
-	// parameters and the global ones.
-	Average
 
 	// maxUpdateMode bounds the valid mode range for wire tag decoding.
-	maxUpdateMode = Average
+	maxUpdateMode = Add
 )
 
 // Store is a sharded, thread-safe key-value parameter store. Keys identify
@@ -51,8 +49,8 @@ const (
 // Every key's state lives in a reference-counted snapshot behind an atomic
 // pointer: a push builds the successor value under the key's write lock
 // and publishes it with one pointer store, so a concurrent Pull never
-// blocks on an in-progress push, never observes a torn vector, and clones
-// (or leases, zero-copy) the snapshot outside any critical section. Once a
+// blocks on an in-progress push, never observes a torn vector, and reads
+// the snapshot outside any critical section. Once a
 // snapshot is superseded and its last reader releases it, its buffer is
 // recycled into the key's next publish — the steady-state push-pull loop
 // allocates nothing and never pays make's zeroing.
@@ -123,7 +121,7 @@ func (e *entry) acquire() *snapshot {
 }
 
 // maxFreeBufs caps an entry's recycled-buffer list; extras go to the GC.
-// Steady state needs one buffer per concurrently leased snapshot plus one
+// Steady state needs one buffer per snapshot being read plus one
 // in flight, and chunk entries are hammered by at most a few groups.
 const maxFreeBufs = 4
 
@@ -242,11 +240,6 @@ func (e *entry) apply(value tensor.Vector, mode UpdateMode) (*snapshot, error) {
 			e.recycle(next.value)
 			return nil, err
 		}
-	case Average:
-		if err := tensor.AverageInto(next.value, cur.value, value); err != nil {
-			e.recycle(next.value)
-			return nil, err
-		}
 	default:
 		e.recycle(next.value)
 		return nil, fmt.Errorf("ps: unknown update mode %d", mode)
@@ -260,17 +253,12 @@ func (e *entry) apply(value tensor.Vector, mode UpdateMode) (*snapshot, error) {
 // Push applies value to key under the given mode and returns the key's new
 // version. The first push to a key stores a copy regardless of mode.
 func (s *Store) Push(key string, value tensor.Vector, mode UpdateMode) (int64, error) {
-	e, sh := s.ensure(key)
-	next, err := e.apply(value, mode)
+	snap, err := s.applySnap(key, value, mode, 0)
 	if err != nil {
-		if errors.Is(err, tensor.ErrShapeMismatch) {
-			return 0, fmt.Errorf("push %q: %w", key, err)
-		}
 		return 0, err
 	}
-	version := next.version
-	next.release()
-	sh.wake()
+	version := snap.version
+	snap.release()
 	return version, nil
 }
 
@@ -297,63 +285,14 @@ func (s *Store) Pull(key string) (tensor.Vector, int64, error) {
 // group initiators invoke (Section 6, PSPushPull). The returned vector is
 // cloned from the published snapshot outside the write lock.
 func (s *Store) PushPull(key string, value tensor.Vector, mode UpdateMode) (tensor.Vector, int64, error) {
-	e, sh := s.ensure(key)
-	next, err := e.apply(value, mode)
+	snap, err := s.applySnap(key, value, mode, 0)
 	if err != nil {
-		if errors.Is(err, tensor.ErrShapeMismatch) {
-			return nil, 0, fmt.Errorf("push-pull %q: %w", key, err)
-		}
 		return nil, 0, err
 	}
-	sh.wake()
-	out := next.value.Clone()
-	version := next.version
-	next.release()
+	out := snap.value.Clone()
+	version := snap.version
+	snap.release()
 	return out, version, nil
-}
-
-// A Lease is a zero-copy, read-only view of one published snapshot. Value
-// is the snapshot's own buffer: the holder must never write to it, and must
-// call Release when done reading so the store can recycle the buffer into a
-// later publish. Holding a lease costs nothing beyond deferring that one
-// buffer's reuse; a zero Lease releases as a no-op.
-type Lease struct {
-	// Value is the published vector — read-only, valid until Release.
-	Value tensor.Vector
-	// Version is the published version of the key.
-	Version int64
-
-	snap *snapshot
-}
-
-// Release returns the view to the store. Idempotent; not safe to call
-// concurrently with itself on the same Lease.
-func (l *Lease) Release() {
-	if l.snap != nil {
-		l.snap.release()
-		l.snap, l.Value = nil, nil
-	}
-}
-
-// PushPullLease is PushPull returning a zero-copy Lease on the resulting
-// snapshot instead of a clone. This is the fast path the snapshot design
-// buys: the seed store mutated its one buffer in place, so every read had
-// to clone under the lock; a published snapshot is frozen while referenced,
-// so handing out a leased reference costs nothing.
-//
-// minVersion gates the exchange on a version horizon: the push blocks until
-// the key's published version is at least minVersion, and minVersion ≤ 0
-// does not wait. Group members use it to impose a deterministic global
-// exchange order on an otherwise asynchronous hierarchy (core's OrderedPS
-// mode): a member of group g of G waits for version 1 + r·G + g of each of
-// its chunks before its r-th exchange, so every run applies the same
-// operation sequence and stays bitwise reproducible.
-func (s *Store) PushPullLease(key string, value tensor.Vector, mode UpdateMode, minVersion int64) (Lease, error) {
-	snap, err := s.applySnap(key, value, mode, minVersion)
-	if err != nil {
-		return Lease{}, err
-	}
-	return Lease{Value: snap.value, Version: snap.version, snap: snap}, nil
 }
 
 // WaitVersion blocks until key exists and its version is at least min,
@@ -374,10 +313,14 @@ func (s *Store) WaitVersion(key string, min int64) int64 {
 	}
 }
 
-// applySnap applies value to key under mode after an optional version wait
-// and returns the published snapshot holding one caller reference — the
-// caller reads out of it outside every lock instead of paying PushPull's
-// defensive clone, then must release() it.
+// applySnap applies value to key under mode and returns the published
+// snapshot holding one caller reference: the caller reads out of it outside
+// every lock, then must release() it. A positive minVersion first waits for
+// the key's version to reach it (a request's Iter on the wire): group members
+// use it to impose a deterministic global exchange order on an otherwise
+// asynchronous hierarchy (core's OrderedPS mode), where a member of group g
+// of G waits for version 1 + r·G + g of each of its chunks before its r-th
+// exchange, so every run applies the same operation sequence.
 func (s *Store) applySnap(key string, value tensor.Vector, mode UpdateMode, minVersion int64) (*snapshot, error) {
 	if minVersion > 0 {
 		s.WaitVersion(key, minVersion)
@@ -392,17 +335,6 @@ func (s *Store) applySnap(key string, value tensor.Vector, mode UpdateMode, minV
 	}
 	sh.wake()
 	return next, nil
-}
-
-// acquireSnap returns the key's published snapshot holding one caller
-// reference, if any; the caller must release() it after reading.
-func (s *Store) acquireSnap(key string) (*snapshot, bool) {
-	e, _, ok := s.lookup(key)
-	if !ok {
-		return nil, false
-	}
-	snap := e.acquire()
-	return snap, snap != nil
 }
 
 // Version returns the key's current version (0 if absent).

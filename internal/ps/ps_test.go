@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 func TestFirstPushStoresCopy(t *testing.T) {
@@ -70,12 +71,13 @@ func TestPushModes(t *testing.T) {
 		t.Errorf("version = %d, want 2", ver)
 	}
 
-	if _, err := s.Push("k", tensor.FromSlice([]float64{1, 1}), Average); err != nil {
-		t.Fatal(err)
+	// Mode 3, the retired averaging update, is refused and leaves the key alone.
+	if _, err := s.Push("k", tensor.FromSlice([]float64{1, 1}), UpdateMode(3)); err == nil {
+		t.Error("mode 3 should be refused")
 	}
-	got, _, _ = s.Pull("k")
-	if got[0] != 2 || got[1] != 3 {
-		t.Errorf("after Average = %v, want [2 3]", got)
+	got, ver, _ = s.Pull("k")
+	if got[0] != 3 || got[1] != 5 || ver != 2 {
+		t.Errorf("after a refused mode 3 = %v at version %d, want [3 5] at 2", got, ver)
 	}
 
 	if _, err := s.Push("k", tensor.FromSlice([]float64{9, 9}), Overwrite); err != nil {
@@ -92,12 +94,12 @@ func TestPushShapeMismatch(t *testing.T) {
 	if _, err := s.Push("k", tensor.New(2), Overwrite); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []UpdateMode{Overwrite, Add, Average} {
+	for _, mode := range []UpdateMode{Overwrite, Add} {
 		if _, err := s.Push("k", tensor.New(3), mode); !errors.Is(err, tensor.ErrShapeMismatch) {
 			t.Errorf("mode %d mismatch error = %v", mode, err)
 		}
 	}
-	if _, _, err := s.PushPull("k", tensor.New(3), Average); !errors.Is(err, tensor.ErrShapeMismatch) {
+	if _, _, err := s.PushPull("k", tensor.New(3), Add); !errors.Is(err, tensor.ErrShapeMismatch) {
 		t.Errorf("PushPull mismatch error = %v", err)
 	}
 }
@@ -115,26 +117,47 @@ func TestPushUnknownMode(t *testing.T) {
 	}
 }
 
+// TestPushPullAtomicAverage: mode 3, the retired averaging update, is refused
+// by the store, which keeps the key as it was, and by the server, which ends
+// the sender's service with ErrBadRequest.
 func TestPushPullAtomicAverage(t *testing.T) {
 	s := NewStore(1)
 	if _, err := s.Push("g", tensor.FromSlice([]float64{10}), Overwrite); err != nil {
 		t.Fatal(err)
 	}
-	got, ver, err := s.PushPull("g", tensor.FromSlice([]float64{0}), Average)
+	if _, _, err := s.PushPull("g", tensor.FromSlice([]float64{0}), UpdateMode(3)); err == nil {
+		t.Error("the store accepted a mode-3 push-pull")
+	}
+	if got, ver, _ := s.Pull("g"); got[0] != 10 || ver != 1 {
+		t.Errorf("after a refused push-pull: %v at version %d, want 10 at 1", got, ver)
+	}
+
+	net, err := transport.NewLocalNetwork(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 5 {
-		t.Errorf("PushPull average = %v, want 5", got[0])
+	srv, err := NewServer(net.Endpoints()[1], ServerConfig{Key: "g", Dim: 1, Init: tensor.FromSlice([]float64{10})})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ver != 2 {
-		t.Errorf("version = %d, want 2", ver)
+	view := net.Endpoints()[0].StreamView(PSStream)
+	req := transport.Message{Type: transport.MsgPSPushPull, Stream: PSStream, Chunk: psTag(3, 0), Payload: []float64{0}}
+	if err := view.Send(1, req); err != nil {
+		t.Fatal(err)
+	}
+	// The in-memory mesh still delivers a queued frame after Close.
+	_ = net.Close()
+	if err := srv.Wait(); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("server stopped with %v, want ErrBadRequest", err)
+	}
+	if got, ver, _ := srv.Store().Pull("g#0"); got[0] != 10 || ver != 1 {
+		t.Errorf("server chunk after a refused request: %v at version %d, want 10 at 1", got, ver)
 	}
 }
 
 func TestPushPullFirstTouch(t *testing.T) {
 	s := NewStore(1)
-	got, ver, err := s.PushPull("new", tensor.FromSlice([]float64{3}), Average)
+	got, ver, err := s.PushPull("new", tensor.FromSlice([]float64{3}), Add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +267,7 @@ func TestOneKeyHammer(t *testing.T) {
 				case 1:
 					v, ver, err = s.Pull("hot")
 				default:
-					v, ver, err = s.PushPull("hot", uniform(float64(w)), Average)
+					v, ver, err = s.PushPull("hot", uniform(float64(w)), Overwrite)
 				}
 				if err != nil {
 					errs <- err
@@ -294,33 +317,65 @@ func TestWaitVersionBlocksUntilPublish(t *testing.T) {
 	}
 }
 
+// An exchange with a version horizon waits for the key to reach it, in
+// process through applySnap and over the wire through a server, so the
+// exchange started first but due second lands second. (The name is the
+// retired Lease API's, which this ordering was first tested through.)
 func TestPushPullLeaseMinVersionOrdering(t *testing.T) {
 	s := NewStore(1)
 	if _, err := s.Push("k", tensor.FromSlice([]float64{0}), Overwrite); err != nil {
 		t.Fatal(err)
 	}
-	exchange := func(add float64, minVersion int64) (float64, error) {
-		l, err := s.PushPullLease("k", tensor.FromSlice([]float64{add}), Add, minVersion)
+	minVersionOrdering(t, "applySnap", func(_ int, add float64, minVersion int64) (float64, error) {
+		snap, err := s.applySnap("k", tensor.FromSlice([]float64{add}), Add, minVersion)
 		if err != nil {
 			return 0, err
 		}
-		defer l.Release()
-		return l.Value[0], nil
+		defer snap.release()
+		return snap.value[0], nil
+	})
+
+	net, err := transport.NewLocalNetwork(3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Start the later exchange first: it must wait for version 2.
+	eps := net.Endpoints()
+	wait := startServers(t, eps, []int{2}, ServerConfig{Key: "k", Dim: 1, Init: tensor.New(1)})
+	var clients [2]*Client
+	for i := range clients {
+		if clients[i], err = NewClient(eps[i], ClientConfig{Servers: []int{2}, Key: "k", Dim: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	minVersionOrdering(t, "server", func(i int, add float64, minVersion int64) (float64, error) {
+		v, _, err := clients[i].PushPull(tensor.FromSlice([]float64{add}), Add, minVersion)
+		if err != nil {
+			return 0, err
+		}
+		return v[0], nil
+	})
+	_ = net.Close()
+	wait()
+}
+
+// minVersionOrdering starts an exchange of 10 due at version 2 from caller 1,
+// then one of 1 due at version 1 from caller 0, against a key at 0 and
+// version 1: the first to land must see 1, the other 11.
+func minVersionOrdering(t *testing.T, name string, exchange func(caller int, add float64, minVersion int64) (float64, error)) {
+	t.Helper()
 	out := make(chan float64, 1)
 	go func() {
-		v, err := exchange(10, 2)
+		v, err := exchange(1, 10, 2)
 		if err != nil {
 			v = -1
 		}
 		out <- v
 	}()
-	if v, err := exchange(1, 1); err != nil || v != 1 {
-		t.Fatalf("first exchange = %v, %v", v, err)
+	if v, err := exchange(0, 1, 1); err != nil || v != 1 {
+		t.Fatalf("%s: first exchange = %v, %v", name, v, err)
 	}
 	if got := <-out; got != 11 {
-		t.Fatalf("second exchange saw %v, want 11 (after first)", got)
+		t.Fatalf("%s: second exchange saw %v, want 11 (after first)", name, got)
 	}
 }
 
@@ -371,7 +426,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", w)
 			for i := 0; i < 50; i++ {
-				if _, _, err := s.PushPull(key, tensor.FromSlice([]float64{float64(w)}), Average); err != nil {
+				if _, _, err := s.PushPull(key, tensor.FromSlice([]float64{float64(w)}), Overwrite); err != nil {
 					t.Errorf("pushpull: %v", err)
 					return
 				}

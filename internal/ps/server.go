@@ -31,11 +31,6 @@ type ServerConfig struct {
 	// seeds with the shared initial model so group deltas accumulate on
 	// top of it.
 	Init tensor.Vector
-	// Store optionally supplies the backing store (a fresh one is built
-	// when nil). A Loopback over the same store and Key exchanges chunks
-	// with this server's clients: both read and write the same "Key#c"
-	// entries, so their exchanges interleave in one version order.
-	Store *Store
 }
 
 func (c *ServerConfig) chunkCount() int {
@@ -83,10 +78,7 @@ func NewServer(mesh transport.Mesh, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := cfg.Store
-	if store == nil {
-		store = NewStore(chunks)
-	}
+	store := NewStore(chunks)
 	s := &Server{
 		view:    mesh.StreamView(PSStream),
 		store:   store,
@@ -108,21 +100,6 @@ func NewServer(mesh transport.Mesh, cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// Seed publishes cfg.Init under cfg.Key's chunk keys in store — the layout a
-// Server with cfg serves and a Loopback's chunk exchange reads — at version 1
-// on a fresh store.
-func Seed(store *Store, cfg ServerConfig) error {
-	if cfg.Dim < 1 {
-		return fmt.Errorf("ps: seed dim %d", cfg.Dim)
-	}
-	chunks := cfg.chunkCount()
-	offsets, err := collective.ShardOffsets(cfg.Dim, chunks)
-	if err != nil {
-		return err
-	}
-	return seed(store, chunkKeys(cfg.Key, chunks), offsets, cfg.Init)
-}
-
 func seed(store *Store, keys []string, offsets []int, init tensor.Vector) error {
 	if len(init) != offsets[len(offsets)-1] {
 		return fmt.Errorf("ps: init vector %d elems, dim %d", len(init), offsets[len(offsets)-1])
@@ -135,7 +112,7 @@ func seed(store *Store, keys []string, offsets []int, init tensor.Vector) error 
 	return nil
 }
 
-// Store returns the backing store (shared with the loopback fast path).
+// Store returns the backing store, which holds chunk c under "Key#c".
 func (s *Server) Store() *Store { return s.store }
 
 // Wait blocks until every handler has exited — which happens when the mesh

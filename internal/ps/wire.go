@@ -21,8 +21,8 @@ import (
 //	            chunk's published version is ≥ Iter (0 = no wait). This is
 //	            what makes the deterministic OrderedPS hierarchy possible
 //	            over a network.
-//	    Chunk   psTag(mode, chunk): update mode in the high bits, chunk
-//	            index in the low 24
+//	    Chunk   psTag(mode, chunk): update mode (Overwrite 1, Add 2) in
+//	            the high bits, chunk index in the low 24
 //	    Dtype   f64; a request naming another dtype ends the sender's
 //	            service with ErrBadRequest
 //	    Payload pushed values, the chunk's span
@@ -32,8 +32,10 @@ import (
 //	    Chunk   echo of the request tag
 //	    Payload the chunk's post-update values
 //
-// Types 5 and 6 once carried push-only and pull-only requests; a frame of
-// either, like any other type, ends the sender's service with ErrBadRequest.
+// Types 5 and 6 once carried push-only and pull-only requests, and mode 3
+// the retired averaging update; a frame of either type, like any other, and a
+// tag naming mode 3, like any mode but 1 and 2, end the sender's service
+// with ErrBadRequest.
 //
 // Responses carry the version in the iteration tag rather than as a
 // trailing payload element. Requests from one client are handled in FIFO order per
@@ -43,7 +45,8 @@ import (
 // ErrBadRequest is the error a Server stops serving a peer with when one of
 // its frames is not a well-formed request: a forged tag, a chunk outside the
 // table, a payload whose length does not match its chunk, a tag without an
-// update mode, a dtype other than f64, or a frame of another type.
+// update mode (Overwrite or Add), a dtype other than f64, or a frame of
+// another type.
 // Server.Wait reports it wrapped.
 var ErrBadRequest = errors.New("ps: bad request")
 
@@ -78,15 +81,12 @@ func splitTag(tag int32) (UpdateMode, int, error) {
 	return mode, int(tag & (MaxChunks - 1)), nil
 }
 
-// chunkKey is the store key chunk c of the logical key lives under.
-func chunkKey(key string, c int) string { return fmt.Sprintf("%s#%d", key, c) }
-
 // chunkKeys precomputes the store keys the logical key's chunks live
-// under, so the request hot path never formats strings.
+// under, "key#c", so the request hot path never formats strings.
 func chunkKeys(key string, chunks int) []string {
 	keys := make([]string, chunks)
 	for c := range keys {
-		keys[c] = chunkKey(key, c)
+		keys[c] = fmt.Sprintf("%s#%d", key, c)
 	}
 	return keys
 }

@@ -133,24 +133,6 @@ func diffToGo(dst, a, b []float64) {
 	}
 }
 
-// avgTo computes dst[i] = (a[i]+b[i])/2 in one pass — the parameter-server
-// Average mode. The expression matches the scalar loop exactly (add, then
-// halve), so results are bit-identical to it.
-func avgTo(dst, a, b []float64) {
-	a = a[:len(dst)]
-	b = b[:len(dst)]
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		dst[i] = (a[i] + b[i]) / 2
-		dst[i+1] = (a[i+1] + b[i+1]) / 2
-		dst[i+2] = (a[i+2] + b[i+2]) / 2
-		dst[i+3] = (a[i+3] + b[i+3]) / 2
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = (a[i] + b[i]) / 2
-	}
-}
-
 // axpyVec computes a[i] += c*b[i], the fused multiply-add behind AddScaled.
 func axpyVec(a []float64, c float64, b []float64) {
 	b = b[:len(a)]

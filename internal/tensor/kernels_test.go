@@ -44,10 +44,6 @@ func TestKernelsMatchScalar(t *testing.T) {
 		scaleVec(scale, c)
 		axpy := a.Clone()
 		axpyVec(axpy, c, b)
-		avg := New(n)
-		if err := AverageInto(avg, a, b); err != nil {
-			t.Fatal(err)
-		}
 		diff := New(n)
 		if err := DiffInto(diff, a, b); err != nil {
 			t.Fatal(err)
@@ -76,9 +72,6 @@ func TestKernelsMatchScalar(t *testing.T) {
 			}
 			if got, want := axpy[i], a[i]+c*b[i]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("axpyVec n=%d i=%d: got %v, want %v", n, i, got, want)
-			}
-			if got, want := avg[i], (a[i]+b[i])/2; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("AverageInto n=%d i=%d: got %v, want %v", n, i, got, want)
 			}
 			v := mu*vel[i] + g[i]*c + wd*a[i]
 			if math.Float64bits(stepVel[i]) != math.Float64bits(v) || math.Float64bits(stepDst[i]) != math.Float64bits(a[i]-lr*v) {

@@ -93,25 +93,14 @@ func SumInto(dst, a, b Vector) error {
 }
 
 // DiffInto computes dst = a − b in a single fused pass, bit-identical to
-// copying a into dst and subtracting b. The parameter-server client and the
-// loopback form each chunk of a hierarchical member's delta with it, in the
-// buffer the chunk is sent from.
+// copying a into dst and subtracting b. The parameter-server client forms
+// each chunk of a hierarchical member's delta with it, in the buffer the
+// chunk is sent from.
 func DiffInto(dst, a, b Vector) error {
 	if len(dst) != len(a) || len(dst) != len(b) {
 		return fmt.Errorf("%w: dst %d, a %d, b %d", ErrShapeMismatch, len(dst), len(a), len(b))
 	}
 	diffTo(dst, a, b)
-	return nil
-}
-
-// AverageInto computes dst = (a + b)/2 in a single fused pass, the
-// model-averaging update the parameter server applies, bit-identical to the
-// element-wise (a[i] + b[i])/2.
-func AverageInto(dst, a, b Vector) error {
-	if len(dst) != len(a) || len(dst) != len(b) {
-		return fmt.Errorf("%w: dst %d, a %d, b %d", ErrShapeMismatch, len(dst), len(a), len(b))
-	}
-	avgTo(dst, a, b)
 	return nil
 }
 

@@ -22,6 +22,7 @@ package rna
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/controller"
@@ -132,44 +133,7 @@ func TrainCluster(workers, probes int, policy Policy, cfg TrainConfig) ([]*Train
 		return nil, err
 	}
 	defer func() { _ = net.Close() }()
-
-	ctrl, err := controller.New(policy, workers, probes, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	results := make([]*TrainResult, workers)
-	errs := make([]error, workers)
-	done := make(chan int)
-	for i, mesh := range net.Endpoints() {
-		i, mesh := i, mesh
-		go func() {
-			results[i], errs[i] = runWorker(mesh, ctrl, policy, cfg)
-			done <- i
-		}()
-	}
-	for range results {
-		<-done
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("rna: worker %d: %w", i, err)
-		}
-	}
-	return results, nil
-}
-
-// runWorker dispatches a rank to the worker implementation matching the
-// trigger policy.
-func runWorker(mesh transport.Mesh, ctrl *controller.Controller, policy Policy, cfg TrainConfig) (*TrainResult, error) {
-	switch policy {
-	case controller.AllReady:
-		return core.RunBSPWorker(mesh, ctrl, cfg)
-	case controller.Majority, controller.Solo:
-		return core.RunEagerWorker(mesh, ctrl, cfg)
-	default:
-		return core.RunRNAWorker(mesh, ctrl, cfg)
-	}
+	return trainCluster(net.Endpoints(), probes, policy, cfg)
 }
 
 // TrainClusterTCP is TrainCluster over real localhost TCP connections.
@@ -177,33 +141,51 @@ func TrainClusterTCP(workers, probes int, policy Policy, cfg TrainConfig) ([]*Tr
 	if workers < 1 {
 		return nil, fmt.Errorf("rna: %d workers", workers)
 	}
-	meshes, err := transport.NewTCPCluster(workers)
+	tcp, err := transport.NewTCPCluster(workers)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, m := range meshes {
-			_ = m.Close()
-		}
-	}()
+	meshes := make([]transport.Mesh, workers)
+	for i, m := range tcp {
+		meshes[i] = m
+		defer func() { _ = m.Close() }()
+	}
+	return trainCluster(meshes, probes, policy, cfg)
+}
 
-	ctrl, err := controller.New(policy, workers, probes, cfg.Seed)
+// trainCluster runs one worker per mesh under policy's controller: the BSP,
+// eager-SGD or RNA worker, as TrainCluster describes.
+func trainCluster(meshes []transport.Mesh, probes int, policy Policy, cfg TrainConfig) ([]*TrainResult, error) {
+	ctrl, err := controller.New(policy, len(meshes), probes, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*TrainResult, workers)
-	errs := make([]error, workers)
-	done := make(chan int)
+	return runRanks(meshes, func(mesh transport.Mesh) (*TrainResult, error) {
+		switch policy {
+		case controller.AllReady:
+			return core.RunBSPWorker(mesh, ctrl, cfg)
+		case controller.Majority, controller.Solo:
+			return core.RunEagerWorker(mesh, ctrl, cfg)
+		default:
+			return core.RunRNAWorker(mesh, ctrl, cfg)
+		}
+	})
+}
+
+// runRanks runs run on every mesh concurrently and returns, once all have
+// returned, their results in rank order or the lowest failing rank's error.
+func runRanks[R any](meshes []transport.Mesh, run func(transport.Mesh) (R, error)) ([]R, error) {
+	results := make([]R, len(meshes))
+	errs := make([]error, len(meshes))
+	var wg sync.WaitGroup
 	for i, mesh := range meshes {
-		i, mesh := i, mesh
+		wg.Add(1)
 		go func() {
-			results[i], errs[i] = runWorker(mesh, ctrl, policy, cfg)
-			done <- i
+			defer wg.Done()
+			results[i], errs[i] = run(mesh)
 		}()
 	}
-	for range results {
-		<-done
-	}
+	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("rna: worker %d: %w", i, err)
@@ -246,28 +228,12 @@ func TrainClusterADPSGD(workers int, cfg TrainConfig) ([]*ADPSGDResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*ADPSGDResult, workers)
-	errs := make([]error, workers)
-	done := make(chan int)
-	for i, mesh := range net.Endpoints() {
-		i, mesh := i, mesh
-		go func() {
-			results[i], errs[i] = core.RunADPSGDWorker(mesh, cfg)
-			done <- i
-		}()
-	}
-	for range results {
-		<-done
-	}
-	// Close only after every worker returned: responders serve peers'
+	// runRanks returns after every worker: responders serve peers'
 	// averaging requests until the mesh closes.
-	_ = net.Close()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("rna: worker %d: %w", i, err)
-		}
-	}
-	return results, nil
+	defer func() { _ = net.Close() }()
+	return runRanks(net.Endpoints(), func(mesh transport.Mesh) (*ADPSGDResult, error) {
+		return core.RunADPSGDWorker(mesh, cfg)
+	})
 }
 
 // ConsensusModel averages the final models of an AD-PSGD run.
@@ -289,24 +255,16 @@ func PartitionWorkers(obs [][]time.Duration) ([]Group, error) {
 // real runtime: each group runs RNA internally over its own sub-mesh and
 // controller; periodically (every psEvery group synchronizations; 0 selects
 // the default) every member exchanges its span of the group's update with a
-// shared parameter server, and the group's parameter allgather hands all its
-// members the pulled global model.
+// parameter server, and the group's parameter allgather hands all its
+// members the pulled global model. The groups must partition the ranks
+// 0..n−1; the server runs on rank n of the in-memory mesh.
 func TrainClusterHierarchical(groups []Group, probes, psEvery int, cfg TrainConfig) ([]*TrainResult, error) {
-	workers := 0
-	for _, g := range groups {
-		workers += g.Size()
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("rna: empty groups")
-	}
-	net, err := transport.NewLocalNetwork(workers)
+	workers, err := partitionSize(groups)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = net.Close() }()
-
-	store := ps.NewStore(1)
-	if err := core.SeedStore(store, cfg); err != nil {
+	init, err := core.InitialParams(cfg)
+	if err != nil {
 		return nil, err
 	}
 	ctrls := make([]*controller.Controller, len(groups))
@@ -316,25 +274,45 @@ func TrainClusterHierarchical(groups []Group, probes, psEvery int, cfg TrainConf
 			return nil, err
 		}
 	}
-	hcfg := core.HierarchicalConfig{Train: cfg, Groups: groups, Store: store, PSEvery: psEvery}
+	net, err := transport.NewLocalNetwork(workers + 1)
+	if err != nil {
+		return nil, err
+	}
+	meshes := net.Endpoints()
+	srv, err := ps.NewServer(meshes[workers], ps.ServerConfig{Key: core.HierarchicalPSKey, Dim: len(init), Init: init})
+	if err != nil {
+		_ = net.Close()
+		return nil, err
+	}
+	hcfg := core.HierarchicalConfig{Train: cfg, Groups: groups, PSEvery: psEvery, PS: &ps.ClientConfig{Servers: []int{workers}}}
+	results, err := runRanks(meshes[:workers], func(mesh transport.Mesh) (*TrainResult, error) {
+		return core.RunHierarchicalWorker(mesh, ctrls, hcfg)
+	})
+	_ = net.Close() // ends the server's handlers
+	if srvErr := srv.Wait(); err == nil && srvErr != nil {
+		return nil, fmt.Errorf("rna: parameter server: %w", srvErr)
+	}
+	return results, err
+}
 
-	results := make([]*TrainResult, workers)
-	errs := make([]error, workers)
-	done := make(chan int)
-	for i, mesh := range net.Endpoints() {
-		i, mesh := i, mesh
-		go func() {
-			results[i], errs[i] = core.RunHierarchicalWorker(mesh, ctrls, hcfg)
-			done <- i
-		}()
+// partitionSize returns n, the number of ranks groups hold, when every rank
+// 0..n−1 is in exactly one group.
+func partitionSize(groups []Group) (int, error) {
+	n := 0
+	for _, g := range groups {
+		n += g.Size()
 	}
-	for range results {
-		<-done
+	if n < 1 {
+		return 0, fmt.Errorf("rna: empty groups")
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("rna: worker %d: %w", i, err)
+	seen := make([]bool, n)
+	for _, g := range groups {
+		for _, r := range g.Members {
+			if r < 0 || r >= n || seen[r] {
+				return 0, fmt.Errorf("rna: groups %v do not partition ranks 0..%d", groups, n-1)
+			}
+			seen[r] = true
 		}
 	}
-	return results, nil
+	return n, nil
 }

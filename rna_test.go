@@ -191,8 +191,28 @@ func TestTrainClusterHierarchical(t *testing.T) {
 	if top1 < 0.75 {
 		t.Errorf("hierarchical facade top-1 = %v", top1)
 	}
-	if _, err := TrainClusterHierarchical(nil, 2, 0, cfg); err == nil {
-		t.Error("empty groups should error")
+	// Groups that do not partition 0..n−1 are refused before anything
+	// starts: with the parameter server on rank n, a group naming rank n
+	// would wait on it forever.
+	for name, groups := range map[string][]Group{
+		"empty":     nil,
+		"gap":       {{Members: []int{0, 1}}, {Members: []int{2, 4}}},
+		"duplicate": {{Members: []int{0, 1}}, {Members: []int{1, 2}}},
+		"negative":  {{Members: []int{0, 1}}, {Members: []int{2, -1}}},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := TrainClusterHierarchical(groups, 2, 0, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s groups %v: accepted", name, groups)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s groups %v: no answer within 10 s", name, groups)
+		}
 	}
 }
 
