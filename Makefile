@@ -51,7 +51,7 @@ results-check-purego:
 # commit that removed the feature instead. Add a name here when its code
 # goes; CHANGES.md, ROADMAP.md and benchmark/README.md keep the
 # history and are not checked.
-DOC_NAMES = StreamDemux|rnabench|MeshCaps|CapsAll|SetLinkRate|FusedAllReduce|RingAllReduceSegmented|PartialRingAllReduce|PSChunks|OptNsPerElem|PSPushPullWire|AllReduceAlgo|SkewEngine|OverlapSerial|SeedStore|PushPullLease|AverageInto
+DOC_NAMES = StreamDemux|rnabench|MeshCaps|CapsAll|SetLinkRate|FusedAllReduce|RingAllReduceSegmented|PartialRingAllReduce|PSChunks|OptNsPerElem|PSPushPullWire|AllReduceAlgo|SkewEngine|OverlapSerial|SeedStore|PushPullLease|AverageInto|ShardedUpdate|replicatedReducer|shardedReducer|ownerComputes|ErrHierarchicalSchedule
 doc-names:
 	@if grep -nwE '$(DOC_NAMES)' DESIGN.md README.md EXPERIMENTS.md; then \
 		echo "doc-names: the lines above name identifiers the code no longer has"; exit 1; fi
@@ -82,11 +82,13 @@ loc:
 # never run them. They hold the RNA data path to zero gradient-sized
 # allocations per step (accumulator lease cycle, in-place partial AllReduce,
 # parameter-server exchange into a persistent buffer, whole or by chunk run,
-# the two end-to-end worker gates, the hierarchical run over TCP, where every
-# group member exchanges its own chunks, and the owner-computes ring pair
-# over 4-rank TCP, whose chunks land in the caller's vector), and the v1 frame
-# codec to zero allocations per encode/decode cycle at every payload size
-# from 64 B to 8 MiB.
+# the two end-to-end worker gates, BSP and RNA, each on the ring pair at
+# 65 536 parameters and on the tree at hetero_*'s 4 680 (best of five about
+# 95 B and 110 B per rank per sync there), the hierarchical run over TCP,
+# where every group member exchanges its own chunks, and the owner-computes
+# ring pair over 4-rank TCP, whose chunks land in the caller's vector), and
+# the v1 frame codec to zero allocations per encode/decode cycle at every
+# payload size from 64 B to 8 MiB.
 alloc-gate:
 	$(GO) test -count=1 -run 'Alloc' ./internal/core ./internal/collective ./internal/ps ./internal/transport
 
@@ -95,8 +97,8 @@ alloc-gate:
 # elements on the in-memory mesh, the best of five runs within 10 % of the
 # ns/op recorded on the deleted pipelined engine), a timing gate built only
 # under the benchsmoke tag so that a plain `go test ./...` never runs it, and
-# sharded Adam over TCP asserted bit-identical to in-memory and to the
-# replicated update.
+# sharded Adam over TCP asserted bit-identical to in-memory and against the
+# serial reference.
 bench-smoke:
 	$(GO) test -count=1 -tags benchsmoke -run 'TestRingRegressionGuard|TestShardedBSPOverTCP' ./internal/collective ./internal/core
 

@@ -106,9 +106,7 @@ func partialAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contributes
 // buffer, on top of any schedule. work is the flag-extended vector: dim data
 // elements followed by one slot for the rank's weight, which rides the
 // reduction so the weights are summed by the same pass as the data. The call
-// sets the flag slot itself to weight, the number of mini-batches the rank's
-// gradient sums (RNA's Weigh count); with weight 0 it zeroes the whole of
-// work (whatever it held) so the rank joins with a null gradient. On return
+// sets the flag slot itself to weight, RNA's Weigh count (setFlag). On return
 // work[:dim] holds the element-wise sum over contributing ranks and the sum
 // of the weights is returned, identical on every rank (zero means nobody had
 // data).
@@ -116,17 +114,11 @@ func partialAllReduce(m transport.Mesh, iter int64, v tensor.Vector, contributes
 // core's accumulator leases gradient buffers with the flag slot as spare
 // capacity, so a taken gradient is reduced where it lies.
 func PartialAllReduceInPlace(m transport.Mesh, iter int64, work tensor.Vector, weight int, opts Options) (batches int, err error) {
-	dim := len(work) - 1
-	if dim < 0 {
-		return 0, fmt.Errorf("collective: partial allreduce needs a flag slot, got an empty vector")
-	}
-	if weight > 0 {
-		work[dim] = float64(weight)
-	} else {
-		work.Zero()
+	if err := setFlag(work, weight, "partial allreduce"); err != nil {
+		return 0, err
 	}
 	if err := AllReduceOpts(m, iter, work, OpSum, opts); err != nil {
 		return 0, err
 	}
-	return decodeCount(work[dim]), nil
+	return decodeCount(work[len(work)-1]), nil
 }

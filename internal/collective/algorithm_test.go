@@ -60,11 +60,30 @@ func runAlgo(t *testing.T, inputs []tensor.Vector, iter int64, op ReduceOp, algo
 	return got
 }
 
+// runTreeHalves is runAlgo for the tree called as its two halves: TreeReduce,
+// then Broadcast from rank 0.
+func runTreeHalves(t *testing.T, inputs []tensor.Vector, iter int64, op ReduceOp) []tensor.Vector {
+	t.Helper()
+	got := make([]tensor.Vector, len(inputs))
+	for r := range got {
+		got[r] = inputs[r].Clone()
+	}
+	runSPMD(t, len(inputs), func(m transport.Mesh) error {
+		if err := TreeReduce(m, iter, got[m.Rank()], op); err != nil {
+			return err
+		}
+		return Broadcast(m, iter, got[m.Rank()], 0)
+	})
+	return got
+}
+
 var fixedAlgos = []Algorithm{AlgoRing, AlgoTree}
 
 // TestAlgorithmsMatchSerialReference sweeps rank counts (power-of-two and
 // not), dimensions (empty, odd, sub-rank-count, large) and both ops for
 // every schedule, requiring 1e-12 relative agreement with the serial sum.
+// The tree's rows also run it as its two halves, TreeReduce then Broadcast,
+// which must give TreeAllReduce's bits on every rank.
 func TestAlgorithmsMatchSerialReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, algo := range append([]Algorithm{AlgoAuto}, fixedAlgos...) {
@@ -78,6 +97,17 @@ func TestAlgorithmsMatchSerialReference(t *testing.T) {
 						if j, ok := withinTol(got[r], want, 1e-12); !ok {
 							t.Fatalf("%v n=%d dim=%d op=%v rank=%d elem %d: got %v, want %v",
 								algo, n, dim, op, r, j, got[r][j], want[j])
+						}
+					}
+					if algo != AlgoTree {
+						continue
+					}
+					for r, h := range runTreeHalves(t, inputs, 5, op) {
+						for j := range h {
+							if math.Float64bits(h[j]) != math.Float64bits(got[r][j]) {
+								t.Fatalf("tree halves n=%d dim=%d op=%v rank=%d elem %d: %x, TreeAllReduce %x",
+									n, dim, op, r, j, math.Float64bits(h[j]), math.Float64bits(got[r][j]))
+							}
 						}
 					}
 				}

@@ -188,10 +188,12 @@ func weight(contributes bool) int {
 }
 
 // TestPartialCollectivesSumWeights: a rank's flag is the mini-batches its
-// gradient sums, and every partial schedule — the tree, the in-place ring and
-// the owner-computes scatter — sums the flags uncapped on every rank, over
-// both transports: weights (2, 0, 3, 1) read 6 on four ranks, and the data is
-// the sum over the ranks with a non-zero weight.
+// gradient sums, and every partial schedule — the tree, the in-place ring,
+// the owner-computes scatter and the tree's halves — sums the flags uncapped
+// on every rank, over both transports: weights (2, 0, 3, 1) read 6 on four
+// ranks, and the data is the sum over the ranks with a non-zero weight. The
+// tree's halves read it twice: PartialTreeReduce at rank 0, then
+// PartialBroadcast on every rank, from the flag slot the root sent down.
 func TestPartialCollectivesSumWeights(t *testing.T) {
 	const n, dim = 4, 37
 	weights := []int{2, 0, 3, 1}
@@ -203,12 +205,22 @@ func TestPartialCollectivesSumWeights(t *testing.T) {
 		}
 	}
 	for kind, meshes := range memAndTCP(t, n) {
-		for _, sched := range []string{"tree", "ring", "scatter"} {
+		for _, sched := range []string{"tree", "ring", "scatter", "tree halves"} {
 			got := cloneVecs(in)
 			counts := make([]int, n)
+			var rootCount int
 			spmd(t, meshes, func(m transport.Mesh) (err error) {
 				r := m.Rank()
 				switch sched {
+				case "tree halves":
+					var c int
+					if c, err = PartialTreeReduce(m, 3, got[r], weights[r]); err != nil {
+						return err
+					}
+					if r == 0 {
+						rootCount = c
+					}
+					counts[r], err = PartialBroadcast(m, 3, got[r])
 				case "tree":
 					counts[r], err = PartialAllReduceInPlace(m, 3, got[r], weights[r], Options{Algorithm: AlgoTree})
 				case "ring":
@@ -218,6 +230,9 @@ func TestPartialCollectivesSumWeights(t *testing.T) {
 				}
 				return err
 			})
+			if sched == "tree halves" && rootCount != 6 {
+				t.Errorf("%s/%s: the root's reduce read %d mini-batches, want 6", kind, sched, rootCount)
+			}
 			for r := range counts {
 				if counts[r] != 6 {
 					t.Errorf("%s/%s: rank %d read %d mini-batches, want 6", kind, sched, r, counts[r])

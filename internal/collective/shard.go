@@ -7,9 +7,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// What the ring pair (shard_ring.go) and the in-place partial collective
-// share: the tags of the scatter and gather halves, ownership tables and the
-// decode of the summed flags.
+// What the ring pair (shard_ring.go), the tree's halves (tree.go) and the
+// in-place partial collective share: the tags of the scatter and gather
+// halves, ownership tables and the encode and decode of the flags.
 //
 // Ownership tables. A table is n+1 prefix offsets: part i is
 // table[i]:table[i+1]. Parts must be monotone and cover the vector exactly;
@@ -51,6 +51,22 @@ func checkShardOffsets(n, total int, offs []int) error {
 		if offs[i+1] < offs[i] {
 			return fmt.Errorf("collective: shard offsets not monotone at rank %d", i)
 		}
+	}
+	return nil
+}
+
+// setFlag readies a flag-extended vector for a partial reduction: its last
+// element, the flag slot, carries weight, the mini-batches the rank's gradient
+// sums; with weight 0 all of work is zeroed, a null gradient. A vector without
+// a flag slot is refused, with what in the error, before any traffic.
+func setFlag(work tensor.Vector, weight int, what string) error {
+	if len(work) == 0 {
+		return fmt.Errorf("collective: %s needs a flag slot, got an empty vector", what)
+	}
+	if weight > 0 {
+		work[len(work)-1] = float64(weight)
+	} else {
+		work.Zero()
 	}
 	return nil
 }

@@ -134,14 +134,12 @@ func RingReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceO
 // participation, on the flag-extended vector PartialAllReduceInPlace rings
 // over: work is dim data elements plus the flag slot. Without a table the
 // uniform chunks of all dim+1 elements set the fold boundaries, so every data
-// element keeps the fold start it has in the replicated partial collective
-// and finishes with the same bits; a table covers all dim+1 elements, so the
-// flag slot closes its last part. weight is what the rank's flag carries, the
-// mini-batches its gradient sums; a rank with weight 0 joins with a null
-// gradient (work is zeroed). The owned span RingOwned(len(work), n, r,
-// table...) holds the UNSCALED sum over contributors, and only it is defined
-// afterwards; the caller divides by the returned sum of the weights,
-// identical on every rank.
+// element keeps the fold start it has in PartialAllReduceInPlace's ring and
+// finishes with the same bits; a table covers all dim+1 elements, so the flag
+// slot closes its last part. weight is what the rank's flag carries
+// (setFlag). The owned span RingOwned(len(work), n, r, table...) holds the
+// UNSCALED sum over contributors, and only it is defined afterwards; the
+// caller divides by the returned sum of the weights, identical on every rank.
 //
 // Every owner needs that sum before it steps and only the last part holds
 // the flag slot, so each scatter message carries, as its one-element tail
@@ -149,19 +147,12 @@ func RingReduceScatter(m transport.Mesh, iter int64, v tensor.Vector, op ReduceO
 // visited: a part visits all n on its way to its owner, empty or not, and no
 // extra round is needed.
 func PartialRingReduceScatter(m transport.Mesh, iter int64, work tensor.Vector, weight int, table ...int) (int, error) {
-	dim := len(work) - 1
-	if dim < 0 {
-		return 0, fmt.Errorf("collective: partial reduce-scatter needs a flag slot, got an empty vector")
+	if err := setFlag(work, weight, "partial reduce-scatter"); err != nil {
+		return 0, err
 	}
-	flag := 0.0
-	if weight > 0 {
-		flag = float64(weight)
-		work[dim] = flag
-	} else {
-		work.Zero()
-	}
+	flag := work[len(work)-1]
 	if m.Size() == 1 {
-		return int(flag), nil
+		return decodeCount(flag), nil
 	}
 	count, err := ringScatter(m, iter, work, true, flag, table)
 	return decodeCount(count), err

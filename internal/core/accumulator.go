@@ -42,8 +42,9 @@ import (
 // parameter version, and the version it supersedes comes back through
 // Recycle (versions, worker.go). Every leased buffer is dim long with
 // capacity ≥ dim+1: the spare element is the contributor-flag slot of the
-// partial AllReduce (collective.PartialAllReduceInPlace), so the taken buffer
-// can be resliced to dim+1 and reduced without a copy. A buffer that is never
+// partial reduction (collective.PartialRingReduceScatter or
+// collective.PartialTreeReduce), so the taken buffer can be resliced to dim+1
+// and reduced without a copy. A buffer that is never
 // recycled is simply garbage-collected.
 type Accumulator struct {
 	mu    sync.Mutex

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collective"
 	"repro/internal/controller"
 	"repro/internal/data"
 	"repro/internal/model"
@@ -21,13 +22,20 @@ import (
 // hook up to four more per exchange, so the gates sit well below one
 // vector per rank per step and fail loudly if a per-step copy comes back.
 
-const allocGateDim = 1 << 16
+// The worker gates run two sizes: allocGateDim, which the selector reduces
+// over four ranks on the ring pair, and treeGateDim, the hetero_* workloads'
+// model, which it reduces on the tree (dim+1 elements for RNA too).
+const (
+	allocGateDim = 1 << 16
+	treeGateDim  = 4680
+)
 
-// allocGateConfig is a logistic model of exactly allocGateDim parameters
-// (8 classes × 8191 features + 8 biases) on a small blob dataset.
-func allocGateConfig(t *testing.T, iters int) TrainConfig {
+// allocGateConfig is a logistic model of exactly dim parameters (8 classes ×
+// (dim/8 − 1) features + 8 biases; dim a multiple of 8) on a small blob
+// dataset.
+func allocGateConfig(t *testing.T, iters, dim int) TrainConfig {
 	t.Helper()
-	ds, err := data.Blobs(rng.New(5), 8, allocGateDim/8-1, 4, 0.25)
+	ds, err := data.Blobs(rng.New(5), 8, dim/8-1, 4, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +43,8 @@ func allocGateConfig(t *testing.T, iters int) TrainConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dim() != allocGateDim {
-		t.Fatalf("model dim %d, want %d", m.Dim(), allocGateDim)
+	if m.Dim() != dim {
+		t.Fatalf("model dim %d, want %d", m.Dim(), dim)
 	}
 	return TrainConfig{
 		Model:          m,
@@ -70,26 +78,40 @@ func steadyStateBytes(cfg *TrainConfig, warm int, train func()) uint64 {
 
 // TestRNAWorkerSteadyStateAllocs: a 4-rank in-memory RNA run allocates less
 // than dim bytes — an eighth of one gradient — per rank per synchronization
-// once the accumulator's buffers and the transport pools are warm.
+// once the accumulator's buffers and the transport pools are warm, on the
+// ring pair and on the tree.
 func TestRNAWorkerSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const n, warm, iters = 4, 12, 72
-	cfg := allocGateConfig(t, iters)
-	ctrl, err := controller.New(controller.PowerOfChoices, n, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bytes := steadyStateBytes(&cfg, warm, func() {
-		trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
-			return RunRNAWorker(m, ctrl, cfg)
+	for _, dim := range []int{allocGateDim, treeGateDim} {
+		cfg := allocGateConfig(t, iters, dim)
+		assertGateSchedule(t, n, dim+1, dim == allocGateDim)
+		ctrl, err := controller.New(controller.PowerOfChoices, n, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := steadyStateBytes(&cfg, warm, func() {
+			trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
+				return RunRNAWorker(m, ctrl, cfg)
+			})
 		})
-	})
-	perSync := float64(bytes) / float64((iters-warm)*n)
-	t.Logf("%.0f bytes per rank per sync at dim %d", perSync, allocGateDim)
-	if perSync >= allocGateDim {
-		t.Errorf("%.0f bytes allocated per rank per sync, want < dim = %d", perSync, allocGateDim)
+		perSync := float64(bytes) / float64((iters-warm)*n)
+		t.Logf("%.0f bytes per rank per sync at dim %d", perSync, dim)
+		if perSync >= float64(dim) {
+			t.Errorf("dim %d: %.0f bytes allocated per rank per sync, want < dim", dim, perSync)
+		}
+	}
+}
+
+// assertGateSchedule fails unless the selector reduces elems elements over n
+// ranks on the schedule a gate row is for: the ring pair at allocGateDim
+// parameters, the tree at treeGateDim.
+func assertGateSchedule(t *testing.T, n, elems int, ring bool) {
+	t.Helper()
+	if collective.AutoRunsRingPair(n, elems) != ring {
+		t.Fatalf("the selector no longer reduces %d elements over %d ranks on the ring pair = %v", elems, n, ring)
 	}
 }
 
@@ -110,7 +132,7 @@ func TestHierarchicalExchangeSteadyStateAllocs(t *testing.T) {
 	}
 	const warm, iters = 8, 40
 	cfg := HierarchicalConfig{
-		Train:   allocGateConfig(t, iters),
+		Train:   allocGateConfig(t, iters, allocGateDim),
 		Groups:  hierPSGroups,
 		PSEvery: 1,
 		PS:      &ps.ClientConfig{Servers: []int{4}},
@@ -148,32 +170,32 @@ func TestHierarchicalExchangeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBSPWorkerSteadyStateAllocs: the default configuration at this size is
-// the owner-computes update on the ring pair, and a 4-rank in-memory BSP run
-// on it allocates less than dim bytes per rank per synchronization: no
-// per-call scratch on the path every dense run now takes.
+// TestBSPWorkerSteadyStateAllocs: a 4-rank in-memory BSP run allocates less
+// than dim bytes per rank per synchronization, on the ring pair every dense
+// run takes and on the tree the hetero_* and latency_bsp runs take: no
+// per-call scratch on either.
 func TestBSPWorkerSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const n, warm, iters = 4, 12, 72
-	cfg := allocGateConfig(t, iters)
-	if !ownerComputes(&cfg, n, allocGateDim) {
-		t.Fatalf("the default configuration does not select the owner-computes update at %d ranks, dim %d", n, allocGateDim)
-	}
-	ctrl, err := controller.New(controller.AllReady, n, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bytes := steadyStateBytes(&cfg, warm, func() {
-		trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
-			return RunBSPWorker(m, ctrl, cfg)
+	for _, dim := range []int{allocGateDim, treeGateDim} {
+		cfg := allocGateConfig(t, iters, dim)
+		assertGateSchedule(t, n, dim, dim == allocGateDim)
+		ctrl, err := controller.New(controller.AllReady, n, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := steadyStateBytes(&cfg, warm, func() {
+			trainCluster(t, n, func(m transport.Mesh) (*Result, error) {
+				return RunBSPWorker(m, ctrl, cfg)
+			})
 		})
-	})
-	perSync := float64(bytes) / float64((iters-warm)*n)
-	t.Logf("%.0f bytes per rank per sync at dim %d", perSync, allocGateDim)
-	if perSync >= allocGateDim {
-		t.Errorf("%.0f bytes allocated per rank per sync, want < dim = %d", perSync, allocGateDim)
+		perSync := float64(bytes) / float64((iters-warm)*n)
+		t.Logf("%.0f bytes per rank per sync at dim %d", perSync, dim)
+		if perSync >= float64(dim) {
+			t.Errorf("dim %d: %.0f bytes allocated per rank per sync, want < dim", dim, perSync)
+		}
 	}
 }
 
@@ -190,7 +212,7 @@ func TestBSPWorkerSteadyStateAllocs(t *testing.T) {
 func TestRNAGradBuffersIndependentOfBound(t *testing.T) {
 	const n, iters = 4, 64
 	for _, eta := range []int{2, 8, 32} {
-		cfg := allocGateConfig(t, iters)
+		cfg := allocGateConfig(t, iters, allocGateDim)
 		cfg.StalenessBound = eta
 		ctrl, err := controller.New(controller.PowerOfChoices, n, 2, 3)
 		if err != nil {

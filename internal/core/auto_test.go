@@ -67,13 +67,12 @@ func logisticConfig(t *testing.T, features, iters int, adam bool) TrainConfig {
 	}
 }
 
-// TestAutoOwnerComputesMatchesPinnedRing: with nothing set, AlgoAuto on the
-// ring runs the owner-computes update, and the run is bit-identical
-// — parameters and every loss — to the replicated update on the pinned ring,
-// which is what it replaces: BSP and RNA, in memory and over TCP, 2 to 5
-// ranks, SGD and Adam, at a size the shipped constants give to the ring. The
-// optimizer state is carved up, not copied: over the ranks it sums to what
-// one replicated rank holds.
+// TestAutoOwnerComputesMatchesPinnedRing: with nothing pinned, a size the
+// shipped constants give to the ring runs the ring pair, and the run is
+// bit-identical — parameters and every loss — to the serial reference in the
+// ring's fold order: BSP and RNA, in memory and over TCP, 2 to 5 ranks, SGD
+// and Adam. The optimizer state is carved up, not copied: over the ranks it
+// sums to one full-vector state.
 func TestAutoOwnerComputesMatchesPinnedRing(t *testing.T) {
 	const iters = 8
 	clusters := map[string]func(*testing.T, int, func(transport.Mesh) (*Result, error)) []*Result{
@@ -92,41 +91,25 @@ func TestAutoOwnerComputesMatchesPinnedRing(t *testing.T) {
 			for n := 2; n <= 5; n++ {
 				for _, adam := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%s/n=%d/adam=%v", kind, protocol, n, adam)
-					run := func(cfg TrainConfig) []*Result {
-						ctrl, err := controller.New(controller.AllReady, n, 0, 1)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return cluster(t, n, func(m transport.Mesh) (*Result, error) { return worker(m, ctrl, cfg) })
+					ctrl, err := controller.New(controller.AllReady, n, 0, 1)
+					if err != nil {
+						t.Fatal(err)
 					}
-					auto := ringConfig(t, iters, adam)
-					pinned := auto
-					pinned.Algorithm = collective.AlgoRing
-					got, want := run(auto), run(pinned)
-					assertBitsEqual(t, name, got, want)
-					if digestResults(got) != digestResults(want) {
-						t.Errorf("%s: same parameters, different losses", name)
-					}
-					var state int64
-					for _, res := range got {
-						state += res.OptStateBytes
-					}
-					if state != want[0].OptStateBytes || got[0].OptStateBytes >= want[0].OptStateBytes {
-						t.Errorf("%s: owner-computes state sums to %d (rank 0: %d), one replicated rank holds %d",
-							name, state, got[0].OptStateBytes, want[0].OptStateBytes)
-					}
+					cfg := ringConfig(t, iters, adam)
+					got := cluster(t, n, func(m transport.Mesh) (*Result, error) { return worker(m, ctrl, cfg) })
+					assertSerial(t, name, cfg, protocol == "rna", true, got)
+					assertStateSplit(t, name, cfg, true, got)
 				}
 			}
 		}
 	}
 }
 
-// TestTwoRankAutoMatchesPinnedTree: at 2 ranks AlgoAuto runs the
-// owner-computes update on the ring pair at every size, and the run is
-// bit-identical — parameters and every loss — to the replicated update on the
-// pinned tree, which the shipped constants picked before: BSP and
-// deterministic RNA, in memory and over TCP, SGD and Adam, under the shipped
-// cost model. Each rank holds half the optimizer state.
+// TestTwoRankAutoMatchesPinnedTree: at 2 ranks the selector runs the ring
+// pair at every size, and the run is bit-identical — parameters and every
+// loss — to the same run pinned to the tree (a + b = b + a): BSP and
+// deterministic RNA, in memory and over TCP, SGD and Adam. Each rank of the
+// pair holds half the optimizer state, the tree's root all of it.
 func TestTwoRankAutoMatchesPinnedTree(t *testing.T) {
 	const n, iters = 2, 8
 	clusters := map[string]func(*testing.T, int, func(transport.Mesh) (*Result, error)) []*Result{
@@ -151,17 +134,20 @@ func TestTwoRankAutoMatchesPinnedTree(t *testing.T) {
 					}
 					return cluster(t, n, func(m transport.Mesh) (*Result, error) { return worker(m, ctrl, cfg) })
 				}
-				auto := autoConfig(t, iters, adam)
-				pinned := auto
-				pinned.Algorithm = collective.AlgoTree
-				got, want := run(auto), run(pinned)
+				cfg := autoConfig(t, iters, adam)
+				got := run(cfg)
+				restore := pinSchedule(false)
+				want := run(cfg)
+				restore()
 				assertBitsEqual(t, name, got, want)
 				if digestResults(got) != digestResults(want) {
 					t.Errorf("%s: same parameters, different losses", name)
 				}
-				if got[0].OptStateBytes+got[1].OptStateBytes != want[0].OptStateBytes || got[0].OptStateBytes >= want[0].OptStateBytes {
-					t.Errorf("%s: owner-computes state %d + %d, one replicated rank holds %d",
-						name, got[0].OptStateBytes, got[1].OptStateBytes, want[0].OptStateBytes)
+				full := fullState(t, cfg)
+				if got[0].OptStateBytes+got[1].OptStateBytes != full || got[0].OptStateBytes >= full ||
+					want[0].OptStateBytes != full || want[1].OptStateBytes != 0 {
+					t.Errorf("%s: the pair's state %d + %d, the tree's %d + %d, one full state %d", name,
+						got[0].OptStateBytes, got[1].OptStateBytes, want[0].OptStateBytes, want[1].OptStateBytes, full)
 				}
 			}
 		}
@@ -186,58 +172,67 @@ func benchGeometryConfig(t *testing.T) TrainConfig {
 	return TrainConfig{Model: m, Batch: func(s *rng.Source) []int { return ds.Batch(s, 4) }, LR: 0.008, Momentum: 0.9, Iterations: 1}
 }
 
-// TestOwnerComputesSelection: what newStage picks. The owner-computes update
-// is the default exactly where AlgoAuto would run the ring pair — where it
-// picks the ring, and at 2 ranks at every size;
-// everything else keeps the stage its configuration names.
+// TestOwnerComputesSelection: what newStage picks. Unpinned, the ring pair
+// runs exactly where the selector would run it — where it picks the ring, and
+// at 2 ranks at every size — and each rank owns the span the ring completes
+// at it; everywhere else the tree runs, and rank 0 owns the whole vector. The
+// pinned rows hold the test pin (pinSchedule) to overriding the selector both
+// ways.
 func TestOwnerComputesSelection(t *testing.T) {
 	base := autoConfig(t, 1, false)
 	ring := ringConfig(t, 1, false)
 	small, _ := blobConfig(t, 1) // 28 parameters: the shipped constants pick the tree
 	bench := benchGeometryConfig(t)
-	meshes := map[int]transport.Mesh{}
+	meshes := map[int][]transport.Mesh{}
 	for _, n := range []int{2, 4} {
 		net, err := transport.NewLocalNetwork(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() { _ = net.Close() }()
-		meshes[n] = net.Endpoints()[0]
+		meshes[n] = net.Endpoints()
 	}
 	rows := []struct {
-		name  string
-		cfg   TrainConfig
-		apply func(*TrainConfig)
-		want  bool
-		n     int // ranks; 0 means 4
+		name string
+		cfg  TrainConfig
+		n    int
+		pin  string // "ring", "tree" or none
+		ring bool
 	}{
-		{"auto on the pipelined ring", ring, func(*TrainConfig) {}, true, 0},
-		{"shipped constants give this size to the tree", base, func(*TrainConfig) {}, false, 0},
-		{"pinned ring", ring, func(c *TrainConfig) { c.Algorithm = collective.AlgoRing }, false, 0},
-		{"pinned tree", ring, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, false, 0},
-		{"asked for, below the envelope", small, func(c *TrainConfig) { c.ShardedUpdate = true }, true, 0},
-		{"asked for, pinned ring", base, func(c *TrainConfig) {
-			c.ShardedUpdate, c.Algorithm = true, collective.AlgoRing
-		}, true, 0},
-		{"2 ranks, the benchmark geometry", bench, func(*TrainConfig) {}, true, 2},
-		{"2 ranks, 28 parameters", small, func(*TrainConfig) {}, true, 2},
-		{"2 ranks, pinned tree", base, func(c *TrainConfig) { c.Algorithm = collective.AlgoTree }, false, 2},
+		{"auto on the pipelined ring", ring, 4, "", true},
+		{"shipped constants give this size to the tree", base, 4, "", false},
+		{"shipped constants give 28 parameters to the tree", small, 4, "", false},
+		{"pinned ring", ring, 4, "ring", true},
+		{"pinned tree", ring, 4, "tree", false},
+		{"asked for, below the envelope", small, 4, "ring", true},
+		{"asked for, pinned ring", base, 4, "ring", true},
+		{"2 ranks, the benchmark geometry", bench, 2, "", true},
+		{"2 ranks, 28 parameters", small, 2, "", true},
+		{"2 ranks, pinned tree", base, 2, "tree", false},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := row.cfg
-			row.apply(&cfg)
-			n := row.n
-			if n == 0 {
-				n = 4
+			if row.pin != "" {
+				defer pinSchedule(row.pin == "ring")()
 			}
-			for _, reduced := range []int{cfg.Model.Dim(), cfg.Model.Dim() + 1} {
-				st, err := newStage(meshes[n], &cfg, reduced, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, got := st.red.(*shardedReducer); got != row.want {
-					t.Errorf("reducing %d elements: owner-computes = %v, want %v", reduced, got, row.want)
+			dim := row.cfg.Model.Dim()
+			for _, reduced := range []int{dim, dim + 1} {
+				for rank, mesh := range meshes[row.n] {
+					st, err := newStage(mesh, &row.cfg, reduced, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lo, hi := 0, 0
+					if row.ring {
+						lo, hi = collective.RingOwned(reduced, row.n, rank)
+					} else if rank == 0 {
+						hi = reduced
+					}
+					lo, hi = min(lo, dim), min(hi, dim)
+					if st.ring != row.ring || st.lo != lo || st.hi != hi {
+						t.Errorf("reducing %d elements, rank %d: ring pair %v owning [%d, %d), want %v owning [%d, %d)",
+							reduced, rank, st.ring, st.lo, st.hi, row.ring, lo, hi)
+					}
 				}
 			}
 		})

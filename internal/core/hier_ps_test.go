@@ -222,6 +222,16 @@ func startPS(t *testing.T, cfg *HierarchicalConfig, meshes []transport.Mesh, chu
 // runHier runs hierPSConfig over groups at PSEvery every on all but the last
 // of meshes, the last serving the model in chunks chunks. The exchanges
 // really go through the server: every chunk advances past its seed version.
+// psVersion reads key's version off the server's store.
+func psVersion(t *testing.T, srv *ps.Server, key string) int64 {
+	t.Helper()
+	_, v, err := srv.Store().Pull(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func runHier(t *testing.T, meshes []transport.Mesh, groups []topology.Group, chunks, every int) []*Result {
 	t.Helper()
 	cfg, _ := hierPSConfig(t)
@@ -229,7 +239,7 @@ func runHier(t *testing.T, meshes []transport.Mesh, groups []topology.Group, chu
 	srv := startPS(t, &cfg, meshes, chunks)
 	res := runHierWorkers(t, meshes[:len(meshes)-1], allReadyControllers(t, groups), cfg)
 	for _, key := range srv.Store().Keys() {
-		if v := srv.Store().Version(key); v < 2 {
+		if v := psVersion(t, srv, key); v < 2 {
 			t.Errorf("chunk %q version = %d, want ≥ 2", key, v)
 		}
 	}
@@ -334,7 +344,7 @@ func TestHierarchicalExchangeFrames(t *testing.T) {
 				gi, iters, scatter, gather, other, 2*iters, 2*iters)
 		}
 	}
-	if v := srv.Store().Version(HierarchicalPSKey + "#0"); v != 1+2*iters {
+	if v := psVersion(t, srv, HierarchicalPSKey+"#0"); v != 1+2*iters {
 		t.Errorf("chunk 0 at version %d, want %d", v, 1+2*iters)
 	}
 }

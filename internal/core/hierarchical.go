@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/collective"
 	"repro/internal/controller"
 	"repro/internal/ps"
 	"repro/internal/tensor"
@@ -19,8 +18,8 @@ import (
 // allgather then ships the pulled global model.
 type HierarchicalConfig struct {
 	// Train carries the per-worker training configuration. A group always
-	// runs the owner-computes update on the ring pair, so Algorithm must be
-	// AlgoAuto (ErrHierarchicalSchedule).
+	// synchronizes on the ring pair, whatever its size, because the span a
+	// member exchanges is the span it owns.
 	Train TrainConfig
 	// Groups partitions the worker ranks (e.g. from
 	// topology.PartitionByObservations). Every worker rank must appear
@@ -45,11 +44,6 @@ type HierarchicalConfig struct {
 	// same number of exchanges (equal Iterations and PSEvery).
 	OrderedPS bool
 }
-
-// ErrHierarchicalSchedule is returned for a hierarchical configuration that
-// pins the group's schedule: a group member always runs the owner-computes
-// update on the ring pair, because the span it exchanges is the span it owns.
-var ErrHierarchicalSchedule = errors.New("core: a hierarchical group runs the owner-computes ring pair; Algorithm cannot be set")
 
 // errNoPS is returned for a hierarchical configuration without a PS client.
 var errNoPS = errors.New("core: a hierarchical configuration needs a parameter server (PS)")
@@ -108,17 +102,14 @@ func (c *HierarchicalConfig) client(mesh transport.Mesh, n int) (*ps.Client, err
 // RunHierarchicalWorker trains one rank of a hierarchical cluster. All
 // ranks share one mesh; each group's RNA traffic runs over a SubMesh of its
 // members, with its own controller (ctrls[gi], sized to the group). Every
-// member runs the owner-computes update over the parameter server's chunk
-// table and owns a run of its chunks; on an exchange synchronization it
+// group synchronizes on the ring pair over the parameter server's chunk
+// table, and each member owns a run of its chunks; on an exchange synchronization it
 // pushes its span's delta since its last pull and pulls its span of the
 // global model from the PS server ranks, between its optimizer step and the
 // parameter allgather, which then hands the group the whole pulled model.
 func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, cfg HierarchicalConfig) (*Result, error) {
 	if cfg.PS == nil {
 		return nil, errNoPS
-	}
-	if cfg.Train.Algorithm != collective.AlgoAuto {
-		return nil, ErrHierarchicalSchedule
 	}
 	if err := cfg.Train.validate(); err != nil {
 		return nil, err
@@ -150,8 +141,8 @@ func RunHierarchicalWorker(mesh transport.Mesh, ctrls []*controller.Controller, 
 }
 
 // exchanger is a hierarchical member's share of the parameter-server
-// exchange. The owner-computes update (shardedReducer) owns the parameters by
-// its table and, on the synchronizations due, runs exchange on the span it
+// exchange. The group's reducer (stage.go) owns the parameters by its table
+// and, on the synchronizations due, runs exchange on the span it
 // owns between the optimizer step and the parameter allgather.
 type exchanger interface {
 	// table is the ownership table over the parameters (nil: uniform).

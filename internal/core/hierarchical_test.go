@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/collective"
 	"repro/internal/controller"
 	"repro/internal/model"
 	"repro/internal/ps"
@@ -79,14 +78,13 @@ func TestHierarchicalWorkerTrains(t *testing.T) {
 		t.Errorf("hierarchical top-1 = %v", top1)
 	}
 	// The PS saw exchanges from both groups, on every chunk.
-	store := srv.Store()
-	keys := store.Keys()
+	keys := srv.Store().Keys()
 	if len(keys) < 2 {
 		t.Fatalf("PS keys %v, want the model's chunks", keys)
 	}
 	for _, key := range keys {
-		if store.Version(key) < 3 {
-			t.Errorf("PS version of %q = %d, want several pushes", key, store.Version(key))
+		if v := psVersion(t, srv, key); v < 3 {
+			t.Errorf("PS version of %q = %d, want several pushes", key, v)
 		}
 	}
 }
@@ -119,16 +117,6 @@ func TestHierarchicalValidation(t *testing.T) {
 	}
 	if _, err := InitialParams(TrainConfig{}); err == nil {
 		t.Error("the initial model of a nil model should error")
-	}
-	for name, pin := range map[string]func(*TrainConfig){
-		"pinned ring": func(c *TrainConfig) { c.Algorithm = collective.AlgoRing },
-		"pinned tree": func(c *TrainConfig) { c.Algorithm = collective.AlgoTree },
-	} {
-		cfg := HierarchicalConfig{Train: train, Groups: groups, PS: psCfg}
-		pin(&cfg.Train)
-		if _, err := RunHierarchicalWorker(mesh, nil, cfg); !errors.Is(err, ErrHierarchicalSchedule) {
-			t.Errorf("%s: %v, want ErrHierarchicalSchedule", name, err)
-		}
 	}
 }
 

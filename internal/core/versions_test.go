@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/collective"
 	"repro/internal/controller"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -92,6 +91,7 @@ func TestVersionsNeverTornNorHalfSynced(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rewrite *rewriteExchange
+		restore := func() {}
 		if name == "owner-computes" {
 			rewrite = new(rewriteExchange)
 		} else {
@@ -99,7 +99,7 @@ func TestVersionsNeverTornNorHalfSynced(t *testing.T) {
 			// whose elements differ was torn; the ring's chunks start
 			// their folds at different ranks and may differ in the last
 			// bit.
-			cfg.Algorithm = collective.AlgoTree
+			restore = pinSchedule(false)
 		}
 		results := tcpTrainCluster(t, n, func(mesh transport.Mesh) (*Result, error) {
 			if rewrite == nil {
@@ -107,6 +107,7 @@ func TestVersionsNeverTornNorHalfSynced(t *testing.T) {
 			}
 			return runRNA(mesh, ctrl, cfg, rewrite)
 		})
+		restore()
 		assertBitIdentical(t, name, results[0].Params, results)
 		if torn := m.torn.Load(); torn != 0 {
 			t.Errorf("%s: Gradient saw %d torn versions", name, torn)

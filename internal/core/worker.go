@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/collective"
 	"repro/internal/controller"
 	"repro/internal/model"
 	"repro/internal/opt"
@@ -47,24 +46,6 @@ type TrainConfig struct {
 	// Adam selects the Adam optimizer (standard β₁/β₂/ε) instead of
 	// momentum-SGD; LR and WeightDecay apply, Momentum is ignored.
 	Adam bool
-	// ShardedUpdate forces the owner-computes update path at any size:
-	// reduce-scatter → owned-shard optimizer step → parameter allgather.
-	// Optimizer state and update compute shrink from full-vector-per-rank to
-	// one owned span per rank, and the result is bit-identical to the
-	// replicated path on a pinned ring (ring fold order, owner-side scale).
-	// Leaving it off does not mean the replicated update: AlgoAuto takes this
-	// path by itself wherever it costs nothing (see Algorithm).
-	ShardedUpdate bool
-	// Algorithm selects the dense collective schedule (validate rejects a
-	// value the engine lacks). The zero value, AlgoAuto, lets the cost model
-	// choose per (ranks, size) — and where it chooses the ring, and
-	// at 2 ranks at any size, the ring runs as its two halves with the
-	// owner-computes update between them: the ring's bytes (at 2 ranks the
-	// tree's critical path), the same bits, one optimizer step per element
-	// instead of one per element per rank. A pinned value means the
-	// replicated update on exactly that schedule; pinning AlgoRing is how a
-	// test or an A/B asks for the replicated ring at any vector size.
-	Algorithm collective.Algorithm
 }
 
 func (c *TrainConfig) validate() error {
@@ -77,14 +58,11 @@ func (c *TrainConfig) validate() error {
 	if c.Iterations < 1 {
 		return fmt.Errorf("core: %d iterations", c.Iterations)
 	}
-	if !c.Algorithm.Valid() {
-		return fmt.Errorf("core: unknown collective algorithm %d", c.Algorithm)
-	}
 	return nil
 }
 
-// newOptimizer builds the configured update rule over dim parameters (a
-// full vector for the replicated path, one owned span for the sharded one).
+// newOptimizer builds the configured update rule over dim parameters, the
+// span a rank owns.
 func (c *TrainConfig) newOptimizer(dim int) (opt.Optimizer, error) {
 	if c.Adam {
 		return opt.NewAdam(dim, c.LR, c.WeightDecay)
@@ -128,11 +106,10 @@ type Result struct {
 	GradBuffers int
 	// Elapsed is the worker's wall-clock training time.
 	Elapsed time.Duration
-	// OptStateBytes is this rank's persistent optimizer-state footprint —
-	// full-vector for the replicated update, one owned span for the
-	// owner-computes one (ShardedUpdate, or AlgoAuto on the ring pair):
-	// the N× memory reduction the benchmarks record. Over the ranks of an
-	// owner-computes run it sums to the replicated per-rank figure.
+	// OptStateBytes is this rank's persistent optimizer-state footprint:
+	// that of the span it owns, one ring chunk on the ring pair, the whole
+	// vector at the tree's root and nothing at its other ranks. Over the
+	// ranks of a run it sums to one full-vector state.
 	OptStateBytes int64
 }
 
@@ -213,14 +190,14 @@ func bspLoop(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) 
 // a communication thread joins every partial AllReduce the controller
 // fires, contributing the staleness-weighted local reduction (or a null
 // gradient) and applying one step on all the mini-batches the
-// synchronization carries (stage.partial). All ranks converge on identical
+// synchronization carries (reducer.partial). All ranks converge on identical
 // parameters because every rank applies the same reduced update.
 func RunRNAWorker(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig) (*Result, error) {
 	return runRNA(mesh, ctrl, cfg, nil)
 }
 
 // runRNA is RunRNAWorker with an optional parameter-server exchange, run by
-// the owner-computes update (the hierarchical scheme's member).
+// the owner's step (the hierarchical scheme's member).
 func runRNA(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, ex exchanger) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -236,7 +213,7 @@ func runRNA(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, e
 // is immutable: the compute thread pins the current one for the length of one
 // Gradient call and copies nothing, and the communication thread — the only
 // writer — builds the next one in the buffer its synchronization reduced
-// (stage.partial) and makes it current in one step, together with synced.
+// (reducer.partial) and makes it current in one step, together with synced.
 // Nothing of a synchronization (the update, a parameter-server exchange, a
 // half-finished allgather) is visible before that step, and no lock is held
 // while a version is read or written, only while one changes hands.
@@ -245,8 +222,8 @@ func runRNA(mesh transport.Mesh, ctrl *controller.Controller, cfg TrainConfig, e
 // buffer becomes the next version, and the version it supersedes goes back
 // through retire (gradSource.Recycle) at publish, or at unpin when a compute
 // step still reads it. Each version therefore has the shape of a gradient
-// buffer, dim long with a spare element, so the owner-computes allgather rings
-// over the flag-extended partition its scatter used.
+// buffer, dim long with a spare element, so the distribute half runs over the
+// flag-extended vector its reduce half used.
 //
 // It also holds the rest of what the two threads share: synced, and the first
 // error of either, which stops both (fail).

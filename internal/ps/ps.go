@@ -337,18 +337,6 @@ func (s *Store) applySnap(key string, value tensor.Vector, mode UpdateMode, minV
 	return next, nil
 }
 
-// Version returns the key's current version (0 if absent).
-func (s *Store) Version(key string) int64 {
-	e, _, ok := s.lookup(key)
-	if !ok {
-		return 0
-	}
-	if snap := e.snap.Load(); snap != nil {
-		return snap.version
-	}
-	return 0
-}
-
 // Keys returns all stored keys in sorted order, so callers that iterate
 // the store (checkpointing, diagnostics) see a deterministic sequence.
 func (s *Store) Keys() []string {

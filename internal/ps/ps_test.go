@@ -166,18 +166,24 @@ func TestPushPullFirstTouch(t *testing.T) {
 	}
 }
 
+// TestVersionAndPushes: an absent key has no version to pull, every push
+// returns the next version, and a pull reads the last.
 func TestVersionAndPushes(t *testing.T) {
 	s := NewStore(3)
-	if s.Version("k") != 0 {
-		t.Error("absent key should report zero version")
+	if _, _, err := s.Pull("k"); !errors.Is(err, ErrUnknownKey) {
+		t.Errorf("Pull of an absent key: %v, want ErrUnknownKey", err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, err := s.Push("k", tensor.FromSlice([]float64{1}), Add); err != nil {
+	for i := int64(1); i <= 5; i++ {
+		v, err := s.Push("k", tensor.FromSlice([]float64{1}), Add)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if v != i {
+			t.Errorf("push %d returned version %d", i, v)
+		}
 	}
-	if s.Version("k") != 5 {
-		t.Errorf("Version = %d, want 5", s.Version("k"))
+	if _, v, err := s.Pull("k"); err != nil || v != 5 {
+		t.Errorf("Pull = version %d, %v; want 5", v, err)
 	}
 }
 
